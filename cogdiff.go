@@ -552,34 +552,15 @@ type CampaignSummary struct {
 	// FingerprintErrors counts exploration fingerprints that failed to
 	// compute; the affected units ran uncached (correct but slower).
 	FingerprintErrors int
-	// CodeCache reports the in-process compiled-code cache's hit/miss
-	// totals. Diagnostics only: counts vary with worker scheduling and
-	// excache warmth, the rendered reports never do.
-	CodeCache CodeCacheStats
 
 	Duration time.Duration
 }
 
-// CodeCacheStats mirrors core.CodeCacheStats for the public API surface.
-type CodeCacheStats struct {
-	Hits   int64 `json:"hits"`
-	Misses int64 `json:"misses"`
-}
-
-// HitRate returns hits/(hits+misses), or 0 for an idle cache.
-func (s CodeCacheStats) HitRate() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(total)
-}
-
 // MeasurePerPathAllocs measures the execution core's per-path allocation
 // cost on this machine: warm is the steady state of a batched unit run
-// (pooled environments, warm compiled-code cache, shared interpreter
-// reference), fresh is the same work with every reuse layer disabled —
-// boot-per-execution and compile-per-call. bench-export records both and
+// (pooled environments, one optimized compile per path lowered per ISA,
+// shared interpreter reference), fresh is the same work with every reuse
+// layer disabled — boot-per-execution and compile-per-call. bench-export records both and
 // perf-smoke gates their ratio.
 func MeasurePerPathAllocs() (warm, fresh float64) {
 	return core.MeasurePerPathAllocs(false), core.MeasurePerPathAllocs(true)
@@ -661,7 +642,6 @@ func RunCampaign(opts CampaignOptions) (*CampaignSummary, error) {
 		Figure6:        report.Figure6(res),
 		Figure7:        report.Figure7(res),
 		Causes:         report.Causes(res),
-		CodeCache:      CodeCacheStats{Hits: res.CodeCache.Hits, Misses: res.CodeCache.Misses},
 		Duration:       time.Since(start), //cogdiff:allow-nondeterminism duration is summary metadata, never report-table content
 	}
 	for _, r := range res.Reports {

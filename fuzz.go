@@ -89,10 +89,6 @@ type FuzzSummary struct {
 	SeededCausesRediscovered []string
 	// Report is the deterministic plain-text report.
 	Report string
-	// CodeCache reports the in-process compiled-code cache's hit/miss
-	// counts (diagnostics only; the report is byte-identical with the
-	// cache on or off).
-	CodeCache CodeCacheStats
 }
 
 // Fuzz runs a coverage-guided differential fuzzing campaign over byte-code
@@ -142,7 +138,6 @@ func Fuzz(opts FuzzOptions) (*FuzzSummary, error) {
 		CoverageBits:             res.CoverageBits,
 		SeededCausesRediscovered: res.Matched,
 		Report:                   fuzzer.Report(res),
-		CodeCache:                CodeCacheStats{Hits: res.CodeCache.Hits, Misses: res.CodeCache.Misses},
 	}
 	for _, d := range res.Differences {
 		fd := FuzzDifference{

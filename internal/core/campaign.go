@@ -62,9 +62,10 @@ type Config struct {
 	// inject unmarshalable content (a NaN in a witness model) through it.
 	poisonExploration func(target concolic.Target, ex *concolic.Exploration)
 	// noReuse disables every raw-speed reuse layer — pooled execution
-	// environments, pooled exploration heaps, and the compiled-code
-	// cache — so each execution boots and compiles from scratch. The
-	// determinism suite diffs reports against this reference mode.
+	// environments, pooled exploration heaps, and lowering one optimized
+	// compile for every ISA — so each execution boots and compiles from
+	// scratch. The determinism suite diffs reports against this reference
+	// mode.
 	noReuse bool
 	// NoVerify disables the static IR verifier inside every compiler the
 	// campaign constructs. Verification is on by default; on a clean
@@ -145,31 +146,11 @@ type CampaignResult struct {
 	Causes  map[string]*Cause // keyed by instruction+family
 	// Explorations preserves every instruction's exploration (Figure 5/6).
 	Explorations map[string]*concolic.Exploration
-	// CodeCache reports the in-process compiled-code cache's hit/miss
-	// totals for this run. Diagnostics only — counts may vary with worker
-	// scheduling (racing double-misses) and with excache unit hits that
-	// bypass compilation entirely; reports never do.
-	CodeCache CodeCacheStats
 	// FingerprintErrors counts explorations whose unit-cache fingerprint
 	// failed to compute. Each such instruction ran every test unit
 	// uncached — correct but slow, so the count must surface rather than
 	// disappear.
 	FingerprintErrors int
-}
-
-// CodeCacheStats is the compiled-code cache activity of one run.
-type CodeCacheStats struct {
-	Hits   int64 `json:"hits"`
-	Misses int64 `json:"misses"`
-}
-
-// HitRate returns hits/(hits+misses), or 0 for an idle cache.
-func (s CodeCacheStats) HitRate() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(total)
 }
 
 // TotalDifferences sums differing paths over all compilers.
@@ -443,8 +424,6 @@ func (c *Campaign) RunContext(ctx context.Context) (*CampaignResult, error) {
 		}
 	}
 	mergeSpan.End()
-	hits, misses := tester.CodeCacheStats()
-	result.CodeCache = CodeCacheStats{Hits: hits, Misses: misses}
 	return result, nil
 }
 
@@ -525,9 +504,8 @@ func (c *Campaign) testInstruction(tester *Tester, kind CompilerKind, target con
 		Paths:       len(ex.Paths) + ex.CuratedOut,
 		ExploreTime: ex.Duration,
 	}
-	// Batch the unit: the interpreter reference for each path is computed
-	// once and reused across every (compiler, ISA) pairing, and compiled
-	// bodies are shared through the tester's code cache.
+	// Batch the unit: the interpreter reference and the optimized compile
+	// of each path are computed once and reused across every ISA.
 	run := tester.BeginUnit(target, ex)
 	defer run.Close()
 	for _, path := range ex.Paths {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"cogdiff/internal/bytecode"
-	"cogdiff/internal/codecache"
 	"cogdiff/internal/concolic"
 	"cogdiff/internal/defects"
 	"cogdiff/internal/heap"
@@ -31,16 +30,10 @@ type Tester struct {
 	// hot loop touches only atomics. All nil (no-op) by default.
 	passMetrics *jit.PassMetrics
 
-	// cache shares compiled bodies across paths, units and workers; nil
-	// disables it (every execution recompiles). defectsFP is the seeded
-	// defect configuration rendered once for cache keys.
-	cache     *codecache.Cache
-	defectsFP string
-
-	// noReuse switches off the execution-environment pool (and, via a nil
-	// cache, compiled-code sharing): every execution boots fresh state.
-	// The determinism suite uses it to pin that pooling cannot change a
-	// single report byte.
+	// noReuse switches off the execution-environment pool and the sharing
+	// of one optimized unit across ISAs: every execution boots fresh state
+	// and compiles from the front-end up. The determinism suite uses it to
+	// pin that reuse cannot change a single report byte.
 	noReuse bool
 
 	// noVerify disables the static IR verifier inside every compiler this
@@ -53,12 +46,7 @@ type Tester struct {
 // NewTester builds a tester with the given native-method table and seeded
 // defect state.
 func NewTester(prims *primitives.Table, sw defects.Switches) *Tester {
-	return &Tester{
-		Prims:     prims,
-		Defects:   sw,
-		cache:     codecache.New(0),
-		defectsFP: fmt.Sprintf("%+v", sw),
-	}
+	return &Tester{Prims: prims, Defects: sw}
 }
 
 // SetMetrics attaches a telemetry registry, resolving the instrument
@@ -67,19 +55,12 @@ func NewTester(prims *primitives.Table, sw defects.Switches) *Tester {
 // workers. A nil registry leaves the tester un-instrumented.
 func (t *Tester) SetMetrics(reg *telemetry.Registry) {
 	t.passMetrics = jit.NewPassMetrics(reg, t.Defects)
-	t.cache.SetMetrics(reg)
 }
 
-// CodeCacheStats reports the compiled-code cache's cumulative hits and
-// misses (zero when caching is disabled).
-func (t *Tester) CodeCacheStats() (hits, misses int64) { return t.cache.Stats() }
-
-// SetNoReuse flips the tester to its reuse-free reference behaviour:
-// no pooled environments, no compiled-code cache.
-func (t *Tester) SetNoReuse() {
-	t.noReuse = true
-	t.cache = nil
-}
+// SetNoReuse flips the tester to its reuse-free reference behaviour: no
+// pooled environments, and every (path, ISA) pairing compiles from the
+// front-end up instead of lowering a unit optimized for an earlier ISA.
+func (t *Tester) SetNoReuse() { t.noReuse = true }
 
 // SetNoVerify disables the static IR verifier for every compilation this
 // tester performs.
@@ -109,10 +90,11 @@ func (t *Tester) interpreterReference(env *execEnv, target concolic.Target, ex *
 
 // UnitRun batches the paths of one unit (target × exploration): the
 // interpreter reference for a path is computed once and reused for every
-// (compiler, ISA) pairing, and compiled bodies are shared through the
-// tester's code cache. Call Close when the unit is done to release the
-// held environment. A UnitRun is not safe for concurrent use; units are
-// the parallelism grain, so each worker drives its own.
+// (compiler, ISA) pairing, and so is the optimized compile of a (path,
+// compiler) pairing, which each ISA only lowers. Call Close when the unit
+// is done to release the held environment. A UnitRun is not safe for
+// concurrent use; units are the parallelism grain, so each worker drives
+// its own.
 type UnitRun struct {
 	t      *Tester
 	target concolic.Target
@@ -128,6 +110,13 @@ type UnitRun struct {
 	refFrame  *interp.Frame
 	refInputs map[heap.Word]int
 	refErr    error
+
+	// The optimized compile of the (path, compiler) pairing most recently
+	// tested. Verdicts arrive with the ISA innermost, so one slot beside
+	// the reference suffices: the first ISA optimizes, the others lower.
+	optPath *concolic.PathResult
+	optKind CompilerKind
+	opt     *optimizedUnit
 }
 
 // BeginUnit starts a batched run over one unit's paths.
@@ -142,6 +131,7 @@ func (u *UnitRun) Close() {
 		u.refEnv = nil
 	}
 	u.refPath = nil
+	u.optPath, u.opt = nil, nil
 }
 
 // reference returns the interpreter reference for path, computing it on
@@ -176,7 +166,7 @@ func (u *UnitRun) reference(path *concolic.PathResult) (interp.Exit, *interp.Fra
 
 // TestPath runs one concolic path against one compiler on one ISA within
 // a unit batch (Fig. 1 steps 2-4), reusing the per-path interpreter
-// reference and the shared compiled body.
+// reference and the (path, compiler) pairing's optimized compile.
 func (u *UnitRun) TestPath(path *concolic.PathResult, kind CompilerKind, isa machine.ISA) PathVerdict {
 	t, target := u.t, u.target
 	v := PathVerdict{Compiler: kind, ISA: isa}
@@ -216,7 +206,14 @@ func (u *UnitRun) TestPath(path *concolic.PathResult, kind CompilerKind, isa mac
 		return v
 	}
 
-	obs, err := t.runCompiled(target, u.ex, path, kind, isa, -1)
+	var shared *optimizedUnit
+	if u.optPath == path && u.optKind == kind {
+		shared = u.opt
+	}
+	obs, opt, err := t.runCompiled(target, u.ex, path, kind, isa, -1, shared)
+	if opt != nil && !t.noReuse {
+		u.optPath, u.optKind, u.opt = path, kind, opt
+	}
 	if err != nil {
 		var verr *irverify.Error
 		if errors.As(err, &verr) {
@@ -271,7 +268,7 @@ func (t *Tester) blamePath(target concolic.Target, ex *concolic.Exploration, pat
 	}
 	passes := jit.PipelineFor(variantOf(kind), t.Defects)
 	for k := 0; k <= len(passes); k++ {
-		obs, err := t.runCompiled(target, ex, path, kind, isa, k)
+		obs, _, err := t.runCompiled(target, ex, path, kind, isa, k, nil)
 		if err != nil {
 			return "front-end"
 		}
@@ -288,20 +285,36 @@ func (t *Tester) blamePath(target concolic.Target, ex *concolic.Exploration, pat
 }
 
 // runCompiled compiles the instruction for a path and executes it on the
-// simulated machine, extracting the observable behaviour. The execution
-// runs on a pooled environment; the returned observation holds only
-// rendered values, so the environment is released before returning. A
-// contained panic abandons the environment instead.
-func (t *Tester) runCompiled(target concolic.Target, ex *concolic.Exploration, path *concolic.PathResult, kind CompilerKind, isa machine.ISA, passLimit int) (*CompiledObservation, error) {
+// simulated machine, extracting the observable behaviour. A non-nil
+// shared unit, optimized for the same (path, compiler) pairing on an
+// earlier ISA, is lowered instead of optimizing again; the unit used is
+// returned for the next ISA (nil when the frame build failed first). The
+// execution runs on a pooled environment; the returned observation holds
+// only rendered values, so the environment is released before returning.
+// A contained panic abandons the environment instead.
+func (t *Tester) runCompiled(target concolic.Target, ex *concolic.Exploration, path *concolic.PathResult, kind CompilerKind, isa machine.ISA, passLimit int, shared *optimizedUnit) (*CompiledObservation, *optimizedUnit, error) {
 	env := t.getEnv()
 	om, cpu := env.om, env.cpu
 	b := concolic.NewFrameBuilder(om, ex.Universe, path.Model)
 	frame, err := b.BuildFrame(target)
 	if err != nil {
 		t.putEnv(env)
-		return nil, err
+		return nil, nil, err
 	}
 	inputs := b.InputObjects()
+	opt := shared
+	if opt == nil {
+		opt, err = t.optimizeFor(target, om, frame, kind, passLimit)
+		if err != nil {
+			t.putEnv(env)
+			return nil, nil, err
+		}
+	}
+	cm, err := opt.lower(om, isa)
+	if err != nil {
+		t.putEnv(env)
+		return nil, opt, err
+	}
 
 	if t.Defects.SimulationMissingAccessors {
 		cpu.SimDefects.MissingSetters = map[machine.Reg]bool{
@@ -312,12 +325,35 @@ func (t *Tester) runCompiled(target concolic.Target, ex *concolic.Exploration, p
 
 	var obs *CompiledObservation
 	if kind == NativeMethodCompilerKind {
-		obs, err = t.runCompiledNative(target, om, cpu, frame, inputs, isa)
+		obs, err = t.runCompiledNative(om, cpu, frame, inputs, cm)
 	} else {
-		obs, err = t.runCompiledBytecode(target, om, cpu, frame, inputs, kind, isa, passLimit)
+		obs, err = t.runCompiledBytecode(target, om, cpu, frame, inputs, cm)
 	}
 	t.putEnv(env)
-	return obs, err
+	return obs, opt, err
+}
+
+// optimizeFor optimizes the unit a path's compiled run executes: the
+// native template of the target's primitive, or the single-instruction
+// schema over the built frame's operand stack.
+func (t *Tester) optimizeFor(target concolic.Target, om *heap.ObjectMemory, frame *interp.Frame, kind CompilerKind, passLimit int) (*optimizedUnit, error) {
+	if kind == NativeMethodCompilerKind {
+		prim := t.Prims.Lookup(target.PrimIndex)
+		if prim == nil {
+			return nil, fmt.Errorf("%w: unknown primitive %d", jit.ErrNotCompilable, target.PrimIndex)
+		}
+		return t.optimizeNative(om, prim), nil
+	}
+	return t.optimizeBytecode(om, modeInstruction, variantOf(kind), passLimit, target.Method, stackWords(frame)), nil
+}
+
+// stackWords returns a frame's operand stack, bottom first.
+func stackWords(frame *interp.Frame) []heap.Word {
+	words := make([]heap.Word, frame.Size())
+	for i, v := range frame.Stack {
+		words[i] = v.W
+	}
+	return words
 }
 
 func variantOf(kind CompilerKind) jit.Variant {
@@ -333,16 +369,7 @@ func variantOf(kind CompilerKind) jit.Variant {
 	}
 }
 
-func (t *Tester) runCompiledBytecode(target concolic.Target, om *heap.ObjectMemory, cpu *machine.CPU, frame *interp.Frame, inputs map[heap.Word]int, kind CompilerKind, isa machine.ISA, passLimit int) (*CompiledObservation, error) {
-	inputStack := make([]heap.Word, frame.Size())
-	for i, v := range frame.Stack {
-		inputStack[i] = v.W
-	}
-	cm, err := t.compileBytecode(om, modeInstruction, variantOf(kind), isa, passLimit, target.Method, inputStack, nil)
-	if err != nil {
-		return nil, err
-	}
-
+func (t *Tester) runCompiledBytecode(target concolic.Target, om *heap.ObjectMemory, cpu *machine.CPU, frame *interp.Frame, inputs map[heap.Word]int, cm *jit.CompiledMethod) (*CompiledObservation, error) {
 	// Frame setup per the compiled calling convention: temporaries pushed
 	// first (temp 0 deepest), then the sentinel return address; the
 	// receiver travels in ReceiverResultReg.
@@ -429,16 +456,7 @@ func (t *Tester) runCompiledBytecode(target concolic.Target, om *heap.ObjectMemo
 	return obs, nil
 }
 
-func (t *Tester) runCompiledNative(target concolic.Target, om *heap.ObjectMemory, cpu *machine.CPU, frame *interp.Frame, inputs map[heap.Word]int, isa machine.ISA) (*CompiledObservation, error) {
-	prim := t.Prims.Lookup(target.PrimIndex)
-	if prim == nil {
-		return nil, fmt.Errorf("%w: unknown primitive %d", jit.ErrNotCompilable, target.PrimIndex)
-	}
-	cm, err := t.compileNative(om, prim, isa)
-	if err != nil {
-		return nil, err
-	}
-
+func (t *Tester) runCompiledNative(om *heap.ObjectMemory, cpu *machine.CPU, frame *interp.Frame, inputs map[heap.Word]int, cm *jit.CompiledMethod) (*CompiledObservation, error) {
 	cpu.Reset()
 	if err := pushWord(cpu, machine.SentinelReturn); err != nil {
 		return nil, err

@@ -38,45 +38,39 @@ func (t *Tester) DumpIR(target concolic.Target, ex *concolic.Exploration, kind C
 func (t *Tester) dumpPathIR(target concolic.Target, ex *concolic.Exploration, path *concolic.PathResult, kind CompilerKind) (string, error) {
 	var b strings.Builder
 	fmt.Fprintf(&b, "instruction %s, compiler %s\n", target.Name, kind)
-
-	stagesDone := false
+	onStage := func(stage string, fn *ir.Fn) {
+		fmt.Fprintf(&b, "\n== %s ==\n%s", stage, fn)
+	}
+	// A fresh object memory keeps the heap addresses embedded in the code
+	// (true/false objects, floats) identical to a test run's.
+	om := heap.NewBootedObjectMemory()
+	var opt *jit.Optimized
+	var err error
+	if kind == NativeMethodCompilerKind {
+		prim := t.Prims.Lookup(target.PrimIndex)
+		if prim == nil {
+			return "", fmt.Errorf("unknown primitive %d", target.PrimIndex)
+		}
+		nc := jit.NewNativeMethodCompiler(0, om, t.Defects)
+		nc.OnStage = onStage
+		opt, err = nc.OptimizeNativeMethod(prim)
+	} else {
+		frame, ferr := concolic.NewFrameBuilder(om, ex.Universe, path.Model).BuildFrame(target)
+		if ferr != nil {
+			return "", ferr
+		}
+		cogit := jit.NewCogit(variantOf(kind), 0, om, t.Defects)
+		cogit.OnStage = onStage
+		opt, err = cogit.OptimizeBytecode(target.Method, stackWords(frame))
+	}
+	if err != nil {
+		return "", err
+	}
 	for _, isa := range []machine.ISA{machine.ISAAmd64Like, machine.ISAArm32Like} {
-		// A fresh object memory per ISA keeps heap addresses embedded in
-		// the code (true/false objects, floats) identical across dumps.
-		om := heap.NewBootedObjectMemory()
-		onStage := func(stage string, fn *ir.Fn) {
-			if stagesDone {
-				return
-			}
-			fmt.Fprintf(&b, "\n== %s ==\n%s", stage, fn)
-		}
-		var cm *jit.CompiledMethod
-		var err error
-		if kind == NativeMethodCompilerKind {
-			prim := t.Prims.Lookup(target.PrimIndex)
-			if prim == nil {
-				return "", fmt.Errorf("unknown primitive %d", target.PrimIndex)
-			}
-			nc := jit.NewNativeMethodCompiler(isa, om, t.Defects)
-			nc.OnStage = onStage
-			cm, err = nc.CompileNativeMethod(prim)
-		} else {
-			frame, ferr := concolic.NewFrameBuilder(om, ex.Universe, path.Model).BuildFrame(target)
-			if ferr != nil {
-				return "", ferr
-			}
-			inputStack := make([]heap.Word, frame.Size())
-			for i, v := range frame.Stack {
-				inputStack[i] = v.W
-			}
-			cogit := jit.NewCogit(variantOf(kind), isa, om, t.Defects)
-			cogit.OnStage = onStage
-			cm, err = cogit.CompileBytecode(target.Method, inputStack)
-		}
+		cm, err := opt.Lower(isa)
 		if err != nil {
 			return "", err
 		}
-		stagesDone = true
 		fmt.Fprintf(&b, "\n== lowered %s ==\n%s", isa, cm.Prog.Disassemble())
 	}
 	return b.String(), nil

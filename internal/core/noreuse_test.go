@@ -1,12 +1,12 @@
 package core
 
 // In-package determinism tests for the raw-speed reuse layers: pooled
-// execution environments, pooled exploration heaps, and the compiled-code
-// cache are pure optimizations, so a campaign with every layer disabled
-// (noReuse) must produce byte-identical results to the default run. The
-// rendered-table and worker-count axes live in the external determinism
-// tests; this file pins the pools-on/off axis, which needs the unexported
-// knob.
+// execution environments, pooled exploration heaps, and lowering one
+// optimized compile for every ISA are pure optimizations, so a campaign
+// with every layer disabled (noReuse) must produce byte-identical results
+// to the default run. The rendered-table and worker-count axes live in
+// the external determinism tests; this file pins the pools-on/off axis,
+// which needs the unexported knob.
 
 import (
 	"encoding/json"
@@ -76,13 +76,6 @@ func TestCampaignByteIdenticalPoolsOnOff(t *testing.T) {
 		}
 		if !reflect.DeepEqual(pooled.Causes, fresh.Causes) {
 			t.Errorf("workers=%d: cause classification differs between pooled and noReuse runs", workers)
-		}
-		if fresh.CodeCache.Hits != 0 || fresh.CodeCache.Misses != 0 {
-			t.Errorf("workers=%d: noReuse run recorded code-cache traffic %d/%d",
-				workers, fresh.CodeCache.Hits, fresh.CodeCache.Misses)
-		}
-		if pooled.CodeCache.Hits == 0 {
-			t.Errorf("workers=%d: pooled run recorded no code-cache hits", workers)
 		}
 	}
 }

@@ -67,8 +67,8 @@ func TestPipelineSoundnessOnPristineVM(t *testing.T) {
 		for pi, path := range ex.Paths {
 			for _, kind := range bytecodeKinds {
 				for _, isa := range []machine.ISA{machine.ISAAmd64Like, machine.ISAArm32Like} {
-					raw, rawErr := tester.runCompiled(target, ex, path, kind, isa, 0)
-					opt, optErr := tester.runCompiled(target, ex, path, kind, isa, -1)
+					raw, _, rawErr := tester.runCompiled(target, ex, path, kind, isa, 0, nil)
+					opt, _, optErr := tester.runCompiled(target, ex, path, kind, isa, -1, nil)
 					if (rawErr == nil) != (optErr == nil) {
 						// The one sanctioned flip: constant folding may
 						// materialize an immediate the fixed-width ISA cannot

@@ -142,7 +142,7 @@ func (t *Tester) TestSequence(method *bytecode.Method, in SequenceInput, kind Co
 // both executions.
 func (t *Tester) TestSequenceObserved(method *bytecode.Method, in SequenceInput, kind CompilerKind, isa machine.ISA, h *SequenceHooks) (*SequenceVerdict, error) {
 	if kind == NativeMethodCompilerKind {
-		return nil, fmt.Errorf("core: sequence testing applies to byte-code compilers")
+		return nil, errSequenceNative
 	}
 	iOut, err := t.InterpSequence(method, in, h)
 	if err != nil {
@@ -152,16 +152,7 @@ func (t *Tester) TestSequenceObserved(method *bytecode.Method, in SequenceInput,
 	if err != nil {
 		var verr *irverify.Error
 		if errors.As(err, &verr) {
-			// Static verdict: the verifier rejected the whole-method body,
-			// so the difference is established — and blamed — without
-			// executing it.
-			return &SequenceVerdict{
-				Differs:  true,
-				Cause:    verr.Blame(),
-				Detail:   "static IR verification failed: " + verr.Error(),
-				Interp:   *iOut,
-				Compiled: SequenceOutcome{Kind: "error: verifier reject: " + verr.Error()},
-			}, nil
+			return VerifierRejectVerdict(iOut, verr), nil
 		}
 		return nil, err
 	}
@@ -170,6 +161,19 @@ func (t *Tester) TestSequenceObserved(method *bytecode.Method, in SequenceInput,
 		v.Cause = t.BlameSequence(method, in, kind, isa, iOut)
 	}
 	return v, nil
+}
+
+// VerifierRejectVerdict is the static verdict for a whole-method body the
+// verifier rejected: the difference is established — and blamed, as the
+// verifier attributes it — without executing the body.
+func VerifierRejectVerdict(iOut *SequenceOutcome, verr *irverify.Error) *SequenceVerdict {
+	return &SequenceVerdict{
+		Differs:  true,
+		Cause:    verr.Blame(),
+		Detail:   "static IR verification failed: " + verr.Error(),
+		Interp:   *iOut,
+		Compiled: SequenceOutcome{Kind: "error: verifier reject: " + verr.Error()},
+	}
 }
 
 // BlameSequence attributes a differing sequence verdict to a compilation
@@ -315,46 +319,86 @@ func (t *Tester) CompiledSequence(method *bytecode.Method, in SequenceInput, kin
 	return t.compiledSequenceLimited(method, in, kind, isa, h, -1)
 }
 
+// CompiledSequenceISAs is CompiledSequence on every ISA of isas, in
+// order: the method is optimized once, in the first ISA's environment,
+// and only lowered for the others, each of which runs in a fresh
+// environment. hooks, when non-nil, holds one entry per ISA; every
+// entry's EmitIR sees the shared IR. The first error ends the call:
+// optimize errors hold for every ISA, and callers treat any error as the
+// whole sequence's.
+func (t *Tester) CompiledSequenceISAs(method *bytecode.Method, in SequenceInput, kind CompilerKind, isas []machine.ISA, hooks []*SequenceHooks) ([]*SequenceOutcome, error) {
+	if kind == NativeMethodCompilerKind {
+		return nil, errSequenceNative
+	}
+	outs := make([]*SequenceOutcome, len(isas))
+	var shared *optimizedUnit
+	for i, isa := range isas {
+		var h *SequenceHooks
+		if hooks != nil {
+			h = hooks[i]
+		}
+		env := t.getEnv()
+		out, opt, err := t.compiledSequenceIn(env, method, in, kind, isa, h, -1, shared)
+		t.putEnv(env)
+		if err != nil {
+			return nil, err
+		}
+		outs[i] = out
+		if !t.noReuse {
+			shared = opt
+		}
+	}
+	return outs, nil
+}
+
+var errSequenceNative = errors.New("core: sequence testing applies to byte-code compilers")
+
 // compiledSequenceLimited is CompiledSequence with the pass pipeline
 // truncated to its first passLimit passes (negative runs the full
 // pipeline); blame re-runs use the truncation to bisect.
 func (t *Tester) compiledSequenceLimited(method *bytecode.Method, in SequenceInput, kind CompilerKind, isa machine.ISA, h *SequenceHooks, passLimit int) (*SequenceOutcome, error) {
 	if kind == NativeMethodCompilerKind {
-		return nil, fmt.Errorf("core: sequence testing applies to byte-code compilers")
+		return nil, errSequenceNative
 	}
 	env := t.getEnv()
-	out, err := t.compiledSequenceIn(env, method, in, kind, isa, h, passLimit)
+	out, _, err := t.compiledSequenceIn(env, method, in, kind, isa, h, passLimit, nil)
 	t.putEnv(env)
 	return out, err
 }
 
-func (t *Tester) compiledSequenceIn(env *execEnv, method *bytecode.Method, in SequenceInput, kind CompilerKind, isa machine.ISA, h *SequenceHooks, passLimit int) (*SequenceOutcome, error) {
+// compiledSequenceIn runs one compiled sequence execution on env. A
+// non-nil shared unit, optimized for the same sequence and compiler on an
+// earlier ISA, is lowered instead of optimizing again; the unit used is
+// returned (nil when the frame build failed first).
+func (t *Tester) compiledSequenceIn(env *execEnv, method *bytecode.Method, in SequenceInput, kind CompilerKind, isa machine.ISA, h *SequenceHooks, passLimit int, shared *optimizedUnit) (*SequenceOutcome, *optimizedUnit, error) {
 	om, cpu := env.om, env.cpu
 	frame, err := buildSequenceFrame(om, method, in)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	// Whole-method compilation takes no input stack, so the cache key
-	// omits it: the compiled body depends only on the method content and
-	// the heap watermark (which the frame build above just determined).
-	var onIR func(ir.Opc)
-	if h != nil && h.EmitIR != nil {
-		onIR = h.EmitIR
+	// Whole-method compilation takes no input stack: the body depends
+	// only on the method and the heap the frame build above left.
+	opt := shared
+	if opt == nil {
+		opt = t.optimizeBytecode(om, modeMethod, variantOf(kind), passLimit, method, nil)
 	}
-	cm, err := t.compileBytecode(om, modeMethod, variantOf(kind), isa, passLimit, method, nil, onIR)
+	cm, err := opt.lower(om, isa)
 	if err != nil {
-		return nil, err
+		return nil, opt, err
+	}
+	if h != nil && h.EmitIR != nil {
+		opt.opt.EachOp(h.EmitIR)
 	}
 	if h != nil {
 		cpu.BlockHook = h.Block
 	}
 	for _, tv := range frame.Temps {
 		if err := pushWord(cpu, tv.W); err != nil {
-			return nil, err
+			return nil, opt, err
 		}
 	}
 	if err := pushWord(cpu, machine.SentinelReturn); err != nil {
-		return nil, err
+		return nil, opt, err
 	}
 	cpu.Regs[machine.ReceiverResultReg] = frame.Receiver.W
 	cpu.Install(cm.Prog)
@@ -365,12 +409,12 @@ func (t *Tester) compiledSequenceIn(env *execEnv, method *bytecode.Method, in Se
 
 	switch stop.Kind {
 	case machine.StopReturned:
-		return &SequenceOutcome{Kind: "return", Result: Canonicalize(om, cpu.Regs[machine.ReceiverResultReg], nil)}, nil
+		return &SequenceOutcome{Kind: "return", Result: Canonicalize(om, cpu.Regs[machine.ReceiverResultReg], nil)}, opt, nil
 	case machine.StopTrampoline:
 		sel, _ := cm.SelectorAt(int64(cpu.Regs[machine.ClassSelectorReg]))
 		raw, err := cpu.StackSlice(cpu.Regs[machine.FP])
 		if err != nil || len(raw) < 1 {
-			return &SequenceOutcome{Kind: "error: unreadable send frame"}, nil
+			return &SequenceOutcome{Kind: "error: unreadable send frame"}, opt, nil
 		}
 		cells := raw[1:] // skip the trampoline return address
 		words := make([]heap.Word, len(cells))
@@ -382,8 +426,8 @@ func (t *Tester) compiledSequenceIn(env *execEnv, method *bytecode.Method, in Se
 			Selector: sel.Name,
 			NumArgs:  sel.NumArgs,
 			Stack:    CanonicalizeAll(om, words, nil),
-		}, nil
+		}, opt, nil
 	default:
-		return &SequenceOutcome{Kind: fmt.Sprintf("error: %v", stop)}, nil
+		return &SequenceOutcome{Kind: fmt.Sprintf("error: %v", stop)}, opt, nil
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"cogdiff/internal/concolic"
-	"cogdiff/internal/heap"
 	"cogdiff/internal/interp"
 	"cogdiff/internal/irverify"
 	"cogdiff/internal/jit"
@@ -176,7 +175,8 @@ func (c *Campaign) VerifyIR(ctx context.Context) (*VerifySweepResult, error) {
 
 // verifyInstruction compiles every (path, ISA) unit of one instruction
 // under one compiler with the verifier on, recording violations and
-// expected skips. Nothing executes.
+// expected skips. Each path is optimized once and lowered per ISA, so a
+// rejection is recorded for every ISA. Nothing executes.
 func (c *Campaign) verifyInstruction(t *Tester, kind CompilerKind, target concolic.Target, ex *concolic.Exploration) VerifyRow {
 	row := VerifyRow{Compiler: kind, Instruction: target.Name}
 	if ex == nil {
@@ -184,19 +184,20 @@ func (c *Campaign) verifyInstruction(t *Tester, kind CompilerKind, target concol
 	}
 	isas := []machine.ISA{machine.ISAAmd64Like, machine.ISAArm32Like}
 	if kind == NativeMethodCompilerKind {
-		// Native templates are path-independent: one compile per ISA
-		// covers the instruction.
+		// Native templates are path-independent: one compile covers the
+		// instruction.
 		prim := t.Prims.Lookup(target.PrimIndex)
 		if prim == nil {
 			row.Skipped += len(isas)
 			return row
 		}
+		env := t.getEnv()
+		opt := t.optimizeNative(env.om, prim)
 		for _, isa := range isas {
-			env := t.getEnv()
-			_, err := t.compileNative(env.om, prim, isa)
-			t.putEnv(env)
-			c.recordVerifyOutcome(&row, -1, isa, err)
+			_, err := opt.lower(env.om, isa)
+			row.recordOutcome(-1, isa, err)
 		}
+		t.putEnv(env)
 		return row
 	}
 	for pi, path := range ex.Paths {
@@ -204,8 +205,8 @@ func (c *Campaign) verifyInstruction(t *Tester, kind CompilerKind, target concol
 			row.Skipped++
 			continue
 		}
-		for _, isa := range isas {
-			row.recordOutcome(pi, isa, c.safeVerifyCompile(t, target, ex, path, kind, isa))
+		for i, err := range c.safeVerifyCompile(t, target, ex, path, kind, isas) {
+			row.recordOutcome(pi, isas[i], err)
 		}
 	}
 	return row
@@ -233,28 +234,36 @@ func verifySkipReason(target concolic.Target, path *concolic.PathResult, kind Co
 	return ""
 }
 
-// safeVerifyCompile compiles one (path, ISA) unit with panic containment;
-// a contained panic reports as a compile error, never as a clean unit.
-func (c *Campaign) safeVerifyCompile(t *Tester, target concolic.Target, ex *concolic.Exploration, path *concolic.PathResult, kind CompilerKind, isa machine.ISA) (err error) {
+// safeVerifyCompile optimizes one path's unit once and lowers it for
+// every ISA, returning one compile result per ISA. It contains panics: a
+// contained panic reports as a compile error for every ISA not yet
+// lowered, never as a clean unit.
+func (c *Campaign) safeVerifyCompile(t *Tester, target concolic.Target, ex *concolic.Exploration, path *concolic.PathResult, kind CompilerKind, isas []machine.ISA) (errs []error) {
+	errs = make([]error, len(isas))
+	done := 0
 	defer func() {
 		if p := recover(); p != nil {
 			c.panicsContained.Inc()
-			err = fmt.Errorf("panic contained: %v", p)
+			for i := done; i < len(errs); i++ {
+				errs[i] = fmt.Errorf("panic contained: %v", p)
+			}
 		}
 	}()
 	env := t.getEnv()
 	defer t.putEnv(env)
-	b := concolic.NewFrameBuilder(env.om, ex.Universe, path.Model)
-	frame, ferr := b.BuildFrame(target)
-	if ferr != nil {
-		return fmt.Errorf("input construction failed: %w", ferr)
+	frame, err := concolic.NewFrameBuilder(env.om, ex.Universe, path.Model).BuildFrame(target)
+	if err != nil {
+		err = fmt.Errorf("input construction failed: %w", err)
+		for i := range errs {
+			errs[i] = err
+		}
+		return errs
 	}
-	stack := make([]heap.Word, frame.Size())
-	for i, v := range frame.Stack {
-		stack[i] = v.W
+	opt := t.optimizeBytecode(env.om, modeInstruction, variantOf(kind), -1, target.Method, stackWords(frame))
+	for ; done < len(isas); done++ {
+		_, errs[done] = opt.lower(env.om, isas[done])
 	}
-	_, cerr := t.compileBytecode(env.om, modeInstruction, variantOf(kind), isa, -1, target.Method, stack, nil)
-	return cerr
+	return errs
 }
 
 // recordOutcome classifies one compile result into the row's counters.
@@ -272,10 +281,4 @@ func (row *VerifyRow) recordOutcome(path int, isa machine.ISA, err error) {
 	default:
 		row.Skipped++
 	}
-}
-
-// recordVerifyOutcome is recordOutcome behind the campaign receiver, for
-// call sites that already hold one.
-func (c *Campaign) recordVerifyOutcome(row *VerifyRow, path int, isa machine.ISA, err error) {
-	row.recordOutcome(path, isa, err)
 }

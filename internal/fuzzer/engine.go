@@ -13,6 +13,7 @@ import (
 	"cogdiff/internal/defects"
 	"cogdiff/internal/interp"
 	"cogdiff/internal/ir"
+	"cogdiff/internal/irverify"
 	"cogdiff/internal/jit"
 	"cogdiff/internal/machine"
 	"cogdiff/internal/primitives"
@@ -71,9 +72,10 @@ type Options struct {
 	// inside the containment boundary. Fault-injection tests use it to
 	// raise genuine heap panics in worker goroutines.
 	faultInject func(s *Seq)
-	// noReuse disables pooled execution environments and the compiled-code
-	// cache: every sequence execution boots and compiles from scratch.
-	// The determinism suite diffs reports against this reference mode.
+	// noReuse disables pooled execution environments and the sharing of
+	// one optimized compile across ISAs: every sequence execution boots
+	// and compiles from scratch. The determinism suite diffs reports
+	// against this reference mode.
 	noReuse bool
 }
 
@@ -126,9 +128,6 @@ type Result struct {
 	// Matched lists the seeded-catalog cause IDs rediscovered through
 	// sequences, in catalog order.
 	Matched []string
-	// CodeCache reports compiled-code cache activity (diagnostics only;
-	// results are byte-identical with the cache on or off).
-	CodeCache core.CodeCacheStats
 }
 
 type diffObs struct {
@@ -283,31 +282,59 @@ func (e *engine) execute(s *Seq) (out execOut) {
 		return out
 	}
 	for ci, kind := range e.compilers {
-		for ii, isa := range e.isas {
+		hooks := make([]*core.SequenceHooks, len(e.isas))
+		for ii := range e.isas {
 			ci, ii := ci, ii
-			cOut, err := e.tester.CompiledSequence(m, in, kind, isa, &core.SequenceHooks{
+			hooks[ii] = &core.SequenceHooks{
 				EmitIR:       func(op ir.Opc) { cov.Set(covIRBase + uint32(ci)*64 + uint32(op)%64) },
 				Block:        func(off int64) { cov.Set(blockBit(ci, ii, off)) },
 				CompiledStop: func(k machine.StopKind) { cov.Set(covStopBase + uint32(ci)*16 + uint32(k)%16) },
-			})
-			if errors.Is(err, jit.ErrNotCompilable) {
-				// The pair declines the sequence (the meta-compiled
-				// front-end rejects witness-baking families in whole-method
-				// mode). A deterministic function of the genome, so skipping
-				// the pair keeps reports byte-identical at any worker count.
-				continue
 			}
-			if err != nil {
-				out.invalid = true
-				return out
-			}
-			if v := core.CompareSequenceOutcomes(iOut, cOut); v.Differs {
-				v.Cause = e.tester.BlameSequence(m, in, kind, isa, iOut)
+		}
+		vs, ok := e.verdicts(m, in, kind, iOut, hooks)
+		if !ok {
+			out.invalid = true
+			return out
+		}
+		for ii, v := range vs {
+			if v != nil {
 				out.diffs = append(out.diffs, diffObs{ci: ci, ii: ii, verdict: v})
 			}
 		}
 	}
 	return out
+}
+
+// verdicts runs one genome's compiled executions for one compiler on
+// every ISA and returns the differing verdicts, blamed, indexed by ISA
+// (nil where the ISA agrees with the interpreter). ok is false when the
+// genome is invalid.
+//
+// A compiler that declines the sequence yields no verdicts: the
+// meta-compiled front-end rejects witness-baking families in
+// whole-method mode, a deterministic function of the genome, so skipping
+// the compiler keeps reports byte-identical at any worker count. A
+// verifier rejection is a static difference on every ISA, blamed as the
+// verifier attributes it.
+func (e *engine) verdicts(m *bytecode.Method, in core.SequenceInput, kind core.CompilerKind, iOut *core.SequenceOutcome, hooks []*core.SequenceHooks) (vs []*core.SequenceVerdict, ok bool) {
+	cOuts, err := e.tester.CompiledSequenceISAs(m, in, kind, e.isas, hooks)
+	var verr *irverify.Error
+	switch {
+	case errors.Is(err, jit.ErrNotCompilable):
+		return nil, true
+	case err != nil && !errors.As(err, &verr):
+		return nil, false
+	}
+	vs = make([]*core.SequenceVerdict, len(e.isas))
+	for ii := range vs {
+		if verr != nil {
+			vs[ii] = core.VerifierRejectVerdict(iOut, verr)
+		} else if v := core.CompareSequenceOutcomes(iOut, cOuts[ii]); v.Differs {
+			v.Cause = e.tester.BlameSequence(m, in, kind, e.isas[ii], iOut)
+			vs[ii] = v
+		}
+	}
+	return vs, true
 }
 
 // merge folds one execution into the engine state. Called serially in
@@ -405,18 +432,14 @@ func (e *engine) causeKeys(s *Seq) []string {
 	}
 	var keys []string
 	for _, kind := range e.compilers {
-		for _, isa := range e.isas {
-			cOut, err := e.tester.CompiledSequence(m, in, kind, isa, nil)
-			if errors.Is(err, jit.ErrNotCompilable) {
-				continue
-			}
-			if err != nil {
-				return nil
-			}
-			if v := core.CompareSequenceOutcomes(iOut, cOut); v.Differs {
+		vs, ok := e.verdicts(m, in, kind, iOut, nil)
+		if !ok {
+			return nil
+		}
+		for _, v := range vs {
+			if v != nil {
 				instrument, fam := core.ClassifySequence(v)
-				cause := e.tester.BlameSequence(m, in, kind, isa, iOut)
-				keys = append(keys, instrument+"|"+fam.String()+"|"+cause)
+				keys = append(keys, instrument+"|"+fam.String()+"|"+v.Cause)
 			}
 		}
 	}
@@ -511,8 +534,6 @@ func RunContext(ctx context.Context, opts Options) (*Result, error) {
 		Differences:  e.diffs,
 		Corpus:       e.corpus,
 	}
-	hits, misses := e.tester.CodeCacheStats()
-	res.CodeCache = core.CodeCacheStats{Hits: hits, Misses: misses}
 	for _, c := range defects.Catalog() {
 		for _, d := range e.diffs {
 			if d.Instrument == c.Instrument && d.Family == c.Family {

@@ -306,8 +306,9 @@ func (om *ObjectMemory) ResetToSeal() {
 }
 
 // HeapRange copies the raw heap words in [from, to) heap offsets (as
-// reported by HeapUsed). The compiled-code cache records the words a
-// compilation allocated this way, so a cache hit can replay them.
+// reported by HeapUsed). The tester records the words a compilation
+// allocated this way, so the same compile can be lowered for another ISA
+// in a fresh heap.
 func (om *ObjectMemory) HeapRange(from, to int) []Word {
 	out := make([]Word, to-from)
 	copy(out, om.heap.words[from:to])
@@ -315,9 +316,9 @@ func (om *ObjectMemory) HeapRange(from, to int) []Word {
 }
 
 // ReplayHeapRange re-applies a recorded allocation range at heap offset
-// `from`, bumping the allocation pointer past it. The caller guarantees
-// the current HeapUsed equals from (the compiled-code cache keys on it),
-// so the replayed objects land at the addresses the cached code embeds.
+// `from`, bumping the allocation pointer past it. The current HeapUsed
+// must equal from, so the replayed objects land at the addresses the
+// recorded compile embeds.
 func (om *ObjectMemory) ReplayHeapRange(from int, words []Word) error {
 	if om.HeapUsed() != from {
 		return fmt.Errorf("heap: replay at offset %d but %d words are in use", from, om.HeapUsed())

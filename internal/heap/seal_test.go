@@ -7,8 +7,8 @@ import (
 // The arena contract: a sealed object memory, after arbitrary mutation,
 // rewinds to a state indistinguishable from a fresh boot — identical
 // contents AND identical allocation addresses — in O(words touched), with
-// zero allocations. The execution core's pooled environments and the
-// compiled-code cache's heap replay both stand on this.
+// zero allocations. The execution core's pooled environments and its
+// replay of a compile's heap words for a second ISA both stand on this.
 
 // mutate dirties om in every way an execution can: heap allocation, slot
 // stores into pre-seal objects, and user-defined classes.

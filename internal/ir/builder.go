@@ -14,7 +14,9 @@ type Builder struct {
 
 // NewBuilder starts an empty function.
 func NewBuilder() *Builder {
-	return &Builder{labels: make(map[string]bool)}
+	// A single-instruction test body is a few dozen instructions; starting
+	// there saves the early growth steps of every compile.
+	return &Builder{instrs: make([]Instr, 0, 32), labels: make(map[string]bool)}
 }
 
 // Emit appends a raw instruction.

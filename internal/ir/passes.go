@@ -152,7 +152,7 @@ func DeadPushPop() Pass {
 		out := f.Clone()
 		for {
 			changed := false
-			next := out.Instrs[:0:0]
+			next := make([]Instr, 0, len(out.Instrs))
 			for i := 0; i < len(out.Instrs); i++ {
 				ins := out.Instrs[i]
 				if ins.Op == OpcPush && i+1 < len(out.Instrs) {
@@ -193,7 +193,7 @@ func DeadPushPop() Pass {
 func Peephole(dropPop bool) Pass {
 	return Pass{Name: "peephole", Run: func(f *Fn) *Fn {
 		out := f.Clone()
-		next := out.Instrs[:0:0]
+		next := make([]Instr, 0, len(out.Instrs))
 		dropped := false
 		for i, ins := range out.Instrs {
 			switch {

@@ -9,16 +9,18 @@ import (
 	"cogdiff/internal/machine"
 )
 
-// Backend is the shared tail of every byte-code compilation: validate the
-// front-end's IR, run the variant's (possibly truncated) pass pipeline,
-// report post-pipeline opcodes to the coverage hook, and lower plus encode
-// to machine code. It exists so front-ends outside this package (the
+// Backend is the shared tail of every byte-code compilation. It runs in
+// two steps. Optimize is ISA-independent: it validates the front-end's
+// IR, runs the variant's (possibly truncated) pass pipeline under the
+// static verifier, and reports post-pipeline opcodes to the coverage
+// hook. Optimized.Lower then lowers and encodes that IR for one ISA, so a
+// caller testing a unit on several ISAs optimizes once and lowers once
+// per ISA. The Backend exists so front-ends outside this package (the
 // meta-compiled front-end of internal/metacompile) flow through exactly
 // the same pipeline, blame truncation, and telemetry as the hand-written
 // Cogits.
 type Backend struct {
 	Variant   Variant
-	ISA       machine.ISA
 	Defects   defects.Switches
 	PassLimit int
 	Metrics   *PassMetrics
@@ -40,6 +42,52 @@ type Backend struct {
 	// meta-compiled front-end, whose guard chains must always be able to
 	// bail out to the interpreter.
 	RequireDeopt bool
+}
+
+// Optimized is the ISA-independent result of a compilation: the verified
+// post-pipeline IR plus everything lowering needs except the ISA. It is
+// immutable once built, so one value may be lowered for every ISA, from
+// any goroutine.
+type Optimized struct {
+	Fn        *ir.Fn
+	Selectors []Selector
+	NumTemps  int
+	// pool is the physical register pool lowering assigns to virtual
+	// registers.
+	pool []machine.Reg
+	// metrics, when non-nil, counts every compiled method Lower emits.
+	metrics *PassMetrics
+}
+
+// EachOp calls f with the opcode of every instruction of the optimized
+// IR in order, labels excluded: the stream the OnIR hooks observe.
+func (o *Optimized) EachOp(f func(ir.Opc)) {
+	for _, ins := range o.Fn.Instrs {
+		if ins.Op != ir.OpcLabel {
+			f(ins.Op)
+		}
+	}
+}
+
+// Lower lowers and encodes the optimized IR for one ISA. It reads the
+// IR without changing it.
+func (o *Optimized) Lower(isa machine.ISA) (*CompiledMethod, error) {
+	prog, err := machine.Lower(o.Fn, isa, machine.CodeBase, o.pool)
+	if err != nil {
+		return nil, err
+	}
+	code, err := machine.Encode(prog, isa)
+	if err != nil {
+		return nil, err
+	}
+	o.metrics.unitCompiled()
+	return &CompiledMethod{
+		Prog:      prog,
+		Code:      code,
+		ISA:       isa,
+		Selectors: o.Selectors,
+		NumTemps:  o.NumTemps,
+	}, nil
 }
 
 // stageVerifier carries the verifier's pipeline state from stage to
@@ -125,8 +173,10 @@ func sameInstrs(a, b *ir.Fn) bool {
 	return true
 }
 
-// Finish compiles the built IR down to a CompiledMethod.
-func (bk *Backend) Finish(b *ir.Builder, selectors []Selector, numTemps int) (*CompiledMethod, error) {
+// Optimize runs the ISA-independent half of compilation over the built
+// IR: the front-end stage, the pass pipeline, the verifier after every
+// stage, and the coverage hook over the final IR.
+func (bk *Backend) Optimize(b *ir.Builder, selectors []Selector, numTemps int) (*Optimized, error) {
 	fn, err := b.Finish()
 	if err != nil {
 		return nil, err
@@ -163,27 +213,9 @@ func (bk *Backend) Finish(b *ir.Builder, selectors []Selector, numTemps int) (*C
 			}
 		}
 	}
+	o := &Optimized{Fn: fn, Selectors: selectors, NumTemps: numTemps, pool: bk.Pool, metrics: bk.Metrics}
 	if bk.OnIR != nil {
-		for _, ins := range fn.Instrs {
-			if ins.Op != ir.OpcLabel {
-				bk.OnIR(ins.Op)
-			}
-		}
+		o.EachOp(bk.OnIR)
 	}
-	prog, err := machine.Lower(fn, bk.ISA, machine.CodeBase, bk.Pool)
-	if err != nil {
-		return nil, err
-	}
-	code, err := machine.Encode(prog, bk.ISA)
-	if err != nil {
-		return nil, err
-	}
-	bk.Metrics.unitCompiled()
-	return &CompiledMethod{
-		Prog:      prog,
-		Code:      code,
-		ISA:       bk.ISA,
-		Selectors: selectors,
-		NumTemps:  numTemps,
-	}, nil
+	return o, nil
 }

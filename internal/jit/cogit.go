@@ -278,12 +278,19 @@ func (c *Cogit) emitEpilogueReturn() {
 
 // ---- compilation entry points ----
 
-// CompileBytecode compiles the single-instruction test method following
-// the schema of Listing 3: a frame preamble, one literal push per input
-// operand-stack value (bottom first), the instruction itself, and exit
-// breakpoints. inputStack holds the concrete input values the differential
-// tester materialized from the path's input constraints.
+// CompileBytecode compiles the single-instruction test method for the
+// Cogit's ISA: OptimizeBytecode, then Lower.
 func (c *Cogit) CompileBytecode(m *bytecode.Method, inputStack []heap.Word) (*CompiledMethod, error) {
+	return lowerFor(c.ISA)(c.OptimizeBytecode(m, inputStack))
+}
+
+// OptimizeBytecode builds the single-instruction test method following
+// the schema of Listing 3 — a frame preamble, one literal push per input
+// operand-stack value (bottom first), the instruction itself, and exit
+// breakpoints — and optimizes it, stopping short of lowering. inputStack
+// holds the concrete input values the differential tester materialized
+// from the path's input constraints.
+func (c *Cogit) OptimizeBytecode(m *bytecode.Method, inputStack []heap.Word) (*Optimized, error) {
 	c.reset()
 	c.numTemps = m.TempCount()
 
@@ -326,14 +333,12 @@ func (c *Cogit) pool() []machine.Reg {
 	return []machine.Reg{machine.TempReg, machine.ExtraReg, machine.R1}
 }
 
-// finish runs the three-layer tail of compilation through the shared
+// finish runs the ISA-independent tail of compilation through the shared
 // Backend: validate the front-end's IR, run the (possibly truncated) pass
-// pipeline, report the post-pipeline opcodes to the coverage hook, and
-// lower to machine code.
-func (c *Cogit) finish() (*CompiledMethod, error) {
+// pipeline, and report the post-pipeline opcodes to the coverage hook.
+func (c *Cogit) finish() (*Optimized, error) {
 	bk := &Backend{
 		Variant:   c.Variant,
-		ISA:       c.ISA,
 		Defects:   c.Defects,
 		PassLimit: c.PassLimit,
 		Metrics:   c.Metrics,
@@ -342,5 +347,16 @@ func (c *Cogit) finish() (*CompiledMethod, error) {
 		Pool:      c.pool(),
 		NoVerify:  c.NoVerify,
 	}
-	return bk.Finish(c.b, c.selectors, c.numTemps)
+	return bk.Optimize(c.b, c.selectors, c.numTemps)
+}
+
+// lowerFor adapts Optimized.Lower to an optimize call's two results, so
+// the per-ISA entry points read lowerFor(isa)(optimize(...)).
+func lowerFor(isa machine.ISA) func(*Optimized, error) (*CompiledMethod, error) {
+	return func(o *Optimized, err error) (*CompiledMethod, error) {
+		if err != nil {
+			return nil, err
+		}
+		return o.Lower(isa)
+	}
 }

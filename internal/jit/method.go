@@ -38,11 +38,18 @@ func jumpTargets(m *bytecode.Method) (map[int]bool, error) {
 	return targets, nil
 }
 
-// CompileMethod compiles a whole method: every byte-code in sequence with
-// intra-method control flow. Message sends compile to trampoline calls
-// (observation points for the sequence tester); returns compile to the
-// frame epilogue; falling off the end answers the receiver.
+// CompileMethod compiles a whole method for the Cogit's ISA:
+// OptimizeMethod, then Lower.
 func (c *Cogit) CompileMethod(m *bytecode.Method, inputStack []heap.Word) (*CompiledMethod, error) {
+	return lowerFor(c.ISA)(c.OptimizeMethod(m, inputStack))
+}
+
+// OptimizeMethod builds and optimizes a whole method: every byte-code in
+// sequence with intra-method control flow. Message sends compile to
+// trampoline calls (observation points for the sequence tester); returns
+// compile to the frame epilogue; falling off the end answers the
+// receiver.
+func (c *Cogit) OptimizeMethod(m *bytecode.Method, inputStack []heap.Word) (*Optimized, error) {
 	c.reset()
 	c.numTemps = m.TempCount()
 

@@ -54,9 +54,16 @@ func (n *NativeMethodCompiler) label(prefix string) string {
 // plants the fall-through breakpoint there.
 const fallthroughLabel = "fallthrough"
 
-// CompileNativeMethod compiles the native behavior of one primitive and
-// appends the stop instruction that detects fall-through cases.
+// CompileNativeMethod compiles the native behavior of one primitive for
+// the compiler's ISA: OptimizeNativeMethod, then Lower.
 func (n *NativeMethodCompiler) CompileNativeMethod(p *primitives.Primitive) (*CompiledMethod, error) {
+	return lowerFor(n.ISA)(n.OptimizeNativeMethod(p))
+}
+
+// OptimizeNativeMethod builds the template IR of one primitive, appends
+// the stop instruction that detects fall-through cases, and verifies it,
+// stopping short of lowering.
+func (n *NativeMethodCompiler) OptimizeNativeMethod(p *primitives.Primitive) (*Optimized, error) {
 	n.b = ir.NewBuilder()
 	n.seq = 0
 
@@ -74,9 +81,9 @@ func (n *NativeMethodCompiler) CompileNativeMethod(p *primitives.Primitive) (*Co
 	return n.finish()
 }
 
-// finish lowers the template IR directly: native templates run no
-// optimization passes and use no virtual registers, so the pool is nil.
-func (n *NativeMethodCompiler) finish() (*CompiledMethod, error) {
+// finish verifies the template IR: native templates run no optimization
+// passes and use no virtual registers, so the pool is nil.
+func (n *NativeMethodCompiler) finish() (*Optimized, error) {
 	fn, err := n.b.Finish()
 	if err != nil {
 		return nil, err
@@ -97,16 +104,7 @@ func (n *NativeMethodCompiler) finish() (*CompiledMethod, error) {
 			return nil, &irverify.Error{Stage: "front-end", Violations: vs}
 		}
 	}
-	prog, err := machine.Lower(fn, n.ISA, machine.CodeBase, nil)
-	if err != nil {
-		return nil, err
-	}
-	code, err := machine.Encode(prog, n.ISA)
-	if err != nil {
-		return nil, err
-	}
-	n.Metrics.unitCompiled()
-	return &CompiledMethod{Prog: prog, Code: code, ISA: n.ISA}, nil
+	return &Optimized{Fn: fn, metrics: n.Metrics}, nil
 }
 
 // ---- shared shapes ----

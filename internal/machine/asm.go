@@ -116,7 +116,7 @@ type Program struct {
 	// one handler+instruction pair per slot, so CPU.Run dispatches without
 	// re-decoding the opcode every step. Programs are immutable once
 	// published, which makes the once-guarded build safe to share across
-	// runs and (via the compiled-code cache) across units and workers.
+	// runs and workers.
 	decodeOnce sync.Once
 	decoded    []decodedInstr
 }

@@ -170,8 +170,7 @@ func (c *CPU) fault(err error, destination Reg, isLoad bool) *Stop {
 // over the program's pre-decoded instruction stream: each stream entry
 // pairs the instruction with its handler, so the per-step cost is one
 // bounds check plus one indirect call (no per-step opcode decode). The
-// stream is built once per Program and shared by every run of it — the
-// compiled-code cache makes that amortization count across paths.
+// stream is built once per Program and shared by every run of it.
 func (c *CPU) Run(maxSteps int) *Stop {
 	if c.Prog == nil {
 		return &Stop{Kind: StopFault, Fault: errors.New("machine: no program installed"), Steps: c.Steps}

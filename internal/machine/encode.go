@@ -42,7 +42,7 @@ func needsImm(op Opc) bool {
 
 // Encode serializes a program in the given ISA's byte format.
 func Encode(p *Program, isa ISA) ([]byte, error) {
-	var out []byte
+	out := make([]byte, 0, encodedSize(p, isa))
 	for _, ins := range p.Instrs {
 		regs := byte(ins.Rd)<<4 | byte(ins.Rs1)
 		switch isa {
@@ -73,6 +73,26 @@ func Encode(p *Program, isa ISA) ([]byte, error) {
 		}
 	}
 	return out, nil
+}
+
+// encodedSize is the exact length of p's encoding on isa, so Encode
+// allocates its output once.
+func encodedSize(p *Program, isa ISA) int {
+	if isa != ISAAmd64Like {
+		return 8 * len(p.Instrs)
+	}
+	n := 0
+	for _, ins := range p.Instrs {
+		n += 3
+		switch {
+		case !needsImm(ins.Op):
+		case ins.Imm >= -128 && ins.Imm <= 127:
+			n += 2
+		default:
+			n += 9
+		}
+	}
+	return n
 }
 
 // Decode deserializes machine code back into a program (the simulation's

@@ -33,6 +33,9 @@ func lowerReg(r ir.Reg, pool []Reg) (Reg, error) {
 // back-ends emit differently shaped code for the same IR.
 func Lower(f *ir.Fn, isa ISA, base int64, pool []Reg) (*Program, error) {
 	asm := NewAssembler(base)
+	// Labels emit nothing, so the IR's length bounds the program's except
+	// for the rare materialized compare.
+	asm.instrs = make([]Instr, 0, len(f.Instrs))
 	for _, ins := range f.Instrs {
 		if ins.Op == ir.OpcLabel {
 			asm.Label(ins.Sym)

@@ -30,8 +30,8 @@ import (
 )
 
 // SemanticsVersion names the generator's translation scheme. It is folded
-// into code-cache and unit-cache keys: regenerating the front-end from a
-// changed interpreter or lowering scheme must not reuse stale entries.
+// into unit-cache keys: regenerating the front-end from a changed
+// interpreter or lowering scheme must not reuse stale entries.
 const SemanticsVersion = "metajit/1"
 
 // methodBlockedFamilies are the instruction families whose lowering bakes
@@ -75,13 +75,12 @@ func NewCompiler(isa machine.ISA, om *heap.ObjectMemory, sw defects.Switches) *C
 	return &Compiler{ISA: isa, OM: om, Defects: sw, PassLimit: -1}
 }
 
-func (c *Compiler) finish(l *lowerer) (*jit.CompiledMethod, error) {
+func (c *Compiler) finish(l *lowerer) (*jit.Optimized, error) {
 	if l.err != nil {
 		return nil, l.err
 	}
 	bk := &jit.Backend{
 		Variant:   jit.MetaJITCogit,
-		ISA:       c.ISA,
 		Defects:   c.Defects,
 		PassLimit: c.PassLimit,
 		Metrics:   c.Metrics,
@@ -93,17 +92,38 @@ func (c *Compiler) finish(l *lowerer) (*jit.CompiledMethod, error) {
 		NoVerify:     c.NoVerify,
 		RequireDeopt: true,
 	}
-	return bk.Finish(l.b, l.selectors, l.numTemps)
+	return bk.Optimize(l.b, l.selectors, l.numTemps)
 }
 
-// CompileBytecode compiles the single-instruction test schema of
-// Listing 3 from the method's meta-compilation plan: frame preamble and
+// lower finishes a per-ISA entry point: it lowers an optimize call's
+// result for the compiler's ISA.
+func (c *Compiler) lower(o *jit.Optimized, err error) (*jit.CompiledMethod, error) {
+	if err != nil {
+		return nil, err
+	}
+	return o.Lower(c.ISA)
+}
+
+// CompileBytecode compiles the single-instruction test schema for the
+// compiler's ISA: OptimizeBytecode, then Lower.
+func (c *Compiler) CompileBytecode(m *bytecode.Method, inputStack []heap.Word) (*jit.CompiledMethod, error) {
+	return c.lower(c.OptimizeBytecode(m, inputStack))
+}
+
+// CompileMethod compiles a whole method for the compiler's ISA:
+// OptimizeMethod, then Lower.
+func (c *Compiler) CompileMethod(m *bytecode.Method, inputStack []heap.Word) (*jit.CompiledMethod, error) {
+	return c.lower(c.OptimizeMethod(m, inputStack))
+}
+
+// OptimizeBytecode builds the single-instruction test schema of
+// Listing 3 from the method's meta-compilation plan — frame preamble and
 // input pushes as the Cogits emit them, then one guard block per
 // supported explored path in discovery order, then the deoptimization
-// stub. Exactly one block's full guard sequence can match any input —
-// each path's recorded constraints are complete — so chain order does not
-// affect semantics.
-func (c *Compiler) CompileBytecode(m *bytecode.Method, inputStack []heap.Word) (*jit.CompiledMethod, error) {
+// stub — and optimizes it, stopping short of lowering. Exactly one
+// block's full guard sequence can match any input — each path's recorded
+// constraints are complete — so chain order does not affect semantics.
+func (c *Compiler) OptimizeBytecode(m *bytecode.Method, inputStack []heap.Word) (*jit.Optimized, error) {
 	plan := PlanFor(m)
 	supported := plan.SupportedPaths()
 	if len(supported) == 0 {
@@ -139,13 +159,14 @@ func (c *Compiler) CompileBytecode(m *bytecode.Method, inputStack []heap.Word) (
 	return c.finish(l)
 }
 
-// CompileMethod compiles a whole method as a sequence of per-byte-code
-// guard chains: every byte-code offset gets a labelled block whose paths
-// continue at their recorded successor offsets; returns compile to the
-// frame epilogue; falling off the end answers the receiver. The guard
-// chain must be total here — any byte-code whose path tree is incomplete
-// or whose family needs witness baking makes the method not compilable.
-func (c *Compiler) CompileMethod(m *bytecode.Method, inputStack []heap.Word) (*jit.CompiledMethod, error) {
+// OptimizeMethod builds and optimizes a whole method as a sequence of
+// per-byte-code guard chains: every byte-code offset gets a labelled
+// block whose paths continue at their recorded successor offsets; returns
+// compile to the frame epilogue; falling off the end answers the
+// receiver. The guard chain must be total here — any byte-code whose path
+// tree is incomplete or whose family needs witness baking makes the
+// method not compilable.
+func (c *Compiler) OptimizeMethod(m *bytecode.Method, inputStack []heap.Word) (*jit.Optimized, error) {
 	l := newLowerer(c.OM, c.Defects, m.TempCount())
 	l.wholeMethod = true
 	l.codeLen = len(m.Code)

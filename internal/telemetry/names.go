@@ -33,12 +33,6 @@ const (
 	MetricCacheWrites  = "cogdiff_excache_writes_total"
 	MetricCacheEvicted = "cogdiff_excache_evicted_total"
 
-	// In-process compiled-code cache (internal/codecache). Counts may be
-	// schedule-dependent at workers > 1 (racing double-misses); reports
-	// are not.
-	MetricCodeCacheHits   = "cogdiff_codecache_hits_total"
-	MetricCodeCacheMisses = "cogdiff_codecache_misses_total"
-
 	// Unit-cache keying. A fingerprint error means the affected test units
 	// run uncached (correct but slow) — it must be visible, not silent.
 	MetricUnitCacheFingerprintErrors = "cogdiff_unitcache_fingerprint_errors_total"
