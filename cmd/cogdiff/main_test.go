@@ -113,6 +113,21 @@ func TestGoldenDifftestStackLeak(t *testing.T) {
 		runCLI(t, "difftest", "-defect-verify-stackleak", "primAdd", "simple"))
 }
 
+// TestGoldenCampaignBlame pins the pass-level blame surface of two
+// defect-enabled campaigns: the constant-folding defect is blamed on
+// pass:constfold, the meta-compiler guard defect on the front-end. The
+// stable report carries every cause row, so a blame change anywhere in
+// the catalog shows up as a diff.
+func TestGoldenCampaignBlame(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full campaign goldens skipped in -short mode")
+	}
+	checkGolden(t, "campaign_blame_constfold.golden",
+		runCLI(t, "campaign", "-stable", "-defect-constfold", "-workers", "0"))
+	checkGolden(t, "campaign_blame_metajit_guard.golden",
+		runCLI(t, "campaign", "-stable", "-compilers", "+metajit", "-defect-metajit-guard", "-workers", "0"))
+}
+
 func TestFuzzEmitTests(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "fuzz_regress_test.go")

@@ -37,17 +37,16 @@ type optimizedUnit struct {
 	heapWords []heap.Word
 }
 
-// optimizeBytecode runs the front-end, the verifier and the (possibly
-// truncated) pass pipeline of a byte-code compiler over method on om.
-// The ISA a compiler is built with matters only to its per-ISA entry
-// points, so the zero ISA stands in here.
-func (t *Tester) optimizeBytecode(om *heap.ObjectMemory, mode compileMode, variant jit.Variant, passLimit int, method *bytecode.Method, inputStack []heap.Word) *optimizedUnit {
+// optimizeBytecode runs the front-end, the verifier and the pass pipeline
+// of a byte-code compiler over method on om. The ISA a compiler is built
+// with matters only to its per-ISA entry points, so the zero ISA stands
+// in here.
+func (t *Tester) optimizeBytecode(om *heap.ObjectMemory, mode compileMode, variant jit.Variant, method *bytecode.Method, inputStack []heap.Word) *optimizedUnit {
 	start := om.HeapUsed()
 	var opt *jit.Optimized
 	var err error
 	if variant == jit.MetaJITCogit {
 		mc := metacompile.NewCompiler(0, om, t.Defects)
-		mc.PassLimit = passLimit
 		mc.Metrics = t.passMetrics
 		mc.NoVerify = t.noVerify
 		if mode == modeMethod {
@@ -57,7 +56,6 @@ func (t *Tester) optimizeBytecode(om *heap.ObjectMemory, mode compileMode, varia
 		}
 	} else {
 		cogit := jit.NewCogit(variant, 0, om, t.Defects)
-		cogit.PassLimit = passLimit
 		cogit.Metrics = t.passMetrics
 		cogit.NoVerify = t.noVerify
 		if mode == modeMethod {
@@ -101,4 +99,34 @@ func (u *optimizedUnit) lower(om *heap.ObjectMemory, isa machine.ISA) (*jit.Comp
 		}
 	}
 	return u.opt.Lower(isa)
+}
+
+// atStage returns the unit as it stood after its k-th recorded stage,
+// to be lowered like the unit itself: same heap words, earlier IR.
+func (u *optimizedUnit) atStage(k int) *optimizedUnit {
+	at := *u
+	at.opt = u.opt.AtStage(k)
+	return &at
+}
+
+// blame attributes a difference the unit's final IR showed to the first
+// compilation stage whose IR already differs. differs lowers and runs one
+// stage, in a fresh environment, and compares it with the interpreter.
+// Stages run in pipeline order: the front-end's output first, then each
+// pass output that changed its input (an unchanged pass cannot flip the
+// verdict). The last stage is the IR whose difference is being blamed, so
+// when every earlier stage agrees it is blamed without running it again.
+// A stage that fails to run blames the front-end.
+func (u *optimizedUnit) blame(differs func(stage *optimizedUnit) (bool, error)) string {
+	stages := u.opt.Stages
+	for k := 0; k < len(stages)-1; k++ {
+		d, err := differs(u.atStage(k))
+		if err != nil {
+			return "front-end"
+		}
+		if d {
+			return stages[k].Name()
+		}
+	}
+	return stages[len(stages)-1].Name()
 }

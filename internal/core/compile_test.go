@@ -8,7 +8,8 @@ import (
 	"cogdiff/internal/jit"
 )
 
-// TestCompiledSequenceISAsMatchesPerISA pins the shared compile path:
+// TestCompiledSequenceISAsMatchesPerISA pins the shared compile path
+// (compiledSequenceISAs):
 // optimizing a method once and lowering it per ISA, with the compile's
 // heap words replayed into each later ISA's fresh environment, gives
 // every ISA the outcome of a compile of its own.
@@ -22,14 +23,14 @@ func TestCompiledSequenceISAsMatchesPerISA(t *testing.T) {
 	tester := seqTester()
 
 	env := tester.getEnv()
-	u := tester.optimizeBytecode(env.om, modeMethod, jit.SimpleStackBasedCogit, -1, m, nil)
+	u := tester.optimizeBytecode(env.om, modeMethod, jit.SimpleStackBasedCogit, m, nil)
 	tester.putEnv(env)
 	if u.err != nil || len(u.heapWords) == 0 {
 		t.Fatalf("want a compile that appends heap words, got %d words (err %v)", len(u.heapWords), u.err)
 	}
 
 	for _, kind := range allBCCompilers() {
-		shared, err := tester.CompiledSequenceISAs(m, in, kind, bothISAs(), nil)
+		shared, _, err := tester.compiledSequenceISAs(m, in, kind, bothISAs(), nil)
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}

@@ -210,7 +210,7 @@ func (u *UnitRun) TestPath(path *concolic.PathResult, kind CompilerKind, isa mac
 	if u.optPath == path && u.optKind == kind {
 		shared = u.opt
 	}
-	obs, opt, err := t.runCompiled(target, u.ex, path, kind, isa, -1, shared)
+	obs, opt, err := t.runCompiled(target, u.ex, path, kind, isa, shared)
 	if opt != nil && !t.noReuse {
 		u.optPath, u.optKind, u.opt = path, kind, opt
 	}
@@ -241,7 +241,7 @@ func (u *UnitRun) TestPath(path *concolic.PathResult, kind CompilerKind, isa mac
 	v.Differs = differs
 	v.Detail = detail
 	if differs {
-		v.Cause = t.blamePath(target, u.ex, path, kind, isa, interpExit, interpFrame, interpOM, interpInputs)
+		v.Cause = t.blamePath(target, u.ex, path, kind, isa, opt, interpExit, interpFrame, interpOM, interpInputs)
 	}
 	return v
 }
@@ -256,32 +256,25 @@ func (t *Tester) TestPath(target concolic.Target, ex *concolic.Exploration, path
 	return u.TestPath(path, kind, isa)
 }
 
-// blamePath attributes a differing path verdict to a compilation stage by
-// re-running the compiled execution with the pass pipeline truncated at
-// every prefix: if the bare front-end output (no passes) already differs
-// from the interpreter reference the front-end is blamed, otherwise the
-// first pass whose inclusion flips the verdict is. Native methods have no
-// pipeline, so every native difference is a front-end difference.
-func (t *Tester) blamePath(target concolic.Target, ex *concolic.Exploration, path *concolic.PathResult, kind CompilerKind, isa machine.ISA, iExit interp.Exit, iFrame *interp.Frame, iOM *heap.ObjectMemory, iInputs map[heap.Word]int) string {
+// blamePath attributes a differing path verdict to a compilation stage
+// of unit, the optimized compile that produced it: if the bare front-end
+// output already differs from the interpreter reference the front-end is
+// blamed, otherwise the first pass whose output flips the verdict is
+// (optimizedUnit.blame). Each stage is lowered and run in a fresh
+// environment, as a later ISA is. Native methods have no pipeline, so
+// every native difference is a front-end difference.
+func (t *Tester) blamePath(target concolic.Target, ex *concolic.Exploration, path *concolic.PathResult, kind CompilerKind, isa machine.ISA, unit *optimizedUnit, iExit interp.Exit, iFrame *interp.Frame, iOM *heap.ObjectMemory, iInputs map[heap.Word]int) string {
 	if kind == NativeMethodCompilerKind {
 		return "front-end"
 	}
-	passes := jit.PipelineFor(variantOf(kind), t.Defects)
-	for k := 0; k <= len(passes); k++ {
-		obs, _, err := t.runCompiled(target, ex, path, kind, isa, k, nil)
+	return unit.blame(func(stage *optimizedUnit) (bool, error) {
+		obs, _, err := t.runCompiled(target, ex, path, kind, isa, stage)
 		if err != nil {
-			return "front-end"
+			return false, err
 		}
-		if differs, _ := t.compare(target, iExit, iFrame, iOM, iInputs, obs); differs {
-			if k == 0 {
-				return "front-end"
-			}
-			return "pass:" + passes[k-1].Name
-		}
-	}
-	// Every prefix agreed yet the full pipeline differed: the re-run did
-	// not reproduce, which the blame string surfaces rather than hides.
-	return "unreproducible"
+		differs, _ := t.compare(target, iExit, iFrame, iOM, iInputs, obs)
+		return differs, nil
+	})
 }
 
 // runCompiled compiles the instruction for a path and executes it on the
@@ -292,7 +285,7 @@ func (t *Tester) blamePath(target concolic.Target, ex *concolic.Exploration, pat
 // execution runs on a pooled environment; the returned observation holds
 // only rendered values, so the environment is released before returning.
 // A contained panic abandons the environment instead.
-func (t *Tester) runCompiled(target concolic.Target, ex *concolic.Exploration, path *concolic.PathResult, kind CompilerKind, isa machine.ISA, passLimit int, shared *optimizedUnit) (*CompiledObservation, *optimizedUnit, error) {
+func (t *Tester) runCompiled(target concolic.Target, ex *concolic.Exploration, path *concolic.PathResult, kind CompilerKind, isa machine.ISA, shared *optimizedUnit) (*CompiledObservation, *optimizedUnit, error) {
 	env := t.getEnv()
 	om, cpu := env.om, env.cpu
 	b := concolic.NewFrameBuilder(om, ex.Universe, path.Model)
@@ -304,7 +297,7 @@ func (t *Tester) runCompiled(target concolic.Target, ex *concolic.Exploration, p
 	inputs := b.InputObjects()
 	opt := shared
 	if opt == nil {
-		opt, err = t.optimizeFor(target, om, frame, kind, passLimit)
+		opt, err = t.optimizeFor(target, om, frame, kind)
 		if err != nil {
 			t.putEnv(env)
 			return nil, nil, err
@@ -336,7 +329,7 @@ func (t *Tester) runCompiled(target concolic.Target, ex *concolic.Exploration, p
 // optimizeFor optimizes the unit a path's compiled run executes: the
 // native template of the target's primitive, or the single-instruction
 // schema over the built frame's operand stack.
-func (t *Tester) optimizeFor(target concolic.Target, om *heap.ObjectMemory, frame *interp.Frame, kind CompilerKind, passLimit int) (*optimizedUnit, error) {
+func (t *Tester) optimizeFor(target concolic.Target, om *heap.ObjectMemory, frame *interp.Frame, kind CompilerKind) (*optimizedUnit, error) {
 	if kind == NativeMethodCompilerKind {
 		prim := t.Prims.Lookup(target.PrimIndex)
 		if prim == nil {
@@ -344,7 +337,7 @@ func (t *Tester) optimizeFor(target concolic.Target, om *heap.ObjectMemory, fram
 		}
 		return t.optimizeNative(om, prim), nil
 	}
-	return t.optimizeBytecode(om, modeInstruction, variantOf(kind), passLimit, target.Method, stackWords(frame)), nil
+	return t.optimizeBytecode(om, modeInstruction, variantOf(kind), target.Method, stackWords(frame)), nil
 }
 
 // stackWords returns a frame's operand stack, bottom first.

@@ -55,9 +55,10 @@ var bytecodeKinds = []CompilerKind{
 }
 
 // TestPipelineSoundnessOnPristineVM pins the pass-soundness self-check:
-// with every defect off, compiling with the full pipeline and with the
-// pipeline disabled must produce identical observable behaviour on every
-// explored path of every instruction, for every variant and ISA.
+// with every defect off, running the full pipeline's output and the bare
+// front-end stage it recorded must produce identical observable
+// behaviour on every explored path of every instruction, for every
+// variant and ISA.
 func TestPipelineSoundnessOnPristineVM(t *testing.T) {
 	prims := primitives.NewTable()
 	tester := NewTester(prims, defects.Pristine())
@@ -67,8 +68,11 @@ func TestPipelineSoundnessOnPristineVM(t *testing.T) {
 		for pi, path := range ex.Paths {
 			for _, kind := range bytecodeKinds {
 				for _, isa := range []machine.ISA{machine.ISAAmd64Like, machine.ISAArm32Like} {
-					raw, _, rawErr := tester.runCompiled(target, ex, path, kind, isa, 0, nil)
-					opt, _, optErr := tester.runCompiled(target, ex, path, kind, isa, -1, nil)
+					opt, unit, optErr := tester.runCompiled(target, ex, path, kind, isa, nil)
+					raw, rawErr := opt, optErr
+					if unit != nil && unit.err == nil {
+						raw, _, rawErr = tester.runCompiled(target, ex, path, kind, isa, unit.atStage(0))
+					}
 					if (rawErr == nil) != (optErr == nil) {
 						// The one sanctioned flip: constant folding may
 						// materialize an immediate the fixed-width ISA cannot

@@ -9,7 +9,6 @@ import (
 	"cogdiff/internal/interp"
 	"cogdiff/internal/ir"
 	"cogdiff/internal/irverify"
-	"cogdiff/internal/jit"
 	"cogdiff/internal/machine"
 )
 
@@ -148,19 +147,40 @@ func (t *Tester) TestSequenceObserved(method *bytecode.Method, in SequenceInput,
 	if err != nil {
 		return nil, err
 	}
-	cOut, err := t.CompiledSequence(method, in, kind, isa, h)
+	vs, err := t.SequenceVerdicts(method, in, kind, []machine.ISA{isa}, []*SequenceHooks{h}, iOut)
 	if err != nil {
-		var verr *irverify.Error
-		if errors.As(err, &verr) {
-			return VerifierRejectVerdict(iOut, verr), nil
-		}
 		return nil, err
 	}
-	v := CompareSequenceOutcomes(iOut, cOut)
-	if v.Differs {
-		v.Cause = t.BlameSequence(method, in, kind, isa, iOut)
+	return vs[0], nil
+}
+
+// SequenceVerdicts executes method whole on every ISA of isas and
+// compares each outcome with the interpreter's iOut, one verdict per ISA.
+// The method is optimized once, in the first ISA's environment, and only
+// lowered for the others (compiledSequenceISAs). A differing verdict is blamed
+// on a compilation stage of the optimized unit its outcome came from. A
+// body the verifier rejects is a difference on every ISA, blamed as the
+// verifier attributes it.
+func (t *Tester) SequenceVerdicts(method *bytecode.Method, in SequenceInput, kind CompilerKind, isas []machine.ISA, hooks []*SequenceHooks, iOut *SequenceOutcome) ([]*SequenceVerdict, error) {
+	outs, units, err := t.compiledSequenceISAs(method, in, kind, isas, hooks)
+	vs := make([]*SequenceVerdict, len(isas))
+	var verr *irverify.Error
+	if errors.As(err, &verr) {
+		for i := range vs {
+			vs[i] = VerifierRejectVerdict(iOut, verr)
+		}
+		return vs, nil
 	}
-	return v, nil
+	if err != nil {
+		return nil, err
+	}
+	for i, isa := range isas {
+		vs[i] = CompareSequenceOutcomes(iOut, outs[i])
+		if vs[i].Differs {
+			vs[i].Cause = t.blameSequence(units[i], method, in, kind, isa, iOut)
+		}
+	}
+	return vs, nil
 }
 
 // VerifierRejectVerdict is the static verdict for a whole-method body the
@@ -176,28 +196,22 @@ func VerifierRejectVerdict(iOut *SequenceOutcome, verr *irverify.Error) *Sequenc
 	}
 }
 
-// BlameSequence attributes a differing sequence verdict to a compilation
-// stage by re-running the compiled execution with the pass pipeline
-// truncated at every prefix: if the bare front-end output (no passes)
-// already differs from the interpreter the front-end is blamed,
-// otherwise the first pass whose inclusion flips the verdict is.
-func (t *Tester) BlameSequence(method *bytecode.Method, in SequenceInput, kind CompilerKind, isa machine.ISA, iOut *SequenceOutcome) string {
-	passes := jit.PipelineFor(variantOf(kind), t.Defects)
-	for k := 0; k <= len(passes); k++ {
-		cOut, err := t.compiledSequenceLimited(method, in, kind, isa, nil, k)
+// blameSequence attributes a differing sequence verdict to a compilation
+// stage of unit, the optimized compile that produced it: if the bare
+// front-end output already differs from the interpreter the front-end is
+// blamed, otherwise the first pass whose output flips the verdict is
+// (optimizedUnit.blame). Each stage is lowered and run in a fresh
+// environment, as a later ISA is.
+func (t *Tester) blameSequence(unit *optimizedUnit, method *bytecode.Method, in SequenceInput, kind CompilerKind, isa machine.ISA, iOut *SequenceOutcome) string {
+	return unit.blame(func(stage *optimizedUnit) (bool, error) {
+		env := t.getEnv()
+		cOut, _, err := t.compiledSequenceIn(env, method, in, kind, isa, nil, stage)
+		t.putEnv(env)
 		if err != nil {
-			return "front-end"
+			return false, err
 		}
-		if CompareSequenceOutcomes(iOut, cOut).Differs {
-			if k == 0 {
-				return "front-end"
-			}
-			return "pass:" + passes[k-1].Name
-		}
-	}
-	// Every prefix agreed yet the full pipeline differed: re-running was
-	// not reproducible, which the blame string surfaces rather than hides.
-	return "unreproducible"
+		return CompareSequenceOutcomes(iOut, cOut).Differs, nil
+	})
 }
 
 // CompareSequenceOutcomes builds the verdict for an interpreter outcome
@@ -316,21 +330,29 @@ func (t *Tester) interpSequenceIn(om *heap.ObjectMemory, method *bytecode.Method
 // to its first boundary. The hooks, when non-nil, observe every emitted IR
 // instruction, every taken-branch block entry and the stop kind.
 func (t *Tester) CompiledSequence(method *bytecode.Method, in SequenceInput, kind CompilerKind, isa machine.ISA, h *SequenceHooks) (*SequenceOutcome, error) {
-	return t.compiledSequenceLimited(method, in, kind, isa, h, -1)
-}
-
-// CompiledSequenceISAs is CompiledSequence on every ISA of isas, in
-// order: the method is optimized once, in the first ISA's environment,
-// and only lowered for the others, each of which runs in a fresh
-// environment. hooks, when non-nil, holds one entry per ISA; every
-// entry's EmitIR sees the shared IR. The first error ends the call:
-// optimize errors hold for every ISA, and callers treat any error as the
-// whole sequence's.
-func (t *Tester) CompiledSequenceISAs(method *bytecode.Method, in SequenceInput, kind CompilerKind, isas []machine.ISA, hooks []*SequenceHooks) ([]*SequenceOutcome, error) {
 	if kind == NativeMethodCompilerKind {
 		return nil, errSequenceNative
 	}
+	env := t.getEnv()
+	out, _, err := t.compiledSequenceIn(env, method, in, kind, isa, h, nil)
+	t.putEnv(env)
+	return out, err
+}
+
+// compiledSequenceISAs is CompiledSequence on every ISA of isas, in
+// order: the method is optimized once, in the first ISA's environment,
+// and only lowered for the others, each of which runs in a fresh
+// environment. It returns, per ISA, the outcome and the optimized unit
+// the outcome was lowered from. hooks, when non-nil, holds one entry per
+// ISA; every entry's EmitIR sees the shared IR. The first error ends the
+// call: optimize errors hold for every ISA, and callers treat any error
+// as the whole sequence's.
+func (t *Tester) compiledSequenceISAs(method *bytecode.Method, in SequenceInput, kind CompilerKind, isas []machine.ISA, hooks []*SequenceHooks) ([]*SequenceOutcome, []*optimizedUnit, error) {
+	if kind == NativeMethodCompilerKind {
+		return nil, nil, errSequenceNative
+	}
 	outs := make([]*SequenceOutcome, len(isas))
+	units := make([]*optimizedUnit, len(isas))
 	var shared *optimizedUnit
 	for i, isa := range isas {
 		var h *SequenceHooks
@@ -338,39 +360,26 @@ func (t *Tester) CompiledSequenceISAs(method *bytecode.Method, in SequenceInput,
 			h = hooks[i]
 		}
 		env := t.getEnv()
-		out, opt, err := t.compiledSequenceIn(env, method, in, kind, isa, h, -1, shared)
+		out, opt, err := t.compiledSequenceIn(env, method, in, kind, isa, h, shared)
 		t.putEnv(env)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		outs[i] = out
+		outs[i], units[i] = out, opt
 		if !t.noReuse {
 			shared = opt
 		}
 	}
-	return outs, nil
+	return outs, units, nil
 }
 
 var errSequenceNative = errors.New("core: sequence testing applies to byte-code compilers")
-
-// compiledSequenceLimited is CompiledSequence with the pass pipeline
-// truncated to its first passLimit passes (negative runs the full
-// pipeline); blame re-runs use the truncation to bisect.
-func (t *Tester) compiledSequenceLimited(method *bytecode.Method, in SequenceInput, kind CompilerKind, isa machine.ISA, h *SequenceHooks, passLimit int) (*SequenceOutcome, error) {
-	if kind == NativeMethodCompilerKind {
-		return nil, errSequenceNative
-	}
-	env := t.getEnv()
-	out, _, err := t.compiledSequenceIn(env, method, in, kind, isa, h, passLimit, nil)
-	t.putEnv(env)
-	return out, err
-}
 
 // compiledSequenceIn runs one compiled sequence execution on env. A
 // non-nil shared unit, optimized for the same sequence and compiler on an
 // earlier ISA, is lowered instead of optimizing again; the unit used is
 // returned (nil when the frame build failed first).
-func (t *Tester) compiledSequenceIn(env *execEnv, method *bytecode.Method, in SequenceInput, kind CompilerKind, isa machine.ISA, h *SequenceHooks, passLimit int, shared *optimizedUnit) (*SequenceOutcome, *optimizedUnit, error) {
+func (t *Tester) compiledSequenceIn(env *execEnv, method *bytecode.Method, in SequenceInput, kind CompilerKind, isa machine.ISA, h *SequenceHooks, shared *optimizedUnit) (*SequenceOutcome, *optimizedUnit, error) {
 	om, cpu := env.om, env.cpu
 	frame, err := buildSequenceFrame(om, method, in)
 	if err != nil {
@@ -380,7 +389,7 @@ func (t *Tester) compiledSequenceIn(env *execEnv, method *bytecode.Method, in Se
 	// only on the method and the heap the frame build above left.
 	opt := shared
 	if opt == nil {
-		opt = t.optimizeBytecode(om, modeMethod, variantOf(kind), passLimit, method, nil)
+		opt = t.optimizeBytecode(om, modeMethod, variantOf(kind), method, nil)
 	}
 	cm, err := opt.lower(om, isa)
 	if err != nil {

@@ -259,7 +259,7 @@ func (c *Campaign) safeVerifyCompile(t *Tester, target concolic.Target, ex *conc
 		}
 		return errs
 	}
-	opt := t.optimizeBytecode(env.om, modeInstruction, variantOf(kind), -1, target.Method, stackWords(frame))
+	opt := t.optimizeBytecode(env.om, modeInstruction, variantOf(kind), target.Method, stackWords(frame))
 	for ; done < len(isas); done++ {
 		_, errs[done] = opt.lower(env.om, isas[done])
 	}

@@ -13,7 +13,6 @@ import (
 	"cogdiff/internal/defects"
 	"cogdiff/internal/interp"
 	"cogdiff/internal/ir"
-	"cogdiff/internal/irverify"
 	"cogdiff/internal/jit"
 	"cogdiff/internal/machine"
 	"cogdiff/internal/primitives"
@@ -317,21 +316,16 @@ func (e *engine) execute(s *Seq) (out execOut) {
 // verifier rejection is a static difference on every ISA, blamed as the
 // verifier attributes it.
 func (e *engine) verdicts(m *bytecode.Method, in core.SequenceInput, kind core.CompilerKind, iOut *core.SequenceOutcome, hooks []*core.SequenceHooks) (vs []*core.SequenceVerdict, ok bool) {
-	cOuts, err := e.tester.CompiledSequenceISAs(m, in, kind, e.isas, hooks)
-	var verr *irverify.Error
+	vs, err := e.tester.SequenceVerdicts(m, in, kind, e.isas, hooks, iOut)
 	switch {
 	case errors.Is(err, jit.ErrNotCompilable):
 		return nil, true
-	case err != nil && !errors.As(err, &verr):
+	case err != nil:
 		return nil, false
 	}
-	vs = make([]*core.SequenceVerdict, len(e.isas))
-	for ii := range vs {
-		if verr != nil {
-			vs[ii] = core.VerifierRejectVerdict(iOut, verr)
-		} else if v := core.CompareSequenceOutcomes(iOut, cOuts[ii]); v.Differs {
-			v.Cause = e.tester.BlameSequence(m, in, kind, e.isas[ii], iOut)
-			vs[ii] = v
+	for ii, v := range vs {
+		if !v.Differs {
+			vs[ii] = nil
 		}
 	}
 	return vs, true

@@ -1,8 +1,8 @@
 package ir
 
 // A Pass is one deterministic IR-to-IR transformation. Run must be pure:
-// it clones its input and never mutates it, so the blame machinery can
-// re-run any pipeline prefix and compare outcomes.
+// it clones its input and never mutates it, so the pipeline can keep
+// every stage's output for the blame machinery to run.
 type Pass struct {
 	Name string
 	Run  func(*Fn) *Fn

@@ -2,7 +2,7 @@ package irverify
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"cogdiff/internal/ir"
@@ -51,16 +51,6 @@ type absState struct {
 // before the analysis degrades that point to unknown (termination on
 // pathological inputs; real pipelines see one or two states).
 const maxStatesPerPoint = 8
-
-// analysis is the result of one abstract interpretation of a function.
-type analysis struct {
-	// reached marks instructions the entry can flow to.
-	reached []bool
-	// exits lists every reachable exit point in linear order.
-	exits []exitPoint
-	// violations are the flow-sensitive rule violations.
-	violations []Violation
-}
 
 // exitState is one abstract arrival state at an exit instruction,
 // projected down to what a pass must preserve: the stack depth and the
@@ -126,39 +116,29 @@ func (e exitPoint) effect() string {
 	return fmt.Sprintf("%s [%s]", e.op, joined)
 }
 
-// analyze runs the abstract interpretation. It assumes the structural
-// rules already passed: every jump target resolves.
-func analyze(fn *ir.Fn) *analysis {
-	n := len(fn.Instrs)
-	a := &analysis{reached: make([]bool, n)}
+// analyze runs the abstract interpretation over instrs, recording the
+// flow-sensitive violations and the exit summary on an and leaving the
+// reached set in s.reached. It follows control flow through the label
+// index: a jump reaches its label's last definition, and a jump to an
+// undefined label (already a structural violation) reaches instruction
+// 0.
+func (s *scratch) analyze(instrs []ir.Instr, an *Analysis) {
+	n := len(instrs)
 	if n == 0 {
-		return a
+		return
 	}
-	labels := make(map[string]int, 8)
-	for i, ins := range fn.Instrs {
-		if ins.Op == ir.OpcLabel {
-			labels[ins.Sym] = i
-		}
-	}
-
-	seen := make([][]absState, n)
-	flagged := make([]bool, n) // one flow violation per instruction, max
-	type workItem struct {
-		index int
-		st    absState
-	}
-	work := []workItem{{0, absState{depthOK: true, rawOK: true}}}
+	s.work = append(s.work, workItem{0, absState{depthOK: true, rawOK: true}})
 
 	flag := func(i int, rule, detail string) {
-		if !flagged[i] {
-			flagged[i] = true
-			a.violations = append(a.violations, Violation{Rule: rule, Index: i, Detail: detail})
+		if !s.flagged[i] {
+			s.flagged[i] = true
+			an.flow = append(an.flow, Violation{Rule: rule, Index: i, Detail: detail})
 		}
 	}
 
-	for len(work) > 0 {
-		it := work[len(work)-1]
-		work = work[:len(work)-1]
+	for len(s.work) > 0 {
+		it := s.work[len(s.work)-1]
+		s.work = s.work[:len(s.work)-1]
 		i, st := it.index, it.st
 		if i >= n {
 			continue // running off the end is the terminator rule's job
@@ -166,8 +146,8 @@ func analyze(fn *ir.Fn) *analysis {
 		// Merge into the point's recorded states; revisit only with a
 		// genuinely new state.
 		dup := false
-		for _, prev := range seen[i] {
-			if prev == st {
+		for e := s.head[i]; e >= 0; e = s.arena[e].next {
+			if s.arena[e].st == st {
 				dup = true
 				break
 			}
@@ -175,17 +155,19 @@ func analyze(fn *ir.Fn) *analysis {
 		if dup {
 			continue
 		}
-		if len(seen[i]) >= maxStatesPerPoint {
+		if s.count[i] >= maxStatesPerPoint {
 			if st.depthOK || st.fpOK {
 				st = absState{}
 			} else {
 				continue
 			}
 		}
-		seen[i] = append(seen[i], st)
-		a.reached[i] = true
+		s.arena = append(s.arena, stateNode{st: st, next: s.head[i]})
+		s.head[i] = int32(len(s.arena) - 1)
+		s.count[i]++
+		s.reached[i] = true
 
-		ins := fn.Instrs[i]
+		ins := &instrs[i]
 		next := st
 		switch ins.Op {
 		case ir.OpcLabel, ir.OpcNop:
@@ -288,51 +270,75 @@ func analyze(fn *ir.Fn) *analysis {
 		case ins.Op == ir.OpcRet || ins.Op == ir.OpcHlt || ins.Op == ir.OpcBrk:
 			// exit; no successors
 		case ins.Op == ir.OpcJmp:
-			work = append(work, workItem{labels[ins.Sym], next})
+			s.work = append(s.work, workItem{s.jumpTarget(i), next})
 		case ins.IsJump():
-			work = append(work, workItem{labels[ins.Sym], next})
-			work = append(work, workItem{i + 1, next})
+			s.work = append(s.work, workItem{s.jumpTarget(i), next})
+			s.work = append(s.work, workItem{i + 1, next})
 		default:
-			work = append(work, workItem{i + 1, next})
+			s.work = append(s.work, workItem{i + 1, next})
 		}
 	}
+	an.exits = s.collectExits(instrs)
+}
 
-	// Collect reachable exits in linear order, each with its canonically
-	// sorted, deduplicated set of arrival states.
-	for i, ins := range fn.Instrs {
-		if !a.reached[i] {
+// jumpTarget is the instruction the jump at i transfers control to.
+func (s *scratch) jumpTarget(i int) int {
+	return max(int(s.target[i]), 0)
+}
+
+// collectExits returns the reachable exits in linear order, each with its
+// canonically sorted, deduplicated set of arrival states. The summary is
+// built in scratch and copied out in two exactly sized allocations.
+func (s *scratch) collectExits(instrs []ir.Instr) []exitPoint {
+	for i := range instrs {
+		ins := &instrs[i]
+		if !s.reached[i] || (ins.Op != ir.OpcBrk && ins.Op != ir.OpcRet && ins.Op != ir.OpcHlt) {
 			continue
 		}
-		switch ins.Op {
-		case ir.OpcBrk, ir.OpcRet, ir.OpcHlt:
-			e := exitPoint{index: i, op: ins.Op}
-			if ins.Op == ir.OpcBrk {
-				e.brkID = ins.Imm
+		e := exitPoint{index: i, op: ins.Op}
+		if ins.Op == ir.OpcBrk {
+			e.brkID = ins.Imm
+		}
+		lo := len(s.states)
+		for n := s.head[i]; n >= 0; n = s.arena[n].next {
+			st := s.arena[n].st
+			x := exitState{depthOK: st.depthOK, rawOK: st.rawOK}
+			if st.depthOK {
+				x.depth = st.depth
 			}
-			for _, st := range seen[i] {
-				s := exitState{depthOK: st.depthOK, rawOK: st.rawOK}
-				if st.depthOK {
-					s.depth = st.depth
-				}
-				if st.rawOK {
-					s.raw = st.raw
-				}
-				dup := false
-				for _, prev := range e.states {
-					if prev == s {
-						dup = true
-						break
-					}
-				}
-				if !dup {
-					e.states = append(e.states, s)
-				}
+			if st.rawOK {
+				x.raw = st.raw
 			}
-			sort.Slice(e.states, func(x, y int) bool { return e.states[x].less(e.states[y]) })
-			a.exits = append(a.exits, e)
+			if !slices.Contains(s.states[lo:], x) {
+				s.states = append(s.states, x)
+			}
+		}
+		sortExitStates(s.states[lo:])
+		e.states = s.states[lo:] // re-pointed at the copy below
+		s.exits = append(s.exits, e)
+	}
+	if len(s.exits) == 0 {
+		return nil
+	}
+	states := slices.Clone(s.states)
+	exits := slices.Clone(s.exits)
+	off := 0
+	for k := range exits {
+		m := len(exits[k].states)
+		exits[k].states = states[off : off+m : off+m]
+		off += m
+	}
+	return exits
+}
+
+// sortExitStates sorts a handful of distinct states by less. Insertion
+// sort: the sets are tiny and it allocates nothing.
+func sortExitStates(xs []exitState) {
+	for i := 1; i < len(xs); i++ {
+		for j := i; j > 0 && xs[j].less(xs[j-1]); j-- {
+			xs[j], xs[j-1] = xs[j-1], xs[j]
 		}
 	}
-	return a
 }
 
 // VerifyPassEffect is the translation-validation-lite check: a correct
@@ -350,8 +356,8 @@ func VerifyPassEffect(before, after *ir.Fn) []Violation {
 // so a compilation pipeline re-analyzes nothing: the pass input's
 // analysis is the previous stage's output analysis.
 func VerifyPassEffectOn(before, after *Analysis) []Violation {
-	be := before.flow.exits
-	ae := after.flow.exits
+	be := before.exits
+	ae := after.exits
 	if len(be) != len(ae) {
 		return []Violation{{Rule: RuleStackBalance, Index: -1,
 			Detail: fmt.Sprintf("pass changed the reachable exit count: %d before, %d after", len(be), len(ae))}}

@@ -77,70 +77,80 @@ const (
 // shape describes which operand fields an opcode's machine semantics
 // read. Fields not read must be zero-valued — a non-zero unused field
 // means the front-end (or a pass) built the instruction wrong, even if
-// lowering happens to ignore it today.
+// lowering happens to ignore it today. known is false for an opcode the
+// verifier does not recognize.
 type shape struct {
+	known                  bool
 	rd, rs1, rs2, imm, sym bool
 }
 
-var shapes = map[ir.Opc]shape{
-	ir.OpcNop:        {},
-	ir.OpcMovR:       {rd: true, rs1: true},
-	ir.OpcMovI:       {rd: true, imm: true},
-	ir.OpcLoad:       {rd: true, rs1: true, imm: true},
-	ir.OpcStore:      {rs1: true, rs2: true, imm: true},
-	ir.OpcLoadX:      {rd: true, rs1: true, rs2: true},
-	ir.OpcStoreX:     {rd: true, rs1: true, rs2: true},
-	ir.OpcPush:       {rs1: true},
-	ir.OpcPop:        {rd: true},
-	ir.OpcAdd:        {rd: true, rs1: true, rs2: true},
-	ir.OpcSub:        {rd: true, rs1: true, rs2: true},
-	ir.OpcMul:        {rd: true, rs1: true, rs2: true},
-	ir.OpcDiv:        {rd: true, rs1: true, rs2: true},
-	ir.OpcMod:        {rd: true, rs1: true, rs2: true},
-	ir.OpcAnd:        {rd: true, rs1: true, rs2: true},
-	ir.OpcOr:         {rd: true, rs1: true, rs2: true},
-	ir.OpcXor:        {rd: true, rs1: true, rs2: true},
-	ir.OpcShl:        {rd: true, rs1: true, rs2: true},
-	ir.OpcShr:        {rd: true, rs1: true, rs2: true},
-	ir.OpcSar:        {rd: true, rs1: true, rs2: true},
-	ir.OpcAddI:       {rd: true, rs1: true, imm: true},
-	ir.OpcSubI:       {rd: true, rs1: true, imm: true},
-	ir.OpcAndI:       {rd: true, rs1: true, imm: true},
-	ir.OpcOrI:        {rd: true, rs1: true, imm: true},
-	ir.OpcShlI:       {rd: true, rs1: true, imm: true},
-	ir.OpcSarI:       {rd: true, rs1: true, imm: true},
-	ir.OpcCmp:        {rs1: true, rs2: true},
-	ir.OpcCmpI:       {rs1: true, imm: true},
-	ir.OpcJmp:        {sym: true},
-	ir.OpcJeq:        {sym: true},
-	ir.OpcJne:        {sym: true},
-	ir.OpcJlt:        {sym: true},
-	ir.OpcJle:        {sym: true},
-	ir.OpcJgt:        {sym: true},
-	ir.OpcJge:        {sym: true},
-	ir.OpcCall:       {imm: true},
-	ir.OpcCallR:      {rs1: true},
-	ir.OpcRet:        {},
-	ir.OpcBrk:        {imm: true},
-	ir.OpcHlt:        {},
-	ir.OpcFAdd:       {rd: true, rs1: true, rs2: true},
-	ir.OpcFSub:       {rd: true, rs1: true, rs2: true},
-	ir.OpcFMul:       {rd: true, rs1: true, rs2: true},
-	ir.OpcFDiv:       {rd: true, rs1: true, rs2: true},
-	ir.OpcFCmp:       {rs1: true, rs2: true},
-	ir.OpcI2F:        {rd: true, rs1: true},
-	ir.OpcF2I:        {rd: true, rs1: true},
-	ir.OpcFSqrt:      {rd: true, rs1: true},
-	ir.OpcF64To32:    {rd: true, rs1: true},
-	ir.OpcF32To64:    {rd: true, rs1: true},
-	ir.OpcFSin:       {rd: true, rs1: true},
-	ir.OpcFAtan:      {rd: true, rs1: true},
-	ir.OpcFLog:       {rd: true, rs1: true},
-	ir.OpcFExp:       {rd: true, rs1: true},
-	ir.OpcAllocFloat: {rd: true, rs1: true},
-	ir.OpcAlloc:      {rd: true, rs1: true, rs2: true},
-	ir.OpcLabel:      {sym: true},
-}
+// shapes is indexed by opcode, so the per-instruction lookup is an array
+// load rather than a map probe.
+var shapes = func() (t [256]shape) {
+	for op, sh := range map[ir.Opc]shape{
+		ir.OpcNop:        {},
+		ir.OpcMovR:       {rd: true, rs1: true},
+		ir.OpcMovI:       {rd: true, imm: true},
+		ir.OpcLoad:       {rd: true, rs1: true, imm: true},
+		ir.OpcStore:      {rs1: true, rs2: true, imm: true},
+		ir.OpcLoadX:      {rd: true, rs1: true, rs2: true},
+		ir.OpcStoreX:     {rd: true, rs1: true, rs2: true},
+		ir.OpcPush:       {rs1: true},
+		ir.OpcPop:        {rd: true},
+		ir.OpcAdd:        {rd: true, rs1: true, rs2: true},
+		ir.OpcSub:        {rd: true, rs1: true, rs2: true},
+		ir.OpcMul:        {rd: true, rs1: true, rs2: true},
+		ir.OpcDiv:        {rd: true, rs1: true, rs2: true},
+		ir.OpcMod:        {rd: true, rs1: true, rs2: true},
+		ir.OpcAnd:        {rd: true, rs1: true, rs2: true},
+		ir.OpcOr:         {rd: true, rs1: true, rs2: true},
+		ir.OpcXor:        {rd: true, rs1: true, rs2: true},
+		ir.OpcShl:        {rd: true, rs1: true, rs2: true},
+		ir.OpcShr:        {rd: true, rs1: true, rs2: true},
+		ir.OpcSar:        {rd: true, rs1: true, rs2: true},
+		ir.OpcAddI:       {rd: true, rs1: true, imm: true},
+		ir.OpcSubI:       {rd: true, rs1: true, imm: true},
+		ir.OpcAndI:       {rd: true, rs1: true, imm: true},
+		ir.OpcOrI:        {rd: true, rs1: true, imm: true},
+		ir.OpcShlI:       {rd: true, rs1: true, imm: true},
+		ir.OpcSarI:       {rd: true, rs1: true, imm: true},
+		ir.OpcCmp:        {rs1: true, rs2: true},
+		ir.OpcCmpI:       {rs1: true, imm: true},
+		ir.OpcJmp:        {sym: true},
+		ir.OpcJeq:        {sym: true},
+		ir.OpcJne:        {sym: true},
+		ir.OpcJlt:        {sym: true},
+		ir.OpcJle:        {sym: true},
+		ir.OpcJgt:        {sym: true},
+		ir.OpcJge:        {sym: true},
+		ir.OpcCall:       {imm: true},
+		ir.OpcCallR:      {rs1: true},
+		ir.OpcRet:        {},
+		ir.OpcBrk:        {imm: true},
+		ir.OpcHlt:        {},
+		ir.OpcFAdd:       {rd: true, rs1: true, rs2: true},
+		ir.OpcFSub:       {rd: true, rs1: true, rs2: true},
+		ir.OpcFMul:       {rd: true, rs1: true, rs2: true},
+		ir.OpcFDiv:       {rd: true, rs1: true, rs2: true},
+		ir.OpcFCmp:       {rs1: true, rs2: true},
+		ir.OpcI2F:        {rd: true, rs1: true},
+		ir.OpcF2I:        {rd: true, rs1: true},
+		ir.OpcFSqrt:      {rd: true, rs1: true},
+		ir.OpcF64To32:    {rd: true, rs1: true},
+		ir.OpcF32To64:    {rd: true, rs1: true},
+		ir.OpcFSin:       {rd: true, rs1: true},
+		ir.OpcFAtan:      {rd: true, rs1: true},
+		ir.OpcFLog:       {rd: true, rs1: true},
+		ir.OpcFExp:       {rd: true, rs1: true},
+		ir.OpcAllocFloat: {rd: true, rs1: true},
+		ir.OpcAlloc:      {rd: true, rs1: true, rs2: true},
+		ir.OpcLabel:      {sym: true},
+	} {
+		sh.known = true
+		t[op] = sh
+	}
+	return t
+}()
 
 // isTerminator reports an instruction after which control never falls
 // through: unconditional jump, return, halt, or breakpoint (the
@@ -161,14 +171,12 @@ func isTerminator(op ir.Opc) bool {
 // the rule verdict with Violations and feed before/after pairs to
 // VerifyPassEffectOn.
 type Analysis struct {
-	fn         *ir.Fn
 	structural []Violation
-	flow       *analysis // nil when structural violations suppressed it
+	flow       []Violation // flow-sensitive violations
 	deopt      []Violation
+	// exits lists every reachable exit point in linear order.
+	exits []exitPoint
 }
-
-// Fn returns the analyzed function.
-func (an *Analysis) Fn() *ir.Fn { return an.fn }
 
 // Violations returns the full rule verdict: structural violations,
 // then — only on a structurally sound function — the flow-sensitive
@@ -178,9 +186,7 @@ func (an *Analysis) Violations() []Violation {
 		return an.structural
 	}
 	var vs []Violation
-	if an.flow != nil {
-		vs = append(vs, an.flow.violations...)
-	}
+	vs = append(vs, an.flow...)
 	return append(vs, an.deopt...)
 }
 
@@ -191,11 +197,18 @@ func (an *Analysis) Violations() []Violation {
 // a broken function so a pass that breaks stack balance is blamed on
 // stack-balance, not on whichever structural rule the breakage also
 // tripped.
+//
+// Everything except the result lives in pooled scratch (see kernel.go),
+// so a clean function costs three allocations: the Analysis, its exit
+// list and the exits' arrival states.
 func (o Options) Analyze(fn *ir.Fn) *Analysis {
-	an := &Analysis{fn: fn, structural: o.verifyStructural(fn)}
-	an.flow = analyze(fn)
+	s := getScratch(len(fn.Instrs))
+	defer scratchPool.Put(s)
+	s.indexLabels(fn.Instrs)
+	an := &Analysis{structural: s.verifyStructural(fn.Instrs)}
+	s.analyze(fn.Instrs, an)
 	if len(an.structural) == 0 && o.RequireDeopt {
-		an.deopt = o.verifyDeopt(fn, an.flow)
+		an.deopt = o.verifyDeopt(fn.Instrs, s.reached)
 	}
 	return an
 }
@@ -207,35 +220,33 @@ func (o Options) Verify(fn *ir.Fn) []Violation {
 }
 
 // verifyStructural runs the linear-order rules: labels, opcode shapes,
-// register ranges, def-before-use, dead fallthrough, termination.
-func (o Options) verifyStructural(fn *ir.Fn) []Violation {
+// register ranges, def-before-use, dead fallthrough, termination. The
+// label index must already be built.
+func (s *scratch) verifyStructural(instrs []ir.Instr) []Violation {
 	var vs []Violation
-	labels := make(map[string]int, 8)
-	for i, ins := range fn.Instrs {
-		if ins.Op == ir.OpcLabel {
-			if prev, dup := labels[ins.Sym]; dup {
+	// A label's first definition wins; every later one is a duplicate.
+	for i := range instrs {
+		if instrs[i].Op == ir.OpcLabel {
+			if first := s.firstDef[i]; first != int32(i) {
 				vs = append(vs, Violation{Rule: RuleLabel, Index: i,
-					Detail: fmt.Sprintf("label %q already defined at #%d", ins.Sym, prev)})
-				continue
+					Detail: fmt.Sprintf("label %q already defined at #%d", instrs[i].Sym, first)})
 			}
-			labels[ins.Sym] = i
 		}
 	}
 
-	vregDef := make(map[ir.Reg]int)
-	for i, ins := range fn.Instrs {
-		sh, known := shapes[ins.Op]
-		if !known {
+	var vregDef [256]bool
+	for i := range instrs {
+		ins := &instrs[i]
+		sh := shapes[ins.Op]
+		if !sh.known {
 			vs = append(vs, Violation{Rule: RuleOpcodeShape, Index: i,
 				Detail: fmt.Sprintf("unknown opcode %s", ins.Op)})
 			continue
 		}
-		vs = append(vs, checkShape(i, ins, sh)...)
-		if ins.IsJump() {
-			if _, ok := labels[ins.Sym]; !ok {
-				vs = append(vs, Violation{Rule: RuleLabel, Index: i,
-					Detail: fmt.Sprintf("jump to undefined label %q", ins.Sym)})
-			}
+		vs = checkShape(vs, i, ins, sh)
+		if ins.IsJump() && s.target[i] < 0 {
+			vs = append(vs, Violation{Rule: RuleLabel, Index: i,
+				Detail: fmt.Sprintf("jump to undefined label %q", ins.Sym)})
 		}
 		// Dead fallthrough. The compilation schema deliberately plants
 		// exit stubs behind unconditional control transfers (an always-
@@ -244,47 +255,41 @@ func (o Options) verifyStructural(fn *ir.Fn) []Violation {
 		// the next label. What is never legal is dead code bleeding into
 		// a live block: that means a front-end or pass lost track of its
 		// block structure.
-		if i > 0 && ins.Op != ir.OpcLabel && isTerminator(fn.Instrs[i-1].Op) {
-			if j, ok := deadRegionEnd(fn.Instrs, i); !ok {
+		if i > 0 && ins.Op != ir.OpcLabel && isTerminator(instrs[i-1].Op) {
+			if j, ok := deadRegionEnd(instrs, i); !ok {
 				into := "the end of the function"
-				if j < len(fn.Instrs) {
-					into = fmt.Sprintf("label %q", fn.Instrs[j].Sym)
+				if j < len(instrs) {
+					into = fmt.Sprintf("label %q", instrs[j].Sym)
 				}
 				vs = append(vs, Violation{Rule: RuleDeadCode, Index: i,
-					Detail: fmt.Sprintf("dead code behind %s falls through into %s", fn.Instrs[i-1].Op, into)})
+					Detail: fmt.Sprintf("dead code behind %s falls through into %s", instrs[i-1].Op, into)})
 			}
 		}
 		// Virtual-register def-before-use in linear order. Emission is
 		// linear, so a register's first definition precedes every use in
 		// any well-formed front-end output (backward jumps re-enter code
 		// that is linearly after the definition).
-		if sh.rs1 && ins.Rs1.IsVirtual() {
-			if _, ok := vregDef[ins.Rs1]; !ok {
-				vs = append(vs, Violation{Rule: RuleDefBeforeUse, Index: i,
-					Detail: fmt.Sprintf("%s read before any definition", ins.Rs1)})
-			}
+		if sh.rs1 && ins.Rs1.IsVirtual() && !vregDef[ins.Rs1] {
+			vs = append(vs, Violation{Rule: RuleDefBeforeUse, Index: i,
+				Detail: fmt.Sprintf("%s read before any definition", ins.Rs1)})
 		}
-		if sh.rs2 && ins.Rs2.IsVirtual() {
-			if _, ok := vregDef[ins.Rs2]; !ok {
-				vs = append(vs, Violation{Rule: RuleDefBeforeUse, Index: i,
-					Detail: fmt.Sprintf("%s read before any definition", ins.Rs2)})
-			}
+		if sh.rs2 && ins.Rs2.IsVirtual() && !vregDef[ins.Rs2] {
+			vs = append(vs, Violation{Rule: RuleDefBeforeUse, Index: i,
+				Detail: fmt.Sprintf("%s read before any definition", ins.Rs2)})
 		}
 		if sh.rd && ins.Rd.IsVirtual() {
 			// StoreX and Store read their "destination" field; everything
 			// else writes it.
-			if ins.Op == ir.OpcStoreX {
-				if _, ok := vregDef[ins.Rd]; !ok {
-					vs = append(vs, Violation{Rule: RuleDefBeforeUse, Index: i,
-						Detail: fmt.Sprintf("%s read before any definition", ins.Rd)})
-				}
-			} else if _, ok := vregDef[ins.Rd]; !ok {
-				vregDef[ins.Rd] = i
+			if ins.Op != ir.OpcStoreX {
+				vregDef[ins.Rd] = true
+			} else if !vregDef[ins.Rd] {
+				vs = append(vs, Violation{Rule: RuleDefBeforeUse, Index: i,
+					Detail: fmt.Sprintf("%s read before any definition", ins.Rd)})
 			}
 		}
 	}
 
-	if n := len(fn.Instrs); n == 0 || !isTerminator(fn.Instrs[n-1].Op) {
+	if n := len(instrs); n == 0 || !isTerminator(instrs[n-1].Op) {
 		vs = append(vs, Violation{Rule: RuleTerminator, Index: -1,
 			Detail: "control can run off the end of the function"})
 	}
@@ -297,16 +302,17 @@ func (o Options) verifyStructural(fn *ir.Fn) []Violation {
 // reachable conditional jump accepts every input on its single path, so
 // its stub is legitimately dead; once the code discriminates inputs, a
 // reachable stub is mandatory.
-func (o Options) verifyDeopt(fn *ir.Fn, a *analysis) []Violation {
+func (o Options) verifyDeopt(instrs []ir.Instr, reached []bool) []Violation {
 	present, reachable, guarded := false, false, false
-	for i, ins := range fn.Instrs {
+	for i := range instrs {
+		ins := &instrs[i]
 		if ins.Op == ir.OpcBrk && ins.Imm == o.DeoptBrkID {
 			present = true
-			if a.reached[i] {
+			if reached[i] {
 				reachable = true
 			}
 		}
-		if ins.IsJump() && ins.Op != ir.OpcJmp && a.reached[i] {
+		if ins.IsJump() && ins.Op != ir.OpcJmp && reached[i] {
 			guarded = true
 		}
 	}
@@ -337,34 +343,38 @@ func deadRegionEnd(instrs []ir.Instr, i int) (int, bool) {
 	return i, false
 }
 
-func checkShape(i int, ins ir.Instr, sh shape) []Violation {
-	var vs []Violation
-	bad := func(field string, detail string) {
-		vs = append(vs, Violation{Rule: RuleOpcodeShape, Index: i,
-			Detail: fmt.Sprintf("%s: %s %s", ins.Op, field, detail)})
-	}
-	checkReg := func(field string, r ir.Reg, used bool) {
-		if used {
-			if r >= ir.NumPhysRegs && !r.IsVirtual() {
-				vs = append(vs, Violation{Rule: RuleRegRange, Index: i,
-					Detail: fmt.Sprintf("%s: %s names register %d, outside the physical and virtual ranges", ins.Op, field, r)})
-			}
-		} else if r != 0 {
-			bad(field, fmt.Sprintf("set to %s but unused by this opcode", r))
-		}
-	}
-	checkReg("rd", ins.Rd, sh.rd)
-	checkReg("rs1", ins.Rs1, sh.rs1)
-	checkReg("rs2", ins.Rs2, sh.rs2)
+// checkShape appends the opcode-shape and register-range violations of
+// one instruction to vs.
+func checkShape(vs []Violation, i int, ins *ir.Instr, sh shape) []Violation {
+	vs = checkReg(vs, i, ins, "rd", ins.Rd, sh.rd)
+	vs = checkReg(vs, i, ins, "rs1", ins.Rs1, sh.rs1)
+	vs = checkReg(vs, i, ins, "rs2", ins.Rs2, sh.rs2)
 	if !sh.imm && ins.Imm != 0 {
-		bad("imm", fmt.Sprintf("set to %d but unused by this opcode", ins.Imm))
+		vs = badField(vs, i, ins, "imm", fmt.Sprintf("set to %d but unused by this opcode", ins.Imm))
 	}
 	if sh.sym {
 		if ins.Sym == "" {
-			bad("sym", "empty label reference")
+			vs = badField(vs, i, ins, "sym", "empty label reference")
 		}
 	} else if ins.Sym != "" {
-		bad("sym", fmt.Sprintf("set to %q but unused by this opcode", ins.Sym))
+		vs = badField(vs, i, ins, "sym", fmt.Sprintf("set to %q but unused by this opcode", ins.Sym))
 	}
 	return vs
+}
+
+func checkReg(vs []Violation, i int, ins *ir.Instr, field string, r ir.Reg, used bool) []Violation {
+	if used {
+		if r >= ir.NumPhysRegs && !r.IsVirtual() {
+			vs = append(vs, Violation{Rule: RuleRegRange, Index: i,
+				Detail: fmt.Sprintf("%s: %s names register %d, outside the physical and virtual ranges", ins.Op, field, r)})
+		}
+	} else if r != 0 {
+		vs = badField(vs, i, ins, field, fmt.Sprintf("set to %s but unused by this opcode", r))
+	}
+	return vs
+}
+
+func badField(vs []Violation, i int, ins *ir.Instr, field, detail string) []Violation {
+	return append(vs, Violation{Rule: RuleOpcodeShape, Index: i,
+		Detail: fmt.Sprintf("%s: %s %s", ins.Op, field, detail)})
 }

@@ -11,21 +11,19 @@ import (
 
 // Backend is the shared tail of every byte-code compilation. It runs in
 // two steps. Optimize is ISA-independent: it validates the front-end's
-// IR, runs the variant's (possibly truncated) pass pipeline under the
-// static verifier, and reports post-pipeline opcodes to the coverage
-// hook. Optimized.Lower then lowers and encodes that IR for one ISA, so a
-// caller testing a unit on several ISAs optimizes once and lowers once
-// per ISA. The Backend exists so front-ends outside this package (the
-// meta-compiled front-end of internal/metacompile) flow through exactly
-// the same pipeline, blame truncation, and telemetry as the hand-written
-// Cogits.
+// IR, runs the variant's pass pipeline under the static verifier, and
+// reports post-pipeline opcodes to the coverage hook. Optimized.Lower
+// then lowers and encodes that IR for one ISA, so a caller testing a
+// unit on several ISAs optimizes once and lowers once per ISA. The
+// Backend exists so front-ends outside this package (the meta-compiled
+// front-end of internal/metacompile) flow through exactly the same
+// pipeline, stage record, and telemetry as the hand-written Cogits.
 type Backend struct {
-	Variant   Variant
-	Defects   defects.Switches
-	PassLimit int
-	Metrics   *PassMetrics
-	OnIR      func(ir.Opc)
-	OnStage   func(stage string, fn *ir.Fn)
+	Variant Variant
+	Defects defects.Switches
+	Metrics *PassMetrics
+	OnIR    func(ir.Opc)
+	OnStage func(stage string, fn *ir.Fn)
 	// Pool is the physical register pool lowering assigns to virtual
 	// registers.
 	Pool []machine.Reg
@@ -49,7 +47,13 @@ type Backend struct {
 // immutable once built, so one value may be lowered for every ISA, from
 // any goroutine.
 type Optimized struct {
-	Fn        *ir.Fn
+	Fn *ir.Fn
+	// Stages records the pipeline's distinct IRs in order: the front-end's
+	// output, then the output of every pass that changed its input. The
+	// last stage's Fn is Fn. Passes are pure, so these are the pipeline's
+	// own values, not copies. Pass-level blame lowers them one by one
+	// instead of re-running the pipeline per prefix.
+	Stages    []Stage
 	Selectors []Selector
 	NumTemps  int
 	// pool is the physical register pool lowering assigns to virtual
@@ -57,6 +61,30 @@ type Optimized struct {
 	pool []machine.Reg
 	// metrics, when non-nil, counts every compiled method Lower emits.
 	metrics *PassMetrics
+}
+
+// Stage is one recorded pipeline stage: the pass that produced it (empty
+// for the front-end) and its output IR.
+type Stage struct {
+	Pass string
+	Fn   *ir.Fn
+}
+
+// Name spells the stage as the verifier and the blame strings do:
+// "front-end" or "pass:<name>".
+func (s Stage) Name() string {
+	if s.Pass == "" {
+		return "front-end"
+	}
+	return "pass:" + s.Pass
+}
+
+// AtStage returns the unit as it stood after stage k: the same
+// selectors, temporaries and register pool, with that stage's IR.
+func (o *Optimized) AtStage(k int) *Optimized {
+	at := *o
+	at.Fn = o.Stages[k].Fn
+	return &at
 }
 
 // EachOp calls f with the opcode of every instruction of the optimized
@@ -101,32 +129,19 @@ type stageVerifier struct {
 	prevLo, prevHi uint64
 }
 
-// check runs the static verifier over fn after the named stage.
-// Pass-effect violations are ordered first so a pass that breaks stack
-// balance is blamed on that rule even when the breakage knocks on into
-// whole-function rules. Three tiers keep the steady-state cost near a
-// hash: an unchanged function short-circuits entirely, a (input,
-// output) pair already proven clean is a cache lookup, and only a novel
-// pair pays for full analysis — with the input's analysis reused from
-// the previous stage when it was computed there.
-func (sv *stageVerifier) check(stage string, fn *ir.Fn) error {
-	bk := sv.bk
+// check runs the static verifier over a stage's output. Pass-effect
+// violations are ordered first so a pass that breaks stack balance is
+// blamed on that rule even when the breakage knocks on into
+// whole-function rules. Optimize never hands it a pass output equal to
+// its input; of the rest, an (input, output) pair already proven clean
+// is a cache lookup, and only a novel pair pays for full analysis — with
+// the input's analysis reused from the previous stage when it was
+// computed there.
+func (sv *stageVerifier) check(stage Stage) error {
+	bk, fn := sv.bk, stage.Fn
 	var t0 time.Time
 	if bk.Metrics != nil {
 		t0 = time.Now() //cogdiff:allow-nondeterminism compile timing feeds telemetry histograms only
-	}
-	done := func(violations int) {
-		if bk.Metrics != nil {
-			bk.Metrics.observeVerify(time.Since(t0), violations) //cogdiff:allow-nondeterminism compile timing feeds telemetry histograms only
-		}
-	}
-	// A pass that changed nothing preserved every invariant of its
-	// already verified input, including its stack effect; the carried
-	// hash and analysis stay valid for the next stage.
-	if sv.prevFn != nil && sameInstrs(sv.prevFn, fn) {
-		sv.prevFn = fn
-		done(0)
-		return nil
 	}
 	lo, hi := hashFn(fn)
 	key := verifyKey{prevLo: sv.prevLo, prevHi: sv.prevHi, fnLo: lo, fnHi: hi,
@@ -134,7 +149,7 @@ func (sv *stageVerifier) check(stage string, fn *ir.Fn) error {
 	if verifiedClean(key) {
 		sv.prevFn, sv.prevAn = fn, nil
 		sv.prevLo, sv.prevHi = lo, hi
-		done(0)
+		sv.done(t0, 0)
 		return nil
 	}
 	opts := irverify.Options{RequireDeopt: bk.RequireDeopt, DeoptBrkID: BrkMetaDeopt}
@@ -149,9 +164,9 @@ func (sv *stageVerifier) check(stage string, fn *ir.Fn) error {
 		vs = irverify.VerifyPassEffectOn(sv.prevAn, an)
 	}
 	vs = append(vs, an.Violations()...)
-	done(len(vs))
+	sv.done(t0, len(vs))
 	if len(vs) > 0 {
-		return &irverify.Error{Stage: stage, Violations: vs}
+		return &irverify.Error{Stage: stage.Name(), Violations: vs}
 	}
 	recordVerifiedClean(key)
 	sv.prevFn, sv.prevAn = fn, an
@@ -159,8 +174,15 @@ func (sv *stageVerifier) check(stage string, fn *ir.Fn) error {
 	return nil
 }
 
+// done records one verifier run started at t0.
+func (sv *stageVerifier) done(t0 time.Time, violations int) {
+	if sv.bk.Metrics != nil {
+		sv.bk.Metrics.observeVerify(time.Since(t0), violations) //cogdiff:allow-nondeterminism compile timing feeds telemetry histograms only
+	}
+}
+
 // sameInstrs reports whether two functions carry instruction-identical
-// bodies, making re-verification redundant.
+// bodies.
 func sameInstrs(a, b *ir.Fn) bool {
 	if len(a.Instrs) != len(b.Instrs) {
 		return false
@@ -175,7 +197,8 @@ func sameInstrs(a, b *ir.Fn) bool {
 
 // Optimize runs the ISA-independent half of compilation over the built
 // IR: the front-end stage, the pass pipeline, the verifier after every
-// stage, and the coverage hook over the final IR.
+// stage, and the coverage hook over the final IR. It records every
+// distinct stage on the result.
 func (bk *Backend) Optimize(b *ir.Builder, selectors []Selector, numTemps int) (*Optimized, error) {
 	fn, err := b.Finish()
 	if err != nil {
@@ -184,36 +207,46 @@ func (bk *Backend) Optimize(b *ir.Builder, selectors []Selector, numTemps int) (
 	if bk.OnStage != nil {
 		bk.OnStage("front-end", fn)
 	}
+	passes := PipelineFor(bk.Variant, bk.Defects)
+	stages := make([]Stage, 1, 1+len(passes))
+	stages[0] = Stage{Fn: fn}
 	var sv *stageVerifier
 	if !bk.NoVerify {
 		sv = &stageVerifier{bk: bk}
-		if err := sv.check("front-end", fn); err != nil {
+		if err := sv.check(stages[0]); err != nil {
 			return nil, err
 		}
 	}
-	passes := PipelineFor(bk.Variant, bk.Defects)
-	limit := bk.PassLimit
-	if limit < 0 || limit > len(passes) {
-		limit = len(passes)
-	}
-	for _, p := range passes[:limit] {
+	for _, p := range passes {
+		var out *ir.Fn
 		if bk.Metrics != nil {
 			t0 := time.Now() //cogdiff:allow-nondeterminism compile timing feeds telemetry histograms only
-			fn = p.Run(fn)
+			out = p.Run(fn)
 			bk.Metrics.observePass(p.Name, time.Since(t0)) //cogdiff:allow-nondeterminism compile timing feeds telemetry histograms only
 		} else {
-			fn = p.Run(fn)
+			out = p.Run(fn)
 		}
 		if bk.OnStage != nil {
-			bk.OnStage(p.Name, fn)
+			bk.OnStage(p.Name, out)
 		}
+		if sameInstrs(fn, out) {
+			// A pass that changed nothing preserved every invariant of its
+			// verified input, which stands as its verdict: counted as a
+			// verifier run that did no work.
+			if sv != nil {
+				bk.Metrics.observeVerify(0, 0)
+			}
+			continue
+		}
+		fn = out
+		stages = append(stages, Stage{Pass: p.Name, Fn: fn})
 		if sv != nil {
-			if err := sv.check("pass:"+p.Name, fn); err != nil {
+			if err := sv.check(stages[len(stages)-1]); err != nil {
 				return nil, err
 			}
 		}
 	}
-	o := &Optimized{Fn: fn, Selectors: selectors, NumTemps: numTemps, pool: bk.Pool, metrics: bk.Metrics}
+	o := &Optimized{Fn: fn, Stages: stages, Selectors: selectors, NumTemps: numTemps, pool: bk.Pool, metrics: bk.Metrics}
 	if bk.OnIR != nil {
 		o.EachOp(bk.OnIR)
 	}

@@ -29,12 +29,6 @@ type Cogit struct {
 	// after each optimization pass — the CLI's ir-dump hook.
 	OnStage func(stage string, fn *ir.Fn)
 
-	// PassLimit truncates the optimization pipeline to its first
-	// PassLimit passes; negative runs the full pipeline. The blame
-	// machinery recompiles with each prefix to attribute a difference to
-	// the first guilty pass.
-	PassLimit int
-
 	// Metrics, when non-nil, times every optimization pass and counts
 	// compiled units through pre-resolved telemetry handles.
 	Metrics *PassMetrics
@@ -62,8 +56,7 @@ type Cogit struct {
 
 // NewCogit builds a compiler of the given variant and ISA over om.
 func NewCogit(v Variant, isa machine.ISA, om *heap.ObjectMemory, sw defects.Switches) *Cogit {
-	c := &Cogit{Variant: v, ISA: isa, OM: om, Defects: sw, PassLimit: -1}
-	return c
+	return &Cogit{Variant: v, ISA: isa, OM: om, Defects: sw}
 }
 
 func (c *Cogit) reset() {
@@ -334,18 +327,17 @@ func (c *Cogit) pool() []machine.Reg {
 }
 
 // finish runs the ISA-independent tail of compilation through the shared
-// Backend: validate the front-end's IR, run the (possibly truncated) pass
-// pipeline, and report the post-pipeline opcodes to the coverage hook.
+// Backend: validate the front-end's IR, run the pass pipeline, and report
+// the post-pipeline opcodes to the coverage hook.
 func (c *Cogit) finish() (*Optimized, error) {
 	bk := &Backend{
-		Variant:   c.Variant,
-		Defects:   c.Defects,
-		PassLimit: c.PassLimit,
-		Metrics:   c.Metrics,
-		OnIR:      c.OnIR,
-		OnStage:   c.OnStage,
-		Pool:      c.pool(),
-		NoVerify:  c.NoVerify,
+		Variant:  c.Variant,
+		Defects:  c.Defects,
+		Metrics:  c.Metrics,
+		OnIR:     c.OnIR,
+		OnStage:  c.OnStage,
+		Pool:     c.pool(),
+		NoVerify: c.NoVerify,
 	}
 	return bk.Optimize(c.b, c.selectors, c.numTemps)
 }

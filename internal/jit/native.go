@@ -104,7 +104,7 @@ func (n *NativeMethodCompiler) finish() (*Optimized, error) {
 			return nil, &irverify.Error{Stage: "front-end", Violations: vs}
 		}
 	}
-	return &Optimized{Fn: fn, metrics: n.Metrics}, nil
+	return &Optimized{Fn: fn, Stages: []Stage{{Fn: fn}}, metrics: n.Metrics}, nil
 }
 
 // ---- shared shapes ----

@@ -56,13 +56,12 @@ type Compiler struct {
 	OM      *heap.ObjectMemory
 	Defects defects.Switches
 
-	// PassLimit, Metrics, OnIR and OnStage mirror the Cogit fields: they
-	// parameterize the shared Backend (blame truncation, pass telemetry,
-	// coverage and ir-dump hooks).
-	PassLimit int
-	Metrics   *jit.PassMetrics
-	OnIR      func(ir.Opc)
-	OnStage   func(stage string, fn *ir.Fn)
+	// Metrics, OnIR and OnStage mirror the Cogit fields: they
+	// parameterize the shared Backend (pass telemetry, coverage and
+	// ir-dump hooks).
+	Metrics *jit.PassMetrics
+	OnIR    func(ir.Opc)
+	OnStage func(stage string, fn *ir.Fn)
 
 	// NoVerify disables the Backend's static IR verifier. When on (the
 	// default) the verifier additionally demands a reachable deopt stub:
@@ -72,7 +71,7 @@ type Compiler struct {
 
 // NewCompiler builds a meta-compiled front-end over om.
 func NewCompiler(isa machine.ISA, om *heap.ObjectMemory, sw defects.Switches) *Compiler {
-	return &Compiler{ISA: isa, OM: om, Defects: sw, PassLimit: -1}
+	return &Compiler{ISA: isa, OM: om, Defects: sw}
 }
 
 func (c *Compiler) finish(l *lowerer) (*jit.Optimized, error) {
@@ -80,12 +79,11 @@ func (c *Compiler) finish(l *lowerer) (*jit.Optimized, error) {
 		return nil, l.err
 	}
 	bk := &jit.Backend{
-		Variant:   jit.MetaJITCogit,
-		Defects:   c.Defects,
-		PassLimit: c.PassLimit,
-		Metrics:   c.Metrics,
-		OnIR:      c.OnIR,
-		OnStage:   c.OnStage,
+		Variant: jit.MetaJITCogit,
+		Defects: c.Defects,
+		Metrics: c.Metrics,
+		OnIR:    c.OnIR,
+		OnStage: c.OnStage,
 		// The generated front-end works on physical registers only; the
 		// pool exists for lowering's virtual-register contract.
 		Pool:         []machine.Reg{machine.TempReg, machine.ExtraReg, machine.R1},

@@ -15,7 +15,7 @@ const (
 	MetricUnitsTested     = "cogdiff_units_tested_total"
 	MetricVerdictsSkipped = "cogdiff_verdicts_skipped_total"
 	// MetricDifferences carries a family label; MetricCauses a stage
-	// label (front-end, pass:<name>, unreproducible). Both are bumped
+	// label (front-end, pass:<name>, or an ir-verify blame). Both are bumped
 	// only in the campaign's serial merge pass, which walks verdicts in
 	// canonical order — so their totals equal the report tables exactly
 	// at any worker count.
