@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test test-short test-race bench bench-go bench-check cache-smoke perf-smoke fuzz fuzz-smoke blame-smoke metacompile-smoke metrics-smoke serve-smoke verify-smoke fmt-check golden-update ci
+.PHONY: all build vet lint test test-short test-race bench bench-go bench-check cache-smoke perf-smoke fuzz fuzz-smoke blame-smoke metacompile-smoke metrics-smoke verify-smoke fmt-check golden-update ci
 
 all: build vet test
 
@@ -53,8 +53,7 @@ bench:
 	$(GO) run ./cmd/cogdiff bench-export -cache-dir bench-cache.tmp \
 		-baseline BENCH_campaign.json -out BENCH_campaign.json campaign
 	$(GO) run ./cmd/cogdiff bench-export -baseline BENCH_fuzz.json -out BENCH_fuzz.json fuzz
-	$(GO) run ./cmd/cogdiff bench-export -out BENCH_serve.json serve
-	$(GO) run ./cmd/cogdiff bench-export -lint BENCH_campaign.json BENCH_fuzz.json BENCH_serve.json
+	$(GO) run ./cmd/cogdiff bench-export -lint BENCH_campaign.json BENCH_fuzz.json
 	rm -rf bench-cache.tmp
 
 # The Go-native microbenchmarks (includes the cache=cold/cache=warm
@@ -162,31 +161,6 @@ metrics-smoke:
 	$(GO) run ./cmd/cogdiff metrics-lint metrics-smoke.prom
 	rm -f metrics-smoke.prom
 
-# Service-layer smoke test, observed end to end from the CLI: start a
-# real server, submit a sharded campaign over HTTP, and require the
-# served report byte-identical to the serial local run (-stable is the
-# deterministic report surface both sides print). The scraped /metrics
-# must lint as Prometheus text, and the shared corpus directory must
-# hold the fuzz job's entries.
-serve-smoke:
-	rm -rf serve-smoke.tmp
-	mkdir -p serve-smoke.tmp
-	$(GO) build -o serve-smoke.tmp/cogdiff ./cmd/cogdiff
-	serve-smoke.tmp/cogdiff campaign -workers 1 -stable > serve-smoke.tmp/serial.txt
-	serve-smoke.tmp/cogdiff serve -addr 127.0.0.1:18377 \
-		-cache-dir serve-smoke.tmp/cache -corpus-dir serve-smoke.tmp/corpus \
-		2> serve-smoke.tmp/serve.log & echo $$! > serve-smoke.tmp/serve.pid
-	serve-smoke.tmp/cogdiff submit -addr http://127.0.0.1:18377 \
-		campaign -workers 4 -cache rw > serve-smoke.tmp/served.txt
-	cmp serve-smoke.tmp/serial.txt serve-smoke.tmp/served.txt
-	serve-smoke.tmp/cogdiff submit -addr http://127.0.0.1:18377 \
-		fuzz -budget 500 -shared-corpus > /dev/null
-	ls serve-smoke.tmp/corpus/seq-*.json > /dev/null
-	curl -sf http://127.0.0.1:18377/metrics > serve-smoke.tmp/metrics.prom
-	serve-smoke.tmp/cogdiff metrics-lint serve-smoke.tmp/metrics.prom
-	kill `cat serve-smoke.tmp/serve.pid`
-	rm -rf serve-smoke.tmp
-
 # Static-verification smoke test, observed end to end from the CLI:
 # the compile-only sweep must verify the whole catalog clean at 1 and 4
 # workers with byte-identical reports, the seeded stack-leak defect must
@@ -222,4 +196,4 @@ fmt-check:
 golden-update:
 	$(GO) test ./cmd/cogdiff/ -run TestGolden -update
 
-ci: build vet lint fmt-check test test-race bench-check fuzz-smoke blame-smoke metacompile-smoke metrics-smoke cache-smoke perf-smoke serve-smoke verify-smoke
+ci: build vet lint fmt-check test test-race bench-check fuzz-smoke blame-smoke metacompile-smoke metrics-smoke cache-smoke perf-smoke verify-smoke

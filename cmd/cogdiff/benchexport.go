@@ -92,13 +92,6 @@ type benchRecord struct {
 	ColdNsPerOp int64   `json:"coldNsPerOp,omitempty"`
 	WarmNsPerOp int64   `json:"warmNsPerOp,omitempty"`
 	Speedup     float64 `json:"speedup,omitempty"`
-
-	// Served-job throughput and latency quantiles, present only for
-	// serve records (jobs submitted concurrently over HTTP to an
-	// in-process server; latency measured submit-to-terminal).
-	JobsPerSec  float64 `json:"jobsPerSec,omitempty"`
-	P50NsPerJob int64   `json:"p50NsPerJob,omitempty"`
-	P99NsPerJob int64   `json:"p99NsPerJob,omitempty"`
 }
 
 func runBenchExport(args []string, stdout, stderr io.Writer) int {
@@ -115,7 +108,6 @@ func runBenchExport(args []string, stdout, stderr io.Writer) int {
 	out := fs.String("out", "", "write the JSON record to this file (default stdout)")
 	lint := fs.Bool("lint", false, "validate existing BENCH_*.json files instead of measuring")
 	fuzzBudget := fs.Int("fuzz-budget", 2000, "fuzz mode: execution budget per iteration")
-	serveJobs := fs.Int("serve-jobs", 16, "serve mode: difftest jobs submitted concurrently per iteration")
 	fail := func(err error) int {
 		fmt.Fprintln(stderr, "cogdiff:", err)
 		return 1
@@ -154,10 +146,8 @@ func runBenchExport(args []string, stdout, stderr io.Writer) int {
 		rec, err = benchCampaign(*iterations, *workers, *cacheDir, *minSpeedup, *maxVerifierShare)
 	case "fuzz":
 		rec, err = benchFuzz(*iterations, *workers, *fuzzBudget)
-	case "serve":
-		rec, err = benchServe(*iterations, *workers, *serveJobs)
 	default:
-		return fail(fmt.Errorf("bench-export %q: want campaign, fuzz or serve", fs.Arg(0)))
+		return fail(fmt.Errorf("bench-export %q: want campaign or fuzz", fs.Arg(0)))
 	}
 	if err != nil {
 		return fail(err)
@@ -400,8 +390,8 @@ func lintBenchFile(path string) error {
 	if rec.Schema != benchSchema {
 		return fmt.Errorf("%s: schema %q, want %q", path, rec.Schema, benchSchema)
 	}
-	if rec.Name != "campaign" && rec.Name != "fuzz" && rec.Name != "serve" {
-		return fmt.Errorf("%s: name %q, want campaign, fuzz or serve", path, rec.Name)
+	if rec.Name != "campaign" && rec.Name != "fuzz" {
+		return fmt.Errorf("%s: name %q, want campaign or fuzz", path, rec.Name)
 	}
 	if rec.NsPerOp <= 0 {
 		return fmt.Errorf("%s: nsPerOp %d, want > 0", path, rec.NsPerOp)

@@ -23,27 +23,20 @@
 //	cogdiff table2|table3|fig5|fig6|fig7 run the campaign and print one artifact
 //	cogdiff fuzz [-seed n] [-budget n]   coverage-guided sequence fuzzing with
 //	                                     difference minimization
-//	cogdiff serve [-addr host:port]      run the long-lived differential-testing
-//	                                     server (jobs API, SSE progress, shared
-//	                                     corpus, live /metrics)
-//	cogdiff submit campaign|difftest|fuzz
-//	                                     submit a job to a running server and
-//	                                     print its report
-//	cogdiff bench-export campaign|fuzz|serve
-//	                                     measure a campaign, fuzz or served run and
-//	                                     emit a machine-readable BENCH_*.json record
+//	cogdiff bench-export campaign|fuzz   measure a campaign or fuzz run and emit a
+//	                                     machine-readable BENCH_*.json record
 //	cogdiff metrics-lint <file>          validate a Prometheus metrics snapshot
 //
 // Campaign commands shard their work over -workers goroutines (default:
 // GOMAXPROCS); every table and figure is byte-identical for any worker
 // count.
 //
-// The campaign, table/figure, difftest and fuzz verbs share the
-// exploration-cache flags -cache-dir <dir> and -cache off|ro|rw, and the
-// observability flags -metrics <file>, -metrics-format json|prom,
-// -trace <file> and -profile <file>. Both layers are pure with respect
-// to results: all printed reports are byte-identical with the cache or
-// telemetry on or off.
+// The campaign, table/figure, difftest and verify-ir verbs share the
+// exploration-cache flags -cache-dir <dir> and -cache off|ro|rw; those
+// verbs and fuzz share the observability flags -metrics <file>,
+// -metrics-format json|prom, -trace <file> and -profile <file>. Both
+// layers are pure with respect to results: all printed reports are
+// byte-identical with the cache or telemetry on or off.
 package main
 
 import (
@@ -178,11 +171,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		if err := obs.finish(); err != nil {
 			return fail(err)
 		}
-		fmt.Fprintf(stdout, "%s on %s: %d paths, %d curated, %d differences\n",
-			res.Instruction, res.Compiler, res.Paths, res.Curated, len(res.Differences))
-		for _, d := range res.Differences {
-			fmt.Fprintf(stdout, "  [%s] %s (%s): %s\n", d.ISA, d.Family, d.Cause, d.Detail)
-		}
+		fmt.Fprint(stdout, res.Render())
 		if *dumpIR != "" {
 			compiler := fs.Arg(1)
 			if *cacheFile != "" {
@@ -210,7 +199,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		minimize := fs.Bool("minimize", true, "reduce every difference to a 1-minimal sequence")
 		emitTests := fs.String("emit-tests", "", "write reduced differences to this path as a Go test file")
 		progress := fs.Bool("progress", false, "report live progress on stderr")
-		cacheDir, cacheMode := cacheFlags(fs)
 		obs := obsFlags(fs)
 		if err := fs.Parse(args); err != nil {
 			return 2
@@ -230,8 +218,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 			CorpusPath:    *corpus,
 			SeedCorpusDir: *seedCorpus,
 			EmitTests:     *emitTests,
-			CacheDir:      *cacheDir,
-			CacheMode:     *cacheMode,
 		}
 		if n, err := strconv.Atoi(*budget); err == nil {
 			if n <= 0 {
@@ -372,10 +358,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		if sum.Violations > 0 {
 			return 1
 		}
-	case "serve":
-		return runServe(args, stdout, stderr)
-	case "submit":
-		return runSubmit(args, stdout, stderr)
 	case "bench-export":
 		return runBenchExport(args, stdout, stderr)
 	case "metrics-lint":
@@ -399,8 +381,8 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// obsRun bundles the observability flags shared by the campaign, difftest
-// and fuzz verbs: a metrics snapshot file (JSON or Prometheus text
+// obsRun bundles the observability flags shared by the campaign, difftest,
+// verify-ir and fuzz verbs: a metrics snapshot file (JSON or Prometheus text
 // exposition), a span-trace dump and an optional CPU profile.
 type obsRun struct {
 	metricsPath string
@@ -505,7 +487,7 @@ func counterTotal(s telemetry.Snapshot, name string) int64 {
 }
 
 // cacheFlags declares the exploration-cache flag pair shared by the
-// campaign, table/figure, difftest and fuzz verbs.
+// campaign, table/figure, difftest and verify-ir verbs.
 func cacheFlags(fs *flag.FlagSet) (dir, mode *string) {
 	dir = fs.String("cache-dir", "", "persistent exploration-cache directory (empty = cache disabled)")
 	mode = fs.String("cache", "", "exploration-cache mode: off, ro or rw (default rw when -cache-dir is set)")
@@ -547,37 +529,37 @@ func usage(w io.Writer) {
   cogdiff instructions
   cogdiff explore [-o cache.json] <instruction>
   cogdiff difftest [-cache-file cache.json] [-pristine] [-defect-constfold]
-                   [-defect-metajit-guard] [-dump-ir stdout|file] <instruction> <compiler>
+                   [-defect-metajit-guard] [-defect-verify-stackleak] [-no-verify]
+                   [-dump-ir stdout|file] <instruction> <compiler>
   cogdiff ir <instruction> <compiler>
   cogdiff campaign [-pristine] [-defect-constfold] [-defect-metajit-guard]
                [-defect-verify-stackleak] [-no-verify]
                [-compilers spec] [-workers n] [-stable] [-progress]
-  cogdiff verify-ir [-pristine] [-defect-verify-stackleak] [-compilers spec]
-               [-workers n]    (statically verify the catalog, execute nothing;
+  cogdiff verify-ir [-pristine] [-defect-constfold] [-defect-metajit-guard]
+               [-defect-verify-stackleak] [-compilers spec] [-workers n]
+               (statically verify the catalog, execute nothing;
                exits 1 on any violation)
   cogdiff table1|table2|table3|fig5|fig6|fig7 [-workers n] [-compilers spec]
-  cogdiff serve [-addr host:port] [-workers n] [-max-jobs n]
-               [-cache-dir dir] [-cache mode] [-corpus-dir dir]
-  cogdiff submit [-addr url] [-poll dur] [-connect-timeout dur] [-progress]
-               campaign|difftest|fuzz [options] [args]
   cogdiff fuzz [-seed n] [-budget n|30s] [-workers n] [-compilers spec]
                [-corpus file.json] [-seed-corpus dir] [-minimize]
                [-emit-tests file_test.go] [-progress]
   cogdiff bench-export [-iterations n] [-workers n] [-cache-dir dir]
-               [-min-speedup x] [-out file.json] campaign|fuzz
+               [-min-speedup x] [-baseline file.json] [-min-baseline-speedup x]
+               [-min-alloc-reduction f] [-max-verifier-share f]
+               [-fuzz-budget n] [-out file.json] campaign|fuzz
   cogdiff bench-export -lint file.json...
   cogdiff metrics-lint <metrics.prom>
 
-exploration cache (campaign, table*/fig*, difftest, fuzz):
+exploration cache (campaign, table*/fig*, difftest, verify-ir):
   -cache-dir dir        persistent exploration-cache directory
   -cache mode           off, ro or rw (default rw when -cache-dir is set)
 
-compiler sets (campaign, table*/fig*, fuzz):
+compiler sets (campaign, table*/fig*, verify-ir, fuzz):
   -compilers spec       comma-separated compiler names for an exact set, or
                         +name additions to the default set; "+metajit" adds
                         the meta-compiled front-end to the default compilers
 
-observability (campaign, table*/fig*, difftest, fuzz):
+observability (campaign, table*/fig*, difftest, verify-ir, fuzz):
   -metrics file         write a metrics snapshot after the run
   -metrics-format fmt   snapshot format: prom (default) or json
   -trace file           write the recent-span trace as JSON

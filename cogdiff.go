@@ -175,8 +175,8 @@ func parseCompilerSpecWith(defaults []string, spec string) ([]string, error) {
 }
 
 // CompilerKindsFor resolves canonical compiler names (the output of
-// ParseCompilerSpec / ParseSequenceCompilerSpec) to core compiler kinds.
-// The server uses it to hand a resolved set to the internal fuzz engine.
+// ParseCompilerSpec / ParseSequenceCompilerSpec) to core compiler kinds,
+// for callers that drive the internal engines directly.
 func CompilerKindsFor(names []string) ([]core.CompilerKind, error) {
 	return compilerKindsOf(names)
 }
@@ -312,8 +312,6 @@ type InstructionResult struct {
 }
 
 // Render formats the result exactly as `cogdiff difftest` prints it.
-// The server's difftest jobs return this rendering, so a served result
-// is byte-identical to the local CLI run.
 func (r *InstructionResult) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s on %s: %d paths, %d curated, %d differences\n",
@@ -489,11 +487,6 @@ type CampaignOptions struct {
 	// OnInstructionDone, when non-nil, receives a serialized progress
 	// callback after each (compiler, instruction) test unit completes.
 	OnInstructionDone func(compiler, instruction string, done, total int)
-	// OnUnitDone, when non-nil, receives the same serialized callback with
-	// the unit's difference count included. The server's SSE progress
-	// stream is built on it. Both callbacks may be set; each unit fires
-	// both.
-	OnUnitDone func(UnitProgress)
 	// Metrics, when non-nil, collects campaign telemetry (counters,
 	// latency histograms, spans). The registry is a pure observation
 	// sink: all rendered reports are byte-identical with or without it.
@@ -508,18 +501,6 @@ type CampaignOptions struct {
 	// CacheMode selects cache participation: "off", "ro" (read, never
 	// write) or "rw". Empty means "rw" when CacheDir is set.
 	CacheMode string
-}
-
-// UnitProgress is one completed (compiler, instruction) test unit, as
-// delivered to CampaignOptions.OnUnitDone. Done counts completed units
-// in completion order, which varies with scheduling; Differences is the
-// unit's differing-path count, which does not.
-type UnitProgress struct {
-	Compiler    string
-	Instruction string
-	Done        int
-	Total       int
-	Differences int
 }
 
 // CampaignRow mirrors one row of Table 2.
@@ -570,9 +551,7 @@ func MeasurePerPathAllocs() (warm, fresh float64) {
 // of the campaign configuration: Table 2, Table 3, Figure 5 and the
 // deduplicated cause table. Figures 6/7 embed wall-clock timings and are
 // excluded. This is the byte-comparison surface shared by `cogdiff
-// campaign -stable`, bench-export's cache-soundness check, and the
-// server's campaign jobs — a sharded server run must reproduce a serial
-// CLI run byte for byte on exactly this surface.
+// campaign -stable` and bench-export's cache-soundness check.
 func (s *CampaignSummary) StableReport() string {
 	return s.Table2 + "\n" + s.Table3 + "\n" + s.Figure5 + "\n" + s.Causes
 }
@@ -609,20 +588,9 @@ func RunCampaign(opts CampaignOptions) (*CampaignSummary, error) {
 		return nil, err
 	}
 	cfg.Cache = cache
-	if opts.OnInstructionDone != nil || opts.OnUnitDone != nil {
+	if cb := opts.OnInstructionDone; cb != nil {
 		cfg.OnInstructionDone = func(ev core.InstructionDone) {
-			if opts.OnInstructionDone != nil {
-				opts.OnInstructionDone(ev.Compiler.String(), ev.Instruction, ev.Done, ev.Total)
-			}
-			if opts.OnUnitDone != nil {
-				opts.OnUnitDone(UnitProgress{
-					Compiler:    ev.Compiler.String(),
-					Instruction: ev.Instruction,
-					Done:        ev.Done,
-					Total:       ev.Total,
-					Differences: ev.Differences,
-				})
-			}
+			cb(ev.Compiler.String(), ev.Instruction, ev.Done, ev.Total)
 		}
 	}
 	ctx := opts.Context

@@ -53,12 +53,6 @@ type FuzzOptions struct {
 	// and batch/span timings. It is a pure observation sink: all rendered
 	// reports are byte-identical with or without it.
 	Metrics *telemetry.Registry
-	// CacheDir and CacheMode accept the campaign-wide exploration-cache
-	// flags for CLI uniformity. Sequence fuzzing performs no per-
-	// instruction concolic exploration, so the cache is validated and
-	// opened but sees no traffic (BENCH_fuzz.json reports hit rate 0).
-	CacheDir  string
-	CacheMode string
 }
 
 // FuzzDifference is one deduplicated difference cause found by fuzzing.
@@ -96,9 +90,6 @@ type FuzzSummary struct {
 // ISAs) execute each sequence, differences are classified, deduplicated by
 // cause and — with Minimize — shrunk to 1-minimal sequences.
 func Fuzz(opts FuzzOptions) (*FuzzSummary, error) {
-	if _, err := openCache(opts.CacheDir, opts.CacheMode, opts.Metrics); err != nil {
-		return nil, err
-	}
 	var kinds []core.CompilerKind
 	if len(opts.Compilers) > 0 {
 		for _, name := range opts.Compilers {

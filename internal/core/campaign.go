@@ -80,8 +80,6 @@ type InstructionDone struct {
 	Instruction string
 	Done        int // completed test units so far, including this one
 	Total       int // total test units in the campaign
-	Differences int
-	TestTime    time.Duration
 }
 
 // DefaultConfig reproduces the paper's evaluation setup.
@@ -382,8 +380,6 @@ func (c *Campaign) RunContext(ctx context.Context) (*CampaignResult, error) {
 				Instruction: target.Name,
 				Done:        done,
 				Total:       len(units),
-				Differences: ir.Differences,
-				TestTime:    ir.TestTime,
 			})
 			progressMu.Unlock()
 		}

@@ -101,3 +101,32 @@ func TestCampaignCancelIsLeakFree(t *testing.T) {
 	}
 	waitNoGoroutineLeak(t, base)
 }
+
+// TestCancelledCampaignLeavesCacheSound cancels a cache-writing campaign
+// from its first completed unit and reruns it through the same
+// directory: the cancelled run may leave only complete entries behind,
+// so the rerun must render every deterministic surface exactly as an
+// uncached serial run does.
+func TestCancelledCampaignLeavesCacheSound(t *testing.T) {
+	want := renderSurfaces(runCampaignWithCache(t, nil, 1))
+	dir := t.TempDir()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cfg := determinismConfig()
+	cfg.Workers = 4
+	cfg.Cache = openCampaignCache(t, dir, nil)
+	cfg.OnInstructionDone = func(ev core.InstructionDone) {
+		if ev.Done == 1 {
+			cancel()
+		}
+	}
+	if _, err := core.NewCampaign(cfg).RunContext(ctx); err != context.Canceled {
+		t.Fatalf("cancelled campaign returned %v, want context.Canceled", err)
+	}
+
+	rerun := runCampaignWithCache(t, openCampaignCache(t, dir, nil), 4)
+	if got := renderSurfaces(rerun); got != want {
+		t.Errorf("rerun through the cancelled run's cache diverged from the uncached serial run:\n--- uncached ---\n%s\n--- rerun ---\n%s", want, got)
+	}
+}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -44,7 +45,7 @@ func TestFingerprintErrorIsCounted(t *testing.T) {
 			}
 		},
 	}
-	res, err := NewCampaign(cfg).RunContext(t.Context())
+	res, err := NewCampaign(cfg).RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +81,7 @@ func TestFingerprintCleanRunCountsZero(t *testing.T) {
 		Workers:         1,
 		Cache:           cache,
 	}
-	res, err := NewCampaign(cfg).RunContext(t.Context())
+	res, err := NewCampaign(cfg).RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,8 +42,8 @@ func RunUnits(workers, n int, fn func(i int)) {
 //
 // RunUnitsCtx establishes a happens-before edge between every completed
 // fn call and its return (via WaitGroup), so callers may read unit
-// results without further synchronization. The campaign engine, the
-// fuzzer and the server's job runner all shard their work through it.
+// results without further synchronization. The campaign engine and the
+// fuzzer shard their work through it.
 func RunUnitsCtx(ctx context.Context, workers, n int, fn func(i int)) error {
 	if n <= 0 {
 		return ctx.Err()

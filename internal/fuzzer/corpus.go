@@ -21,48 +21,18 @@ type corpusDTO struct {
 
 const corpusVersion = 1
 
-// MarshalCorpus renders entries in the on-disk corpus format (versioned
-// envelope, indented for diffability). The server's shared corpus store
-// serves exactly these bytes, so files, HTTP bodies and CLI flags all
-// speak one format.
-func MarshalCorpus(entries []*Seq) ([]byte, error) {
-	data, err := json.MarshalIndent(corpusDTO{Version: corpusVersion, Entries: entries}, "", " ")
-	if err != nil {
-		return nil, err
-	}
-	return append(data, '\n'), nil
-}
-
-// UnmarshalCorpus parses a corpus document. Entries that fail the genome
-// well-formedness check are dropped (the engine re-checks every genome
-// anyway); a wrong version or unparseable document is an error.
-func UnmarshalCorpus(data []byte) ([]*Seq, error) {
-	var dto corpusDTO
-	if err := json.Unmarshal(data, &dto); err != nil {
-		return nil, fmt.Errorf("fuzzer: corpus: %w", err)
-	}
-	if dto.Version != corpusVersion {
-		return nil, fmt.Errorf("fuzzer: corpus has version %d, want %d", dto.Version, corpusVersion)
-	}
-	var out []*Seq
-	for _, s := range dto.Entries {
-		if s != nil && s.Check() == nil {
-			out = append(out, s)
-		}
-	}
-	return out, nil
-}
-
 // SaveCorpus writes entries to path.
 func SaveCorpus(path string, entries []*Seq) error {
-	data, err := MarshalCorpus(entries)
+	data, err := json.MarshalIndent(corpusDTO{Version: corpusVersion, Entries: entries}, "", " ")
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(path, data, 0o644)
+	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // LoadCorpus reads a corpus file; a missing file is an empty corpus.
+// Malformed entries are dropped (the engine re-checks every genome
+// anyway).
 func LoadCorpus(path string) ([]*Seq, error) {
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
@@ -71,9 +41,18 @@ func LoadCorpus(path string) ([]*Seq, error) {
 	if err != nil {
 		return nil, err
 	}
-	out, err := UnmarshalCorpus(data)
-	if err != nil {
+	var dto corpusDTO
+	if err := json.Unmarshal(data, &dto); err != nil {
 		return nil, fmt.Errorf("fuzzer: corpus %s: %w", path, err)
+	}
+	if dto.Version != corpusVersion {
+		return nil, fmt.Errorf("fuzzer: corpus %s has version %d, want %d", path, dto.Version, corpusVersion)
+	}
+	var out []*Seq
+	for _, s := range dto.Entries {
+		if s != nil && s.Check() == nil {
+			out = append(out, s)
+		}
 	}
 	return out, nil
 }

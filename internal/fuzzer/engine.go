@@ -45,10 +45,6 @@ type Options struct {
 	// SeedDir, when set, loads a `go test fuzz v1` seed directory (the
 	// FuzzSequenceDiff corpus format) as additional seed inputs.
 	SeedDir string
-	// SeedSeqs are additional in-memory seed genomes, appended after the
-	// built-in seeds in the given order. The server's shared corpus store
-	// feeds concurrent fuzz jobs through this field.
-	SeedSeqs []*Seq
 	// EmitTests, when set, writes the reduced differences as a ready-to-run
 	// Go test file.
 	EmitTests string
@@ -121,8 +117,7 @@ type Result struct {
 	Curve        []CurvePoint
 	Differences  []*Difference
 	// Corpus is the final coverage-increasing corpus in admission order,
-	// so callers (the server's shared corpus store) can drain a run's
-	// findings without going through a file.
+	// so callers can drain a run's findings without going through a file.
 	Corpus []*Seq
 	// Matched lists the seeded-catalog cause IDs rediscovered through
 	// sequences, in catalog order.
@@ -466,7 +461,6 @@ func RunContext(ctx context.Context, opts Options) (*Result, error) {
 	workers := core.ResolveWorkers(opts.Workers)
 
 	seeds := builtinSeeds()
-	seeds = append(seeds, opts.SeedSeqs...)
 	if opts.SeedDir != "" {
 		more, err := LoadGoFuzzSeeds(opts.SeedDir)
 		if err != nil {

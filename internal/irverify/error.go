@@ -32,7 +32,7 @@ func (e *Error) Error() string {
 }
 
 // Blame is the statically-attributed cause string surfaced in campaign,
-// difftest, fuzz and serve reports: `ir-verify:<rule> after <stage>`.
+// difftest and fuzz reports: `ir-verify:<rule> after <stage>`.
 func (e *Error) Blame() string {
 	rule := "unknown"
 	if len(e.Violations) > 0 {

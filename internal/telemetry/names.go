@@ -56,22 +56,6 @@ const (
 	MetricFuzzCorpusSize       = "cogdiff_fuzz_corpus_size"
 	MetricFuzzDifferences      = "cogdiff_fuzz_differences_total"
 
-	// Differential-testing server (internal/server). Job counters carry a
-	// type label (campaign, difftest, fuzz); completions additionally a
-	// state label (done, failed, canceled). HTTP requests carry a route
-	// label. The corpus gauges/counters describe the shared corpus store.
-	MetricServerJobsSubmitted  = "cogdiff_server_jobs_submitted_total"
-	MetricServerJobsCompleted  = "cogdiff_server_jobs_completed_total"
-	MetricServerJobsRunning    = "cogdiff_server_jobs_running"
-	MetricServerJobsQueued     = "cogdiff_server_jobs_queued"
-	MetricServerJobSeconds     = "cogdiff_server_job_seconds"
-	MetricServerHTTPRequests   = "cogdiff_server_http_requests_total"
-	MetricServerSSEClients     = "cogdiff_server_sse_clients"
-	MetricServerCorpusEntries  = "cogdiff_server_corpus_entries"
-	MetricServerCorpusAdded    = "cogdiff_server_corpus_added_total"
-	MetricServerCorpusDupes    = "cogdiff_server_corpus_duplicates_total"
-	MetricServerCorpusRejected = "cogdiff_server_corpus_rejected_total"
-
 	// Span phases (histogram series cogdiff_span_seconds{phase=...}).
 	SpanExplore   = "explore"
 	SpanTestUnit  = "test-unit"

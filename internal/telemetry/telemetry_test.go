@@ -68,6 +68,30 @@ func TestHistogramBucketing(t *testing.T) {
 func TestConcurrentCounters(t *testing.T) {
 	r := NewRegistry()
 	const workers, per = 8, 10000
+	// A reader snapshots the registry while the writers run, as the
+	// -progress printer does: every mid-run snapshot must render as
+	// Prometheus text that parses back.
+	stop := make(chan struct{})
+	readerDone := make(chan struct{})
+	go func() {
+		defer close(readerDone)
+		for {
+			var buf strings.Builder
+			if err := r.Snapshot().WritePrometheus(&buf); err != nil {
+				t.Errorf("mid-run WritePrometheus: %v", err)
+				return
+			}
+			if _, err := ParsePrometheus(buf.String()); err != nil {
+				t.Errorf("mid-run snapshot does not parse: %v", err)
+				return
+			}
+			select {
+			case <-stop:
+				return
+			default:
+			}
+		}
+	}()
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -85,6 +109,8 @@ func TestConcurrentCounters(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	close(stop)
+	<-readerDone
 	if got := r.Counter("shared").Value(); got != workers*per {
 		t.Fatalf("counter %d, want %d", got, workers*per)
 	}
