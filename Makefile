@@ -70,18 +70,25 @@ bench-check:
 
 # Exploration-cache smoke test, observed end to end from the CLI: the
 # campaign report must be byte-identical with caching off, populating a
-# cold cache, and served warm at 1 and 4 workers — and the warm run must
-# be at least 1.5x faster than the cold one. The cold run pays for the
-# cache writes on top of an uncached campaign that keeps getting faster,
-# so the ratio is small and disk-bound: five runs on a 2-vCPU VM measured
-# 1.84, 2.13, 2.06, 2.70 and 2.35x. The gate sits below the lowest.
+# cold cache, and served warm at 1 and 4 workers; the warm run's metrics
+# must show it read everything from the cache (no miss, no write, no
+# corrupt entry), which identical output alone cannot tell from a cache
+# that silently recomputes; and the warm run must be at least 1.5x
+# faster than the cold one. The cold run pays for the cache writes on
+# top of an uncached campaign that keeps getting faster, so the ratio is
+# small and disk-bound: five runs on a 2-vCPU VM measured 1.84, 2.13,
+# 2.06, 2.70 and 2.35x. The gate sits below the lowest.
 cache-smoke:
 	rm -rf cache-smoke.tmp
 	$(GO) build -o cache-smoke.tmp/cogdiff ./cmd/cogdiff
 	cache-smoke.tmp/cogdiff table2 -workers 1 > cache-smoke.tmp/off.txt
 	cache-smoke.tmp/cogdiff table2 -workers 1 -cache-dir cache-smoke.tmp/cache > cache-smoke.tmp/cold.txt
-	cache-smoke.tmp/cogdiff table2 -workers 1 -cache-dir cache-smoke.tmp/cache > cache-smoke.tmp/warm1.txt
+	cache-smoke.tmp/cogdiff table2 -workers 1 -cache-dir cache-smoke.tmp/cache \
+		-metrics cache-smoke.tmp/warm1.prom -metrics-format prom > cache-smoke.tmp/warm1.txt
 	cache-smoke.tmp/cogdiff table2 -workers 4 -cache-dir cache-smoke.tmp/cache > cache-smoke.tmp/warm4.txt
+	grep -qx 'cogdiff_excache_misses_total 0' cache-smoke.tmp/warm1.prom
+	grep -qx 'cogdiff_excache_writes_total 0' cache-smoke.tmp/warm1.prom
+	grep -qx 'cogdiff_excache_corrupt_total 0' cache-smoke.tmp/warm1.prom
 	cmp cache-smoke.tmp/off.txt cache-smoke.tmp/cold.txt
 	cmp cache-smoke.tmp/off.txt cache-smoke.tmp/warm1.txt
 	cmp cache-smoke.tmp/off.txt cache-smoke.tmp/warm4.txt

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"strconv"
 	"time"
 
 	"cogdiff/internal/bytecode"
@@ -73,6 +74,10 @@ type explorationDTO struct {
 // deduplication); solver witnesses round-trip exactly, so cached
 // explorations drive differential testing unchanged.
 func MarshalExploration(ex *Exploration) ([]byte, error) {
+	return json.MarshalIndent(explorationDTOOf(ex), "", " ")
+}
+
+func explorationDTOOf(ex *Exploration) explorationDTO {
 	dto := explorationDTO{
 		Name:       ex.Target.Name,
 		Kind:       int(ex.Target.Kind),
@@ -105,17 +110,17 @@ func MarshalExploration(ex *Exploration) ([]byte, error) {
 			pd.Constraints = append(pd.Constraints, c.C.String())
 		}
 		for id, tv := range p.Model.Values {
-			pd.Model.Values[fmt.Sprint(id)] = valueDTO{
+			pd.Model.Values[strconv.Itoa(id)] = valueDTO{
 				Kind: int(tv.Kind), Int: tv.Int, Float: tv.Float,
 				ClassIndex: tv.ClassIndex, Format: uint8(tv.Format), SlotCount: tv.SlotCount,
 			}
 		}
 		for id, rep := range p.Model.Alias {
-			pd.Model.Alias[fmt.Sprint(id)] = rep
+			pd.Model.Alias[strconv.Itoa(id)] = rep
 		}
 		dto.Paths = append(dto.Paths, pd)
 	}
-	return json.MarshalIndent(dto, "", " ")
+	return dto
 }
 
 // UnmarshalExploration reconstructs an exploration from MarshalExploration
@@ -154,8 +159,8 @@ func UnmarshalExploration(data []byte) (*Exploration, error) {
 		model := sym.NewModel()
 		model.StackSize = pd.Model.StackSize
 		for idStr, v := range pd.Model.Values {
-			var id int
-			if _, err := fmt.Sscan(idStr, &id); err != nil {
+			id, err := strconv.Atoi(idStr)
+			if err != nil {
 				return nil, err
 			}
 			model.Set(id, sym.TypedValue{
@@ -164,8 +169,8 @@ func UnmarshalExploration(data []byte) (*Exploration, error) {
 			})
 		}
 		for idStr, rep := range pd.Model.Alias {
-			var id int
-			if _, err := fmt.Sscan(idStr, &id); err != nil {
+			id, err := strconv.Atoi(idStr)
+			if err != nil {
 				return nil, err
 			}
 			model.Alias[id] = rep
@@ -188,21 +193,16 @@ func UnmarshalExploration(data []byte) (*Exploration, error) {
 
 // FingerprintExploration hashes the semantic content of an exploration:
 // the target descriptor, variable universe, and every path's constraint
-// strings, witness and exit condition. Wall-clock duration is excluded,
-// so a fresh exploration and its cache round trip fingerprint
-// identically (constraints serialize to the same display strings either
-// way, and encoding/json emits map keys sorted). The differential tester
-// consumes exactly this content, which makes the fingerprint a sound
-// cache key for derived test-unit results (internal/excache).
+// strings, witness and exit condition, as the compact JSON of its
+// serialized form. Wall-clock duration is zeroed, so a fresh exploration
+// and its cache round trip fingerprint identically (constraints
+// serialize to the same display strings either way, and encoding/json
+// emits map keys sorted). The differential tester consumes exactly this
+// content, which makes the fingerprint a sound cache key for derived
+// test-unit results (internal/excache). A witness that JSON cannot
+// carry (a NaN) is an error.
 func FingerprintExploration(ex *Exploration) (string, error) {
-	data, err := MarshalExploration(ex)
-	if err != nil {
-		return "", err
-	}
-	var dto explorationDTO
-	if err := json.Unmarshal(data, &dto); err != nil {
-		return "", err
-	}
+	dto := explorationDTOOf(ex)
 	dto.DurationNS = 0
 	canon, err := json.Marshal(dto)
 	if err != nil {

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"sync"
 	"time"
 
@@ -357,6 +358,7 @@ func (c *Campaign) RunContext(ctx context.Context) (*CampaignResult, error) {
 	var progressMu sync.Mutex
 	done := 0
 	unitsTested := reg.Counter(telemetry.MetricUnitsTested)
+	unitKeyParts := c.unitKeyParts()
 	if err := RunUnitsCtx(ctx, workers, len(units), func(i int) {
 		sp := reg.StartSpan(telemetry.SpanTestUnit)
 		defer sp.End()
@@ -364,7 +366,7 @@ func (c *Campaign) RunContext(ctx context.Context) (*CampaignResult, error) {
 		target := targetsByCompiler[u.compiler][u.target]
 		ex := result.Explorations[explorationKey(target)]
 		kind := result.Reports[u.compiler].Compiler
-		unitKey := c.unitCacheKey(fingerprints[explorationKey(target)], kind)
+		unitKey := c.unitCacheKey(fingerprints[explorationKey(target)], kind, unitKeyParts)
 		ir, cached := c.loadCachedUnit(unitKey, target, ex)
 		if !cached {
 			ir = c.testInstruction(tester, kind, target, ex)
@@ -437,56 +439,60 @@ func explorationKey(t concolic.Target) string {
 	return fmt.Sprintf("%s/%s", t.Kind, t.Name)
 }
 
+// unitKeyParts renders the campaign-wide inputs every verdict depends
+// on, once per campaign: the ISA list, the full defect switch state and
+// whether the static verifier runs (a defective pipeline yields a
+// verifier-reject verdict with it on and a dynamic one with it off, and
+// the exploration cache persists across runs).
+func (c *Campaign) unitKeyParts() []string {
+	if c.Config.Cache == nil {
+		return nil
+	}
+	var parts []string
+	for _, isa := range c.Config.ISAs {
+		parts = append(parts, fmt.Sprintf("isa=%d", int(isa)))
+	}
+	return append(parts,
+		fmt.Sprintf("defects=%+v", c.Config.Defects),
+		fmt.Sprintf("verify=%t", !c.Config.NoVerify))
+}
+
 // unitCacheKey derives one test unit's cache key from the exploration
-// fingerprint plus everything else a verdict depends on: the compiler
-// kind, the ISA list, and the full defect switch state (an empty
-// fingerprint disables caching for that unit).
-func (c *Campaign) unitCacheKey(explorationFP string, kind CompilerKind) string {
+// fingerprint, the compiler kind and the campaign-wide unitKeyParts (an
+// empty fingerprint disables caching for that unit).
+func (c *Campaign) unitCacheKey(explorationFP string, kind CompilerKind, campaignParts []string) string {
 	if c.Config.Cache == nil || explorationFP == "" {
 		return ""
 	}
-	parts := []string{fmt.Sprintf("compiler=%d", int(kind))}
+	parts := make([]string, 0, 2+len(campaignParts))
+	parts = append(parts, "compiler="+strconv.Itoa(int(kind)))
 	if kind == MetaJITCompiler {
 		// The derived front-end's verdicts additionally depend on the
 		// generator's translation scheme: fold its semantics version in so
 		// a regenerated compiler cannot reuse stale unit results.
 		parts = append(parts, "semantics="+metacompile.SemanticsVersion)
 	}
-	for _, isa := range c.Config.ISAs {
-		parts = append(parts, fmt.Sprintf("isa=%d", int(isa)))
-	}
-	parts = append(parts, fmt.Sprintf("defects=%+v", c.Config.Defects))
-	// Verdicts depend on whether the static verifier ran: a defective
-	// pipeline yields a verifier-reject verdict with it on and a dynamic
-	// one with it off, and the exploration cache persists across runs.
-	parts = append(parts, fmt.Sprintf("verify=%t", !c.Config.NoVerify))
+	parts = append(parts, campaignParts...)
 	return c.Config.Cache.UnitKey(explorationFP, parts...)
 }
 
-// loadCachedUnit fetches one test unit's report from the cache. A stored
-// payload that fails to decode downgrades to a miss (the unit re-tests
-// and overwrites), mirroring the cache's corrupt-entry contract.
+// loadCachedUnit fetches one test unit's report from the cache. The
+// lookup counts as a hit only once the payload decodes; one that does
+// not is a corrupt miss, and the unit re-tests and overwrites it.
 func (c *Campaign) loadCachedUnit(key string, target concolic.Target, ex *concolic.Exploration) (InstructionReport, bool) {
-	payload, ok := c.Config.Cache.LoadBlob("unit", key)
-	if !ok {
-		return InstructionReport{}, false
-	}
-	ir, err := UnmarshalInstructionReport(payload, target, ex)
-	if err != nil {
-		return InstructionReport{}, false
-	}
-	return ir, true
+	var ir InstructionReport
+	ok := c.Config.Cache.Load("unit", key, func(payload []byte) (err error) {
+		ir, err = UnmarshalInstructionReport(payload, target, ex)
+		return err
+	})
+	return ir, ok
 }
 
 func (c *Campaign) storeCachedUnit(key string, ir *InstructionReport) {
 	if c.Config.Cache == nil || key == "" {
 		return
 	}
-	payload, err := MarshalInstructionReport(ir)
-	if err != nil {
-		return
-	}
-	c.Config.Cache.StoreBlob("unit", key, payload)
+	c.Config.Cache.StoreBlob("unit", key, MarshalInstructionReport(ir))
 }
 
 // testInstruction runs every curated path of one instruction against one

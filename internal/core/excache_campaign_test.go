@@ -11,12 +11,18 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
+	"cogdiff/internal/bytecode"
+	"cogdiff/internal/concolic"
 	"cogdiff/internal/core"
+	"cogdiff/internal/defects"
 	"cogdiff/internal/excache"
 	"cogdiff/internal/interp"
+	"cogdiff/internal/machine"
+	"cogdiff/internal/primitives"
 	"cogdiff/internal/report"
 	"cogdiff/internal/telemetry"
 )
@@ -153,6 +159,48 @@ func TestCampaignSurvivesCorruptCacheDirectory(t *testing.T) {
 	}
 	if reg2.Counter(telemetry.MetricCacheHits).Value() == 0 {
 		t.Error("cache did not heal: no hits on the run after re-population")
+	}
+}
+
+// TestUndecodableUnitEntryIsCorrupt pins unit-tier accounting: a unit
+// entry whose header and digest are valid but whose payload does not
+// decode is a corrupt miss, not a hit. The unit re-tests, the entry is
+// rewritten, and the run after that hits both tiers.
+func TestUndecodableUnitEntryIsCorrupt(t *testing.T) {
+	dir := t.TempDir()
+	cfg := core.Config{
+		Defects:         defects.Pristine(),
+		Compilers:       []core.CompilerKind{core.SimpleBytecodeCompiler},
+		ISAs:            []machine.ISA{machine.ISAAmd64Like},
+		Explore:         concolic.DefaultOptions(),
+		BytecodeFilter:  func(op bytecode.Op) bool { return op == bytecode.OpPrimAdd },
+		PrimitiveFilter: func(*primitives.Primitive) bool { return false },
+		Workers:         1,
+	}
+	run := func() (*core.CampaignResult, excache.Stats) {
+		cache := openCampaignCache(t, dir, nil)
+		c := cfg
+		c.Cache = cache
+		return core.NewCampaign(c).Run(), cache.Stats()
+	}
+	cold, _ := run()
+
+	units, err := filepath.Glob(filepath.Join(dir, "unit-*.json"))
+	if err != nil || len(units) != 1 {
+		t.Fatalf("want one unit entry after the cold run, got %v (err %v)", units, err)
+	}
+	key := strings.TrimSuffix(strings.TrimPrefix(filepath.Base(units[0]), "unit-"), ".json")
+	openCampaignCache(t, dir, nil).StoreBlob("unit", key, []byte(`{"verdicts":5}`))
+
+	res, s := run()
+	if want := (excache.Stats{Hits: 1, Misses: 1, Corrupt: 1, Writes: 1}); s != want {
+		t.Errorf("run over an undecodable unit entry: %+v, want %+v", s, want)
+	}
+	if !reflect.DeepEqual(cacheNormalize(cold), cacheNormalize(res)) {
+		t.Error("re-tested unit differs from the cold run")
+	}
+	if _, s := run(); s != (excache.Stats{Hits: 2}) {
+		t.Errorf("run after the rewrite: %+v, want 2 hits and nothing else", s)
 	}
 }
 

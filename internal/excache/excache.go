@@ -18,11 +18,12 @@
 //     on (interp, primitives, solver for explorations; additionally jit
 //     and machine for test units). Bumping any version orphans all old
 //     entries: they become plain misses, never stale hits.
-//   - Entries are wrapped in an envelope carrying the entry key and a
-//     SHA-256 of the payload. Truncated, corrupted, zero-length or
-//     mislabeled files fail validation and are treated as misses (the
-//     cogdiff_excache_corrupt_total counter records them), never as
-//     errors or wrong results.
+//   - Every entry file starts with a text header naming the schema, the
+//     entry key and the SHA-256 of the payload that follows. Truncated,
+//     corrupted, zero-length or mislabeled files, and payloads their
+//     typed loader cannot decode, fail validation and are treated as
+//     misses (the cogdiff_excache_corrupt_total counter records them),
+//     never as errors or wrong results.
 //   - Writes go through a temp file plus atomic rename, so concurrent
 //     campaigns sharing one cache directory only ever observe complete
 //     entries (last writer wins; both payloads are valid by purity).
@@ -160,7 +161,7 @@ func DefaultVersions() Versions {
 	}
 }
 
-const schemaVersion = "cogdiff-excache/1"
+const schemaVersion = "cogdiff-excache/2"
 
 // Open validates the configuration and returns a ready cache. ModeOff
 // (or an empty Dir) returns a nil cache, which is valid and inert. In rw
@@ -222,16 +223,6 @@ func (c *Cache) Stats() Stats {
 		Writes:  c.writes.Load(),
 		Evicted: c.evicted.Load(),
 	}
-}
-
-// envelope wraps every entry file: the schema stamp, the entry's own key
-// and a payload digest detect truncation, corruption and mislabeled or
-// hand-edited files, all of which downgrade to misses.
-type envelope struct {
-	Schema  string          `json:"schema"`
-	Key     string          `json:"key"`
-	SHA256  string          `json:"payloadSha256"`
-	Payload json.RawMessage `json:"payload"`
 }
 
 func hashHex(parts ...string) string {
@@ -299,10 +290,21 @@ func targetDescriptor(t concolic.Target) string {
 }
 
 // entryPath maps a (kind, key) pair to its file. Keys are hex digests,
-// so the name needs no escaping.
+// so the name needs no escaping. The .json suffix predates the header
+// format; it stays so the MaxEntries sweep, which ages out *.json files,
+// also removes entries left by the JSON-envelope schema.
 func (c *Cache) entryPath(kind, key string) string {
 	return filepath.Join(c.dir, kind+"-"+key+".json")
 }
+
+// An entry file is a text header followed by the raw payload:
+//
+//	<schema>\n<key>\n<hex SHA-256 of payload>\n<payload>
+//
+// A load compares the first two lines with the expected schema and key
+// and hashes the payload once, so the payload is scanned once before its
+// typed loader decodes it.
+const digestLen = 2 * sha256.Size
 
 // loadStatus classifies one lookup without touching counters, so typed
 // loaders can defer accounting until their own payload decoding is done.
@@ -314,69 +316,80 @@ const (
 	loadCorrupt
 )
 
-// loadEnvelope reads and validates one entry file. A missing file is
-// loadMissing; a truncated, corrupted, zero-length, wrong-schema or
-// wrong-key file, or a payload-digest mismatch, is loadCorrupt.
-func (c *Cache) loadEnvelope(kind, key string) ([]byte, loadStatus) {
+// loadEntry reads and validates one entry file. A missing file is
+// loadMissing; a short or zero-length file, a wrong schema or key line,
+// a malformed digest line or a payload-digest mismatch is loadCorrupt.
+func (c *Cache) loadEntry(kind, key string) ([]byte, loadStatus) {
 	data, err := os.ReadFile(c.entryPath(kind, key))
 	if err != nil {
 		return nil, loadMissing
 	}
-	var env envelope
-	if len(data) == 0 || json.Unmarshal(data, &env) != nil ||
-		env.Schema != c.vers.Schema || env.Key != key ||
-		env.SHA256 != hashHex(string(env.Payload)) {
+	rest, ok := cutLine(data, c.vers.Schema)
+	if ok {
+		rest, ok = cutLine(rest, key)
+	}
+	if !ok || len(rest) <= digestLen || rest[digestLen] != '\n' {
 		return nil, loadCorrupt
 	}
-	return env.Payload, loadOK
+	payload := rest[digestLen+1:]
+	if digest := payloadDigest(payload); !bytes.Equal(digest[:], rest[:digestLen]) {
+		return nil, loadCorrupt
+	}
+	return payload, loadOK
 }
 
-// LoadBlob fetches a raw payload. A missing entry is a miss; an invalid
-// one (truncated, corrupted, zero-length, wrong schema or key, digest
-// mismatch) is a miss that also bumps the corrupt counter. LoadBlob
-// never fails: every malformed state downgrades to "re-do the work".
-func (c *Cache) LoadBlob(kind, key string) ([]byte, bool) {
-	if c == nil || c.mode == ModeOff || key == "" {
+// cutLine returns b after its first line when that line is exactly line.
+func cutLine(b []byte, line string) ([]byte, bool) {
+	if len(b) <= len(line) || b[len(line)] != '\n' || string(b[:len(line)]) != line {
 		return nil, false
 	}
-	payload, st := c.loadEnvelope(kind, key)
-	switch st {
-	case loadMissing:
+	return b[len(line)+1:], true
+}
+
+func payloadDigest(payload []byte) [digestLen]byte {
+	sum := sha256.Sum256(payload)
+	var out [digestLen]byte
+	hex.Encode(out[:], sum[:])
+	return out
+}
+
+// Load fetches the payload under (kind, key) and hands it to decode. A
+// missing entry is a miss; an invalid one (short, corrupted, zero-length,
+// wrong schema or key, digest mismatch) is a miss that also bumps the
+// corrupt counter, and so is an entry whose payload decode rejects. Only
+// a decoded payload counts as a hit. Load never fails: every malformed
+// state downgrades to "re-do the work".
+func (c *Cache) Load(kind, key string, decode func(payload []byte) error) bool {
+	if c == nil || c.mode == ModeOff || key == "" {
+		return false
+	}
+	payload, st := c.loadEntry(kind, key)
+	if st == loadMissing {
 		c.miss()
-		return nil, false
-	case loadCorrupt:
+		return false
+	}
+	if st == loadCorrupt || decode(payload) != nil {
 		c.corruptMiss()
-		return nil, false
+		return false
 	}
 	c.hit()
-	return payload, true
+	return true
 }
 
-// StoreBlob writes a JSON payload under (kind, key) via temp-file +
-// atomic rename. The payload is compacted first — embedding a
-// json.RawMessage compacts it anyway, and the digest must cover the
-// bytes as stored. Best effort: invalid payloads and write failures are
-// silently dropped (the cache never fails a campaign), and ro mode
-// stores nothing.
+// StoreBlob writes a payload of any encoding under (kind, key), behind
+// the entry header, via temp-file + atomic rename. Best effort: write
+// failures are silently dropped (the cache never fails a campaign), and
+// ro mode stores nothing.
 func (c *Cache) StoreBlob(kind, key string, payload []byte) {
 	if c == nil || c.mode != ModeRW || key == "" {
 		return
 	}
-	var compacted bytes.Buffer
-	if err := json.Compact(&compacted, payload); err != nil {
-		return
-	}
-	payload = compacted.Bytes()
-	env := envelope{
-		Schema:  c.vers.Schema,
-		Key:     key,
-		SHA256:  hashHex(string(payload)),
-		Payload: payload,
-	}
-	data, err := json.Marshal(env)
-	if err != nil {
-		return
-	}
+	digest := payloadDigest(payload)
+	data := make([]byte, 0, len(c.vers.Schema)+len(key)+digestLen+3+len(payload))
+	data = append(append(data, c.vers.Schema...), '\n')
+	data = append(append(data, key...), '\n')
+	data = append(append(data, digest[:]...), '\n')
+	data = append(data, payload...)
 	tmp, err := os.CreateTemp(c.dir, ".tmp-*")
 	if err != nil {
 		return
@@ -404,35 +417,31 @@ func (c *Cache) StoreBlob(kind, key string, payload []byte) {
 // The deserialized exploration is observationally identical to a fresh
 // one: paths, witnesses, exits, universe and counters round-trip exactly
 // (internal/concolic cache contract), so differential testing and report
-// rendering cannot tell a hit from fresh work. An entry whose envelope
-// validates but whose payload fails semantic decoding — or names a
-// different target than the key demands — counts as corrupt, not a hit.
+// rendering cannot tell a hit from fresh work. An entry whose payload
+// fails semantic decoding, or names a different target than the key
+// demands, counts as corrupt, not a hit.
 func (c *Cache) LoadExploration(key string, target concolic.Target) (*concolic.Exploration, bool) {
-	if c == nil || c.mode == ModeOff || key == "" {
-		return nil, false
-	}
-	payload, st := c.loadEnvelope("ex", key)
-	if st == loadMissing {
-		c.miss()
-		return nil, false
-	}
-	if st == loadCorrupt {
-		c.corruptMiss()
-		return nil, false
-	}
-	ex, err := concolic.UnmarshalExploration(payload)
-	if err != nil || ex.Target.Name != target.Name || ex.Target.Kind != target.Kind {
-		c.corruptMiss()
-		return nil, false
-	}
-	// Rebind the caller's full target (the serialized form carries only
-	// the descriptor; Method pointers are re-synthesized identically).
-	ex.Target = target
-	c.hit()
-	return ex, true
+	var ex *concolic.Exploration
+	ok := c.Load("ex", key, func(payload []byte) error {
+		got, err := concolic.UnmarshalExploration(payload)
+		if err != nil {
+			return err
+		}
+		if got.Target.Name != target.Name || got.Target.Kind != target.Kind {
+			return fmt.Errorf("excache: entry holds %s, want %s", got.Target.Name, target.Name)
+		}
+		// Rebind the caller's full target (the serialized form carries
+		// only the descriptor; Method pointers are re-synthesized
+		// identically).
+		got.Target = target
+		ex = got
+		return nil
+	})
+	return ex, ok
 }
 
-// StoreExploration serializes and stores one exploration.
+// StoreExploration serializes and stores one exploration as compact
+// JSON, the codec `cogdiff explore -o` writes indented.
 func (c *Cache) StoreExploration(key string, ex *concolic.Exploration) {
 	if c == nil || c.mode != ModeRW {
 		return
@@ -441,7 +450,11 @@ func (c *Cache) StoreExploration(key string, ex *concolic.Exploration) {
 	if err != nil {
 		return
 	}
-	c.StoreBlob("ex", key, payload)
+	var compact bytes.Buffer
+	if err := json.Compact(&compact, payload); err != nil {
+		return
+	}
+	c.StoreBlob("ex", key, compact.Bytes())
 }
 
 func (c *Cache) hit() {

@@ -9,6 +9,10 @@ package excache_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -73,8 +77,8 @@ func TestNilCacheIsInert(t *testing.T) {
 	if key := c.UnitKey("fp", "a"); key != "" {
 		t.Errorf("nil cache UnitKey = %q, want empty", key)
 	}
-	if _, ok := c.LoadBlob("ex", "k"); ok {
-		t.Error("nil cache LoadBlob reported a hit")
+	if _, ok := loadBlob(c, "ex", "k"); ok {
+		t.Error("nil cache Load reported a hit")
 	}
 	c.StoreBlob("ex", "k", []byte(`{}`))
 	if _, ok := c.LoadExploration("k", concolic.BytecodeTarget(bytecode.OpPrimAdd)); ok {
@@ -84,6 +88,17 @@ func TestNilCacheIsInert(t *testing.T) {
 	if s := c.Stats(); s != (excache.Stats{}) {
 		t.Errorf("nil cache Stats() = %+v, want zero", s)
 	}
+}
+
+// loadBlob fetches a raw payload: every entry that passes the header
+// and digest checks decodes.
+func loadBlob(c *excache.Cache, kind, key string) ([]byte, bool) {
+	var payload []byte
+	ok := c.Load(kind, key, func(p []byte) error {
+		payload = p
+		return nil
+	})
+	return payload, ok
 }
 
 func openRW(t *testing.T, dir string, reg *telemetry.Registry) *excache.Cache {
@@ -238,6 +253,47 @@ func TestCorruptEntriesAreMisses(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
+		{"short-header", func(t *testing.T, path string) {
+			header, _ := splitEntry(t, path)
+			short := header[0] + "\n" + header[1] + "\n" + header[2][:10]
+			writeEntry(t, path, short, nil)
+		}},
+		{"wrong-schema-line", func(t *testing.T, path string) {
+			header, payload := splitEntry(t, path)
+			writeEntry(t, path, "cogdiff-excache/3\n"+header[1]+"\n"+header[2]+"\n", payload)
+		}},
+		{"wrong-key-line", func(t *testing.T, path string) {
+			header, payload := splitEntry(t, path)
+			writeEntry(t, path, header[0]+"\n"+strings.Repeat("f", 64)+"\n"+header[2]+"\n", payload)
+		}},
+		{"bad-digest", func(t *testing.T, path string) {
+			header, payload := splitEntry(t, path)
+			digest := []byte(header[2])
+			digest[0] ^= 1 // another hex digit, or a byte that is not hex
+			writeEntry(t, path, header[0]+"\n"+header[1]+"\n"+string(digest)+"\n", payload)
+		}},
+		{"payload-edited-digest-kept", func(t *testing.T, path string) {
+			header, payload := splitEntry(t, path)
+			edited := append([]byte(nil), payload...)
+			edited[len(edited)-1] ^= 0x20
+			writeEntry(t, path, header[0]+"\n"+header[1]+"\n"+header[2]+"\n", edited)
+		}},
+		{"schema-1-json-envelope", func(t *testing.T, path string) {
+			// The layout every entry had before the header format: a JSON
+			// envelope whose digest hashes the payload plus a NUL byte.
+			header, payload := splitEntry(t, path)
+			sum := sha256.Sum256(append(append([]byte(nil), payload...), 0))
+			env, err := json.Marshal(map[string]any{
+				"schema":        "cogdiff-excache/1",
+				"key":           header[1],
+				"payloadSha256": hex.EncodeToString(sum[:]),
+				"payload":       json.RawMessage(payload),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			writeEntry(t, path, "", env)
+		}},
 	}
 
 	for _, c := range corruptions {
@@ -274,6 +330,78 @@ func TestCorruptEntriesAreMisses(t *testing.T) {
 	}
 }
 
+// splitEntry reads an entry file and splits it into its three header
+// lines (schema, key, payload digest) and the payload.
+func splitEntry(t *testing.T, path string) ([3]string, []byte) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts := bytes.SplitN(data, []byte("\n"), 4)
+	if len(parts) != 4 {
+		t.Fatalf("entry %s has no three-line header", path)
+	}
+	return [3]string{string(parts[0]), string(parts[1]), string(parts[2])}, parts[3]
+}
+
+func writeEntry(t *testing.T, path, header string, payload []byte) {
+	t.Helper()
+	if err := os.WriteFile(path, append([]byte(header), payload...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestEntryFormat pins the on-disk layout DESIGN.md documents: the
+// schema stamp, the key and the hex SHA-256 of the payload, one per line,
+// then the payload bytes as given.
+func TestEntryFormat(t *testing.T) {
+	dir := t.TempDir()
+	cache := openRW(t, dir, nil)
+	key := strings.Repeat("a", 64)
+	payload := []byte("\x00\x01 not json\n")
+	cache.StoreBlob("unit", key, payload)
+	sum := sha256.Sum256(payload)
+	want := "cogdiff-excache/2\n" + key + "\n" + hex.EncodeToString(sum[:]) + "\n" + string(payload)
+	got, err := os.ReadFile(filepath.Join(dir, "unit-"+key+".json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != want {
+		t.Errorf("entry file:\n%q\nwant:\n%q", got, want)
+	}
+	back, ok := loadBlob(cache, "unit", key)
+	if !ok || !bytes.Equal(back, payload) {
+		t.Errorf("Load = %q, %v; want the stored payload", back, ok)
+	}
+}
+
+// TestUndecodablePayloadIsCorrupt pins typed-loader accounting: an entry
+// whose header and digest are valid but whose payload the loader rejects
+// is a corrupt miss, never a hit.
+func TestUndecodablePayloadIsCorrupt(t *testing.T) {
+	cache := openRW(t, t.TempDir(), nil)
+	key := strings.Repeat("a", 64)
+	cache.StoreBlob("unit", key, []byte(`{"verdicts":5}`))
+	if cache.Load("unit", key, func([]byte) error { return errors.New("bad payload") }) {
+		t.Fatal("Load reported a hit for a payload its decoder rejected")
+	}
+	target := concolic.BytecodeTarget(bytecode.OpPrimAdd)
+	cache.StoreBlob("ex", key, []byte(`{"kind": 9}`))
+	if _, ok := cache.LoadExploration(key, target); ok {
+		t.Fatal("LoadExploration reported a hit for an undecodable exploration")
+	}
+	if s := cache.Stats(); s.Hits != 0 || s.Misses != 2 || s.Corrupt != 2 {
+		t.Errorf("stats: %+v, want 0 hits, 2 misses, 2 corrupt", s)
+	}
+	if !cache.Load("unit", key, func([]byte) error { return nil }) {
+		t.Fatal("Load missed an entry its decoder accepts")
+	}
+	if s := cache.Stats(); s.Hits != 1 {
+		t.Errorf("stats: %+v, want 1 hit after a decoded load", s)
+	}
+}
+
 // TestMislabeledEntryIsCorrupt covers the remaining envelope checks: an
 // entry stored under one key must not satisfy a lookup for another
 // (env.Key mismatch), and entries from a different schema version are
@@ -287,11 +415,27 @@ func TestMislabeledEntryIsCorrupt(t *testing.T) {
 	if err := os.Rename(src, filepath.Join(dir, "ex-"+otherKey+".json")); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := cache.LoadBlob("ex", otherKey); ok {
+	if _, ok := loadBlob(cache, "ex", otherKey); ok {
 		t.Fatal("entry stored under key a satisfied lookup for key b")
 	}
 	if s := cache.Stats(); s.Corrupt != 1 {
 		t.Errorf("stats: %+v, want 1 corrupt", s)
+	}
+
+	// An entry another schema wrote under the same key is corrupt too.
+	oldVers := excache.DefaultVersions()
+	oldVers.Schema = "cogdiff-excache/1"
+	old, err := excache.Open(excache.Config{Dir: dir, Mode: excache.ModeRW, Versions: oldVers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := strings.Repeat("c", 64)
+	old.StoreBlob("ex", key, []byte(`{"x":1}`))
+	if _, ok := loadBlob(cache, "ex", key); ok {
+		t.Fatal("entry written under schema /1 satisfied a schema /2 lookup")
+	}
+	if s := cache.Stats(); s.Corrupt != 2 {
+		t.Errorf("stats: %+v, want 2 corrupt", s)
 	}
 }
 
@@ -350,7 +494,7 @@ func TestReadOnlyModeNeverWrites(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ro mode must tolerate a missing directory: %v", err)
 	}
-	if _, ok := ro.LoadBlob("ex", strings.Repeat("a", 64)); ok {
+	if _, ok := loadBlob(ro, "ex", strings.Repeat("a", 64)); ok {
 		t.Fatal("hit on a missing directory")
 	}
 	ro.StoreBlob("ex", strings.Repeat("a", 64), []byte(`{}`))
@@ -365,7 +509,7 @@ func TestReadOnlyModeNeverWrites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := ro2.LoadBlob("ex", strings.Repeat("c", 64)); !ok {
+	if _, ok := loadBlob(ro2, "ex", strings.Repeat("c", 64)); !ok {
 		t.Fatal("ro mode did not hit an existing entry")
 	}
 	ro2.StoreBlob("ex", strings.Repeat("d", 64), []byte(`{"v":2}`))
@@ -406,7 +550,7 @@ func TestEvictionBoundsEntryCount(t *testing.T) {
 		t.Errorf("stats: %+v, want >= 2 evictions", s)
 	}
 	// The newest entry must have survived.
-	if _, ok := c.LoadBlob("ex", keys[len(keys)-1]); !ok {
+	if _, ok := loadBlob(c, "ex", keys[len(keys)-1]); !ok {
 		t.Error("newest entry was evicted")
 	}
 }
@@ -425,7 +569,7 @@ func TestConcurrentBlobTraffic(t *testing.T) {
 			for i := 0; i < 50; i++ {
 				k := keys[(g+i)%len(keys)]
 				c.StoreBlob("ex", k, []byte(`{"g":1}`))
-				if payload, ok := c.LoadBlob("ex", k); ok {
+				if payload, ok := loadBlob(c, "ex", k); ok {
 					if !bytes.Equal(payload, []byte(`{"g":1}`)) {
 						t.Errorf("goroutine %d read torn payload %q", g, payload)
 						return

@@ -131,7 +131,7 @@ func buildPlan(m *bytecode.Method) *Plan {
 			name = bytecode.Describe(o).Mnemonic
 		}
 	}
-	ex := concolic.NewExplorer(primitives.NewTable(), concolic.Options{MaxIterations: planMaxIterations}).
+	ex := concolic.NewExplorer(planPrims(), concolic.Options{MaxIterations: planMaxIterations}).
 		Explore(concolic.Target{Kind: concolic.TargetBytecode, Name: name, Method: m, Op: op})
 
 	plan := &Plan{
@@ -140,9 +140,11 @@ func buildPlan(m *bytecode.Method) *Plan {
 		bySig:       make(map[string]*PathPlan, len(ex.Paths)),
 	}
 	// Supportability classification dry-runs the real lowering against a
-	// throwaway object memory; the verdict is memory-independent because
-	// boot is deterministic.
-	om := heap.NewBootedObjectMemory()
+	// pooled booted object memory; the verdict is memory-independent
+	// because boot is deterministic. The memory goes back to the pool only
+	// on a normal return: one a panic abandoned mid-lowering is left to the
+	// GC (the pool's containment contract).
+	om := heap.AcquireBooted()
 	for _, res := range ex.Paths {
 		pp := &PathPlan{Res: res}
 		switch res.Exit.Kind {
@@ -161,8 +163,14 @@ func buildPlan(m *bytecode.Method) *Plan {
 			plan.bySig[sig] = pp
 		}
 	}
+	heap.ReleaseBooted(om)
 	return plan
 }
+
+// planPrims is the primitive table every plan explores against. A table
+// is read-only once built, so one instance serves all plans, and it is
+// built on the first plan so programs that never meta-compile skip it.
+var planPrims = sync.OnceValue(primitives.NewTable)
 
 // dryLower runs the single-instruction lowering of one path to classify
 // it. Compilation errors surface here once, at plan time, so the guard
