@@ -23,9 +23,6 @@
 //	cogdiff table2|table3|fig5|fig6|fig7 run the campaign and print one artifact
 //	cogdiff fuzz [-seed n] [-budget n]   coverage-guided sequence fuzzing with
 //	                                     difference minimization
-//	cogdiff bench-export campaign|fuzz   measure a campaign or fuzz run and emit a
-//	                                     machine-readable BENCH_*.json record
-//	cogdiff metrics-lint <file>          validate a Prometheus metrics snapshot
 //
 // Campaign commands shard their work over -workers goroutines (default:
 // GOMAXPROCS); every table and figure is byte-identical for any worker
@@ -33,14 +30,13 @@
 //
 // The campaign, table/figure, difftest and verify-ir verbs share the
 // exploration-cache flags -cache-dir <dir> and -cache off|ro|rw; those
-// verbs and fuzz share the observability flags -metrics <file>,
-// -metrics-format json|prom, -trace <file> and -profile <file>. Both
+// verbs and fuzz share the observability flags -metrics <file> (a JSON
+// snapshot), -trace <file> and -profile <file>. Both
 // layers are pure with respect to results: all printed reports are
 // byte-identical with the cache or telemetry on or off.
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -358,22 +354,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		if sum.Violations > 0 {
 			return 1
 		}
-	case "bench-export":
-		return runBenchExport(args, stdout, stderr)
-	case "metrics-lint":
-		if len(args) != 1 {
-			usage(stderr)
-			return 2
-		}
-		data, err := os.ReadFile(args[0])
-		if err != nil {
-			return fail(err)
-		}
-		samples, err := telemetry.ParsePrometheus(string(data))
-		if err != nil {
-			return fail(fmt.Errorf("%s: %w", args[0], err))
-		}
-		fmt.Fprintf(stdout, "%s: %d samples OK\n", args[0], len(samples))
 	default:
 		usage(stderr)
 		return 2
@@ -382,8 +362,8 @@ func run(argv []string, stdout, stderr io.Writer) int {
 }
 
 // obsRun bundles the observability flags shared by the campaign, difftest,
-// verify-ir and fuzz verbs: a metrics snapshot file (JSON or Prometheus text
-// exposition), a span-trace dump and an optional CPU profile.
+// verify-ir and fuzz verbs: a JSON metrics snapshot file, a span-trace dump
+// and an optional CPU profile.
 type obsRun struct {
 	metricsPath string
 	format      string
@@ -397,8 +377,8 @@ type obsRun struct {
 
 func obsFlags(fs *flag.FlagSet) *obsRun {
 	o := &obsRun{}
-	fs.StringVar(&o.metricsPath, "metrics", "", "write a metrics snapshot to this file after the run")
-	fs.StringVar(&o.format, "metrics-format", "prom", "metrics snapshot format: json or prom (Prometheus text exposition)")
+	fs.StringVar(&o.metricsPath, "metrics", "", "write a JSON metrics snapshot to this file after the run")
+	fs.StringVar(&o.format, "metrics-format", "json", "metrics snapshot format: json (the only format)")
 	fs.StringVar(&o.tracePath, "trace", "", "write the recent-span trace as JSON to this file")
 	fs.StringVar(&o.profilePath, "profile", "", "write a CPU profile to this file")
 	return o
@@ -408,8 +388,8 @@ func obsFlags(fs *flag.FlagSet) *obsRun {
 // The registry stays nil — and all instrumentation no-ops — unless some
 // output actually needs it.
 func (o *obsRun) start(wantProgress bool, progressOut io.Writer, render func(telemetry.Snapshot) string) error {
-	if o.format != "json" && o.format != "prom" {
-		return fmt.Errorf("-metrics-format %q: want json or prom", o.format)
+	if o.format != "json" {
+		return fmt.Errorf("-metrics-format %q: want json", o.format)
 	}
 	if o.metricsPath != "" || o.tracePath != "" || wantProgress {
 		o.reg = telemetry.NewRegistry()
@@ -445,19 +425,9 @@ func (o *obsRun) finish() error {
 		return nil
 	}
 	if o.metricsPath != "" {
-		snap := o.reg.Snapshot()
-		var data []byte
-		if o.format == "json" {
-			var err error
-			if data, err = snap.JSON(); err != nil {
-				return err
-			}
-		} else {
-			var buf bytes.Buffer
-			if err := snap.WritePrometheus(&buf); err != nil {
-				return err
-			}
-			data = buf.Bytes()
+		data, err := o.reg.Snapshot().JSON()
+		if err != nil {
+			return err
 		}
 		if err := os.WriteFile(o.metricsPath, data, 0o644); err != nil {
 			return err
@@ -543,12 +513,6 @@ func usage(w io.Writer) {
   cogdiff fuzz [-seed n] [-budget n|30s] [-workers n] [-compilers spec]
                [-corpus file.json] [-seed-corpus dir] [-minimize]
                [-emit-tests file_test.go] [-progress]
-  cogdiff bench-export [-iterations n] [-workers n] [-cache-dir dir]
-               [-min-speedup x] [-baseline file.json] [-min-baseline-speedup x]
-               [-min-alloc-reduction f] [-max-verifier-share f]
-               [-fuzz-budget n] [-out file.json] campaign|fuzz
-  cogdiff bench-export -lint file.json...
-  cogdiff metrics-lint <metrics.prom>
 
 exploration cache (campaign, table*/fig*, difftest, verify-ir):
   -cache-dir dir        persistent exploration-cache directory
@@ -560,8 +524,8 @@ compiler sets (campaign, table*/fig*, verify-ir, fuzz):
                         the meta-compiled front-end to the default compilers
 
 observability (campaign, table*/fig*, difftest, verify-ir, fuzz):
-  -metrics file         write a metrics snapshot after the run
-  -metrics-format fmt   snapshot format: prom (default) or json
+  -metrics file         write a JSON metrics snapshot after the run
+  -metrics-format json  snapshot format (json is the only format)
   -trace file           write the recent-span trace as JSON
   -profile file         write a CPU profile`)
 }

@@ -12,6 +12,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"regexp"
 	"testing"
 
 	"cogdiff/internal/telemetry"
@@ -178,45 +179,53 @@ func TestGoldenFlagValidationErrors(t *testing.T) {
 	checkGolden(t, "err_budget_malformed.golden",
 		runCLIError(t, "fuzz", "-budget", "not-a-budget"))
 	checkGolden(t, "err_metrics_format.golden",
-		runCLIError(t, "fuzz", "-budget", "10", "-metrics", "x.prom", "-metrics-format", "xml"))
+		runCLIError(t, "fuzz", "-budget", "10", "-metrics", "x.json", "-metrics-format", "prom"))
 }
 
-// TestMetricsSnapshotAndLint runs a small fuzzing campaign with a
-// Prometheus metrics file, validates it with the metrics-lint verb, and
-// checks the JSON format parses too.
-func TestMetricsSnapshotAndLint(t *testing.T) {
-	dir := t.TempDir()
-	prom := filepath.Join(dir, "fuzz.prom")
-	runCLI(t, "fuzz", "-seed", "2022", "-budget", "200", "-metrics", prom)
-	lint := runCLI(t, "metrics-lint", prom)
-	if !bytes.Contains([]byte(lint), []byte("samples OK")) {
-		t.Errorf("metrics-lint output %q", lint)
-	}
+// seriesKeyRE is the series-key notation every snapshot key must use:
+// a metric name, optionally followed by a brace-delimited list of
+// key="value" labels with backslash escapes.
+var seriesKeyRE = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[a-zA-Z_][a-zA-Z0-9_]*="(\\.|[^"\\])*"(,[a-zA-Z_][a-zA-Z0-9_]*="(\\.|[^"\\])*")*\})?$`)
 
-	jsonPath := filepath.Join(dir, "fuzz.json")
-	runCLI(t, "fuzz", "-seed", "2022", "-budget", "200", "-metrics", jsonPath, "-metrics-format", "json")
-	data, err := os.ReadFile(jsonPath)
+// TestMetricsSnapshotAndLint runs a small fuzzing campaign with a
+// metrics file and lints the JSON snapshot it writes: it parses, every
+// series key is well formed, and the execution counter equals the
+// budget the run spent.
+func TestMetricsSnapshotAndLint(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "fuzz.json")
+	runCLI(t, "fuzz", "-seed", "2022", "-budget", "200", "-metrics", path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var snap map[string]any
+	var snap telemetry.Snapshot
 	if err := json.Unmarshal(data, &snap); err != nil {
 		t.Fatalf("JSON snapshot does not parse: %v", err)
 	}
-	for _, section := range []string{"counters", "gauges", "histograms"} {
-		if _, ok := snap[section]; !ok {
-			t.Errorf("JSON snapshot missing %q section", section)
+	if snap.Counters == nil || snap.Gauges == nil || snap.Histograms == nil {
+		t.Errorf("JSON snapshot lacks a section: %s", data)
+	}
+	lint := func(key string) {
+		if !seriesKeyRE.MatchString(key) {
+			t.Errorf("malformed series key %q", key)
 		}
 	}
-
-	// A corrupted file must fail the lint.
-	bad := filepath.Join(dir, "bad.prom")
-	if err := os.WriteFile(bad, []byte("cogdiff_x{ 1\n"), 0o644); err != nil {
-		t.Fatal(err)
+	for k := range snap.Counters {
+		lint(k)
 	}
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"metrics-lint", bad}, &stdout, &stderr); code != 1 {
-		t.Errorf("metrics-lint on a malformed file: exit %d, want 1", code)
+	for k := range snap.Gauges {
+		lint(k)
+	}
+	for k := range snap.Histograms {
+		lint(k)
+	}
+	if got := snap.Counters[telemetry.MetricFuzzExecs]; got != 200 {
+		t.Errorf("%s = %d, want the 200-execution budget", telemetry.MetricFuzzExecs, got)
+	}
+	for _, bad := range []string{`x{ 1`, `1x`, `x{k=v}`, `x{k="v"`, `x{k="a"b"}`} {
+		if seriesKeyRE.MatchString(bad) {
+			t.Errorf("lint accepts malformed series key %q", bad)
+		}
 	}
 }
 
@@ -227,9 +236,9 @@ func TestTraceAndReportUnperturbed(t *testing.T) {
 	dir := t.TempDir()
 	plain := runCLI(t, "fuzz", "-seed", "2022", "-budget", "200")
 	trace := filepath.Join(dir, "trace.json")
-	prom := filepath.Join(dir, "m.prom")
+	metrics := filepath.Join(dir, "metrics.json")
 	observed := runCLI(t, "fuzz", "-seed", "2022", "-budget", "200",
-		"-metrics", prom, "-trace", trace)
+		"-metrics", metrics, "-trace", trace)
 	if plain != observed {
 		t.Errorf("telemetry perturbed the fuzz report:\n--- plain ---\n%s\n--- observed ---\n%s", plain, observed)
 	}

@@ -537,21 +537,11 @@ type CampaignSummary struct {
 	Duration time.Duration
 }
 
-// MeasurePerPathAllocs measures the execution core's per-path allocation
-// cost on this machine: warm is the steady state of a batched unit run
-// (pooled environments, one optimized compile per path lowered per ISA,
-// shared interpreter reference), fresh is the same work with every reuse
-// layer disabled — boot-per-execution and compile-per-call. bench-export records both and
-// perf-smoke gates their ratio.
-func MeasurePerPathAllocs() (warm, fresh float64) {
-	return core.MeasurePerPathAllocs(false), core.MeasurePerPathAllocs(true)
-}
-
 // StableReport concatenates the report surfaces that are pure functions
 // of the campaign configuration: Table 2, Table 3, Figure 5 and the
 // deduplicated cause table. Figures 6/7 embed wall-clock timings and are
-// excluded. This is the byte-comparison surface shared by `cogdiff
-// campaign -stable` and bench-export's cache-soundness check.
+// excluded. This is the byte-comparison surface of `cogdiff campaign
+// -stable`, which the cache and verifier smoke tests compare across runs.
 func (s *CampaignSummary) StableReport() string {
 	return s.Table2 + "\n" + s.Table3 + "\n" + s.Figure5 + "\n" + s.Causes
 }

@@ -1,7 +1,7 @@
 package core_test
 
 import (
-	"bytes"
+	"encoding/json"
 	"fmt"
 	"strings"
 	"testing"
@@ -57,7 +57,8 @@ func TestCampaignReportsUnperturbedByTelemetry(t *testing.T) {
 // not merely correlated with the report but exactly equal to it: the
 // per-compiler difference counters match the Table 2 totals and the
 // cause counters match the deduplicated Table 3 inventory, both in the
-// snapshot and after a round trip through the Prometheus text format.
+// snapshot and after a round trip through its JSON rendering, the form
+// `-metrics` writes.
 func TestCampaignMetricsMatchReportTables(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	res := core.NewCampaign(miniTelemetryConfig(4, reg)).Run()
@@ -94,19 +95,19 @@ func TestCampaignMetricsMatchReportTables(t *testing.T) {
 		t.Errorf("cause counter total %d, want %d deduplicated causes", causeTotal, len(res.Causes))
 	}
 
-	var buf bytes.Buffer
-	if err := snap.WritePrometheus(&buf); err != nil {
+	data, err := snap.JSON()
+	if err != nil {
 		t.Fatal(err)
 	}
-	samples, err := telemetry.ParsePrometheus(buf.String())
-	if err != nil {
-		t.Fatalf("campaign snapshot does not parse as Prometheus text: %v", err)
+	var back telemetry.Snapshot
+	if err := json.Unmarshal(data, &back); err != nil {
+		t.Fatalf("campaign snapshot does not parse as JSON: %v", err)
 	}
 	for i := range res.Reports {
 		r := &res.Reports[i]
 		_, _, diffs := r.Totals()
-		if got := samples[diffKey(r)]; got != float64(diffs) {
-			t.Errorf("Prometheus %s: %v, Table 2 reports %d", diffKey(r), got, diffs)
+		if got := back.Counters[diffKey(r)]; got != int64(diffs) {
+			t.Errorf("JSON %s: %d, Table 2 reports %d", diffKey(r), got, diffs)
 		}
 	}
 }

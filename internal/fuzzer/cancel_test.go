@@ -7,9 +7,9 @@ package fuzzer_test
 
 import (
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"cogdiff/internal/fuzzer"
@@ -55,21 +55,18 @@ func TestRunContextPreCancelled(t *testing.T) {
 
 // TestMetricsValidMidRun checks the metrics of a fuzzing run can be read
 // while it runs and after it is cancelled: every snapshot, whether taken
-// by a reader racing the workers or at a batch boundary, renders as
-// Prometheus text that parses back, and the cancelled run's counters
-// stop short of the budget.
+// by a reader racing the workers or at a batch boundary, renders as JSON
+// that parses back, and the cancelled run's counters stop short of the
+// budget.
 func TestMetricsValidMidRun(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	render := func(when string) map[string]float64 {
-		var buf strings.Builder
-		if err := reg.Snapshot().WritePrometheus(&buf); err != nil {
-			t.Fatalf("%s WritePrometheus: %v", when, err)
+	render := func() (telemetry.Snapshot, error) {
+		var back telemetry.Snapshot
+		data, err := reg.Snapshot().JSON()
+		if err == nil {
+			err = json.Unmarshal(data, &back)
 		}
-		series, err := telemetry.ParsePrometheus(buf.String())
-		if err != nil {
-			t.Fatalf("%s metrics do not parse: %v", when, err)
-		}
-		return series
+		return back, err
 	}
 
 	stop := make(chan struct{})
@@ -77,13 +74,8 @@ func TestMetricsValidMidRun(t *testing.T) {
 	go func() {
 		defer close(readerDone)
 		for {
-			var buf strings.Builder
-			if err := reg.Snapshot().WritePrometheus(&buf); err != nil {
-				t.Errorf("concurrent WritePrometheus: %v", err)
-				return
-			}
-			if _, err := telemetry.ParsePrometheus(buf.String()); err != nil {
-				t.Errorf("concurrent snapshot does not parse: %v", err)
+			if _, err := render(); err != nil {
+				t.Errorf("concurrent snapshot does not round-trip: %v", err)
 				return
 			}
 			select {
@@ -106,9 +98,12 @@ func TestMetricsValidMidRun(t *testing.T) {
 		Metrics:   reg,
 		OnProgress: func(done, total, corpusSize, causes int) {
 			batches++
-			mid := render("mid-run")
-			if mid[telemetry.MetricFuzzExecs] != float64(done) {
-				t.Errorf("mid-run %s = %v, want %d", telemetry.MetricFuzzExecs, mid[telemetry.MetricFuzzExecs], done)
+			mid, err := render()
+			if err != nil {
+				t.Fatalf("mid-run snapshot does not round-trip: %v", err)
+			}
+			if got := mid.Counters[telemetry.MetricFuzzExecs]; got != int64(done) {
+				t.Errorf("mid-run %s = %d, want %d", telemetry.MetricFuzzExecs, got, done)
 			}
 			if batches == 3 {
 				cancel()
@@ -121,8 +116,11 @@ func TestMetricsValidMidRun(t *testing.T) {
 	if err != context.Canceled {
 		t.Fatalf("cancelled run returned %v, want context.Canceled", err)
 	}
-	after := render("post-cancel")
-	if execs := after[telemetry.MetricFuzzExecs]; execs <= 0 || execs >= budget {
-		t.Errorf("post-cancel %s = %v, want within (0, %d)", telemetry.MetricFuzzExecs, execs, budget)
+	after, err := render()
+	if err != nil {
+		t.Fatalf("post-cancel snapshot does not round-trip: %v", err)
+	}
+	if execs := after.Counters[telemetry.MetricFuzzExecs]; execs <= 0 || execs >= budget {
+		t.Errorf("post-cancel %s = %d, want within (0, %d)", telemetry.MetricFuzzExecs, execs, budget)
 	}
 }

@@ -64,8 +64,9 @@ type Options struct {
 	// results are byte-identical with metrics on or off.
 	Metrics *telemetry.Registry
 	// faultInject, when non-nil, runs before every sequence execution,
-	// inside the containment boundary. Fault-injection tests use it to
-	// raise genuine heap panics in worker goroutines.
+	// the reducer's candidate runs included, inside the containment
+	// boundary. Fault-injection tests use it to raise genuine heap panics
+	// in worker goroutines and during minimization.
 	faultInject func(s *Seq)
 	// noReuse disables pooled execution environments and the sharing of
 	// one optimized compile across ISAs: every sequence execution boots
@@ -231,15 +232,18 @@ func builtinSeeds() []*Seq {
 }
 
 // execute runs one genome through the interpreter once and through every
-// (compiler, ISA) pair, collecting the coverage bitmap and every differing
-// verdict. It is the parallel section: no engine state is touched.
+// (compiler, ISA) pair, collecting every differing verdict and, when
+// withCoverage is set, the coverage bitmap. It is the parallel section:
+// no engine state is touched.
 //
-// A panic inside one execution (the heap layer escalates allocation and
-// access errors as panics) is contained here and reported as a
-// crash-style difference verdict, so one bad genome never aborts the
-// run. Panics are deterministic functions of the genome, so containment
-// preserves byte-identical reports at any worker count.
-func (e *engine) execute(s *Seq) (out execOut) {
+// execute is the engine's one containment boundary, shared by the
+// fuzzing loop and the reducer (causeKeys), and faultInject runs inside
+// it. A panic inside one execution (the heap layer escalates allocation
+// and access errors as panics) is contained here and reported as a
+// crash-style difference verdict, so one bad genome never aborts the run
+// or its minimization. Panics are deterministic functions of the genome,
+// so containment preserves byte-identical reports at any worker count.
+func (e *engine) execute(s *Seq, withCoverage bool) (out execOut) {
 	defer func() {
 		if p := recover(); p != nil {
 			e.mPanics.Inc()
@@ -267,22 +271,29 @@ func (e *engine) execute(s *Seq) (out execOut) {
 	}
 	in := s.Input()
 	cov := &out.cov
-	iOut, err := e.tester.InterpSequence(m, in, &core.SequenceHooks{
-		InterpOp:   func(op bytecode.Op) { cov.Set(covBCBase + uint32(op)) },
-		InterpExit: func(k interp.ExitKind) { cov.Set(covExitBase + uint32(k)%16) },
-	})
+	var interpHooks *core.SequenceHooks
+	if withCoverage {
+		interpHooks = &core.SequenceHooks{
+			InterpOp:   func(op bytecode.Op) { cov.Set(covBCBase + uint32(op)) },
+			InterpExit: func(k interp.ExitKind) { cov.Set(covExitBase + uint32(k)%16) },
+		}
+	}
+	iOut, err := e.tester.InterpSequence(m, in, interpHooks)
 	if err != nil {
 		out.invalid = true
 		return out
 	}
 	for ci, kind := range e.compilers {
-		hooks := make([]*core.SequenceHooks, len(e.isas))
-		for ii := range e.isas {
-			ci, ii := ci, ii
-			hooks[ii] = &core.SequenceHooks{
-				EmitIR:       func(op ir.Opc) { cov.Set(covIRBase + uint32(ci)*64 + uint32(op)%64) },
-				Block:        func(off int64) { cov.Set(blockBit(ci, ii, off)) },
-				CompiledStop: func(k machine.StopKind) { cov.Set(covStopBase + uint32(ci)*16 + uint32(k)%16) },
+		var hooks []*core.SequenceHooks
+		if withCoverage {
+			hooks = make([]*core.SequenceHooks, len(e.isas))
+			for ii := range e.isas {
+				ci, ii := ci, ii
+				hooks[ii] = &core.SequenceHooks{
+					EmitIR:       func(op ir.Opc) { cov.Set(covIRBase + uint32(ci)*64 + uint32(op)%64) },
+					Block:        func(off int64) { cov.Set(blockBit(ci, ii, off)) },
+					CompiledStop: func(k machine.StopKind) { cov.Set(covStopBase + uint32(ci)*16 + uint32(k)%16) },
+				}
 			}
 		}
 		vs, ok := e.verdicts(m, in, kind, iOut, hooks)
@@ -352,8 +363,7 @@ func (e *engine) merge(s *Seq, o *execOut, keepAll bool) {
 		e.global.Merge(&o.cov)
 	}
 	for _, d := range o.diffs {
-		instrument, fam := core.ClassifySequence(d.verdict)
-		key := instrument + "|" + fam.String() + "|" + d.verdict.Cause
+		instrument, fam, key := classify(d.verdict)
 		if j, ok := e.diffIdx[key]; ok {
 			e.diffs[j].Count++
 			continue
@@ -383,7 +393,7 @@ func (e *engine) runBatch(ctx context.Context, tasks []*Seq, workers int, keepAl
 	defer sp.End()
 	e.mBatches.Inc()
 	outs := make([]execOut, len(tasks))
-	if err := core.RunUnitsCtx(ctx, workers, len(tasks), func(i int) { outs[i] = e.execute(tasks[i]) }); err != nil {
+	if err := core.RunUnitsCtx(ctx, workers, len(tasks), func(i int) { outs[i] = e.execute(tasks[i], true) }); err != nil {
 		return err
 	}
 	for i := range outs {
@@ -405,34 +415,27 @@ func (e *engine) makeTask(index int64) *Seq {
 }
 
 // causeKeys returns the classified cause keys a genome triggers, in
-// canonical (compiler, ISA) order, or nil when it triggers none.
+// canonical (compiler, ISA) order, or nil when it triggers none. It runs
+// the genome through execute, so a candidate that panics while the
+// reducer shrinks a difference is contained and keyed as merge keyed it.
 func (e *engine) causeKeys(s *Seq) []string {
-	if s.Check() != nil {
-		return nil
-	}
-	m := s.Method("fuzzseq")
-	if m.Validate() != nil {
-		return nil
-	}
-	in := s.Input()
-	iOut, err := e.tester.InterpSequence(m, in, nil)
-	if err != nil {
+	out := e.execute(s, false)
+	if out.invalid {
 		return nil
 	}
 	var keys []string
-	for _, kind := range e.compilers {
-		vs, ok := e.verdicts(m, in, kind, iOut, nil)
-		if !ok {
-			return nil
-		}
-		for _, v := range vs {
-			if v != nil {
-				instrument, fam := core.ClassifySequence(v)
-				keys = append(keys, instrument+"|"+fam.String()+"|"+v.Cause)
-			}
-		}
+	for _, d := range out.diffs {
+		_, _, key := classify(d.verdict)
+		keys = append(keys, key)
 	}
 	return keys
+}
+
+// classify returns a differing verdict's instrument, family and cause
+// deduplication key (the form Difference.Key returns).
+func classify(v *core.SequenceVerdict) (instrument string, fam defects.Family, key string) {
+	instrument, fam = core.ClassifySequence(v)
+	return instrument, fam, instrument + "|" + fam.String() + "|" + v.Cause
 }
 
 // Run executes a fuzzing campaign. It is RunContext without a

@@ -1,8 +1,7 @@
 // Package telemetry is a zero-dependency metrics-and-tracing layer for
 // the differential testing engines. It provides atomic counters and
 // gauges, fixed-bucket latency histograms, phase spans feeding a
-// ring-buffer trace, and snapshots that serialize to JSON and to the
-// Prometheus text exposition format.
+// ring-buffer trace, and snapshots that serialize to JSON.
 //
 // Design contract:
 //

@@ -1,13 +1,6 @@
 package telemetry
 
-import (
-	"encoding/json"
-	"fmt"
-	"io"
-	"sort"
-	"strconv"
-	"strings"
-)
+import "encoding/json"
 
 // HistogramSnapshot is the frozen state of one histogram series.
 type HistogramSnapshot struct {
@@ -21,8 +14,8 @@ type HistogramSnapshot struct {
 }
 
 // Snapshot is a consistent point-in-time copy of every instrument in a
-// registry, suitable for serialization. Counter and gauge keys are full
-// series names (labels folded in, Prometheus notation).
+// registry, suitable for serialization. Every key is a full series name
+// with its labels folded in: name{label="value",...}, labels sorted.
 type Snapshot struct {
 	Counters   map[string]int64             `json:"counters"`
 	Gauges     map[string]int64             `json:"gauges"`
@@ -73,156 +66,8 @@ func (r *Registry) Snapshot() Snapshot {
 	return s
 }
 
-// MarshalJSON renders the snapshot with stable formatting (maps are
-// sorted by encoding/json already).
+// JSON renders the snapshot with stable formatting (encoding/json sorts
+// map keys), so equal snapshots render byte-identical.
 func (s Snapshot) JSON() ([]byte, error) {
 	return json.MarshalIndent(s, "", "  ")
-}
-
-// baseName strips the label block from a series key.
-func baseName(series string) string {
-	if i := strings.IndexByte(series, '{'); i >= 0 {
-		return series[:i]
-	}
-	return series
-}
-
-// withLabel injects one more label pair into a series key, preserving
-// the existing label block.
-func withLabel(series, key, value string) string {
-	pair := key + `="` + escapeLabelValue(value) + `"`
-	if i := strings.IndexByte(series, '{'); i >= 0 {
-		return series[:len(series)-1] + "," + pair + "}"
-	}
-	return series + "{" + pair + "}"
-}
-
-// WritePrometheus renders the snapshot in the Prometheus text
-// exposition format (version 0.0.4), deterministically ordered.
-func (s Snapshot) WritePrometheus(w io.Writer) error {
-	var b strings.Builder
-
-	writeFamily := func(keys []string, typ string, emit func(series string)) {
-		sort.Strings(keys)
-		seen := map[string]bool{}
-		for _, k := range keys {
-			base := baseName(k)
-			if !seen[base] {
-				seen[base] = true
-				fmt.Fprintf(&b, "# TYPE %s %s\n", base, typ)
-			}
-			emit(k)
-		}
-	}
-
-	ck := make([]string, 0, len(s.Counters))
-	for k := range s.Counters {
-		ck = append(ck, k)
-	}
-	writeFamily(ck, "counter", func(series string) {
-		fmt.Fprintf(&b, "%s %d\n", series, s.Counters[series])
-	})
-
-	gk := make([]string, 0, len(s.Gauges))
-	for k := range s.Gauges {
-		gk = append(gk, k)
-	}
-	writeFamily(gk, "gauge", func(series string) {
-		fmt.Fprintf(&b, "%s %d\n", series, s.Gauges[series])
-	})
-
-	hk := make([]string, 0, len(s.Histograms))
-	for k := range s.Histograms {
-		hk = append(hk, k)
-	}
-	writeFamily(hk, "histogram", func(series string) {
-		h := s.Histograms[series]
-		base := baseName(series)
-		bucketSeries := strings.Replace(series, base, base+"_bucket", 1)
-		for i, bound := range h.Bounds {
-			le := strconv.FormatFloat(bound, 'g', -1, 64)
-			fmt.Fprintf(&b, "%s %d\n", withLabel(bucketSeries, "le", le), h.Cumulative[i])
-		}
-		inf := int64(0)
-		if n := len(h.Cumulative); n > 0 {
-			inf = h.Cumulative[n-1]
-		}
-		fmt.Fprintf(&b, "%s %d\n", withLabel(bucketSeries, "le", "+Inf"), inf)
-		fmt.Fprintf(&b, "%s %s\n", strings.Replace(series, base, base+"_sum", 1),
-			strconv.FormatFloat(h.Sum, 'g', -1, 64))
-		fmt.Fprintf(&b, "%s %d\n", strings.Replace(series, base, base+"_count", 1), h.Count)
-	})
-
-	_, err := io.WriteString(w, b.String())
-	return err
-}
-
-// ParsePrometheus parses text in the Prometheus exposition format and
-// returns every sample keyed by its full series string (name plus label
-// block, whitespace-normalized). Comment and blank lines are skipped;
-// any other malformed line is an error. This is the validation half of
-// the round-trip contract: everything WritePrometheus emits must parse
-// back to the same values.
-func ParsePrometheus(text string) (map[string]float64, error) {
-	out := map[string]float64{}
-	for ln, line := range strings.Split(text, "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		series, value, err := splitSample(line)
-		if err != nil {
-			return nil, fmt.Errorf("line %d: %w", ln+1, err)
-		}
-		v, err := strconv.ParseFloat(value, 64)
-		if err != nil {
-			return nil, fmt.Errorf("line %d: bad sample value %q", ln+1, value)
-		}
-		if _, dup := out[series]; dup {
-			return nil, fmt.Errorf("line %d: duplicate series %s", ln+1, series)
-		}
-		out[series] = v
-	}
-	return out, nil
-}
-
-// splitSample splits "name{labels} value" or "name value" at the last
-// space outside the label block.
-func splitSample(line string) (series, value string, err error) {
-	end := strings.IndexByte(line, '}')
-	rest := line
-	offset := 0
-	if end >= 0 {
-		offset = end + 1
-		rest = line[offset:]
-	}
-	sp := strings.IndexAny(rest, " \t")
-	if sp < 0 {
-		return "", "", fmt.Errorf("no sample value in %q", line)
-	}
-	series = strings.TrimSpace(line[:offset+sp])
-	value = strings.TrimSpace(rest[sp:])
-	if series == "" || value == "" || strings.ContainsAny(value, " \t") {
-		return "", "", fmt.Errorf("malformed sample line %q", line)
-	}
-	if open := strings.IndexByte(series, '{'); open >= 0 && !strings.HasSuffix(series, "}") {
-		return "", "", fmt.Errorf("unterminated label block in %q", line)
-	}
-	if !validSeriesName(baseName(series)) {
-		return "", "", fmt.Errorf("invalid metric name in %q", line)
-	}
-	return series, value, nil
-}
-
-func validSeriesName(name string) bool {
-	if name == "" {
-		return false
-	}
-	for i, r := range name {
-		alpha := (r >= 'a' && r <= 'z') || (r >= 'A' && r <= 'Z') || r == '_' || r == ':'
-		if !alpha && (i == 0 || r < '0' || r > '9') {
-			return false
-		}
-	}
-	return true
 }

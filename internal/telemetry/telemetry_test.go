@@ -3,7 +3,7 @@ package telemetry
 import (
 	"encoding/json"
 	"math"
-	"strings"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -69,20 +69,26 @@ func TestConcurrentCounters(t *testing.T) {
 	r := NewRegistry()
 	const workers, per = 8, 10000
 	// A reader snapshots the registry while the writers run, as the
-	// -progress printer does: every mid-run snapshot must render as
-	// Prometheus text that parses back.
+	// -progress printer does: every mid-run snapshot must render as JSON
+	// that parses back to the same snapshot.
 	stop := make(chan struct{})
 	readerDone := make(chan struct{})
 	go func() {
 		defer close(readerDone)
 		for {
-			var buf strings.Builder
-			if err := r.Snapshot().WritePrometheus(&buf); err != nil {
-				t.Errorf("mid-run WritePrometheus: %v", err)
+			snap := r.Snapshot()
+			data, err := snap.JSON()
+			if err != nil {
+				t.Errorf("mid-run JSON: %v", err)
 				return
 			}
-			if _, err := ParsePrometheus(buf.String()); err != nil {
+			var back Snapshot
+			if err := json.Unmarshal(data, &back); err != nil {
 				t.Errorf("mid-run snapshot does not parse: %v", err)
+				return
+			}
+			if !reflect.DeepEqual(back, snap) {
+				t.Errorf("mid-run snapshot changed in a JSON round trip:\n%+v\n%+v", snap, back)
 				return
 			}
 			select {
@@ -142,7 +148,9 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	r.Counter("cogdiff_units_tested_total").Add(42)
 	r.LabeledCounter(MetricDifferences, "family", "behavioral difference").Add(3)
 	r.Gauge(MetricFuzzCorpusSize).Set(17)
-	r.Histogram("lat", []float64{0.001, 0.1}).Observe(0.05)
+	lat := r.Histogram("lat", []float64{0.001, 0.1})
+	lat.Observe(0.05)
+	lat.Observe(2) // above the top bound: lands in the +Inf bucket only
 
 	data, err := r.Snapshot().JSON()
 	if err != nil {
@@ -162,85 +170,32 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 		t.Fatalf("gauge lost: %v", back.Gauges)
 	}
 	h := back.Histograms["lat"]
-	if h.Count != 1 || h.Sum != 0.05 || len(h.Cumulative) != 3 || h.Cumulative[1] != 1 {
+	if h.Count != 2 || h.Sum != lat.Sum() || len(h.Bounds) != 2 {
 		t.Fatalf("histogram lost: %+v", h)
 	}
-}
-
-func TestPrometheusRoundTrip(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("cogdiff_units_tested_total").Add(42)
-	r.LabeledCounter(MetricDifferences, "family", "optimisation difference").Add(9)
-	r.Gauge(MetricFuzzCorpusSize).Set(5)
-	h := r.Histogram("cogdiff_batch_seconds", []float64{0.01, 1})
-	h.Observe(0.5)
-	h.Observe(2)
-
-	var b strings.Builder
-	if err := r.Snapshot().WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	text := b.String()
-	samples, err := ParsePrometheus(text)
-	if err != nil {
-		t.Fatalf("emitted text does not parse: %v\n%s", err, text)
-	}
-	checks := map[string]float64{
-		"cogdiff_units_tested_total":                                  42,
-		`cogdiff_differences_total{family="optimisation difference"}`: 9,
-		MetricFuzzCorpusSize:                                          5,
-		`cogdiff_batch_seconds_bucket{le="0.01"}`:                     0,
-		`cogdiff_batch_seconds_bucket{le="1"}`:                        1,
-		`cogdiff_batch_seconds_bucket{le="+Inf"}`:                     2,
-		"cogdiff_batch_seconds_sum":                                   2.5,
-		"cogdiff_batch_seconds_count":                                 2,
-	}
-	for series, want := range checks {
-		got, ok := samples[series]
-		if !ok {
-			t.Fatalf("series %s missing from exposition:\n%s", series, text)
-		}
-		if got != want {
-			t.Fatalf("series %s = %v, want %v", series, got, want)
-		}
-	}
-	if !strings.Contains(text, "# TYPE cogdiff_batch_seconds histogram") {
-		t.Fatalf("missing TYPE line:\n%s", text)
+	if want := []int64{0, 1, 2}; !reflect.DeepEqual(h.Cumulative, want) {
+		t.Fatalf("histogram buckets %v, want %v (the last is +Inf)", h.Cumulative, want)
 	}
 }
 
-func TestPrometheusDeterministicOutput(t *testing.T) {
-	build := func() string {
+func TestSnapshotJSONDeterministicOutput(t *testing.T) {
+	// The same instruments registered in opposite orders must render
+	// byte-identical JSON.
+	build := func(names ...string) string {
 		r := NewRegistry()
-		r.Counter("b_total").Add(2)
-		r.Counter("a_total").Add(1)
-		r.LabeledCounter("c_total", "x", "1").Inc()
-		r.LabeledCounter("c_total", "x", "2").Inc()
-		var b strings.Builder
-		if err := r.Snapshot().WritePrometheus(&b); err != nil {
+		for _, name := range names {
+			r.Counter(name + "_total").Add(int64(name[0]))
+			r.LabeledCounter("c_total", "y", name, "x", "1").Inc()
+			r.Histogram(name+"_seconds", []float64{1}).Observe(0.5)
+		}
+		data, err := r.Snapshot().JSON()
+		if err != nil {
 			t.Fatal(err)
 		}
-		return b.String()
+		return string(data)
 	}
-	if build() != build() {
-		t.Fatal("exposition output must be deterministic")
-	}
-}
-
-func TestParsePrometheusRejectsMalformed(t *testing.T) {
-	for _, bad := range []string{
-		"no_value",
-		"name not-a-number",
-		`1leading_digit 3`,
-		"dup 1\ndup 2",
-	} {
-		if _, err := ParsePrometheus(bad); err == nil {
-			t.Fatalf("expected parse error for %q", bad)
-		}
-	}
-	ok, err := ParsePrometheus("# HELP x y\n\nx_total 3\n")
-	if err != nil || ok["x_total"] != 3 {
-		t.Fatalf("valid text rejected: %v %v", ok, err)
+	if a, b := build("a", "b"), build("b", "a"); a != b {
+		t.Fatalf("snapshot JSON depends on registration order:\n%s\n%s", a, b)
 	}
 }
 
