@@ -67,7 +67,10 @@ bench-check:
 # worker, even though the warm one pays for collecting metrics; the
 # cold run pays for the cache writes on top of an uncached campaign, so
 # the margin is disk-bound. Measured on a 2-vCPU VM over seven rounds:
-# 3.8-9.6x.
+# 3.8-9.6x. Last, difftest reads what the campaigns cached: its report
+# matches an uncached difftest, and its snapshot shows both tiers (the
+# exploration and the unit's verdicts) served with no miss, no write and
+# no corrupt entry.
 cache-smoke:
 	rm -rf cache-smoke.tmp
 	$(GO) build -o cache-smoke.tmp/cogdiff ./cmd/cogdiff
@@ -87,6 +90,12 @@ cache-smoke:
 	cmp cache-smoke.tmp/off.txt cache-smoke.tmp/cold.txt
 	cmp cache-smoke.tmp/off.txt cache-smoke.tmp/warm1.txt
 	cmp cache-smoke.tmp/off.txt cache-smoke.tmp/warm4.txt
+	cache-smoke.tmp/cogdiff difftest primAdd simple > cache-smoke.tmp/difftest-off.txt
+	cache-smoke.tmp/cogdiff difftest -cache-dir cache-smoke.tmp/cache \
+		-metrics cache-smoke.tmp/difftest.json primAdd simple > cache-smoke.tmp/difftest.txt
+	jq -e '.counters.cogdiff_excache_hits_total == 2 and .counters.cogdiff_excache_misses_total == 0 and .counters.cogdiff_excache_writes_total == 0 and .counters.cogdiff_excache_corrupt_total == 0' \
+		cache-smoke.tmp/difftest.json
+	cmp cache-smoke.tmp/difftest-off.txt cache-smoke.tmp/difftest.txt
 	rm -rf cache-smoke.tmp
 
 # Raw-speed gates for the execution-core overhaul, measured on the machine

@@ -6,9 +6,10 @@
 //	cogdiff instructions                 list every testable VM instruction
 //	cogdiff explore <instruction>        concolically explore one instruction (Table 1 format)
 //	cogdiff difftest <instruction> <compiler>
-//	                                     differentially test one instruction
-//	                                     (compilers: native, simple, stacktoregister,
-//	                                     registerallocating, metajit)
+//	                                     differentially test one instruction: the
+//	                                     campaign run on that one unit, headed by
+//	                                     its Table 2 row (compilers: native, simple,
+//	                                     stacktoregister, registerallocating, metajit)
 //	cogdiff ir <instruction> <compiler>  dump every compilation stage: front-end IR,
 //	                                     the IR after each pass, both lowered programs
 //	cogdiff campaign [-pristine] [-defect-constfold] [-compilers spec] [-workers n] [-progress]
@@ -29,7 +30,9 @@
 // count.
 //
 // The campaign, table/figure, difftest and verify-ir verbs share the
-// exploration-cache flags -cache-dir <dir> and -cache off|ro|rw; those
+// exploration-cache flags -cache-dir <dir> and -cache off|ro|rw, and one
+// cache directory serves them all: difftest reads the exploration and
+// the unit verdicts a campaign stored. Those
 // verbs and fuzz share the observability flags -metrics <file> (a JSON
 // snapshot), -trace <file> and -profile <file>. Both
 // layers are pure with respect to results: all printed reports are
@@ -73,28 +76,11 @@ func run(argv []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stdout, name)
 		}
 	case "explore":
-		fs := flag.NewFlagSet("explore", flag.ContinueOnError)
-		fs.SetOutput(stderr)
-		jsonOut := fs.String("o", "", "write the exploration as JSON to this file (reusable by difftest -cache-file)")
-		if err := fs.Parse(args); err != nil {
-			return 2
-		}
-		if fs.NArg() != 1 {
+		if len(args) != 1 {
 			usage(stderr)
 			return 2
 		}
-		if *jsonOut != "" {
-			data, err := cogdiff.ExploreJSON(fs.Arg(0))
-			if err != nil {
-				return fail(err)
-			}
-			if err := os.WriteFile(*jsonOut, data, 0o644); err != nil {
-				return fail(err)
-			}
-			fmt.Fprintf(stdout, "exploration of %s written to %s\n", fs.Arg(0), *jsonOut)
-			return 0
-		}
-		out, err := cogdiff.ExploreReport(fs.Arg(0))
+		out, err := cogdiff.ExploreReport(args[0])
 		if err != nil {
 			return fail(err)
 		}
@@ -110,7 +96,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 			usage(stderr)
 			return 2
 		}
-		out, err := cogdiff.DumpIR(args[0], args[1])
+		out, err := cogdiff.DumpIR(args[0], args[1], cogdiff.TestConfig{})
 		if err != nil {
 			return fail(err)
 		}
@@ -118,7 +104,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	case "difftest":
 		fs := flag.NewFlagSet("difftest", flag.ContinueOnError)
 		fs.SetOutput(stderr)
-		cacheFile := fs.String("cache-file", "", "reuse one cached exploration (JSON written by explore -o)")
 		pristine := fs.Bool("pristine", false, "test the defect-free VM configuration")
 		defectConstfold := fs.Bool("defect-constfold", false, "enable the pass-targeted constant-folding defect")
 		defectMetaGuard := fs.Bool("defect-metajit-guard", false, "enable the meta-compiler guard-sign defect (metajit only)")
@@ -130,37 +115,20 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		if err := fs.Parse(args); err != nil {
 			return 2
 		}
+		if fs.NArg() != 2 {
+			usage(stderr)
+			return 2
+		}
 		if err := obs.start(false, stderr, nil); err != nil {
 			return fail(err)
 		}
-		var res *cogdiff.InstructionResult
-		var err error
-		if *cacheFile != "" {
-			if fs.NArg() != 1 {
-				usage(stderr)
-				return 2
-			}
-			if *pristine || *defectConstfold || *defectMetaGuard || *defectStackLeak {
-				return fail(fmt.Errorf("-pristine and defect flags do not apply to cached explorations"))
-			}
-			data, rerr := os.ReadFile(*cacheFile)
-			if rerr != nil {
-				return fail(rerr)
-			}
-			res, err = cogdiff.TestInstructionCached(data, fs.Arg(0))
-		} else {
-			if fs.NArg() != 2 {
-				usage(stderr)
-				return 2
-			}
-			cfg := cogdiff.TestConfig{
-				Pristine: *pristine, ConstFoldSignError: *defectConstfold,
-				MetaJITGuardSignError: *defectMetaGuard, Metrics: obs.reg,
-				VerifyStackLeak: *defectStackLeak, NoVerify: *noVerify,
-				CacheDir: *cacheDir, CacheMode: *cacheMode,
-			}
-			res, err = cogdiff.TestInstructionWith(fs.Arg(0), fs.Arg(1), cfg)
+		cfg := cogdiff.TestConfig{
+			Pristine: *pristine, ConstFoldSignError: *defectConstfold,
+			MetaJITGuardSignError: *defectMetaGuard, Metrics: obs.reg,
+			VerifyStackLeak: *defectStackLeak, NoVerify: *noVerify,
+			CacheDir: *cacheDir, CacheMode: *cacheMode,
 		}
+		res, err := cogdiff.TestInstructionWith(fs.Arg(0), fs.Arg(1), cfg)
 		if err != nil {
 			return fail(err)
 		}
@@ -169,11 +137,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprint(stdout, res.Render())
 		if *dumpIR != "" {
-			compiler := fs.Arg(1)
-			if *cacheFile != "" {
-				compiler = fs.Arg(0)
-			}
-			dump, derr := cogdiff.DumpIR(res.Instruction, compiler)
+			dump, derr := cogdiff.DumpIR(fs.Arg(0), fs.Arg(1), cfg)
 			if derr != nil {
 				return fail(derr)
 			}
@@ -497,10 +461,13 @@ func validateWorkers(n int) error {
 func usage(w io.Writer) {
 	fmt.Fprintln(w, `usage:
   cogdiff instructions
-  cogdiff explore [-o cache.json] <instruction>
-  cogdiff difftest [-cache-file cache.json] [-pristine] [-defect-constfold]
-                   [-defect-metajit-guard] [-defect-verify-stackleak] [-no-verify]
+  cogdiff explore <instruction>
+  cogdiff difftest [-pristine] [-defect-constfold] [-defect-metajit-guard]
+                   [-defect-verify-stackleak] [-no-verify]
                    [-dump-ir stdout|file] <instruction> <compiler>
+                   (the campaign on one unit; the compiler must apply to the
+                   instruction's kind: native to native methods, the others
+                   to byte-codes)
   cogdiff ir <instruction> <compiler>
   cogdiff campaign [-pristine] [-defect-constfold] [-defect-metajit-guard]
                [-defect-verify-stackleak] [-no-verify]

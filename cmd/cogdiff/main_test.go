@@ -13,6 +13,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strings"
 	"testing"
 
 	"cogdiff/internal/telemetry"
@@ -55,6 +56,36 @@ func TestGoldenIR(t *testing.T) {
 	// Pins the three-layer compilation dump: front-end IR, the IR after
 	// each pass, and the lowered program per ISA.
 	checkGolden(t, "ir.golden", runCLI(t, "ir", "primAdd", "simple"))
+}
+
+// TestGoldenIRMetaJIT pins the meta-compiled front-end's own dump: its
+// guard chain, not a hand-written cogit's IR.
+func TestGoldenIRMetaJIT(t *testing.T) {
+	checkGolden(t, "ir_metajit.golden", runCLI(t, "ir", "primAdd", "metajit"))
+}
+
+// TestGoldenDifftestDumpIRDefect pins that difftest dumps the
+// configuration it tested: with the constant-folding defect on, the
+// constfold stage and the lowered programs carry the miscompiled fold.
+func TestGoldenDifftestDumpIRDefect(t *testing.T) {
+	checkGolden(t, "difftest_constfold_dumpir.golden",
+		runCLI(t, "difftest", "-defect-constfold", "-dump-ir", "stdout", "primAdd", "simple"))
+}
+
+// TestDumpIRVerifierReject checks the dump of a unit the static verifier
+// rejects: every stage through the rejected one, then the verifier's
+// message and no lowered program, and difftest still exits 0.
+func TestDumpIRVerifierReject(t *testing.T) {
+	out := runCLI(t, "difftest", "-defect-verify-stackleak", "-dump-ir", "stdout", "primAdd", "simple")
+	dump := out[strings.Index(out, "\ninstruction primAdd"):]
+	for _, stage := range []string{"== front-end ==", "== peephole ==", "== rejected by the IR verifier ==\nir-verify: stack-balance"} {
+		if !strings.Contains(dump, stage) {
+			t.Errorf("dump lacks %q:\n%s", stage, dump)
+		}
+	}
+	if strings.Contains(dump, "== lowered") || strings.Index(dump, "== peephole ==") > strings.Index(dump, "== rejected") {
+		t.Errorf("a rejected unit must dump its stages, then the rejection, and lower nothing:\n%s", dump)
+	}
 }
 
 func TestGoldenCampaignTables(t *testing.T) {
@@ -182,6 +213,15 @@ func TestGoldenFlagValidationErrors(t *testing.T) {
 		runCLIError(t, "fuzz", "-budget", "10", "-metrics", "x.json", "-metrics-format", "prom"))
 }
 
+// TestGoldenCompilerKindErrors pins the rejection of a compiler that does
+// not apply to the instruction's kind, by both single-unit verbs.
+func TestGoldenCompilerKindErrors(t *testing.T) {
+	checkGolden(t, "err_difftest_compiler_kind.golden",
+		runCLIError(t, "difftest", "primAdd", "native"))
+	checkGolden(t, "err_ir_compiler_kind.golden",
+		runCLIError(t, "ir", "primitiveAdd", "simple"))
+}
+
 // seriesKeyRE is the series-key notation every snapshot key must use:
 // a metric name, optionally followed by a brace-delimited list of
 // key="value" labels with backslash escapes.
@@ -283,6 +323,8 @@ func TestGoldenCacheFlagErrors(t *testing.T) {
 // contract from the CLI: difftest output is byte-identical without a
 // cache, populating a cold cache, served from a warm cache, and in
 // ro mode against a directory that does not exist (every lookup misses).
+// A cache a campaign filled serves difftest both tiers, the exploration
+// and the unit's verdicts: no miss, no write, no corrupt entry.
 func TestDifftestCacheRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	plain := runCLI(t, "difftest", "primAdd", "simple")
@@ -298,6 +340,26 @@ func TestDifftestCacheRoundTrip(t *testing.T) {
 	roHit := runCLI(t, "difftest", "-cache-dir", dir, "-cache", "ro", "primAdd", "simple")
 	if plain != roHit {
 		t.Errorf("ro-mode hit changed difftest output:\n--- plain ---\n%s--- ro hit ---\n%s", plain, roHit)
+	}
+
+	campaignDir, metrics := t.TempDir(), filepath.Join(t.TempDir(), "difftest.json")
+	runCLI(t, "campaign", "-stable", "-compilers", "simple", "-cache-dir", campaignDir)
+	if got := runCLI(t, "difftest", "-cache-dir", campaignDir, "-metrics", metrics, "primAdd", "simple"); got != plain {
+		t.Errorf("difftest output from a campaign's cache differs:\n--- plain ---\n%s--- campaign cache ---\n%s", plain, got)
+	}
+	data, err := os.ReadFile(metrics)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap telemetry.Snapshot
+	if err := json.Unmarshal(data, &snap); err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range map[string]int64{telemetry.MetricCacheHits: 2, telemetry.MetricCacheMisses: 0,
+		telemetry.MetricCacheWrites: 0, telemetry.MetricCacheCorrupt: 0} {
+		if got := snap.Counters[name]; got != want {
+			t.Errorf("difftest after a campaign: %s = %d, want %d", name, got, want)
+		}
 	}
 }
 

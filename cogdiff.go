@@ -32,7 +32,6 @@ import (
 	"cogdiff/internal/core"
 	"cogdiff/internal/defects"
 	"cogdiff/internal/excache"
-	"cogdiff/internal/machine"
 	"cogdiff/internal/primitives"
 	"cogdiff/internal/report"
 	"cogdiff/internal/telemetry"
@@ -306,8 +305,13 @@ type Difference struct {
 type InstructionResult struct {
 	Instruction string
 	Compiler    string
-	Paths       int
-	Curated     int
+	// Paths, Curated and DifferingPaths are the unit's Table 2 row: the
+	// explored paths, the paths the test runner supports end to end, and
+	// the curated paths whose behaviour differs on any ISA.
+	Paths          int
+	Curated        int
+	DifferingPaths int
+	// Differences lists every differing (path, ISA) verdict, path-major.
 	Differences []Difference
 }
 
@@ -315,7 +319,7 @@ type InstructionResult struct {
 func (r *InstructionResult) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s on %s: %d paths, %d curated, %d differences\n",
-		r.Instruction, r.Compiler, r.Paths, r.Curated, len(r.Differences))
+		r.Instruction, r.Compiler, r.Paths, r.Curated, r.DifferingPaths)
 	for _, d := range r.Differences {
 		fmt.Fprintf(&b, "  [%s] %s (%s): %s\n", d.ISA, d.Family, d.Cause, d.Detail)
 	}
@@ -371,17 +375,6 @@ type TestConfig struct {
 	CacheMode string
 }
 
-func (c TestConfig) switches() defects.Switches {
-	sw := defects.ProductionVM()
-	if c.Pristine {
-		sw = defects.Pristine()
-	}
-	sw.ConstFoldSignError = c.ConstFoldSignError
-	sw.MetaJITGuardSignError = c.MetaJITGuardSignError
-	sw.VerifyStackLeak = c.VerifyStackLeak
-	return sw
-}
-
 // TestInstruction differentially tests one instruction against one
 // compiler on both simulated ISAs, using the production defect state.
 func TestInstruction(instruction, compiler string) (*InstructionResult, error) {
@@ -389,63 +382,65 @@ func TestInstruction(instruction, compiler string) (*InstructionResult, error) {
 }
 
 // TestInstructionWith is TestInstruction under an explicit defect
-// configuration.
+// configuration. It runs the campaign on the one unit, so the result is
+// the unit's row of the campaign under the same configuration, and a
+// cache directory a campaign filled serves it.
 func TestInstructionWith(instruction, compiler string, cfg TestConfig) (*InstructionResult, error) {
-	target, prims, err := resolveTarget(instruction)
+	camp, _, err := unitCampaign(instruction, compiler, cfg)
 	if err != nil {
 		return nil, err
 	}
-	kind, err := compilerKindOf(compiler)
-	if err != nil {
-		return nil, err
+	unit := camp.Run().Reports[0].Instructions[0]
+	res := &InstructionResult{
+		Instruction:    instruction,
+		Compiler:       compiler,
+		Paths:          unit.Paths,
+		Curated:        unit.Curated,
+		DifferingPaths: unit.Differences,
 	}
-	sw := cfg.switches()
-	exOpts := concolic.DefaultOptions()
-	exOpts.Metrics = cfg.Metrics
-	cache, err := openCache(cfg.CacheDir, cfg.CacheMode, cfg.Metrics)
-	if err != nil {
-		return nil, err
-	}
-	explorer := concolic.NewExplorer(prims, exOpts)
-	exKey := cache.ExplorationKey(target, exOpts)
-	ex, hit := cache.LoadExploration(exKey, target)
-	if !hit {
-		ex = explorer.Explore(target)
-		cache.StoreExploration(exKey, ex)
-	}
-	tester := core.NewTester(prims, sw)
-	if cfg.NoVerify {
-		tester.SetNoVerify()
-	}
-	tester.SetMetrics(cfg.Metrics)
-
-	res := &InstructionResult{Instruction: instruction, Compiler: compiler, Paths: len(ex.Paths) + ex.CuratedOut}
-	run := tester.BeginUnit(target, ex)
-	defer run.Close()
-	for _, p := range ex.Paths {
-		curated := false
-		for _, isa := range []machine.ISA{machine.ISAAmd64Like, machine.ISAArm32Like} {
-			v := run.TestPath(p, kind, isa)
-			if !v.Skipped {
-				curated = true
-			}
-			if v.Differs {
-				fam := core.Classify(target, prims, v.InterpExit, v.Observed)
-				res.Differences = append(res.Differences, Difference{
-					Instruction: instruction,
-					Compiler:    compiler,
-					ISA:         isa.String(),
-					Family:      fam.String(),
-					Cause:       v.Cause,
-					Detail:      v.Detail,
-				})
-			}
-		}
-		if curated {
-			res.Curated++
+	for _, v := range unit.Verdicts {
+		if v.Differs {
+			res.Differences = append(res.Differences, Difference{
+				Instruction: instruction,
+				Compiler:    compiler,
+				ISA:         v.ISA.String(),
+				Family:      core.Classify(unit.Target, camp.Prims, v.InterpExit, v.Observed).String(),
+				Cause:       v.Cause,
+				Detail:      v.Detail,
+			})
 		}
 	}
 	return res, nil
+}
+
+// unitCampaign builds the campaign restricted to one (instruction,
+// compiler) unit under cfg, and returns it with the unit's target. A
+// compiler that does not apply to the instruction's kind is an error.
+func unitCampaign(instruction, compiler string, cfg TestConfig) (*core.Campaign, concolic.Target, error) {
+	target, _, err := resolveTarget(instruction)
+	if err != nil {
+		return nil, target, err
+	}
+	kind, err := compilerKindOf(compiler)
+	if err != nil {
+		return nil, target, err
+	}
+	bc := target.Kind == concolic.TargetBytecode
+	if bc == (kind == core.NativeMethodCompilerKind) {
+		return nil, target, fmt.Errorf("the %s compiler does not apply to %s instruction %s", compiler, target.Kind, instruction)
+	}
+	ccfg, err := campaignConfig(CampaignOptions{
+		Pristine: cfg.Pristine, ConstFoldSignError: cfg.ConstFoldSignError,
+		MetaJITGuardSignError: cfg.MetaJITGuardSignError, VerifyStackLeak: cfg.VerifyStackLeak,
+		NoVerify: cfg.NoVerify, Compilers: []string{compiler}, Metrics: cfg.Metrics,
+		CacheDir: cfg.CacheDir, CacheMode: cfg.CacheMode,
+	})
+	if err != nil {
+		return nil, target, err
+	}
+	ccfg.BytecodeFilter = func(op bytecode.Op) bool { return bc && op == target.Op }
+	ccfg.PrimitiveFilter = func(p *primitives.Primitive) bool { return !bc && p.Index == target.PrimIndex }
+	return core.NewCampaign(ccfg), target, nil
 }
 
 // CampaignOptions configures a full evaluation run.
@@ -546,13 +541,11 @@ func (s *CampaignSummary) StableReport() string {
 	return s.Table2 + "\n" + s.Table3 + "\n" + s.Figure5 + "\n" + s.Causes
 }
 
-// RunCampaign executes the full evaluation: concolic exploration of every
-// VM instruction followed by differential testing on all four compilers
-// and both ISAs. The only error sources are cache misconfiguration (bad
-// mode string, unusable cache directory) and cancellation through
-// Options.Context; an uncancelled cache-less run cannot fail.
-func RunCampaign(opts CampaignOptions) (*CampaignSummary, error) {
-	start := time.Now() //cogdiff:allow-nondeterminism duration is summary metadata, never report-table content
+// campaignConfig builds the core configuration of a facade run and opens
+// the exploration cache it names. Every entry point runs a campaign:
+// RunCampaign over the catalog, VerifyIR without executing anything,
+// TestInstructionWith and DumpIR over one unit.
+func campaignConfig(opts CampaignOptions) (core.Config, error) {
 	cfg := core.DefaultConfig()
 	if opts.Pristine {
 		cfg.Defects = defects.Pristine()
@@ -564,7 +557,7 @@ func RunCampaign(opts CampaignOptions) (*CampaignSummary, error) {
 	if len(opts.Compilers) > 0 {
 		kinds, err := compilerKindsOf(opts.Compilers)
 		if err != nil {
-			return nil, err
+			return cfg, err
 		}
 		cfg.Compilers = kinds
 	}
@@ -573,11 +566,22 @@ func RunCampaign(opts CampaignOptions) (*CampaignSummary, error) {
 	}
 	cfg.Workers = opts.Workers
 	cfg.Metrics = opts.Metrics
-	cache, err := openCache(opts.CacheDir, opts.CacheMode, opts.Metrics)
+	var err error
+	cfg.Cache, err = openCache(opts.CacheDir, opts.CacheMode, opts.Metrics)
+	return cfg, err
+}
+
+// RunCampaign executes the full evaluation: concolic exploration of every
+// VM instruction followed by differential testing on all four compilers
+// and both ISAs. The only error sources are cache misconfiguration (bad
+// mode string, unusable cache directory) and cancellation through
+// Options.Context; an uncancelled cache-less run cannot fail.
+func RunCampaign(opts CampaignOptions) (*CampaignSummary, error) {
+	start := time.Now() //cogdiff:allow-nondeterminism duration is summary metadata, never report-table content
+	cfg, err := campaignConfig(opts)
 	if err != nil {
 		return nil, err
 	}
-	cfg.Cache = cache
 	if cb := opts.OnInstructionDone; cb != nil {
 		cfg.OnInstructionDone = func(ev core.InstructionDone) {
 			cb(ev.Compiler.String(), ev.Instruction, ev.Done, ev.Total)
@@ -617,7 +621,7 @@ func RunCampaign(opts CampaignOptions) (*CampaignSummary, error) {
 		out.CausesByFamily[fam.String()] = n
 	}
 	out.TotalCauses = len(res.Causes)
-	out.Cache = cacheStatsOf(cache)
+	out.Cache = cacheStatsOf(cfg.Cache)
 	out.FingerprintErrors = res.FingerprintErrors
 	return out, nil
 }
@@ -678,32 +682,19 @@ type VerifyIRSummary struct {
 // here, before a single instruction of the broken code could run.
 func VerifyIR(opts VerifyIROptions) (*VerifyIRSummary, error) {
 	start := time.Now() //cogdiff:allow-nondeterminism duration is summary metadata, never report-table content
-	cfg := core.DefaultConfig()
-	if opts.Pristine {
-		cfg.Defects = defects.Pristine()
-	}
-	cfg.Defects.ConstFoldSignError = opts.ConstFoldSignError
-	cfg.Defects.MetaJITGuardSignError = opts.MetaJITGuardSignError
-	cfg.Defects.VerifyStackLeak = opts.VerifyStackLeak
 	names := opts.Compilers
 	if len(names) == 0 {
 		names = AllCompilers()
 	}
-	kinds, err := compilerKindsOf(names)
+	cfg, err := campaignConfig(CampaignOptions{
+		Pristine: opts.Pristine, ConstFoldSignError: opts.ConstFoldSignError,
+		MetaJITGuardSignError: opts.MetaJITGuardSignError, VerifyStackLeak: opts.VerifyStackLeak,
+		Compilers: names, MaxIterations: opts.MaxIterations, Workers: opts.Workers,
+		Metrics: opts.Metrics, CacheDir: opts.CacheDir, CacheMode: opts.CacheMode,
+	})
 	if err != nil {
 		return nil, err
 	}
-	cfg.Compilers = kinds
-	if opts.MaxIterations > 0 {
-		cfg.Explore.MaxIterations = opts.MaxIterations
-	}
-	cfg.Workers = opts.Workers
-	cfg.Metrics = opts.Metrics
-	cache, err := openCache(opts.CacheDir, opts.CacheMode, opts.Metrics)
-	if err != nil {
-		return nil, err
-	}
-	cfg.Cache = cache
 	ctx := opts.Context
 	if ctx == nil {
 		ctx = context.Background()
@@ -722,21 +713,15 @@ func VerifyIR(opts VerifyIROptions) (*VerifyIRSummary, error) {
 }
 
 // DumpIR renders every compilation stage of one instruction for one
-// compiler: the front-end IR, the IR after each optimization pass, and
-// the lowered machine program for both ISAs.
-func DumpIR(instruction, compiler string) (string, error) {
-	target, prims, err := resolveTarget(instruction)
+// compiler under cfg's defect configuration, as the unit's test compiles
+// it: the front-end IR, the IR after each optimization pass, and the
+// lowered machine program for both ISAs.
+func DumpIR(instruction, compiler string, cfg TestConfig) (string, error) {
+	camp, target, err := unitCampaign(instruction, compiler, cfg)
 	if err != nil {
 		return "", err
 	}
-	kind, err := compilerKindOf(compiler)
-	if err != nil {
-		return "", err
-	}
-	explorer := concolic.NewExplorer(prims, concolic.DefaultOptions())
-	ex := explorer.Explore(target)
-	tester := core.NewTester(prims, defects.ProductionVM())
-	return tester.DumpIR(target, ex, kind)
+	return camp.DumpIR(target, camp.Config.Compilers[0])
 }
 
 // SeededCauseInventory returns the seeded defect catalog grouped by

@@ -79,6 +79,12 @@ func TestTestInstructionFacade(t *testing.T) {
 	if _, err := TestInstruction("nope", CompilerSimple); err == nil {
 		t.Error("unknown instruction must error")
 	}
+	for _, unit := range [][2]string{{"primAdd", CompilerNativeMethods}, {"primitiveAdd", CompilerSimple}} {
+		_, err := TestInstruction(unit[0], unit[1])
+		if err == nil || !strings.Contains(err.Error(), "the "+unit[1]+" compiler does not apply") {
+			t.Errorf("%s on %s: got %v, want an error naming the compiler and the instruction kind", unit[0], unit[1], err)
+		}
+	}
 }
 
 func TestSeededCauseInventory(t *testing.T) {

@@ -32,7 +32,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("  %d paths, %d curated, %d differences\n", res.Paths, res.Curated, len(res.Differences))
+	fmt.Printf("  %d paths, %d curated, %d differences\n", res.Paths, res.Curated, res.DifferingPaths)
 	for _, d := range res.Differences {
 		fmt.Printf("  DIFFERENCE [%s] %s: %s\n", d.ISA, d.Family, d.Detail)
 	}

@@ -17,8 +17,9 @@ import (
 // Exploration results can be cached and reused multiple times (§5.4): the
 // differential tester only needs each path's solver witness, exit
 // condition and the variable universe, all of which serialize. This file
-// implements a JSON round trip so explorations survive across processes
-// (the CLI reuses them between `explore` and `difftest` invocations).
+// implements a JSON round trip so explorations survive across processes:
+// it is the exploration codec of the persistent cache (internal/excache),
+// which every campaign, verify-ir sweep and difftest run shares.
 
 type varDTO struct {
 	ID      int `json:"id"`

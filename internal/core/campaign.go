@@ -178,8 +178,8 @@ type Campaign struct {
 	Config Config
 	Prims  *primitives.Table
 
-	// panicsContained is resolved from Config.Metrics at the start of
-	// Run; nil (no-op) when telemetry is off.
+	// panicsContained is resolved from Config.Metrics by setup, at the
+	// start of every entry point; nil (no-op) when telemetry is off.
 	panicsContained *telemetry.Counter
 }
 
@@ -245,16 +245,7 @@ func (c *Campaign) Run() *CampaignResult {
 func (c *Campaign) RunContext(ctx context.Context) (*CampaignResult, error) {
 	workers := c.workerCount()
 	reg := c.Config.Metrics
-	explorer := concolic.NewExplorer(c.Prims, c.exploreOptions())
-	tester := NewTester(c.Prims, c.Config.Defects)
-	if c.Config.noReuse {
-		tester.SetNoReuse()
-	}
-	if c.Config.NoVerify {
-		tester.SetNoVerify()
-	}
-	tester.SetMetrics(reg)
-	c.panicsContained = reg.Counter(telemetry.MetricPanicsContained)
+	tester := c.setup()
 
 	result := &CampaignResult{
 		Causes:       make(map[string]*Cause),
@@ -262,40 +253,12 @@ func (c *Campaign) RunContext(ctx context.Context) (*CampaignResult, error) {
 	}
 
 	// Step 1: concolic exploration, shared by every compiler (its results
-	// are cached and reused, §5.4). Each instruction explores in its own
-	// universe, so units never contend. A panic inside one exploration
-	// is contained to that unit: the instruction reports zero paths and
-	// the campaign carries on.
+	// are cached and reused, §5.4).
 	bcTargets := c.BytecodeTargets()
 	nmTargets := c.PrimitiveTargets()
 	allTargets := append(append([]concolic.Target{}, bcTargets...), nmTargets...)
-	explorations := make([]*concolic.Exploration, len(allTargets))
-	exKeys := make([]string, len(allTargets))
-	for i, t := range allTargets {
-		exKeys[i] = c.Config.Cache.ExplorationKey(t, c.exploreOptions())
-	}
-	if err := RunUnitsCtx(ctx, workers, len(allTargets), func(i int) {
-		sp := reg.StartSpan(telemetry.SpanExplore)
-		defer sp.End()
-		if ex, ok := c.Config.Cache.LoadExploration(exKeys[i], allTargets[i]); ok {
-			explorations[i] = ex
-			return
-		}
-		contained := false
-		defer func() {
-			if p := recover(); p != nil {
-				c.panicsContained.Inc()
-				explorations[i] = &concolic.Exploration{Target: allTargets[i]}
-				contained = true
-			}
-			// Contained panics are not cached: the instruction should
-			// re-explore (and re-crash visibly) on the next run.
-			if !contained {
-				c.Config.Cache.StoreExploration(exKeys[i], explorations[i])
-			}
-		}()
-		explorations[i] = explorer.Explore(allTargets[i])
-	}); err != nil {
+	explorations, err := c.explore(ctx, allTargets)
+	if err != nil {
 		return nil, err
 	}
 	for i, t := range allTargets {
@@ -423,6 +386,54 @@ func (c *Campaign) RunContext(ctx context.Context) (*CampaignResult, error) {
 	}
 	mergeSpan.End()
 	return result, nil
+}
+
+// setup resolves the campaign's telemetry handles and builds the tester
+// its entry points share, under the configured defects, reuse and
+// verifier switches.
+func (c *Campaign) setup() *Tester {
+	c.panicsContained = c.Config.Metrics.Counter(telemetry.MetricPanicsContained)
+	tester := NewTester(c.Prims, c.Config.Defects)
+	if c.Config.noReuse {
+		tester.SetNoReuse()
+	}
+	if c.Config.NoVerify {
+		tester.SetNoVerify()
+	}
+	tester.SetMetrics(c.Config.Metrics)
+	return tester
+}
+
+// explore concolically explores every target, sharded over the workers.
+// Each instruction explores in its own universe, so units never contend.
+// An exploration is loaded from the cache when present and stored after
+// fresh work. A panic inside one exploration is contained to that unit:
+// the instruction reports zero paths and the campaign carries on.
+func (c *Campaign) explore(ctx context.Context, targets []concolic.Target) ([]*concolic.Exploration, error) {
+	opts := c.exploreOptions()
+	explorer := concolic.NewExplorer(c.Prims, opts)
+	out := make([]*concolic.Exploration, len(targets))
+	err := RunUnitsCtx(ctx, c.workerCount(), len(targets), func(i int) {
+		sp := c.Config.Metrics.StartSpan(telemetry.SpanExplore)
+		defer sp.End()
+		key := c.Config.Cache.ExplorationKey(targets[i], opts)
+		if ex, ok := c.Config.Cache.LoadExploration(key, targets[i]); ok {
+			out[i] = ex
+			return
+		}
+		defer func() {
+			if p := recover(); p != nil {
+				// Contained panics are not cached: the instruction should
+				// re-explore (and re-crash visibly) on the next run.
+				c.panicsContained.Inc()
+				out[i] = &concolic.Exploration{Target: targets[i]}
+				return
+			}
+			c.Config.Cache.StoreExploration(key, out[i])
+		}()
+		out[i] = explorer.Explore(targets[i])
+	})
+	return out, err
 }
 
 func (c *Campaign) exploreOptions() concolic.Options {

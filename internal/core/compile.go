@@ -49,6 +49,7 @@ func (t *Tester) optimizeBytecode(om *heap.ObjectMemory, mode compileMode, varia
 		mc := metacompile.NewCompiler(0, om, t.Defects)
 		mc.Metrics = t.passMetrics
 		mc.NoVerify = t.noVerify
+		mc.OnStage = t.onStage
 		if mode == modeMethod {
 			opt, err = mc.OptimizeMethod(method, nil)
 		} else {
@@ -58,6 +59,7 @@ func (t *Tester) optimizeBytecode(om *heap.ObjectMemory, mode compileMode, varia
 		cogit := jit.NewCogit(variant, 0, om, t.Defects)
 		cogit.Metrics = t.passMetrics
 		cogit.NoVerify = t.noVerify
+		cogit.OnStage = t.onStage
 		if mode == modeMethod {
 			opt, err = cogit.OptimizeMethod(method, nil)
 		} else {
@@ -73,6 +75,7 @@ func (t *Tester) optimizeNative(om *heap.ObjectMemory, prim *primitives.Primitiv
 	nc := jit.NewNativeMethodCompiler(0, om, t.Defects)
 	nc.Metrics = t.passMetrics
 	nc.NoVerify = t.noVerify
+	nc.OnStage = t.onStage
 	opt, err := nc.OptimizeNativeMethod(prim)
 	return newOptimizedUnit(om, start, opt, err)
 }

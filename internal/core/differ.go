@@ -9,6 +9,7 @@ import (
 	"cogdiff/internal/defects"
 	"cogdiff/internal/heap"
 	"cogdiff/internal/interp"
+	"cogdiff/internal/ir"
 	"cogdiff/internal/irverify"
 	"cogdiff/internal/jit"
 	"cogdiff/internal/machine"
@@ -41,6 +42,10 @@ type Tester struct {
 	// suite flips this to pin that the verifier cannot change a report
 	// byte on a clean catalog.
 	noVerify bool
+
+	// onStage, when non-nil, receives the IR after the front-end and after
+	// each optimization pass of every compile: the IR dump's hook.
+	onStage func(stage string, fn *ir.Fn)
 }
 
 // NewTester builds a tester with the given native-method table and seeded

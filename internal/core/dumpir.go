@@ -1,73 +1,72 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"strings"
 
 	"cogdiff/internal/concolic"
-	"cogdiff/internal/heap"
 	"cogdiff/internal/ir"
-	"cogdiff/internal/jit"
+	"cogdiff/internal/irverify"
 	"cogdiff/internal/machine"
 )
 
-// DumpIR compiles one explored path of the instruction and renders every
-// compilation stage: the front-end IR, the IR after each optimization
-// pass, and the lowered machine program for both ISAs. The IR stages are
-// ISA-independent (the front-ends and passes never consult the target),
-// so they are printed once; only the lowered programs differ.
+// DumpIR explores the target as the campaign does and renders every
+// compilation stage of one explored path: the front-end IR, the IR after
+// each optimization pass, and the lowered machine program for both ISAs.
+// The IR stages are ISA-independent (the front-ends and passes never
+// consult the target), so they are printed once; only the lowered
+// programs differ. The compile is the one a test run makes, under the
+// campaign's defect switches: a unit the static verifier rejects renders
+// its stages through the rejected one, then the verifier's message.
 //
 // Not every explored path materializes a compilable input frame (invalid
 // frames are the test runner's expected failures), so the dump uses the
-// first path that compiles end to end.
-func (t *Tester) DumpIR(target concolic.Target, ex *concolic.Exploration, kind CompilerKind) (string, error) {
-	var lastErr error
-	for _, path := range ex.Paths {
-		out, err := t.dumpPathIR(target, ex, path, kind)
+// first path that compiles.
+func (c *Campaign) DumpIR(target concolic.Target, kind CompilerKind) (string, error) {
+	t := c.setup()
+	exs, err := c.explore(context.Background(), []concolic.Target{target})
+	if err != nil {
+		return "", err
+	}
+	lastErr := fmt.Errorf("core: %s has no explored paths", target.Name)
+	for _, path := range exs[0].Paths {
+		out, err := t.dumpPathIR(target, exs[0], path, kind)
 		if err == nil {
 			return out, nil
 		}
-		lastErr = err
+		lastErr = fmt.Errorf("core: no explored path of %s compiles: %w", target.Name, err)
 	}
-	if lastErr == nil {
-		lastErr = fmt.Errorf("core: %s has no explored paths", target.Name)
-	}
-	return "", fmt.Errorf("core: no explored path of %s compiles: %w", target.Name, lastErr)
+	return "", lastErr
 }
 
 func (t *Tester) dumpPathIR(target concolic.Target, ex *concolic.Exploration, path *concolic.PathResult, kind CompilerKind) (string, error) {
 	var b strings.Builder
 	fmt.Fprintf(&b, "instruction %s, compiler %s\n", target.Name, kind)
-	onStage := func(stage string, fn *ir.Fn) {
-		fmt.Fprintf(&b, "\n== %s ==\n%s", stage, fn)
-	}
-	// A fresh object memory keeps the heap addresses embedded in the code
-	// (true/false objects, floats) identical to a test run's.
-	om := heap.NewBootedObjectMemory()
-	var opt *jit.Optimized
-	var err error
-	if kind == NativeMethodCompilerKind {
-		prim := t.Prims.Lookup(target.PrimIndex)
-		if prim == nil {
-			return "", fmt.Errorf("unknown primitive %d", target.PrimIndex)
-		}
-		nc := jit.NewNativeMethodCompiler(0, om, t.Defects)
-		nc.OnStage = onStage
-		opt, err = nc.OptimizeNativeMethod(prim)
-	} else {
-		frame, ferr := concolic.NewFrameBuilder(om, ex.Universe, path.Model).BuildFrame(target)
-		if ferr != nil {
-			return "", ferr
-		}
-		cogit := jit.NewCogit(variantOf(kind), 0, om, t.Defects)
-		cogit.OnStage = onStage
-		opt, err = cogit.OptimizeBytecode(target.Method, stackWords(frame))
-	}
+	// The environment and frame are a test run's, so the heap addresses
+	// embedded in the code (true/false objects, floats) are too.
+	env := t.getEnv()
+	defer t.putEnv(env)
+	frame, err := concolic.NewFrameBuilder(env.om, ex.Universe, path.Model).BuildFrame(target)
 	if err != nil {
 		return "", err
 	}
+	t.onStage = func(stage string, fn *ir.Fn) {
+		fmt.Fprintf(&b, "\n== %s ==\n%s", stage, fn)
+	}
+	opt, err := t.optimizeFor(target, env.om, frame, kind)
+	t.onStage = nil
+	if err != nil {
+		return "", err
+	}
+	var verr *irverify.Error
+	if errors.As(opt.err, &verr) {
+		fmt.Fprintf(&b, "\n== rejected by the IR verifier ==\n%s\n", verr)
+		return b.String(), nil
+	}
 	for _, isa := range []machine.ISA{machine.ISAAmd64Like, machine.ISAArm32Like} {
-		cm, err := opt.Lower(isa)
+		cm, err := opt.lower(env.om, isa)
 		if err != nil {
 			return "", err
 		}

@@ -12,7 +12,6 @@ import (
 	"cogdiff/internal/jit"
 	"cogdiff/internal/machine"
 	"cogdiff/internal/metacompile"
-	"cogdiff/internal/telemetry"
 )
 
 // VerifyViolation is one static rejection from the compile-only sweep:
@@ -99,40 +98,15 @@ func (r *VerifySweepResult) Render() string {
 // serial sweep.
 func (c *Campaign) VerifyIR(ctx context.Context) (*VerifySweepResult, error) {
 	workers := c.workerCount()
-	reg := c.Config.Metrics
-	explorer := concolic.NewExplorer(c.Prims, c.exploreOptions())
-	tester := NewTester(c.Prims, c.Config.Defects)
-	tester.SetMetrics(reg)
-	c.panicsContained = reg.Counter(telemetry.MetricPanicsContained)
+	tester := c.setup()
 
-	// Step 1: explore every instruction, sharing cache entries with
-	// RunContext (same keys, same options).
+	// Step 1: explore every instruction through the campaign's explore
+	// step, so a sweep and a campaign share cache entries.
 	bcTargets := c.BytecodeTargets()
 	nmTargets := c.PrimitiveTargets()
 	allTargets := append(append([]concolic.Target{}, bcTargets...), nmTargets...)
-	explorations := make([]*concolic.Exploration, len(allTargets))
-	exKeys := make([]string, len(allTargets))
-	for i, t := range allTargets {
-		exKeys[i] = c.Config.Cache.ExplorationKey(t, c.exploreOptions())
-	}
-	if err := RunUnitsCtx(ctx, workers, len(allTargets), func(i int) {
-		if ex, ok := c.Config.Cache.LoadExploration(exKeys[i], allTargets[i]); ok {
-			explorations[i] = ex
-			return
-		}
-		contained := false
-		defer func() {
-			if p := recover(); p != nil {
-				c.panicsContained.Inc()
-				explorations[i] = &concolic.Exploration{Target: allTargets[i]}
-				contained = true
-			}
-			if !contained {
-				c.Config.Cache.StoreExploration(exKeys[i], explorations[i])
-			}
-		}()
-		explorations[i] = explorer.Explore(allTargets[i])
-	}); err != nil {
+	explorations, err := c.explore(ctx, allTargets)
+	if err != nil {
 		return nil, err
 	}
 	exByTarget := make(map[string]*concolic.Exploration, len(allTargets))

@@ -441,7 +441,7 @@ func (c *Cache) LoadExploration(key string, target concolic.Target) (*concolic.E
 }
 
 // StoreExploration serializes and stores one exploration as compact
-// JSON, the codec `cogdiff explore -o` writes indented.
+// JSON (concolic.MarshalExploration's codec, compacted).
 func (c *Cache) StoreExploration(key string, ex *concolic.Exploration) {
 	if c == nil || c.mode != ModeRW {
 		return

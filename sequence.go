@@ -4,70 +4,14 @@ import (
 	"fmt"
 
 	"cogdiff/internal/bytecode"
-	"cogdiff/internal/concolic"
 	"cogdiff/internal/core"
 	"cogdiff/internal/defects"
 	"cogdiff/internal/machine"
 	"cogdiff/internal/primitives"
 )
 
-// This file exposes the extension features: exploration caching and
-// byte-code sequence testing (the paper's future work).
-
-// ExploreJSON explores an instruction and serializes the result, so it
-// can be cached on disk and reused across processes (§5.4).
-func ExploreJSON(name string) ([]byte, error) {
-	target, prims, err := resolveTarget(name)
-	if err != nil {
-		return nil, err
-	}
-	explorer := concolic.NewExplorer(prims, concolic.DefaultOptions())
-	return concolic.MarshalExploration(explorer.Explore(target))
-}
-
-// TestInstructionCached differentially tests using a cached exploration
-// produced by ExploreJSON, skipping the concolic phase entirely.
-func TestInstructionCached(cached []byte, compiler string) (*InstructionResult, error) {
-	ex, err := concolic.UnmarshalExploration(cached)
-	if err != nil {
-		return nil, err
-	}
-	kind, err := compilerKindOf(compiler)
-	if err != nil {
-		return nil, err
-	}
-	prims := primitives.NewTable()
-	tester := core.NewTester(prims, defects.ProductionVM())
-	res := &InstructionResult{
-		Instruction: ex.Target.Name,
-		Compiler:    compiler,
-		Paths:       len(ex.Paths) + ex.CuratedOut,
-	}
-	for _, p := range ex.Paths {
-		curated := false
-		for _, isa := range []machine.ISA{machine.ISAAmd64Like, machine.ISAArm32Like} {
-			v := tester.TestPath(ex.Target, ex, p, kind, isa)
-			if !v.Skipped {
-				curated = true
-			}
-			if v.Differs {
-				fam := core.Classify(ex.Target, prims, v.InterpExit, v.Observed)
-				res.Differences = append(res.Differences, Difference{
-					Instruction: ex.Target.Name,
-					Compiler:    compiler,
-					ISA:         isa.String(),
-					Family:      fam.String(),
-					Cause:       v.Cause,
-					Detail:      v.Detail,
-				})
-			}
-		}
-		if curated {
-			res.Curated++
-		}
-	}
-	return res, nil
-}
+// This file exposes byte-code sequence testing (the paper's future
+// work).
 
 // Program is a byte-code method under construction for sequence testing.
 // It wraps the method builder with the subset of operations the public

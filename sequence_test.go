@@ -5,47 +5,6 @@ import (
 	"testing"
 )
 
-func TestExploreJSONRoundTrip(t *testing.T) {
-	data, err := ExploreJSON("primitiveAdd")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(data), "isSmallInteger") {
-		t.Fatal("cached exploration missing constraints")
-	}
-	res, err := TestInstructionCached(data, CompilerNativeMethods)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Instruction != "primitiveAdd" || res.Curated == 0 {
-		t.Fatalf("cached difftest wrong: %+v", res)
-	}
-	if len(res.Differences) != 0 {
-		t.Fatalf("primitiveAdd must agree: %v", res.Differences)
-	}
-
-	// The cached flow must find the same differences as the fresh flow.
-	cached, err := ExploreJSON("primitiveFloatAdd")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cres, err := TestInstructionCached(cached, CompilerNativeMethods)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fres, err := TestInstruction("primitiveFloatAdd", CompilerNativeMethods)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cres.Differences) != len(fres.Differences) {
-		t.Fatalf("cached found %d differences, fresh found %d", len(cres.Differences), len(fres.Differences))
-	}
-
-	if _, err := TestInstructionCached([]byte("{"), CompilerSimple); err == nil {
-		t.Fatal("garbage cache must error")
-	}
-}
-
 func TestProgramSequenceAPI(t *testing.T) {
 	// ^ (self max: arg) using explicit control flow
 	p := NewProgram("max:", 1).
