@@ -100,10 +100,12 @@ cache-smoke:
 
 # Raw-speed gates for the execution-core overhaul, measured on the machine
 # that runs them. The reuse layers must cut per-path allocations by at
-# least 63% against the fresh-boot architecture (TestPerPathAllocsReduction,
-# run uncached; 64.3-64.4% in five of five runs: 58.8 warm against 165
-# fresh), and a warm per-path test must stay at 61 allocations or fewer
-# (TestPerPathAllocsWarm). The serial campaign must finish within 269 ms,
+# least 65.5% against the fresh-boot architecture (TestPerPathAllocsReduction,
+# run uncached; 66.7% in three of three runs: 47.7 warm against 143.4
+# fresh), a warm per-path test must stay at 49 allocations or fewer
+# (TestPerPathAllocsWarm), and one compile of primAdd or of a fuzz-corpus
+# body must stay within 2 allocations of its measured count per variant
+# (TestCompileAllocs). The serial campaign must finish within 269 ms,
 # the pre-overhaul 1.345 s over the overhaul's 5x target: the median
 # wall time of three fresh GOMAXPROCS=1 processes, start-up included, so
 # parallelism can't mask a regression. Measured on a 2-vCPU VM over
@@ -112,6 +114,7 @@ perf-smoke:
 	rm -rf perf-smoke.tmp
 	mkdir -p perf-smoke.tmp
 	$(GO) test -count=1 -run '^TestPerPathAllocs(Reduction|Warm)$$' ./internal/core/
+	$(GO) test -count=1 -run '^TestCompileAllocs$$' ./internal/jit/
 	$(GO) build -o perf-smoke.tmp/cogdiff ./cmd/cogdiff
 	for i in 1 2 3; do \
 		start=$$(date +%s%N); \
@@ -194,8 +197,9 @@ metrics-smoke:
 # one worker run back to back and add up to no more than the duration
 # the campaign reports. The gate takes the median of the five and also
 # requires zero verifier violations in every run. Measured on a 2-vCPU
-# VM: medians of 3.8% and 4.5% over two sets of twenty fresh runs (single
-# runs 2.8-7.2%), and 4.0-4.6% in three gate runs; the headroom is small.
+# VM: a median of 4.1% over 21 fresh runs (single runs 3.0-5.0%; 4.5%
+# and 3.7-5.9% in the same interleaved set before native templates
+# shared the verified-clean cache), and 3.3-4.0% in three gate runs.
 verify-smoke:
 	rm -rf verify-smoke.tmp
 	mkdir -p verify-smoke.tmp

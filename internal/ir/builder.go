@@ -71,7 +71,10 @@ func (b *Builder) Ret() *Builder            { return b.Emit(Instr{Op: OpcRet}) }
 func (b *Builder) Brk(id int64) *Builder    { return b.Emit(Instr{Op: OpcBrk, Imm: id}) }
 
 // Finish validates the function: duplicate labels and jumps to undefined
-// labels are front-end bugs caught here, before any pass runs.
+// labels are front-end bugs caught here, before any pass runs. The
+// builder's slice is handed off to the function rather than copied, as
+// the machine assembler's Finish does, so the builder must not be reused
+// after.
 func (b *Builder) Finish() (*Fn, error) {
 	if len(b.errs) > 0 {
 		return nil, b.errs[0]
@@ -81,7 +84,7 @@ func (b *Builder) Finish() (*Fn, error) {
 			return nil, fmt.Errorf("ir: undefined label %q", ins.Sym)
 		}
 	}
-	out := make([]Instr, len(b.instrs))
-	copy(out, b.instrs)
+	out := b.instrs
+	b.instrs = nil
 	return &Fn{Instrs: out}, nil
 }

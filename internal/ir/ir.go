@@ -5,7 +5,8 @@
 //	front-end (internal/jit)  parses byte-code or native-method
 //	                          templates into an ir.Fn
 //	passes (this package)     transform the Fn — each pass is a pure
-//	                          func(*Fn) *Fn, deterministic and cheap
+//	                          func(*Fn) *Fn, deterministic and cheap,
+//	                          that returns its input when nothing applies
 //	back-end (internal/machine.Lower)
 //	                          maps virtual registers onto a physical
 //	                          pool and assembles per-ISA machine code
@@ -241,8 +242,9 @@ type Fn struct {
 	Instrs []Instr
 }
 
-// Clone deep-copies the function. Passes transform clones, never their
-// input — the pipeline's purity contract.
+// Clone deep-copies the function, for a caller that must change a
+// function it does not own. Passes do not clone: they never write their
+// input, and copy it only when a rewrite applies.
 func (f *Fn) Clone() *Fn {
 	out := &Fn{Name: f.Name, Instrs: make([]Instr, len(f.Instrs))}
 	copy(out.Instrs, f.Instrs)

@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -192,20 +193,52 @@ func TestPeephole(t *testing.T) {
 	}
 }
 
+// TestPassesArePure pins the pass contract the pipeline's stage record
+// rests on: a pass never writes its input, returns that very input when
+// no rewrite applies, and a new function otherwise.
 func TestPassesArePure(t *testing.T) {
-	b := NewBuilder()
-	b.MovI(V(0), 1)
-	b.MovI(V(1), 2)
-	b.Bin(OpcAdd, V(2), V(0), V(1))
-	b.Push(V(2))
-	b.Pop(V(3))
-	b.Ret()
-	fn := mustFinish(t, b)
-	before := fn.String()
-	for _, p := range []Pass{ConstFold(false), DeadPushPop(), Peephole(false)} {
-		p.Run(fn)
-		if fn.String() != before {
-			t.Fatalf("pass %s mutated its input", p.Name)
+	for _, c := range []struct {
+		pass          Pass
+		applies, idle func(*Builder)
+	}{
+		{ConstFold(false),
+			func(b *Builder) { b.MovI(V(0), 1); b.MovI(V(1), 2); b.Bin(OpcAdd, V(2), V(0), V(1)) },
+			func(b *Builder) { b.Load(V(0), FP, 1); b.BinI(OpcAddI, V(1), V(0), 1) }},
+		{ConstFold(true),
+			func(b *Builder) { b.MovI(V(0), 1); b.BinI(OpcSubI, V(1), V(0), 1) },
+			func(b *Builder) { b.MovI(V(0), 1); b.Label("join"); b.BinI(OpcSubI, V(1), V(0), 1) }},
+		{DeadPushPop(),
+			func(b *Builder) { b.Push(V(0)); b.Pop(V(1)) },
+			func(b *Builder) { b.Push(V(0)); b.MovI(V(1), 2); b.Pop(V(1)) }},
+		{Peephole(false),
+			func(b *Builder) { b.MovR(V(0), V(1)); b.MovR(V(2), V(2)) },
+			func(b *Builder) { b.MovR(V(0), V(1)); b.BinI(OpcAndI, V(2), V(2), 0) }},
+		{Peephole(true),
+			func(b *Builder) { b.Push(V(0)); b.Pop(V(1)) },
+			func(b *Builder) { b.Push(V(0)); b.MovR(V(1), V(0)) }},
+	} {
+		for _, applies := range []bool{false, true} {
+			b := NewBuilder()
+			if applies {
+				c.applies(b)
+			} else {
+				c.idle(b)
+			}
+			b.Ret()
+			fn := mustFinish(t, b)
+			before := slices.Clone(fn.Instrs)
+			out := c.pass.Run(fn)
+			if !slices.Equal(fn.Instrs, before) {
+				t.Fatalf("pass %s mutated its input", c.pass.Name)
+			}
+			switch {
+			case !applies && out != fn:
+				t.Errorf("pass %s changed nothing but did not return its input", c.pass.Name)
+			case applies && out == fn:
+				t.Errorf("pass %s rewrote its input in place", c.pass.Name)
+			case applies && slices.Equal(out.Instrs, fn.Instrs):
+				t.Errorf("pass %s returned a new function that changes nothing", c.pass.Name)
+			}
 		}
 	}
 }

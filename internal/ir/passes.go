@@ -1,19 +1,13 @@
 package ir
 
 // A Pass is one deterministic IR-to-IR transformation. Run must be pure:
-// it clones its input and never mutates it, so the pipeline can keep
-// every stage's output for the blame machinery to run.
+// it never mutates its input. When no rewrite applies it returns its
+// input itself, and otherwise exactly one new function, so the pipeline
+// can keep every stage's output for the blame machinery to run and tell
+// an unchanged stage by pointer alone.
 type Pass struct {
 	Name string
 	Run  func(*Fn) *Fn
-}
-
-// RunPipeline applies passes in order and returns the final function.
-func RunPipeline(f *Fn, passes []Pass) *Fn {
-	for _, p := range passes {
-		f = p.Run(f)
-	}
-	return f
 }
 
 // foldBin evaluates a register-register ALU opcode on two known
@@ -82,43 +76,55 @@ func foldBinI(op Opc, a, imm int64, signError bool) int64 {
 // folding them would require branch rewriting.
 func ConstFold(signError bool) Pass {
 	return Pass{Name: "constfold", Run: func(f *Fn) *Fn {
-		out := f.Clone()
-		known := make(map[Reg]int64)
-		for i := range out.Instrs {
-			ins := &out.Instrs[i]
+		// known[r] holds r's constant while stamp[r] == gen; bumping gen
+		// forgets every register at once. gen grows at most once per
+		// instruction, so it cannot wrap back to a live stamp.
+		var known [256]int64
+		var stamp [256]uint32
+		gen := uint32(1)
+		set := func(r Reg, c int64) { known[r], stamp[r] = c, gen }
+		get := func(r Reg) (int64, bool) { return known[r], stamp[r] == gen }
+		kill := func(r Reg) { stamp[r] = 0 }
+
+		var out []Instr // nil until the first fold
+		fold := func(i int, rd Reg, c int64) {
+			if out == nil {
+				out = make([]Instr, len(f.Instrs))
+				copy(out, f.Instrs)
+			}
+			out[i] = Instr{Op: OpcMovI, Rd: rd, Imm: c}
+			set(rd, c)
+		}
+		for i := range f.Instrs {
+			ins := &f.Instrs[i]
 			switch ins.Op {
 			case OpcLabel:
 				// Control may arrive here from any jump; forget everything.
-				known = make(map[Reg]int64)
+				gen++
 			case OpcCall, OpcCallR:
 				// The callee (trampoline) clobbers the register file.
-				known = make(map[Reg]int64)
+				gen++
 			case OpcMovI:
-				known[ins.Rd] = ins.Imm
+				set(ins.Rd, ins.Imm)
 			case OpcMovR:
-				if c, ok := known[ins.Rs1]; ok {
-					*ins = Instr{Op: OpcMovI, Rd: ins.Rd, Imm: c}
-					known[ins.Rd] = c
+				if c, ok := get(ins.Rs1); ok {
+					fold(i, ins.Rd, c)
 				} else {
-					delete(known, ins.Rd)
+					kill(ins.Rd)
 				}
 			case OpcAdd, OpcSub, OpcMul, OpcAnd, OpcOr, OpcXor, OpcShl, OpcShr, OpcSar:
-				a, aok := known[ins.Rs1]
-				b, bok := known[ins.Rs2]
+				a, aok := get(ins.Rs1)
+				b, bok := get(ins.Rs2)
 				if aok && bok {
-					c := foldBin(ins.Op, a, b, signError)
-					*ins = Instr{Op: OpcMovI, Rd: ins.Rd, Imm: c}
-					known[ins.Rd] = c
+					fold(i, ins.Rd, foldBin(ins.Op, a, b, signError))
 				} else {
-					delete(known, ins.Rd)
+					kill(ins.Rd)
 				}
 			case OpcAddI, OpcSubI, OpcAndI, OpcOrI, OpcShlI, OpcSarI:
-				if a, ok := known[ins.Rs1]; ok {
-					c := foldBinI(ins.Op, a, ins.Imm, signError)
-					*ins = Instr{Op: OpcMovI, Rd: ins.Rd, Imm: c}
-					known[ins.Rd] = c
+				if a, ok := get(ins.Rs1); ok {
+					fold(i, ins.Rd, foldBinI(ins.Op, a, ins.Imm, signError))
 				} else {
-					delete(known, ins.Rd)
+					kill(ins.Rd)
 				}
 			case OpcCmp, OpcFCmp:
 				// Flags only; no register changes.
@@ -126,17 +132,20 @@ func ConstFold(signError bool) Pass {
 				// Flags only — but the fixed-width back-end may materialize
 				// a large immediate through the scratch register, so its
 				// content is not portable across compares.
-				delete(known, ScratchReg)
+				kill(ScratchReg)
 			case OpcPush, OpcStore, OpcStoreX, OpcBrk, OpcNop, OpcRet, OpcHlt,
 				OpcJmp, OpcJeq, OpcJne, OpcJlt, OpcJle, OpcJgt, OpcJge:
 				// No register definition.
 			default:
 				// Div, Mod, loads, pops, floats, allocations: never folded,
 				// the destination becomes unknown.
-				delete(known, ins.Rd)
+				kill(ins.Rd)
 			}
 		}
-		return out
+		if out == nil {
+			return f
+		}
+		return &Fn{Name: f.Name, Instrs: out}
 	}}
 }
 
@@ -149,35 +158,47 @@ func ConstFold(signError bool) Pass {
 // fixpoint so pairs exposed by earlier removals are caught.
 func DeadPushPop() Pass {
 	return Pass{Name: "deadpushpop", Run: func(f *Fn) *Fn {
-		out := f.Clone()
+		var out []Instr // nil until the first rewrite
+		in, w := f.Instrs, 0
 		for {
+			// One sweep reads in and writes out[:w]. Rewrites only
+			// shrink the list, so once the first sweep has allocated out,
+			// later sweeps compact it in place: w never passes the read
+			// index, and the pair being matched is read before it.
 			changed := false
-			next := make([]Instr, 0, len(out.Instrs))
-			for i := 0; i < len(out.Instrs); i++ {
-				ins := out.Instrs[i]
-				if ins.Op == OpcPush && i+1 < len(out.Instrs) {
-					nx := out.Instrs[i+1]
-					if nx.Op == OpcPop {
-						if nx.Rd != ins.Rs1 {
-							next = append(next, Instr{Op: OpcMovR, Rd: nx.Rd, Rs1: ins.Rs1})
+			w = 0
+			for i := 0; i < len(in); i++ {
+				ins := in[i]
+				if ins.Op == OpcPush && i+1 < len(in) {
+					nx := in[i+1]
+					if nx.Op == OpcPop || nx.Op == OpcAddI && nx.Rd == SP && nx.Rs1 == SP && nx.Imm == 1 {
+						if out == nil {
+							out = make([]Instr, len(in))
+							w = copy(out, in[:i])
+						}
+						if nx.Op == OpcPop && nx.Rd != ins.Rs1 {
+							out[w] = Instr{Op: OpcMovR, Rd: nx.Rd, Rs1: ins.Rs1}
+							w++
 						}
 						i++
 						changed = true
 						continue
 					}
-					if nx.Op == OpcAddI && nx.Rd == SP && nx.Rs1 == SP && nx.Imm == 1 {
-						i++
-						changed = true
-						continue
-					}
 				}
-				next = append(next, ins)
+				if out != nil {
+					out[w] = ins
+					w++
+				}
 			}
-			out.Instrs = next
 			if !changed {
-				return out
+				break
 			}
+			in = out[:w]
 		}
+		if out == nil {
+			return f
+		}
+		return &Fn{Name: f.Name, Instrs: out[:w]}
 	}}
 }
 
@@ -192,26 +213,33 @@ func DeadPushPop() Pass {
 // which the IR verifier's pass-effect check rejects before execution.
 func Peephole(dropPop bool) Pass {
 	return Pass{Name: "peephole", Run: func(f *Fn) *Fn {
-		out := f.Clone()
-		next := make([]Instr, 0, len(out.Instrs))
+		var out []Instr // nil until the first deletion
 		dropped := false
-		for i, ins := range out.Instrs {
+		for i := range f.Instrs {
+			ins := &f.Instrs[i]
 			switch {
 			case dropPop && !dropped && ins.Op == OpcPop:
 				dropped = true
-				continue
 			case ins.Op == OpcMovR && ins.Rd == ins.Rs1:
-				continue
-			case isIdentityBinI(ins):
-				continue
-			case ins.IsJump() && i+1 < len(out.Instrs) &&
-				out.Instrs[i+1].Op == OpcLabel && out.Instrs[i+1].Sym == ins.Sym:
+			case isIdentityBinI(*ins):
+			case ins.IsJump() && i+1 < len(f.Instrs) &&
+				f.Instrs[i+1].Op == OpcLabel && f.Instrs[i+1].Sym == ins.Sym:
+			default:
+				if out != nil {
+					out = append(out, *ins)
+				}
 				continue
 			}
-			next = append(next, ins)
+			// ins is deleted.
+			if out == nil {
+				out = make([]Instr, i, len(f.Instrs)-1)
+				copy(out, f.Instrs[:i])
+			}
 		}
-		out.Instrs = next
-		return out
+		if out == nil {
+			return f
+		}
+		return &Fn{Name: f.Name, Instrs: out}
 	}}
 }
 

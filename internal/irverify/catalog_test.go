@@ -1,6 +1,7 @@
 package irverify_test
 
 import (
+	"slices"
 	"testing"
 
 	"cogdiff/internal/bytecode"
@@ -131,17 +132,27 @@ func sweepCatalog(t testing.TB, sw defects.Switches, visit func(name string, opt
 	}
 }
 
+// sameInstrs reports whether two functions carry instruction-identical
+// bodies: the oracle for the passes' identity contract.
+func sameInstrs(a, b *ir.Fn) bool { return slices.Equal(a.Instrs, b.Instrs) }
+
 // TestCatalogStagesMatchReference sweeps every stage IR of every catalog
 // compile through the kernel and the frozen reference: each stage's rule
-// verdict and each pass's effect must be identical. The stack-leak defect
-// is swept too, so the violation paths are compared, not only clean ones.
+// verdict and each pass's effect must be identical. The stack-leak and
+// constant-fold defects are swept too, so the violation paths are
+// compared, not only clean ones. The sweep also holds every pass to its
+// identity contract: a pass returns its input exactly when it leaves the
+// instructions unchanged, which is what lets the Backend tell a changed
+// stage by pointer.
 func TestCatalogStagesMatchReference(t *testing.T) {
 	if testing.Short() {
 		t.Skip("whole-catalog sweep skipped in -short mode")
 	}
 	leak := defects.ProductionVM()
 	leak.VerifyStackLeak = true
-	for _, sw := range []defects.Switches{defects.ProductionVM(), leak} {
+	signError := defects.ProductionVM()
+	signError.ConstFoldSignError = true
+	for _, sw := range []defects.Switches{defects.ProductionVM(), leak, signError} {
 		compiles, checked := 0, 0
 		sweepCatalog(t, sw, func(name string, opts irverify.Options, stages []*ir.Fn) {
 			compiles++
@@ -149,6 +160,10 @@ func TestCatalogStagesMatchReference(t *testing.T) {
 				var prev *ir.Fn
 				if k > 0 {
 					prev = stages[k-1]
+					if (fn == prev) != sameInstrs(prev, fn) {
+						t.Fatalf("%s stage %d: returned its input %v, instructions unchanged %v",
+							name, k, fn == prev, sameInstrs(prev, fn))
+					}
 				}
 				if err := irverify.MatchReference(opts, prev, fn); err != nil {
 					t.Fatalf("%s stage %d: %v", name, k, err)
@@ -159,7 +174,8 @@ func TestCatalogStagesMatchReference(t *testing.T) {
 		if compiles < 2000 {
 			t.Fatalf("swept only %d compiles", compiles)
 		}
-		t.Logf("VerifyStackLeak=%v: %d compiles, %d stages match the reference", sw.VerifyStackLeak, compiles, checked)
+		t.Logf("VerifyStackLeak=%v ConstFoldSignError=%v: %d compiles, %d stages match the reference",
+			sw.VerifyStackLeak, sw.ConstFoldSignError, compiles, checked)
 	}
 }
 

@@ -3,24 +3,26 @@ package jit
 import (
 	"time"
 
-	"cogdiff/internal/defects"
 	"cogdiff/internal/ir"
 	"cogdiff/internal/irverify"
 	"cogdiff/internal/machine"
 )
 
-// Backend is the shared tail of every byte-code compilation. It runs in
-// two steps. Optimize is ISA-independent: it validates the front-end's
-// IR, runs the variant's pass pipeline under the static verifier, and
-// reports post-pipeline opcodes to the coverage hook. Optimized.Lower
-// then lowers and encodes that IR for one ISA, so a caller testing a
-// unit on several ISAs optimizes once and lowers once per ISA. The
-// Backend exists so front-ends outside this package (the meta-compiled
-// front-end of internal/metacompile) flow through exactly the same
-// pipeline, stage record, and telemetry as the hand-written Cogits.
+// Backend is the shared tail of every compilation. It runs in two
+// steps. Optimize is ISA-independent: it validates the front-end's IR,
+// runs the pass pipeline under the static verifier, and reports
+// post-pipeline opcodes to the coverage hook. Optimized.Lower then
+// lowers and encodes that IR for one ISA, so a caller testing a unit on
+// several ISAs optimizes once and lowers once per ISA. The Backend
+// exists so every front-end — the hand-written Cogits, the native
+// templates and the meta-compiled front-end of internal/metacompile —
+// flows through exactly the same pipeline, verifier, stage record, and
+// telemetry.
 type Backend struct {
-	Variant Variant
-	Defects defects.Switches
+	// Passes is the pass pipeline, PipelineFor's shared slice for the
+	// front-end's variant and defect switches; native templates run
+	// none.
+	Passes  []ir.Pass
 	Metrics *PassMetrics
 	OnIR    func(ir.Opc)
 	OnStage func(stage string, fn *ir.Fn)
@@ -50,9 +52,10 @@ type Optimized struct {
 	Fn *ir.Fn
 	// Stages records the pipeline's distinct IRs in order: the front-end's
 	// output, then the output of every pass that changed its input. The
-	// last stage's Fn is Fn. Passes are pure, so these are the pipeline's
-	// own values, not copies. Pass-level blame lowers them one by one
-	// instead of re-running the pipeline per prefix.
+	// last stage's Fn is Fn. A pass returns its input when it changes
+	// nothing and never writes it, so these are the pipeline's own
+	// values, not copies. Pass-level blame lowers them one by one instead
+	// of re-running the pipeline per prefix.
 	Stages    []Stage
 	Selectors []Selector
 	NumTemps  int
@@ -181,20 +184,6 @@ func (sv *stageVerifier) done(t0 time.Time, violations int) {
 	}
 }
 
-// sameInstrs reports whether two functions carry instruction-identical
-// bodies.
-func sameInstrs(a, b *ir.Fn) bool {
-	if len(a.Instrs) != len(b.Instrs) {
-		return false
-	}
-	for i := range a.Instrs {
-		if a.Instrs[i] != b.Instrs[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Optimize runs the ISA-independent half of compilation over the built
 // IR: the front-end stage, the pass pipeline, the verifier after every
 // stage, and the coverage hook over the final IR. It records every
@@ -207,8 +196,7 @@ func (bk *Backend) Optimize(b *ir.Builder, selectors []Selector, numTemps int) (
 	if bk.OnStage != nil {
 		bk.OnStage("front-end", fn)
 	}
-	passes := PipelineFor(bk.Variant, bk.Defects)
-	stages := make([]Stage, 1, 1+len(passes))
+	stages := make([]Stage, 1, 1+len(bk.Passes))
 	stages[0] = Stage{Fn: fn}
 	var sv *stageVerifier
 	if !bk.NoVerify {
@@ -217,7 +205,7 @@ func (bk *Backend) Optimize(b *ir.Builder, selectors []Selector, numTemps int) (
 			return nil, err
 		}
 	}
-	for _, p := range passes {
+	for _, p := range bk.Passes {
 		var out *ir.Fn
 		if bk.Metrics != nil {
 			t0 := time.Now() //cogdiff:allow-nondeterminism compile timing feeds telemetry histograms only
@@ -229,10 +217,10 @@ func (bk *Backend) Optimize(b *ir.Builder, selectors []Selector, numTemps int) (
 		if bk.OnStage != nil {
 			bk.OnStage(p.Name, out)
 		}
-		if sameInstrs(fn, out) {
-			// A pass that changed nothing preserved every invariant of its
-			// verified input, which stands as its verdict: counted as a
-			// verifier run that did no work.
+		if out == fn {
+			// A pass that changed nothing returned its verified input,
+			// whose verdict stands: counted as a verifier run that did
+			// no work.
 			if sv != nil {
 				bk.Metrics.observeVerify(0, 0)
 			}

@@ -2,6 +2,7 @@ package jit
 
 import (
 	"fmt"
+	"strconv"
 
 	"cogdiff/internal/bytecode"
 	"cogdiff/internal/defects"
@@ -43,7 +44,7 @@ type Cogit struct {
 	spilled     int
 	alloc       regAllocator
 	selectors   []Selector
-	selectorIdx map[string]int64
+	selectorIdx map[Selector]int64
 	labelSeq    int
 	numTemps    int
 	usesJump    bool
@@ -64,15 +65,15 @@ func (c *Cogit) reset() {
 	c.ss = c.ss[:0]
 	c.spilled = 0
 	c.selectors = nil
-	c.selectorIdx = make(map[string]int64)
+	c.selectorIdx = nil
 	c.labelSeq = 0
 	c.usesJump = false
 	c.methodJumpLabel = ""
 	c.err = nil
 	if c.Variant == RegisterAllocatingCogit {
-		c.alloc = newLinearAllocator()
+		c.alloc = &linearAllocator{}
 	} else {
-		c.alloc = newFixedAllocator()
+		c.alloc = &fixedAllocator{}
 	}
 }
 
@@ -84,19 +85,22 @@ func (c *Cogit) fail(format string, args ...any) {
 
 func (c *Cogit) newLabel(prefix string) string {
 	c.labelSeq++
-	return fmt.Sprintf("%s_%d", prefix, c.labelSeq)
+	return prefix + "_" + strconv.Itoa(c.labelSeq)
 }
 
 // addSelector interns a send site and returns its identifier. The map
 // makes interning O(1) per site; the slice keeps identifiers stable and
 // dense for the trampoline's SelectorAt lookup.
 func (c *Cogit) addSelector(name string, numArgs int) int64 {
-	key := fmt.Sprintf("%s/%d", name, numArgs)
+	key := Selector{Name: name, NumArgs: numArgs}
 	if id, ok := c.selectorIdx[key]; ok {
 		return id
 	}
+	if c.selectorIdx == nil {
+		c.selectorIdx = make(map[Selector]int64)
+	}
 	id := int64(len(c.selectors))
-	c.selectors = append(c.selectors, Selector{Name: name, NumArgs: numArgs})
+	c.selectors = append(c.selectors, key)
 	c.selectorIdx[key] = id
 	return id
 }
@@ -316,14 +320,20 @@ func (c *Cogit) OptimizeBytecode(m *bytecode.Method, inputStack []heap.Word) (*O
 	return c.finish()
 }
 
-// pool returns the physical registers lowering assigns to the variant's
-// virtual registers — the same registers (in the same order) each
-// variant's allocator used to hand out directly.
+// The physical registers lowering assigns to each variant's virtual
+// registers — the same registers (in the same order) each variant's
+// allocator used to hand out directly. Lowering only reads them.
+var (
+	linearPool = []machine.Reg{machine.R1, machine.R2, machine.R3, machine.TempReg, machine.ExtraReg}
+	fixedPool  = []machine.Reg{machine.TempReg, machine.ExtraReg, machine.R1}
+)
+
+// pool returns the variant's register pool.
 func (c *Cogit) pool() []machine.Reg {
 	if c.Variant == RegisterAllocatingCogit {
-		return []machine.Reg{machine.R1, machine.R2, machine.R3, machine.TempReg, machine.ExtraReg}
+		return linearPool
 	}
-	return []machine.Reg{machine.TempReg, machine.ExtraReg, machine.R1}
+	return fixedPool
 }
 
 // finish runs the ISA-independent tail of compilation through the shared
@@ -331,8 +341,7 @@ func (c *Cogit) pool() []machine.Reg {
 // the post-pipeline opcodes to the coverage hook.
 func (c *Cogit) finish() (*Optimized, error) {
 	bk := &Backend{
-		Variant:  c.Variant,
-		Defects:  c.Defects,
+		Passes:   PipelineFor(c.Variant, c.Defects),
 		Metrics:  c.Metrics,
 		OnIR:     c.OnIR,
 		OnStage:  c.OnStage,

@@ -2,6 +2,7 @@ package jit
 
 import (
 	"fmt"
+	"strconv"
 
 	"cogdiff/internal/bytecode"
 	"cogdiff/internal/heap"
@@ -16,7 +17,7 @@ import (
 // basic-block boundary so all incoming edges agree on the frame state.
 
 // pcLabel names the machine label of a byte-code offset.
-func pcLabel(pc int) string { return fmt.Sprintf("bc_%d", pc) }
+func pcLabel(pc int) string { return "bc_" + strconv.Itoa(pc) }
 
 // jumpTargets collects the byte-code offsets that are jump targets.
 func jumpTargets(m *bytecode.Method) (map[int]bool, error) {

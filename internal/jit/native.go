@@ -1,13 +1,11 @@
 package jit
 
 import (
-	"fmt"
-	"time"
+	"strconv"
 
 	"cogdiff/internal/defects"
 	"cogdiff/internal/heap"
 	"cogdiff/internal/ir"
-	"cogdiff/internal/irverify"
 	"cogdiff/internal/machine"
 	"cogdiff/internal/primitives"
 )
@@ -47,7 +45,7 @@ func NewNativeMethodCompiler(isa machine.ISA, om *heap.ObjectMemory, sw defects.
 
 func (n *NativeMethodCompiler) label(prefix string) string {
 	n.seq++
-	return fmt.Sprintf("%s_%d", prefix, n.seq)
+	return prefix + "_" + strconv.Itoa(n.seq)
 }
 
 // fallthroughLabel is where every failing check jumps; CompileNativeMethod
@@ -81,30 +79,13 @@ func (n *NativeMethodCompiler) OptimizeNativeMethod(p *primitives.Primitive) (*O
 	return n.finish()
 }
 
-// finish verifies the template IR: native templates run no optimization
-// passes and use no virtual registers, so the pool is nil.
+// finish verifies the template IR through the shared Backend, which
+// also serves it from the verified-clean cache: native templates run no
+// optimization passes and use no virtual registers, so the pipeline and
+// the pool are nil.
 func (n *NativeMethodCompiler) finish() (*Optimized, error) {
-	fn, err := n.b.Finish()
-	if err != nil {
-		return nil, err
-	}
-	if n.OnStage != nil {
-		n.OnStage("front-end", fn)
-	}
-	if !n.NoVerify {
-		var t0 time.Time
-		if n.Metrics != nil {
-			t0 = time.Now() //cogdiff:allow-nondeterminism compile timing feeds telemetry histograms only
-		}
-		vs := (irverify.Options{}).Verify(fn)
-		if n.Metrics != nil {
-			n.Metrics.observeVerify(time.Since(t0), len(vs)) //cogdiff:allow-nondeterminism compile timing feeds telemetry histograms only
-		}
-		if len(vs) > 0 {
-			return nil, &irverify.Error{Stage: "front-end", Violations: vs}
-		}
-	}
-	return &Optimized{Fn: fn, Stages: []Stage{{Fn: fn}}, metrics: n.Metrics}, nil
+	bk := &Backend{Metrics: n.Metrics, OnStage: n.OnStage, NoVerify: n.NoVerify}
+	return bk.Optimize(n.b, nil, 0)
 }
 
 // ---- shared shapes ----

@@ -5,36 +5,39 @@ import (
 	"cogdiff/internal/ir"
 )
 
-// The pass pipeline table: each byte-code variant registers the pass
-// constructors it runs between its front-end and lowering. Constructors
-// take the defect switches so pass-targeted defects (the deliberately
-// unsound constant fold) can be injected per campaign configuration.
-//
-// All three byte-code variants currently share one pipeline; the native
-// method compiler runs none (its templates are already shaped). Order
-// matters: dead-push/pop elimination first turns the simple variant's
-// materialize-and-reload traffic into register moves that constant
-// folding can then see through.
-var pipelineTable = map[Variant][]func(defects.Switches) ir.Pass{
-	SimpleStackBasedCogit:   standardPasses,
-	StackToRegisterCogit:    standardPasses,
-	RegisterAllocatingCogit: standardPasses,
-	MetaJITCogit:            standardPasses,
+// standardPipeline builds the pass pipeline every byte-code variant runs
+// between its front-end and lowering; the native method compiler runs
+// none (its templates are already shaped). The two switches inject the
+// pass-targeted defects. Order matters: dead-push/pop elimination first
+// turns the simple variant's materialize-and-reload traffic into
+// register moves that constant folding can then see through.
+func standardPipeline(constFoldSignError, verifyStackLeak bool) []ir.Pass {
+	return []ir.Pass{ir.DeadPushPop(), ir.ConstFold(constFoldSignError), ir.Peephole(verifyStackLeak)}
 }
 
-var standardPasses = []func(defects.Switches) ir.Pass{
-	func(defects.Switches) ir.Pass { return ir.DeadPushPop() },
-	func(sw defects.Switches) ir.Pass { return ir.ConstFold(sw.ConstFoldSignError) },
-	func(sw defects.Switches) ir.Pass { return ir.Peephole(sw.VerifyStackLeak) },
+// standardPipelines holds standardPipeline built once per setting of the
+// only two defect switches that reach a pass, indexed by
+// ConstFoldSignError, then VerifyStackLeak.
+var standardPipelines = [2][2][]ir.Pass{
+	{standardPipeline(false, false), standardPipeline(false, true)},
+	{standardPipeline(true, false), standardPipeline(true, true)},
 }
 
-// PipelineFor instantiates the variant's registered pass pipeline under
-// the given defect switches.
+// PipelineFor returns the variant's pass pipeline under the given defect
+// switches. The slice is built once and shared, so callers must not
+// modify it.
 func PipelineFor(v Variant, sw defects.Switches) []ir.Pass {
-	ctors := pipelineTable[v]
-	passes := make([]ir.Pass, 0, len(ctors))
-	for _, mk := range ctors {
-		passes = append(passes, mk(sw))
+	switch v {
+	case SimpleStackBasedCogit, StackToRegisterCogit, RegisterAllocatingCogit, MetaJITCogit:
+		return standardPipelines[switchIndex(sw.ConstFoldSignError)][switchIndex(sw.VerifyStackLeak)]
 	}
-	return passes
+	return nil
+}
+
+// switchIndex maps a switch to its pipeline-table index.
+func switchIndex(on bool) int {
+	if on {
+		return 1
+	}
+	return 0
 }

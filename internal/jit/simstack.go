@@ -42,76 +42,60 @@ type regAllocator interface {
 	// exhausted (the Cogit then spills the simulation stack and retries).
 	alloc() (ir.Reg, bool)
 	free(r ir.Reg)
-	reset()
 }
 
 // fixedAllocator is the StackToRegisterCogit policy: a fixed rotation
 // over a small virtual-register pool, spilling eagerly when all are
 // live. Lowering maps the virtuals onto the variant's physical pool.
+// inUse[n] tracks V(n).
 type fixedAllocator struct {
-	inUse map[ir.Reg]bool
-}
-
-func newFixedAllocator() *fixedAllocator {
-	return &fixedAllocator{inUse: make(map[ir.Reg]bool)}
+	inUse [3]bool
 }
 
 func (a *fixedAllocator) alloc() (ir.Reg, bool) {
-	for _, r := range []ir.Reg{ir.V(0), ir.V(1), ir.V(2)} {
-		if !a.inUse[r] {
-			a.inUse[r] = true
-			return r, true
+	for n, used := range a.inUse {
+		if !used {
+			a.inUse[n] = true
+			return ir.V(n), true
 		}
 	}
 	return 0, false
 }
 
-func (a *fixedAllocator) free(r ir.Reg) { delete(a.inUse, r) }
-func (a *fixedAllocator) reset()        { a.inUse = make(map[ir.Reg]bool) }
+func (a *fixedAllocator) free(r ir.Reg) {
+	if n := r.VirtualIndex(); r.IsVirtual() && n < len(a.inUse) {
+		a.inUse[n] = false
+	}
+}
 
 // linearAllocator is the RegisterAllocatingCogit policy: a linear scan
 // over the byte-code keeps a wider pool live and reuses the least recently
-// released register, reducing spills.
+// released register, reducing spills. Index n of each array tracks V(n).
 type linearAllocator struct {
-	pool  []ir.Reg
-	inUse map[ir.Reg]bool
-	// order tracks allocation sequence for deterministic linear reuse.
+	inUse [5]bool
+	// birth records allocation sequence for deterministic linear reuse.
+	birth [5]int
 	seq   int
-	birth map[ir.Reg]int
-}
-
-func newLinearAllocator() *linearAllocator {
-	return &linearAllocator{
-		pool:  []ir.Reg{ir.V(0), ir.V(1), ir.V(2), ir.V(3), ir.V(4)},
-		inUse: make(map[ir.Reg]bool),
-		birth: make(map[ir.Reg]int),
-	}
 }
 
 func (a *linearAllocator) alloc() (ir.Reg, bool) {
-	var best ir.Reg
-	bestBirth := -1
-	found := false
-	for _, r := range a.pool {
-		if a.inUse[r] {
-			continue
-		}
-		if !found || a.birth[r] < bestBirth {
-			best, bestBirth, found = r, a.birth[r], true
+	best := -1
+	for n, used := range a.inUse {
+		if !used && (best < 0 || a.birth[n] < a.birth[best]) {
+			best = n
 		}
 	}
-	if !found {
+	if best < 0 {
 		return 0, false
 	}
 	a.seq++
 	a.inUse[best] = true
 	a.birth[best] = a.seq
-	return best, true
+	return ir.V(best), true
 }
 
-func (a *linearAllocator) free(r ir.Reg) { delete(a.inUse, r) }
-func (a *linearAllocator) reset() {
-	a.inUse = make(map[ir.Reg]bool)
-	a.birth = make(map[ir.Reg]int)
-	a.seq = 0
+func (a *linearAllocator) free(r ir.Reg) {
+	if n := r.VirtualIndex(); r.IsVirtual() && n < len(a.inUse) {
+		a.inUse[n] = false
+	}
 }

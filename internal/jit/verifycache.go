@@ -58,10 +58,14 @@ func recordVerifiedClean(k verifyKey) {
 	verifyCache.Unlock()
 }
 
-// hashFn computes a 128-bit FNV-1a content hash over every field of
-// every instruction. Two functions with equal hashes are, for the
-// cache's purposes, the same function; 128 bits keeps the collision
-// probability negligible against the verifier's soundness claim.
+// hashFn computes a 128-bit FNV-1a-style content hash over every field
+// of every instruction, a 64-bit word per round: one header word packing
+// the opcode, the three registers and the label's length, the
+// immediate, then the label eight bytes at a time. The length precedes
+// the bytes, so the encoding is injective. Two functions with equal
+// hashes are, for the cache's purposes, the same function; 128 bits
+// keeps the collision probability negligible against the verifier's
+// soundness claim.
 func hashFn(fn *ir.Fn) (lo, hi uint64) {
 	const (
 		offset64 = 14695981039346656037
@@ -75,12 +79,20 @@ func hashFn(fn *ir.Fn) (lo, hi uint64) {
 	mix(uint64(len(fn.Instrs)))
 	for i := range fn.Instrs {
 		ins := &fn.Instrs[i]
-		mix(uint64(ins.Op))
-		mix(uint64(ins.Rd) | uint64(ins.Rs1)<<16 | uint64(ins.Rs2)<<32)
+		sym := ins.Sym
+		mix(uint64(ins.Op) | uint64(ins.Rd)<<8 | uint64(ins.Rs1)<<16 | uint64(ins.Rs2)<<24 | uint64(len(sym))<<32)
 		mix(uint64(ins.Imm))
-		mix(uint64(len(ins.Sym)))
-		for j := 0; j < len(ins.Sym); j++ {
-			mix(uint64(ins.Sym[j]))
+		for len(sym) >= 8 {
+			mix(uint64(sym[0]) | uint64(sym[1])<<8 | uint64(sym[2])<<16 | uint64(sym[3])<<24 |
+				uint64(sym[4])<<32 | uint64(sym[5])<<40 | uint64(sym[6])<<48 | uint64(sym[7])<<56)
+			sym = sym[8:]
+		}
+		if len(sym) > 0 {
+			var v uint64
+			for j := len(sym) - 1; j >= 0; j-- {
+				v = v<<8 | uint64(sym[j])
+			}
+			mix(v)
 		}
 	}
 	return lo, hi

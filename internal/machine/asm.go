@@ -1,9 +1,6 @@
 package machine
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // Assembler builds machine programs with symbolic labels. Backends emit
 // through it; Finish resolves label references to absolute code addresses.
@@ -11,18 +8,21 @@ type Assembler struct {
 	base   int64 // address of the first instruction
 	instrs []Instr
 	labels map[string]int64
-	// fixups maps instruction index -> label whose address patches Imm.
-	fixups map[int]string
+	// fixups lists, in emission order, the instructions whose Imm the
+	// address of a label patches.
+	fixups []fixup
 	errs   []error
+}
+
+// fixup is one label reference: the instruction index and the label.
+type fixup struct {
+	idx   int
+	label string
 }
 
 // NewAssembler starts a program at the given base address.
 func NewAssembler(base int64) *Assembler {
-	return &Assembler{
-		base:   base,
-		labels: make(map[string]int64),
-		fixups: make(map[int]string),
-	}
+	return &Assembler{base: base, labels: make(map[string]int64)}
 }
 
 // Emit appends a raw instruction.
@@ -46,7 +46,7 @@ func (a *Assembler) Label(name string) *Assembler {
 // EmitToLabel appends a control-flow instruction whose Imm is patched to
 // the label's address at Finish.
 func (a *Assembler) EmitToLabel(i Instr, label string) *Assembler {
-	a.fixups[len(a.instrs)] = label
+	a.fixups = append(a.fixups, fixup{idx: len(a.instrs), label: label})
 	a.instrs = append(a.instrs, i)
 	return a
 }
@@ -97,46 +97,21 @@ func (a *Assembler) Finish() (*Program, error) {
 	}
 	out := a.instrs
 	a.instrs = nil
-	for idx, label := range a.fixups {
-		addr, ok := a.labels[label]
+	for _, f := range a.fixups {
+		addr, ok := a.labels[f.label]
 		if !ok {
-			return nil, fmt.Errorf("asm: undefined label %q", label)
+			return nil, fmt.Errorf("asm: undefined label %q", f.label)
 		}
-		out[idx].Imm = addr
+		out[f.idx].Imm = addr
 	}
 	return &Program{Base: a.base, Instrs: out}, nil
 }
 
-// Program is an assembled machine-code method.
+// Program is an assembled machine-code method. It is immutable once
+// assembled, so one program may run on any number of CPUs at once.
 type Program struct {
 	Base   int64
 	Instrs []Instr
-
-	// decoded is the pre-decoded dispatch stream built lazily by stream():
-	// one handler+instruction pair per slot, so CPU.Run dispatches without
-	// re-decoding the opcode every step. Programs are immutable once
-	// published, which makes the once-guarded build safe to share across
-	// runs and workers.
-	decodeOnce sync.Once
-	decoded    []decodedInstr
-}
-
-// decodedInstr pairs an instruction with its resolved step handler.
-type decodedInstr struct {
-	fn  stepFn
-	ins Instr
-}
-
-// stream returns the pre-decoded dispatch stream, building it on first use.
-func (p *Program) stream() []decodedInstr {
-	p.decodeOnce.Do(func() {
-		d := make([]decodedInstr, len(p.Instrs))
-		for i, ins := range p.Instrs {
-			d[i] = decodedInstr{fn: stepFor(ins.Op), ins: ins}
-		}
-		p.decoded = d
-	})
-	return p.decoded
 }
 
 // At returns the instruction at an absolute address.

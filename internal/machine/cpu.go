@@ -166,29 +166,28 @@ func (c *CPU) fault(err error, destination Reg, isLoad bool) *Stop {
 	return &Stop{Kind: StopFault, Fault: err, Steps: c.Steps}
 }
 
-// Run executes until a stop condition or the step limit. Dispatch runs
-// over the program's pre-decoded instruction stream: each stream entry
-// pairs the instruction with its handler, so the per-step cost is one
-// bounds check plus one indirect call (no per-step opcode decode). The
-// stream is built once per Program and shared by every run of it.
+// Run executes until a stop condition or the step limit. Dispatch reads
+// the program's instructions in place and indexes the step table by
+// opcode, so the per-step cost is one bounds check, one table load and
+// one indirect call, with nothing built per program.
 func (c *CPU) Run(maxSteps int) *Stop {
 	if c.Prog == nil {
 		return &Stop{Kind: StopFault, Fault: errors.New("machine: no program installed"), Steps: c.Steps}
 	}
-	stream := c.Prog.stream()
+	instrs := c.Prog.Instrs
 	base := c.Prog.Base
 	if c.BlockHook != nil {
-		return c.runHooked(stream, base, maxSteps)
+		return c.runHooked(instrs, base, maxSteps)
 	}
 	for c.Steps < maxSteps {
 		idx := c.PC - base
-		if idx < 0 || idx >= int64(len(stream)) {
+		if idx < 0 || idx >= int64(len(instrs)) {
 			return &Stop{Kind: StopFault, Fault: &heap.Fault{Kind: heap.AccessExecute, Addr: heap.Word(c.PC)}, Steps: c.Steps}
 		}
-		d := &stream[idx]
+		ins := &instrs[idx]
 		c.Steps++
 		c.PC++
-		if stop := d.fn(c, &d.ins); stop != nil {
+		if stop := stepTable[ins.Op](c, ins); stop != nil {
 			stop.Steps = c.Steps
 			return stop
 		}
@@ -199,17 +198,17 @@ func (c *CPU) Run(maxSteps int) *Stop {
 // runHooked is Run with the block-coverage hook observed after every
 // taken control-flow transfer; split out so the unhooked hot loop pays
 // nothing for the feature.
-func (c *CPU) runHooked(stream []decodedInstr, base int64, maxSteps int) *Stop {
+func (c *CPU) runHooked(instrs []Instr, base int64, maxSteps int) *Stop {
 	for c.Steps < maxSteps {
 		idx := c.PC - base
-		if idx < 0 || idx >= int64(len(stream)) {
+		if idx < 0 || idx >= int64(len(instrs)) {
 			return &Stop{Kind: StopFault, Fault: &heap.Fault{Kind: heap.AccessExecute, Addr: heap.Word(c.PC)}, Steps: c.Steps}
 		}
-		d := &stream[idx]
+		ins := &instrs[idx]
 		c.Steps++
 		c.PC++
 		prev := base + idx
-		if stop := d.fn(c, &d.ins); stop != nil {
+		if stop := stepTable[ins.Op](c, ins); stop != nil {
 			stop.Steps = c.Steps
 			return stop
 		}
@@ -234,27 +233,22 @@ func (c *CPU) Step() *Stop {
 	}
 	c.Steps++
 	c.PC++
-	return stepFor(ins.Op)(c, &ins)
+	return stepTable[ins.Op](c, &ins)
 }
 
-// stepFn executes one pre-decoded instruction. The PC has already been
-// advanced past it; a non-nil result stops the run.
+// stepFn executes one instruction. The PC has already been advanced past
+// it; a non-nil result stops the run. It must not write the instruction,
+// which belongs to the program.
 type stepFn func(c *CPU, ins *Instr) *Stop
 
-// stepTable maps opcodes to handlers; stepIllegal covers the holes.
-var stepTable [NumOpcs]stepFn
-
-// stepFor resolves the handler for an opcode, including out-of-range ones.
-func stepFor(op Opc) stepFn {
-	if op < NumOpcs {
-		if fn := stepTable[op]; fn != nil {
-			return fn
-		}
-	}
-	return stepIllegal
-}
+// stepTable maps every opcode value to its handler; stepIllegal covers
+// the holes and the values past NumOpcs, so dispatch needs no check.
+var stepTable [256]stepFn
 
 func init() {
+	for op := range stepTable {
+		stepTable[op] = stepIllegal
+	}
 	for op, fn := range map[Opc]stepFn{
 		OpcNop:        stepNop,
 		OpcMovR:       stepMovR,

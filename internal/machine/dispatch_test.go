@@ -5,10 +5,9 @@ import (
 	"testing"
 )
 
-// The pre-decoded dispatch stream must be an invisible optimization:
-// Run over the stream and single-stepping via Step execute the same
-// semantics, the stream is built once and shared, and the steady-state
-// hot loop does not allocate.
+// Table dispatch must be an invisible optimization: Run and
+// single-stepping via Step execute the same semantics, and the
+// steady-state hot loop does not allocate.
 
 // dispatchProg exercises arithmetic, immediates, stack traffic,
 // comparisons, both jump polarities, call/ret, and halt — enough spread
@@ -69,26 +68,11 @@ func TestRunMatchesSingleStepping(t *testing.T) {
 	}
 }
 
-func TestDispatchStreamBuiltOnce(t *testing.T) {
-	p := dispatchProg(t)
-	s1 := p.stream()
-	s2 := p.stream()
-	if len(s1) != p.Len() {
-		t.Fatalf("stream has %d entries for %d instructions", len(s1), p.Len())
-	}
-	if &s1[0] != &s2[0] {
-		t.Fatal("stream rebuilt on second use; must be memoized")
-	}
-}
-
 func TestStepTableCoversEveryOpcode(t *testing.T) {
-	for op := Opc(0); op < NumOpcs; op++ {
-		if stepFor(op) == nil {
-			t.Errorf("opcode %s resolves to a nil handler", op)
+	for op := range stepTable {
+		if stepTable[op] == nil {
+			t.Errorf("opcode %s resolves to a nil handler", Opc(op))
 		}
-	}
-	if stepFor(NumOpcs) == nil || stepFor(NumOpcs+100) == nil {
-		t.Error("out-of-range opcodes must resolve to the illegal handler, not nil")
 	}
 }
 
@@ -105,8 +89,8 @@ func TestIllegalOpcodeStops(t *testing.T) {
 }
 
 // TestRunSteadyStateAllocFree is an allocation-regression gate on the
-// simulator hot loop: once a program's dispatch stream exists, re-running
-// it allocates nothing beyond the final Stop.
+// simulator hot loop: running a program allocates nothing beyond the
+// final Stop.
 func TestRunSteadyStateAllocFree(t *testing.T) {
 	c := newCPU(t)
 	p := dispatchProg(t)
@@ -166,8 +150,8 @@ func TestFinishAllocs(t *testing.T) {
 			panic(err)
 		}
 	})
-	// assembler + 2 maps + buffer growth (1->2->4) + program: anything
-	// above this means Finish started cloning again.
+	// assembler + label map + buffer growth (1->2->4) + program:
+	// anything above this means Finish started cloning again.
 	if avg > 8 {
 		t.Fatalf("assemble+finish allocates %.1f/run, want <= 8", avg)
 	}

@@ -34,8 +34,15 @@ func lowerReg(r ir.Reg, pool []Reg) (Reg, error) {
 func Lower(f *ir.Fn, isa ISA, base int64, pool []Reg) (*Program, error) {
 	asm := NewAssembler(base)
 	// Labels emit nothing, so the IR's length bounds the program's except
-	// for the rare materialized compare.
+	// for the rare materialized compare; every jump is one fixup.
 	asm.instrs = make([]Instr, 0, len(f.Instrs))
+	jumps := 0
+	for i := range f.Instrs {
+		if f.Instrs[i].IsJump() {
+			jumps++
+		}
+	}
+	asm.fixups = make([]fixup, 0, jumps)
 	for _, ins := range f.Instrs {
 		if ins.Op == ir.OpcLabel {
 			asm.Label(ins.Sym)

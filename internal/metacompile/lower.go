@@ -57,18 +57,17 @@ type lowerer struct {
 	labelSeq int
 
 	selectors   []jit.Selector
-	selectorIdx map[string]int64
+	selectorIdx map[jit.Selector]int64
 
 	err error
 }
 
 func newLowerer(om *heap.ObjectMemory, sw defects.Switches, numTemps int) *lowerer {
 	return &lowerer{
-		b:           ir.NewBuilder(),
-		om:          om,
-		sw:          sw,
-		numTemps:    numTemps,
-		selectorIdx: make(map[string]int64),
+		b:        ir.NewBuilder(),
+		om:       om,
+		sw:       sw,
+		numTemps: numTemps,
 	}
 }
 
@@ -80,16 +79,19 @@ func (l *lowerer) fail(format string, args ...any) {
 
 func (l *lowerer) newLabel(prefix string) string {
 	l.labelSeq++
-	return fmt.Sprintf("%s_%d", prefix, l.labelSeq)
+	return prefix + "_" + strconv.Itoa(l.labelSeq)
 }
 
 func (l *lowerer) addSelector(name string, numArgs int) int64 {
-	key := fmt.Sprintf("%s/%d", name, numArgs)
+	key := jit.Selector{Name: name, NumArgs: numArgs}
 	if id, ok := l.selectorIdx[key]; ok {
 		return id
 	}
+	if l.selectorIdx == nil {
+		l.selectorIdx = make(map[jit.Selector]int64)
+	}
 	id := int64(len(l.selectors))
-	l.selectors = append(l.selectors, jit.Selector{Name: name, NumArgs: numArgs})
+	l.selectors = append(l.selectors, key)
 	l.selectorIdx[key] = id
 	return id
 }
@@ -934,7 +936,7 @@ func (l *lowerer) lowerHeapEffects() {
 
 // ---- exit tails ----
 
-func bcLabel(pc int) string { return fmt.Sprintf("bc_%d", pc) }
+func bcLabel(pc int) string { return "bc_" + strconv.Itoa(pc) }
 
 func (l *lowerer) jumpToPC(abs int) {
 	if abs >= l.codeLen {

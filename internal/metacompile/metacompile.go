@@ -20,6 +20,7 @@ package metacompile
 
 import (
 	"fmt"
+	"strconv"
 
 	"cogdiff/internal/bytecode"
 	"cogdiff/internal/defects"
@@ -74,19 +75,21 @@ func NewCompiler(isa machine.ISA, om *heap.ObjectMemory, sw defects.Switches) *C
 	return &Compiler{ISA: isa, OM: om, Defects: sw}
 }
 
+// lowerPool is the register pool lowering assigns to virtual registers. The
+// generated front-end works on physical registers only; the pool exists
+// for lowering's virtual-register contract.
+var lowerPool = []machine.Reg{machine.TempReg, machine.ExtraReg, machine.R1}
+
 func (c *Compiler) finish(l *lowerer) (*jit.Optimized, error) {
 	if l.err != nil {
 		return nil, l.err
 	}
 	bk := &jit.Backend{
-		Variant: jit.MetaJITCogit,
-		Defects: c.Defects,
-		Metrics: c.Metrics,
-		OnIR:    c.OnIR,
-		OnStage: c.OnStage,
-		// The generated front-end works on physical registers only; the
-		// pool exists for lowering's virtual-register contract.
-		Pool:         []machine.Reg{machine.TempReg, machine.ExtraReg, machine.R1},
+		Passes:       jit.PipelineFor(jit.MetaJITCogit, c.Defects),
+		Metrics:      c.Metrics,
+		OnIR:         c.OnIR,
+		OnStage:      c.OnStage,
+		Pool:         lowerPool,
 		NoVerify:     c.NoVerify,
 		RequireDeopt: true,
 	}
@@ -142,7 +145,7 @@ func (c *Compiler) OptimizeBytecode(m *bytecode.Method, inputStack []heap.Word) 
 	for i, pp := range supported {
 		failLabel := "deopt"
 		if i < len(supported)-1 {
-			failLabel = fmt.Sprintf("path_%d", i+1)
+			failLabel = "path_" + strconv.Itoa(i+1)
 		}
 		l.lowerPath(pp.Res, failLabel)
 		if l.err != nil {
@@ -208,7 +211,7 @@ func (c *Compiler) OptimizeMethod(m *bytecode.Method, inputStack []heap.Word) (*
 		for i, pp := range supported {
 			failLabel := "deopt"
 			if i < len(supported)-1 {
-				failLabel = fmt.Sprintf("bc%d_path_%d", pc, i+1)
+				failLabel = "bc" + strconv.Itoa(pc) + "_path_" + strconv.Itoa(i+1)
 			}
 			l.lowerPath(pp.Res, failLabel)
 			if l.err != nil {
@@ -236,7 +239,7 @@ func (c *Compiler) OptimizeMethod(m *bytecode.Method, inputStack []heap.Word) (*
 // sharing the parent's frame shape and literal table.
 func subMethod(m *bytecode.Method, pc, next int) *bytecode.Method {
 	return &bytecode.Method{
-		Name:     fmt.Sprintf("%s@%d", m.Name, pc),
+		Name:     m.Name + "@" + strconv.Itoa(pc),
 		NumArgs:  m.NumArgs,
 		NumTemps: m.NumTemps,
 		Literals: m.Literals,
