@@ -11,7 +11,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test test-short test-race bench-go bench-check cache-smoke perf-smoke fuzz fuzz-smoke blame-smoke metacompile-smoke metrics-smoke verify-smoke fmt-check golden-update ci
+.PHONY: all build vet lint test test-short test-race bench-go bench-check cache-smoke perf-smoke fuzz fuzz-smoke blame-smoke metacompile-smoke metrics-smoke verify-smoke examples-smoke fmt-check golden-update ci
 
 all: build vet test
 
@@ -225,6 +225,21 @@ verify-smoke:
 	awk -v m="$$median" 'BEGIN { exit !(m != "" && m + 0 <= 0.05) }'
 	rm -rf verify-smoke.tmp
 
+# Example smoke test: every program under examples/ must build and run
+# to a zero exit. The examples call the public facade (TestInstruction,
+# RunCampaign with OnInstructionDone, Fuzz with OnProgress), so a facade
+# change that breaks one fails here. All six take about a second.
+examples-smoke:
+	rm -rf examples-smoke.tmp
+	mkdir -p examples-smoke.tmp
+	for dir in examples/*/; do \
+		name=$$(basename $$dir); \
+		$(GO) build -o examples-smoke.tmp/$$name ./$$dir || exit 1; \
+		examples-smoke.tmp/$$name > examples-smoke.tmp/$$name.out 2>&1 || \
+			{ cat examples-smoke.tmp/$$name.out; echo "examples-smoke: $$name failed"; exit 1; }; \
+	done
+	rm -rf examples-smoke.tmp
+
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
@@ -233,4 +248,4 @@ fmt-check:
 golden-update:
 	$(GO) test ./cmd/cogdiff/ -run TestGolden -update
 
-ci: build vet lint fmt-check test test-race bench-check fuzz-smoke blame-smoke metacompile-smoke metrics-smoke cache-smoke perf-smoke verify-smoke
+ci: build vet lint fmt-check test test-race bench-check fuzz-smoke blame-smoke metacompile-smoke metrics-smoke cache-smoke perf-smoke verify-smoke examples-smoke

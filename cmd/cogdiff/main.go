@@ -29,14 +29,16 @@
 // GOMAXPROCS); every table and figure is byte-identical for any worker
 // count.
 //
-// The campaign, table/figure, difftest and verify-ir verbs share the
-// exploration-cache flags -cache-dir <dir> and -cache off|ro|rw, and one
+// The campaign, table/figure, difftest and verify-ir verbs run a campaign
+// and share its flags: the defect switches -pristine, -defect-constfold,
+// -defect-metajit-guard and -defect-verify-stackleak, the
+// exploration-cache flags -cache-dir <dir> and -cache off|ro|rw, and,
+// on all but verify-ir (whose sweep is the verifier), -no-verify. One
 // cache directory serves them all: difftest reads the exploration and
-// the unit verdicts a campaign stored. Those
-// verbs and fuzz share the observability flags -metrics <file> (a JSON
-// snapshot), -trace <file> and -profile <file>. Both
-// layers are pure with respect to results: all printed reports are
-// byte-identical with the cache or telemetry on or off.
+// the unit verdicts a campaign stored. Those verbs and fuzz share the
+// observability flags -metrics <file> (a JSON snapshot), -trace <file>
+// and -profile <file>. The cache and telemetry are pure with respect to
+// results: all printed reports are byte-identical with either on or off.
 package main
 
 import (
@@ -96,7 +98,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 			usage(stderr)
 			return 2
 		}
-		out, err := cogdiff.DumpIR(args[0], args[1], cogdiff.TestConfig{})
+		out, err := cogdiff.DumpIR(args[0], args[1], cogdiff.CampaignOptions{})
 		if err != nil {
 			return fail(err)
 		}
@@ -104,13 +106,8 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	case "difftest":
 		fs := flag.NewFlagSet("difftest", flag.ContinueOnError)
 		fs.SetOutput(stderr)
-		pristine := fs.Bool("pristine", false, "test the defect-free VM configuration")
-		defectConstfold := fs.Bool("defect-constfold", false, "enable the pass-targeted constant-folding defect")
-		defectMetaGuard := fs.Bool("defect-metajit-guard", false, "enable the meta-compiler guard-sign defect (metajit only)")
-		defectStackLeak := fs.Bool("defect-verify-stackleak", false, "enable the verifier-targeted defect: peephole drops a pop, caught statically")
-		noVerify := fs.Bool("no-verify", false, "disable the static IR verifier (on by default)")
+		opts := campaignFlags(fs, true)
 		dumpIR := fs.String("dump-ir", "", "also dump every compilation stage: 'stdout' or a file path")
-		cacheDir, cacheMode := cacheFlags(fs)
 		obs := obsFlags(fs)
 		if err := fs.Parse(args); err != nil {
 			return 2
@@ -122,13 +119,8 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		if err := obs.start(false, stderr, nil); err != nil {
 			return fail(err)
 		}
-		cfg := cogdiff.TestConfig{
-			Pristine: *pristine, ConstFoldSignError: *defectConstfold,
-			MetaJITGuardSignError: *defectMetaGuard, Metrics: obs.reg,
-			VerifyStackLeak: *defectStackLeak, NoVerify: *noVerify,
-			CacheDir: *cacheDir, CacheMode: *cacheMode,
-		}
-		res, err := cogdiff.TestInstructionWith(fs.Arg(0), fs.Arg(1), cfg)
+		opts.Metrics = obs.reg
+		res, err := cogdiff.TestInstructionWith(fs.Arg(0), fs.Arg(1), *opts)
 		if err != nil {
 			return fail(err)
 		}
@@ -137,7 +129,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprint(stdout, res.Render())
 		if *dumpIR != "" {
-			dump, derr := cogdiff.DumpIR(fs.Arg(0), fs.Arg(1), cfg)
+			dump, derr := cogdiff.DumpIR(fs.Arg(0), fs.Arg(1), *opts)
 			if derr != nil {
 				return fail(derr)
 			}
@@ -207,38 +199,27 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	case "campaign", "table2", "table3", "fig5", "fig6", "fig7":
 		fs := flag.NewFlagSet(cmd, flag.ContinueOnError)
 		fs.SetOutput(stderr)
-		pristine := fs.Bool("pristine", false, "run the defect-free VM configuration")
-		defectConstfold := fs.Bool("defect-constfold", false, "enable the pass-targeted constant-folding defect")
-		defectMetaGuard := fs.Bool("defect-metajit-guard", false, "enable the meta-compiler guard-sign defect (metajit only)")
-		defectStackLeak := fs.Bool("defect-verify-stackleak", false, "enable the verifier-targeted defect: peephole drops a pop, caught statically")
-		noVerify := fs.Bool("no-verify", false, "disable the static IR verifier (on by default)")
+		opts := campaignFlags(fs, true)
 		compilersSpec := fs.String("compilers", "", "compiler set: exact list like simple,metajit or additions like +metajit (default: the paper's four)")
-		workers := fs.Int("workers", 0, "worker goroutines for the campaign (0 = GOMAXPROCS, 1 = serial)")
+		fs.IntVar(&opts.Workers, "workers", 0, "worker goroutines for the campaign (0 = GOMAXPROCS, 1 = serial)")
 		stable := fs.Bool("stable", false, "print only the deterministic report surfaces (Table 2/3, Figure 5, causes)")
 		progress := fs.Bool("progress", false, "report live progress on stderr")
-		cacheDir, cacheMode := cacheFlags(fs)
 		obs := obsFlags(fs)
 		if err := fs.Parse(args); err != nil {
 			return 2
 		}
-		if err := validateWorkers(*workers); err != nil {
+		if err := validateWorkers(opts.Workers); err != nil {
 			return fail(err)
 		}
-		compilers, err := cogdiff.ParseCompilerSpec(*compilersSpec)
-		if err != nil {
+		var err error
+		if opts.Compilers, err = cogdiff.ParseCompilerSpec(*compilersSpec); err != nil {
 			return fail(err)
 		}
 		if err := obs.start(*progress, stderr, renderCampaignProgress); err != nil {
 			return fail(err)
 		}
-		opts := cogdiff.CampaignOptions{
-			Pristine: *pristine, ConstFoldSignError: *defectConstfold,
-			MetaJITGuardSignError: *defectMetaGuard, Compilers: compilers,
-			VerifyStackLeak: *defectStackLeak, NoVerify: *noVerify,
-			Workers: *workers, Metrics: obs.reg,
-			CacheDir: *cacheDir, CacheMode: *cacheMode,
-		}
-		sum, err := cogdiff.RunCampaign(opts)
+		opts.Metrics = obs.reg
+		sum, err := cogdiff.RunCampaign(*opts)
 		if err != nil {
 			return fail(err)
 		}
@@ -276,36 +257,27 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	case "verify-ir":
 		fs := flag.NewFlagSet("verify-ir", flag.ContinueOnError)
 		fs.SetOutput(stderr)
-		pristine := fs.Bool("pristine", false, "sweep the defect-free VM configuration")
-		defectConstfold := fs.Bool("defect-constfold", false, "seed the pass-targeted constant-folding defect")
-		defectMetaGuard := fs.Bool("defect-metajit-guard", false, "seed the meta-compiler guard-sign defect (metajit only)")
-		defectStackLeak := fs.Bool("defect-verify-stackleak", false, "seed the verifier-targeted defect: peephole drops a pop")
+		opts := campaignFlags(fs, false)
 		compilersSpec := fs.String("compilers", "", "compiler set to sweep (default: all five)")
-		workers := fs.Int("workers", 0, "worker goroutines for the sweep (0 = GOMAXPROCS, 1 = serial)")
-		cacheDir, cacheMode := cacheFlags(fs)
+		fs.IntVar(&opts.Workers, "workers", 0, "worker goroutines for the sweep (0 = GOMAXPROCS, 1 = serial)")
 		obs := obsFlags(fs)
 		if err := fs.Parse(args); err != nil {
 			return 2
 		}
-		if err := validateWorkers(*workers); err != nil {
+		if err := validateWorkers(opts.Workers); err != nil {
 			return fail(err)
 		}
-		var compilers []string
 		if *compilersSpec != "" {
 			var err error
-			if compilers, err = cogdiff.ParseCompilerSpec(*compilersSpec); err != nil {
+			if opts.Compilers, err = cogdiff.ParseCompilerSpec(*compilersSpec); err != nil {
 				return fail(err)
 			}
 		}
 		if err := obs.start(false, stderr, nil); err != nil {
 			return fail(err)
 		}
-		sum, err := cogdiff.VerifyIR(cogdiff.VerifyIROptions{
-			Pristine: *pristine, ConstFoldSignError: *defectConstfold,
-			MetaJITGuardSignError: *defectMetaGuard, VerifyStackLeak: *defectStackLeak,
-			Compilers: compilers, Workers: *workers, Metrics: obs.reg,
-			CacheDir: *cacheDir, CacheMode: *cacheMode,
-		})
+		opts.Metrics = obs.reg
+		sum, err := cogdiff.VerifyIR(*opts)
 		if err != nil {
 			return fail(err)
 		}
@@ -420,12 +392,23 @@ func counterTotal(s telemetry.Snapshot, name string) int64 {
 	return total
 }
 
-// cacheFlags declares the exploration-cache flag pair shared by the
-// campaign, table/figure, difftest and verify-ir verbs.
-func cacheFlags(fs *flag.FlagSet) (dir, mode *string) {
-	dir = fs.String("cache-dir", "", "persistent exploration-cache directory (empty = cache disabled)")
-	mode = fs.String("cache", "", "exploration-cache mode: off, ro or rw (default rw when -cache-dir is set)")
-	return dir, mode
+// campaignFlags declares the flags the campaign verbs (campaign,
+// table*/fig*, difftest and verify-ir) share and returns the options they
+// fill: the defect switches, the exploration cache and, when
+// withNoVerify is set, the verifier switch. verify-ir leaves that one
+// out: its sweep is the verifier.
+func campaignFlags(fs *flag.FlagSet, withNoVerify bool) *cogdiff.CampaignOptions {
+	opts := &cogdiff.CampaignOptions{}
+	fs.BoolVar(&opts.Pristine, "pristine", false, "run the defect-free VM configuration")
+	fs.BoolVar(&opts.ConstFoldSignError, "defect-constfold", false, "enable the pass-targeted constant-folding defect")
+	fs.BoolVar(&opts.MetaJITGuardSignError, "defect-metajit-guard", false, "enable the meta-compiler guard-sign defect (metajit only)")
+	fs.BoolVar(&opts.VerifyStackLeak, "defect-verify-stackleak", false, "enable the verifier-targeted defect: peephole drops a pop, caught statically")
+	if withNoVerify {
+		fs.BoolVar(&opts.NoVerify, "no-verify", false, "disable the static IR verifier (on by default)")
+	}
+	fs.StringVar(&opts.CacheDir, "cache-dir", "", "persistent exploration-cache directory (empty = cache disabled)")
+	fs.StringVar(&opts.CacheMode, "cache", "", "exploration-cache mode: off, ro or rw (default rw when -cache-dir is set)")
+	return opts
 }
 
 func renderCampaignProgress(s telemetry.Snapshot) string {

@@ -22,6 +22,7 @@ package cogdiff
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -58,17 +59,11 @@ type CacheStats struct {
 	Misses  int64
 	Corrupt int64
 	Writes  int64
-	Evicted int64
-}
-
-// HitRate returns Hits/(Hits+Misses), zero when the cache saw no traffic.
-func (s CacheStats) HitRate() float64 {
-	return excache.Stats{Hits: s.Hits, Misses: s.Misses}.HitRate()
 }
 
 func cacheStatsOf(c *excache.Cache) CacheStats {
 	s := c.Stats()
-	return CacheStats{Hits: s.Hits, Misses: s.Misses, Corrupt: s.Corrupt, Writes: s.Writes, Evicted: s.Evicted}
+	return CacheStats{Hits: s.Hits, Misses: s.Misses, Corrupt: s.Corrupt, Writes: s.Writes}
 }
 
 // Compiler names accepted by TestInstruction.
@@ -342,55 +337,27 @@ func compilerKindOf(name string) (core.CompilerKind, error) {
 	return 0, fmt.Errorf("cogdiff: unknown compiler %q", name)
 }
 
-// TestConfig selects the VM defect state for a single-instruction test.
-type TestConfig struct {
-	// Pristine starts from the defect-free VM instead of the production
-	// defect state.
-	Pristine bool
-	// ConstFoldSignError enables the pass-targeted defect: the constant
-	// folder of the byte-code pipelines folds subtraction as addition.
-	ConstFoldSignError bool
-	// MetaJITGuardSignError enables the meta-compiler-targeted defect:
-	// the derived front-end emits guard comparisons with the wrong sign
-	// (< instead of <=), breaking guard-chain exclusivity on boundary
-	// inputs. Only the metajit compiler is affected.
-	MetaJITGuardSignError bool
-	// VerifyStackLeak enables the verifier-targeted defect: the peephole
-	// pass deletes the first stack pop it sees. The static IR verifier
-	// catches it before execution and blames
-	// "ir-verify:stack-balance after pass:peephole".
-	VerifyStackLeak bool
-	// NoVerify disables the static IR verifier inside every compiler.
-	// Verification is on by default; results on a verifier-clean
-	// configuration are byte-identical either way.
-	NoVerify bool
-	// Metrics, when non-nil, collects exploration and pass-pipeline
-	// telemetry for the test. Pure observation sink: results are
-	// identical with or without it.
-	Metrics *telemetry.Registry
-	// CacheDir, when non-empty, enables the persistent exploration cache
-	// rooted at that directory; CacheMode selects "off", "ro" or "rw"
-	// (empty = "rw"). Results are identical cached or fresh.
-	CacheDir  string
-	CacheMode string
-}
-
 // TestInstruction differentially tests one instruction against one
 // compiler on both simulated ISAs, using the production defect state.
 func TestInstruction(instruction, compiler string) (*InstructionResult, error) {
-	return TestInstructionWith(instruction, compiler, TestConfig{})
+	return TestInstructionWith(instruction, compiler, CampaignOptions{})
 }
 
-// TestInstructionWith is TestInstruction under an explicit defect
-// configuration. It runs the campaign on the one unit, so the result is
-// the unit's row of the campaign under the same configuration, and a
-// cache directory a campaign filled serves it.
-func TestInstructionWith(instruction, compiler string, cfg TestConfig) (*InstructionResult, error) {
-	camp, _, err := unitCampaign(instruction, compiler, cfg)
+// TestInstructionWith is TestInstruction under explicit campaign
+// options. It runs the campaign on the one unit, so the result is the
+// unit's row of the campaign under the same options, and a cache
+// directory a campaign filled serves it. The unit names its compiler, so
+// opts.Compilers must be empty.
+func TestInstructionWith(instruction, compiler string, opts CampaignOptions) (*InstructionResult, error) {
+	camp, _, err := unitCampaign(instruction, compiler, opts)
 	if err != nil {
 		return nil, err
 	}
-	unit := camp.Run().Reports[0].Instructions[0]
+	run, err := camp.RunContext(opts.context())
+	if err != nil {
+		return nil, err
+	}
+	unit := run.Reports[0].Instructions[0]
 	res := &InstructionResult{
 		Instruction:    instruction,
 		Compiler:       compiler,
@@ -414,9 +381,13 @@ func TestInstructionWith(instruction, compiler string, cfg TestConfig) (*Instruc
 }
 
 // unitCampaign builds the campaign restricted to one (instruction,
-// compiler) unit under cfg, and returns it with the unit's target. A
-// compiler that does not apply to the instruction's kind is an error.
-func unitCampaign(instruction, compiler string, cfg TestConfig) (*core.Campaign, concolic.Target, error) {
+// compiler) unit under opts, and returns it with the unit's target. A
+// compiler that does not apply to the instruction's kind is an error, and
+// so is a compiler set in opts: the unit already names its compiler.
+func unitCampaign(instruction, compiler string, opts CampaignOptions) (*core.Campaign, concolic.Target, error) {
+	if len(opts.Compilers) > 0 {
+		return nil, concolic.Target{}, fmt.Errorf("cogdiff: CampaignOptions.Compilers does not apply to one unit, which names its compiler (%s)", compiler)
+	}
 	target, _, err := resolveTarget(instruction)
 	if err != nil {
 		return nil, target, err
@@ -429,23 +400,23 @@ func unitCampaign(instruction, compiler string, cfg TestConfig) (*core.Campaign,
 	if bc == (kind == core.NativeMethodCompilerKind) {
 		return nil, target, fmt.Errorf("the %s compiler does not apply to %s instruction %s", compiler, target.Kind, instruction)
 	}
-	ccfg, err := campaignConfig(CampaignOptions{
-		Pristine: cfg.Pristine, ConstFoldSignError: cfg.ConstFoldSignError,
-		MetaJITGuardSignError: cfg.MetaJITGuardSignError, VerifyStackLeak: cfg.VerifyStackLeak,
-		NoVerify: cfg.NoVerify, Compilers: []string{compiler}, Metrics: cfg.Metrics,
-		CacheDir: cfg.CacheDir, CacheMode: cfg.CacheMode,
-	})
+	opts.Compilers = []string{compiler}
+	cfg, err := campaignConfig(opts)
 	if err != nil {
 		return nil, target, err
 	}
-	ccfg.BytecodeFilter = func(op bytecode.Op) bool { return bc && op == target.Op }
-	ccfg.PrimitiveFilter = func(p *primitives.Primitive) bool { return !bc && p.Index == target.PrimIndex }
-	return core.NewCampaign(ccfg), target, nil
+	cfg.BytecodeFilter = func(op bytecode.Op) bool { return bc && op == target.Op }
+	cfg.PrimitiveFilter = func(p *primitives.Primitive) bool { return !bc && p.Index == target.PrimIndex }
+	return core.NewCampaign(cfg), target, nil
 }
 
-// CampaignOptions configures a full evaluation run.
+// CampaignOptions configures a run of any facade entry point:
+// RunCampaign over the catalog, VerifyIR without executing anything, and
+// TestInstructionWith and DumpIR over one unit. Every field applies to
+// every entry point unless its comment names one that rejects it with an
+// error.
 type CampaignOptions struct {
-	// Context, when non-nil, cancels the campaign: RunCampaign returns
+	// Context, when non-nil, cancels the run: the entry point returns
 	// ctx.Err() promptly at the next unit boundary, with every worker
 	// goroutine joined and only complete cache entries on disk.
 	Context context.Context
@@ -466,36 +437,50 @@ type CampaignOptions struct {
 	// NoVerify disables the static IR verifier inside every compiler.
 	// On a verifier-clean configuration every rendered report is
 	// byte-identical either way; the knob exists to measure overhead and
-	// to pin that identity in tests.
+	// to pin that identity in tests. VerifyIR, whose sweep is the
+	// verifier, rejects it.
 	NoVerify bool
 	// Compilers selects the compiler set by canonical name (see
 	// ParseCompilerSpec for the user-facing spec syntax). Empty means
-	// DefaultCompilers() — the paper's four.
+	// DefaultCompilers() — the paper's four — for RunCampaign and
+	// AllCompilers() for VerifyIR. TestInstructionWith and DumpIR reject
+	// it: their unit names its compiler.
 	Compilers []string
 	// MaxIterations bounds the concolic exploration per instruction
 	// (0 = default).
 	MaxIterations int
-	// Workers shards the campaign over this many goroutines
-	// (0 = GOMAXPROCS, 1 = serial). Campaign results and all rendered
-	// tables are byte-identical for any worker count.
+	// Workers shards the run over this many goroutines
+	// (0 = GOMAXPROCS, 1 = serial). Results and all rendered reports are
+	// byte-identical for any worker count.
 	Workers int
 	// OnInstructionDone, when non-nil, receives a serialized progress
-	// callback after each (compiler, instruction) test unit completes.
+	// callback after each (compiler, instruction) test unit completes;
+	// a one-unit run reports once, with done = total = 1. VerifyIR and
+	// DumpIR, which test no unit, reject it.
 	OnInstructionDone func(compiler, instruction string, done, total int)
-	// Metrics, when non-nil, collects campaign telemetry (counters,
-	// latency histograms, spans). The registry is a pure observation
-	// sink: all rendered reports are byte-identical with or without it.
+	// Metrics, when non-nil, collects telemetry (counters, latency
+	// histograms, spans). The registry is a pure observation sink: all
+	// rendered reports are byte-identical with or without it.
 	Metrics *telemetry.Registry
 	// CacheDir, when non-empty, enables the persistent exploration cache
 	// rooted at that directory: explorations and test-unit verdicts are
 	// loaded instead of recomputed when their content keys match, and
-	// written back after fresh work. All rendered reports are
-	// byte-identical with the cache off, cold or warm, at any worker
-	// count.
+	// written back after fresh work. One directory serves every entry
+	// point, and all rendered reports are byte-identical with the cache
+	// off, cold or warm, at any worker count.
 	CacheDir string
 	// CacheMode selects cache participation: "off", "ro" (read, never
 	// write) or "rw". Empty means "rw" when CacheDir is set.
 	CacheMode string
+}
+
+// context returns the run's cancellation context: Context, or
+// context.Background() when unset.
+func (opts *CampaignOptions) context() context.Context {
+	if opts.Context == nil {
+		return context.Background()
+	}
+	return opts.Context
 }
 
 // CampaignRow mirrors one row of Table 2.
@@ -565,6 +550,11 @@ func campaignConfig(opts CampaignOptions) (core.Config, error) {
 		cfg.Explore.MaxIterations = opts.MaxIterations
 	}
 	cfg.Workers = opts.Workers
+	if cb := opts.OnInstructionDone; cb != nil {
+		cfg.OnInstructionDone = func(ev core.InstructionDone) {
+			cb(ev.Compiler.String(), ev.Instruction, ev.Done, ev.Total)
+		}
+	}
 	cfg.Metrics = opts.Metrics
 	var err error
 	cfg.Cache, err = openCache(opts.CacheDir, opts.CacheMode, opts.Metrics)
@@ -582,16 +572,7 @@ func RunCampaign(opts CampaignOptions) (*CampaignSummary, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cb := opts.OnInstructionDone; cb != nil {
-		cfg.OnInstructionDone = func(ev core.InstructionDone) {
-			cb(ev.Compiler.String(), ev.Instruction, ev.Done, ev.Total)
-		}
-	}
-	ctx := opts.Context
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	res, err := core.NewCampaign(cfg).RunContext(ctx)
+	res, err := core.NewCampaign(cfg).RunContext(opts.context())
 	if err != nil {
 		return nil, err
 	}
@@ -626,39 +607,6 @@ func RunCampaign(opts CampaignOptions) (*CampaignSummary, error) {
 	return out, nil
 }
 
-// VerifyIROptions configures a compile-only static verification sweep.
-type VerifyIROptions struct {
-	// Context, when non-nil, cancels the sweep at the next unit boundary.
-	Context context.Context
-	// Pristine sweeps the defect-free VM instead of the production
-	// defect state. Both are verifier-clean: the seeded semantic defects
-	// change behaviour, not IR well-formedness.
-	Pristine bool
-	// ConstFoldSignError / MetaJITGuardSignError / VerifyStackLeak seed
-	// the corresponding defects (see CampaignOptions). Only
-	// VerifyStackLeak is structural — it is the defect the verifier
-	// exists to catch statically.
-	ConstFoldSignError    bool
-	MetaJITGuardSignError bool
-	VerifyStackLeak       bool
-	// Compilers selects the swept compiler set by canonical name.
-	// Empty means AllCompilers() — static verification is cheap enough
-	// to cover all five.
-	Compilers []string
-	// MaxIterations bounds the concolic exploration per instruction
-	// (0 = default).
-	MaxIterations int
-	// Workers shards the sweep (0 = GOMAXPROCS). The rendered report is
-	// byte-identical at any worker count.
-	Workers int
-	// Metrics, when non-nil, collects exploration and verifier telemetry.
-	Metrics *telemetry.Registry
-	// CacheDir/CacheMode share the exploration cache with ordinary
-	// campaigns: a sweep after a campaign re-explores nothing.
-	CacheDir  string
-	CacheMode string
-}
-
 // VerifyIRSummary is the outcome of a compile-only verification sweep.
 type VerifyIRSummary struct {
 	// Report is the deterministic rendering: per-compiler totals followed
@@ -679,27 +627,25 @@ type VerifyIRSummary struct {
 // on — front-end output and every pass prefix checked — and the code is
 // discarded. A pristine or production catalog reports zero violations;
 // a seeded structural defect (VerifyStackLeak) is caught and blamed
-// here, before a single instruction of the broken code could run.
-func VerifyIR(opts VerifyIROptions) (*VerifyIRSummary, error) {
+// here, before a single instruction of the broken code could run. The
+// sweep is the verifier and tests no unit, so it rejects opts.NoVerify
+// and opts.OnInstructionDone.
+func VerifyIR(opts CampaignOptions) (*VerifyIRSummary, error) {
 	start := time.Now() //cogdiff:allow-nondeterminism duration is summary metadata, never report-table content
-	names := opts.Compilers
-	if len(names) == 0 {
-		names = AllCompilers()
+	if opts.NoVerify {
+		return nil, errors.New("cogdiff: CampaignOptions.NoVerify does not apply to VerifyIR, whose sweep is the verifier")
 	}
-	cfg, err := campaignConfig(CampaignOptions{
-		Pristine: opts.Pristine, ConstFoldSignError: opts.ConstFoldSignError,
-		MetaJITGuardSignError: opts.MetaJITGuardSignError, VerifyStackLeak: opts.VerifyStackLeak,
-		Compilers: names, MaxIterations: opts.MaxIterations, Workers: opts.Workers,
-		Metrics: opts.Metrics, CacheDir: opts.CacheDir, CacheMode: opts.CacheMode,
-	})
+	if opts.OnInstructionDone != nil {
+		return nil, errors.New("cogdiff: CampaignOptions.OnInstructionDone does not apply to VerifyIR, which tests no unit")
+	}
+	if len(opts.Compilers) == 0 {
+		opts.Compilers = AllCompilers()
+	}
+	cfg, err := campaignConfig(opts)
 	if err != nil {
 		return nil, err
 	}
-	ctx := opts.Context
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	res, err := core.NewCampaign(cfg).VerifyIR(ctx)
+	res, err := core.NewCampaign(cfg).VerifyIR(opts.context())
 	if err != nil {
 		return nil, err
 	}
@@ -713,15 +659,19 @@ func VerifyIR(opts VerifyIROptions) (*VerifyIRSummary, error) {
 }
 
 // DumpIR renders every compilation stage of one instruction for one
-// compiler under cfg's defect configuration, as the unit's test compiles
-// it: the front-end IR, the IR after each optimization pass, and the
-// lowered machine program for both ISAs.
-func DumpIR(instruction, compiler string, cfg TestConfig) (string, error) {
-	camp, target, err := unitCampaign(instruction, compiler, cfg)
+// compiler under opts, as the unit's test compiles it: the front-end IR,
+// the IR after each optimization pass, and the lowered machine program
+// for every ISA. Like TestInstructionWith, it rejects opts.Compilers; it
+// tests no unit, so it also rejects opts.OnInstructionDone.
+func DumpIR(instruction, compiler string, opts CampaignOptions) (string, error) {
+	if opts.OnInstructionDone != nil {
+		return "", errors.New("cogdiff: CampaignOptions.OnInstructionDone does not apply to DumpIR, which tests no unit")
+	}
+	camp, target, err := unitCampaign(instruction, compiler, opts)
 	if err != nil {
 		return "", err
 	}
-	return camp.DumpIR(target, camp.Config.Compilers[0])
+	return camp.DumpIR(opts.context(), target, camp.Config.Compilers[0])
 }
 
 // SeededCauseInventory returns the seeded defect catalog grouped by

@@ -47,7 +47,7 @@ func TestReportsIndependentOfProcessHistory(t *testing.T) {
 	})
 	campaign(CampaignOptions{Pristine: true})
 	campaign(CampaignOptions{NoVerify: true})
-	sweep := VerifyIROptions{VerifyStackLeak: true, MaxIterations: iterations}
+	sweep := CampaignOptions{VerifyStackLeak: true, MaxIterations: iterations}
 	if testing.Short() {
 		sweep.Compilers = compilers
 	}

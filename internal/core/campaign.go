@@ -527,8 +527,7 @@ func (c *Campaign) testInstruction(tester *Tester, kind CompilerKind, target con
 		for _, isa := range c.Config.ISAs {
 			v := c.safeTestPath(run, target, path, kind, isa)
 			ir.Verdicts = append(ir.Verdicts, v)
-			if !v.Skipped || v.Reason == "invalid frame (expected failure)" ||
-				v.Reason == "invalid memory access on unsafe byte-code (expected failure)" {
+			if !v.Skipped || v.Reason == reasonInvalidFrame || v.Reason == reasonUnsafeMemoryAccess {
 				pathCurated = true
 			}
 			if v.Differs {

@@ -47,9 +47,7 @@ func (t *Tester) optimizeBytecode(om *heap.ObjectMemory, mode compileMode, varia
 	var err error
 	if variant == jit.MetaJITCogit {
 		mc := metacompile.NewCompiler(0, om, t.Defects)
-		mc.Metrics = t.passMetrics
-		mc.NoVerify = t.noVerify
-		mc.OnStage = t.onStage
+		mc.Hooks = t.hooks
 		if mode == modeMethod {
 			opt, err = mc.OptimizeMethod(method, nil)
 		} else {
@@ -57,9 +55,7 @@ func (t *Tester) optimizeBytecode(om *heap.ObjectMemory, mode compileMode, varia
 		}
 	} else {
 		cogit := jit.NewCogit(variant, 0, om, t.Defects)
-		cogit.Metrics = t.passMetrics
-		cogit.NoVerify = t.noVerify
-		cogit.OnStage = t.onStage
+		cogit.Hooks = t.hooks
 		if mode == modeMethod {
 			opt, err = cogit.OptimizeMethod(method, nil)
 		} else {
@@ -73,9 +69,7 @@ func (t *Tester) optimizeBytecode(om *heap.ObjectMemory, mode compileMode, varia
 func (t *Tester) optimizeNative(om *heap.ObjectMemory, prim *primitives.Primitive) *optimizedUnit {
 	start := om.HeapUsed()
 	nc := jit.NewNativeMethodCompiler(0, om, t.Defects)
-	nc.Metrics = t.passMetrics
-	nc.NoVerify = t.noVerify
-	nc.OnStage = t.onStage
+	nc.Hooks = t.hooks
 	opt, err := nc.OptimizeNativeMethod(prim)
 	return newOptimizedUnit(om, start, opt, err)
 }

@@ -9,7 +9,6 @@ import (
 	"cogdiff/internal/defects"
 	"cogdiff/internal/heap"
 	"cogdiff/internal/interp"
-	"cogdiff/internal/ir"
 	"cogdiff/internal/irverify"
 	"cogdiff/internal/jit"
 	"cogdiff/internal/machine"
@@ -27,25 +26,17 @@ type Tester struct {
 	Prims   *primitives.Table
 	Defects defects.Switches
 
-	// Telemetry handles, resolved once by SetMetrics so the per-path
-	// hot loop touches only atomics. All nil (no-op) by default.
-	passMetrics *jit.PassMetrics
+	// hooks are handed whole to every compiler this tester constructs:
+	// the telemetry handles SetMetrics resolves (nil, a no-op, by
+	// default), the verifier switch SetNoVerify flips, and the IR dump's
+	// stage hook.
+	hooks jit.Hooks
 
 	// noReuse switches off the execution-environment pool and the sharing
 	// of one optimized unit across ISAs: every execution boots fresh state
 	// and compiles from the front-end up. The determinism suite uses it to
 	// pin that reuse cannot change a single report byte.
 	noReuse bool
-
-	// noVerify disables the static IR verifier inside every compiler this
-	// tester constructs. Verification is on by default; the byte-identity
-	// suite flips this to pin that the verifier cannot change a report
-	// byte on a clean catalog.
-	noVerify bool
-
-	// onStage, when non-nil, receives the IR after the front-end and after
-	// each optimization pass of every compile: the IR dump's hook.
-	onStage func(stage string, fn *ir.Fn)
 }
 
 // NewTester builds a tester with the given native-method table and seeded
@@ -59,7 +50,7 @@ func NewTester(prims *primitives.Table, sw defects.Switches) *Tester {
 // resolved handles are read-only afterwards and safe to share across
 // workers. A nil registry leaves the tester un-instrumented.
 func (t *Tester) SetMetrics(reg *telemetry.Registry) {
-	t.passMetrics = jit.NewPassMetrics(reg, t.Defects)
+	t.hooks.Metrics = jit.NewPassMetrics(reg, t.Defects)
 }
 
 // SetNoReuse flips the tester to its reuse-free reference behaviour: no
@@ -68,8 +59,10 @@ func (t *Tester) SetMetrics(reg *telemetry.Registry) {
 func (t *Tester) SetNoReuse() { t.noReuse = true }
 
 // SetNoVerify disables the static IR verifier for every compilation this
-// tester performs.
-func (t *Tester) SetNoVerify() { t.noVerify = true }
+// tester performs. Verification is on by default; the byte-identity
+// suite flips it to pin that the verifier cannot change a report byte on
+// a clean catalog.
+func (t *Tester) SetNoVerify() { t.hooks.NoVerify = true }
 
 // interpreterReference re-executes the interpreter concretely for a path
 // on the env's (freshly reset) object memory and returns its exit, frame
@@ -169,6 +162,44 @@ func (u *UnitRun) reference(path *concolic.PathResult) (interp.Exit, *interp.Fra
 	return exit, frame, env.om, inputs, err
 }
 
+// The test runner's expected failures (§3.4). A path skipped for one of
+// these reasons still counts as curated: the runner supports it and
+// knows the interpreter refuses it.
+const (
+	reasonInvalidFrame       = "invalid frame (expected failure)"
+	reasonUnsafeMemoryAccess = "invalid memory access on unsafe byte-code (expected failure)"
+)
+
+// skipReason is the one policy for paths no test compiles: the expected
+// failures, unsupported instructions, a compiler that does not apply to
+// the instruction's kind, and metajit paths its generator's plan does
+// not support. It returns "" for a path to compile. Testing and the
+// compile-only sweep both apply it.
+func skipReason(target concolic.Target, path *concolic.PathResult, kind CompilerKind) string {
+	switch path.Exit.Kind {
+	case interp.ExitInvalidFrame:
+		return reasonInvalidFrame
+	case interp.ExitInvalidMemoryAccess:
+		if target.Kind == concolic.TargetBytecode {
+			return reasonUnsafeMemoryAccess
+		}
+	case interp.ExitUnsupported:
+		return "unsupported instruction"
+	}
+	if (kind == NativeMethodCompilerKind) != (target.Kind == concolic.TargetNativeMethod) {
+		return "compiler does not apply to this instruction kind"
+	}
+	if kind == MetaJITCompiler {
+		// The derived compiler's guard chain only contains paths the
+		// generator's plan supports; consult the plan up front so the
+		// skip is deterministic and named, instead of a deopt breakpoint.
+		if ok, reason := metacompile.PlanFor(target.Method).PathSupported(path.Path.Signature()); !ok {
+			return "not compilable: metacompile: " + reason
+		}
+	}
+	return ""
+}
+
 // TestPath runs one concolic path against one compiler on one ISA within
 // a unit batch (Fig. 1 steps 2-4), reusing the per-path interpreter
 // reference and the (path, compiler) pairing's optimized compile.
@@ -176,33 +207,9 @@ func (u *UnitRun) TestPath(path *concolic.PathResult, kind CompilerKind, isa mac
 	t, target := u.t, u.target
 	v := PathVerdict{Compiler: kind, ISA: isa}
 
-	// Expected failures of the test runner (§3.4): invalid frames always,
-	// invalid memory accesses for unsafe byte-codes.
-	switch path.Exit.Kind {
-	case interp.ExitInvalidFrame:
-		v.Skipped, v.Reason = true, "invalid frame (expected failure)"
+	if reason := skipReason(target, path, kind); reason != "" {
+		v.Skipped, v.Reason = true, reason
 		return v
-	case interp.ExitInvalidMemoryAccess:
-		if target.Kind == concolic.TargetBytecode {
-			v.Skipped, v.Reason = true, "invalid memory access on unsafe byte-code (expected failure)"
-			return v
-		}
-	case interp.ExitUnsupported:
-		v.Skipped, v.Reason = true, "unsupported instruction"
-		return v
-	}
-	if (kind == NativeMethodCompilerKind) != (target.Kind == concolic.TargetNativeMethod) {
-		v.Skipped, v.Reason = true, "compiler does not apply to this instruction kind"
-		return v
-	}
-	if kind == MetaJITCompiler {
-		// The derived compiler's guard chain only contains paths the
-		// generator's plan supports; consult the plan up front so the
-		// skip is deterministic and named, instead of a deopt breakpoint.
-		if ok, reason := metacompile.PlanFor(target.Method).PathSupported(path.Path.Signature()); !ok {
-			v.Skipped, v.Reason = true, "not compilable: metacompile: "+reason
-			return v
-		}
 	}
 
 	interpExit, interpFrame, interpOM, interpInputs, err := u.reference(path)

@@ -20,8 +20,6 @@ const (
 	// hand-written templates. Campaigns opt in explicitly; it is not part
 	// of the default four of Table 2.
 	MetaJITCompiler
-
-	NumCompilerKinds
 )
 
 func (k CompilerKind) String() string {
@@ -39,9 +37,6 @@ func (k CompilerKind) String() string {
 	}
 	return fmt.Sprintf("CompilerKind(%d)", int(k))
 }
-
-// IsBytecodeCompiler reports whether the kind tests byte-codes.
-func (k CompilerKind) IsBytecodeCompiler() bool { return k != NativeMethodCompilerKind }
 
 // CompiledExitKind is the observable exit of a compiled execution, the
 // machine-level mirror of interp.ExitKind.

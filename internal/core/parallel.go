@@ -21,13 +21,6 @@ func ResolveWorkers(w int) int {
 
 func (c *Campaign) workerCount() int { return ResolveWorkers(c.Config.Workers) }
 
-// RunUnits executes fn(0..n-1) over a pool of worker goroutines. It is
-// RunUnitsCtx without a cancellation source; see there for the
-// scheduling and memory-model contract.
-func RunUnits(workers, n int, fn func(i int)) {
-	RunUnitsCtx(context.Background(), workers, n, fn)
-}
-
 // RunUnitsCtx executes fn(0..n-1) over a pool of worker goroutines. Units
 // are claimed from a shared atomic counter, so scheduling is
 // work-stealing-ish: a worker that drew a cheap unit immediately claims

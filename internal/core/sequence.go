@@ -132,22 +132,18 @@ type SequenceHooks struct {
 }
 
 // TestSequence executes method with the given inputs on the interpreter
-// and as whole-method machine code, comparing the first boundary.
+// and as whole-method machine code, comparing the first boundary. The
+// fuzzer, which observes both executions, attaches its hooks through
+// SequenceVerdicts instead.
 func (t *Tester) TestSequence(method *bytecode.Method, in SequenceInput, kind CompilerKind, isa machine.ISA) (*SequenceVerdict, error) {
-	return t.TestSequenceObserved(method, in, kind, isa, nil)
-}
-
-// TestSequenceObserved is TestSequence with coverage hooks attached to
-// both executions.
-func (t *Tester) TestSequenceObserved(method *bytecode.Method, in SequenceInput, kind CompilerKind, isa machine.ISA, h *SequenceHooks) (*SequenceVerdict, error) {
 	if kind == NativeMethodCompilerKind {
 		return nil, errSequenceNative
 	}
-	iOut, err := t.InterpSequence(method, in, h)
+	iOut, err := t.InterpSequence(method, in, nil)
 	if err != nil {
 		return nil, err
 	}
-	vs, err := t.SequenceVerdicts(method, in, kind, []machine.ISA{isa}, []*SequenceHooks{h}, iOut)
+	vs, err := t.SequenceVerdicts(method, in, kind, []machine.ISA{isa}, nil, iOut)
 	if err != nil {
 		return nil, err
 	}

@@ -7,11 +7,9 @@ import (
 	"strings"
 
 	"cogdiff/internal/concolic"
-	"cogdiff/internal/interp"
 	"cogdiff/internal/irverify"
 	"cogdiff/internal/jit"
 	"cogdiff/internal/machine"
-	"cogdiff/internal/metacompile"
 )
 
 // VerifyViolation is one static rejection from the compile-only sweep:
@@ -39,7 +37,7 @@ type VerifyRow struct {
 }
 
 // VerifySweepResult aggregates a whole-catalog compile-only verification
-// sweep: every instruction, every configured compiler, both ISAs,
+// sweep: every instruction, every configured compiler and ISA,
 // front-end plus every pass prefix verified — nothing executed.
 type VerifySweepResult struct {
 	Rows       []VerifyRow // canonical (compiler, instruction) order
@@ -156,7 +154,7 @@ func (c *Campaign) verifyInstruction(t *Tester, kind CompilerKind, target concol
 	if ex == nil {
 		return row
 	}
-	isas := []machine.ISA{machine.ISAAmd64Like, machine.ISAArm32Like}
+	isas := c.Config.ISAs
 	if kind == NativeMethodCompilerKind {
 		// Native templates are path-independent: one compile covers the
 		// instruction.
@@ -175,7 +173,7 @@ func (c *Campaign) verifyInstruction(t *Tester, kind CompilerKind, target concol
 		return row
 	}
 	for pi, path := range ex.Paths {
-		if skip := verifySkipReason(target, path, kind); skip != "" {
+		if skipReason(target, path, kind) != "" {
 			row.Skipped++
 			continue
 		}
@@ -184,28 +182,6 @@ func (c *Campaign) verifyInstruction(t *Tester, kind CompilerKind, target concol
 		}
 	}
 	return row
-}
-
-// verifySkipReason mirrors UnitRun.TestPath's expected-failure filter for
-// the compile-only sweep: paths the test runner would never compile are
-// not verification targets either.
-func verifySkipReason(target concolic.Target, path *concolic.PathResult, kind CompilerKind) string {
-	switch path.Exit.Kind {
-	case interp.ExitInvalidFrame:
-		return "invalid frame (expected failure)"
-	case interp.ExitInvalidMemoryAccess:
-		if target.Kind == concolic.TargetBytecode {
-			return "invalid memory access on unsafe byte-code (expected failure)"
-		}
-	case interp.ExitUnsupported:
-		return "unsupported instruction"
-	}
-	if kind == MetaJITCompiler {
-		if ok, reason := metacompile.PlanFor(target.Method).PathSupported(path.Path.Signature()); !ok {
-			return "not compilable: metacompile: " + reason
-		}
-	}
-	return ""
 }
 
 // safeVerifyCompile optimizes one path's unit once and lowers it for

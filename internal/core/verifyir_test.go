@@ -12,7 +12,10 @@ import (
 	"testing"
 
 	"cogdiff/internal/bytecode"
+	"cogdiff/internal/concolic"
 	"cogdiff/internal/core"
+	"cogdiff/internal/machine"
+	"cogdiff/internal/primitives"
 	"cogdiff/internal/report"
 )
 
@@ -127,6 +130,46 @@ func TestVerifierOnOffReportIdentity(t *testing.T) {
 		}
 		if workers == 1 && baseline[0] != baseline[1] {
 			t.Errorf("verifier on/off changed the campaign report:\n--- on ---\n%s\n--- off ---\n%s", baseline[0], baseline[1])
+		}
+	}
+}
+
+// TestSweepAndDumpLowerForConfiguredISAs pins that the compile-only sweep
+// and the IR dump lower for Config.ISAs, not for a fixed pair: the
+// one-ISA sweeps compile as many units between them as the two-ISA
+// sweep, and a one-ISA dump shows that ISA's lowered program only.
+func TestSweepAndDumpLowerForConfiguredISAs(t *testing.T) {
+	amd64, arm32 := machine.ISAAmd64Like, machine.ISAArm32Like
+	config := func(isas ...machine.ISA) core.Config {
+		cfg := core.DefaultConfig()
+		cfg.BytecodeFilter = func(op bytecode.Op) bool { return op == bytecode.OpPrimAdd }
+		cfg.PrimitiveFilter = func(p *primitives.Primitive) bool { return p.Name == "primitiveAdd" }
+		cfg.ISAs = isas
+		return cfg
+	}
+	compiled := func(isas ...machine.ISA) int {
+		t.Helper()
+		res, err := core.NewCampaign(config(isas...)).VerifyIR(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Compiled
+	}
+	both, onAmd64, onArm32 := compiled(amd64, arm32), compiled(amd64), compiled(arm32)
+	if both == 0 || onAmd64+onArm32 != both {
+		t.Errorf("one-ISA sweeps compiled %d + %d units, the two-ISA sweep %d", onAmd64, onArm32, both)
+	}
+
+	add := concolic.BytecodeTarget(bytecode.OpPrimAdd)
+	for _, isa := range []machine.ISA{amd64, arm32} {
+		out, err := core.NewCampaign(config(isa)).DumpIR(context.Background(), add, core.SimpleBytecodeCompiler)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, lowered := range []machine.ISA{amd64, arm32} {
+			if shown := strings.Contains(out, "== lowered "+lowered.String()+" =="); shown != (lowered == isa) {
+				t.Errorf("dump configured for %s shows the %s program: %t", isa, lowered, shown)
+			}
 		}
 	}
 }

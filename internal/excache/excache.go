@@ -40,8 +40,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
-	"sync"
 	"sync/atomic"
 
 	"cogdiff/internal/concolic"
@@ -103,15 +101,6 @@ type Stats struct {
 	Misses  int64
 	Corrupt int64
 	Writes  int64
-	Evicted int64
-}
-
-// HitRate returns hits/(hits+misses), zero when there was no traffic.
-func (s Stats) HitRate() float64 {
-	if s.Hits+s.Misses == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(s.Hits+s.Misses)
 }
 
 // Config parameterizes Open.
@@ -120,13 +109,9 @@ type Config struct {
 	Dir string
 	// Mode selects off/ro/rw participation.
 	Mode Mode
-	// Metrics, when non-nil, mirrors the hit/miss/corrupt/write/evict
+	// Metrics, when non-nil, mirrors the hit/miss/corrupt/write
 	// counters into the telemetry registry (cogdiff_excache_*_total).
 	Metrics *telemetry.Registry
-	// MaxEntries bounds the number of entry files (0 = unlimited). When a
-	// write pushes the directory over the bound, the oldest entries by
-	// modification time are evicted.
-	MaxEntries int
 	// Versions overrides the semantic version stamps (zero value =
 	// DefaultVersions). Tests use it to simulate version bumps.
 	Versions Versions
@@ -136,16 +121,13 @@ type Config struct {
 // test-unit entries. All methods are safe for concurrent use and safe on
 // a nil receiver.
 type Cache struct {
-	dir        string
-	mode       Mode
-	maxEntries int
-	vers       Versions
+	dir  string
+	mode Mode
+	vers Versions
 
-	hits, misses, corrupt, writes, evicted atomic.Int64
+	hits, misses, corrupt, writes atomic.Int64
 
-	mHits, mMisses, mCorrupt, mWrites, mEvicted *telemetry.Counter
-
-	evictMu sync.Mutex
+	mHits, mMisses, mCorrupt, mWrites *telemetry.Counter
 }
 
 // DefaultVersions returns the live semantic version stamps of every
@@ -179,15 +161,13 @@ func Open(cfg Config) (*Cache, error) {
 		vers.Schema = schemaVersion
 	}
 	c := &Cache{
-		dir:        cfg.Dir,
-		mode:       cfg.Mode,
-		maxEntries: cfg.MaxEntries,
-		vers:       vers,
-		mHits:      cfg.Metrics.Counter(telemetry.MetricCacheHits),
-		mMisses:    cfg.Metrics.Counter(telemetry.MetricCacheMisses),
-		mCorrupt:   cfg.Metrics.Counter(telemetry.MetricCacheCorrupt),
-		mWrites:    cfg.Metrics.Counter(telemetry.MetricCacheWrites),
-		mEvicted:   cfg.Metrics.Counter(telemetry.MetricCacheEvicted),
+		dir:      cfg.Dir,
+		mode:     cfg.Mode,
+		vers:     vers,
+		mHits:    cfg.Metrics.Counter(telemetry.MetricCacheHits),
+		mMisses:  cfg.Metrics.Counter(telemetry.MetricCacheMisses),
+		mCorrupt: cfg.Metrics.Counter(telemetry.MetricCacheCorrupt),
+		mWrites:  cfg.Metrics.Counter(telemetry.MetricCacheWrites),
 	}
 	if cfg.Mode == ModeRW {
 		if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
@@ -221,7 +201,6 @@ func (c *Cache) Stats() Stats {
 		Misses:  c.misses.Load(),
 		Corrupt: c.corrupt.Load(),
 		Writes:  c.writes.Load(),
-		Evicted: c.evicted.Load(),
 	}
 }
 
@@ -291,8 +270,7 @@ func targetDescriptor(t concolic.Target) string {
 
 // entryPath maps a (kind, key) pair to its file. Keys are hex digests,
 // so the name needs no escaping. The .json suffix predates the header
-// format; it stays so the MaxEntries sweep, which ages out *.json files,
-// also removes entries left by the JSON-envelope schema.
+// format; renaming it would orphan every cached entry.
 func (c *Cache) entryPath(kind, key string) string {
 	return filepath.Join(c.dir, kind+"-"+key+".json")
 }
@@ -410,7 +388,6 @@ func (c *Cache) StoreBlob(kind, key string, payload []byte) {
 	}
 	c.writes.Add(1)
 	c.mWrites.Inc()
-	c.evictOverflow()
 }
 
 // LoadExploration fetches a cached exploration and rebinds it to target.
@@ -471,49 +448,4 @@ func (c *Cache) corruptMiss() {
 	c.corrupt.Add(1)
 	c.mCorrupt.Inc()
 	c.miss()
-}
-
-// evictOverflow trims the directory to MaxEntries, oldest first by
-// modification time. Serialized so concurrent writers do not race over
-// the same victims; removal errors are ignored (another writer won).
-func (c *Cache) evictOverflow() {
-	if c.maxEntries <= 0 {
-		return
-	}
-	c.evictMu.Lock()
-	defer c.evictMu.Unlock()
-	entries, err := os.ReadDir(c.dir)
-	if err != nil {
-		return
-	}
-	type aged struct {
-		name string
-		mod  int64
-	}
-	var files []aged
-	for _, e := range entries {
-		if e.IsDir() || filepath.Ext(e.Name()) != ".json" {
-			continue
-		}
-		info, err := e.Info()
-		if err != nil {
-			continue
-		}
-		files = append(files, aged{name: e.Name(), mod: info.ModTime().UnixNano()})
-	}
-	if len(files) <= c.maxEntries {
-		return
-	}
-	sort.Slice(files, func(i, j int) bool {
-		if files[i].mod != files[j].mod {
-			return files[i].mod < files[j].mod
-		}
-		return files[i].name < files[j].name
-	})
-	for _, f := range files[:len(files)-c.maxEntries] {
-		if os.Remove(filepath.Join(c.dir, f.name)) == nil {
-			c.evicted.Add(1)
-			c.mEvicted.Inc()
-		}
-	}
 }

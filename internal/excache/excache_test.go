@@ -529,32 +529,6 @@ func TestUnwritableDirectoryFailsOpen(t *testing.T) {
 	}
 }
 
-func TestEvictionBoundsEntryCount(t *testing.T) {
-	dir := t.TempDir()
-	c, err := excache.Open(excache.Config{Dir: dir, Mode: excache.ModeRW, MaxEntries: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	keys := []string{
-		strings.Repeat("1", 64), strings.Repeat("2", 64), strings.Repeat("3", 64),
-		strings.Repeat("4", 64), strings.Repeat("5", 64),
-	}
-	for i, k := range keys {
-		c.StoreBlob("ex", k, []byte(`{"i":`+string(rune('0'+i))+`}`))
-	}
-	matches, _ := filepath.Glob(filepath.Join(dir, "*.json"))
-	if len(matches) > 3 {
-		t.Errorf("directory holds %d entries, MaxEntries is 3", len(matches))
-	}
-	if s := c.Stats(); s.Evicted < 2 {
-		t.Errorf("stats: %+v, want >= 2 evictions", s)
-	}
-	// The newest entry must have survived.
-	if _, ok := loadBlob(c, "ex", keys[len(keys)-1]); !ok {
-		t.Error("newest entry was evicted")
-	}
-}
-
 // TestConcurrentBlobTraffic hammers one cache from many goroutines
 // (mixed loads and stores over a small key space) so the race-detector
 // tier verifies the cache's internal synchronization.

@@ -8,27 +8,16 @@ import (
 	"cogdiff/internal/machine"
 )
 
-// Backend is the shared tail of every compilation. It runs in two
-// steps. Optimize is ISA-independent: it validates the front-end's IR,
-// runs the pass pipeline under the static verifier, and reports
-// post-pipeline opcodes to the coverage hook. Optimized.Lower then
-// lowers and encodes that IR for one ISA, so a caller testing a unit on
-// several ISAs optimizes once and lowers once per ISA. The Backend
-// exists so every front-end — the hand-written Cogits, the native
-// templates and the meta-compiled front-end of internal/metacompile —
-// flows through exactly the same pipeline, verifier, stage record, and
-// telemetry.
-type Backend struct {
-	// Passes is the pass pipeline, PipelineFor's shared slice for the
-	// front-end's variant and defect switches; native templates run
-	// none.
-	Passes  []ir.Pass
+// Hooks are the settings every compile passes through to the Backend
+// unchanged. The front-ends embed one value and hand it over whole.
+type Hooks struct {
+	// Metrics, when non-nil, times every optimization pass and verifier
+	// run and counts compiled units through pre-resolved telemetry
+	// handles.
 	Metrics *PassMetrics
-	OnIR    func(ir.Opc)
+	// OnStage, when non-nil, receives the IR after the front-end and
+	// after each optimization pass: the IR dump's hook.
 	OnStage func(stage string, fn *ir.Fn)
-	// Pool is the physical register pool lowering assigns to virtual
-	// registers.
-	Pool []machine.Reg
 	// NoVerify disables the static IR verifier. Verification is on by
 	// default: the front-end's output and every pass prefix are checked
 	// for well-formedness and stack balance, and each pass for
@@ -37,6 +26,26 @@ type Backend struct {
 	// ("ir-verify:<rule> after <stage>") attributes the miscompile
 	// statically — no instruction of the unit ever executes.
 	NoVerify bool
+}
+
+// Backend is the shared tail of every compilation. It runs in two
+// steps. Optimize is ISA-independent: it validates the front-end's IR
+// and runs the pass pipeline under the static verifier. Optimized.Lower
+// then lowers and encodes that IR for one ISA, so a caller testing a
+// unit on several ISAs optimizes once and lowers once per ISA. The
+// Backend exists so every front-end — the hand-written Cogits, the
+// native templates and the meta-compiled front-end of
+// internal/metacompile — flows through exactly the same pipeline,
+// verifier, stage record, and telemetry.
+type Backend struct {
+	Hooks
+	// Passes is the pass pipeline, PipelineFor's shared slice for the
+	// front-end's variant and defect switches; native templates run
+	// none.
+	Passes []ir.Pass
+	// Pool is the physical register pool lowering assigns to virtual
+	// registers.
+	Pool []machine.Reg
 	// RequireDeopt additionally demands a reachable deoptimization stub
 	// (a Brk with BrkMetaDeopt) in the front-end's output. Set by the
 	// meta-compiled front-end, whose guard chains must always be able to
@@ -91,7 +100,7 @@ func (o *Optimized) AtStage(k int) *Optimized {
 }
 
 // EachOp calls f with the opcode of every instruction of the optimized
-// IR in order, labels excluded: the stream the OnIR hooks observe.
+// IR in order, labels excluded: the fuzzer's IR-opcode coverage signal.
 func (o *Optimized) EachOp(f func(ir.Opc)) {
 	for _, ins := range o.Fn.Instrs {
 		if ins.Op != ir.OpcLabel {
@@ -185,9 +194,8 @@ func (sv *stageVerifier) done(t0 time.Time, violations int) {
 }
 
 // Optimize runs the ISA-independent half of compilation over the built
-// IR: the front-end stage, the pass pipeline, the verifier after every
-// stage, and the coverage hook over the final IR. It records every
-// distinct stage on the result.
+// IR: the front-end stage, the pass pipeline and the verifier after
+// every stage. It records every distinct stage on the result.
 func (bk *Backend) Optimize(b *ir.Builder, selectors []Selector, numTemps int) (*Optimized, error) {
 	fn, err := b.Finish()
 	if err != nil {
@@ -234,9 +242,5 @@ func (bk *Backend) Optimize(b *ir.Builder, selectors []Selector, numTemps int) (
 			}
 		}
 	}
-	o := &Optimized{Fn: fn, Stages: stages, Selectors: selectors, NumTemps: numTemps, pool: bk.Pool, metrics: bk.Metrics}
-	if bk.OnIR != nil {
-		o.EachOp(bk.OnIR)
-	}
-	return o, nil
+	return &Optimized{Fn: fn, Stages: stages, Selectors: selectors, NumTemps: numTemps, pool: bk.Pool, metrics: bk.Metrics}, nil
 }

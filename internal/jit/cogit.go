@@ -21,22 +21,9 @@ type Cogit struct {
 	OM      *heap.ObjectMemory
 	Defects defects.Switches
 
-	// OnIR, when non-nil, observes the opcode of every instruction in the
-	// post-pipeline IR (labels excluded) — the fuzzer's IR-opcode coverage
-	// signal. Set it before compiling.
-	OnIR func(ir.Opc)
-
-	// OnStage, when non-nil, receives the IR after the front-end and
-	// after each optimization pass — the CLI's ir-dump hook.
-	OnStage func(stage string, fn *ir.Fn)
-
-	// Metrics, when non-nil, times every optimization pass and counts
-	// compiled units through pre-resolved telemetry handles.
-	Metrics *PassMetrics
-
-	// NoVerify disables the static IR verifier the Backend runs after
-	// the front-end and every pass prefix. Verification is on by default.
-	NoVerify bool
+	// Hooks parameterize the shared Backend: pass telemetry, the IR-dump
+	// hook and the verifier switch. Set them before compiling.
+	Hooks
 
 	// per-compilation state
 	b           *ir.Builder
@@ -337,17 +324,9 @@ func (c *Cogit) pool() []machine.Reg {
 }
 
 // finish runs the ISA-independent tail of compilation through the shared
-// Backend: validate the front-end's IR, run the pass pipeline, and report
-// the post-pipeline opcodes to the coverage hook.
+// Backend: validate the front-end's IR and run the pass pipeline.
 func (c *Cogit) finish() (*Optimized, error) {
-	bk := &Backend{
-		Passes:   PipelineFor(c.Variant, c.Defects),
-		Metrics:  c.Metrics,
-		OnIR:     c.OnIR,
-		OnStage:  c.OnStage,
-		Pool:     c.pool(),
-		NoVerify: c.NoVerify,
-	}
+	bk := &Backend{Hooks: c.Hooks, Passes: PipelineFor(c.Variant, c.Defects), Pool: c.pool()}
 	return bk.Optimize(c.b, c.selectors, c.numTemps)
 }
 

@@ -21,18 +21,11 @@ type NativeMethodCompiler struct {
 	OM      *heap.ObjectMemory
 	Defects defects.Switches
 
-	// OnStage, when non-nil, observes the template IR before lowering.
-	// Native methods run no passes, so the only stage is "front-end".
-	OnStage func(stage string, fn *ir.Fn)
-
-	// Metrics, when non-nil, counts compiled units. Native methods run
-	// no passes, so no pass timing applies.
-	Metrics *PassMetrics
-
-	// NoVerify disables the static IR verifier over the template output.
-	// Native methods run no passes, so only the well-formedness and
-	// stack-balance rules apply, after the single "front-end" stage.
-	NoVerify bool
+	// Hooks parameterize the shared Backend. Native methods run no
+	// passes, so OnStage sees only the "front-end" stage, Metrics times
+	// no pass, and the verifier applies the well-formedness and
+	// stack-balance rules after that one stage.
+	Hooks
 
 	b   *ir.Builder
 	seq int
@@ -84,7 +77,7 @@ func (n *NativeMethodCompiler) OptimizeNativeMethod(p *primitives.Primitive) (*O
 // optimization passes and use no virtual registers, so the pipeline and
 // the pool are nil.
 func (n *NativeMethodCompiler) finish() (*Optimized, error) {
-	bk := &Backend{Metrics: n.Metrics, OnStage: n.OnStage, NoVerify: n.NoVerify}
+	bk := &Backend{Hooks: n.Hooks}
 	return bk.Optimize(n.b, nil, 0)
 }
 

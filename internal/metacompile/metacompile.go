@@ -57,17 +57,11 @@ type Compiler struct {
 	OM      *heap.ObjectMemory
 	Defects defects.Switches
 
-	// Metrics, OnIR and OnStage mirror the Cogit fields: they
-	// parameterize the shared Backend (pass telemetry, coverage and
-	// ir-dump hooks).
-	Metrics *jit.PassMetrics
-	OnIR    func(ir.Opc)
-	OnStage func(stage string, fn *ir.Fn)
-
-	// NoVerify disables the Backend's static IR verifier. When on (the
-	// default) the verifier additionally demands a reachable deopt stub:
-	// generated guard chains must always be able to bail out.
-	NoVerify bool
+	// Hooks parameterize the shared Backend, as on a Cogit. With the
+	// verifier on (the default) the Backend additionally demands a
+	// reachable deopt stub: generated guard chains must always be able
+	// to bail out.
+	jit.Hooks
 }
 
 // NewCompiler builds a meta-compiled front-end over om.
@@ -85,12 +79,9 @@ func (c *Compiler) finish(l *lowerer) (*jit.Optimized, error) {
 		return nil, l.err
 	}
 	bk := &jit.Backend{
+		Hooks:        c.Hooks,
 		Passes:       jit.PipelineFor(jit.MetaJITCogit, c.Defects),
-		Metrics:      c.Metrics,
-		OnIR:         c.OnIR,
-		OnStage:      c.OnStage,
 		Pool:         lowerPool,
-		NoVerify:     c.NoVerify,
 		RequireDeopt: true,
 	}
 	return bk.Optimize(l.b, l.selectors, l.numTemps)

@@ -31,7 +31,6 @@ const (
 	MetricCacheMisses  = "cogdiff_excache_misses_total"
 	MetricCacheCorrupt = "cogdiff_excache_corrupt_total"
 	MetricCacheWrites  = "cogdiff_excache_writes_total"
-	MetricCacheEvicted = "cogdiff_excache_evicted_total"
 
 	// Unit-cache keying. A fingerprint error means the affected test units
 	// run uncached (correct but slow) — it must be visible, not silent.
