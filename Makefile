@@ -11,7 +11,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test test-short test-race bench-go bench-check cache-smoke perf-smoke fuzz fuzz-smoke blame-smoke metacompile-smoke metrics-smoke verify-smoke examples-smoke fmt-check golden-update ci
+.PHONY: all build vet lint test test-short test-race bench-go bench-check cache-smoke perf-smoke fuzz fuzz-smoke fuzz-codecs blame-smoke metacompile-smoke metrics-smoke verify-smoke examples-smoke fmt-check golden-update ci
 
 all: build vet test
 
@@ -137,6 +137,15 @@ fuzz-smoke:
 	$(GO) run ./cmd/cogdiff fuzz -seed 2022 -budget 2000 -workers 0 \
 		-seed-corpus internal/core/testdata/fuzz/FuzzSequenceDiff
 
+# Coverage-guided fuzzing of the exploration cache's two payload
+# decoders, 10 s each: explorations (internal/excache) and test-unit
+# verdicts (internal/core). Both parse files read from disk, and plain
+# `go test` runs only their seed corpora. Each must never panic, and a
+# payload it accepts must survive a re-encode.
+fuzz-codecs:
+	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalExploration$$' -fuzztime 10s ./internal/excache/
+	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalInstructionReport$$' -fuzztime 10s ./internal/core/
+
 # Pass-level blame smoke test: a campaign with the pass-targeted
 # constant-folding defect must name the guilty pass in its cause table,
 # and its whole stable report — every cause's blamed stage — must match
@@ -248,4 +257,4 @@ fmt-check:
 golden-update:
 	$(GO) test ./cmd/cogdiff/ -run TestGolden -update
 
-ci: build vet lint fmt-check test test-race bench-check fuzz-smoke blame-smoke metacompile-smoke metrics-smoke cache-smoke perf-smoke verify-smoke examples-smoke
+ci: build vet lint fmt-check test test-race bench-check fuzz-smoke fuzz-codecs blame-smoke metacompile-smoke metrics-smoke cache-smoke perf-smoke verify-smoke examples-smoke

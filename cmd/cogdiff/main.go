@@ -412,15 +412,14 @@ func campaignFlags(fs *flag.FlagSet, withNoVerify bool) *cogdiff.CampaignOptions
 }
 
 func renderCampaignProgress(s telemetry.Snapshot) string {
-	return fmt.Sprintf("paths %d, units tested %d, differences %d, panics contained %d, cache-stats hits %d misses %d corrupt %d fingerprint-errors %d",
+	return fmt.Sprintf("paths %d, units tested %d, differences %d, panics contained %d, cache-stats hits %d misses %d corrupt %d",
 		counterTotal(s, telemetry.MetricPathsExplored),
 		counterTotal(s, telemetry.MetricUnitsTested),
 		counterTotal(s, telemetry.MetricDifferences),
 		counterTotal(s, telemetry.MetricPanicsContained),
 		counterTotal(s, telemetry.MetricCacheHits),
 		counterTotal(s, telemetry.MetricCacheMisses),
-		counterTotal(s, telemetry.MetricCacheCorrupt),
-		counterTotal(s, telemetry.MetricUnitCacheFingerprintErrors))
+		counterTotal(s, telemetry.MetricCacheCorrupt))
 }
 
 func renderFuzzProgress(s telemetry.Snapshot) string {

@@ -510,9 +510,6 @@ type CampaignSummary struct {
 
 	// Cache reports exploration-cache traffic (all zero when disabled).
 	Cache CacheStats
-	// FingerprintErrors counts exploration fingerprints that failed to
-	// compute; the affected units ran uncached (correct but slower).
-	FingerprintErrors int
 
 	Duration time.Duration
 }
@@ -603,7 +600,6 @@ func RunCampaign(opts CampaignOptions) (*CampaignSummary, error) {
 	}
 	out.TotalCauses = len(res.Causes)
 	out.Cache = cacheStatsOf(cfg.Cache)
-	out.FingerprintErrors = res.FingerprintErrors
 	return out, nil
 }
 

@@ -1,28 +1,29 @@
-package concolic
+package concolic_test
+
+// Exploration results can be cached and reused multiple times (§5.4).
+// These tests drive explorations through the exploration cache's codec
+// (internal/excache), which imports this package, so they live in the
+// external test package.
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
+	"encoding/binary"
 	"testing"
 
 	"cogdiff/internal/bytecode"
+	"cogdiff/internal/concolic"
+	"cogdiff/internal/excache"
 	"cogdiff/internal/primitives"
 )
 
 func TestExplorationRoundTrip(t *testing.T) {
 	prims := primitives.NewTable()
-	explorer := NewExplorer(prims, DefaultOptions())
-	for _, target := range []Target{
-		BytecodeTarget(bytecode.OpPrimAdd),
-		NativeMethodTarget(primitives.PrimIdxAt, "primitiveAt", 1),
+	explorer := concolic.NewExplorer(prims, concolic.DefaultOptions())
+	for _, target := range []concolic.Target{
+		concolic.BytecodeTarget(bytecode.OpPrimAdd),
+		concolic.NativeMethodTarget(primitives.PrimIdxAt, "primitiveAt", 1),
 	} {
 		ex := explorer.Explore(target)
-		data, err := MarshalExploration(ex)
-		if err != nil {
-			t.Fatalf("%s: marshal: %v", target.Name, err)
-		}
-		back, err := UnmarshalExploration(data)
+		back, err := excache.UnmarshalExploration(excache.MarshalExploration(ex))
 		if err != nil {
 			t.Fatalf("%s: unmarshal: %v", target.Name, err)
 		}
@@ -50,84 +51,65 @@ func TestExplorationRoundTrip(t *testing.T) {
 	}
 }
 
+// primAddTarget is the payload prefix naming primAdd's target.
+func primAddTarget() []byte {
+	return binary.AppendVarint([]byte{0}, int64(bytecode.OpPrimAdd))
+}
+
+// pathPrefix is a payload for primAdd with an empty universe and one
+// path, cut where that path's witness values begin: no constraints and
+// a stack size of 0.
+func pathPrefix() []byte {
+	return append(primAddTarget(), 1, 2, 0, 0)
+}
+
+// onePathPayload completes pathPrefix with a witness model assigning the
+// given variable ids (each a zero small integer), no aliases, and zero
+// counters.
+func onePathPayload(ids ...int64) []byte {
+	b := binary.AppendUvarint(pathPrefix(), uint64(len(ids))+1)
+	for _, id := range ids {
+		b = binary.AppendVarint(b, id)
+		b = append(b, 0, 0, 0, 0, 0, 0) // kind, int, float, class, format, slots
+	}
+	b = append(b, 0)             // nil alias map
+	b = append(b, 0, 0, 0, 0, 0) // exit kind, nextPC, selector, numArgs, failCode
+	return append(b, 0, 0, 0)    // curatedOut, iterations, duration
+}
+
+// TestUnmarshalRejectsGarbage feeds the exploration decoder malformed
+// binary payloads: each must be an error, never a panic or a result.
 func TestUnmarshalRejectsGarbage(t *testing.T) {
-	if _, err := UnmarshalExploration([]byte("{")); err == nil {
-		t.Fatal("truncated JSON must error")
-	}
-	if _, err := UnmarshalExploration([]byte(`{"kind": 9}`)); err == nil {
-		t.Fatal("unknown target kind must error")
-	}
-}
-
-// threePassFingerprint is the fingerprint derivation FingerprintExploration
-// used to make: marshal, unmarshal, zero the duration, marshal again. It
-// is the reference the one-pass derivation must reproduce, because unit
-// cache keys are built from fingerprints.
-func threePassFingerprint(ex *Exploration) (string, error) {
-	data, err := MarshalExploration(ex)
-	if err != nil {
-		return "", err
-	}
-	var dto explorationDTO
-	if err := json.Unmarshal(data, &dto); err != nil {
-		return "", err
-	}
-	dto.DurationNS = 0
-	canon, err := json.Marshal(dto)
-	if err != nil {
-		return "", err
-	}
-	sum := sha256.Sum256(canon)
-	return hex.EncodeToString(sum[:]), nil
-}
-
-// catalogTargets lists every instruction a default campaign explores.
-func catalogTargets(prims *primitives.Table) []Target {
-	var targets []Target
-	for _, op := range bytecode.AllOpcodes() {
-		if bytecode.Describe(op).Family != bytecode.FamCallPrimitive {
-			targets = append(targets, BytecodeTarget(op))
+	explorer := concolic.NewExplorer(primitives.NewTable(), concolic.DefaultOptions())
+	valid := excache.MarshalExploration(explorer.Explore(concolic.BytecodeTarget(bytecode.OpPrimAdd)))
+	for n := 0; n < len(valid); n++ {
+		if _, err := excache.UnmarshalExploration(valid[:n]); err == nil {
+			t.Errorf("payload truncated to %d of %d bytes decoded", n, len(valid))
 		}
 	}
-	for _, p := range prims.All() {
-		targets = append(targets, NativeMethodTarget(p.Index, p.Name, p.NumArgs))
+	if _, err := excache.UnmarshalExploration(onePathPayload(2, 5)); err != nil {
+		t.Fatalf("hand-built payload with ascending model ids rejected: %v", err)
 	}
-	return targets
-}
 
-// TestFingerprintMatchesThreePassDerivation pins the one-pass fingerprint
-// to the old three-pass one on every catalog exploration, fresh and after
-// a serialization round trip, so existing unit keys keep their meaning.
-func TestFingerprintMatchesThreePassDerivation(t *testing.T) {
-	prims := primitives.NewTable()
-	explorer := NewExplorer(prims, DefaultOptions())
-	targets := catalogTargets(prims)
-	if len(targets) < 250 {
-		t.Fatalf("catalog suspiciously small: %d targets", len(targets))
+	cases := map[string][]byte{
+		"json":                       []byte(`{"kind": 9}`),
+		"trailing byte":              append(append([]byte(nil), valid...), 0),
+		"unknown target kind":        binary.AppendVarint(nil, 9),
+		"undefined opcode":           binary.AppendVarint([]byte{0}, 0xff),
+		"opcode past a byte":         binary.AppendVarint([]byte{0}, 0x100+int64(bytecode.OpPrimAdd)),
+		"non-minimal varint":         append([]byte{0x80, 0x00}, onePathPayload(2)[1:]...),
+		"nil universe":               append(primAddTarget(), 0, 0, 0, 0, 0),
+		"duplicate variable role":    append(primAddTarget(), 3, 0, 0, 1, 0, 0, 1, 1, 0, 0, 0),
+		"variable count past input":  binary.AppendUvarint(primAddTarget(), 1<<40),
+		"path count past input":      binary.AppendUvarint(append(primAddTarget(), 1), 1<<40),
+		"constraint string too long": append(primAddTarget(), 1, 2, 2, 0x7f, 'x'),
+		"model count past input":     binary.AppendUvarint(pathPrefix(), 1<<40),
+		"model ids out of order":     onePathPayload(5, 2),
+		"model ids repeated":         onePathPayload(4, 4),
 	}
-	t.Logf("%d catalog explorations", len(targets))
-	for _, target := range targets {
-		fresh := explorer.Explore(target)
-		data, err := MarshalExploration(fresh)
-		if err != nil {
-			t.Fatalf("%s: marshal: %v", target.Name, err)
-		}
-		loaded, err := UnmarshalExploration(data)
-		if err != nil {
-			t.Fatalf("%s: unmarshal: %v", target.Name, err)
-		}
-		for _, ex := range []*Exploration{fresh, loaded} {
-			got, err := FingerprintExploration(ex)
-			if err != nil {
-				t.Fatalf("%s: fingerprint: %v", target.Name, err)
-			}
-			want, err := threePassFingerprint(ex)
-			if err != nil {
-				t.Fatalf("%s: three-pass fingerprint: %v", target.Name, err)
-			}
-			if got != want {
-				t.Errorf("%s: one-pass fingerprint %s, three-pass %s", target.Name, got, want)
-			}
+	for name, data := range cases {
+		if _, err := excache.UnmarshalExploration(data); err == nil {
+			t.Errorf("%s: malformed payload decoded", name)
 		}
 	}
 }

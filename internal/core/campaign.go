@@ -58,9 +58,9 @@ type Config struct {
 	// the containment boundary. Fault-injection tests use it to raise
 	// genuine heap panics in worker goroutines.
 	faultInject func(target concolic.Target, kind CompilerKind, isa machine.ISA)
-	// poisonExploration, when non-nil, mutates each exploration after the
-	// explore step and before unit fingerprinting. Fingerprint-error tests
-	// inject unmarshalable content (a NaN in a witness model) through it.
+	// poisonExploration, when non-nil, mutates each freshly explored
+	// exploration before it is cached and fingerprinted. Cache tests
+	// inject unusual witnesses (a NaN) through it.
 	poisonExploration func(target concolic.Target, ex *concolic.Exploration)
 	// noReuse disables every raw-speed reuse layer — pooled execution
 	// environments, pooled exploration heaps, and lowering one optimized
@@ -145,11 +145,6 @@ type CampaignResult struct {
 	Causes  map[string]*Cause // keyed by instruction+family
 	// Explorations preserves every instruction's exploration (Figure 5/6).
 	Explorations map[string]*concolic.Exploration
-	// FingerprintErrors counts explorations whose unit-cache fingerprint
-	// failed to compute. Each such instruction ran every test unit
-	// uncached — correct but slow, so the count must surface rather than
-	// disappear.
-	FingerprintErrors int
 }
 
 // TotalDifferences sums differing paths over all compilers.
@@ -262,27 +257,15 @@ func (c *Campaign) RunContext(ctx context.Context) (*CampaignResult, error) {
 		return nil, err
 	}
 	for i, t := range allTargets {
-		if c.Config.poisonExploration != nil {
-			c.Config.poisonExploration(t, explorations[i])
-		}
 		result.Explorations[explorationKey(t)] = explorations[i]
 	}
 	// Fingerprint each exploration's semantic content once; test units
 	// derive their cache keys from it, so a unit hit is only possible
-	// when the exploration that drives it is content-identical. A
-	// fingerprint failure downgrades the instruction's units to uncached
-	// runs — correct but slow — and is counted, never swallowed.
-	fingerprints := make(map[string]string, len(allTargets))
+	// when the exploration that drives it is content-identical.
+	fingerprints := make([]string, len(allTargets))
 	if c.Config.Cache != nil {
-		fpErrors := reg.Counter(telemetry.MetricUnitCacheFingerprintErrors)
-		for i, t := range allTargets {
-			fp, err := concolic.FingerprintExploration(explorations[i])
-			if err != nil {
-				fpErrors.Inc()
-				result.FingerprintErrors++
-				continue
-			}
-			fingerprints[explorationKey(t)] = fp
+		for i, ex := range explorations {
+			fingerprints[i] = excache.FingerprintExploration(ex)
 		}
 	}
 	if reg != nil {
@@ -298,38 +281,37 @@ func (c *Campaign) RunContext(ctx context.Context) (*CampaignResult, error) {
 
 	// Steps 2-4: one test unit per (compiler, instruction). Units write
 	// into their own report slot; the shared explorations are read-only
-	// here (frame builders intern through the universe's lock).
-	type testUnit struct{ compiler, target int }
-	targetsByCompiler := make([][]concolic.Target, len(c.Config.Compilers))
+	// here (frame builders intern through the universe's lock). A unit's
+	// target indexes its compiler's report row; explored indexes
+	// allTargets and explorations.
+	type testUnit struct{ compiler, target, explored int }
 	result.Reports = make([]CompilerReport, len(c.Config.Compilers))
 	var units []testUnit
 	for ci, kind := range c.Config.Compilers {
-		targets := bcTargets
+		targets, offset := bcTargets, 0
 		if kind == NativeMethodCompilerKind {
-			targets = nmTargets
+			targets, offset = nmTargets, len(bcTargets)
 		}
-		targetsByCompiler[ci] = targets
 		result.Reports[ci] = CompilerReport{
 			Compiler:     kind,
 			Instructions: make([]InstructionReport, len(targets)),
 		}
 		for ti := range targets {
-			units = append(units, testUnit{compiler: ci, target: ti})
+			units = append(units, testUnit{compiler: ci, target: ti, explored: offset + ti})
 		}
 	}
 
 	var progressMu sync.Mutex
 	done := 0
 	unitsTested := reg.Counter(telemetry.MetricUnitsTested)
-	unitKeyParts := c.unitKeyParts()
+	unitKeyPrefixes := c.unitKeyPrefixes()
 	if err := RunUnitsCtx(ctx, workers, len(units), func(i int) {
 		sp := reg.StartSpan(telemetry.SpanTestUnit)
 		defer sp.End()
 		u := units[i]
-		target := targetsByCompiler[u.compiler][u.target]
-		ex := result.Explorations[explorationKey(target)]
+		target, ex := allTargets[u.explored], explorations[u.explored]
 		kind := result.Reports[u.compiler].Compiler
-		unitKey := c.unitCacheKey(fingerprints[explorationKey(target)], kind, unitKeyParts)
+		unitKey := c.Config.Cache.UnitKey(unitKeyPrefixes[u.compiler], fingerprints[u.explored])
 		ir, cached := c.loadCachedUnit(unitKey, target, ex)
 		if !cached {
 			ir = c.testInstruction(tester, kind, target, ex)
@@ -429,6 +411,9 @@ func (c *Campaign) explore(ctx context.Context, targets []concolic.Target) ([]*c
 				out[i] = &concolic.Exploration{Target: targets[i]}
 				return
 			}
+			if c.Config.poisonExploration != nil {
+				c.Config.poisonExploration(targets[i], out[i])
+			}
 			c.Config.Cache.StoreExploration(key, out[i])
 		}()
 		out[i] = explorer.Explore(targets[i])
@@ -450,41 +435,36 @@ func explorationKey(t concolic.Target) string {
 	return fmt.Sprintf("%s/%s", t.Kind, t.Name)
 }
 
-// unitKeyParts renders the campaign-wide inputs every verdict depends
-// on, once per campaign: the ISA list, the full defect switch state and
-// whether the static verifier runs (a defective pipeline yields a
-// verifier-reject verdict with it on and a dynamic one with it off, and
-// the exploration cache persists across runs).
-func (c *Campaign) unitKeyParts() []string {
+// unitKeyPrefixes hashes, once per campaign, the key material the test
+// units of each configured compiler share: the compiler kind, the ISA
+// list, the full defect switch state and whether the static verifier
+// runs (a defective pipeline yields a verifier-reject verdict with it on
+// and a dynamic one with it off, and the exploration cache persists
+// across runs). Each unit key then hashes only its exploration's
+// fingerprint on top.
+func (c *Campaign) unitKeyPrefixes() []string {
+	prefixes := make([]string, len(c.Config.Compilers))
 	if c.Config.Cache == nil {
-		return nil
+		return prefixes
 	}
-	var parts []string
+	var campaignParts []string
 	for _, isa := range c.Config.ISAs {
-		parts = append(parts, fmt.Sprintf("isa=%d", int(isa)))
+		campaignParts = append(campaignParts, fmt.Sprintf("isa=%d", int(isa)))
 	}
-	return append(parts,
+	campaignParts = append(campaignParts,
 		fmt.Sprintf("defects=%+v", c.Config.Defects),
 		fmt.Sprintf("verify=%t", !c.Config.NoVerify))
-}
-
-// unitCacheKey derives one test unit's cache key from the exploration
-// fingerprint, the compiler kind and the campaign-wide unitKeyParts (an
-// empty fingerprint disables caching for that unit).
-func (c *Campaign) unitCacheKey(explorationFP string, kind CompilerKind, campaignParts []string) string {
-	if c.Config.Cache == nil || explorationFP == "" {
-		return ""
+	for ci, kind := range c.Config.Compilers {
+		parts := []string{"compiler=" + strconv.Itoa(int(kind))}
+		if kind == MetaJITCompiler {
+			// The derived front-end's verdicts additionally depend on the
+			// generator's translation scheme: fold its semantics version in
+			// so a regenerated compiler cannot reuse stale unit results.
+			parts = append(parts, "semantics="+metacompile.SemanticsVersion)
+		}
+		prefixes[ci] = c.Config.Cache.UnitKeyPrefix(append(parts, campaignParts...)...)
 	}
-	parts := make([]string, 0, 2+len(campaignParts))
-	parts = append(parts, "compiler="+strconv.Itoa(int(kind)))
-	if kind == MetaJITCompiler {
-		// The derived front-end's verdicts additionally depend on the
-		// generator's translation scheme: fold its semantics version in so
-		// a regenerated compiler cannot reuse stale unit results.
-		parts = append(parts, "semantics="+metacompile.SemanticsVersion)
-	}
-	parts = append(parts, campaignParts...)
-	return c.Config.Cache.UnitKey(explorationFP, parts...)
+	return prefixes
 }
 
 // loadCachedUnit fetches one test unit's report from the cache. The

@@ -6,6 +6,7 @@ import (
 	"cogdiff/internal/bytecode"
 	"cogdiff/internal/concolic"
 	"cogdiff/internal/defects"
+	"cogdiff/internal/excache"
 	"cogdiff/internal/interp"
 	"cogdiff/internal/machine"
 	"cogdiff/internal/primitives"
@@ -383,11 +384,7 @@ func TestCachedExplorationDrivesDiffTesting(t *testing.T) {
 	target := concolic.BytecodeTarget(bytecode.OpPrimAdd)
 	fresh := explorer.Explore(target)
 
-	data, err := concolic.MarshalExploration(fresh)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cached, err := concolic.UnmarshalExploration(data)
+	cached, err := excache.UnmarshalExploration(excache.MarshalExploration(fresh))
 	if err != nil {
 		t.Fatal(err)
 	}

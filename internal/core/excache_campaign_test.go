@@ -125,10 +125,12 @@ func TestCampaignSurvivesCorruptCacheDirectory(t *testing.T) {
 	baseline := runCampaignWithCache(t, openCampaignCache(t, dir, nil), 1)
 	baseReports, baseSurfaces := cacheNormalize(baseline), renderSurfaces(baseline)
 
-	entries, err := filepath.Glob(filepath.Join(dir, "*.json"))
-	if err != nil || len(entries) == 0 {
-		t.Fatalf("no cache entries after cold run (err %v)", err)
+	explorations, _ := filepath.Glob(filepath.Join(dir, "ex-*"))
+	units, err := filepath.Glob(filepath.Join(dir, "unit-*"))
+	if err != nil || len(explorations) == 0 || len(units) == 0 {
+		t.Fatalf("cold run left %d exploration and %d unit entries (err %v)", len(explorations), len(units), err)
 	}
+	entries := append(explorations, units...)
 	for _, path := range entries {
 		data, err := os.ReadFile(path)
 		if err != nil {
@@ -185,11 +187,11 @@ func TestUndecodableUnitEntryIsCorrupt(t *testing.T) {
 	}
 	cold, _ := run()
 
-	units, err := filepath.Glob(filepath.Join(dir, "unit-*.json"))
+	units, err := filepath.Glob(filepath.Join(dir, "unit-*"))
 	if err != nil || len(units) != 1 {
 		t.Fatalf("want one unit entry after the cold run, got %v (err %v)", units, err)
 	}
-	key := strings.TrimSuffix(strings.TrimPrefix(filepath.Base(units[0]), "unit-"), ".json")
+	key := strings.TrimPrefix(filepath.Base(units[0]), "unit-")
 	openCampaignCache(t, dir, nil).StoreBlob("unit", key, []byte(`{"verdicts":5}`))
 
 	res, s := run()

@@ -36,7 +36,6 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -124,6 +123,9 @@ type Cache struct {
 	dir  string
 	mode Mode
 	vers Versions
+	// explorationPrefix hashes the key material every exploration key
+	// shares (the schema and the versions it depends on), once per cache.
+	explorationPrefix string
 
 	hits, misses, corrupt, writes atomic.Int64
 
@@ -143,7 +145,7 @@ func DefaultVersions() Versions {
 	}
 }
 
-const schemaVersion = "cogdiff-excache/2"
+const schemaVersion = "cogdiff-excache/3"
 
 // Open validates the configuration and returns a ready cache. ModeOff
 // (or an empty Dir) returns a nil cache, which is valid and inert. In rw
@@ -161,9 +163,11 @@ func Open(cfg Config) (*Cache, error) {
 		vers.Schema = schemaVersion
 	}
 	c := &Cache{
-		dir:      cfg.Dir,
-		mode:     cfg.Mode,
-		vers:     vers,
+		dir:  cfg.Dir,
+		mode: cfg.Mode,
+		vers: vers,
+		explorationPrefix: hashHex("exploration",
+			vers.Schema, vers.Interp, vers.Primitives, vers.Solver),
 		mHits:    cfg.Metrics.Counter(telemetry.MetricCacheHits),
 		mMisses:  cfg.Metrics.Counter(telemetry.MetricCacheMisses),
 		mCorrupt: cfg.Metrics.Counter(telemetry.MetricCacheCorrupt),
@@ -224,22 +228,22 @@ func (c *Cache) ExplorationKey(t concolic.Target, opts concolic.Options) string 
 		return ""
 	}
 	return hashHex(
-		"exploration",
-		c.vers.Schema, c.vers.Interp, c.vers.Primitives, c.vers.Solver,
+		c.explorationPrefix,
 		targetDescriptor(t),
 		fmt.Sprintf("maxIterations=%d", opts.MaxIterations),
 		fmt.Sprintf("interpDefects=%+v", opts.InterpreterDefects),
 	)
 }
 
-// UnitKey derives the content key of one differential test unit from the
-// exploration fingerprint that drives it plus caller-supplied parts
-// (compiler kind, ISA list, defect switches). Every semantics version is
-// mixed in: a unit verdict re-executes the interpreter and primitives as
-// the reference and the jit and machine as the subject, so bumping any
-// of them must orphan cached verdicts — even when the exploration
-// content (and hence the fingerprint) happens to be unchanged.
-func (c *Cache) UnitKey(explorationFingerprint string, parts ...string) string {
+// UnitKeyPrefix hashes the key material that the test units of one
+// compiler in one campaign share, so UnitKey hashes only the exploration
+// fingerprint on top: every semantics version and the caller's parts
+// (compiler kind, ISA list, defect switches, verifier switch). A unit
+// verdict re-executes the interpreter and primitives as the reference
+// and the jit and machine as the subject, so bumping any version must
+// orphan cached verdicts — even when the exploration content (and hence
+// the fingerprint) happens to be unchanged.
+func (c *Cache) UnitKeyPrefix(parts ...string) string {
 	if c == nil {
 		return ""
 	}
@@ -247,9 +251,17 @@ func (c *Cache) UnitKey(explorationFingerprint string, parts ...string) string {
 		"unit",
 		c.vers.Schema, c.vers.Interp, c.vers.Primitives, c.vers.Solver,
 		c.vers.JIT, c.vers.Machine,
-		explorationFingerprint,
 	}, parts...)
 	return hashHex(all...)
+}
+
+// UnitKey derives the content key of one differential test unit from its
+// UnitKeyPrefix and the fingerprint of the exploration that drives it.
+func (c *Cache) UnitKey(prefix, explorationFingerprint string) string {
+	if c == nil {
+		return ""
+	}
+	return hashHex(prefix, explorationFingerprint)
 }
 
 // targetDescriptor renders the cache-relevant identity of a target.
@@ -269,10 +281,9 @@ func targetDescriptor(t concolic.Target) string {
 }
 
 // entryPath maps a (kind, key) pair to its file. Keys are hex digests,
-// so the name needs no escaping. The .json suffix predates the header
-// format; renaming it would orphan every cached entry.
+// so the name needs no escaping.
 func (c *Cache) entryPath(kind, key string) string {
-	return filepath.Join(c.dir, kind+"-"+key+".json")
+	return filepath.Join(c.dir, kind+"-"+key)
 }
 
 // An entry file is a text header followed by the raw payload:
@@ -392,24 +403,23 @@ func (c *Cache) StoreBlob(kind, key string, payload []byte) {
 
 // LoadExploration fetches a cached exploration and rebinds it to target.
 // The deserialized exploration is observationally identical to a fresh
-// one: paths, witnesses, exits, universe and counters round-trip exactly
-// (internal/concolic cache contract), so differential testing and report
-// rendering cannot tell a hit from fresh work. An entry whose payload
-// fails semantic decoding, or names a different target than the key
+// one: paths, witnesses (every float bit pattern), exits, universe and
+// counters round-trip exactly (exploration.go), so differential testing
+// and report rendering cannot tell a hit from fresh work. An entry whose
+// payload fails to decode, or names a different target than the key
 // demands, counts as corrupt, not a hit.
 func (c *Cache) LoadExploration(key string, target concolic.Target) (*concolic.Exploration, bool) {
 	var ex *concolic.Exploration
 	ok := c.Load("ex", key, func(payload []byte) error {
-		got, err := concolic.UnmarshalExploration(payload)
+		got, err := UnmarshalExploration(payload)
 		if err != nil {
 			return err
 		}
 		if got.Target.Name != target.Name || got.Target.Kind != target.Kind {
 			return fmt.Errorf("excache: entry holds %s, want %s", got.Target.Name, target.Name)
 		}
-		// Rebind the caller's full target (the serialized form carries
-		// only the descriptor; Method pointers are re-synthesized
-		// identically).
+		// Rebind the caller's full target (the payload carries only the
+		// descriptor; Method pointers are re-synthesized identically).
 		got.Target = target
 		ex = got
 		return nil
@@ -417,21 +427,12 @@ func (c *Cache) LoadExploration(key string, target concolic.Target) (*concolic.E
 	return ex, ok
 }
 
-// StoreExploration serializes and stores one exploration as compact
-// JSON (concolic.MarshalExploration's codec, compacted).
+// StoreExploration serializes and stores one exploration.
 func (c *Cache) StoreExploration(key string, ex *concolic.Exploration) {
 	if c == nil || c.mode != ModeRW {
 		return
 	}
-	payload, err := concolic.MarshalExploration(ex)
-	if err != nil {
-		return
-	}
-	var compact bytes.Buffer
-	if err := json.Compact(&compact, payload); err != nil {
-		return
-	}
-	c.StoreBlob("ex", key, compact.Bytes())
+	c.StoreBlob("ex", key, MarshalExploration(ex))
 }
 
 func (c *Cache) hit() {

@@ -10,9 +10,11 @@ package excache_test
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -24,6 +26,7 @@ import (
 	"cogdiff/internal/excache"
 	"cogdiff/internal/interp"
 	"cogdiff/internal/primitives"
+	"cogdiff/internal/sym"
 	"cogdiff/internal/telemetry"
 )
 
@@ -74,7 +77,10 @@ func TestNilCacheIsInert(t *testing.T) {
 	if key := c.ExplorationKey(concolic.BytecodeTarget(bytecode.OpPrimAdd), concolic.DefaultOptions()); key != "" {
 		t.Errorf("nil cache ExplorationKey = %q, want empty", key)
 	}
-	if key := c.UnitKey("fp", "a"); key != "" {
+	if prefix := c.UnitKeyPrefix("a"); prefix != "" {
+		t.Errorf("nil cache UnitKeyPrefix = %q, want empty", prefix)
+	}
+	if key := c.UnitKey("prefix", "fp"); key != "" {
 		t.Errorf("nil cache UnitKey = %q, want empty", key)
 	}
 	if _, ok := loadBlob(c, "ex", "k"); ok {
@@ -153,20 +159,12 @@ func TestExplorationRoundTripEveryFamily(t *testing.T) {
 			t.Fatalf("%s: stored exploration did not load", target.Name)
 		}
 
-		freshBytes, err := concolic.MarshalExploration(fresh)
-		if err != nil {
-			t.Fatalf("%s: marshal fresh: %v", target.Name, err)
-		}
-		loadedBytes, err := concolic.MarshalExploration(loaded)
-		if err != nil {
-			t.Fatalf("%s: marshal loaded: %v", target.Name, err)
-		}
-		if !bytes.Equal(freshBytes, loadedBytes) {
+		if !bytes.Equal(excache.MarshalExploration(fresh), excache.MarshalExploration(loaded)) {
 			t.Errorf("%s: cached exploration is not deep-equal to fresh exploration", target.Name)
 			continue
 		}
-		fpFresh, _ := concolic.FingerprintExploration(fresh)
-		fpLoaded, _ := concolic.FingerprintExploration(loaded)
+		fpFresh := excache.FingerprintExploration(fresh)
+		fpLoaded := excache.FingerprintExploration(loaded)
 		if fpFresh == "" || fpFresh != fpLoaded {
 			t.Errorf("%s: fingerprint drift: fresh %q, loaded %q", target.Name, fpFresh, fpLoaded)
 		}
@@ -196,10 +194,54 @@ func TestExplorationRoundTripEveryFamily(t *testing.T) {
 	}
 }
 
+// TestExplorationRoundTripExactFloats pins that a cache hit carries
+// every float witness bit for bit: -0.0 (which JSON's omitempty used to
+// turn into +0.0), NaN (which JSON cannot encode, so such explorations
+// used to be cached in neither tier), both infinities and a subnormal.
+// -0.0 and +0.0 witnesses must fingerprint apart, because unit verdicts
+// derived from them may differ.
+func TestExplorationRoundTripExactFloats(t *testing.T) {
+	cache := openRW(t, t.TempDir(), nil)
+	explorer := concolic.NewExplorer(primitives.NewTable(), concolic.DefaultOptions())
+	target := concolic.BytecodeTarget(bytecode.OpPrimAdd)
+	ex := explorer.Explore(target)
+	floats := []float64{
+		math.Copysign(0, -1),
+		math.Float64frombits(0x7ff8_0000_0000_0001),
+		math.Inf(1),
+		math.Inf(-1),
+		math.SmallestNonzeroFloat64,
+	}
+	// Ids past the universe belong to no variable, so the witnesses
+	// only need to survive the round trip.
+	model := ex.Paths[0].Model
+	for i, f := range floats {
+		model.Values[1000+i] = sym.TypedValue{Kind: sym.KindFloat, Float: f}
+	}
+	key := cache.ExplorationKey(target, concolic.DefaultOptions())
+	cache.StoreExploration(key, ex)
+	loaded, ok := cache.LoadExploration(key, target)
+	if !ok {
+		t.Fatalf("exploration with special float witnesses was not cached: %+v", cache.Stats())
+	}
+	for i, f := range floats {
+		got := loaded.Paths[0].Model.Values[1000+i].Float
+		if math.Float64bits(got) != math.Float64bits(f) {
+			t.Errorf("witness %v came back with bits %#x, want %#x", f, math.Float64bits(got), math.Float64bits(f))
+		}
+	}
+
+	negZero := excache.FingerprintExploration(ex)
+	model.Values[1000] = sym.TypedValue{Kind: sym.KindFloat}
+	if excache.FingerprintExploration(ex) == negZero {
+		t.Error("a -0.0 witness fingerprints like a +0.0 one")
+	}
+}
+
 // entryFile returns the single cache entry file of one kind.
 func entryFile(t *testing.T, dir, kind string) string {
 	t.Helper()
-	matches, err := filepath.Glob(filepath.Join(dir, kind+"-*.json"))
+	matches, err := filepath.Glob(filepath.Join(dir, kind+"-*"))
 	if err != nil || len(matches) != 1 {
 		t.Fatalf("want exactly one %s entry, got %v (err %v)", kind, matches, err)
 	}
@@ -236,22 +278,17 @@ func TestCorruptEntriesAreMisses(t *testing.T) {
 			}
 		}},
 		{"garbage", func(t *testing.T, path string) {
-			if err := os.WriteFile(path, []byte("not json at all\x00\xff"), 0o644); err != nil {
+			if err := os.WriteFile(path, []byte("not an entry at all\x00\xff"), 0o644); err != nil {
 				t.Fatal(err)
 			}
 		}},
 		{"payload-tampered", func(t *testing.T, path string) {
-			data, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tampered := bytes.Replace(data, []byte(`"paths"`), []byte(`"Paths"`), 1)
-			if bytes.Equal(tampered, data) {
-				t.Fatal("tamper marker not found")
-			}
-			if err := os.WriteFile(path, tampered, 0o644); err != nil {
-				t.Fatal(err)
-			}
+			// A consistent header over a payload that does not decode:
+			// its target kind replaced by one that does not exist.
+			header, payload := splitEntry(t, path)
+			tampered := append(binary.AppendVarint(nil, 9), payload[1:]...)
+			sum := sha256.Sum256(tampered)
+			writeEntry(t, path, header[0]+"\n"+header[1]+"\n"+hex.EncodeToString(sum[:])+"\n", tampered)
 		}},
 		{"short-header", func(t *testing.T, path string) {
 			header, _ := splitEntry(t, path)
@@ -260,7 +297,7 @@ func TestCorruptEntriesAreMisses(t *testing.T) {
 		}},
 		{"wrong-schema-line", func(t *testing.T, path string) {
 			header, payload := splitEntry(t, path)
-			writeEntry(t, path, "cogdiff-excache/3\n"+header[1]+"\n"+header[2]+"\n", payload)
+			writeEntry(t, path, "cogdiff-excache/2\n"+header[1]+"\n"+header[2]+"\n", payload)
 		}},
 		{"wrong-key-line", func(t *testing.T, path string) {
 			header, payload := splitEntry(t, path)
@@ -280,19 +317,14 @@ func TestCorruptEntriesAreMisses(t *testing.T) {
 		}},
 		{"schema-1-json-envelope", func(t *testing.T, path string) {
 			// The layout every entry had before the header format: a JSON
-			// envelope whose digest hashes the payload plus a NUL byte.
-			header, payload := splitEntry(t, path)
-			sum := sha256.Sum256(append(append([]byte(nil), payload...), 0))
-			env, err := json.Marshal(map[string]any{
-				"schema":        "cogdiff-excache/1",
-				"key":           header[1],
-				"payloadSha256": hex.EncodeToString(sum[:]),
-				"payload":       json.RawMessage(payload),
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			writeEntry(t, path, "", env)
+			// envelope around a JSON payload, whose digest hashes the
+			// payload plus a NUL byte.
+			header, _ := splitEntry(t, path)
+			payload := `{"name":"primAdd","kind":0,"opcode":96}`
+			sum := sha256.Sum256([]byte(payload + "\x00"))
+			env := fmt.Sprintf(`{"schema":"cogdiff-excache/1","key":%q,"payloadSha256":%q,"payload":%s}`,
+				header[1], hex.EncodeToString(sum[:]), payload)
+			writeEntry(t, path, "", []byte(env))
 		}},
 	}
 
@@ -362,8 +394,8 @@ func TestEntryFormat(t *testing.T) {
 	payload := []byte("\x00\x01 not json\n")
 	cache.StoreBlob("unit", key, payload)
 	sum := sha256.Sum256(payload)
-	want := "cogdiff-excache/2\n" + key + "\n" + hex.EncodeToString(sum[:]) + "\n" + string(payload)
-	got, err := os.ReadFile(filepath.Join(dir, "unit-"+key+".json"))
+	want := "cogdiff-excache/3\n" + key + "\n" + hex.EncodeToString(sum[:]) + "\n" + string(payload)
+	got, err := os.ReadFile(filepath.Join(dir, "unit-"+key))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,7 +419,7 @@ func TestUndecodablePayloadIsCorrupt(t *testing.T) {
 		t.Fatal("Load reported a hit for a payload its decoder rejected")
 	}
 	target := concolic.BytecodeTarget(bytecode.OpPrimAdd)
-	cache.StoreBlob("ex", key, []byte(`{"kind": 9}`))
+	cache.StoreBlob("ex", key, binary.AppendVarint(nil, 9)) // an unknown target kind
 	if _, ok := cache.LoadExploration(key, target); ok {
 		t.Fatal("LoadExploration reported a hit for an undecodable exploration")
 	}
@@ -412,7 +444,7 @@ func TestMislabeledEntryIsCorrupt(t *testing.T) {
 	cache.StoreBlob("ex", strings.Repeat("a", 64), []byte(`{"x":1}`))
 	src := entryFile(t, dir, "ex")
 	otherKey := strings.Repeat("b", 64)
-	if err := os.Rename(src, filepath.Join(dir, "ex-"+otherKey+".json")); err != nil {
+	if err := os.Rename(src, filepath.Join(dir, "ex-"+otherKey)); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := loadBlob(cache, "ex", otherKey); ok {
@@ -424,7 +456,7 @@ func TestMislabeledEntryIsCorrupt(t *testing.T) {
 
 	// An entry another schema wrote under the same key is corrupt too.
 	oldVers := excache.DefaultVersions()
-	oldVers.Schema = "cogdiff-excache/1"
+	oldVers.Schema = "cogdiff-excache/2"
 	old, err := excache.Open(excache.Config{Dir: dir, Mode: excache.ModeRW, Versions: oldVers})
 	if err != nil {
 		t.Fatal(err)
@@ -432,7 +464,7 @@ func TestMislabeledEntryIsCorrupt(t *testing.T) {
 	key := strings.Repeat("c", 64)
 	old.StoreBlob("ex", key, []byte(`{"x":1}`))
 	if _, ok := loadBlob(cache, "ex", key); ok {
-		t.Fatal("entry written under schema /1 satisfied a schema /2 lookup")
+		t.Fatal("entry written under schema /2 satisfied a schema /3 lookup")
 	}
 	if s := cache.Stats(); s.Corrupt != 2 {
 		t.Errorf("stats: %+v, want 2 corrupt", s)
@@ -516,7 +548,7 @@ func TestReadOnlyModeNeverWrites(t *testing.T) {
 	if s := ro2.Stats(); s.Writes != 0 {
 		t.Errorf("ro mode recorded %d writes", s.Writes)
 	}
-	if matches, _ := filepath.Glob(filepath.Join(dir, "*.json")); len(matches) != 1 {
+	if matches, _ := filepath.Glob(filepath.Join(dir, "ex-*")); len(matches) != 1 {
 		t.Errorf("ro mode changed the directory: %v", matches)
 	}
 }

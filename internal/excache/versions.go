@@ -8,8 +8,7 @@ import (
 	"cogdiff/internal/solver"
 )
 
-// The live semantic version stamps, isolated here so the rest of the
-// package never references layer packages directly and tests can build
+// The live semantic version stamps, collected in one place; tests build
 // caches with synthetic Versions to simulate bumps.
 
 func interpVersion() string     { return interp.SemanticsVersion }

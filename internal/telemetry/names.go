@@ -32,10 +32,6 @@ const (
 	MetricCacheCorrupt = "cogdiff_excache_corrupt_total"
 	MetricCacheWrites  = "cogdiff_excache_writes_total"
 
-	// Unit-cache keying. A fingerprint error means the affected test units
-	// run uncached (correct but slow) — it must be visible, not silent.
-	MetricUnitCacheFingerprintErrors = "cogdiff_unitcache_fingerprint_errors_total"
-
 	// JIT pipeline. MetricPassSeconds carries a pass label.
 	MetricPassSeconds = "cogdiff_pass_seconds"
 	MetricPassesRun   = "cogdiff_passes_run_total"
