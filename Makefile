@@ -137,12 +137,15 @@ fuzz-smoke:
 	$(GO) run ./cmd/cogdiff fuzz -seed 2022 -budget 2000 -workers 0 \
 		-seed-corpus internal/core/testdata/fuzz/FuzzSequenceDiff
 
-# Coverage-guided fuzzing of the exploration cache's two payload
-# decoders, 10 s each: explorations (internal/excache) and test-unit
-# verdicts (internal/core). Both parse files read from disk, and plain
-# `go test` runs only their seed corpora. Each must never panic, and a
-# payload it accepts must survive a re-encode.
+# Coverage-guided fuzzing of what the exploration cache reads from disk,
+# 10 s each: the segment reader, seeded with a segment a real campaign
+# wrote, and the two payload decoders, explorations (internal/excache)
+# and test-unit verdicts (internal/core). Plain `go test` runs only
+# their seed corpora. None may panic; a segment lookup must miss or
+# serve a complete, valid record; a payload a decoder accepts must
+# survive a re-encode.
 fuzz-codecs:
+	$(GO) test -run '^$$' -fuzz '^FuzzSegment$$' -fuzztime 10s ./internal/excache/
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalExploration$$' -fuzztime 10s ./internal/excache/
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalInstructionReport$$' -fuzztime 10s ./internal/core/
 

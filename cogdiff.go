@@ -465,9 +465,9 @@ type CampaignOptions struct {
 	// CacheDir, when non-empty, enables the persistent exploration cache
 	// rooted at that directory: explorations and test-unit verdicts are
 	// loaded instead of recomputed when their content keys match, and
-	// written back after fresh work. One directory serves every entry
-	// point, and all rendered reports are byte-identical with the cache
-	// off, cold or warm, at any worker count.
+	// fresh work is written back as one segment file per run. One
+	// directory serves every entry point, and all rendered reports are
+	// byte-identical with the cache off, cold or warm, at any worker count.
 	CacheDir string
 	// CacheMode selects cache participation: "off", "ro" (read, never
 	// write) or "rw". Empty means "rw" when CacheDir is set.

@@ -47,12 +47,12 @@ type Config struct {
 	// byte-identical with metrics on or off, at any worker count.
 	Metrics *telemetry.Registry
 	// Cache, when non-nil, is consulted before exploring each instruction
-	// and before testing each (compiler, instruction) unit, and written
-	// back after fresh work (rw mode). Exploration and verdicts are pure
-	// functions of the cache keys' inputs, so reports are byte-identical
-	// with the cache off, cold or warm, at any worker count; cached
-	// entries replay their recorded durations, so even Figures 6/7 render
-	// the originating run's timings.
+	// and before testing each (compiler, instruction) unit, and fresh work
+	// is written back as one segment before the run returns (rw mode).
+	// Exploration and verdicts are pure functions of the cache keys'
+	// inputs, so reports are byte-identical with the cache off, cold or
+	// warm, at any worker count; cached entries replay their recorded
+	// durations, so even Figures 6/7 render the originating run's timings.
 	Cache *excache.Cache
 	// faultInject, when non-nil, runs before every TestPath call, inside
 	// the containment boundary. Fault-injection tests use it to raise
@@ -234,13 +234,15 @@ func (c *Campaign) Run() *CampaignResult {
 //
 // Cancelling ctx aborts the campaign promptly at the next unit
 // boundary: in-flight units finish, every worker goroutine exits, and
-// RunContext returns (nil, ctx.Err()). Cache writes go through excache's
-// atomic temp+rename, so a cancelled campaign leaves only complete,
-// valid cache entries behind — a rerun reuses them as ordinary hits.
+// RunContext returns (nil, ctx.Err()). The records the run stored are
+// written as one cache segment before it returns, cancelled or not, so
+// a rerun reuses every exploration and unit the cancelled run finished
+// as ordinary hits.
 func (c *Campaign) RunContext(ctx context.Context) (*CampaignResult, error) {
 	workers := c.workerCount()
 	reg := c.Config.Metrics
 	tester := c.setup()
+	defer c.Config.Cache.Flush()
 
 	result := &CampaignResult{
 		Causes:       make(map[string]*Cause),
@@ -252,21 +254,15 @@ func (c *Campaign) RunContext(ctx context.Context) (*CampaignResult, error) {
 	bcTargets := c.BytecodeTargets()
 	nmTargets := c.PrimitiveTargets()
 	allTargets := append(append([]concolic.Target{}, bcTargets...), nmTargets...)
-	explorations, err := c.explore(ctx, allTargets)
+	// Test units derive their cache keys from the fingerprints of the
+	// explorations' content, so a unit hit is only possible when the
+	// exploration that drives it is content-identical.
+	explorations, fingerprints, err := c.explore(ctx, allTargets)
 	if err != nil {
 		return nil, err
 	}
 	for i, t := range allTargets {
 		result.Explorations[explorationKey(t)] = explorations[i]
-	}
-	// Fingerprint each exploration's semantic content once; test units
-	// derive their cache keys from it, so a unit hit is only possible
-	// when the exploration that drives it is content-identical.
-	fingerprints := make([]string, len(allTargets))
-	if c.Config.Cache != nil {
-		for i, ex := range explorations {
-			fingerprints[i] = excache.FingerprintExploration(ex)
-		}
 	}
 	if reg != nil {
 		paths := reg.Counter(telemetry.MetricPathsExplored)
@@ -389,18 +385,21 @@ func (c *Campaign) setup() *Tester {
 // explore concolically explores every target, sharded over the workers.
 // Each instruction explores in its own universe, so units never contend.
 // An exploration is loaded from the cache when present and stored after
-// fresh work. A panic inside one exploration is contained to that unit:
-// the instruction reports zero paths and the campaign carries on.
-func (c *Campaign) explore(ctx context.Context, targets []concolic.Target) ([]*concolic.Exploration, error) {
+// fresh work. With a cache, it also returns each exploration's
+// fingerprint, hashed from the one encoding the load or store made. A
+// panic inside one exploration is contained to that unit: the
+// instruction reports zero paths and the campaign carries on.
+func (c *Campaign) explore(ctx context.Context, targets []concolic.Target) ([]*concolic.Exploration, []string, error) {
 	opts := c.exploreOptions()
 	explorer := concolic.NewExplorer(c.Prims, opts)
 	out := make([]*concolic.Exploration, len(targets))
+	fingerprints := make([]string, len(targets))
 	err := RunUnitsCtx(ctx, c.workerCount(), len(targets), func(i int) {
 		sp := c.Config.Metrics.StartSpan(telemetry.SpanExplore)
 		defer sp.End()
 		key := c.Config.Cache.ExplorationKey(targets[i], opts)
-		if ex, ok := c.Config.Cache.LoadExploration(key, targets[i]); ok {
-			out[i] = ex
+		if ex, fp, ok := c.Config.Cache.LoadFingerprinted(key, targets[i]); ok {
+			out[i], fingerprints[i] = ex, fp
 			return
 		}
 		defer func() {
@@ -409,16 +408,19 @@ func (c *Campaign) explore(ctx context.Context, targets []concolic.Target) ([]*c
 				// re-explore (and re-crash visibly) on the next run.
 				c.panicsContained.Inc()
 				out[i] = &concolic.Exploration{Target: targets[i]}
+				if c.Config.Cache != nil {
+					fingerprints[i] = excache.FingerprintExploration(out[i])
+				}
 				return
 			}
 			if c.Config.poisonExploration != nil {
 				c.Config.poisonExploration(targets[i], out[i])
 			}
-			c.Config.Cache.StoreExploration(key, out[i])
+			fingerprints[i] = c.Config.Cache.StoreExploration(key, out[i])
 		}()
 		out[i] = explorer.Explore(targets[i])
 	})
-	return out, err
+	return out, fingerprints, err
 }
 
 func (c *Campaign) exploreOptions() concolic.Options {
@@ -469,7 +471,7 @@ func (c *Campaign) unitKeyPrefixes() []string {
 
 // loadCachedUnit fetches one test unit's report from the cache. The
 // lookup counts as a hit only once the payload decodes; one that does
-// not is a corrupt miss, and the unit re-tests and overwrites it.
+// not is a corrupt miss, and the unit re-tests and stores a newer record.
 func (c *Campaign) loadCachedUnit(key string, target concolic.Target, ex *concolic.Exploration) (InstructionReport, bool) {
 	var ir InstructionReport
 	ok := c.Config.Cache.Load("unit", key, func(payload []byte) (err error) {

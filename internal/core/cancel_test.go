@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"cogdiff/internal/core"
+	"cogdiff/internal/excache"
 )
 
 // waitNoGoroutineLeak polls until the goroutine count returns to the
@@ -104,9 +105,11 @@ func TestCampaignCancelIsLeakFree(t *testing.T) {
 
 // TestCancelledCampaignLeavesCacheSound cancels a cache-writing campaign
 // from its first completed unit and reruns it through the same
-// directory: the cancelled run may leave only complete entries behind,
-// so the rerun must render every deterministic surface exactly as an
-// uncached serial run does.
+// directory. Every exploration had finished before any unit did, and the
+// cancelled run must have written them all: an exploration-only rerun
+// hits every one. The records are complete and valid, so the full rerun
+// must render every deterministic surface exactly as an uncached serial
+// run does.
 func TestCancelledCampaignLeavesCacheSound(t *testing.T) {
 	want := renderSurfaces(runCampaignWithCache(t, nil, 1))
 	dir := t.TempDir()
@@ -123,6 +126,16 @@ func TestCancelledCampaignLeavesCacheSound(t *testing.T) {
 	}
 	if _, err := core.NewCampaign(cfg).RunContext(ctx); err != context.Canceled {
 		t.Fatalf("cancelled campaign returned %v, want context.Canceled", err)
+	}
+
+	explore := determinismConfig()
+	explore.Compilers = nil
+	explore.Cache = openCampaignCache(t, dir, nil)
+	camp := core.NewCampaign(explore)
+	camp.Run()
+	explorations := int64(len(camp.BytecodeTargets()) + len(camp.PrimitiveTargets()))
+	if s := explore.Cache.Stats(); s != (excache.Stats{Hits: explorations}) {
+		t.Errorf("exploration-only rerun: %+v, want all %d explorations served by the cancelled run's segment", s, explorations)
 	}
 
 	rerun := runCampaignWithCache(t, openCampaignCache(t, dir, nil), 4)

@@ -246,10 +246,11 @@ func (u *UnitRun) TestPath(path *concolic.PathResult, kind CompilerKind, isa mac
 		v.Skipped, v.Reason = true, "compilation failed: "+err.Error()
 		return v
 	}
-	v.Observed = obs
+	kept := obs.CompiledObservation
+	v.Observed = &kept
 	v.InterpExit = interpExit
 
-	differs, detail := t.compare(target, interpExit, interpFrame, interpOM, interpInputs, obs)
+	differs, detail := t.compare(target, interpExit, interpFrame, interpOM, interpInputs, &obs)
 	v.Differs = differs
 	v.Detail = detail
 	if differs {
@@ -284,9 +285,27 @@ func (t *Tester) blamePath(target concolic.Target, ex *concolic.Exploration, pat
 		if err != nil {
 			return false, err
 		}
-		differs, _ := t.compare(target, iExit, iFrame, iOM, iInputs, obs)
+		differs, _ := t.compare(target, iExit, iFrame, iOM, iInputs, &obs)
 		return differs, nil
 	})
+}
+
+// observation is everything the differential tester extracts from one
+// compiled execution: what the verdict keeps, plus the rendered machine
+// state the comparison reads. It lives only inside TestPath's comparison
+// and blame.
+type observation struct {
+	CompiledObservation
+	selector string
+	numArgs  int
+	// result is the canonicalized result value (returns).
+	result string
+	// stack is the canonicalized operand stack, bottom first.
+	stack []string
+	// temps is the canonicalized temporary frame.
+	temps []string
+	// heap is the canonicalized body of every input object.
+	heap map[int][]string
 }
 
 // runCompiled compiles the instruction for a path and executes it on the
@@ -297,14 +316,14 @@ func (t *Tester) blamePath(target concolic.Target, ex *concolic.Exploration, pat
 // execution runs on a pooled environment; the returned observation holds
 // only rendered values, so the environment is released before returning.
 // A contained panic abandons the environment instead.
-func (t *Tester) runCompiled(target concolic.Target, ex *concolic.Exploration, path *concolic.PathResult, kind CompilerKind, isa machine.ISA, shared *optimizedUnit) (*CompiledObservation, *optimizedUnit, error) {
+func (t *Tester) runCompiled(target concolic.Target, ex *concolic.Exploration, path *concolic.PathResult, kind CompilerKind, isa machine.ISA, shared *optimizedUnit) (observation, *optimizedUnit, error) {
 	env := t.getEnv()
 	om, cpu := env.om, env.cpu
 	b := concolic.NewFrameBuilder(om, ex.Universe, path.Model)
 	frame, err := b.BuildFrame(target)
 	if err != nil {
 		t.putEnv(env)
-		return nil, nil, err
+		return observation{}, nil, err
 	}
 	inputs := b.InputObjects()
 	opt := shared
@@ -312,13 +331,13 @@ func (t *Tester) runCompiled(target concolic.Target, ex *concolic.Exploration, p
 		opt, err = t.optimizeFor(target, om, frame, kind)
 		if err != nil {
 			t.putEnv(env)
-			return nil, nil, err
+			return observation{}, nil, err
 		}
 	}
 	cm, err := opt.lower(om, isa)
 	if err != nil {
 		t.putEnv(env)
-		return nil, opt, err
+		return observation{}, opt, err
 	}
 
 	if t.Defects.SimulationMissingAccessors {
@@ -328,7 +347,7 @@ func (t *Tester) runCompiled(target concolic.Target, ex *concolic.Exploration, p
 		}
 	}
 
-	var obs *CompiledObservation
+	var obs observation
 	if kind == NativeMethodCompilerKind {
 		obs, err = t.runCompiledNative(om, cpu, frame, inputs, cm)
 	} else {
@@ -374,24 +393,24 @@ func variantOf(kind CompilerKind) jit.Variant {
 	}
 }
 
-func (t *Tester) runCompiledBytecode(target concolic.Target, om *heap.ObjectMemory, cpu *machine.CPU, frame *interp.Frame, inputs map[heap.Word]int, cm *jit.CompiledMethod) (*CompiledObservation, error) {
+func (t *Tester) runCompiledBytecode(target concolic.Target, om *heap.ObjectMemory, cpu *machine.CPU, frame *interp.Frame, inputs map[heap.Word]int, cm *jit.CompiledMethod) (observation, error) {
 	// Frame setup per the compiled calling convention: temporaries pushed
 	// first (temp 0 deepest), then the sentinel return address; the
 	// receiver travels in ReceiverResultReg.
 	cpu.Reset()
 	for _, tv := range frame.Temps {
 		if err := pushWord(cpu, tv.W); err != nil {
-			return nil, err
+			return observation{}, err
 		}
 	}
 	if err := pushWord(cpu, machine.SentinelReturn); err != nil {
-		return nil, err
+		return observation{}, err
 	}
 	cpu.Regs[machine.ReceiverResultReg] = frame.Receiver.W
 	cpu.Install(cm.Prog)
 	stop := cpu.Run(maxMachineSteps)
 
-	obs := &CompiledObservation{Steps: stop.Steps, CodeBytes: len(cm.Code)}
+	obs := observation{CompiledObservation: CompiledObservation{Steps: stop.Steps, CodeBytes: len(cm.Code)}}
 	numTemps := target.Method.TempCount()
 
 	readFrameState := func(skipTop int) {
@@ -403,7 +422,7 @@ func (t *Tester) runCompiledBytecode(target concolic.Target, om *heap.ObjectMemo
 			for i, w := range cells {
 				stackWords[len(cells)-1-i] = w // bottom first
 			}
-			obs.Stack = CanonicalizeAll(om, stackWords, inputs)
+			obs.stack = CanonicalizeAll(om, stackWords, inputs)
 		}
 		temps := make([]heap.Word, numTemps)
 		for i := 0; i < numTemps; i++ {
@@ -412,7 +431,7 @@ func (t *Tester) runCompiledBytecode(target concolic.Target, om *heap.ObjectMemo
 				temps[i] = w
 			}
 		}
-		obs.Temps = CanonicalizeAll(om, temps, inputs)
+		obs.temps = CanonicalizeAll(om, temps, inputs)
 	}
 
 	switch stop.Kind {
@@ -431,12 +450,12 @@ func (t *Tester) runCompiledBytecode(target concolic.Target, om *heap.ObjectMemo
 		obs.Kind = CompiledMessageSend
 		sel, ok := cm.SelectorAt(int64(cpu.Regs[machine.ClassSelectorReg]))
 		if ok {
-			obs.Selector, obs.NumArgs = sel.Name, sel.NumArgs
+			obs.selector, obs.numArgs = sel.Name, sel.NumArgs
 		}
 		readFrameState(1) // the trampoline call pushed its return address
 	case machine.StopReturned:
 		obs.Kind = CompiledMethodReturn
-		obs.Result = Canonicalize(om, cpu.Regs[machine.ReceiverResultReg], inputs)
+		obs.result = Canonicalize(om, cpu.Regs[machine.ReceiverResultReg], inputs)
 		// After the epilogue the frame is gone; temporaries sit above the
 		// (restored) stack pointer and remain readable.
 		temps := make([]heap.Word, numTemps)
@@ -446,7 +465,7 @@ func (t *Tester) runCompiledBytecode(target concolic.Target, om *heap.ObjectMemo
 				temps[i] = w
 			}
 		}
-		obs.Temps = CanonicalizeAll(om, temps, inputs)
+		obs.temps = CanonicalizeAll(om, temps, inputs)
 	case machine.StopFault:
 		obs.Kind = CompiledCrash
 		obs.Detail = stop.String()
@@ -457,14 +476,14 @@ func (t *Tester) runCompiledBytecode(target concolic.Target, om *heap.ObjectMemo
 		obs.Kind = CompiledRunaway
 		obs.Detail = stop.String()
 	}
-	obs.Heap = HeapEffects(om, inputs)
+	obs.heap = HeapEffects(om, inputs)
 	return obs, nil
 }
 
-func (t *Tester) runCompiledNative(om *heap.ObjectMemory, cpu *machine.CPU, frame *interp.Frame, inputs map[heap.Word]int, cm *jit.CompiledMethod) (*CompiledObservation, error) {
+func (t *Tester) runCompiledNative(om *heap.ObjectMemory, cpu *machine.CPU, frame *interp.Frame, inputs map[heap.Word]int, cm *jit.CompiledMethod) (observation, error) {
 	cpu.Reset()
 	if err := pushWord(cpu, machine.SentinelReturn); err != nil {
-		return nil, err
+		return observation{}, err
 	}
 	cpu.Regs[machine.ReceiverResultReg] = frame.Receiver.W
 	argRegs := []machine.Reg{machine.Arg0Reg, machine.Arg1Reg, machine.Arg2Reg}
@@ -476,11 +495,11 @@ func (t *Tester) runCompiledNative(om *heap.ObjectMemory, cpu *machine.CPU, fram
 	cpu.Install(cm.Prog)
 	stop := cpu.Run(maxMachineSteps)
 
-	obs := &CompiledObservation{Steps: stop.Steps, CodeBytes: len(cm.Code)}
+	obs := observation{CompiledObservation: CompiledObservation{Steps: stop.Steps, CodeBytes: len(cm.Code)}}
 	switch stop.Kind {
 	case machine.StopReturned:
 		obs.Kind = CompiledReturned
-		obs.Result = Canonicalize(om, cpu.Regs[machine.ReceiverResultReg], inputs)
+		obs.result = Canonicalize(om, cpu.Regs[machine.ReceiverResultReg], inputs)
 	case machine.StopBreakpoint:
 		switch stop.BreakID {
 		case jit.BrkNativeFallthrough:
@@ -501,7 +520,7 @@ func (t *Tester) runCompiledNative(om *heap.ObjectMemory, cpu *machine.CPU, fram
 		obs.Kind = CompiledRunaway
 		obs.Detail = stop.String()
 	}
-	obs.Heap = HeapEffects(om, inputs)
+	obs.heap = HeapEffects(om, inputs)
 	return obs, nil
 }
 
@@ -512,7 +531,7 @@ func pushWord(cpu *machine.CPU, w heap.Word) error {
 
 // compare validates the compiled observation against the interpreter
 // reference: exit-condition equivalence first, then frame effects.
-func (t *Tester) compare(target concolic.Target, iExit interp.Exit, iFrame *interp.Frame, iOM *heap.ObjectMemory, iInputs map[heap.Word]int, obs *CompiledObservation) (bool, string) {
+func (t *Tester) compare(target concolic.Target, iExit interp.Exit, iFrame *interp.Frame, iOM *heap.ObjectMemory, iInputs map[heap.Word]int, obs *observation) (bool, string) {
 	if obs.Kind == CompiledCrash {
 		return true, fmt.Sprintf("interpreter exits %v but compiled code crashes (%s)", iExit, obs.Detail)
 	}
@@ -532,19 +551,19 @@ func (t *Tester) compare(target concolic.Target, iExit interp.Exit, iFrame *inte
 	return t.compareBytecode(target, iExit, iFrame, iOM, iInputs, obs)
 }
 
-func (t *Tester) compareNative(iExit interp.Exit, iOM *heap.ObjectMemory, iInputs map[heap.Word]int, obs *CompiledObservation) (bool, string) {
+func (t *Tester) compareNative(iExit interp.Exit, iOM *heap.ObjectMemory, iInputs map[heap.Word]int, obs *observation) (bool, string) {
 	switch iExit.Kind {
 	case interp.ExitSuccess:
 		if obs.Kind != CompiledReturned {
 			return true, fmt.Sprintf("interpreter succeeds but compiled code %s", obs.Kind)
 		}
 		want := Canonicalize(iOM, iExit.Result.W, iInputs)
-		if want != obs.Result {
-			return true, fmt.Sprintf("results differ: interpreter %s, compiled %s", want, obs.Result)
+		if want != obs.result {
+			return true, fmt.Sprintf("results differ: interpreter %s, compiled %s", want, obs.result)
 		}
 	case interp.ExitFailure:
 		if obs.Kind != CompiledFailure {
-			return true, fmt.Sprintf("interpreter fails (code %d) but compiled code %s (result %s)", iExit.FailCode, obs.Kind, obs.Result)
+			return true, fmt.Sprintf("interpreter fails (code %d) but compiled code %s (result %s)", iExit.FailCode, obs.Kind, obs.result)
 		}
 	default:
 		return true, fmt.Sprintf("interpreter exit %v has no compiled counterpart (%s)", iExit, obs.Kind)
@@ -552,7 +571,7 @@ func (t *Tester) compareNative(iExit interp.Exit, iOM *heap.ObjectMemory, iInput
 	return t.compareHeap(iOM, iInputs, obs)
 }
 
-func (t *Tester) compareBytecode(target concolic.Target, iExit interp.Exit, iFrame *interp.Frame, iOM *heap.ObjectMemory, iInputs map[heap.Word]int, obs *CompiledObservation) (bool, string) {
+func (t *Tester) compareBytecode(target concolic.Target, iExit interp.Exit, iFrame *interp.Frame, iOM *heap.ObjectMemory, iInputs map[heap.Word]int, obs *observation) (bool, string) {
 	switch iExit.Kind {
 	case interp.ExitSuccess:
 		expected := CompiledEndFall
@@ -577,8 +596,8 @@ func (t *Tester) compareBytecode(target concolic.Target, iExit interp.Exit, iFra
 		if obs.Kind != CompiledMessageSend {
 			return true, fmt.Sprintf("interpreter sends #%s but compiled code %s", iExit.Selector, obs.Kind)
 		}
-		if obs.Selector != iExit.Selector || obs.NumArgs != iExit.NumArgs {
-			return true, fmt.Sprintf("send mismatch: interpreter #%s/%d, compiled #%s/%d", iExit.Selector, iExit.NumArgs, obs.Selector, obs.NumArgs)
+		if obs.selector != iExit.Selector || obs.numArgs != iExit.NumArgs {
+			return true, fmt.Sprintf("send mismatch: interpreter #%s/%d, compiled #%s/%d", iExit.Selector, iExit.NumArgs, obs.selector, obs.numArgs)
 		}
 		if d, why := t.compareStackAndTemps(iFrame, iOM, iInputs, obs); d {
 			return true, why
@@ -588,8 +607,8 @@ func (t *Tester) compareBytecode(target concolic.Target, iExit interp.Exit, iFra
 			return true, fmt.Sprintf("interpreter returns but compiled code %s", obs.Kind)
 		}
 		want := Canonicalize(iOM, iExit.Result.W, iInputs)
-		if want != obs.Result {
-			return true, fmt.Sprintf("return values differ: interpreter %s, compiled %s", want, obs.Result)
+		if want != obs.result {
+			return true, fmt.Sprintf("return values differ: interpreter %s, compiled %s", want, obs.result)
 		}
 	default:
 		return true, fmt.Sprintf("interpreter exit %v has no compiled counterpart", iExit)
@@ -612,30 +631,30 @@ func sameTarget(target concolic.Target, iExit interp.Exit) bool {
 	return isJump && off == 0 && iExit.NextPC == next
 }
 
-func (t *Tester) compareStackAndTemps(iFrame *interp.Frame, iOM *heap.ObjectMemory, iInputs map[heap.Word]int, obs *CompiledObservation) (bool, string) {
+func (t *Tester) compareStackAndTemps(iFrame *interp.Frame, iOM *heap.ObjectMemory, iInputs map[heap.Word]int, obs *observation) (bool, string) {
 	wantStack := make([]heap.Word, iFrame.Size())
 	for i, v := range iFrame.Stack {
 		wantStack[i] = v.W
 	}
 	want := CanonicalizeAll(iOM, wantStack, iInputs)
-	if !stringSlicesEqual(want, obs.Stack) {
-		return true, fmt.Sprintf("operand stacks differ: interpreter %v, compiled %v", want, obs.Stack)
+	if !stringSlicesEqual(want, obs.stack) {
+		return true, fmt.Sprintf("operand stacks differ: interpreter %v, compiled %v", want, obs.stack)
 	}
 	wantTemps := make([]heap.Word, len(iFrame.Temps))
 	for i, v := range iFrame.Temps {
 		wantTemps[i] = v.W
 	}
 	wt := CanonicalizeAll(iOM, wantTemps, iInputs)
-	if !stringSlicesEqual(wt, obs.Temps) {
-		return true, fmt.Sprintf("temporaries differ: interpreter %v, compiled %v", wt, obs.Temps)
+	if !stringSlicesEqual(wt, obs.temps) {
+		return true, fmt.Sprintf("temporaries differ: interpreter %v, compiled %v", wt, obs.temps)
 	}
 	return false, ""
 }
 
-func (t *Tester) compareHeap(iOM *heap.ObjectMemory, iInputs map[heap.Word]int, obs *CompiledObservation) (bool, string) {
+func (t *Tester) compareHeap(iOM *heap.ObjectMemory, iInputs map[heap.Word]int, obs *observation) (bool, string) {
 	want := HeapEffects(iOM, iInputs)
 	for rep, body := range want {
-		got, ok := obs.Heap[rep]
+		got, ok := obs.heap[rep]
 		if !ok {
 			continue // object never materialized on the compiled side
 		}

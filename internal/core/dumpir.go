@@ -23,10 +23,12 @@ import (
 //
 // Not every explored path materializes a compilable input frame (invalid
 // frames are the test runner's expected failures), so the dump uses the
-// first path that compiles. Cancelling ctx stops the explore step.
+// first path that compiles. Cancelling ctx stops the explore step. A
+// fresh exploration is written to the cache before DumpIR returns.
 func (c *Campaign) DumpIR(ctx context.Context, target concolic.Target, kind CompilerKind) (string, error) {
 	t := c.setup()
-	exs, err := c.explore(ctx, []concolic.Target{target})
+	defer c.Config.Cache.Flush()
+	exs, _, err := c.explore(ctx, []concolic.Target{target})
 	if err != nil {
 		return "", err
 	}

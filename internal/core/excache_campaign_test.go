@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -116,29 +117,51 @@ func TestCampaignByteIdenticalOffColdWarm(t *testing.T) {
 	}
 }
 
-// TestCampaignSurvivesCorruptCacheDirectory truncates every entry of a
-// warm cache and re-runs: the campaign must fall back to fresh work
-// (identical results), count the damage in cogdiff_excache_corrupt_total,
-// and heal the directory so the following run hits again.
+// onlySegment returns the cache directory's single file, which must be
+// a segment.
+func onlySegment(t *testing.T, dir string) string {
+	t.Helper()
+	files, err := os.ReadDir(dir)
+	if err != nil || len(files) != 1 || !strings.HasPrefix(files[0].Name(), "seg-") {
+		t.Fatalf("want exactly one segment file in the cache directory, got %v (err %v)", files, err)
+	}
+	return filepath.Join(dir, files[0].Name())
+}
+
+// unitEntries returns the keys of the unit records a segment holds.
+func unitEntries(t *testing.T, segment string) []string {
+	t.Helper()
+	data, err := os.ReadFile(segment)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys []string
+	for _, m := range regexp.MustCompile("cogdiff-excache/4\nunit-([0-9a-f]{64})\n").FindAllSubmatch(data, -1) {
+		keys = append(keys, string(m[1]))
+	}
+	return keys
+}
+
+// TestCampaignSurvivesCorruptCacheDirectory truncates the segment of a
+// warm cache to its first third and re-runs: the campaign must fall back
+// to fresh work (identical results), count the damage in
+// cogdiff_excache_corrupt_total, and heal the directory so the following
+// run hits everything again.
 func TestCampaignSurvivesCorruptCacheDirectory(t *testing.T) {
 	dir := t.TempDir()
 	baseline := runCampaignWithCache(t, openCampaignCache(t, dir, nil), 1)
 	baseReports, baseSurfaces := cacheNormalize(baseline), renderSurfaces(baseline)
 
-	explorations, _ := filepath.Glob(filepath.Join(dir, "ex-*"))
-	units, err := filepath.Glob(filepath.Join(dir, "unit-*"))
-	if err != nil || len(explorations) == 0 || len(units) == 0 {
-		t.Fatalf("cold run left %d exploration and %d unit entries (err %v)", len(explorations), len(units), err)
+	segment := onlySegment(t, dir)
+	if len(unitEntries(t, segment)) == 0 {
+		t.Fatal("cold run stored no unit record")
 	}
-	entries := append(explorations, units...)
-	for _, path := range entries {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, data[:len(data)/3], 0o644); err != nil {
-			t.Fatal(err)
-		}
+	data, err := os.ReadFile(segment)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(segment, data[:len(data)/3], 0o644); err != nil {
+		t.Fatal(err)
 	}
 
 	reg := telemetry.NewRegistry()
@@ -153,14 +176,40 @@ func TestCampaignSurvivesCorruptCacheDirectory(t *testing.T) {
 		t.Error("corrupted entries were not counted in cogdiff_excache_corrupt_total")
 	}
 
-	// The corrupted entries must have been overwritten: the next run hits.
+	// The re-done work must win over the damage: the next run hits.
 	reg2 := telemetry.NewRegistry()
 	runCampaignWithCache(t, openCampaignCache(t, dir, reg2), 1)
 	if reg2.Counter(telemetry.MetricCacheCorrupt).Value() != 0 {
 		t.Error("cache did not heal: corrupt entries seen on the run after re-population")
 	}
-	if reg2.Counter(telemetry.MetricCacheHits).Value() == 0 {
-		t.Error("cache did not heal: no hits on the run after re-population")
+	if reg2.Counter(telemetry.MetricCacheHits).Value() == 0 || reg2.Counter(telemetry.MetricCacheMisses).Value() != 0 {
+		t.Error("cache did not heal: the run after re-population missed")
+	}
+}
+
+// TestFilledCacheIsOneSegment pins the storage shape: a cold campaign
+// writes its every record as exactly one segment file, and a warm run,
+// which misses nothing, writes no file at all.
+func TestFilledCacheIsOneSegment(t *testing.T) {
+	dir := t.TempDir()
+	cold := openCampaignCache(t, dir, nil)
+	runCampaignWithCache(t, cold, 2)
+	segment := onlySegment(t, dir)
+	if s := cold.Stats(); s.Writes == 0 || s.Writes != s.Misses {
+		t.Errorf("cold run: %+v, want one write per miss", s)
+	}
+	before, err := os.Stat(segment)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	warm := openCampaignCache(t, dir, nil)
+	runCampaignWithCache(t, warm, 2)
+	if s := warm.Stats(); s.Misses != 0 || s.Writes != 0 {
+		t.Errorf("warm run: %+v, want no miss and no write", s)
+	}
+	if after, err := os.Stat(onlySegment(t, dir)); err != nil || !os.SameFile(before, after) || after.Size() != before.Size() {
+		t.Errorf("the warm run changed the segment (err %v)", err)
 	}
 }
 
@@ -187,12 +236,13 @@ func TestUndecodableUnitEntryIsCorrupt(t *testing.T) {
 	}
 	cold, _ := run()
 
-	units, err := filepath.Glob(filepath.Join(dir, "unit-*"))
-	if err != nil || len(units) != 1 {
-		t.Fatalf("want one unit entry after the cold run, got %v (err %v)", units, err)
+	units := unitEntries(t, onlySegment(t, dir))
+	if len(units) != 1 {
+		t.Fatalf("want one unit record after the cold run, got %v", units)
 	}
-	key := strings.TrimPrefix(filepath.Base(units[0]), "unit-")
-	openCampaignCache(t, dir, nil).StoreBlob("unit", key, []byte(`{"verdicts":5}`))
+	bad := openCampaignCache(t, dir, nil)
+	bad.StoreBlob("unit", units[0], []byte(`{"verdicts":5}`))
+	bad.Flush()
 
 	res, s := run()
 	if want := (excache.Stats{Hits: 1, Misses: 1, Corrupt: 1, Writes: 1}); s != want {

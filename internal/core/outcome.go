@@ -88,25 +88,21 @@ func (k CompiledExitKind) String() string {
 	return fmt.Sprintf("CompiledExitKind(%d)", int(k))
 }
 
-// CompiledObservation is everything the differential tester extracts from
-// one compiled execution.
+// CompiledObservation is what a verdict keeps of one compiled execution:
+// the fields classification (Classify) and the reports read. The
+// rendered machine state the comparison needs (result, stack, temps,
+// heap, send selector) lives only in the tester's unexported observation
+// and is dropped once the verdict is decided, so a cached verdict is
+// deep-equal to a fresh one.
 type CompiledObservation struct {
-	Kind     CompiledExitKind
-	Selector string
-	NumArgs  int
-	// Result is the canonicalized result value (returns).
-	Result string
-	// Stack is the canonicalized operand stack, bottom first.
-	Stack []string
-	// Temps is the canonicalized temporary frame.
-	Temps []string
-	// Heap is the canonicalized body of every input object.
-	Heap map[int][]string
+	Kind CompiledExitKind
+	// Detail describes crashes, simulation errors, runaways and verifier
+	// rejections.
+	Detail string
 	// Steps is the executed machine instruction count.
 	Steps int
 	// CodeBytes is the encoded size of the compiled method.
 	CodeBytes int
-	Detail    string
 }
 
 // PathVerdict is the comparison result for one (path, compiler, ISA).

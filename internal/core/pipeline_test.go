@@ -43,11 +43,10 @@ func pipelineTargets(t *testing.T) []concolic.Target {
 // normalizeObs strips the fields the differential comparison ignores —
 // Steps and CodeBytes change under any count-altering pass and carry no
 // observable behaviour.
-func normalizeObs(obs *CompiledObservation) CompiledObservation {
-	o := *obs
-	o.Steps = 0
-	o.CodeBytes = 0
-	return o
+func normalizeObs(obs observation) observation {
+	obs.Steps = 0
+	obs.CodeBytes = 0
+	return obs
 }
 
 var bytecodeKinds = []CompilerKind{

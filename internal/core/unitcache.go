@@ -15,19 +15,20 @@ import (
 // through a compact binary payload carrying everything the merge pass and
 // the report tables consume — verdict flags, blamed stage,
 // classification inputs (the interpreter exit kind and the compiled
-// observation) and the recorded test time, so a warm campaign renders
-// byte-identical Table 2/3, cause and Figure 7 output. The symbolic
-// result value inside interp.Exit is deliberately dropped (as in cached
-// explorations): nothing downstream of a verdict reads it.
+// observation's kind and detail) and the recorded test time, so a warm
+// campaign renders byte-identical Table 2/3, cause and Figure 7 output.
+// The symbolic result value inside interp.Exit is deliberately dropped
+// (as in cached explorations): nothing downstream of a verdict reads it.
+// A verdict's observation holds no rendered machine state (outcome.go),
+// so there is none to store.
 //
 // The payload uses the cache's field encoding (excache.Encoder), so
-// cached observations stay deep-equal to fresh ones:
+// cached verdicts stay deep-equal to fresh ones:
 //
 //	report      = paths curated differences testTimeNS verdicts
 //	verdict     = compiler isa flags reason detail cause exit [observation]
 //	exit        = kind nextPC selector numArgs failCode
-//	observation = kind selector numArgs result stack temps heap steps codeBytes detail
-//	heap        = (key strings)*, keys ascending
+//	observation = kind steps codeBytes detail
 //
 // flags holds Skipped (bit 0), Differs (bit 1) and whether an
 // observation follows (bit 2).
@@ -70,12 +71,6 @@ func MarshalInstructionReport(ir *InstructionReport) []byte {
 		e.Exit(v.InterpExit)
 		if o := v.Observed; o != nil {
 			e.Int(int(o.Kind))
-			e.Str(o.Selector)
-			e.Int(o.NumArgs)
-			e.Str(o.Result)
-			e.Strs(o.Stack)
-			e.Strs(o.Temps)
-			excache.EncodeIntMap(e, o.Heap, e.Strs)
 			e.Int(o.Steps)
 			e.Int(o.CodeBytes)
 			e.Str(o.Detail)
@@ -118,12 +113,6 @@ func UnmarshalInstructionReport(data []byte, target concolic.Target, ex *concoli
 		if flags&flagObserved != 0 {
 			v.Observed = &CompiledObservation{
 				Kind:      CompiledExitKind(d.Int()),
-				Selector:  d.Str(),
-				NumArgs:   d.Int(),
-				Result:    d.Str(),
-				Stack:     d.Strs(),
-				Temps:     d.Strs(),
-				Heap:      excache.DecodeIntMap(d, d.Strs),
 				Steps:     d.Int(),
 				CodeBytes: d.Int(),
 				Detail:    d.Str(),

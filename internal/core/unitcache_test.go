@@ -2,11 +2,10 @@ package core_test
 
 // Tests for the binary test-unit codec behind the exploration cache's
 // unit verdict tier: every report of a campaign round-trips deep-equal
-// (nil and empty kept apart), encoding is deterministic, and malformed
-// payloads are errors, never panics.
+// (nil and empty verdict lists kept apart), and malformed payloads are
+// errors, never panics.
 
 import (
-	"bytes"
 	"encoding/binary"
 	"reflect"
 	"testing"
@@ -46,40 +45,42 @@ func withoutExitResults(ir core.InstructionReport) core.InstructionReport {
 }
 
 // TestUnitCodecRoundTripsCampaign round-trips every unit report of the
-// full campaign over all five compilers and requires each to come back
-// deep-equal, so reflect.DeepEqual also holds nil and empty slices and
-// maps apart. It runs the full catalog even under -short: the reduced
-// one observes no empty stack.
+// full campaign over all five compilers, and of a campaign whose seeded
+// stack leak the verifier rejects, and requires each to come back
+// deep-equal. It runs the full catalog even under -short.
 func TestUnitCodecRoundTripsCampaign(t *testing.T) {
-	cfg := core.DefaultConfig()
-	cfg.Compilers = append(cfg.Compilers, core.MetaJITCompiler)
-	res := core.NewCampaign(cfg).Run()
-	units, observed, emptyStacks, heaps := 0, 0, 0, 0
-	for _, r := range res.Reports {
-		for i := range r.Instructions {
-			ir := &r.Instructions[i]
-			units++
-			if got, want := unitRoundTrip(t, ir), withoutExitResults(*ir); !reflect.DeepEqual(got, want) {
-				t.Errorf("%s/%s: report changed in the round trip:\n got %+v\nwant %+v",
-					r.Compiler, ir.Target.Name, got, want)
-			}
-			for _, v := range ir.Verdicts {
-				if o := v.Observed; o != nil {
-					observed++
-					if o.Stack != nil && len(o.Stack) == 0 {
-						emptyStacks++
-					}
-					if len(o.Heap) > 0 {
-						heaps++
+	full := core.DefaultConfig()
+	full.Compilers = append(full.Compilers, core.MetaJITCompiler)
+	leak := core.DefaultConfig()
+	leak.Defects.VerifyStackLeak = true
+	leak.Compilers = []core.CompilerKind{core.SimpleBytecodeCompiler}
+	units, observed, skipped, rejected := 0, 0, 0, 0
+	for _, cfg := range []core.Config{full, leak} {
+		for _, r := range core.NewCampaign(cfg).Run().Reports {
+			for i := range r.Instructions {
+				ir := &r.Instructions[i]
+				units++
+				if got, want := unitRoundTrip(t, ir), withoutExitResults(*ir); !reflect.DeepEqual(got, want) {
+					t.Errorf("%s/%s: report changed in the round trip:\n got %+v\nwant %+v",
+						r.Compiler, ir.Target.Name, got, want)
+				}
+				for _, v := range ir.Verdicts {
+					switch {
+					case v.Skipped:
+						skipped++
+					case v.Observed != nil && v.Observed.Kind == core.CompiledVerifierReject:
+						rejected++
+					case v.Observed != nil:
+						observed++
 					}
 				}
 			}
 		}
 	}
-	// The campaign must exercise what the codec distinguishes.
-	if units < 600 || observed == 0 || emptyStacks == 0 || heaps == 0 {
-		t.Errorf("campaign too thin to test the codec: %d units, %d observations, %d empty stacks, %d heaps",
-			units, observed, emptyStacks, heaps)
+	// The campaigns must exercise every verdict shape the codec writes.
+	if units < 600 || observed == 0 || skipped == 0 || rejected == 0 {
+		t.Errorf("campaign too thin to test the codec: %d units, %d observed, %d skipped, %d verifier-reject verdicts",
+			units, observed, skipped, rejected)
 	}
 }
 
@@ -98,18 +99,18 @@ func edgeReport() core.InstructionReport {
 				Detail: "stack differs: «λ»", Cause: "pass:constfold",
 				InterpExit: interp.Exit{Kind: interp.ExitMessageSend, NextPC: 3, Selector: "+", NumArgs: 1, FailCode: -2},
 				Observed: &core.CompiledObservation{
-					Kind: core.CompiledMessageSend, Selector: "+", NumArgs: 1, Result: "SmallInteger(3)",
-					Stack: []string{}, Temps: nil,
-					Heap:  map[int][]string{-4: nil, 0: {}, 9: {"a", ""}, 1 << 33: {"x"}},
-					Steps: 12, CodeBytes: 40, Detail: "d",
+					Kind: core.CompiledMessageSend, Steps: 12, CodeBytes: 40, Detail: "d",
 				},
 			},
-			{Observed: &core.CompiledObservation{Stack: nil, Temps: []string{}, Heap: map[int][]string{}}},
+			{Observed: &core.CompiledObservation{Kind: core.CompiledVerifierReject, Steps: -1, CodeBytes: 1 << 35}},
 			{Observed: &core.CompiledObservation{}},
 		},
 	}
 }
 
+// TestUnitCodecKeepsNilAndEmptyDistinct round-trips every field of a
+// verdict, and a report with no verdict list apart from one with an
+// empty list.
 func TestUnitCodecKeepsNilAndEmptyDistinct(t *testing.T) {
 	for _, ir := range []core.InstructionReport{
 		edgeReport(),
@@ -118,23 +119,6 @@ func TestUnitCodecKeepsNilAndEmptyDistinct(t *testing.T) {
 	} {
 		if got := unitRoundTrip(t, &ir); !reflect.DeepEqual(got, ir) {
 			t.Errorf("round trip changed the report:\n got %#v\nwant %#v", got, ir)
-		}
-	}
-}
-
-// TestUnitCodecIsDeterministic pins the sorted heap order: the same
-// report encodes to the same bytes however Go iterates its maps.
-func TestUnitCodecIsDeterministic(t *testing.T) {
-	ir := edgeReport()
-	heap := map[int][]string{}
-	for k := 0; k < 64; k++ {
-		heap[k*7-100] = []string{"v"}
-	}
-	ir.Verdicts[1].Observed.Heap = heap
-	first := core.MarshalInstructionReport(&ir)
-	for i := 0; i < 20; i++ {
-		if again := core.MarshalInstructionReport(&ir); !bytes.Equal(first, again) {
-			t.Fatal("two encodings of one report differ")
 		}
 	}
 }
@@ -173,51 +157,32 @@ func TestUnitDecoderRejectsMalformed(t *testing.T) {
 		"string length past input":    append(append([]byte(nil), header...), 2, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0x0f),
 		"varint overflow":             append(append([]byte(nil), header...), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01),
 		"unknown flag bit":            append(append([]byte(nil), header...), 2, 0, 0, 16, 0, 0, 0, 0, 0, 0, 0, 0),
-		"heap keys out of order":      observedHeap(header, 4, 2),
-		"heap keys repeated":          observedHeap(header, 4, 4),
-		"heap count past input":       append(observedHeapPrefix(header), 0xff, 0x01),
-		"stack element past input":    append(observedStackPrefix(header), 3, 1),
-		"observation without a field": append(append([]byte(nil), header...), 2, 0, 0, 8, 0, 0, 0, 0, 0, 0, 0, 0),
+		"observation without a field": append(observedPrefix(header), 0, 0),
+		"detail past input":           append(observedPrefix(header), 0, 0, 0, 4, 'd'),
+		"observation steps overflow":  append(observedPrefix(header), 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02, 0, 0),
 	}
 	for name, data := range cases {
 		if decode(data) == nil {
 			t.Errorf("%s: malformed payload decoded", name)
 		}
 	}
-	// Sanity: the hand-built heap payload decodes when its keys ascend.
-	if err := decode(observedHeap(header, 2, 4)); err != nil {
-		t.Errorf("hand-built payload with ascending heap keys rejected: %v", err)
+	// Sanity: the hand-built observed verdict decodes when complete.
+	if err := decode(append(observedPrefix(header), 0, 0, 0, 1, 'd')); err != nil {
+		t.Errorf("hand-built payload with an observation rejected: %v", err)
 	}
 }
 
-// observedStackPrefix is a one-verdict payload cut right after the
-// observation's selector, numArgs and result, where its stack begins.
-func observedStackPrefix(header []byte) []byte {
+// observedPrefix is a one-verdict payload cut right after the verdict's
+// interpreter exit, where its observation (kind, steps, codeBytes,
+// detail) begins.
+func observedPrefix(header []byte) []byte {
 	b := append([]byte(nil), header...)
 	b = append(b, 2)          // one verdict
 	b = append(b, 0, 0, 8)    // compiler, ISA, flags 4 (observed), zig-zag
 	b = append(b, 0, 0, 0)    // reason, detail, cause
 	b = append(b, 0, 0, 0, 0) // exit kind, nextPC, selector, numArgs
 	b = append(b, 0)          // exit failCode
-	b = append(b, 0, 0, 0, 0) // observation kind, selector, numArgs, result
 	return b
-}
-
-// observedHeapPrefix continues observedStackPrefix with nil stack and
-// temps, up to the heap length.
-func observedHeapPrefix(header []byte) []byte {
-	return append(observedStackPrefix(header), 0, 0)
-}
-
-// observedHeap is a complete one-verdict payload whose observation heap
-// holds keys k1 then k2, each with a nil body.
-func observedHeap(header []byte, k1, k2 int64) []byte {
-	b := append(observedHeapPrefix(header), 3) // two entries
-	b = binary.AppendVarint(b, k1)
-	b = append(b, 0)
-	b = binary.AppendVarint(b, k2)
-	b = append(b, 0)
-	return append(b, 0, 0, 0) // steps, codeBytes, detail
 }
 
 // FuzzUnmarshalInstructionReport feeds arbitrary bytes to the unit

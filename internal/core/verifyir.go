@@ -97,13 +97,14 @@ func (r *VerifySweepResult) Render() string {
 func (c *Campaign) VerifyIR(ctx context.Context) (*VerifySweepResult, error) {
 	workers := c.workerCount()
 	tester := c.setup()
+	defer c.Config.Cache.Flush()
 
 	// Step 1: explore every instruction through the campaign's explore
 	// step, so a sweep and a campaign share cache entries.
 	bcTargets := c.BytecodeTargets()
 	nmTargets := c.PrimitiveTargets()
 	allTargets := append(append([]concolic.Target{}, bcTargets...), nmTargets...)
-	explorations, err := c.explore(ctx, allTargets)
+	explorations, _, err := c.explore(ctx, allTargets)
 	if err != nil {
 		return nil, err
 	}

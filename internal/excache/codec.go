@@ -54,17 +54,10 @@ func (e *Encoder) Length(n int, isNil bool) {
 	e.b = binary.AppendUvarint(e.b, uint64(n)+1)
 }
 
-// Str writes a string; Strs writes a string slice.
+// Str writes a string.
 func (e *Encoder) Str(s string) {
 	e.b = binary.AppendUvarint(e.b, uint64(len(s)))
 	e.b = append(e.b, s...)
-}
-
-func (e *Encoder) Strs(ss []string) {
-	e.Length(len(ss), ss == nil)
-	for _, s := range ss {
-		e.Str(s)
-	}
 }
 
 // Exit writes an interpreter exit's kind and control fields. The result
@@ -77,9 +70,9 @@ func (e *Encoder) Exit(x interp.Exit) {
 	e.Int(x.FailCode)
 }
 
-// EncodeIntMap writes m's length, then each entry in ascending key
+// encodeIntMap writes m's length, then each entry in ascending key
 // order: the key, then whatever value writes for it.
-func EncodeIntMap[V any](e *Encoder, m map[int]V, value func(V)) {
+func encodeIntMap[V any](e *Encoder, m map[int]V, value func(V)) {
 	e.Length(len(m), m == nil)
 	keys := make([]int, 0, len(m))
 	for k := range m {
@@ -133,7 +126,7 @@ func (d *Decoder) uvarint() uint64 {
 	return v
 }
 
-// Int64, Int, Float64, Str, Strs and Exit read what the Encoder method
+// Int64, Int, Float64, Str and Exit read what the Encoder method
 // of the same name wrote.
 func (d *Decoder) Int64() int64 {
 	u := d.uvarint()
@@ -181,18 +174,6 @@ func (d *Decoder) Str() string {
 	return s
 }
 
-func (d *Decoder) Strs() []string {
-	n, ok := d.Length()
-	if !ok {
-		return nil
-	}
-	ss := make([]string, n)
-	for i := range ss {
-		ss[i] = d.Str()
-	}
-	return ss
-}
-
 func (d *Decoder) Exit() interp.Exit {
 	return interp.Exit{
 		Kind:     interp.ExitKind(d.Int()),
@@ -203,9 +184,9 @@ func (d *Decoder) Exit() interp.Exit {
 	}
 }
 
-// DecodeIntMap reads a map EncodeIntMap wrote, calling value for each
+// decodeIntMap reads a map encodeIntMap wrote, calling value for each
 // entry's value. Keys that do not strictly ascend are malformed.
-func DecodeIntMap[V any](d *Decoder, value func() V) map[int]V {
+func decodeIntMap[V any](d *Decoder, value func() V) map[int]V {
 	n, ok := d.Length()
 	if !ok {
 		return nil

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"cogdiff/internal/bytecode"
 	"cogdiff/internal/concolic"
 	"cogdiff/internal/excache"
 	"cogdiff/internal/primitives"
@@ -107,6 +108,60 @@ func TestFingerprintCoversContentNotDuration(t *testing.T) {
 	for _, name := range []string{"witness", "exit", "constraint", "role"} {
 		if mutated[name] == 0 {
 			t.Errorf("no catalog exploration has a %s to change", name)
+		}
+	}
+}
+
+// TestPayloadFingerprintsMatchDecoded pins the one-encoding fingerprint
+// on every catalog exploration: the fingerprint StoreExploration hashes
+// from the payload it stores, and the one LoadFingerprinted hashes from
+// the payload it decodes in a later run, both equal
+// FingerprintExploration of the exploration they describe.
+func TestPayloadFingerprintsMatchDecoded(t *testing.T) {
+	dir := t.TempDir()
+	opts := concolic.DefaultOptions()
+	explorer := concolic.NewExplorer(primitives.NewTable(), opts)
+	writer := openRW(t, dir, nil)
+	targets := exploreTargets()
+	stored := make([]string, len(targets))
+	for i, target := range targets {
+		ex := explorer.Explore(target)
+		stored[i] = writer.StoreExploration(writer.ExplorationKey(target, opts), ex)
+		if want := excache.FingerprintExploration(ex); stored[i] != want {
+			t.Errorf("%s: stored fingerprint %s, FingerprintExploration %s", target.Name, stored[i], want)
+		}
+	}
+	writer.Flush()
+	reader := openRW(t, dir, nil)
+	for i, target := range targets {
+		ex, fp, ok := reader.LoadFingerprinted(reader.ExplorationKey(target, opts), target)
+		if !ok {
+			t.Fatalf("%s: stored exploration did not load", target.Name)
+		}
+		if want := excache.FingerprintExploration(ex); fp != want || fp != stored[i] {
+			t.Errorf("%s: loaded fingerprint %s, FingerprintExploration %s, stored %s", target.Name, fp, want, stored[i])
+		}
+	}
+}
+
+// TestExplorationCodecIsDeterministic pins the sorted map order of the
+// witness models: an exploration whose Values and Alias maps hold many
+// keys encodes to the same bytes however Go iterates them.
+func TestExplorationCodecIsDeterministic(t *testing.T) {
+	ex := concolic.NewExplorer(primitives.NewTable(), concolic.DefaultOptions()).
+		Explore(concolic.BytecodeTarget(bytecode.OpPrimAdd))
+	model := ex.Paths[0].Model
+	if model.Alias == nil {
+		model.Alias = map[int]int{}
+	}
+	for k := 0; k < 64; k++ {
+		model.Values[1000+7*k] = sym.TypedValue{Kind: sym.KindSmallInt, Int: int64(k)}
+		model.Alias[2000+5*k] = k
+	}
+	first := excache.MarshalExploration(ex)
+	for i := 0; i < 20; i++ {
+		if again := excache.MarshalExploration(ex); !bytes.Equal(first, again) {
+			t.Fatal("two encodings of one exploration differ")
 		}
 	}
 }

@@ -10,6 +10,13 @@
 // re-tests only what changed — the "campaign-on-every-commit" speed the
 // ROADMAP calls for.
 //
+// Storage is one segment file per writing run. A run queues the records
+// it stores, and Flush writes them as one segment through a temp file
+// and an atomic rename, so concurrent campaigns sharing a directory never
+// share a file for writing and only ever read complete segments. The
+// first lookup or store reads every segment into an in-memory index;
+// when an entry has several records, the newest wins.
+//
 // Safety contract: a cache hit is observationally identical to fresh
 // work — campaign reports are byte-identical with the cache off, cold or
 // warm, at any worker count. Three mechanisms enforce it:
@@ -18,15 +25,14 @@
 //     on (interp, primitives, solver for explorations; additionally jit
 //     and machine for test units). Bumping any version orphans all old
 //     entries: they become plain misses, never stale hits.
-//   - Every entry file starts with a text header naming the schema, the
-//     entry key and the SHA-256 of the payload that follows. Truncated,
-//     corrupted, zero-length or mislabeled files, and payloads their
-//     typed loader cannot decode, fail validation and are treated as
-//     misses (the cogdiff_excache_corrupt_total counter records them),
-//     never as errors or wrong results.
-//   - Writes go through a temp file plus atomic rename, so concurrent
-//     campaigns sharing one cache directory only ever observe complete
-//     entries (last writer wins; both payloads are valid by purity).
+//   - Every record starts with a text header naming the schema, the
+//     entry, the SHA-256 of its payload and the payload's length.
+//     Truncated, corrupted or garbled records, and payloads their typed
+//     loader cannot decode, fail validation and are treated as misses
+//     (the cogdiff_excache_corrupt_total counter records them), never as
+//     errors or wrong results. Records before the damage still hit.
+//   - A segment becomes visible only by rename, whole, so a cancelled or
+//     crashed run leaves complete segments or none.
 //
 // The cache is nil-safe throughout: a nil *Cache loads nothing and
 // stores nothing, so engines thread it unconditionally.
@@ -39,7 +45,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
+	"sync"
 	"sync/atomic"
+	"time"
 
 	"cogdiff/internal/concolic"
 	"cogdiff/internal/telemetry"
@@ -127,9 +137,46 @@ type Cache struct {
 	// shares (the schema and the versions it depends on), once per cache.
 	explorationPrefix string
 
+	// indexOnce reads the directory's segments into index on the first
+	// lookup or store; mu guards everything below it.
+	indexOnce sync.Once
+	mu        sync.Mutex
+	// index maps every entry the segments hold, and every entry stored
+	// since, to its newest record.
+	index map[entryID]record
+	// unnamed counts damaged stretches of segment that name no entry (a
+	// garbled header, garbage, an empty file). Each is charged as corrupt
+	// to one lookup that finds no record at all, the lookup its lost
+	// record could have served.
+	unnamed int
+	// pending holds the records stored since the last Flush, back to
+	// back, as the next segment; pendingCount counts them.
+	pending      []byte
+	pendingCount int64
+
 	hits, misses, corrupt, writes atomic.Int64
 
 	mHits, mMisses, mCorrupt, mWrites *telemetry.Counter
+}
+
+// entryID names one entry: its kind ("ex", "unit") and key.
+type entryID struct{ kind, key string }
+
+// record is an entry's newest record: the digest line its payload must
+// match, and the payload. A record whose framing broke has a nil digest
+// and is damaged.
+type record struct {
+	digest, payload []byte
+}
+
+// valid reports whether the record's framing held and its payload
+// matches its digest line.
+func (r record) valid() bool {
+	if r.digest == nil {
+		return false
+	}
+	digest := payloadDigest(r.payload)
+	return bytes.Equal(r.digest, digest[:])
 }
 
 // DefaultVersions returns the live semantic version stamps of every
@@ -145,7 +192,18 @@ func DefaultVersions() Versions {
 	}
 }
 
-const schemaVersion = "cogdiff-excache/3"
+const schemaVersion = "cogdiff-excache/4"
+
+// schemaFamily opens the schema line of every schema this cache has had.
+// A segment whose first line is another member of the family belongs to
+// another schema, and is skipped whole rather than counted as damage.
+const schemaFamily = "cogdiff-excache/"
+
+// segmentPrefix starts every segment's file name. The rest is the
+// creation time in zero-padded nanoseconds and a random suffix, so the
+// names sort oldest first. Files of any other name (the per-entry files
+// of schema 3 and earlier, temp files) are never read.
+const segmentPrefix = "seg-"
 
 // Open validates the configuration and returns a ready cache. ModeOff
 // (or an empty Dir) returns a nil cache, which is valid and inert. In rw
@@ -280,59 +338,82 @@ func targetDescriptor(t concolic.Target) string {
 	return fmt.Sprintf("nativeMethod/%s/index=%d/args=%d", t.Name, t.PrimIndex, t.PrimNumArgs)
 }
 
-// entryPath maps a (kind, key) pair to its file. Keys are hex digests,
-// so the name needs no escaping.
-func (c *Cache) entryPath(kind, key string) string {
-	return filepath.Join(c.dir, kind+"-"+key)
-}
-
-// An entry file is a text header followed by the raw payload:
+// A segment is a sequence of records, each a text header followed by the
+// raw payload:
 //
-//	<schema>\n<key>\n<hex SHA-256 of payload>\n<payload>
+//	<schema>\n<kind>-<key>\n<hex SHA-256 of payload>\n<payload length>\n<payload>
 //
-// A load compares the first two lines with the expected schema and key
-// and hashes the payload once, so the payload is scanned once before its
-// typed loader decodes it.
+// The length is decimal with no leading zero. Reading the index checks
+// only the framing; a lookup hashes the payload it serves and compares
+// the digest line before its typed loader decodes it.
 const digestLen = 2 * sha256.Size
 
-// loadStatus classifies one lookup without touching counters, so typed
-// loaders can defer accounting until their own payload decoding is done.
-type loadStatus int
-
-const (
-	loadOK loadStatus = iota
-	loadMissing
-	loadCorrupt
-)
-
-// loadEntry reads and validates one entry file. A missing file is
-// loadMissing; a short or zero-length file, a wrong schema or key line,
-// a malformed digest line or a payload-digest mismatch is loadCorrupt.
-func (c *Cache) loadEntry(kind, key string) ([]byte, loadStatus) {
-	data, err := os.ReadFile(c.entryPath(kind, key))
+// readIndex reads every segment in the directory, oldest first, into
+// the index. A missing directory or an unreadable file holds no records.
+func (c *Cache) readIndex() {
+	c.index = make(map[entryID]record)
+	files, err := os.ReadDir(c.dir) // sorted by name, so oldest first
 	if err != nil {
-		return nil, loadMissing
+		return
 	}
-	rest, ok := cutLine(data, c.vers.Schema)
-	if ok {
-		rest, ok = cutLine(rest, key)
+	for _, f := range files {
+		if f.IsDir() || !strings.HasPrefix(f.Name(), segmentPrefix) {
+			continue
+		}
+		if data, err := os.ReadFile(filepath.Join(c.dir, f.Name())); err == nil {
+			c.indexSegment(data)
+		}
 	}
-	if !ok || len(rest) <= digestLen || rest[digestLen] != '\n' {
-		return nil, loadCorrupt
-	}
-	payload := rest[digestLen+1:]
-	if digest := payloadDigest(payload); !bytes.Equal(digest[:], rest[:digestLen]) {
-		return nil, loadCorrupt
-	}
-	return payload, loadOK
 }
 
-// cutLine returns b after its first line when that line is exactly line.
-func cutLine(b []byte, line string) ([]byte, bool) {
-	if len(b) <= len(line) || b[len(line)] != '\n' || string(b[:len(line)]) != line {
-		return nil, false
+// indexSegment indexes one segment's records, each over any earlier
+// record of its entry. Reading stops at the first record whose framing
+// is broken: one whose entry line survived is indexed as damaged, any
+// other damage counts in c.unnamed. A segment that opens with another
+// schema's line is skipped whole. Runs never write an empty segment, so
+// an empty file is damage too.
+func (c *Cache) indexSegment(data []byte) {
+	if len(data) == 0 {
+		c.unnamed++
+		return
 	}
-	return b[len(line)+1:], true
+	for first := true; len(data) > 0; first = false {
+		schema, rest, ok := cutLine(data)
+		if !ok || string(schema) != c.vers.Schema {
+			foreign := first && ok && bytes.HasPrefix(schema, []byte(schemaFamily))
+			if !foreign {
+				c.unnamed++
+			}
+			return
+		}
+		name, rest, ok := cutLine(rest)
+		kind, key, named := strings.Cut(string(name), "-")
+		if !ok || !named {
+			c.unnamed++
+			return
+		}
+		id := entryID{kind, key}
+		digest, rest, ok := cutLine(rest)
+		size, rest, sized := cutLine(rest)
+		n, err := strconv.ParseUint(string(size), 10, 31)
+		if !ok || !sized || err != nil || len(digest) != digestLen ||
+			len(size) > 1 && size[0] == '0' || int(n) > len(rest) {
+			c.index[id] = record{}
+			return
+		}
+		c.index[id] = record{digest: digest, payload: rest[:n:n]}
+		data = rest[n:]
+	}
+}
+
+// cutLine splits b after its first newline: the line without it, and
+// what follows. ok is false when b holds no newline.
+func cutLine(b []byte) (line, rest []byte, ok bool) {
+	i := bytes.IndexByte(b, '\n')
+	if i < 0 {
+		return nil, nil, false
+	}
+	return b[:i], b[i+1:], true
 }
 
 func payloadDigest(payload []byte) [digestLen]byte {
@@ -342,63 +423,95 @@ func payloadDigest(payload []byte) [digestLen]byte {
 	return out
 }
 
-// Load fetches the payload under (kind, key) and hands it to decode. A
-// missing entry is a miss; an invalid one (short, corrupted, zero-length,
-// wrong schema or key, digest mismatch) is a miss that also bumps the
-// corrupt counter, and so is an entry whose payload decode rejects. Only
-// a decoded payload counts as a hit. Load never fails: every malformed
-// state downgrades to "re-do the work".
+// Load fetches the payload under (kind, key) and hands it to decode. An
+// entry no segment holds is a miss. A damaged newest record (broken
+// framing, a digest mismatch) is a miss that also bumps the corrupt
+// counter, and so is one whose payload decode rejects, and a lookup that
+// finds no record while a damaged stretch naming no entry is still
+// uncharged. Only a decoded payload counts as a hit. Load never fails:
+// every malformed state downgrades to "re-do the work".
 func (c *Cache) Load(kind, key string, decode func(payload []byte) error) bool {
 	if c == nil || c.mode == ModeOff || key == "" {
 		return false
 	}
-	payload, st := c.loadEntry(kind, key)
-	if st == loadMissing {
+	c.indexOnce.Do(c.readIndex)
+	c.mu.Lock()
+	rec, found := c.index[entryID{kind, key}]
+	charged := !found && c.unnamed > 0
+	if charged {
+		c.unnamed--
+	}
+	c.mu.Unlock()
+	switch {
+	case !found && !charged:
 		c.miss()
-		return false
-	}
-	if st == loadCorrupt || decode(payload) != nil {
+	case !found || !rec.valid() || decode(rec.payload) != nil:
 		c.corruptMiss()
-		return false
+	default:
+		c.hit()
+		return true
 	}
-	c.hit()
-	return true
+	return false
 }
 
-// StoreBlob writes a payload of any encoding under (kind, key), behind
-// the entry header, via temp-file + atomic rename. Best effort: write
-// failures are silently dropped (the cache never fails a campaign), and
-// ro mode stores nothing.
+// StoreBlob queues a payload of any encoding under (kind, key) for the
+// run's segment and serves it to later lookups through this cache. ro
+// mode stores nothing.
 func (c *Cache) StoreBlob(kind, key string, payload []byte) {
 	if c == nil || c.mode != ModeRW || key == "" {
 		return
 	}
-	digest := payloadDigest(payload)
-	data := make([]byte, 0, len(c.vers.Schema)+len(key)+digestLen+3+len(payload))
-	data = append(append(data, c.vers.Schema...), '\n')
-	data = append(append(data, key...), '\n')
-	data = append(append(data, digest[:]...), '\n')
-	data = append(data, payload...)
+	c.indexOnce.Do(c.readIndex)
+	sum := payloadDigest(payload)
+	digest := sum[:]
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.pending = append(append(c.pending, c.vers.Schema...), '\n')
+	c.pending = append(append(append(c.pending, kind...), '-'), key...)
+	c.pending = append(append(c.pending, '\n'), digest...)
+	c.pending = strconv.AppendInt(append(c.pending, '\n'), int64(len(payload)), 10)
+	c.pending = append(append(c.pending, '\n'), payload...)
+	c.pendingCount++
+	c.index[entryID{kind, key}] = record{digest: digest, payload: payload}
+}
+
+// Flush writes the records stored since the last Flush as one new
+// segment, through a temp file and an atomic rename, and counts them as
+// writes. Every entry point that stores calls it before returning,
+// cancelled or not. Best effort like every store: a failed write drops
+// the records (the cache never fails a campaign), and a run that stored
+// nothing writes no file.
+func (c *Cache) Flush() {
+	if c == nil || c.mode != ModeRW {
+		return
+	}
+	c.mu.Lock()
+	data, n := c.pending, c.pendingCount
+	c.pending, c.pendingCount = nil, 0
+	c.mu.Unlock()
+	if n == 0 {
+		return
+	}
 	tmp, err := os.CreateTemp(c.dir, ".tmp-*")
 	if err != nil {
 		return
 	}
 	name := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
+	_, err = tmp.Write(data)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		created := time.Now().UnixNano() //cogdiff:allow-nondeterminism segment names order records by age; no name reaches a report
+		err = os.Rename(name, filepath.Join(c.dir, fmt.Sprintf("%s%020d-%s",
+			segmentPrefix, created, strings.TrimPrefix(filepath.Base(name), ".tmp-"))))
+	}
+	if err != nil {
 		os.Remove(name)
 		return
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(name)
-		return
-	}
-	if err := os.Rename(name, c.entryPath(kind, key)); err != nil {
-		os.Remove(name)
-		return
-	}
-	c.writes.Add(1)
-	c.mWrites.Inc()
+	c.writes.Add(n)
+	c.mWrites.Add(n)
 }
 
 // LoadExploration fetches a cached exploration and rebinds it to target.
@@ -409,30 +522,46 @@ func (c *Cache) StoreBlob(kind, key string, payload []byte) {
 // payload fails to decode, or names a different target than the key
 // demands, counts as corrupt, not a hit.
 func (c *Cache) LoadExploration(key string, target concolic.Target) (*concolic.Exploration, bool) {
+	ex, _, ok := c.LoadFingerprinted(key, target)
+	return ex, ok
+}
+
+// LoadFingerprinted is LoadExploration that also returns the
+// exploration's fingerprint, hashed from the payload it decoded. The
+// decoder accepts only payloads that re-encode to the same bytes, so
+// that equals FingerprintExploration of the result, without encoding it
+// again.
+func (c *Cache) LoadFingerprinted(key string, target concolic.Target) (*concolic.Exploration, string, bool) {
 	var ex *concolic.Exploration
+	var fingerprint string
 	ok := c.Load("ex", key, func(payload []byte) error {
-		got, err := UnmarshalExploration(payload)
+		got, content, err := decodeExploration(payload)
 		if err != nil {
 			return err
 		}
-		if got.Target.Name != target.Name || got.Target.Kind != target.Kind {
+		if t := got.Target; t.Kind != target.Kind || t.Name != target.Name || t.Op != target.Op ||
+			t.PrimIndex != target.PrimIndex || t.PrimNumArgs != target.PrimNumArgs {
 			return fmt.Errorf("excache: entry holds %s, want %s", got.Target.Name, target.Name)
 		}
 		// Rebind the caller's full target (the payload carries only the
 		// descriptor; Method pointers are re-synthesized identically).
 		got.Target = target
-		ex = got
+		ex, fingerprint = got, contentFingerprint(payload[:content])
 		return nil
 	})
-	return ex, ok
+	return ex, fingerprint, ok
 }
 
-// StoreExploration serializes and stores one exploration.
-func (c *Cache) StoreExploration(key string, ex *concolic.Exploration) {
-	if c == nil || c.mode != ModeRW {
-		return
+// StoreExploration encodes ex once, queues the payload for the run's
+// segment (rw mode) and returns the exploration's fingerprint, hashed
+// from the same encoding. A nil cache returns "".
+func (c *Cache) StoreExploration(key string, ex *concolic.Exploration) string {
+	if c == nil {
+		return ""
 	}
-	c.StoreBlob("ex", key, MarshalExploration(ex))
+	payload, content := encodeExploration(ex)
+	c.StoreBlob("ex", key, payload)
+	return contentFingerprint(payload[:content])
 }
 
 func (c *Cache) hit() {

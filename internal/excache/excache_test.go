@@ -3,9 +3,10 @@ package excache_test
 // Unit and robustness tests for the persistent exploration cache. The
 // contract under test: hits are observationally identical to fresh
 // exploration, and nothing a cache directory can contain — truncated,
-// corrupted, zero-length or mislabeled entries, or entries from other
-// semantic versions — is ever an error or a wrong result; every
-// malformed state downgrades to a miss that re-does and overwrites.
+// corrupted, empty or mislabeled segments, or entries from other schemas
+// and semantic versions — is ever an error or a wrong result; every
+// malformed state downgrades to a miss whose re-done work a newer
+// segment serves.
 
 import (
 	"bytes"
@@ -18,11 +19,13 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 
 	"cogdiff/internal/bytecode"
 	"cogdiff/internal/concolic"
+	"cogdiff/internal/core"
 	"cogdiff/internal/excache"
 	"cogdiff/internal/interp"
 	"cogdiff/internal/primitives"
@@ -90,7 +93,13 @@ func TestNilCacheIsInert(t *testing.T) {
 	if _, ok := c.LoadExploration("k", concolic.BytecodeTarget(bytecode.OpPrimAdd)); ok {
 		t.Error("nil cache LoadExploration reported a hit")
 	}
-	c.StoreExploration("k", &concolic.Exploration{})
+	if _, fp, ok := c.LoadFingerprinted("k", concolic.BytecodeTarget(bytecode.OpPrimAdd)); ok || fp != "" {
+		t.Errorf("nil cache LoadFingerprinted = %q, %v; want a miss", fp, ok)
+	}
+	if fp := c.StoreExploration("k", &concolic.Exploration{}); fp != "" {
+		t.Errorf("nil cache StoreExploration fingerprinted %q, want empty", fp)
+	}
+	c.Flush()
 	if s := c.Stats(); s != (excache.Stats{}) {
 		t.Errorf("nil cache Stats() = %+v, want zero", s)
 	}
@@ -238,171 +247,239 @@ func TestExplorationRoundTripExactFloats(t *testing.T) {
 	}
 }
 
-// entryFile returns the single cache entry file of one kind.
-func entryFile(t *testing.T, dir, kind string) string {
+// schemaLine is the schema line that opens every record this cache writes.
+const schemaLine = "cogdiff-excache/4"
+
+// segments lists the directory's segment files, oldest first.
+func segments(t testing.TB, dir string) []string {
 	t.Helper()
-	matches, err := filepath.Glob(filepath.Join(dir, kind+"-*"))
-	if err != nil || len(matches) != 1 {
-		t.Fatalf("want exactly one %s entry, got %v (err %v)", kind, matches, err)
+	matches, err := filepath.Glob(filepath.Join(dir, "seg-*"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	return matches[0]
+	return matches
 }
 
-// TestCorruptEntriesAreMisses pins the robustness contract: truncated,
-// zero-length and garbage entry files, payload-digest mismatches and
-// key-mislabeled files are all misses that bump the corrupt counter
-// (cogdiff_excache_corrupt_total) and are silently overwritten by the
-// re-done work — never errors, never wrong results.
-func TestCorruptEntriesAreMisses(t *testing.T) {
-	prims := primitives.NewTable()
-	explorer := concolic.NewExplorer(prims, concolic.DefaultOptions())
-	target := concolic.BytecodeTarget(bytecode.OpPrimAdd)
-	fresh := explorer.Explore(target)
-
-	corruptions := []struct {
-		name    string
-		corrupt func(t *testing.T, path string)
-	}{
-		{"zero-length", func(t *testing.T, path string) {
-			if err := os.WriteFile(path, nil, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}},
-		{"truncated", func(t *testing.T, path string) {
-			data, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(path, data[:len(data)/2], 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}},
-		{"garbage", func(t *testing.T, path string) {
-			if err := os.WriteFile(path, []byte("not an entry at all\x00\xff"), 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}},
-		{"payload-tampered", func(t *testing.T, path string) {
-			// A consistent header over a payload that does not decode:
-			// its target kind replaced by one that does not exist.
-			header, payload := splitEntry(t, path)
-			tampered := append(binary.AppendVarint(nil, 9), payload[1:]...)
-			sum := sha256.Sum256(tampered)
-			writeEntry(t, path, header[0]+"\n"+header[1]+"\n"+hex.EncodeToString(sum[:])+"\n", tampered)
-		}},
-		{"short-header", func(t *testing.T, path string) {
-			header, _ := splitEntry(t, path)
-			short := header[0] + "\n" + header[1] + "\n" + header[2][:10]
-			writeEntry(t, path, short, nil)
-		}},
-		{"wrong-schema-line", func(t *testing.T, path string) {
-			header, payload := splitEntry(t, path)
-			writeEntry(t, path, "cogdiff-excache/2\n"+header[1]+"\n"+header[2]+"\n", payload)
-		}},
-		{"wrong-key-line", func(t *testing.T, path string) {
-			header, payload := splitEntry(t, path)
-			writeEntry(t, path, header[0]+"\n"+strings.Repeat("f", 64)+"\n"+header[2]+"\n", payload)
-		}},
-		{"bad-digest", func(t *testing.T, path string) {
-			header, payload := splitEntry(t, path)
-			digest := []byte(header[2])
-			digest[0] ^= 1 // another hex digit, or a byte that is not hex
-			writeEntry(t, path, header[0]+"\n"+header[1]+"\n"+string(digest)+"\n", payload)
-		}},
-		{"payload-edited-digest-kept", func(t *testing.T, path string) {
-			header, payload := splitEntry(t, path)
-			edited := append([]byte(nil), payload...)
-			edited[len(edited)-1] ^= 0x20
-			writeEntry(t, path, header[0]+"\n"+header[1]+"\n"+header[2]+"\n", edited)
-		}},
-		{"schema-1-json-envelope", func(t *testing.T, path string) {
-			// The layout every entry had before the header format: a JSON
-			// envelope around a JSON payload, whose digest hashes the
-			// payload plus a NUL byte.
-			header, _ := splitEntry(t, path)
-			payload := `{"name":"primAdd","kind":0,"opcode":96}`
-			sum := sha256.Sum256([]byte(payload + "\x00"))
-			env := fmt.Sprintf(`{"schema":"cogdiff-excache/1","key":%q,"payloadSha256":%q,"payload":%s}`,
-				header[1], hex.EncodeToString(sum[:]), payload)
-			writeEntry(t, path, "", []byte(env))
-		}},
+// onlySegment returns the directory's single segment file.
+func onlySegment(t testing.TB, dir string) string {
+	t.Helper()
+	segs := segments(t, dir)
+	if len(segs) != 1 {
+		t.Fatalf("want exactly one segment, got %v", segs)
 	}
-
-	for _, c := range corruptions {
-		t.Run(c.name, func(t *testing.T) {
-			dir := t.TempDir()
-			reg := telemetry.NewRegistry()
-			cache := openRW(t, dir, reg)
-			key := cache.ExplorationKey(target, concolic.DefaultOptions())
-			cache.StoreExploration(key, fresh)
-			c.corrupt(t, entryFile(t, dir, "ex"))
-
-			if _, ok := cache.LoadExploration(key, target); ok {
-				t.Fatal("corrupted entry reported as hit")
-			}
-			s := cache.Stats()
-			if s.Corrupt != 1 || s.Misses != 1 {
-				t.Errorf("stats after corrupt load: %+v, want 1 corrupt, 1 miss", s)
-			}
-			if got := reg.Counter(telemetry.MetricCacheCorrupt).Value(); got != 1 {
-				t.Errorf("%s = %d, want 1", telemetry.MetricCacheCorrupt, got)
-			}
-
-			// The contract's second half: re-done work overwrites the bad
-			// entry and the next load hits.
-			cache.StoreExploration(key, fresh)
-			loaded, ok := cache.LoadExploration(key, target)
-			if !ok {
-				t.Fatal("re-stored entry did not load")
-			}
-			if len(loaded.Paths) != len(fresh.Paths) {
-				t.Errorf("re-stored entry has %d paths, want %d", len(loaded.Paths), len(fresh.Paths))
-			}
-		})
-	}
+	return segs[0]
 }
 
-// splitEntry reads an entry file and splits it into its three header
-// lines (schema, key, payload digest) and the payload.
-func splitEntry(t *testing.T, path string) ([3]string, []byte) {
+// recordBytes renders one segment record in the layout DESIGN.md
+// documents, under the given schema line and entry name.
+func recordBytes(schema, name string, payload []byte) []byte {
+	sum := sha256.Sum256(payload)
+	return fmt.Appendf(nil, "%s\n%s\n%x\n%d\n%s", schema, name, sum, len(payload), payload)
+}
+
+// splitRecord splits the last record of a segment into its four header
+// lines (schema, entry name, payload digest, payload length) and the
+// payload.
+func splitRecord(t *testing.T, rec []byte) ([4]string, []byte) {
+	t.Helper()
+	parts := bytes.SplitN(rec, []byte("\n"), 5)
+	if len(parts) != 5 {
+		t.Fatalf("record %q has no four-line header", rec)
+	}
+	return [4]string{string(parts[0]), string(parts[1]), string(parts[2]), string(parts[3])}, parts[4]
+}
+
+// joinRecord reassembles a record from header lines and a payload, as
+// given, consistent or not.
+func joinRecord(h [4]string, payload []byte) []byte {
+	return append([]byte(strings.Join(h[:], "\n")+"\n"), payload...)
+}
+
+func readFile(t *testing.T, path string) []byte {
 	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parts := bytes.SplitN(data, []byte("\n"), 4)
-	if len(parts) != 4 {
-		t.Fatalf("entry %s has no three-line header", path)
-	}
-	return [3]string{string(parts[0]), string(parts[1]), string(parts[2])}, parts[3]
+	return data
 }
 
-func writeEntry(t *testing.T, path, header string, payload []byte) {
+func writeFile(t *testing.T, path string, data []byte) {
 	t.Helper()
-	if err := os.WriteFile(path, append([]byte(header), payload...), 0o644); err != nil {
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestEntryFormat pins the on-disk layout DESIGN.md documents: the
-// schema stamp, the key and the hex SHA-256 of the payload, one per line,
-// then the payload bytes as given.
+// TestCorruptEntriesAreMisses pins the robustness contract on a segment
+// that holds two explorations, A then B, and a damaged record for B:
+// truncated, garbage, a payload that does not decode under a consistent
+// header, a short header, another schema's line, another entry's name,
+// a digest that does not match, or a schema-1 JSON envelope; or B alone
+// in a later segment that is empty. A, before the damage, still hits.
+// B's lookup misses and counts in cogdiff_excache_corrupt_total, except
+// when the damage relabeled B's record as another entry, which no lookup
+// for B can tell from a record never written. Never an error, never a
+// wrong result; and the re-done work heals the directory: the next run
+// hits both with nothing counted corrupt.
+func TestCorruptEntriesAreMisses(t *testing.T) {
+	explorer := concolic.NewExplorer(primitives.NewTable(), concolic.DefaultOptions())
+	targetA := concolic.BytecodeTarget(bytecode.OpPrimSubtract)
+	targetB := concolic.BytecodeTarget(bytecode.OpPrimAdd)
+	exA, exB := explorer.Explore(targetA), explorer.Explore(targetB)
+
+	// Each corruption rewrites B's record, from its first byte to the end
+	// of its segment.
+	corruptions := []struct {
+		name string
+		// ownSegment stores B in a segment of its own, after A's.
+		ownSegment bool
+		// relabeled is damage that leaves a valid record of another entry.
+		relabeled bool
+		damage    func(t *testing.T, rec []byte) []byte
+	}{
+		{name: "zero-length", ownSegment: true, damage: func(*testing.T, []byte) []byte { return nil }},
+		{name: "truncated", damage: func(_ *testing.T, rec []byte) []byte { return rec[:len(rec)/2] }},
+		{name: "garbage", damage: func(*testing.T, []byte) []byte { return []byte("not an entry at all\x00\xff") }},
+		{name: "payload-tampered", damage: func(t *testing.T, rec []byte) []byte {
+			// A consistent header over a payload that does not decode:
+			// its target kind replaced by one that does not exist.
+			h, payload := splitRecord(t, rec)
+			return recordBytes(h[0], h[1], append(binary.AppendVarint(nil, 9), payload[1:]...))
+		}},
+		{name: "short-header", damage: func(t *testing.T, rec []byte) []byte {
+			h, _ := splitRecord(t, rec)
+			return []byte(h[0] + "\n" + h[1] + "\n" + h[2][:10])
+		}},
+		{name: "wrong-schema-line", damage: func(t *testing.T, rec []byte) []byte {
+			h, payload := splitRecord(t, rec)
+			h[0] = "cogdiff-excache/3"
+			return joinRecord(h, payload)
+		}},
+		{name: "wrong-key-line", relabeled: true, damage: func(t *testing.T, rec []byte) []byte {
+			h, payload := splitRecord(t, rec)
+			h[1] = "ex-" + strings.Repeat("f", 64)
+			return joinRecord(h, payload)
+		}},
+		{name: "bad-digest", damage: func(t *testing.T, rec []byte) []byte {
+			h, payload := splitRecord(t, rec)
+			digest := []byte(h[2])
+			digest[0] ^= 1 // another hex digit, or a byte that is not hex
+			h[2] = string(digest)
+			return joinRecord(h, payload)
+		}},
+		{name: "payload-edited-digest-kept", damage: func(t *testing.T, rec []byte) []byte {
+			h, payload := splitRecord(t, rec)
+			edited := append([]byte(nil), payload...)
+			edited[len(edited)-1] ^= 0x20
+			return joinRecord(h, edited)
+		}},
+		{name: "schema-1-json-envelope", damage: func(t *testing.T, rec []byte) []byte {
+			// The layout every entry had before the header format: a JSON
+			// envelope around a JSON payload, whose digest hashes the
+			// payload plus a NUL byte.
+			h, _ := splitRecord(t, rec)
+			payload := `{"name":"primAdd","kind":0,"opcode":96}`
+			sum := sha256.Sum256([]byte(payload + "\x00"))
+			return fmt.Appendf(nil, `{"schema":"cogdiff-excache/1","key":%q,"payloadSha256":%q,"payload":%s}`,
+				strings.TrimPrefix(h[1], "ex-"), hex.EncodeToString(sum[:]), payload)
+		}},
+	}
+
+	opts := concolic.DefaultOptions()
+	for _, c := range corruptions {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			writer := openRW(t, dir, nil)
+			keyA, keyB := writer.ExplorationKey(targetA, opts), writer.ExplorationKey(targetB, opts)
+			writer.StoreExploration(keyA, exA)
+			if c.ownSegment {
+				writer.Flush()
+			}
+			writer.StoreExploration(keyB, exB)
+			writer.Flush()
+			segs := segments(t, dir)
+			path := segs[len(segs)-1]
+			data := readFile(t, path)
+			start := 0
+			if !c.ownSegment {
+				start = bytes.Index(data, []byte(schemaLine+"\nex-"+keyB+"\n"))
+				if start <= 0 {
+					t.Fatalf("B's record is not second in the segment (offset %d)", start)
+				}
+			}
+			writeFile(t, path, append(data[:start:start], c.damage(t, data[start:])...))
+
+			reg := telemetry.NewRegistry()
+			reader := openRW(t, dir, reg)
+			if _, ok := reader.LoadExploration(keyA, targetA); !ok {
+				t.Fatal("A, stored before the damage, missed")
+			}
+			if _, ok := reader.LoadExploration(keyB, targetB); ok {
+				t.Fatal("damaged B reported as hit")
+			}
+			want := excache.Stats{Hits: 1, Misses: 1, Corrupt: 1}
+			if c.relabeled {
+				want.Corrupt = 0
+			}
+			if s := reader.Stats(); s != want {
+				t.Errorf("stats after the damaged load: %+v, want %+v", s, want)
+			}
+			if got := reg.Counter(telemetry.MetricCacheCorrupt).Value(); got != want.Corrupt {
+				t.Errorf("%s = %d, want %d", telemetry.MetricCacheCorrupt, got, want.Corrupt)
+			}
+
+			// The contract's second half: re-done work lands in a newer
+			// segment, whose record wins, and the next run hits both.
+			reader.StoreExploration(keyB, exB)
+			reader.Flush()
+			healed := openRW(t, dir, nil)
+			loaded, ok := healed.LoadExploration(keyB, targetB)
+			if !ok {
+				t.Fatal("re-stored B did not load")
+			}
+			if len(loaded.Paths) != len(exB.Paths) {
+				t.Errorf("re-stored B has %d paths, want %d", len(loaded.Paths), len(exB.Paths))
+			}
+			if _, ok := healed.LoadExploration(keyA, targetA); !ok {
+				t.Fatal("A missed after the heal")
+			}
+			if s := healed.Stats(); s != (excache.Stats{Hits: 2}) {
+				t.Errorf("stats of the run after the heal: %+v, want 2 hits and nothing else", s)
+			}
+		})
+	}
+}
+
+// TestEntryFormat pins the segment layout DESIGN.md documents: the
+// records a run stored, in store order, each the schema line, the entry
+// name (kind and key), the hex SHA-256 of the payload and its decimal
+// length, one per line, then the payload bytes as given. The segment is
+// written once, on Flush, under a seg-<creation time>-<suffix> name.
 func TestEntryFormat(t *testing.T) {
 	dir := t.TempDir()
 	cache := openRW(t, dir, nil)
 	key := strings.Repeat("a", 64)
 	payload := []byte("\x00\x01 not json\n")
 	cache.StoreBlob("unit", key, payload)
-	sum := sha256.Sum256(payload)
-	want := "cogdiff-excache/3\n" + key + "\n" + hex.EncodeToString(sum[:]) + "\n" + string(payload)
-	got, err := os.ReadFile(filepath.Join(dir, "unit-"+key))
-	if err != nil {
-		t.Fatal(err)
+	cache.StoreBlob("ex", key, []byte{})
+	if segs := segments(t, dir); len(segs) != 0 {
+		t.Fatalf("stores wrote %v before the flush", segs)
 	}
-	if string(got) != want {
-		t.Errorf("entry file:\n%q\nwant:\n%q", got, want)
+	cache.Flush()
+	cache.Flush() // nothing left to write: no second segment
+	path := onlySegment(t, dir)
+	want := string(recordBytes(schemaLine, "unit-"+key, payload)) + string(recordBytes(schemaLine, "ex-"+key, nil))
+	if got := readFile(t, path); string(got) != want {
+		t.Errorf("segment:\n%q\nwant:\n%q", got, want)
 	}
-	back, ok := loadBlob(cache, "unit", key)
+	if name := filepath.Base(path); !regexp.MustCompile(`^seg-[0-9]{20}-[^.]+$`).MatchString(name) {
+		t.Errorf("segment named %q, want seg-<20-digit time>-<suffix>", name)
+	}
+	if s := cache.Stats(); s.Writes != 2 {
+		t.Errorf("stats: %+v, want 2 writes", s)
+	}
+	back, ok := loadBlob(openRW(t, dir, nil), "unit", key)
 	if !ok || !bytes.Equal(back, payload) {
 		t.Errorf("Load = %q, %v; want the stored payload", back, ok)
 	}
@@ -434,40 +511,65 @@ func TestUndecodablePayloadIsCorrupt(t *testing.T) {
 	}
 }
 
-// TestMislabeledEntryIsCorrupt covers the remaining envelope checks: an
-// entry stored under one key must not satisfy a lookup for another
-// (env.Key mismatch), and entries from a different schema version are
-// corrupt, not hits.
+// TestMislabeledEntryIsCorrupt covers records whose header belongs to
+// another record: with their digest lines swapped, two records of one
+// segment are both corrupt, never hits. An entry stored under one kind
+// does not satisfy a lookup of the same key under another.
 func TestMislabeledEntryIsCorrupt(t *testing.T) {
 	dir := t.TempDir()
-	cache := openRW(t, dir, nil)
-	cache.StoreBlob("ex", strings.Repeat("a", 64), []byte(`{"x":1}`))
-	src := entryFile(t, dir, "ex")
-	otherKey := strings.Repeat("b", 64)
-	if err := os.Rename(src, filepath.Join(dir, "ex-"+otherKey)); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := loadBlob(cache, "ex", otherKey); ok {
-		t.Fatal("entry stored under key a satisfied lookup for key b")
-	}
-	if s := cache.Stats(); s.Corrupt != 1 {
-		t.Errorf("stats: %+v, want 1 corrupt", s)
-	}
+	writer := openRW(t, dir, nil)
+	keyA, keyB := strings.Repeat("a", 64), strings.Repeat("b", 64)
+	payloadA, payloadB := []byte(`{"x":1}`), []byte(`{"x":2}`)
+	writer.StoreBlob("ex", keyA, payloadA)
+	writer.StoreBlob("ex", keyB, payloadB)
+	writer.Flush()
+	path := onlySegment(t, dir)
+	sumA, sumB := sha256.Sum256(payloadA), sha256.Sum256(payloadB)
+	hexA, hexB := []byte(hex.EncodeToString(sumA[:])), []byte(hex.EncodeToString(sumB[:]))
+	data := bytes.Replace(readFile(t, path), hexA, []byte(strings.Repeat("-", len(hexA))), 1)
+	data = bytes.Replace(data, hexB, hexA, 1)
+	writeFile(t, path, bytes.Replace(data, []byte(strings.Repeat("-", len(hexA))), hexB, 1))
 
-	// An entry another schema wrote under the same key is corrupt too.
-	oldVers := excache.DefaultVersions()
-	oldVers.Schema = "cogdiff-excache/2"
-	old, err := excache.Open(excache.Config{Dir: dir, Mode: excache.ModeRW, Versions: oldVers})
-	if err != nil {
-		t.Fatal(err)
+	reader := openRW(t, dir, nil)
+	for _, key := range []string{keyA, keyB} {
+		if _, ok := loadBlob(reader, "ex", key); ok {
+			t.Errorf("record %s… with another record's digest line hit", key[:8])
+		}
 	}
-	key := strings.Repeat("c", 64)
-	old.StoreBlob("ex", key, []byte(`{"x":1}`))
-	if _, ok := loadBlob(cache, "ex", key); ok {
-		t.Fatal("entry written under schema /2 satisfied a schema /3 lookup")
+	if _, ok := loadBlob(reader, "unit", keyA); ok {
+		t.Error("an ex entry satisfied a unit lookup of its key")
 	}
-	if s := cache.Stats(); s.Corrupt != 2 {
-		t.Errorf("stats: %+v, want 2 corrupt", s)
+	if s := reader.Stats(); s != (excache.Stats{Misses: 3, Corrupt: 2}) {
+		t.Errorf("stats: %+v, want 3 misses, 2 of them corrupt", s)
+	}
+}
+
+// TestOtherSchemasAreIgnored pins that nothing reads what other schemas
+// wrote: per-entry files of schema 3 (ex-<key>, unit-<key>) for the very
+// keys looked up, and a segment whose records carry schema 3's line,
+// yield plain misses, none of them corrupt.
+func TestOtherSchemasAreIgnored(t *testing.T) {
+	dir := t.TempDir()
+	target := concolic.BytecodeTarget(bytecode.OpPrimAdd)
+	ex := concolic.NewExplorer(primitives.NewTable(), concolic.DefaultOptions()).Explore(target)
+	payload := excache.MarshalExploration(ex)
+	cache := openRW(t, dir, nil)
+	key := cache.ExplorationKey(target, concolic.DefaultOptions())
+	sum := sha256.Sum256(payload)
+	for _, kind := range []string{"ex", "unit"} {
+		writeFile(t, filepath.Join(dir, kind+"-"+key),
+			append([]byte("cogdiff-excache/3\n"+key+"\n"+hex.EncodeToString(sum[:])+"\n"), payload...))
+	}
+	writeFile(t, filepath.Join(dir, "seg-00000000000000000001-old"), recordBytes("cogdiff-excache/3", "ex-"+key, payload))
+
+	if _, ok := cache.LoadExploration(key, target); ok {
+		t.Error("a schema-3 entry served a schema-4 lookup")
+	}
+	if _, ok := loadBlob(cache, "unit", key); ok {
+		t.Error("a schema-3 unit file served a schema-4 lookup")
+	}
+	if s := cache.Stats(); s != (excache.Stats{Misses: 2}) {
+		t.Errorf("stats: %+v, want 2 plain misses", s)
 	}
 }
 
@@ -484,19 +586,21 @@ func TestVersionBumpOrphansEntries(t *testing.T) {
 	fresh := explorer.Explore(target)
 
 	v1 := excache.DefaultVersions()
-	c1, err := excache.Open(excache.Config{Dir: dir, Mode: excache.ModeRW, Versions: v1})
-	if err != nil {
-		t.Fatal(err)
+	open := func(vers excache.Versions) *excache.Cache {
+		c, err := excache.Open(excache.Config{Dir: dir, Mode: excache.ModeRW, Versions: vers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
 	}
+	c1 := open(v1)
 	k1 := c1.ExplorationKey(target, concolic.DefaultOptions())
 	c1.StoreExploration(k1, fresh)
+	c1.Flush()
 
 	v2 := v1
 	v2.Interp = "interp/999-bumped"
-	c2, err := excache.Open(excache.Config{Dir: dir, Mode: excache.ModeRW, Versions: v2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c2 := open(v2)
 	k2 := c2.ExplorationKey(target, concolic.DefaultOptions())
 	if k1 == k2 {
 		t.Fatal("interpreter version bump did not change the exploration key")
@@ -511,10 +615,11 @@ func TestVersionBumpOrphansEntries(t *testing.T) {
 	// Re-explore + write back under the new version; both generations
 	// coexist in the directory.
 	c2.StoreExploration(k2, fresh)
-	if _, ok := c2.LoadExploration(k2, target); !ok {
+	c2.Flush()
+	if _, ok := open(v2).LoadExploration(k2, target); !ok {
 		t.Fatal("re-stored entry under bumped version did not load")
 	}
-	if _, ok := c1.LoadExploration(k1, target); !ok {
+	if _, ok := open(v1).LoadExploration(k1, target); !ok {
 		t.Fatal("old-version entry destroyed by version bump")
 	}
 }
@@ -530,6 +635,7 @@ func TestReadOnlyModeNeverWrites(t *testing.T) {
 		t.Fatal("hit on a missing directory")
 	}
 	ro.StoreBlob("ex", strings.Repeat("a", 64), []byte(`{}`))
+	ro.Flush()
 	if _, err := os.Stat(missing); !os.IsNotExist(err) {
 		t.Fatal("ro-mode store created the cache directory")
 	}
@@ -537,6 +643,7 @@ func TestReadOnlyModeNeverWrites(t *testing.T) {
 	// A populated directory serves hits in ro mode, still without writes.
 	rw := openRW(t, dir, nil)
 	rw.StoreBlob("ex", strings.Repeat("c", 64), []byte(`{"v":1}`))
+	rw.Flush()
 	ro2, err := excache.Open(excache.Config{Dir: dir, Mode: excache.ModeRO})
 	if err != nil {
 		t.Fatal(err)
@@ -545,12 +652,14 @@ func TestReadOnlyModeNeverWrites(t *testing.T) {
 		t.Fatal("ro mode did not hit an existing entry")
 	}
 	ro2.StoreBlob("ex", strings.Repeat("d", 64), []byte(`{"v":2}`))
+	ro2.Flush()
 	if s := ro2.Stats(); s.Writes != 0 {
 		t.Errorf("ro mode recorded %d writes", s.Writes)
 	}
-	if matches, _ := filepath.Glob(filepath.Join(dir, "ex-*")); len(matches) != 1 {
-		t.Errorf("ro mode changed the directory: %v", matches)
+	if _, ok := loadBlob(ro2, "ex", strings.Repeat("d", 64)); ok {
+		t.Error("ro mode served an entry it was asked to store")
 	}
+	onlySegment(t, dir)
 }
 
 func TestUnwritableDirectoryFailsOpen(t *testing.T) {
@@ -562,8 +671,9 @@ func TestUnwritableDirectoryFailsOpen(t *testing.T) {
 }
 
 // TestConcurrentBlobTraffic hammers one cache from many goroutines
-// (mixed loads and stores over a small key space) so the race-detector
-// tier verifies the cache's internal synchronization.
+// (mixed loads, stores and flushes over a small key space) so the
+// race-detector tier verifies the cache's internal synchronization, then
+// reads every key back from the segments the flushes wrote.
 func TestConcurrentBlobTraffic(t *testing.T) {
 	dir := t.TempDir()
 	c := openRW(t, dir, telemetry.NewRegistry())
@@ -581,13 +691,98 @@ func TestConcurrentBlobTraffic(t *testing.T) {
 						return
 					}
 				}
+				if i%10 == 9 {
+					c.Flush()
+				}
 			}
 		}(g)
 	}
 	for g := 0; g < 8; g++ {
 		<-done
 	}
-	if s := c.Stats(); s.Corrupt != 0 {
-		t.Errorf("concurrent traffic produced %d corrupt reads (atomic rename broken?)", s.Corrupt)
+	c.Flush()
+	if s := c.Stats(); s.Corrupt != 0 || s.Writes != 8*50 {
+		t.Errorf("concurrent traffic: %+v, want no corrupt read and %d writes", s, 8*50)
 	}
+	reader := openRW(t, dir, nil)
+	for _, k := range keys {
+		if payload, ok := loadBlob(reader, "ex", k); !ok || !bytes.Equal(payload, []byte(`{"g":1}`)) {
+			t.Errorf("key %s… read back %q, %v from the flushed segments", k[:8], payload, ok)
+		}
+	}
+	if s := reader.Stats(); s.Corrupt != 0 {
+		t.Errorf("flushed segments hold %d corrupt records", s.Corrupt)
+	}
+}
+
+// filledSegment runs a small campaign through a fresh cache directory
+// and returns the one segment it writes: exploration and unit records,
+// of a byte-code and of a native method, laid out exactly as a real run
+// writes them. The campaign is small so that the fuzzer's minimizer,
+// which runs a few execs per input byte, stays cheap.
+func filledSegment(tb testing.TB) []byte {
+	tb.Helper()
+	dir := tb.TempDir()
+	cache, err := excache.Open(excache.Config{Dir: dir, Mode: excache.ModeRW})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cfg := core.DefaultConfig()
+	cfg.Workers = 1
+	cfg.Compilers = []core.CompilerKind{core.NativeMethodCompilerKind, core.SimpleBytecodeCompiler}
+	cfg.BytecodeFilter = func(op bytecode.Op) bool { return op == bytecode.OpPushConstantOne }
+	cfg.PrimitiveFilter = func(p *primitives.Primitive) bool { return p.Name == "primitiveAsFloat" }
+	cfg.Cache = cache
+	core.NewCampaign(cfg).Run()
+	data, err := os.ReadFile(onlySegment(tb, dir))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return data
+}
+
+// entryNames returns every distinct line of data that names an entry:
+// ex- or unit- followed by a 64-digit hex key.
+func entryNames(data []byte) map[[2]string]bool {
+	names := map[[2]string]bool{}
+	for len(data) > 0 {
+		line, rest, found := bytes.Cut(data, []byte("\n"))
+		data = rest
+		kind, key, ok := bytes.Cut(line, []byte("-"))
+		if !found || !ok || len(key) != 64 || string(kind) != "ex" && string(kind) != "unit" {
+			continue
+		}
+		if _, err := hex.DecodeString(string(key)); err == nil && bytes.Equal(key, bytes.ToLower(key)) {
+			names[[2]string{string(kind), string(key)}] = true
+		}
+	}
+	return names
+}
+
+// FuzzSegment feeds arbitrary bytes to the segment reader as a cache's
+// only segment, seeded with a segment a real campaign wrote. Reading
+// must never panic, and every lookup of an entry the bytes name either
+// misses or serves a payload whose complete, valid record (schema line,
+// entry name, digest and length lines, payload) the bytes hold. The
+// bytes reach the reader in memory (ReadSegment): with a file written
+// and read back per input, the fuzzer's minimizer stalled a 10 s run.
+func FuzzSegment(f *testing.F) {
+	filled := filledSegment(f)
+	f.Add(filled)
+	f.Add(filled[:len(filled)/2])
+	f.Add([]byte{})
+	f.Add([]byte("cogdiff-excache/3\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c := excache.ReadSegment(data)
+		names := entryNames(data)
+		for name := range names {
+			payload, ok := loadBlob(c, name[0], name[1])
+			if ok && !bytes.Contains(data, recordBytes(schemaLine, name[0]+"-"+name[1], payload)) {
+				t.Fatalf("%s-%s served a payload that no valid record of the segment holds", name[0], name[1])
+			}
+		}
+		if s := c.Stats(); s.Hits+s.Misses != int64(len(names)) || s.Corrupt > s.Misses || s.Writes != 0 {
+			t.Fatalf("stats %+v after %d lookups", s, len(names))
+		}
+	})
 }

@@ -34,9 +34,8 @@ import (
 
 // MarshalExploration serializes an exploration for the cache.
 func MarshalExploration(ex *concolic.Exploration) []byte {
-	e := encodeExplorationContent(ex)
-	e.Int64(ex.Duration.Nanoseconds())
-	return e.b
+	payload, _ := encodeExploration(ex)
+	return payload
 }
 
 // FingerprintExploration hashes the semantic content of an exploration:
@@ -44,9 +43,25 @@ func MarshalExploration(ex *concolic.Exploration) []byte {
 // so a fresh exploration and its cache round trip fingerprint
 // identically. The differential tester consumes exactly this content,
 // which makes the fingerprint a sound key for derived test-unit results.
+// The cache's own load and store hash the payload they already hold
+// instead (LoadFingerprinted, StoreExploration).
 func FingerprintExploration(ex *concolic.Exploration) string {
-	sum := sha256.Sum256(encodeExplorationContent(ex).b)
+	return contentFingerprint(encodeExplorationContent(ex).b)
+}
+
+// contentFingerprint hashes a payload's content, the payload without its
+// duration.
+func contentFingerprint(content []byte) string {
+	sum := sha256.Sum256(content)
 	return hex.EncodeToString(sum[:])
+}
+
+// encodeExploration returns ex's payload and the length of its content.
+func encodeExploration(ex *concolic.Exploration) ([]byte, int) {
+	e := encodeExplorationContent(ex)
+	content := len(e.b)
+	e.Int64(ex.Duration.Nanoseconds())
+	return e.b, content
 }
 
 // encodeExplorationContent writes every payload field but the duration.
@@ -78,7 +93,7 @@ func encodeExplorationContent(ex *concolic.Exploration) *Encoder {
 			e.Str(c.C.String())
 		}
 		e.Int(p.Model.StackSize)
-		EncodeIntMap(e, p.Model.Values, func(tv sym.TypedValue) {
+		encodeIntMap(e, p.Model.Values, func(tv sym.TypedValue) {
 			e.Int(int(tv.Kind))
 			e.Int64(tv.Int)
 			e.Float64(tv.Float)
@@ -86,7 +101,7 @@ func encodeExplorationContent(ex *concolic.Exploration) *Encoder {
 			e.Int(int(tv.Format))
 			e.Int(tv.SlotCount)
 		})
-		EncodeIntMap(e, p.Model.Alias, e.Int)
+		encodeIntMap(e, p.Model.Alias, e.Int)
 		e.Exit(p.Exit)
 	}
 	e.Int(ex.CuratedOut)
@@ -100,13 +115,20 @@ func encodeExplorationContent(ex *concolic.Exploration) *Encoder {
 // witnesses, exits and variable universe are exact. Malformed input is
 // an error, never a panic.
 func UnmarshalExploration(payload []byte) (*concolic.Exploration, error) {
+	ex, _, err := decodeExploration(payload)
+	return ex, err
+}
+
+// decodeExploration is UnmarshalExploration that also returns the length
+// of the payload's content, everything before the duration.
+func decodeExploration(payload []byte) (*concolic.Exploration, int, error) {
 	d := NewDecoder(payload)
 	ex := &concolic.Exploration{Universe: sym.NewUniverse()}
 	switch kind := concolic.TargetKind(d.Int()); kind {
 	case concolic.TargetBytecode:
 		op := d.Int()
 		if op < 0 || op > 0xff || !bytecode.IsDefined(bytecode.Op(op)) {
-			return nil, fmt.Errorf("excache: undefined opcode %d", op)
+			return nil, 0, fmt.Errorf("excache: undefined opcode %d", op)
 		}
 		ex.Target = concolic.BytecodeTarget(bytecode.Op(op))
 	case concolic.TargetNativeMethod:
@@ -114,7 +136,7 @@ func UnmarshalExploration(payload []byte) (*concolic.Exploration, error) {
 		index := d.Int()
 		ex.Target = concolic.NativeMethodTarget(index, name, d.Int())
 	default:
-		return nil, fmt.Errorf("excache: unknown target kind %d", kind)
+		return nil, 0, fmt.Errorf("excache: unknown target kind %d", kind)
 	}
 	n, ok := d.Length()
 	if !ok {
@@ -123,7 +145,7 @@ func UnmarshalExploration(payload []byte) (*concolic.Exploration, error) {
 	for id := 0; id < n && d.Err() == nil; id++ {
 		role := sym.Role{Kind: sym.RoleKind(d.Int()), Index: d.Int(), OwnerID: d.Int()}
 		if got := ex.Universe.Of(role); got.ID != id {
-			return nil, fmt.Errorf("excache: variable id drift (%d became %d)", id, got.ID)
+			return nil, 0, fmt.Errorf("excache: variable id drift (%d became %d)", id, got.ID)
 		}
 	}
 	if n, ok := d.Length(); ok {
@@ -139,7 +161,7 @@ func UnmarshalExploration(payload []byte) (*concolic.Exploration, error) {
 			}
 		}
 		p.Model.StackSize = d.Int()
-		p.Model.Values = DecodeIntMap(d, func() sym.TypedValue {
+		p.Model.Values = decodeIntMap(d, func() sym.TypedValue {
 			tv := sym.TypedValue{
 				Kind:       sym.TypeKind(d.Int()),
 				Int:        d.Int64(),
@@ -154,7 +176,7 @@ func UnmarshalExploration(payload []byte) (*concolic.Exploration, error) {
 			tv.SlotCount = d.Int()
 			return tv
 		})
-		p.Model.Alias = DecodeIntMap(d, d.Int)
+		p.Model.Alias = decodeIntMap(d, d.Int)
 		p.Exit = d.Exit()
 		if d.Err() != nil {
 			break
@@ -162,9 +184,10 @@ func UnmarshalExploration(payload []byte) (*concolic.Exploration, error) {
 	}
 	ex.CuratedOut = d.Int()
 	ex.Iterations = d.Int()
+	content := len(payload) - len(d.b)
 	ex.Duration = time.Duration(d.Int64())
 	if err := d.Finish(); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	return ex, nil
+	return ex, content, nil
 }
