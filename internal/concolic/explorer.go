@@ -89,17 +89,6 @@ type workItem struct {
 	assumptions []sym.Constraint
 }
 
-func signatureOf(cs []sym.Constraint) string {
-	s := ""
-	for i, c := range cs {
-		if i > 0 {
-			s += "&"
-		}
-		s += c.String()
-	}
-	return s
-}
-
 // Explore discovers the execution paths of one instruction: the classic
 // concolic loop of §2.3, except it never stops at errors — every exit
 // condition is a first-class result.
@@ -111,6 +100,7 @@ func (e *Explorer) Explore(t Target) *Exploration {
 	worklist := []workItem{{}}
 	seenPaths := map[string]bool{}
 	tried := map[string]bool{"": true}
+	var signatures sym.Signer
 
 	for len(worklist) > 0 && ex.Iterations < e.Opts.MaxIterations {
 		item := worklist[len(worklist)-1]
@@ -134,7 +124,8 @@ func (e *Explorer) Explore(t Target) *Exploration {
 			continue
 		}
 
-		sig := res.Path.Signature()
+		prefix := res.Path.Constraints()
+		sig := signatures.Sign(res.Path)
 		if !seenPaths[sig] {
 			seenPaths[sig] = true
 			if res.Exit.Kind == interp.ExitUnsupported {
@@ -145,7 +136,7 @@ func (e *Explorer) Explore(t Target) *Exploration {
 				// condition (the concrete values of Table 1), not just
 				// the parent prefix.
 				e.solverCalls.Inc()
-				if refined, err := solver.Solve(u, res.Path.Constraints()); err == nil {
+				if refined, err := solver.Solve(u, prefix); err == nil {
 					res.Model = refined
 				}
 				ex.Paths = append(ex.Paths, res)
@@ -154,14 +145,14 @@ func (e *Explorer) Explore(t Target) *Exploration {
 
 		// Generational expansion: negate every recorded condition beyond
 		// the assumed prefix.
-		prefix := res.Path.Constraints()
 		for i := len(item.assumptions); i < len(prefix); i++ {
-			child := make([]sym.Constraint, 0, i+1)
-			child = append(child, prefix[:i]...)
-			child = append(child, sym.Negate(prefix[i]))
-			csig := signatureOf(child)
+			negated := sym.Negate(prefix[i])
+			csig := signatures.Extend(i, negated)
 			if !tried[csig] {
 				tried[csig] = true
+				child := make([]sym.Constraint, 0, i+1)
+				child = append(child, prefix[:i]...)
+				child = append(child, negated)
 				worklist = append(worklist, workItem{assumptions: child})
 			}
 		}

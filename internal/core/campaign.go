@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"cogdiff/internal/bytecode"
@@ -63,10 +64,10 @@ type Config struct {
 	// inject unusual witnesses (a NaN) through it.
 	poisonExploration func(target concolic.Target, ex *concolic.Exploration)
 	// noReuse disables every raw-speed reuse layer — pooled execution
-	// environments, pooled exploration heaps, and lowering one optimized
-	// compile for every ISA — so each execution boots and compiles from
-	// scratch. The determinism suite diffs reports against this reference
-	// mode.
+	// environments, pooled exploration heaps, lowering one optimized
+	// compile for every ISA, and sharing each path's input and reference —
+	// so each execution boots, builds its input and compiles from scratch.
+	// The determinism suite diffs reports against this reference mode.
 	noReuse bool
 	// NoVerify disables the static IR verifier inside every compiler the
 	// campaign constructs. Verification is on by default; on a clean
@@ -301,6 +302,9 @@ func (c *Campaign) RunContext(ctx context.Context) (*CampaignResult, error) {
 	done := 0
 	unitsTested := reg.Counter(telemetry.MetricUnitsTested)
 	unitKeyPrefixes := c.unitKeyPrefixes()
+	// Every unit of an exploration shares one reference slot per path, so
+	// each path is built, interpreted and rendered once per run.
+	refs := pathSlots[pathReference](explorations)
 	if err := RunUnitsCtx(ctx, workers, len(units), func(i int) {
 		sp := reg.StartSpan(telemetry.SpanTestUnit)
 		defer sp.End()
@@ -310,7 +314,7 @@ func (c *Campaign) RunContext(ctx context.Context) (*CampaignResult, error) {
 		unitKey := c.Config.Cache.UnitKey(unitKeyPrefixes[u.compiler], fingerprints[u.explored])
 		ir, cached := c.loadCachedUnit(unitKey, target, ex)
 		if !cached {
-			ir = c.testInstruction(tester, kind, target, ex)
+			ir = c.testInstruction(tester, kind, target, ex, refs[u.explored])
 			c.storeCachedUnit(unitKey, &ir)
 		}
 		result.Reports[u.compiler].Instructions[u.target] = ir
@@ -489,19 +493,20 @@ func (c *Campaign) storeCachedUnit(key string, ir *InstructionReport) {
 }
 
 // testInstruction runs every curated path of one instruction against one
-// compiler on every configured ISA. It touches no campaign-wide state, so
-// any number of instances may run concurrently; cause attribution happens
+// compiler on every configured ISA. The only campaign-wide state it
+// touches is refs, the exploration's shared reference slots, so any
+// number of instances may run concurrently; cause attribution happens
 // in Run's serial merge pass.
-func (c *Campaign) testInstruction(tester *Tester, kind CompilerKind, target concolic.Target, ex *concolic.Exploration) InstructionReport {
+func (c *Campaign) testInstruction(tester *Tester, kind CompilerKind, target concolic.Target, ex *concolic.Exploration, refs []atomic.Pointer[pathReference]) InstructionReport {
 	start := time.Now() //cogdiff:allow-nondeterminism campaign timing feeds telemetry histograms only
 	ir := InstructionReport{
 		Target:      target,
 		Paths:       len(ex.Paths) + ex.CuratedOut,
 		ExploreTime: ex.Duration,
 	}
-	// Batch the unit: the interpreter reference and the optimized compile
-	// of each path are computed once and reused across every ISA.
-	run := tester.BeginUnit(target, ex)
+	// Batch the unit: each path's reference is computed once per run and
+	// its optimized compile once per unit, both reused across every ISA.
+	run := tester.beginUnit(target, ex, refs)
 	defer run.Close()
 	for _, path := range ex.Paths {
 		pathCurated := false

@@ -122,23 +122,53 @@ func CanonicalizeAll(om *heap.ObjectMemory, ws []heap.Word, inputs map[heap.Word
 func HeapEffects(om *heap.ObjectMemory, inputs map[heap.Word]int) map[int][]string {
 	out := make(map[int][]string, len(inputs))
 	for w, rep := range inputs {
-		slots := om.SlotCountOf(w)
-		body := make([]string, slots)
-		for i := 0; i < slots; i++ {
-			sw, err := om.FetchSlot(w, i)
-			if err != nil {
-				body[i] = "?"
-				continue
-			}
-			if om.FormatOf(w) == heap.FormatBytes || om.FormatOf(w) == heap.FormatWords {
-				body[i] = "raw:" + strconv.FormatInt(int64(sw), 10)
-			} else {
-				body[i] = Canonicalize(om, sw, inputs)
-			}
-		}
-		out[rep] = body
+		out[rep] = bodyStrings(om, w, inputs)
 	}
 	return out
+}
+
+// bodyStrings renders one input object's body: raw-format slots (bytes,
+// words) as "raw:<word>", every other slot canonicalized, and a slot
+// that cannot be read as "?".
+func bodyStrings(om *heap.ObjectMemory, oop heap.Word, inputs map[heap.Word]int) []string {
+	raw := isRawFormat(om.FormatOf(oop))
+	body := make([]string, om.SlotCountOf(oop))
+	for i := range body {
+		w, err := om.FetchSlot(oop, i)
+		body[i] = slotString(om, w, err, raw, inputs)
+	}
+	return body
+}
+
+func slotString(om *heap.ObjectMemory, w heap.Word, err error, raw bool, inputs map[heap.Word]int) string {
+	switch {
+	case err != nil:
+		return "?"
+	case raw:
+		return rawString(w)
+	}
+	return Canonicalize(om, w, inputs)
+}
+
+func rawString(w heap.Word) string { return "raw:" + strconv.FormatInt(int64(w), 10) }
+
+func isRawFormat(f heap.Format) bool { return f == heap.FormatBytes || f == heap.FormatWords }
+
+// canonicalEqual reports whether ws canonicalize to want, element by
+// element. It saves the slice CanonicalizeAll would build and stops at
+// the first mismatch; each element is still rendered by Canonicalize,
+// which allocates only for values without a pre-rendered form (floats,
+// classes, fresh objects, integers outside the small table).
+func canonicalEqual(om *heap.ObjectMemory, ws []heap.Word, want []string, inputs map[heap.Word]int) bool {
+	if len(ws) != len(want) {
+		return false
+	}
+	for i, w := range ws {
+		if Canonicalize(om, w, inputs) != want[i] {
+			return false
+		}
+	}
+	return true
 }
 
 func stringSlicesEqual(a, b []string) bool {

@@ -27,9 +27,11 @@ const (
 // The IR is valid only in a heap holding those words at the addresses it
 // was built against: front-ends allocate literal objects and bake their
 // oops into the code as immediates. The unit is lowered first in the
-// environment it was optimized in. Every later ISA runs in a fresh
-// environment that rebuilds the same frame, which brings the heap to the
-// same watermark, and replays the words there before lowering.
+// environment it was optimized in. Every later ISA, and every blame rerun
+// of one of its stages, runs in a reset environment into which the
+// path's recorded input is replayed (pathInput.replay; built afresh under
+// noReuse), which brings the heap to the same watermark, and replays the
+// unit's words there before lowering.
 type optimizedUnit struct {
 	opt       *jit.Optimized
 	err       error

@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"sync/atomic"
 
 	"cogdiff/internal/bytecode"
 	"cogdiff/internal/concolic"
@@ -32,10 +34,12 @@ type Tester struct {
 	// stage hook.
 	hooks jit.Hooks
 
-	// noReuse switches off the execution-environment pool and the sharing
-	// of one optimized unit across ISAs: every execution boots fresh state
-	// and compiles from the front-end up. The determinism suite uses it to
-	// pin that reuse cannot change a single report byte.
+	// noReuse switches off the execution-environment pool, the sharing of
+	// one optimized unit across ISAs and the sharing of a path's input
+	// and reference: every execution boots fresh state, builds its own
+	// input and compiles from the front-end up, and every test computes
+	// its own reference. The determinism suite uses it to pin that reuse
+	// cannot change a single report byte.
 	noReuse bool
 }
 
@@ -54,8 +58,9 @@ func (t *Tester) SetMetrics(reg *telemetry.Registry) {
 }
 
 // SetNoReuse flips the tester to its reuse-free reference behaviour: no
-// pooled environments, and every (path, ISA) pairing compiles from the
-// front-end up instead of lowering a unit optimized for an earlier ISA.
+// pooled environments, every (path, ISA) pairing compiles from the
+// front-end up instead of lowering a unit optimized for an earlier ISA,
+// and no input or reference is shared between executions.
 func (t *Tester) SetNoReuse() { t.noReuse = true }
 
 // SetNoVerify disables the static IR verifier for every compilation this
@@ -64,102 +69,74 @@ func (t *Tester) SetNoReuse() { t.noReuse = true }
 // a clean catalog.
 func (t *Tester) SetNoVerify() { t.hooks.NoVerify = true }
 
-// interpreterReference re-executes the interpreter concretely for a path
-// on the env's (freshly reset) object memory and returns its exit, frame
-// and input map.
-func (t *Tester) interpreterReference(env *execEnv, target concolic.Target, ex *concolic.Exploration, path *concolic.PathResult) (interp.Exit, *interp.Frame, map[heap.Word]int, error) {
-	om := env.om
-	b := concolic.NewFrameBuilder(om, ex.Universe, path.Model)
-	frame, err := b.BuildFrame(target)
-	if err != nil {
-		return interp.Exit{}, nil, nil, err
-	}
-	ctx := interp.NewCtx(om, frame, target.Method)
-	ctx.Primitives = t.Prims
-	ctx.InterpreterDefects = interp.DefectSwitches{AsFloatSkipsTypeCheck: t.Defects.AsFloatSkipsTypeCheck}
-	var exit interp.Exit
-	if target.Kind == concolic.TargetBytecode {
-		exit = interp.RunInstruction(ctx)
-	} else {
-		exit = interp.RunPrimitive(ctx, t.Prims, target.PrimIndex)
-	}
-	return exit, frame, b.InputObjects(), nil
-}
-
 // UnitRun batches the paths of one unit (target × exploration): the
-// interpreter reference for a path is computed once and reused for every
-// (compiler, ISA) pairing, and so is the optimized compile of a (path,
-// compiler) pairing, which each ISA only lowers. Call Close when the unit
-// is done to release the held environment. A UnitRun is not safe for
-// concurrent use; units are the parallelism grain, so each worker drives
-// its own.
+// interpreter reference of a path is computed once and shared by every
+// (compiler, ISA) pairing and blame rerun that tests it, and so is the
+// optimized compile of a (path, compiler) pairing, which each ISA only
+// lowers. A campaign hands every unit of an exploration the same
+// reference slots, so the reference is shared across compilers and
+// workers too. A UnitRun is not safe for concurrent use; units are the
+// parallelism grain, so each worker drives its own.
 type UnitRun struct {
 	t      *Tester
 	target concolic.Target
 	ex     *concolic.Exploration
 
-	// Cached interpreter reference for the path most recently tested.
-	// Paths arrive path-major (all compilers × ISAs of a path together),
-	// so one slot suffices. refEnv owns the reference object memory and
-	// is retired when the path changes.
-	refPath   *concolic.PathResult
-	refEnv    *execEnv
-	refExit   interp.Exit
-	refFrame  *interp.Frame
-	refInputs map[heap.Word]int
-	refErr    error
+	// refs holds one reference slot per explored path, indexed like
+	// ex.Paths; nil under noReuse, which computes a reference per test.
+	refs []atomic.Pointer[pathReference]
 
 	// The optimized compile of the (path, compiler) pairing most recently
-	// tested. Verdicts arrive with the ISA innermost, so one slot beside
-	// the reference suffices: the first ISA optimizes, the others lower.
+	// tested. Verdicts arrive with the ISA innermost, so one slot
+	// suffices: the first ISA optimizes, the others lower.
 	optPath *concolic.PathResult
 	optKind CompilerKind
 	opt     *optimizedUnit
 }
 
-// BeginUnit starts a batched run over one unit's paths.
+// BeginUnit starts a batched run over one unit's paths. The references
+// it computes live as long as the UnitRun.
 func (t *Tester) BeginUnit(target concolic.Target, ex *concolic.Exploration) *UnitRun {
-	return &UnitRun{t: t, target: target, ex: ex}
+	return t.beginUnit(target, ex, make([]atomic.Pointer[pathReference], len(ex.Paths)))
 }
 
-// Close releases the unit's held execution environment.
-func (u *UnitRun) Close() {
-	if u.refEnv != nil {
-		u.t.putEnv(u.refEnv)
-		u.refEnv = nil
+// beginUnit starts a batched run whose path references live in refs,
+// slots the caller may share with other units of the same exploration.
+func (t *Tester) beginUnit(target concolic.Target, ex *concolic.Exploration, refs []atomic.Pointer[pathReference]) *UnitRun {
+	if t.noReuse {
+		refs = nil
 	}
-	u.refPath = nil
+	return &UnitRun{t: t, target: target, ex: ex, refs: refs}
+}
+
+// Close drops what the unit holds: its reference slots and memoized
+// compile.
+func (u *UnitRun) Close() {
+	u.refs = nil
 	u.optPath, u.opt = nil, nil
 }
 
 // reference returns the interpreter reference for path, computing it on
-// the first request and replaying the cached result for subsequent
-// (compiler, ISA) pairings of the same path.
-func (u *UnitRun) reference(path *concolic.PathResult) (interp.Exit, *interp.Frame, *heap.ObjectMemory, map[heap.Word]int, error) {
-	if u.refPath == path {
-		var om *heap.ObjectMemory
-		if u.refEnv != nil {
-			om = u.refEnv.om
+// the first request and sharing it with every later one
+// (loadOrPublish: a computation that panics stores nothing).
+func (u *UnitRun) reference(path *concolic.PathResult) *pathReference {
+	return loadOrPublish(u.slot(path), func() *pathReference {
+		return u.t.newReference(u.target, u.ex, path)
+	})
+}
+
+// slot returns path's reference slot, or nil when references are not
+// shared or path is not one of the unit's explored paths.
+func (u *UnitRun) slot(path *concolic.PathResult) *atomic.Pointer[pathReference] {
+	if u.refs == nil {
+		return nil
+	}
+	for i, p := range u.ex.Paths {
+		if p == path {
+			return &u.refs[i]
 		}
-		return u.refExit, u.refFrame, om, u.refInputs, u.refErr
 	}
-	if u.refEnv != nil {
-		u.t.putEnv(u.refEnv)
-		u.refEnv = nil
-	}
-	u.refPath = nil
-	env := u.t.getEnv()
-	// A contained panic below abandons env (never pooled again) and
-	// leaves the slot empty, so the next call recomputes deterministically.
-	exit, frame, inputs, err := u.t.interpreterReference(env, u.target, u.ex, path)
-	u.refPath = path
-	u.refExit, u.refFrame, u.refInputs, u.refErr = exit, frame, inputs, err
-	if err != nil {
-		u.t.putEnv(env)
-		return exit, frame, nil, inputs, err
-	}
-	u.refEnv = env
-	return exit, frame, env.om, inputs, err
+	return nil
 }
 
 // The test runner's expected failures (§3.4). A path skipped for one of
@@ -201,7 +178,7 @@ func skipReason(target concolic.Target, path *concolic.PathResult, kind Compiler
 }
 
 // TestPath runs one concolic path against one compiler on one ISA within
-// a unit batch (Fig. 1 steps 2-4), reusing the per-path interpreter
+// a unit batch (Fig. 1 steps 2-4), reusing the path's interpreter
 // reference and the (path, compiler) pairing's optimized compile.
 func (u *UnitRun) TestPath(path *concolic.PathResult, kind CompilerKind, isa machine.ISA) PathVerdict {
 	t, target := u.t, u.target
@@ -212,9 +189,9 @@ func (u *UnitRun) TestPath(path *concolic.PathResult, kind CompilerKind, isa mac
 		return v
 	}
 
-	interpExit, interpFrame, interpOM, interpInputs, err := u.reference(path)
-	if err != nil {
-		v.Skipped, v.Reason = true, "input construction failed: "+err.Error()
+	ref := u.reference(path)
+	if ref.err != nil {
+		v.Skipped, v.Reason = true, "input construction failed: "+ref.err.Error()
 		return v
 	}
 
@@ -222,7 +199,7 @@ func (u *UnitRun) TestPath(path *concolic.PathResult, kind CompilerKind, isa mac
 	if u.optPath == path && u.optKind == kind {
 		shared = u.opt
 	}
-	obs, opt, err := t.runCompiled(target, u.ex, path, kind, isa, shared)
+	run, opt, err := t.runCompiled(target, u.ex, path, ref, kind, isa, shared)
 	if opt != nil && !t.noReuse {
 		u.optPath, u.optKind, u.opt = path, kind, opt
 	}
@@ -236,7 +213,7 @@ func (u *UnitRun) TestPath(path *concolic.PathResult, kind CompilerKind, isa mac
 			v.Cause = verr.Blame()
 			v.Detail = "static IR verification failed: " + verr.Error()
 			v.Observed = &CompiledObservation{Kind: CompiledVerifierReject, Detail: verr.Error()}
-			v.InterpExit = interpExit
+			v.InterpExit = ref.exit
 			return v
 		}
 		if errors.Is(err, jit.ErrNotCompilable) {
@@ -246,15 +223,12 @@ func (u *UnitRun) TestPath(path *concolic.PathResult, kind CompilerKind, isa mac
 		v.Skipped, v.Reason = true, "compilation failed: "+err.Error()
 		return v
 	}
-	kept := obs.CompiledObservation
-	v.Observed = &kept
-	v.InterpExit = interpExit
-
-	differs, detail := t.compare(target, interpExit, interpFrame, interpOM, interpInputs, &obs)
-	v.Differs = differs
-	v.Detail = detail
-	if differs {
-		v.Cause = t.blamePath(target, u.ex, path, kind, isa, opt, interpExit, interpFrame, interpOM, interpInputs)
+	v.Observed = &run.obs
+	v.InterpExit = ref.exit
+	v.Differs = run.differs
+	v.Detail = run.detail
+	if run.differs {
+		v.Cause = t.blamePath(target, u.ex, path, ref, kind, isa, opt)
 	}
 	return v
 }
@@ -264,9 +238,7 @@ func (u *UnitRun) TestPath(path *concolic.PathResult, kind CompilerKind, isa mac
 // UnitRun; callers testing several paths or pairings of one unit should
 // batch through BeginUnit instead.
 func (t *Tester) TestPath(target concolic.Target, ex *concolic.Exploration, path *concolic.PathResult, kind CompilerKind, isa machine.ISA) PathVerdict {
-	u := t.BeginUnit(target, ex)
-	defer u.Close()
-	return u.TestPath(path, kind, isa)
+	return t.beginUnit(target, ex, nil).TestPath(path, kind, isa)
 }
 
 // blamePath attributes a differing path verdict to a compilation stage
@@ -276,68 +248,78 @@ func (t *Tester) TestPath(target concolic.Target, ex *concolic.Exploration, path
 // (optimizedUnit.blame). Each stage is lowered and run in a fresh
 // environment, as a later ISA is. Native methods have no pipeline, so
 // every native difference is a front-end difference.
-func (t *Tester) blamePath(target concolic.Target, ex *concolic.Exploration, path *concolic.PathResult, kind CompilerKind, isa machine.ISA, unit *optimizedUnit, iExit interp.Exit, iFrame *interp.Frame, iOM *heap.ObjectMemory, iInputs map[heap.Word]int) string {
+func (t *Tester) blamePath(target concolic.Target, ex *concolic.Exploration, path *concolic.PathResult, ref *pathReference, kind CompilerKind, isa machine.ISA, unit *optimizedUnit) string {
 	if kind == NativeMethodCompilerKind {
 		return "front-end"
 	}
 	return unit.blame(func(stage *optimizedUnit) (bool, error) {
-		obs, _, err := t.runCompiled(target, ex, path, kind, isa, stage)
-		if err != nil {
-			return false, err
-		}
-		differs, _ := t.compare(target, iExit, iFrame, iOM, iInputs, &obs)
-		return differs, nil
+		run, _, err := t.runCompiled(target, ex, path, ref, kind, isa, stage)
+		return run.differs, err
 	})
 }
 
-// observation is everything the differential tester extracts from one
-// compiled execution: what the verdict keeps, plus the rendered machine
-// state the comparison reads. It lives only inside TestPath's comparison
-// and blame.
+// judgement is one compiled execution decided against its path's
+// reference: what the verdict keeps of it, and whether and why it
+// differs.
+type judgement struct {
+	obs     CompiledObservation
+	differs bool
+	detail  string
+}
+
+// observation is one compiled execution as the comparison reads it: what
+// the verdict keeps, plus the machine state as words of the execution's
+// environment. The comparison runs while that environment is live and
+// renders strings only for a difference's detail.
 type observation struct {
 	CompiledObservation
 	selector string
 	numArgs  int
-	// result is the canonicalized result value (returns).
-	result string
-	// stack is the canonicalized operand stack, bottom first.
-	stack []string
-	// temps is the canonicalized temporary frame.
-	temps []string
-	// heap is the canonicalized body of every input object.
-	heap map[int][]string
+	// result is the returned value (returns).
+	result heap.Word
+	// stack is the operand stack, bottom first; nil when unreadable.
+	stack []heap.Word
+	// temps is the temporary frame (byte-code ends and sends).
+	temps []heap.Word
 }
 
-// runCompiled compiles the instruction for a path and executes it on the
-// simulated machine, extracting the observable behaviour. A non-nil
-// shared unit, optimized for the same (path, compiler) pairing on an
-// earlier ISA, is lowered instead of optimizing again; the unit used is
-// returned for the next ISA (nil when the frame build failed first). The
-// execution runs on a pooled environment; the returned observation holds
-// only rendered values, so the environment is released before returning.
-// A contained panic abandons the environment instead.
-func (t *Tester) runCompiled(target concolic.Target, ex *concolic.Exploration, path *concolic.PathResult, kind CompilerKind, isa machine.ISA, shared *optimizedUnit) (observation, *optimizedUnit, error) {
+// runCompiled compiles the instruction for a path, executes it on the
+// simulated machine and judges it against the path's reference. The run
+// replays the reference's input into a pooled environment; under
+// noReuse it builds the input itself, as every execution did before
+// inputs were shared, so the pools-on/off suite pins that replaying
+// changes nothing. A non-nil shared unit, optimized for the same (path,
+// compiler) pairing on an earlier ISA, is lowered instead of optimizing
+// again; the unit used is returned for the next ISA (nil when the input
+// failed first). The environment is released before returning; a
+// contained panic abandons it instead.
+func (t *Tester) runCompiled(target concolic.Target, ex *concolic.Exploration, path *concolic.PathResult, ref *pathReference, kind CompilerKind, isa machine.ISA, shared *optimizedUnit) (judgement, *optimizedUnit, error) {
 	env := t.getEnv()
 	om, cpu := env.om, env.cpu
-	b := concolic.NewFrameBuilder(om, ex.Universe, path.Model)
-	frame, err := b.BuildFrame(target)
+	in := &ref.pathInput
+	var err error
+	if t.noReuse {
+		in = new(pathInput)
+		_, err = in.build(om, target, ex, path)
+	} else {
+		err = in.replay(om)
+	}
 	if err != nil {
 		t.putEnv(env)
-		return observation{}, nil, err
+		return judgement{}, nil, err
 	}
-	inputs := b.InputObjects()
 	opt := shared
 	if opt == nil {
-		opt, err = t.optimizeFor(target, om, frame, kind)
+		opt, err = t.optimizeFor(target, om, in.stack, kind)
 		if err != nil {
 			t.putEnv(env)
-			return observation{}, nil, err
+			return judgement{}, nil, err
 		}
 	}
 	cm, err := opt.lower(om, isa)
 	if err != nil {
 		t.putEnv(env)
-		return observation{}, opt, err
+		return judgement{}, opt, err
 	}
 
 	if t.Defects.SimulationMissingAccessors {
@@ -349,18 +331,23 @@ func (t *Tester) runCompiled(target concolic.Target, ex *concolic.Exploration, p
 
 	var obs observation
 	if kind == NativeMethodCompilerKind {
-		obs, err = t.runCompiledNative(om, cpu, frame, inputs, cm)
+		obs, err = t.runCompiledNative(cpu, in, cm)
 	} else {
-		obs, err = t.runCompiledBytecode(target, om, cpu, frame, inputs, cm)
+		obs, err = t.runCompiledBytecode(target, cpu, in, cm)
+	}
+	var run judgement
+	if err == nil {
+		run.obs = obs.CompiledObservation
+		run.differs, run.detail = t.compare(target, ref, om, in.objects, &obs)
 	}
 	t.putEnv(env)
-	return obs, opt, err
+	return run, opt, err
 }
 
 // optimizeFor optimizes the unit a path's compiled run executes: the
 // native template of the target's primitive, or the single-instruction
-// schema over the built frame's operand stack.
-func (t *Tester) optimizeFor(target concolic.Target, om *heap.ObjectMemory, frame *interp.Frame, kind CompilerKind) (*optimizedUnit, error) {
+// schema over the input operand stack.
+func (t *Tester) optimizeFor(target concolic.Target, om *heap.ObjectMemory, stack []heap.Word, kind CompilerKind) (*optimizedUnit, error) {
 	if kind == NativeMethodCompilerKind {
 		prim := t.Prims.Lookup(target.PrimIndex)
 		if prim == nil {
@@ -368,16 +355,7 @@ func (t *Tester) optimizeFor(target concolic.Target, om *heap.ObjectMemory, fram
 		}
 		return t.optimizeNative(om, prim), nil
 	}
-	return t.optimizeBytecode(om, modeInstruction, variantOf(kind), target.Method, stackWords(frame)), nil
-}
-
-// stackWords returns a frame's operand stack, bottom first.
-func stackWords(frame *interp.Frame) []heap.Word {
-	words := make([]heap.Word, frame.Size())
-	for i, v := range frame.Stack {
-		words[i] = v.W
-	}
-	return words
+	return t.optimizeBytecode(om, modeInstruction, variantOf(kind), target.Method, stack), nil
 }
 
 func variantOf(kind CompilerKind) jit.Variant {
@@ -393,45 +371,39 @@ func variantOf(kind CompilerKind) jit.Variant {
 	}
 }
 
-func (t *Tester) runCompiledBytecode(target concolic.Target, om *heap.ObjectMemory, cpu *machine.CPU, frame *interp.Frame, inputs map[heap.Word]int, cm *jit.CompiledMethod) (observation, error) {
+func (t *Tester) runCompiledBytecode(target concolic.Target, cpu *machine.CPU, in *pathInput, cm *jit.CompiledMethod) (observation, error) {
 	// Frame setup per the compiled calling convention: temporaries pushed
 	// first (temp 0 deepest), then the sentinel return address; the
 	// receiver travels in ReceiverResultReg.
 	cpu.Reset()
-	for _, tv := range frame.Temps {
-		if err := pushWord(cpu, tv.W); err != nil {
+	for _, w := range in.temps {
+		if err := pushWord(cpu, w); err != nil {
 			return observation{}, err
 		}
 	}
 	if err := pushWord(cpu, machine.SentinelReturn); err != nil {
 		return observation{}, err
 	}
-	cpu.Regs[machine.ReceiverResultReg] = frame.Receiver.W
+	cpu.Regs[machine.ReceiverResultReg] = in.receiver
 	cpu.Install(cm.Prog)
 	stop := cpu.Run(maxMachineSteps)
 
 	obs := observation{CompiledObservation: CompiledObservation{Steps: stop.Steps, CodeBytes: len(cm.Code)}}
-	numTemps := target.Method.TempCount()
 
 	readFrameState := func(skipTop int) {
 		fp := cpu.Regs[machine.FP]
 		raw, err := cpu.StackSlice(fp)
 		if err == nil && len(raw) >= skipTop {
-			cells := raw[skipTop:] // top first
-			stackWords := make([]heap.Word, len(cells))
-			for i, w := range cells {
-				stackWords[len(cells)-1-i] = w // bottom first
-			}
-			obs.stack = CanonicalizeAll(om, stackWords, inputs)
+			obs.stack = raw[skipTop:] // top first
+			slices.Reverse(obs.stack)
 		}
-		temps := make([]heap.Word, numTemps)
-		for i := 0; i < numTemps; i++ {
-			w, err := cpu.Mem.Read(fp + heap.Word(jit.TempOffset(i, numTemps)))
-			if err == nil {
-				temps[i] = w
+		numTemps := target.Method.TempCount()
+		obs.temps = make([]heap.Word, numTemps)
+		for i := range obs.temps {
+			if w, err := cpu.Mem.Read(fp + heap.Word(jit.TempOffset(i, numTemps))); err == nil {
+				obs.temps[i] = w
 			}
 		}
-		obs.temps = CanonicalizeAll(om, temps, inputs)
 	}
 
 	switch stop.Kind {
@@ -454,18 +426,10 @@ func (t *Tester) runCompiledBytecode(target concolic.Target, om *heap.ObjectMemo
 		}
 		readFrameState(1) // the trampoline call pushed its return address
 	case machine.StopReturned:
+		// The frame is gone after the epilogue, and a return compares
+		// only its result and the heap.
 		obs.Kind = CompiledMethodReturn
-		obs.result = Canonicalize(om, cpu.Regs[machine.ReceiverResultReg], inputs)
-		// After the epilogue the frame is gone; temporaries sit above the
-		// (restored) stack pointer and remain readable.
-		temps := make([]heap.Word, numTemps)
-		for i := 0; i < numTemps; i++ {
-			addr := heap.Word(machine.StackLimit - 1 - i)
-			if w, err := cpu.Mem.Read(addr); err == nil {
-				temps[i] = w
-			}
-		}
-		obs.temps = CanonicalizeAll(om, temps, inputs)
+		obs.result = cpu.Regs[machine.ReceiverResultReg]
 	case machine.StopFault:
 		obs.Kind = CompiledCrash
 		obs.Detail = stop.String()
@@ -476,20 +440,19 @@ func (t *Tester) runCompiledBytecode(target concolic.Target, om *heap.ObjectMemo
 		obs.Kind = CompiledRunaway
 		obs.Detail = stop.String()
 	}
-	obs.heap = HeapEffects(om, inputs)
 	return obs, nil
 }
 
-func (t *Tester) runCompiledNative(om *heap.ObjectMemory, cpu *machine.CPU, frame *interp.Frame, inputs map[heap.Word]int, cm *jit.CompiledMethod) (observation, error) {
+func (t *Tester) runCompiledNative(cpu *machine.CPU, in *pathInput, cm *jit.CompiledMethod) (observation, error) {
 	cpu.Reset()
 	if err := pushWord(cpu, machine.SentinelReturn); err != nil {
 		return observation{}, err
 	}
-	cpu.Regs[machine.ReceiverResultReg] = frame.Receiver.W
+	cpu.Regs[machine.ReceiverResultReg] = in.receiver
 	argRegs := []machine.Reg{machine.Arg0Reg, machine.Arg1Reg, machine.Arg2Reg}
-	for i, av := range frame.Temps {
+	for i, w := range in.temps {
 		if i < len(argRegs) {
-			cpu.Regs[argRegs[i]] = av.W
+			cpu.Regs[argRegs[i]] = w
 		}
 	}
 	cpu.Install(cm.Prog)
@@ -499,7 +462,7 @@ func (t *Tester) runCompiledNative(om *heap.ObjectMemory, cpu *machine.CPU, fram
 	switch stop.Kind {
 	case machine.StopReturned:
 		obs.Kind = CompiledReturned
-		obs.result = Canonicalize(om, cpu.Regs[machine.ReceiverResultReg], inputs)
+		obs.result = cpu.Regs[machine.ReceiverResultReg]
 	case machine.StopBreakpoint:
 		switch stop.BreakID {
 		case jit.BrkNativeFallthrough:
@@ -520,7 +483,6 @@ func (t *Tester) runCompiledNative(om *heap.ObjectMemory, cpu *machine.CPU, fram
 		obs.Kind = CompiledRunaway
 		obs.Detail = stop.String()
 	}
-	obs.heap = HeapEffects(om, inputs)
 	return obs, nil
 }
 
@@ -529,9 +491,13 @@ func pushWord(cpu *machine.CPU, w heap.Word) error {
 	return cpu.Mem.Write(cpu.Regs[machine.SP], w)
 }
 
-// compare validates the compiled observation against the interpreter
-// reference: exit-condition equivalence first, then frame effects.
-func (t *Tester) compare(target concolic.Target, iExit interp.Exit, iFrame *interp.Frame, iOM *heap.ObjectMemory, iInputs map[heap.Word]int, obs *observation) (bool, string) {
+// compare validates a compiled execution against the path's reference:
+// exit-condition equivalence first, then frame effects. It reads the
+// compiled state in place on om, the execution's live object memory,
+// whose input objects inputs maps; strings are rendered only for the
+// detail of a difference.
+func (t *Tester) compare(target concolic.Target, ref *pathReference, om *heap.ObjectMemory, inputs map[heap.Word]int, obs *observation) (bool, string) {
+	iExit := ref.exit
 	if obs.Kind == CompiledCrash {
 		return true, fmt.Sprintf("interpreter exits %v but compiled code crashes (%s)", iExit, obs.Detail)
 	}
@@ -546,32 +512,37 @@ func (t *Tester) compare(target concolic.Target, iExit interp.Exit, iFrame *inte
 	}
 
 	if target.Kind == concolic.TargetNativeMethod {
-		return t.compareNative(iExit, iOM, iInputs, obs)
+		return compareNative(ref, om, inputs, obs)
 	}
-	return t.compareBytecode(target, iExit, iFrame, iOM, iInputs, obs)
+	return compareBytecode(target, ref, om, inputs, obs)
 }
 
-func (t *Tester) compareNative(iExit interp.Exit, iOM *heap.ObjectMemory, iInputs map[heap.Word]int, obs *observation) (bool, string) {
+func compareNative(ref *pathReference, om *heap.ObjectMemory, inputs map[heap.Word]int, obs *observation) (bool, string) {
+	iExit := ref.exit
 	switch iExit.Kind {
 	case interp.ExitSuccess:
 		if obs.Kind != CompiledReturned {
 			return true, fmt.Sprintf("interpreter succeeds but compiled code %s", obs.Kind)
 		}
-		want := Canonicalize(iOM, iExit.Result.W, iInputs)
-		if want != obs.result {
-			return true, fmt.Sprintf("results differ: interpreter %s, compiled %s", want, obs.result)
+		if got := Canonicalize(om, obs.result, inputs); got != ref.want.result {
+			return true, fmt.Sprintf("results differ: interpreter %s, compiled %s", ref.want.result, got)
 		}
 	case interp.ExitFailure:
 		if obs.Kind != CompiledFailure {
-			return true, fmt.Sprintf("interpreter fails (code %d) but compiled code %s (result %s)", iExit.FailCode, obs.Kind, obs.result)
+			result := ""
+			if obs.Kind == CompiledReturned {
+				result = Canonicalize(om, obs.result, inputs)
+			}
+			return true, fmt.Sprintf("interpreter fails (code %d) but compiled code %s (result %s)", iExit.FailCode, obs.Kind, result)
 		}
 	default:
 		return true, fmt.Sprintf("interpreter exit %v has no compiled counterpart (%s)", iExit, obs.Kind)
 	}
-	return t.compareHeap(iOM, iInputs, obs)
+	return compareHeap(ref.want.heap, om, inputs)
 }
 
-func (t *Tester) compareBytecode(target concolic.Target, iExit interp.Exit, iFrame *interp.Frame, iOM *heap.ObjectMemory, iInputs map[heap.Word]int, obs *observation) (bool, string) {
+func compareBytecode(target concolic.Target, ref *pathReference, om *heap.ObjectMemory, inputs map[heap.Word]int, obs *observation) (bool, string) {
+	iExit := ref.exit
 	switch iExit.Kind {
 	case interp.ExitSuccess:
 		expected := CompiledEndFall
@@ -580,8 +551,7 @@ func (t *Tester) compareBytecode(target concolic.Target, iExit interp.Exit, iFra
 			if len(operands) > 0 {
 				operand = operands[0]
 			}
-			if off, _, _, isJump := bytecode.JumpOffset(op, operand); isJump && iExit.NextPC != next {
-				_ = off
+			if _, _, _, isJump := bytecode.JumpOffset(op, operand); isJump && iExit.NextPC != next {
 				expected = CompiledJumpTaken
 			}
 		}
@@ -589,7 +559,7 @@ func (t *Tester) compareBytecode(target concolic.Target, iExit interp.Exit, iFra
 		if obs.Kind != expected && !(obs.Kind == CompiledEndFall && expected == CompiledJumpTaken && sameTarget(target, iExit)) {
 			return true, fmt.Sprintf("interpreter continues at pc %d but compiled code stops at %s", iExit.NextPC, obs.Kind)
 		}
-		if d, why := t.compareStackAndTemps(iFrame, iOM, iInputs, obs); d {
+		if d, why := compareStackAndTemps(&ref.want, om, inputs, obs); d {
 			return true, why
 		}
 	case interp.ExitMessageSend:
@@ -599,21 +569,20 @@ func (t *Tester) compareBytecode(target concolic.Target, iExit interp.Exit, iFra
 		if obs.selector != iExit.Selector || obs.numArgs != iExit.NumArgs {
 			return true, fmt.Sprintf("send mismatch: interpreter #%s/%d, compiled #%s/%d", iExit.Selector, iExit.NumArgs, obs.selector, obs.numArgs)
 		}
-		if d, why := t.compareStackAndTemps(iFrame, iOM, iInputs, obs); d {
+		if d, why := compareStackAndTemps(&ref.want, om, inputs, obs); d {
 			return true, why
 		}
 	case interp.ExitMethodReturn:
 		if obs.Kind != CompiledMethodReturn {
 			return true, fmt.Sprintf("interpreter returns but compiled code %s", obs.Kind)
 		}
-		want := Canonicalize(iOM, iExit.Result.W, iInputs)
-		if want != obs.result {
-			return true, fmt.Sprintf("return values differ: interpreter %s, compiled %s", want, obs.result)
+		if got := Canonicalize(om, obs.result, inputs); got != ref.want.result {
+			return true, fmt.Sprintf("return values differ: interpreter %s, compiled %s", ref.want.result, got)
 		}
 	default:
 		return true, fmt.Sprintf("interpreter exit %v has no compiled counterpart", iExit)
 	}
-	return t.compareHeap(iOM, iInputs, obs)
+	return compareHeap(ref.want.heap, om, inputs)
 }
 
 // sameTarget reports whether the instruction's jump target coincides with
@@ -631,35 +600,24 @@ func sameTarget(target concolic.Target, iExit interp.Exit) bool {
 	return isJump && off == 0 && iExit.NextPC == next
 }
 
-func (t *Tester) compareStackAndTemps(iFrame *interp.Frame, iOM *heap.ObjectMemory, iInputs map[heap.Word]int, obs *observation) (bool, string) {
-	wantStack := make([]heap.Word, iFrame.Size())
-	for i, v := range iFrame.Stack {
-		wantStack[i] = v.W
+func compareStackAndTemps(want *expectation, om *heap.ObjectMemory, inputs map[heap.Word]int, obs *observation) (bool, string) {
+	if !canonicalEqual(om, obs.stack, want.stack, inputs) {
+		return true, fmt.Sprintf("operand stacks differ: interpreter %v, compiled %v", want.stack, CanonicalizeAll(om, obs.stack, inputs))
 	}
-	want := CanonicalizeAll(iOM, wantStack, iInputs)
-	if !stringSlicesEqual(want, obs.stack) {
-		return true, fmt.Sprintf("operand stacks differ: interpreter %v, compiled %v", want, obs.stack)
-	}
-	wantTemps := make([]heap.Word, len(iFrame.Temps))
-	for i, v := range iFrame.Temps {
-		wantTemps[i] = v.W
-	}
-	wt := CanonicalizeAll(iOM, wantTemps, iInputs)
-	if !stringSlicesEqual(wt, obs.temps) {
-		return true, fmt.Sprintf("temporaries differ: interpreter %v, compiled %v", wt, obs.temps)
+	if !canonicalEqual(om, obs.temps, want.temps, inputs) {
+		return true, fmt.Sprintf("temporaries differ: interpreter %v, compiled %v", want.temps, CanonicalizeAll(om, obs.temps, inputs))
 	}
 	return false, ""
 }
 
-func (t *Tester) compareHeap(iOM *heap.ObjectMemory, iInputs map[heap.Word]int, obs *observation) (bool, string) {
-	want := HeapEffects(iOM, iInputs)
-	for rep, body := range want {
-		got, ok := obs.heap[rep]
-		if !ok {
-			continue // object never materialized on the compiled side
-		}
-		if !stringSlicesEqual(body, got) {
-			return true, fmt.Sprintf("side effects on input object %d differ: interpreter %v, compiled %v", rep, body, got)
+// compareHeap checks the side effects on every input object, lowest
+// representative first, so the detail names the lowest-numbered object
+// that differs.
+func compareHeap(bodies []objectBody, om *heap.ObjectMemory, inputs map[heap.Word]int) (bool, string) {
+	for i := range bodies {
+		b := &bodies[i]
+		if !b.matches(om, inputs) {
+			return true, fmt.Sprintf("side effects on input object %d differ: interpreter %v, compiled %v", b.rep, b.strings(), bodyStrings(om, b.oop, inputs))
 		}
 	}
 	return false, ""

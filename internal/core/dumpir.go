@@ -50,14 +50,14 @@ func (t *Tester) dumpPathIR(target concolic.Target, ex *concolic.Exploration, pa
 	// embedded in the code (true/false objects, floats) are too.
 	env := t.getEnv()
 	defer t.putEnv(env)
-	frame, err := concolic.NewFrameBuilder(env.om, ex.Universe, path.Model).BuildFrame(target)
-	if err != nil {
+	var in pathInput
+	if _, err := in.build(env.om, target, ex, path); err != nil {
 		return "", err
 	}
 	t.hooks.OnStage = func(stage string, fn *ir.Fn) {
 		fmt.Fprintf(&b, "\n== %s ==\n%s", stage, fn)
 	}
-	opt, err := t.optimizeFor(target, env.om, frame, kind)
+	opt, err := t.optimizeFor(target, env.om, in.stack, kind)
 	t.hooks.OnStage = nil
 	if err != nil {
 		return "", err

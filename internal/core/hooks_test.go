@@ -115,7 +115,7 @@ func firstTestedStack(t *testing.T, prims *primitives.Table, om *heap.ObjectMemo
 			continue
 		}
 		if frame, err := concolic.NewFrameBuilder(om, ex.Universe, path.Model).BuildFrame(target); err == nil {
-			return stackWords(frame)
+			return valueWords(frame.Stack)
 		}
 	}
 	t.Fatalf("no explored path of %s compiles under %s", target.Name, kind)

@@ -11,6 +11,7 @@ package core
 import (
 	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
 
 	"cogdiff/internal/bytecode"
@@ -77,6 +78,71 @@ func TestCampaignByteIdenticalPoolsOnOff(t *testing.T) {
 		if !reflect.DeepEqual(pooled.Causes, fresh.Causes) {
 			t.Errorf("workers=%d: cause classification differs between pooled and noReuse runs", workers)
 		}
+	}
+}
+
+// TestPristineHeapDifferencePoolsOnOff is the pristine twin of
+// TestCampaignByteIdenticalPoolsOnOff. On the pristine VM the catalog's
+// one native difference is primitiveFFIFloat32AtPut's store, which only
+// the heap comparison sees, so a comparison blind to side effects fails
+// here.
+func TestPristineHeapDifferencePoolsOnOff(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		run := func(noReuse bool) *CampaignResult {
+			cfg := noReuseConfig()
+			cfg.Defects = defects.Pristine()
+			reduced := cfg.PrimitiveFilter
+			cfg.PrimitiveFilter = func(p *primitives.Primitive) bool {
+				return reduced(p) || p.Name == "primitiveFFIFloat32AtPut"
+			}
+			cfg.Workers = workers
+			cfg.noReuse = noReuse
+			return NewCampaign(cfg).Run()
+		}
+		pooled, fresh := run(false), run(true)
+		if pb, fb := reportBytes(t, pooled), reportBytes(t, fresh); string(pb) != string(fb) {
+			t.Errorf("workers=%d: reports differ between pooled and noReuse runs", workers)
+		}
+		if !reflect.DeepEqual(pooled.Causes, fresh.Causes) {
+			t.Errorf("workers=%d: cause classification differs between pooled and noReuse runs", workers)
+		}
+		native := pooled.Reports[0]
+		if _, _, diffs := native.Totals(); native.Compiler != NativeMethodCompilerKind || diffs != 1 {
+			t.Fatalf("workers=%d: %s reports %d differences, want the native one", workers, native.Compiler, diffs)
+		}
+		for _, ir := range native.Instructions {
+			for _, v := range ir.Verdicts {
+				if v.Differs && (ir.Target.Name != "primitiveFFIFloat32AtPut" || !strings.HasPrefix(v.Detail, "side effects on input object 0 differ")) {
+					t.Errorf("workers=%d: %s on %v differs with %q, want primitiveFFIFloat32AtPut's side effects on input object 0",
+						workers, ir.Target.Name, v.ISA, v.Detail)
+				}
+			}
+		}
+	}
+}
+
+// TestSharedReferencesPoolsOnOff runs four byte-code compilers over the
+// same instructions at 4 workers, so their units read and fill each
+// path's shared reference concurrently (the race tier runs it too). The
+// report must equal noReuse's, which shares nothing.
+func TestSharedReferencesPoolsOnOff(t *testing.T) {
+	run := func(noReuse bool) *CampaignResult {
+		cfg := DefaultConfig()
+		cfg.Compilers = []CompilerKind{SimpleBytecodeCompiler, StackToRegisterCompiler, RegisterAllocatingCompiler, MetaJITCompiler}
+		cfg.BytecodeFilter = func(op bytecode.Op) bool {
+			return op == bytecode.OpPrimAdd || op == bytecode.OpPrimLessThan || op == bytecode.OpPrimAt
+		}
+		cfg.PrimitiveFilter = func(*primitives.Primitive) bool { return false }
+		cfg.Workers = 4
+		cfg.noReuse = noReuse
+		return NewCampaign(cfg).Run()
+	}
+	shared, fresh := run(false), run(true)
+	if sb, fb := reportBytes(t, shared), reportBytes(t, fresh); string(sb) != string(fb) {
+		t.Error("reports differ between shared references and noReuse")
+	}
+	if !reflect.DeepEqual(shared.Causes, fresh.Causes) {
+		t.Error("cause classification differs between shared references and noReuse")
 	}
 }
 

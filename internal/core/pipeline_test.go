@@ -14,6 +14,7 @@ import (
 	"cogdiff/internal/bytecode"
 	"cogdiff/internal/concolic"
 	"cogdiff/internal/defects"
+	"cogdiff/internal/heap"
 	"cogdiff/internal/machine"
 	"cogdiff/internal/primitives"
 )
@@ -40,24 +41,79 @@ func pipelineTargets(t *testing.T) []concolic.Target {
 	return out
 }
 
-// normalizeObs strips the fields the differential comparison ignores —
-// Steps and CodeBytes change under any count-altering pass and carry no
-// observable behaviour.
-func normalizeObs(obs observation) observation {
-	obs.Steps = 0
-	obs.CodeBytes = 0
-	return obs
-}
-
 var bytecodeKinds = []CompilerKind{
 	SimpleBytecodeCompiler, StackToRegisterCompiler, RegisterAllocatingCompiler,
+}
+
+// renderedRun is one compiled byte-code execution rendered in full, a
+// superset of what the differential comparison reads: the exit, the
+// send, the result, the operand stack, the temporaries (after a return,
+// the ones left above the restored stack pointer) and the body of every
+// input object, whatever the exit. Steps and CodeBytes are left out:
+// they change under any count-altering pass and carry no observable
+// behaviour.
+type renderedRun struct {
+	kind     CompiledExitKind
+	detail   string
+	selector string
+	numArgs  int
+	result   string
+	stack    []string
+	temps    []string
+	heap     map[int][]string
+}
+
+// runRendered replays in into a pooled environment, runs unit (or, when
+// unit is nil, the unit it optimizes there for kind) on isa and renders
+// the final state before the environment is released. It returns the
+// unit it ran, so a caller can rerun one of its stages.
+func (t *Tester) runRendered(target concolic.Target, in *pathInput, kind CompilerKind, isa machine.ISA, unit *optimizedUnit) (renderedRun, *optimizedUnit, error) {
+	env := t.getEnv()
+	defer t.putEnv(env)
+	om, cpu := env.om, env.cpu
+	if err := in.replay(om); err != nil {
+		return renderedRun{}, nil, err
+	}
+	if unit == nil {
+		var err error
+		if unit, err = t.optimizeFor(target, om, in.stack, kind); err != nil {
+			return renderedRun{}, nil, err
+		}
+	}
+	cm, err := unit.lower(om, isa)
+	if err != nil {
+		return renderedRun{}, unit, err
+	}
+	obs, err := t.runCompiledBytecode(target, cpu, in, cm)
+	if err != nil {
+		return renderedRun{}, unit, err
+	}
+	r := renderedRun{kind: obs.Kind, detail: obs.Detail, selector: obs.selector, numArgs: obs.numArgs}
+	if obs.stack != nil {
+		r.stack = CanonicalizeAll(om, obs.stack, in.objects)
+	}
+	temps := obs.temps
+	if obs.Kind == CompiledMethodReturn {
+		r.result = Canonicalize(om, obs.result, in.objects)
+		temps = make([]heap.Word, target.Method.TempCount())
+		for i := range temps {
+			if w, err := cpu.Mem.Read(heap.Word(machine.StackLimit - 1 - i)); err == nil {
+				temps[i] = w
+			}
+		}
+	}
+	if temps != nil {
+		r.temps = CanonicalizeAll(om, temps, in.objects)
+	}
+	r.heap = HeapEffects(om, in.objects)
+	return r, unit, nil
 }
 
 // TestPipelineSoundnessOnPristineVM pins the pass-soundness self-check:
 // with every defect off, running the full pipeline's output and the bare
 // front-end stage it recorded must produce identical observable
-// behaviour on every explored path of every instruction, for every
-// variant and ISA.
+// behaviour, the full rendered final state included, on every explored
+// path of every instruction, for every variant and ISA.
 func TestPipelineSoundnessOnPristineVM(t *testing.T) {
 	prims := primitives.NewTable()
 	tester := NewTester(prims, defects.Pristine())
@@ -65,12 +121,16 @@ func TestPipelineSoundnessOnPristineVM(t *testing.T) {
 	for _, target := range pipelineTargets(t) {
 		ex := explorer.Explore(target)
 		for pi, path := range ex.Paths {
+			ref := tester.newReference(target, ex, path)
+			if ref.err != nil {
+				continue
+			}
 			for _, kind := range bytecodeKinds {
 				for _, isa := range []machine.ISA{machine.ISAAmd64Like, machine.ISAArm32Like} {
-					opt, unit, optErr := tester.runCompiled(target, ex, path, kind, isa, nil)
+					opt, unit, optErr := tester.runRendered(target, &ref.pathInput, kind, isa, nil)
 					raw, rawErr := opt, optErr
 					if unit != nil && unit.err == nil {
-						raw, _, rawErr = tester.runCompiled(target, ex, path, kind, isa, unit.atStage(0))
+						raw, _, rawErr = tester.runRendered(target, &ref.pathInput, kind, isa, unit.atStage(0))
 					}
 					if (rawErr == nil) != (optErr == nil) {
 						// The one sanctioned flip: constant folding may
@@ -86,9 +146,9 @@ func TestPipelineSoundnessOnPristineVM(t *testing.T) {
 					if rawErr != nil {
 						continue
 					}
-					if !reflect.DeepEqual(normalizeObs(raw), normalizeObs(opt)) {
+					if !reflect.DeepEqual(raw, opt) {
 						t.Errorf("%s path %d %s/%s: pipeline changes observable behaviour\nraw: %+v\noptimized: %+v",
-							target.Name, pi, kind, isa, normalizeObs(raw), normalizeObs(opt))
+							target.Name, pi, kind, isa, raw, opt)
 					}
 				}
 			}

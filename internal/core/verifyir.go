@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync/atomic"
 
 	"cogdiff/internal/concolic"
 	"cogdiff/internal/irverify"
@@ -108,30 +109,29 @@ func (c *Campaign) VerifyIR(ctx context.Context) (*VerifySweepResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	exByTarget := make(map[string]*concolic.Exploration, len(allTargets))
-	for i, t := range allTargets {
-		exByTarget[explorationKey(t)] = explorations[i]
-	}
 
-	// Step 2: one compile-only unit per (compiler, instruction).
+	// Step 2: one compile-only unit per (compiler, instruction). A unit's
+	// explored index addresses allTargets, explorations and inputs; each
+	// path's input is built once and replayed for every other compiler.
 	type verifyUnit struct {
-		kind   CompilerKind
-		target concolic.Target
+		kind     CompilerKind
+		explored int
 	}
 	var units []verifyUnit
 	for _, kind := range c.Config.Compilers {
-		targets := bcTargets
+		n, offset := len(bcTargets), 0
 		if kind == NativeMethodCompilerKind {
-			targets = nmTargets
+			n, offset = len(nmTargets), len(bcTargets)
 		}
-		for _, t := range targets {
-			units = append(units, verifyUnit{kind: kind, target: t})
+		for i := 0; i < n; i++ {
+			units = append(units, verifyUnit{kind: kind, explored: offset + i})
 		}
 	}
+	inputs := pathSlots[pathInput](explorations)
 	rows := make([]VerifyRow, len(units))
 	if err := RunUnitsCtx(ctx, workers, len(units), func(i int) {
 		u := units[i]
-		rows[i] = c.verifyInstruction(tester, u.kind, u.target, exByTarget[explorationKey(u.target)])
+		rows[i] = c.verifyInstruction(tester, u.kind, allTargets[u.explored], explorations[u.explored], inputs[u.explored])
 	}); err != nil {
 		return nil, err
 	}
@@ -149,12 +149,10 @@ func (c *Campaign) VerifyIR(ctx context.Context) (*VerifySweepResult, error) {
 // verifyInstruction compiles every (path, ISA) unit of one instruction
 // under one compiler with the verifier on, recording violations and
 // expected skips. Each path is optimized once and lowered per ISA, so a
-// rejection is recorded for every ISA. Nothing executes.
-func (c *Campaign) verifyInstruction(t *Tester, kind CompilerKind, target concolic.Target, ex *concolic.Exploration) VerifyRow {
+// rejection is recorded for every ISA. Nothing executes. inputs holds
+// the paths' inputs, shared with the instruction's other compilers.
+func (c *Campaign) verifyInstruction(t *Tester, kind CompilerKind, target concolic.Target, ex *concolic.Exploration, inputs []atomic.Pointer[pathInput]) VerifyRow {
 	row := VerifyRow{Compiler: kind, Instruction: target.Name}
-	if ex == nil {
-		return row
-	}
 	isas := c.Config.ISAs
 	if kind == NativeMethodCompilerKind {
 		// Native templates are path-independent: one compile covers the
@@ -178,7 +176,7 @@ func (c *Campaign) verifyInstruction(t *Tester, kind CompilerKind, target concol
 			row.Skipped++
 			continue
 		}
-		for i, err := range c.safeVerifyCompile(t, target, ex, path, kind, isas) {
+		for i, err := range c.safeVerifyCompile(t, target, ex, path, &inputs[pi], kind, isas) {
 			row.recordOutcome(pi, isas[i], err)
 		}
 	}
@@ -186,10 +184,12 @@ func (c *Campaign) verifyInstruction(t *Tester, kind CompilerKind, target concol
 }
 
 // safeVerifyCompile optimizes one path's unit once and lowers it for
-// every ISA, returning one compile result per ISA. It contains panics: a
-// contained panic reports as a compile error for every ISA not yet
-// lowered, never as a clean unit.
-func (c *Campaign) safeVerifyCompile(t *Tester, target concolic.Target, ex *concolic.Exploration, path *concolic.PathResult, kind CompilerKind, isas []machine.ISA) (errs []error) {
+// every ISA, returning one compile result per ISA. The path's input is
+// replayed from slot, or built and published there (loadOrPublish) by
+// the first compiler to reach it; under noReuse every compile builds its
+// own. It contains panics: a contained panic reports as a compile error
+// for every ISA not yet lowered, never as a clean unit.
+func (c *Campaign) safeVerifyCompile(t *Tester, target concolic.Target, ex *concolic.Exploration, path *concolic.PathResult, slot *atomic.Pointer[pathInput], kind CompilerKind, isas []machine.ISA) (errs []error) {
 	errs = make([]error, len(isas))
 	done := 0
 	defer func() {
@@ -202,7 +202,22 @@ func (c *Campaign) safeVerifyCompile(t *Tester, target concolic.Target, ex *conc
 	}()
 	env := t.getEnv()
 	defer t.putEnv(env)
-	frame, err := concolic.NewFrameBuilder(env.om, ex.Universe, path.Model).BuildFrame(target)
+	if t.noReuse {
+		slot = nil
+	}
+	var err error
+	built := false // env already holds the input
+	in := loadOrPublish(slot, func() *pathInput {
+		in := new(pathInput)
+		if _, err = in.build(env.om, target, ex, path); err != nil {
+			return nil
+		}
+		built = true
+		return in
+	})
+	if in != nil && !built {
+		err = in.replay(env.om)
+	}
 	if err != nil {
 		err = fmt.Errorf("input construction failed: %w", err)
 		for i := range errs {
@@ -210,7 +225,7 @@ func (c *Campaign) safeVerifyCompile(t *Tester, target concolic.Target, ex *conc
 		}
 		return errs
 	}
-	opt := t.optimizeBytecode(env.om, modeInstruction, variantOf(kind), target.Method, stackWords(frame))
+	opt := t.optimizeBytecode(env.om, modeInstruction, variantOf(kind), target.Method, in.stack)
 	for ; done < len(isas); done++ {
 		_, errs[done] = opt.lower(env.om, isas[done])
 	}

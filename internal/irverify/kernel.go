@@ -1,9 +1,6 @@
 package irverify
 
 import (
-	"cmp"
-	"slices"
-	"strings"
 	"sync"
 
 	"cogdiff/internal/ir"
@@ -15,10 +12,11 @@ import (
 // allocates only the result it returns; every slice here is reused at
 // its high-water capacity.
 type scratch struct {
-	// labels lists every label definition sorted by (name, index), so a
-	// name's definitions are adjacent: the first is the one the
-	// structural rules keep, the last the one control flow reaches
-	// (the order a map overwritten in linear order would give).
+	// labels lists every label definition in linear order: a name's
+	// first definition is the one the structural rules keep, its last
+	// the one control flow reaches (the order a map overwritten in
+	// linear order would give). Functions have a handful of labels, so
+	// a scan resolves a name faster than sorting for a binary search.
 	labels []labelDef
 	// target holds, per jump, the index of its label's last definition
 	// (-1 when undefined); firstDef holds, per label, the index of its
@@ -100,35 +98,35 @@ func (s *scratch) indexLabels(instrs []ir.Instr) {
 			s.labels = append(s.labels, labelDef{instrs[i].Sym, int32(i)})
 		}
 	}
-	slices.SortFunc(s.labels, func(a, b labelDef) int {
-		if c := strings.Compare(a.sym, b.sym); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.index, b.index)
-	})
 	for i := range instrs {
 		ins := &instrs[i]
 		switch {
 		case ins.Op == ir.OpcLabel:
-			s.firstDef[i], _ = s.lookup(ins.Sym)
+			s.firstDef[i] = s.firstDefinition(ins.Sym)
 		case ins.IsJump():
-			_, s.target[i] = s.lookup(ins.Sym)
+			s.target[i] = s.lastDefinition(ins.Sym)
 		}
 	}
 }
 
-// lookup returns the first and last definitions of the label sym, both
+// firstDefinition returns the index of the label sym's first
+// definition, -1 when it is undefined.
+func (s *scratch) firstDefinition(sym string) int32 {
+	for _, d := range s.labels {
+		if d.sym == sym {
+			return d.index
+		}
+	}
+	return -1
+}
+
+// lastDefinition returns the index of the label sym's last definition,
 // -1 when it is undefined.
-func (s *scratch) lookup(sym string) (first, last int32) {
-	lo, found := slices.BinarySearchFunc(s.labels, sym, func(d labelDef, sym string) int {
-		return strings.Compare(d.sym, sym)
-	})
-	if !found {
-		return -1, -1
+func (s *scratch) lastDefinition(sym string) int32 {
+	for k := len(s.labels) - 1; k >= 0; k-- {
+		if s.labels[k].sym == sym {
+			return s.labels[k].index
+		}
 	}
-	hi := lo + 1
-	for hi < len(s.labels) && s.labels[hi].sym == sym {
-		hi++
-	}
-	return s.labels[lo].index, s.labels[hi-1].index
+	return -1
 }

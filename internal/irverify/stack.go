@@ -136,9 +136,17 @@ func (s *scratch) analyze(instrs []ir.Instr, an *Analysis) {
 		}
 	}
 
-	for len(s.work) > 0 {
-		it := s.work[len(s.work)-1]
-		s.work = s.work[:len(s.work)-1]
+	// The successor an instruction would push last is the one the LIFO
+	// worklist pops next, so it is carried over in it instead: the visit
+	// order is the worklist's, without a push and pop per instruction.
+	var it workItem
+	carried := false
+	for carried || len(s.work) > 0 {
+		if !carried {
+			it = s.work[len(s.work)-1]
+			s.work = s.work[:len(s.work)-1]
+		}
+		carried = false
 		i, st := it.index, it.st
 		if i >= n {
 			continue // running off the end is the terminator rule's job
@@ -270,12 +278,12 @@ func (s *scratch) analyze(instrs []ir.Instr, an *Analysis) {
 		case ins.Op == ir.OpcRet || ins.Op == ir.OpcHlt || ins.Op == ir.OpcBrk:
 			// exit; no successors
 		case ins.Op == ir.OpcJmp:
-			s.work = append(s.work, workItem{s.jumpTarget(i), next})
+			it, carried = workItem{s.jumpTarget(i), next}, true
 		case ins.IsJump():
 			s.work = append(s.work, workItem{s.jumpTarget(i), next})
-			s.work = append(s.work, workItem{i + 1, next})
+			it, carried = workItem{i + 1, next}, true
 		default:
-			s.work = append(s.work, workItem{i + 1, next})
+			it, carried = workItem{i + 1, next}, true
 		}
 	}
 	an.exits = s.collectExits(instrs)

@@ -225,12 +225,10 @@ func (o Options) Verify(fn *ir.Fn) []Violation {
 func (s *scratch) verifyStructural(instrs []ir.Instr) []Violation {
 	var vs []Violation
 	// A label's first definition wins; every later one is a duplicate.
-	for i := range instrs {
-		if instrs[i].Op == ir.OpcLabel {
-			if first := s.firstDef[i]; first != int32(i) {
-				vs = append(vs, Violation{Rule: RuleLabel, Index: i,
-					Detail: fmt.Sprintf("label %q already defined at #%d", instrs[i].Sym, first)})
-			}
+	for _, d := range s.labels {
+		if first := s.firstDef[d.index]; first != d.index {
+			vs = append(vs, Violation{Rule: RuleLabel, Index: int(d.index),
+				Detail: fmt.Sprintf("label %q already defined at #%d", d.sym, first)})
 		}
 	}
 

@@ -2,6 +2,7 @@ package sym
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"cogdiff/internal/heap"
@@ -254,11 +255,42 @@ func (p Path) String() string {
 }
 
 // Signature returns a canonical string identifying the path's constraint
-// sequence; the explorer uses it to avoid re-exploring identical prefixes.
+// sequence: each condition's constraint, joined by "&". The explorer
+// uses it to avoid re-exploring identical prefixes.
 func (p Path) Signature() string {
-	parts := make([]string, len(p))
-	for i, c := range p {
-		parts[i] = c.C.String()
+	var s Signer
+	return s.Sign(p)
+}
+
+// Signer renders path signatures (Path.Signature) and keeps each
+// condition's rendering of the last path it signed, so the signature of
+// that path's prefix extended by one more constraint (Extend) is a slice
+// of the path's signature plus one rendering. A zero Signer is ready to
+// use; its buffer is reused from one path to the next.
+type Signer struct {
+	sig   string
+	parts []string
+}
+
+// Sign returns p's signature and remembers p for Extend.
+func (s *Signer) Sign(p Path) string {
+	s.parts = slices.Grow(s.parts[:0], len(p))
+	for _, c := range p {
+		s.parts = append(s.parts, c.C.String())
 	}
-	return strings.Join(parts, "&")
+	s.sig = strings.Join(s.parts, "&")
+	return s.sig
+}
+
+// Extend returns the signature of the last signed path's first i
+// conditions followed by c.
+func (s *Signer) Extend(i int, c Constraint) string {
+	if i == 0 {
+		return c.String()
+	}
+	end := i - 1 // the separators between the first i conditions
+	for _, part := range s.parts[:i] {
+		end += len(part)
+	}
+	return s.sig[:end] + "&" + c.String()
 }

@@ -146,6 +146,42 @@ func TestPathSignatureAndString(t *testing.T) {
 	}
 }
 
+// TestSignerExtendsPrefixes pins the signer's prefix arithmetic: a
+// signed path's signature is its conditions' renderings joined by "&",
+// and Extend(i, c) is the signature of the path's first i conditions
+// followed by c, also after the signer was reused on a longer path.
+func TestSignerExtendsPrefixes(t *testing.T) {
+	u := NewUniverse()
+	v, w := u.Stack(0), u.Stack(1)
+	long := Path{
+		{C: StackSizeAtLeast{2}, Assumed: true},
+		{C: TypeIs{v, KindSmallInt}},
+		{C: InSmallIntRange{IntBin{OpAdd, IntValueOf{v}, IntValueOf{w}}}},
+		{C: AnyOf{TypeIs{w, KindNil}, TypeIs{w, KindTrue}}},
+	}
+	short := Path{
+		{C: TypeIs{w, KindFloat}},
+		{C: StackSizeAtLeast{1}},
+	}
+	var s Signer
+	for _, p := range []Path{long, short, long[:0]} {
+		parts := make([]string, len(p))
+		for i, c := range p {
+			parts[i] = c.C.String()
+		}
+		if got, want := s.Sign(p), strings.Join(parts, "&"); got != want {
+			t.Fatalf("signed %q, want %q", got, want)
+		}
+		for i := range p {
+			c := Negate(p[i].C)
+			child := append(append(Path{}, p[:i]...), Condition{C: c})
+			if got, want := s.Extend(i, c), child.Signature(); got != want {
+				t.Errorf("Extend(%d) = %q, want %q", i, got, want)
+			}
+		}
+	}
+}
+
 func TestModelAlias(t *testing.T) {
 	u := NewUniverse()
 	a, b := u.Stack(0), u.Stack(1)
