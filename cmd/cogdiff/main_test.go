@@ -363,6 +363,53 @@ func TestDifftestCacheRoundTrip(t *testing.T) {
 	}
 }
 
+// TestMetaJITFromCachedExplorations holds the derived compiler to the
+// cache's observational-identity contract. Its plans need what the cache
+// does not keep, each path's constraints and output frame, so a run
+// whose explorations hit and whose metajit units miss must plan from a
+// fresh exploration. A plain campaign fills such a cache: every
+// exploration, no metajit unit. The IR dump, difftest, the sweep and the
+// campaign on metajit then print what they print with no cache, and so
+// does a second campaign, which replays the metajit units the first
+// stored.
+func TestMetaJITFromCachedExplorations(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-catalog metajit runs skipped in -short mode")
+	}
+	runs := [][]string{
+		{"difftest", "-dump-ir", "stdout", "primAdd", "metajit"},
+		{"difftest", "primAdd", "metajit"},
+		{"verify-ir"},
+		{"campaign", "-stable", "-compilers", "+metajit"},
+		{"campaign", "-stable", "-compilers", "+metajit"},
+	}
+	dir, metrics := t.TempDir(), filepath.Join(t.TempDir(), "verify-ir.json")
+	runCLI(t, "campaign", "-stable", "-cache-dir", dir)
+	for _, args := range runs {
+		plain := runCLI(t, args...)
+		warmArgs := append([]string{args[0], "-cache-dir", dir}, args[1:]...)
+		if args[0] == "verify-ir" {
+			warmArgs = append(warmArgs, "-metrics", metrics)
+		}
+		if warm := runCLI(t, warmArgs...); warm != plain {
+			t.Errorf("%v differs from a cache of explorations:\n--- no cache ---\n%s--- cached explorations ---\n%s", args, plain, warm)
+		}
+	}
+	// The sweep caches no units, so every lookup it made was an
+	// exploration, and all of them hit.
+	data, err := os.ReadFile(metrics)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap telemetry.Snapshot
+	if err := json.Unmarshal(data, &snap); err != nil {
+		t.Fatal(err)
+	}
+	if hits, misses := snap.Counters[telemetry.MetricCacheHits], snap.Counters[telemetry.MetricCacheMisses]; hits == 0 || misses != 0 {
+		t.Errorf("verify-ir on a filled cache: %d hits, %d misses; want every exploration a hit", hits, misses)
+	}
+}
+
 // TestGoldenCampaignProgressLine pins the -progress status line,
 // including the cache-stats section, by rendering a snapshot with known
 // counter values.

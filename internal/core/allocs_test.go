@@ -84,7 +84,7 @@ func measurePerPathAllocs(noReuse bool) float64 {
 	campaign := func() {
 		refs := pathSlots[pathReference]([]*concolic.Exploration{ex})[0]
 		for _, kind := range bytecodeKinds {
-			run := tester.beginUnit(target, ex, refs)
+			run := tester.beginUnit(target, ex, refs, nil)
 			for _, p := range ex.Paths {
 				for _, isa := range isas {
 					run.TestPath(p, kind, isa)

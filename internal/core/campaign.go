@@ -55,9 +55,10 @@ type Config struct {
 	// warm, at any worker count; cached entries replay their recorded
 	// durations, so even Figures 6/7 render the originating run's timings.
 	Cache *excache.Cache
-	// faultInject, when non-nil, runs before every TestPath call, inside
-	// the containment boundary. Fault-injection tests use it to raise
-	// genuine heap panics in worker goroutines.
+	// faultInject, when non-nil, runs before every TestPath call and, in
+	// the compile-only sweep, before every lowering, inside the
+	// containment boundary. Fault-injection tests use it to raise genuine
+	// heap panics in worker goroutines.
 	faultInject func(target concolic.Target, kind CompilerKind, isa machine.ISA)
 	// poisonExploration, when non-nil, mutates each freshly explored
 	// exploration before it is cached and fingerprinted. Cache tests
@@ -258,7 +259,7 @@ func (c *Campaign) RunContext(ctx context.Context) (*CampaignResult, error) {
 	// Test units derive their cache keys from the fingerprints of the
 	// explorations' content, so a unit hit is only possible when the
 	// exploration that drives it is content-identical.
-	explorations, fingerprints, err := c.explore(ctx, allTargets)
+	explorations, fingerprints, plans, err := c.explore(ctx, allTargets)
 	if err != nil {
 		return nil, err
 	}
@@ -303,7 +304,8 @@ func (c *Campaign) RunContext(ctx context.Context) (*CampaignResult, error) {
 	unitsTested := reg.Counter(telemetry.MetricUnitsTested)
 	unitKeyPrefixes := c.unitKeyPrefixes()
 	// Every unit of an exploration shares one reference slot per path, so
-	// each path is built, interpreted and rendered once per run.
+	// each path is built, interpreted and rendered once per run, and the
+	// exploration's metajit plan slot, so its plan is built once per run.
 	refs := pathSlots[pathReference](explorations)
 	if err := RunUnitsCtx(ctx, workers, len(units), func(i int) {
 		sp := reg.StartSpan(telemetry.SpanTestUnit)
@@ -314,7 +316,7 @@ func (c *Campaign) RunContext(ctx context.Context) (*CampaignResult, error) {
 		unitKey := c.Config.Cache.UnitKey(unitKeyPrefixes[u.compiler], fingerprints[u.explored])
 		ir, cached := c.loadCachedUnit(unitKey, target, ex)
 		if !cached {
-			ir = c.testInstruction(tester, kind, target, ex, refs[u.explored])
+			ir = c.testInstruction(tester, kind, target, ex, refs[u.explored], &plans[u.explored])
 			c.storeCachedUnit(unitKey, &ir)
 		}
 		result.Reports[u.compiler].Instructions[u.target] = ir
@@ -390,20 +392,24 @@ func (c *Campaign) setup() *Tester {
 // Each instruction explores in its own universe, so units never contend.
 // An exploration is loaded from the cache when present and stored after
 // fresh work. With a cache, it also returns each exploration's
-// fingerprint, hashed from the one encoding the load or store made. A
-// panic inside one exploration is contained to that unit: the
+// fingerprint, hashed from the one encoding the load or store made. It
+// returns each exploration's empty metajit plan slot too; the slot of a
+// loaded exploration explores the target afresh if a plan is asked of
+// it. A panic inside one exploration is contained to that unit: the
 // instruction reports zero paths and the campaign carries on.
-func (c *Campaign) explore(ctx context.Context, targets []concolic.Target) ([]*concolic.Exploration, []string, error) {
+func (c *Campaign) explore(ctx context.Context, targets []concolic.Target) ([]*concolic.Exploration, []string, []planSlot, error) {
 	opts := c.exploreOptions()
 	explorer := concolic.NewExplorer(c.Prims, opts)
 	out := make([]*concolic.Exploration, len(targets))
 	fingerprints := make([]string, len(targets))
+	plans := make([]planSlot, len(targets))
 	err := RunUnitsCtx(ctx, c.workerCount(), len(targets), func(i int) {
 		sp := c.Config.Metrics.StartSpan(telemetry.SpanExplore)
 		defer sp.End()
 		key := c.Config.Cache.ExplorationKey(targets[i], opts)
 		if ex, fp, ok := c.Config.Cache.LoadFingerprinted(key, targets[i]); ok {
 			out[i], fingerprints[i] = ex, fp
+			plans[i].explore = func() *concolic.Exploration { return explorer.Explore(targets[i]) }
 			return
 		}
 		defer func() {
@@ -424,7 +430,7 @@ func (c *Campaign) explore(ctx context.Context, targets []concolic.Target) ([]*c
 		}()
 		out[i] = explorer.Explore(targets[i])
 	})
-	return out, fingerprints, err
+	return out, fingerprints, plans, err
 }
 
 func (c *Campaign) exploreOptions() concolic.Options {
@@ -494,10 +500,10 @@ func (c *Campaign) storeCachedUnit(key string, ir *InstructionReport) {
 
 // testInstruction runs every curated path of one instruction against one
 // compiler on every configured ISA. The only campaign-wide state it
-// touches is refs, the exploration's shared reference slots, so any
-// number of instances may run concurrently; cause attribution happens
-// in Run's serial merge pass.
-func (c *Campaign) testInstruction(tester *Tester, kind CompilerKind, target concolic.Target, ex *concolic.Exploration, refs []atomic.Pointer[pathReference]) InstructionReport {
+// touches is the exploration's shared slots, refs for the references
+// and plan for the metajit plan, so any number of instances may run
+// concurrently; cause attribution happens in Run's serial merge pass.
+func (c *Campaign) testInstruction(tester *Tester, kind CompilerKind, target concolic.Target, ex *concolic.Exploration, refs []atomic.Pointer[pathReference], plan *planSlot) InstructionReport {
 	start := time.Now() //cogdiff:allow-nondeterminism campaign timing feeds telemetry histograms only
 	ir := InstructionReport{
 		Target:      target,
@@ -506,7 +512,7 @@ func (c *Campaign) testInstruction(tester *Tester, kind CompilerKind, target con
 	}
 	// Batch the unit: each path's reference is computed once per run and
 	// its optimized compile once per unit, both reused across every ISA.
-	run := tester.beginUnit(target, ex, refs)
+	run := tester.beginUnit(target, ex, refs, plan)
 	defer run.Close()
 	for _, path := range ex.Paths {
 		pathCurated := false

@@ -40,10 +40,12 @@ type optimizedUnit struct {
 }
 
 // optimizeBytecode runs the front-end, the verifier and the pass pipeline
-// of a byte-code compiler over method on om. The ISA a compiler is built
-// with matters only to its per-ISA entry points, so the zero ISA stands
-// in here.
-func (t *Tester) optimizeBytecode(om *heap.ObjectMemory, mode compileMode, variant jit.Variant, method *bytecode.Method, inputStack []heap.Word) *optimizedUnit {
+// of a byte-code compiler over method on om. A metajit instruction
+// compile derives its guard chain from plan, the run's plan of the
+// instruction's exploration; no other compile reads plan. The ISA a
+// compiler is built with matters only to its per-ISA entry points, so
+// the zero ISA stands in here.
+func (t *Tester) optimizeBytecode(om *heap.ObjectMemory, mode compileMode, variant jit.Variant, method *bytecode.Method, inputStack []heap.Word, plan *metacompile.Plan) *optimizedUnit {
 	start := om.HeapUsed()
 	var opt *jit.Optimized
 	var err error
@@ -53,7 +55,7 @@ func (t *Tester) optimizeBytecode(om *heap.ObjectMemory, mode compileMode, varia
 		if mode == modeMethod {
 			opt, err = mc.OptimizeMethod(method, nil)
 		} else {
-			opt, err = mc.OptimizeBytecode(method, inputStack)
+			opt, err = mc.OptimizePlan(plan, inputStack)
 		}
 	} else {
 		cogit := jit.NewCogit(variant, 0, om, t.Defects)

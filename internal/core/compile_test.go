@@ -23,7 +23,7 @@ func TestCompiledSequenceISAsMatchesPerISA(t *testing.T) {
 	tester := seqTester()
 
 	env := tester.getEnv()
-	u := tester.optimizeBytecode(env.om, modeMethod, jit.SimpleStackBasedCogit, m, nil)
+	u := tester.optimizeBytecode(env.om, modeMethod, jit.SimpleStackBasedCogit, m, nil, nil)
 	tester.putEnv(env)
 	if u.err != nil || len(u.heapWords) == 0 {
 		t.Fatalf("want a compile that appends heap words, got %d words (err %v)", len(u.heapWords), u.err)

@@ -74,9 +74,10 @@ func (t *Tester) SetNoVerify() { t.hooks.NoVerify = true }
 // (compiler, ISA) pairing and blame rerun that tests it, and so is the
 // optimized compile of a (path, compiler) pairing, which each ISA only
 // lowers. A campaign hands every unit of an exploration the same
-// reference slots, so the reference is shared across compilers and
-// workers too. A UnitRun is not safe for concurrent use; units are the
-// parallelism grain, so each worker drives its own.
+// reference slots and metajit plan slot, so references and the plan are
+// shared across compilers and workers too. A UnitRun is not safe for
+// concurrent use; units are the parallelism grain, so each worker drives
+// its own.
 type UnitRun struct {
 	t      *Tester
 	target concolic.Target
@@ -85,6 +86,10 @@ type UnitRun struct {
 	// refs holds one reference slot per explored path, indexed like
 	// ex.Paths; nil under noReuse, which computes a reference per test.
 	refs []atomic.Pointer[pathReference]
+	// plan holds the metajit plan of ex; nil for a one-shot TestPath.
+	// Under noReuse it publishes nothing, so each metajit test builds
+	// its own.
+	plan *planSlot
 
 	// The optimized compile of the (path, compiler) pairing most recently
 	// tested. Verdicts arrive with the ISA innermost, so one slot
@@ -95,24 +100,24 @@ type UnitRun struct {
 }
 
 // BeginUnit starts a batched run over one unit's paths. The references
-// it computes live as long as the UnitRun.
+// and the metajit plan it computes live as long as the UnitRun.
 func (t *Tester) BeginUnit(target concolic.Target, ex *concolic.Exploration) *UnitRun {
-	return t.beginUnit(target, ex, make([]atomic.Pointer[pathReference], len(ex.Paths)))
+	return t.beginUnit(target, ex, make([]atomic.Pointer[pathReference], len(ex.Paths)), new(planSlot))
 }
 
-// beginUnit starts a batched run whose path references live in refs,
-// slots the caller may share with other units of the same exploration.
-func (t *Tester) beginUnit(target concolic.Target, ex *concolic.Exploration, refs []atomic.Pointer[pathReference]) *UnitRun {
+// beginUnit starts a batched run whose path references live in refs and
+// whose metajit plan lives in plan, slots the caller may share with
+// other units of the same exploration.
+func (t *Tester) beginUnit(target concolic.Target, ex *concolic.Exploration, refs []atomic.Pointer[pathReference], plan *planSlot) *UnitRun {
 	if t.noReuse {
 		refs = nil
 	}
-	return &UnitRun{t: t, target: target, ex: ex, refs: refs}
+	return &UnitRun{t: t, target: target, ex: ex, refs: refs, plan: plan}
 }
 
-// Close drops what the unit holds: its reference slots and memoized
-// compile.
+// Close drops what the unit holds: its slots and memoized compile.
 func (u *UnitRun) Close() {
-	u.refs = nil
+	u.refs, u.plan = nil, nil
 	u.optPath, u.opt = nil, nil
 }
 
@@ -125,16 +130,54 @@ func (u *UnitRun) reference(path *concolic.PathResult) *pathReference {
 	})
 }
 
+// planSlot holds the metajit plan of one exploration a run tests.
+type planSlot struct {
+	plan atomic.Pointer[metacompile.Plan]
+	// explore, when non-nil, explores the target afresh for the plan:
+	// the run's exploration was decoded from the cache, which keeps
+	// neither path constraints nor frames. The cache key holds every
+	// option that shapes an exploration, so the fresh one, under the
+	// run's options, lists the cached one's paths in the same order.
+	explore func() *concolic.Exploration
+}
+
+// get returns the metajit plan of ex, the run's exploration of target,
+// building it on the first request and publishing it in the slot
+// (loadOrPublish: a build that panics stores nothing, so every later
+// pairing builds again inside its own containment boundary). A nil slot,
+// or noReuse, builds a plan per call.
+func (s *planSlot) get(target concolic.Target, ex *concolic.Exploration, noReuse bool) *metacompile.Plan {
+	build := func() *metacompile.Plan {
+		if s != nil && s.explore != nil {
+			ex = s.explore()
+		}
+		return metacompile.NewPlan(target.Method, ex)
+	}
+	if s == nil || noReuse {
+		return build()
+	}
+	return loadOrPublish(&s.plan, build)
+}
+
+// index returns path's index in the unit's exploration, or -1 when path
+// is not one of its explored paths.
+func (u *UnitRun) index(path *concolic.PathResult) int {
+	for i, p := range u.ex.Paths {
+		if p == path {
+			return i
+		}
+	}
+	return -1
+}
+
 // slot returns path's reference slot, or nil when references are not
 // shared or path is not one of the unit's explored paths.
 func (u *UnitRun) slot(path *concolic.PathResult) *atomic.Pointer[pathReference] {
 	if u.refs == nil {
 		return nil
 	}
-	for i, p := range u.ex.Paths {
-		if p == path {
-			return &u.refs[i]
-		}
+	if i := u.index(path); i >= 0 {
+		return &u.refs[i]
 	}
 	return nil
 }
@@ -150,9 +193,11 @@ const (
 // skipReason is the one policy for paths no test compiles: the expected
 // failures, unsupported instructions, a compiler that does not apply to
 // the instruction's kind, and metajit paths its generator's plan does
-// not support. It returns "" for a path to compile. Testing and the
-// compile-only sweep both apply it.
-func skipReason(target concolic.Target, path *concolic.PathResult, kind CompilerKind) string {
+// not support. plan is the metajit plan of the path's exploration and pi
+// the path's index there, both read only when kind is MetaJITCompiler.
+// It returns "" for a path to compile. Testing and the compile-only
+// sweep both apply it.
+func skipReason(target concolic.Target, path *concolic.PathResult, kind CompilerKind, plan *metacompile.Plan, pi int) string {
 	switch path.Exit.Kind {
 	case interp.ExitInvalidFrame:
 		return reasonInvalidFrame
@@ -170,7 +215,7 @@ func skipReason(target concolic.Target, path *concolic.PathResult, kind Compiler
 		// The derived compiler's guard chain only contains paths the
 		// generator's plan supports; consult the plan up front so the
 		// skip is deterministic and named, instead of a deopt breakpoint.
-		if ok, reason := metacompile.PlanFor(target.Method).PathSupported(path.Path.Signature()); !ok {
+		if ok, reason := plan.Supports(pi); !ok {
 			return "not compilable: metacompile: " + reason
 		}
 	}
@@ -184,7 +229,12 @@ func (u *UnitRun) TestPath(path *concolic.PathResult, kind CompilerKind, isa mac
 	t, target := u.t, u.target
 	v := PathVerdict{Compiler: kind, ISA: isa}
 
-	if reason := skipReason(target, path, kind); reason != "" {
+	var plan *metacompile.Plan
+	pi := -1
+	if kind == MetaJITCompiler {
+		plan, pi = u.plan.get(target, u.ex, t.noReuse), u.index(path)
+	}
+	if reason := skipReason(target, path, kind, plan, pi); reason != "" {
 		v.Skipped, v.Reason = true, reason
 		return v
 	}
@@ -199,7 +249,7 @@ func (u *UnitRun) TestPath(path *concolic.PathResult, kind CompilerKind, isa mac
 	if u.optPath == path && u.optKind == kind {
 		shared = u.opt
 	}
-	run, opt, err := t.runCompiled(target, u.ex, path, ref, kind, isa, shared)
+	run, opt, err := t.runCompiled(target, u.ex, path, ref, kind, isa, plan, shared)
 	if opt != nil && !t.noReuse {
 		u.optPath, u.optKind, u.opt = path, kind, opt
 	}
@@ -238,7 +288,7 @@ func (u *UnitRun) TestPath(path *concolic.PathResult, kind CompilerKind, isa mac
 // UnitRun; callers testing several paths or pairings of one unit should
 // batch through BeginUnit instead.
 func (t *Tester) TestPath(target concolic.Target, ex *concolic.Exploration, path *concolic.PathResult, kind CompilerKind, isa machine.ISA) PathVerdict {
-	return t.beginUnit(target, ex, nil).TestPath(path, kind, isa)
+	return t.beginUnit(target, ex, nil, nil).TestPath(path, kind, isa)
 }
 
 // blamePath attributes a differing path verdict to a compilation stage
@@ -253,7 +303,7 @@ func (t *Tester) blamePath(target concolic.Target, ex *concolic.Exploration, pat
 		return "front-end"
 	}
 	return unit.blame(func(stage *optimizedUnit) (bool, error) {
-		run, _, err := t.runCompiled(target, ex, path, ref, kind, isa, stage)
+		run, _, err := t.runCompiled(target, ex, path, ref, kind, isa, nil, stage)
 		return run.differs, err
 	})
 }
@@ -290,10 +340,11 @@ type observation struct {
 // inputs were shared, so the pools-on/off suite pins that replaying
 // changes nothing. A non-nil shared unit, optimized for the same (path,
 // compiler) pairing on an earlier ISA, is lowered instead of optimizing
-// again; the unit used is returned for the next ISA (nil when the input
-// failed first). The environment is released before returning; a
-// contained panic abandons it instead.
-func (t *Tester) runCompiled(target concolic.Target, ex *concolic.Exploration, path *concolic.PathResult, ref *pathReference, kind CompilerKind, isa machine.ISA, shared *optimizedUnit) (judgement, *optimizedUnit, error) {
+// again; otherwise the run optimizes, a metajit compile from plan. The
+// unit used is returned for the next ISA (nil when the input failed
+// first). The environment is released before returning; a contained
+// panic abandons it instead.
+func (t *Tester) runCompiled(target concolic.Target, ex *concolic.Exploration, path *concolic.PathResult, ref *pathReference, kind CompilerKind, isa machine.ISA, plan *metacompile.Plan, shared *optimizedUnit) (judgement, *optimizedUnit, error) {
 	env := t.getEnv()
 	om, cpu := env.om, env.cpu
 	in := &ref.pathInput
@@ -310,7 +361,7 @@ func (t *Tester) runCompiled(target concolic.Target, ex *concolic.Exploration, p
 	}
 	opt := shared
 	if opt == nil {
-		opt, err = t.optimizeFor(target, om, in.stack, kind)
+		opt, err = t.optimizeFor(target, om, in.stack, kind, plan)
 		if err != nil {
 			t.putEnv(env)
 			return judgement{}, nil, err
@@ -323,10 +374,7 @@ func (t *Tester) runCompiled(target concolic.Target, ex *concolic.Exploration, p
 	}
 
 	if t.Defects.SimulationMissingAccessors {
-		cpu.SimDefects.MissingSetters = map[machine.Reg]bool{
-			machine.ExtraReg: true,
-			machine.Arg2Reg:  true,
-		}
+		cpu.SimDefects.MissingSetters = missingSetters
 	}
 
 	var obs observation
@@ -344,10 +392,18 @@ func (t *Tester) runCompiled(target concolic.Target, ex *concolic.Exploration, p
 	return run, opt, err
 }
 
+// missingSetters is the register set whose loads the simulator drops
+// under the SimulationMissingAccessors defect. Every compiled run shares
+// it; the simulator only reads it.
+var missingSetters = map[machine.Reg]bool{
+	machine.ExtraReg: true,
+	machine.Arg2Reg:  true,
+}
+
 // optimizeFor optimizes the unit a path's compiled run executes: the
 // native template of the target's primitive, or the single-instruction
-// schema over the input operand stack.
-func (t *Tester) optimizeFor(target concolic.Target, om *heap.ObjectMemory, stack []heap.Word, kind CompilerKind) (*optimizedUnit, error) {
+// schema over the input operand stack, for metajit derived from plan.
+func (t *Tester) optimizeFor(target concolic.Target, om *heap.ObjectMemory, stack []heap.Word, kind CompilerKind, plan *metacompile.Plan) (*optimizedUnit, error) {
 	if kind == NativeMethodCompilerKind {
 		prim := t.Prims.Lookup(target.PrimIndex)
 		if prim == nil {
@@ -355,7 +411,7 @@ func (t *Tester) optimizeFor(target concolic.Target, om *heap.ObjectMemory, stac
 		}
 		return t.optimizeNative(om, prim), nil
 	}
-	return t.optimizeBytecode(om, modeInstruction, variantOf(kind), target.Method, stack), nil
+	return t.optimizeBytecode(om, modeInstruction, variantOf(kind), target.Method, stack, plan), nil
 }
 
 func variantOf(kind CompilerKind) jit.Variant {

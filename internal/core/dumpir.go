@@ -10,6 +10,7 @@ import (
 	"cogdiff/internal/ir"
 	"cogdiff/internal/irverify"
 	"cogdiff/internal/machine"
+	"cogdiff/internal/metacompile"
 )
 
 // DumpIR explores the target as the campaign does and renders every
@@ -28,13 +29,19 @@ import (
 func (c *Campaign) DumpIR(ctx context.Context, target concolic.Target, kind CompilerKind) (string, error) {
 	t := c.setup()
 	defer c.Config.Cache.Flush()
-	exs, _, err := c.explore(ctx, []concolic.Target{target})
+	exs, _, plans, err := c.explore(ctx, []concolic.Target{target})
 	if err != nil {
 		return "", err
 	}
+	// A metajit dump compiles from the plan of the exploration it dumps,
+	// as a test run does.
+	var plan *metacompile.Plan
+	if kind == MetaJITCompiler {
+		plan = plans[0].get(target, exs[0], t.noReuse)
+	}
 	lastErr := fmt.Errorf("core: %s has no explored paths", target.Name)
 	for _, path := range exs[0].Paths {
-		out, err := t.dumpPathIR(target, exs[0], path, kind, c.Config.ISAs)
+		out, err := t.dumpPathIR(target, exs[0], path, kind, plan, c.Config.ISAs)
 		if err == nil {
 			return out, nil
 		}
@@ -43,7 +50,7 @@ func (c *Campaign) DumpIR(ctx context.Context, target concolic.Target, kind Comp
 	return "", lastErr
 }
 
-func (t *Tester) dumpPathIR(target concolic.Target, ex *concolic.Exploration, path *concolic.PathResult, kind CompilerKind, isas []machine.ISA) (string, error) {
+func (t *Tester) dumpPathIR(target concolic.Target, ex *concolic.Exploration, path *concolic.PathResult, kind CompilerKind, plan *metacompile.Plan, isas []machine.ISA) (string, error) {
 	var b strings.Builder
 	fmt.Fprintf(&b, "instruction %s, compiler %s\n", target.Name, kind)
 	// The environment and frame are a test run's, so the heap addresses
@@ -57,7 +64,7 @@ func (t *Tester) dumpPathIR(target concolic.Target, ex *concolic.Exploration, pa
 	t.hooks.OnStage = func(stage string, fn *ir.Fn) {
 		fmt.Fprintf(&b, "\n== %s ==\n%s", stage, fn)
 	}
-	opt, err := t.optimizeFor(target, env.om, in.stack, kind)
+	opt, err := t.optimizeFor(target, env.om, in.stack, kind, plan)
 	t.hooks.OnStage = nil
 	if err != nil {
 		return "", err

@@ -110,8 +110,12 @@ func TestHooksReachTheBackend(t *testing.T) {
 func firstTestedStack(t *testing.T, prims *primitives.Table, om *heap.ObjectMemory, target concolic.Target, kind CompilerKind) []heap.Word {
 	t.Helper()
 	ex := concolic.NewExplorer(prims, concolic.DefaultOptions()).Explore(target)
-	for _, path := range ex.Paths {
-		if skipReason(target, path, kind) != "" {
+	var plan *metacompile.Plan
+	if kind == MetaJITCompiler {
+		plan = metacompile.NewPlan(target.Method, ex)
+	}
+	for pi, path := range ex.Paths {
+		if skipReason(target, path, kind, plan, pi) != "" {
 			continue
 		}
 		if frame, err := concolic.NewFrameBuilder(om, ex.Universe, path.Model).BuildFrame(target); err == nil {

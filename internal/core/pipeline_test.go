@@ -76,7 +76,7 @@ func (t *Tester) runRendered(target concolic.Target, in *pathInput, kind Compile
 	}
 	if unit == nil {
 		var err error
-		if unit, err = t.optimizeFor(target, om, in.stack, kind); err != nil {
+		if unit, err = t.optimizeFor(target, om, in.stack, kind, nil); err != nil {
 			return renderedRun{}, nil, err
 		}
 	}

@@ -198,7 +198,7 @@ func TestCompareHeapNamesLowestDifferingObject(t *testing.T) {
 // compiler tests, or -1.
 func firstTested(target concolic.Target, ex *concolic.Exploration) int {
 	return slices.IndexFunc(ex.Paths, func(p *concolic.PathResult) bool {
-		return skipReason(target, p, SimpleBytecodeCompiler) == ""
+		return skipReason(target, p, SimpleBytecodeCompiler, nil, -1) == ""
 	})
 }
 
@@ -278,7 +278,7 @@ func TestReferenceSharedAcrossCompilers(t *testing.T) {
 
 	var first []*pathReference
 	for i, kind := range bytecodeKinds {
-		run := tester.beginUnit(target, ex, refs)
+		run := tester.beginUnit(target, ex, refs, nil)
 		for _, p := range ex.Paths {
 			for _, isa := range isas {
 				if got, want := run.TestPath(p, kind, isa), tester.TestPath(target, ex, p, kind, isa); !reflect.DeepEqual(got, want) {
@@ -288,7 +288,7 @@ func TestReferenceSharedAcrossCompilers(t *testing.T) {
 		}
 		for pi := range refs {
 			ref := refs[pi].Load()
-			if skipReason(target, ex.Paths[pi], kind) == "" && ref == nil {
+			if skipReason(target, ex.Paths[pi], kind, nil, pi) == "" && ref == nil {
 				t.Errorf("%s: path %d tested without storing its reference", kind, pi)
 			}
 			if i == 0 {

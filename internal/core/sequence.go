@@ -385,7 +385,7 @@ func (t *Tester) compiledSequenceIn(env *execEnv, method *bytecode.Method, in Se
 	// only on the method and the heap the frame build above left.
 	opt := shared
 	if opt == nil {
-		opt = t.optimizeBytecode(om, modeMethod, variantOf(kind), method, nil)
+		opt = t.optimizeBytecode(om, modeMethod, variantOf(kind), method, nil, nil)
 	}
 	cm, err := opt.lower(om, isa)
 	if err != nil {

@@ -9,19 +9,21 @@ import (
 
 	"cogdiff/internal/concolic"
 	"cogdiff/internal/irverify"
-	"cogdiff/internal/jit"
 	"cogdiff/internal/machine"
+	"cogdiff/internal/metacompile"
 )
 
-// VerifyViolation is one static rejection from the compile-only sweep:
-// the IR verifier refused a (path, ISA) unit before a single instruction
-// of it could have executed.
+// VerifyViolation is one failed (path, ISA) unit of the compile-only
+// sweep: the IR verifier refused it before a single instruction of it
+// could have executed, or a panic the sweep contained ended its compile
+// (Blame "panic").
 type VerifyViolation struct {
 	ISA   machine.ISA
 	Path  int // index into the instruction's explored paths
 	Blame string
-	// Detail is the verifier's full rendering: first violation, rule,
-	// instruction index and the stage it was caught after.
+	// Detail is the verifier's full rendering (first violation, rule,
+	// instruction index and the stage it was caught after), or the
+	// contained panic.
 	Detail string
 }
 
@@ -105,14 +107,15 @@ func (c *Campaign) VerifyIR(ctx context.Context) (*VerifySweepResult, error) {
 	bcTargets := c.BytecodeTargets()
 	nmTargets := c.PrimitiveTargets()
 	allTargets := append(append([]concolic.Target{}, bcTargets...), nmTargets...)
-	explorations, _, err := c.explore(ctx, allTargets)
+	explorations, _, plans, err := c.explore(ctx, allTargets)
 	if err != nil {
 		return nil, err
 	}
 
 	// Step 2: one compile-only unit per (compiler, instruction). A unit's
-	// explored index addresses allTargets, explorations and inputs; each
-	// path's input is built once and replayed for every other compiler.
+	// explored index addresses allTargets, explorations, inputs and plans;
+	// each path's input is built once and replayed for every other
+	// compiler, and each metajit plan is built from the exploration once.
 	type verifyUnit struct {
 		kind     CompilerKind
 		explored int
@@ -131,7 +134,7 @@ func (c *Campaign) VerifyIR(ctx context.Context) (*VerifySweepResult, error) {
 	rows := make([]VerifyRow, len(units))
 	if err := RunUnitsCtx(ctx, workers, len(units), func(i int) {
 		u := units[i]
-		rows[i] = c.verifyInstruction(tester, u.kind, allTargets[u.explored], explorations[u.explored], inputs[u.explored])
+		rows[i] = c.verifyInstruction(tester, u.kind, allTargets[u.explored], explorations[u.explored], inputs[u.explored], &plans[u.explored])
 	}); err != nil {
 		return nil, err
 	}
@@ -150,8 +153,9 @@ func (c *Campaign) VerifyIR(ctx context.Context) (*VerifySweepResult, error) {
 // under one compiler with the verifier on, recording violations and
 // expected skips. Each path is optimized once and lowered per ISA, so a
 // rejection is recorded for every ISA. Nothing executes. inputs holds
-// the paths' inputs, shared with the instruction's other compilers.
-func (c *Campaign) verifyInstruction(t *Tester, kind CompilerKind, target concolic.Target, ex *concolic.Exploration, inputs []atomic.Pointer[pathInput]) VerifyRow {
+// the paths' inputs and pslot the exploration's metajit plan, both
+// shared with the instruction's other compilers.
+func (c *Campaign) verifyInstruction(t *Tester, kind CompilerKind, target concolic.Target, ex *concolic.Exploration, inputs []atomic.Pointer[pathInput], pslot *planSlot) VerifyRow {
 	row := VerifyRow{Compiler: kind, Instruction: target.Name}
 	isas := c.Config.ISAs
 	if kind == NativeMethodCompilerKind {
@@ -171,40 +175,56 @@ func (c *Campaign) verifyInstruction(t *Tester, kind CompilerKind, target concol
 		t.putEnv(env)
 		return row
 	}
-	for pi, path := range ex.Paths {
-		if skipReason(target, path, kind) != "" {
+	for pi := range ex.Paths {
+		skipped, errs := c.safeVerifyCompile(t, target, ex, pi, &inputs[pi], pslot, kind, isas)
+		if skipped {
 			row.Skipped++
 			continue
 		}
-		for i, err := range c.safeVerifyCompile(t, target, ex, path, &inputs[pi], kind, isas) {
+		for i, err := range errs {
 			row.recordOutcome(pi, isas[i], err)
 		}
 	}
 	return row
 }
 
+// errPanicContained marks a compile result a contained panic ended.
+var errPanicContained = errors.New("panic contained")
+
 // safeVerifyCompile optimizes one path's unit once and lowers it for
-// every ISA, returning one compile result per ISA. The path's input is
-// replayed from slot, or built and published there (loadOrPublish) by
-// the first compiler to reach it; under noReuse every compile builds its
-// own. It contains panics: a contained panic reports as a compile error
-// for every ISA not yet lowered, never as a clean unit.
-func (c *Campaign) safeVerifyCompile(t *Tester, target concolic.Target, ex *concolic.Exploration, path *concolic.PathResult, slot *atomic.Pointer[pathInput], kind CompilerKind, isas []machine.ISA) (errs []error) {
+// every ISA, returning one compile result per ISA, unless skipReason
+// skips the path, ex.Paths[pi]. A metajit compile reads the
+// exploration's plan from pslot, built and published there by the first
+// path to need it. The path's input is replayed from slot, or built and
+// published there (loadOrPublish) by the first compiler to reach it.
+// Under noReuse every compile builds its own plan and input. It contains
+// panics, the plan build's and the skip check's included: a contained
+// panic reports as an errPanicContained result for every ISA not yet
+// lowered, never as a clean unit or a skip.
+func (c *Campaign) safeVerifyCompile(t *Tester, target concolic.Target, ex *concolic.Exploration, pi int, slot *atomic.Pointer[pathInput], pslot *planSlot, kind CompilerKind, isas []machine.ISA) (skipped bool, errs []error) {
 	errs = make([]error, len(isas))
 	done := 0
 	defer func() {
 		if p := recover(); p != nil {
 			c.panicsContained.Inc()
 			for i := done; i < len(errs); i++ {
-				errs[i] = fmt.Errorf("panic contained: %v", p)
+				errs[i] = fmt.Errorf("%w: %v", errPanicContained, p)
 			}
 		}
 	}()
-	env := t.getEnv()
-	defer t.putEnv(env)
 	if t.noReuse {
 		slot = nil
 	}
+	path := ex.Paths[pi]
+	var plan *metacompile.Plan
+	if kind == MetaJITCompiler {
+		plan = pslot.get(target, ex, t.noReuse)
+	}
+	if skipReason(target, path, kind, plan, pi) != "" {
+		return true, nil
+	}
+	env := t.getEnv()
+	defer t.putEnv(env)
 	var err error
 	built := false // env already holds the input
 	in := loadOrPublish(slot, func() *pathInput {
@@ -223,16 +243,21 @@ func (c *Campaign) safeVerifyCompile(t *Tester, target concolic.Target, ex *conc
 		for i := range errs {
 			errs[i] = err
 		}
-		return errs
+		return false, errs
 	}
-	opt := t.optimizeBytecode(env.om, modeInstruction, variantOf(kind), target.Method, in.stack)
+	opt := t.optimizeBytecode(env.om, modeInstruction, variantOf(kind), target.Method, in.stack, plan)
 	for ; done < len(isas); done++ {
+		if c.Config.faultInject != nil {
+			c.Config.faultInject(target, kind, isas[done])
+		}
 		_, errs[done] = opt.lower(env.om, isas[done])
 	}
-	return errs
+	return false, errs
 }
 
-// recordOutcome classifies one compile result into the row's counters.
+// recordOutcome classifies one compile result into the row's counters:
+// a verifier rejection or a contained panic is a violation, every other
+// failure (not compilable, input construction failed) an expected skip.
 func (row *VerifyRow) recordOutcome(path int, isa machine.ISA, err error) {
 	var verr *irverify.Error
 	switch {
@@ -242,8 +267,10 @@ func (row *VerifyRow) recordOutcome(path int, isa machine.ISA, err error) {
 		row.Violations = append(row.Violations, VerifyViolation{
 			ISA: isa, Path: path, Blame: verr.Blame(), Detail: verr.Error(),
 		})
-	case errors.Is(err, jit.ErrNotCompilable):
-		row.Skipped++
+	case errors.Is(err, errPanicContained):
+		row.Violations = append(row.Violations, VerifyViolation{
+			ISA: isa, Path: path, Blame: "panic", Detail: err.Error(),
+		})
 	default:
 		row.Skipped++
 	}

@@ -2,7 +2,6 @@ package metacompile
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 
 	"cogdiff/internal/bytecode"
@@ -13,14 +12,16 @@ import (
 	"cogdiff/internal/primitives"
 )
 
-// planMaxIterations bounds the concolic exploration a plan is derived
-// from. It matches the explorer's default so the generator sees exactly
-// the path set the differential tester tests.
+// planMaxIterations bounds the concolic exploration PlanFor derives a
+// plan from, and is the budget Complete measures a plan's exploration
+// against. It equals concolic.DefaultOptions' bound, so PlanFor sees the
+// path tree a default-configured campaign explores; a test run builds
+// its plans from its own explorations (NewPlan), whatever their bound.
 const planMaxIterations = 400
 
 // PathPlan classifies one explored path: supported paths become guard
 // blocks of the derived compiler, unsupported ones are omitted from the
-// chain (the differ skips them deterministically through PathSupported).
+// chain (a test skips them deterministically through Supports).
 type PathPlan struct {
 	Res       *concolic.PathResult
 	Supported bool
@@ -33,24 +34,39 @@ type PathPlan struct {
 type Plan struct {
 	Method      *bytecode.Method
 	Exploration *concolic.Exploration
-	Paths       []*PathPlan
-	bySig       map[string]*PathPlan
+	Paths       []*PathPlan // indexed like Exploration.Paths
 }
 
-// PathBySignature answers the plan entry of a path signature.
-func (p *Plan) PathBySignature(sig string) (*PathPlan, bool) {
-	pp, ok := p.bySig[sig]
-	return pp, ok
-}
+// notExplored is the reason a path outside the plan's exploration is
+// not supported.
+const notExplored = "path not in exploration"
 
-// PathSupported reports whether the guard chain contains the path, and if
-// not, why — the differ's deterministic pre-check before running the
-// derived compiler on a unit.
+// PathSupported reports whether the guard chain contains the first
+// explored path whose signature is sig, and if not, why. Code holding
+// the path's index asks Supports, which renders no signature.
 func (p *Plan) PathSupported(sig string) (bool, string) {
-	pp, ok := p.bySig[sig]
-	if !ok {
-		return false, "path not in exploration"
+	for _, pp := range p.Paths {
+		if pp.Res.Path.Signature() == sig {
+			return pp.supported()
+		}
 	}
+	return false, notExplored
+}
+
+// Supports reports whether the guard chain contains the i-th path of the
+// plan's exploration, and if not, why: the deterministic pre-check a
+// test makes before running the derived compiler on a path. A test run
+// builds its plan from an exploration with the content of its own, which
+// lists the same paths in the same order, so it asks by the index of the
+// path it tests.
+func (p *Plan) Supports(i int) (bool, string) {
+	if i < 0 || i >= len(p.Paths) {
+		return false, notExplored
+	}
+	return p.Paths[i].supported()
+}
+
+func (pp *PathPlan) supported() (bool, string) {
 	if !pp.Supported {
 		return false, pp.Reason
 	}
@@ -76,53 +92,15 @@ func (p *Plan) Complete() bool {
 	return p.Exploration.Iterations < planMaxIterations && p.Exploration.CuratedOut == 0
 }
 
-// ---- memoization ----
-
-// Plans are derived from a pristine interpreter and depend only on method
-// content, so they are shared process-wide: campaigns re-test the same
-// instruction under many configurations and must not re-explore each time.
-const maxMemoEntries = 4096
-
-type planEntry struct {
-	once sync.Once
-	plan *Plan
-}
-
-var (
-	memoMu sync.Mutex
-	memo   = make(map[string]*planEntry)
-)
-
-// methodKey identifies a method by content (name excluded: rebased
-// sub-methods of the same byte-codes share a plan).
-func methodKey(m *bytecode.Method) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%d/%d/%x", m.NumArgs, m.NumTemps, m.Code)
-	for _, lit := range m.Literals {
-		fmt.Fprintf(&sb, "|%d:%d:%x:%q", lit.Kind, lit.Int, lit.Float, lit.Str)
-	}
-	return sb.String()
-}
-
-// PlanFor derives (or recalls) the meta-compilation plan of a method. The
-// exploration runs against a pristine interpreter — the generator reads
-// the interpreter's semantics, never a defect configuration.
+// PlanFor derives the meta-compilation plan of a method that has no
+// exploration of its own: it explores the method's first instruction
+// against a pristine interpreter — the generator reads the interpreter's
+// semantics, never a defect configuration — and classifies the
+// exploration (NewPlan). Whole-method compilation plans each of its
+// byte-codes this way. Nothing is memoized: keyed on the method's
+// content, a fuzz campaign's plans were too rarely shared to pay for
+// keeping them.
 func PlanFor(m *bytecode.Method) *Plan {
-	key := methodKey(m)
-	memoMu.Lock()
-	e, ok := memo[key]
-	if !ok {
-		e = &planEntry{}
-		if len(memo) < maxMemoEntries {
-			memo[key] = e
-		}
-	}
-	memoMu.Unlock()
-	e.once.Do(func() { e.plan = buildPlan(m) })
-	return e.plan
-}
-
-func buildPlan(m *bytecode.Method) *Plan {
 	name := m.Name
 	var op bytecode.Op
 	if o, _, _, ok := m.FetchOp(0); ok {
@@ -133,11 +111,21 @@ func buildPlan(m *bytecode.Method) *Plan {
 	}
 	ex := concolic.NewExplorer(planPrims(), concolic.Options{MaxIterations: planMaxIterations}).
 		Explore(concolic.Target{Kind: concolic.TargetBytecode, Name: name, Method: m, Op: op})
+	return NewPlan(m, ex)
+}
 
+// NewPlan classifies ex, an exploration of m's first instruction, into
+// m's meta-compilation plan. A test run builds the plan of each
+// instruction from the exploration it tests, so the guard chain and the
+// skip check read the paths the run's references are built from. ex must
+// hold what the lowering reads, each path's constraints and output
+// frame, which an exploration decoded from the cache lacks. The plan is
+// read-only once built.
+func NewPlan(m *bytecode.Method, ex *concolic.Exploration) *Plan {
 	plan := &Plan{
 		Method:      m,
 		Exploration: ex,
-		bySig:       make(map[string]*PathPlan, len(ex.Paths)),
+		Paths:       make([]*PathPlan, 0, len(ex.Paths)),
 	}
 	// Supportability classification dry-runs the real lowering against a
 	// pooled booted object memory; the verdict is memory-independent
@@ -158,10 +146,6 @@ func buildPlan(m *bytecode.Method) *Plan {
 			pp.Reason = fmt.Sprintf("exit %v has no compiled form", res.Exit.Kind)
 		}
 		plan.Paths = append(plan.Paths, pp)
-		sig := res.Path.Signature()
-		if _, dup := plan.bySig[sig]; !dup {
-			plan.bySig[sig] = pp
-		}
 	}
 	heap.ReleaseBooted(om)
 	return plan

@@ -108,15 +108,21 @@ func (c *Compiler) CompileMethod(m *bytecode.Method, inputStack []heap.Word) (*j
 	return c.lower(c.OptimizeMethod(m, inputStack))
 }
 
-// OptimizeBytecode builds the single-instruction test schema of
-// Listing 3 from the method's meta-compilation plan — frame preamble and
+// OptimizeBytecode is OptimizePlan over a plan derived from the method
+// alone (PlanFor).
+func (c *Compiler) OptimizeBytecode(m *bytecode.Method, inputStack []heap.Word) (*jit.Optimized, error) {
+	return c.OptimizePlan(PlanFor(m), inputStack)
+}
+
+// OptimizePlan builds the single-instruction test schema of Listing 3
+// from a meta-compilation plan of the instruction — frame preamble and
 // input pushes as the Cogits emit them, then one guard block per
 // supported explored path in discovery order, then the deoptimization
 // stub — and optimizes it, stopping short of lowering. Exactly one
 // block's full guard sequence can match any input — each path's recorded
 // constraints are complete — so chain order does not affect semantics.
-func (c *Compiler) OptimizeBytecode(m *bytecode.Method, inputStack []heap.Word) (*jit.Optimized, error) {
-	plan := PlanFor(m)
+func (c *Compiler) OptimizePlan(plan *Plan, inputStack []heap.Word) (*jit.Optimized, error) {
+	m := plan.Method
 	supported := plan.SupportedPaths()
 	if len(supported) == 0 {
 		return nil, fmt.Errorf("%w: metacompile: no supported path", jit.ErrNotCompilable)
