@@ -144,11 +144,14 @@ fuzz-smoke:
 # and test-unit verdicts (internal/core). Plain `go test` runs only
 # their seed corpora. None may panic; a segment lookup must miss or
 # serve a complete, valid record; a payload a decoder accepts must
-# survive a re-encode.
+# survive a re-encode. The constraint solver is fuzzed alongside, 10 s
+# too: Solve must not panic on any decoded conjunction, one variable of
+# which lies past its universe's end, and its models must pass Check.
 fuzz-codecs:
 	$(GO) test -run '^$$' -fuzz '^FuzzSegment$$' -fuzztime 10s ./internal/excache/
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalExploration$$' -fuzztime 10s ./internal/excache/
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalInstructionReport$$' -fuzztime 10s ./internal/core/
+	$(GO) test -run '^$$' -fuzz '^FuzzSolve$$' -fuzztime 10s ./internal/solver/
 
 # Pass-level blame smoke test: a campaign with the pass-targeted
 # constant-folding defect must name the guilty pass in its cause table,
@@ -210,9 +213,10 @@ metrics-smoke:
 # one worker run back to back and add up to no more than the duration
 # the campaign reports. The gate takes the median of the five and also
 # requires zero verifier violations in every run. Measured on a 2-vCPU
-# VM: a median of 4.1% over 21 fresh runs (single runs 3.0-5.0%; 4.5%
-# and 3.7-5.9% in the same interleaved set before native templates
-# shared the verified-clean cache), and 3.3-4.0% in three gate runs.
+# VM: a median of 3.3% over 40 fresh runs (single runs 3.0-5.9%; 4.3%
+# and 3.4-6.6% over 40 interleaved runs before the verified-clean cache
+# left the immediates the verifier does not read out of its key and
+# exploration halved), and 3.1% and 3.2% in two gate runs.
 verify-smoke:
 	rm -rf verify-smoke.tmp
 	mkdir -p verify-smoke.tmp

@@ -84,9 +84,12 @@ func NewExplorer(prims interp.PrimitiveTable, opts Options) *Explorer {
 	}
 }
 
-// workItem is a constraint prefix scheduled for solving.
+// workItem is a constraint prefix scheduled for solving, with its
+// signature: the signature of a path whose constraints are exactly the
+// prefix.
 type workItem struct {
 	assumptions []sym.Constraint
+	sig         string
 }
 
 // Explore discovers the execution paths of one instruction: the classic
@@ -134,10 +137,14 @@ func (e *Explorer) Explore(t Target) *Exploration {
 				// Refine the witness: solve the full recorded path so the
 				// stored model is the canonical solver witness for every
 				// condition (the concrete values of Table 1), not just
-				// the parent prefix.
-				e.solverCalls.Inc()
-				if refined, err := solver.Solve(u, prefix); err == nil {
-					res.Model = refined
+				// the parent prefix. A path that recorded exactly its
+				// item's prefix already holds that witness: Solve is a
+				// function of the constraint list alone.
+				if sig != item.sig {
+					e.solverCalls.Inc()
+					if refined, err := solver.Solve(u, prefix); err == nil {
+						res.Model = refined
+					}
 				}
 				ex.Paths = append(ex.Paths, res)
 			}
@@ -153,7 +160,7 @@ func (e *Explorer) Explore(t Target) *Exploration {
 				child := make([]sym.Constraint, 0, i+1)
 				child = append(child, prefix[:i]...)
 				child = append(child, negated)
-				worklist = append(worklist, workItem{assumptions: child})
+				worklist = append(worklist, workItem{assumptions: child, sig: csig})
 			}
 		}
 	}

@@ -116,49 +116,62 @@ func TestCampaignPanicContainmentDeterministic(t *testing.T) {
 
 // TestVerifyIRReportsContainedPanics pins that the compile-only sweep
 // reports a contained compile panic as a violation blamed "panic", so
-// the sweep fails, and never as an expected skip. The fault fires on the
-// second ISA only: the first ISA's lowering, made before the panic,
-// keeps its clean result.
+// the sweep fails, and never as an expected skip, for byte-code and
+// native-method compiles alike: both go through one containment
+// boundary. The fault fires on the second ISA only: the first ISA's
+// lowering, made before the panic, keeps its clean result.
 func TestVerifyIRReportsContainedPanics(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Compilers = []CompilerKind{SimpleBytecodeCompiler}
-	cfg.BytecodeFilter = func(op bytecode.Op) bool { return op == bytecode.OpPrimAdd }
-	cfg.PrimitiveFilter = func(p *primitives.Primitive) bool { return false }
-	clean, err := NewCampaign(cfg).VerifyIR(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	reg := telemetry.NewRegistry()
-	cfg.Metrics = reg
-	cfg.faultInject = func(target concolic.Target, kind CompilerKind, isa machine.ISA) {
-		if isa == machine.ISAArm32Like {
-			heap.NewMemory().MustRead(0x40)
-		}
-	}
-	res, err := NewCampaign(cfg).VerifyIR(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	perISA := clean.Compiled / len(cfg.ISAs)
-	if clean.Violations != 0 || perISA == 0 {
-		t.Fatalf("clean sweep: %d compiled, %d violations", clean.Compiled, clean.Violations)
-	}
-	if res.Compiled != perISA || res.Skipped != clean.Skipped || res.Violations != perISA {
-		t.Errorf("faulted sweep: %d compiled, %d skipped, %d violations; want %d, %d, %d",
-			res.Compiled, res.Skipped, res.Violations, perISA, clean.Skipped, perISA)
-	}
-	for _, row := range res.Rows {
-		for _, v := range row.Violations {
-			if v.ISA != machine.ISAArm32Like || v.Blame != "panic" || !strings.HasPrefix(v.Detail, "panic contained: ") {
-				t.Errorf("violation on %v blamed %q (%s), want a contained panic on %v", v.ISA, v.Blame, v.Detail, machine.ISAArm32Like)
+	for _, tc := range []struct {
+		name     string
+		compiler CompilerKind
+		op       bytecode.Op
+		prim     int
+	}{
+		{"bytecode", SimpleBytecodeCompiler, bytecode.OpPrimAdd, -1},
+		{"native", NativeMethodCompilerKind, 0, primitives.PrimIdxAdd},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Compilers = []CompilerKind{tc.compiler}
+			cfg.BytecodeFilter = func(op bytecode.Op) bool { return op == tc.op && tc.prim < 0 }
+			cfg.PrimitiveFilter = func(p *primitives.Primitive) bool { return p.Index == tc.prim }
+			clean, err := NewCampaign(cfg).VerifyIR(context.Background())
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-	}
-	if !strings.Contains(res.Render(), "[arm32-like]: panic\n") {
-		t.Errorf("report does not list the contained panics:\n%s", res.Render())
-	}
-	if got := reg.Counter(telemetry.MetricPanicsContained).Value(); got != int64(perISA) {
-		t.Errorf("%d panics contained, want one per compiled path (%d)", got, perISA)
+
+			reg := telemetry.NewRegistry()
+			cfg.Metrics = reg
+			cfg.faultInject = func(target concolic.Target, kind CompilerKind, isa machine.ISA) {
+				if isa == machine.ISAArm32Like {
+					heap.NewMemory().MustRead(0x40)
+				}
+			}
+			res, err := NewCampaign(cfg).VerifyIR(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			perISA := clean.Compiled / len(cfg.ISAs)
+			if clean.Violations != 0 || perISA == 0 {
+				t.Fatalf("clean sweep: %d compiled, %d violations", clean.Compiled, clean.Violations)
+			}
+			if res.Compiled != perISA || res.Skipped != clean.Skipped || res.Violations != perISA {
+				t.Errorf("faulted sweep: %d compiled, %d skipped, %d violations; want %d, %d, %d",
+					res.Compiled, res.Skipped, res.Violations, perISA, clean.Skipped, perISA)
+			}
+			for _, row := range res.Rows {
+				for _, v := range row.Violations {
+					if v.ISA != machine.ISAArm32Like || v.Blame != "panic" || !strings.HasPrefix(v.Detail, "panic contained: ") {
+						t.Errorf("violation on %v blamed %q (%s), want a contained panic on %v", v.ISA, v.Blame, v.Detail, machine.ISAArm32Like)
+					}
+				}
+			}
+			if !strings.Contains(res.Render(), "[arm32-like]: panic\n") {
+				t.Errorf("report does not list the contained panics:\n%s", res.Render())
+			}
+			if got := reg.Counter(telemetry.MetricPanicsContained).Value(); got != int64(perISA) {
+				t.Errorf("%d panics contained, want one per compiled unit (%d)", got, perISA)
+			}
+		})
 	}
 }

@@ -166,17 +166,18 @@ func (c *Campaign) verifyInstruction(t *Tester, kind CompilerKind, target concol
 			row.Skipped += len(isas)
 			return row
 		}
-		env := t.getEnv()
-		opt := t.optimizeNative(env.om, prim)
-		for _, isa := range isas {
-			_, err := opt.lower(env.om, isa)
-			row.recordOutcome(-1, isa, err)
+		_, errs := c.safeVerifyCompile(t, target, kind, isas, func(env func() *execEnv) (*optimizedUnit, bool, error) {
+			return t.optimizeNative(env().om, prim), false, nil
+		})
+		for i, err := range errs {
+			row.recordOutcome(-1, isas[i], err)
 		}
-		t.putEnv(env)
 		return row
 	}
 	for pi := range ex.Paths {
-		skipped, errs := c.safeVerifyCompile(t, target, ex, pi, &inputs[pi], pslot, kind, isas)
+		skipped, errs := c.safeVerifyCompile(t, target, kind, isas, func(env func() *execEnv) (*optimizedUnit, bool, error) {
+			return c.optimizeForSweep(t, target, ex, pi, &inputs[pi], pslot, kind, env)
+		})
 		if skipped {
 			row.Skipped++
 			continue
@@ -191,27 +192,58 @@ func (c *Campaign) verifyInstruction(t *Tester, kind CompilerKind, target concol
 // errPanicContained marks a compile result a contained panic ended.
 var errPanicContained = errors.New("panic contained")
 
-// safeVerifyCompile optimizes one path's unit once and lowers it for
-// every ISA, returning one compile result per ISA, unless skipReason
-// skips the path, ex.Paths[pi]. A metajit compile reads the
-// exploration's plan from pslot, built and published there by the first
-// path to need it. The path's input is replayed from slot, or built and
-// published there (loadOrPublish) by the first compiler to reach it.
-// Under noReuse every compile builds its own plan and input. It contains
-// panics, the plan build's and the skip check's included: a contained
-// panic reports as an errPanicContained result for every ISA not yet
-// lowered, never as a clean unit or a skip.
-func (c *Campaign) safeVerifyCompile(t *Tester, target concolic.Target, ex *concolic.Exploration, pi int, slot *atomic.Pointer[pathInput], pslot *planSlot, kind CompilerKind, isas []machine.ISA) (skipped bool, errs []error) {
+// safeVerifyCompile is the sweep's one containment boundary, for
+// byte-code and native-method units alike: it optimizes one unit once
+// with optimize, which reports a skip or returns the unit compiled in
+// the environment env() hands it, and lowers the unit for every ISA,
+// returning one compile result per ISA. A contained panic, the plan
+// build's and the skip check's included, reports as an
+// errPanicContained result for every ISA not yet lowered, never as a
+// clean unit or a skip, and the environment it ran in is dropped rather
+// than pooled (putEnv's contract).
+func (c *Campaign) safeVerifyCompile(t *Tester, target concolic.Target, kind CompilerKind, isas []machine.ISA, optimize func(env func() *execEnv) (*optimizedUnit, bool, error)) (skipped bool, errs []error) {
 	errs = make([]error, len(isas))
 	done := 0
+	var env *execEnv
 	defer func() {
 		if p := recover(); p != nil {
 			c.panicsContained.Inc()
 			for i := done; i < len(errs); i++ {
 				errs[i] = fmt.Errorf("%w: %v", errPanicContained, p)
 			}
+			return
 		}
+		t.putEnv(env)
 	}()
+	opt, skipped, err := optimize(func() *execEnv {
+		env = t.getEnv()
+		return env
+	})
+	if skipped {
+		return true, nil
+	}
+	if err != nil {
+		for i := range errs {
+			errs[i] = err
+		}
+		return false, errs
+	}
+	for ; done < len(isas); done++ {
+		if c.Config.faultInject != nil {
+			c.Config.faultInject(target, kind, isas[done])
+		}
+		_, errs[done] = opt.lower(env.om, isas[done])
+	}
+	return false, errs
+}
+
+// optimizeForSweep optimizes one path's byte-code unit for the sweep,
+// unless skipReason skips the path, ex.Paths[pi]. A metajit compile
+// reads the exploration's plan from pslot, built and published there by
+// the first path to need it. The path's input is replayed from slot, or
+// built and published there (loadOrPublish) by the first compiler to
+// reach it. Under noReuse every compile builds its own plan and input.
+func (c *Campaign) optimizeForSweep(t *Tester, target concolic.Target, ex *concolic.Exploration, pi int, slot *atomic.Pointer[pathInput], pslot *planSlot, kind CompilerKind, getEnv func() *execEnv) (*optimizedUnit, bool, error) {
 	if t.noReuse {
 		slot = nil
 	}
@@ -221,10 +253,9 @@ func (c *Campaign) safeVerifyCompile(t *Tester, target concolic.Target, ex *conc
 		plan = pslot.get(target, ex, t.noReuse)
 	}
 	if skipReason(target, path, kind, plan, pi) != "" {
-		return true, nil
+		return nil, true, nil
 	}
-	env := t.getEnv()
-	defer t.putEnv(env)
+	env := getEnv()
 	var err error
 	built := false // env already holds the input
 	in := loadOrPublish(slot, func() *pathInput {
@@ -239,20 +270,9 @@ func (c *Campaign) safeVerifyCompile(t *Tester, target concolic.Target, ex *conc
 		err = in.replay(env.om)
 	}
 	if err != nil {
-		err = fmt.Errorf("input construction failed: %w", err)
-		for i := range errs {
-			errs[i] = err
-		}
-		return false, errs
+		return nil, false, fmt.Errorf("input construction failed: %w", err)
 	}
-	opt := t.optimizeBytecode(env.om, modeInstruction, variantOf(kind), target.Method, in.stack, plan)
-	for ; done < len(isas); done++ {
-		if c.Config.faultInject != nil {
-			c.Config.faultInject(target, kind, isas[done])
-		}
-		_, errs[done] = opt.lower(env.om, isas[done])
-	}
-	return false, errs
+	return t.optimizeBytecode(env.om, modeInstruction, variantOf(kind), target.Method, in.stack, plan), false, nil
 }
 
 // recordOutcome classifies one compile result into the row's counters:

@@ -1,6 +1,7 @@
 package irverify_test
 
 import (
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -176,6 +177,41 @@ func TestCatalogStagesMatchReference(t *testing.T) {
 		}
 		t.Logf("VerifyStackLeak=%v ConstFoldSignError=%v: %d compiles, %d stages match the reference",
 			sw.VerifyStackLeak, sw.ConstFoldSignError, compiles, checked)
+	}
+}
+
+// TestUnreadImmediatesDoNotMatter backs the verified-clean cache's key,
+// which leaves out every immediate the verifier does not read
+// (irverify.ReadsImm): randomizing those immediates in every stage
+// function of the catalog and fuzz-corpus sweep, clean and under the
+// stack-leak defect, leaves Analyze's violations and exit summary, and
+// so every pass-effect verdict, unchanged.
+func TestUnreadImmediatesDoNotMatter(t *testing.T) {
+	if testing.Short() {
+		t.Skip("whole-catalog sweep skipped in -short mode")
+	}
+	r := rand.New(rand.NewSource(24))
+	leak := defects.ProductionVM()
+	leak.VerifyStackLeak = true
+	for _, sw := range []defects.Switches{defects.ProductionVM(), leak} {
+		changed := 0
+		sweepCatalog(t, sw, func(name string, opts irverify.Options, stages []*ir.Fn) {
+			for k, fn := range stages {
+				mut := fn.Clone()
+				for i := range mut.Instrs {
+					if ins := &mut.Instrs[i]; !irverify.ReadsImm(ins) {
+						ins.Imm = r.Int63() - r.Int63()
+						changed++
+					}
+				}
+				if !irverify.SameAnalysis(opts, fn, mut) {
+					t.Fatalf("%s stage %d: randomizing unread immediates changed the analysis", name, k)
+				}
+			}
+		})
+		if changed == 0 {
+			t.Fatal("the sweep has no unread immediate")
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package irverify
 
 import (
 	"fmt"
+	"reflect"
 
 	"cogdiff/internal/ir"
 )
@@ -38,4 +39,12 @@ func sameViolations(a, b []Violation) bool {
 		}
 	}
 	return true
+}
+
+// SameAnalysis reports whether two functions analyze alike under opts:
+// the same violations and the same exit summary, which is all a pass's
+// effect check reads of either side.
+func SameAnalysis(opts Options, a, b *ir.Fn) bool {
+	x, y := opts.Analyze(a), opts.Analyze(b)
+	return sameViolations(x.Violations(), y.Violations()) && reflect.DeepEqual(x.exits, y.exits)
 }

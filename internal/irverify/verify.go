@@ -341,6 +341,23 @@ func deadRegionEnd(instrs []ir.Instr, i int) (int, bool) {
 	return i, false
 }
 
+// ReadsImm reports whether the verifier reads ins's immediate. It reads
+// three kinds: the stack-depth delta of an AddI or SubI into SP
+// (stack.go), the id of a brk, which the exit summary keeps and the
+// deopt rule compares, and the immediate of an opcode without one,
+// which the shape rule requires to be zero (checkShape). Every other
+// immediate can change without changing any verdict, which lets the
+// verified-clean cache leave it out of its key.
+func ReadsImm(ins *ir.Instr) bool {
+	switch ins.Op {
+	case ir.OpcAddI, ir.OpcSubI:
+		return ins.Rd == ir.SP
+	case ir.OpcBrk:
+		return true
+	}
+	return !shapes[ins.Op].imm
+}
+
 // checkShape appends the opcode-shape and register-range violations of
 // one instruction to vs.
 func checkShape(vs []Violation, i int, ins *ir.Instr, sh shape) []Violation {

@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"cogdiff/internal/ir"
+	"cogdiff/internal/irverify"
 )
 
 // The verified-clean cache. A campaign compiles the same byte-code
@@ -59,13 +60,17 @@ func recordVerifiedClean(k verifyKey) {
 }
 
 // hashFn computes a 128-bit FNV-1a-style content hash over every field
-// of every instruction, a 64-bit word per round: one header word packing
-// the opcode, the three registers and the label's length, the
-// immediate, then the label eight bytes at a time. The length precedes
-// the bytes, so the encoding is injective. Two functions with equal
-// hashes are, for the cache's purposes, the same function; 128 bits
-// keeps the collision probability negligible against the verifier's
-// soundness claim.
+// of every instruction that the verifier reads, a 64-bit word per round:
+// one header word packing the opcode, the three registers and the
+// label's length, the immediate when the verifier reads it
+// (irverify.ReadsImm, decided by the header), then the label eight
+// bytes at a time. The length precedes the bytes, so the encoding of
+// what the verifier reads is injective. An immediate it does not read,
+// such as a literal a path's code pushes, is left out: functions that
+// differ only there get the same verdict, so they share one entry. Two
+// functions with equal hashes are, for the cache's purposes, the same
+// function; 128 bits keeps the collision probability negligible against
+// the verifier's soundness claim.
 func hashFn(fn *ir.Fn) (lo, hi uint64) {
 	const (
 		offset64 = 14695981039346656037
@@ -81,7 +86,9 @@ func hashFn(fn *ir.Fn) (lo, hi uint64) {
 		ins := &fn.Instrs[i]
 		sym := ins.Sym
 		mix(uint64(ins.Op) | uint64(ins.Rd)<<8 | uint64(ins.Rs1)<<16 | uint64(ins.Rs2)<<24 | uint64(len(sym))<<32)
-		mix(uint64(ins.Imm))
+		if irverify.ReadsImm(ins) {
+			mix(uint64(ins.Imm))
+		}
 		for len(sym) >= 8 {
 			mix(uint64(sym[0]) | uint64(sym[1])<<8 | uint64(sym[2])<<16 | uint64(sym[3])<<24 |
 				uint64(sym[4])<<32 | uint64(sym[5])<<40 | uint64(sym[6])<<48 | uint64(sym[7])<<56)

@@ -10,7 +10,7 @@ import (
 // by Solve must Check against the constraints it was solved for.
 func Check(u *sym.Universe, m *sym.Model, cs []sym.Constraint) bool {
 	for _, c := range cs {
-		if !checkOne(u, m, lower(c)) {
+		if !checkOne(u, m, c) {
 			return false
 		}
 	}
@@ -25,22 +25,32 @@ func modelKind(m *sym.Model, v *sym.Var) (sym.TypeKind, sym.TypedValue) {
 	return sym.KindPointer, sym.TypedValue{Kind: sym.KindPointer, ClassIndex: heap.ClassIndexObject, Format: heap.FormatFixed}
 }
 
+// modelAssignment returns the model's numeric values as an assignment
+// covering every variable ID up to the largest one the model names.
 func modelAssignment(m *sym.Model) *assignment {
-	a := &assignment{
-		ints:   make(map[int]int64),
-		slots:  make(map[int]int64),
-		floats: make(map[int]float64),
-		rep:    m.Rep,
+	n := 0
+	for id := range m.Values {
+		n = max(n, id+1)
+	}
+	for id, rep := range m.Alias {
+		n = max(n, id+1, rep+1)
+	}
+	a := &assignment{vals: make([]numValue, n), rep: make([]int, n)}
+	for id := range a.rep {
+		a.rep[id] = m.Rep(id)
 	}
 	for id, tv := range m.Values {
+		if id < 0 {
+			continue
+		}
+		v := &a.vals[id]
 		switch tv.Kind {
 		case sym.KindSmallInt:
-			a.ints[id] = tv.Int
+			v.i, v.set = tv.Int, hasInt
 		case sym.KindFloat:
-			a.floats[id] = tv.Float
-			a.slots[id] = 1
+			v.f, v.slots, v.set = tv.Float, 1, hasFloat|hasSlots
 		case sym.KindPointer:
-			a.slots[id] = int64(tv.SlotCount)
+			v.slots, v.set = int64(tv.SlotCount), hasSlots
 		}
 	}
 	return a
@@ -94,6 +104,9 @@ func checkOne(u *sym.Universe, m *sym.Model, c sym.Constraint) bool {
 			return false
 		}
 		return tv.Format == n.F
+	case sym.InSmallIntRange:
+		r := smallIntRange(n)
+		return checkOne(u, m, r[0]) && checkOne(u, m, r[1])
 	case sym.StackSizeAtLeast:
 		return m.StackSize >= n.N
 	case sym.SlotCountAtLeast:

@@ -9,16 +9,40 @@ import (
 )
 
 // assignment holds candidate values during the numeric search: integer
-// values for SmallInteger variables and slot counts for pointer variables,
-// keyed by representative variable ID.
+// values for SmallInteger variables, slot counts for pointer variables
+// and float values, each with its "set" flag, indexed by representative
+// variable ID. rep maps every variable ID to its representative; an ID
+// past its end, or a value not set, is unassigned.
 type assignment struct {
-	ints   map[int]int64
-	slots  map[int]int64
-	floats map[int]float64
-	rep    func(int) int
+	vals []numValue
+	rep  []int
 }
 
+type numValue struct {
+	i, slots int64
+	f        float64
+	set      uint8 // hasInt | hasSlots | hasFloat
+}
+
+const (
+	hasInt uint8 = 1 << iota
+	hasSlots
+	hasFloat
+)
+
 var errUnassigned = errors.New("solver: unassigned variable")
+
+// value returns the value slot of a variable, nil for an ID the
+// assignment does not cover.
+func (a *assignment) value(id int) *numValue {
+	if uint(id) >= uint(len(a.rep)) {
+		return nil
+	}
+	if r := a.rep[id]; uint(r) < uint(len(a.vals)) {
+		return &a.vals[r]
+	}
+	return nil
+}
 
 // evalInt evaluates an integer expression under a (possibly partial)
 // assignment. Unassigned variables yield errUnassigned so the search can
@@ -28,17 +52,15 @@ func (a *assignment) evalInt(e sym.IntExpr) (int64, error) {
 	case sym.IntConst:
 		return n.V, nil
 	case sym.IntValueOf:
-		v, ok := a.ints[a.rep(n.V.ID)]
-		if !ok {
-			return 0, errUnassigned
+		if v := a.value(n.V.ID); v != nil && v.set&hasInt != 0 {
+			return v.i, nil
 		}
-		return v, nil
+		return 0, errUnassigned
 	case sym.SlotCountOf:
-		v, ok := a.slots[a.rep(n.V.ID)]
-		if !ok {
-			return 0, errUnassigned
+		if v := a.value(n.V.ID); v != nil && v.set&hasSlots != 0 {
+			return v.slots, nil
 		}
-		return v, nil
+		return 0, errUnassigned
 	case sym.IntBin:
 		l, err := a.evalInt(n.L)
 		if err != nil {
@@ -109,11 +131,10 @@ func (a *assignment) evalFloat(e sym.FloatExpr) (float64, error) {
 	case sym.FloatConst:
 		return n.V, nil
 	case sym.FloatValueOf:
-		v, ok := a.floats[a.rep(n.V.ID)]
-		if !ok {
-			return 0, errUnassigned
+		if v := a.value(n.V.ID); v != nil && v.set&hasFloat != 0 {
+			return v.f, nil
 		}
-		return v, nil
+		return 0, errUnassigned
 	case sym.IntToFloat:
 		v, err := a.evalInt(n.E)
 		if err != nil {

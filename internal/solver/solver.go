@@ -3,7 +3,7 @@ package solver
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"sync"
 
 	"cogdiff/internal/heap"
 	"cogdiff/internal/sym"
@@ -16,16 +16,20 @@ var ErrUnsat = errors.New("solver: unsatisfiable")
 // It enumerates DNF clauses and solves each with type-domain enumeration,
 // structural bound merging, and a bounded numeric search.
 func Solve(u *sym.Universe, cs []sym.Constraint) (*sym.Model, error) {
-	if err := checkSupported(cs); err != nil {
+	ids, err := scan(cs)
+	if err != nil {
 		return nil, err
 	}
 	clauses, err := normalize(cs)
 	if err != nil {
 		return nil, err
 	}
+	st := statePool.Get().(*clauseState)
+	defer statePool.Put(st)
+	st.init(ids)
 	var lastErr error = ErrUnsat
 	for _, cl := range clauses {
-		m, err := solveClause(u, cl)
+		m, err := st.solveClause(cl)
 		if err == nil {
 			return m, nil
 		}
@@ -61,72 +65,115 @@ func classKind(idx int) sym.TypeKind {
 	return sym.KindPointer
 }
 
-// clauseState is the analysis of one DNF clause.
+// varState is the analysis of one variable in one DNF clause. The
+// fields keyed by representative are meaningful on a representative
+// only.
+type varState struct {
+	parent int // union-find over var IDs (Identical); a root is its own parent
+
+	domain    kindSet
+	hasDomain bool
+
+	reqClass    int
+	hasReqClass bool
+	// exclClasses and exclFormats are the classes and formats a negated
+	// atom excludes, one bit each. Only the boot table's classes and
+	// formats are ever looked up (buildValue), so larger indices need no
+	// bit.
+	exclClasses uint64
+	exclFormats uint64
+
+	reqFormat    heap.Format
+	hasReqFormat bool
+
+	minSlots    int // > 0 only when a SlotCountAtLeast requires it
+	maxSlots    int
+	hasMaxSlots bool
+
+	distinct bool // a member of a pair that must not be identical
+
+	kind sym.TypeKind // the kind under enumeration; unset reads KindSmallInt
+}
+
+// clauseState is the analysis of one DNF clause: one record per
+// variable, indexed by ID and reused for every clause of one Solve.
 type clauseState struct {
-	u *sym.Universe
-
-	parent map[int]int // union-find over var IDs (Identical)
-
-	domains      map[int]kindSet
-	reqClass     map[int]int
-	exclClasses  map[int]map[int]bool
-	reqFormat    map[int]heap.Format
-	hasReqFormat map[int]bool
-	exclFormats  map[int]map[heap.Format]bool
-	minSlots     map[int]int
-	maxSlots     map[int]int
+	vars []varState
+	ptrs []*sym.Var // the variable of each ID the constraints name
 
 	minStack int
 	maxStack int
 
 	intAtoms   []sym.ICmp
+	withNE     []sym.ICmp // intAtoms plus the value-distinctness atoms of SmallInteger pairs
 	floatAtoms []sym.FCmp
 	distinct   [][2]int // rep pairs that must not be identical
+	reps       []int
+
+	kindBudget int
+	num        numSearch
 }
 
-func newClauseState(u *sym.Universe) *clauseState {
-	return &clauseState{
-		u:            u,
-		parent:       make(map[int]int),
-		domains:      make(map[int]kindSet),
-		reqClass:     make(map[int]int),
-		exclClasses:  make(map[int]map[int]bool),
-		reqFormat:    make(map[int]heap.Format),
-		hasReqFormat: make(map[int]bool),
-		exclFormats:  make(map[int]map[heap.Format]bool),
-		minSlots:     make(map[int]int),
-		maxSlots:     make(map[int]int),
-		maxStack:     1 << 30,
+// statePool recycles clause states: a Solve needs one, sized for the
+// variables its constraints name, and returns no part of it.
+var statePool = sync.Pool{New: func() any { return new(clauseState) }}
+
+// init prepares the state for the variables ptrs, indexed by ID.
+func (st *clauseState) init(ptrs []*sym.Var) {
+	st.vars = resize(st.vars, len(ptrs))
+	st.ptrs = ptrs
+	st.num.init(st, len(ptrs))
+}
+
+// resize returns s with length n, reallocated only when it must grow.
+// The caller resets the elements it reads.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
+	return s[:n]
+}
+
+// reset clears the analysis for the next clause.
+func (st *clauseState) reset() {
+	for id := range st.vars {
+		st.vars[id] = varState{parent: id}
+	}
+	st.minStack, st.maxStack = 0, 1<<30
+	st.intAtoms = st.intAtoms[:0]
+	st.floatAtoms = st.floatAtoms[:0]
+	st.distinct = st.distinct[:0]
+	st.reps = st.reps[:0]
 }
 
 func (st *clauseState) find(id int) int {
-	p, ok := st.parent[id]
-	if !ok || p == id {
+	p := st.vars[id].parent
+	if p == id {
 		return id
 	}
 	r := st.find(p)
-	st.parent[id] = r
+	st.vars[id].parent = r
 	return r
 }
 
 func (st *clauseState) union(a, b int) {
 	ra, rb := st.find(a), st.find(b)
 	if ra != rb {
-		st.parent[rb] = ra
+		st.vars[rb].parent = ra
 	}
 }
 
 func (st *clauseState) domain(rep int) kindSet {
-	if d, ok := st.domains[rep]; ok {
-		return d
+	if vs := &st.vars[rep]; vs.hasDomain {
+		return vs.domain
 	}
 	return allKinds
 }
 
 func (st *clauseState) restrict(id int, allowed kindSet) {
 	rep := st.find(id)
-	st.domains[rep] = st.domain(rep) & allowed
+	st.vars[rep].domain = st.domain(rep) & allowed
+	st.vars[rep].hasDomain = true
 }
 
 // restrictExprVars applies implicit kind restrictions from expression
@@ -172,6 +219,15 @@ func (st *clauseState) analyze(cl clause) error {
 	return nil
 }
 
+// bit returns the exclusion bit of a class index or format, 0 for one
+// past the bit set's reach.
+func bit(i int) uint64 {
+	if i < 0 || i >= 64 {
+		return 0
+	}
+	return 1 << i
+}
+
 func (st *clauseState) analyzeLiteral(lit sym.Constraint, negated bool) error {
 	switch n := lit.(type) {
 	case sym.Not:
@@ -189,37 +245,32 @@ func (st *clauseState) analyzeLiteral(lit sym.Constraint, negated bool) error {
 	case sym.ClassIs:
 		k := classKind(n.ClassIndex)
 		rep := st.find(n.V.ID)
+		vs := &st.vars[rep]
 		if negated {
 			if k == sym.KindPointer {
-				if st.exclClasses[rep] == nil {
-					st.exclClasses[rep] = make(map[int]bool)
-				}
-				st.exclClasses[rep][n.ClassIndex] = true
+				vs.exclClasses |= bit(n.ClassIndex)
 			} else {
 				st.restrict(n.V.ID, allKinds&^kindBit(k))
 			}
 		} else {
 			st.restrict(n.V.ID, kindBit(k))
 			if k == sym.KindPointer {
-				if prev, ok := st.reqClass[rep]; ok && prev != n.ClassIndex {
+				if vs.hasReqClass && vs.reqClass != n.ClassIndex {
 					return ErrUnsat
 				}
-				st.reqClass[rep] = n.ClassIndex
+				vs.reqClass, vs.hasReqClass = n.ClassIndex, true
 			}
 		}
 	case sym.FormatIs:
 		rep := st.find(n.V.ID)
+		vs := &st.vars[rep]
 		if negated {
-			if st.exclFormats[rep] == nil {
-				st.exclFormats[rep] = make(map[heap.Format]bool)
-			}
-			st.exclFormats[rep][n.F] = true
+			vs.exclFormats |= bit(int(n.F))
 		} else {
-			if st.hasReqFormat[rep] && st.reqFormat[rep] != n.F {
+			if vs.hasReqFormat && vs.reqFormat != n.F {
 				return ErrUnsat
 			}
-			st.reqFormat[rep] = n.F
-			st.hasReqFormat[rep] = true
+			vs.reqFormat, vs.hasReqFormat = n.F, true
 			if n.F == heap.FormatFloat {
 				st.restrict(n.V.ID, kindBit(sym.KindFloat))
 			} else {
@@ -235,15 +286,14 @@ func (st *clauseState) analyzeLiteral(lit sym.Constraint, negated bool) error {
 			st.minStack = n.N
 		}
 	case sym.SlotCountAtLeast:
-		rep := st.find(n.V.ID)
+		vs := &st.vars[st.find(n.V.ID)]
 		if negated {
-			cur, ok := st.maxSlots[rep]
-			if !ok || n.N-1 < cur {
-				st.maxSlots[rep] = n.N - 1
+			if !vs.hasMaxSlots || n.N-1 < vs.maxSlots {
+				vs.maxSlots, vs.hasMaxSlots = n.N-1, true
 			}
 		} else {
-			if n.N > st.minSlots[rep] {
-				st.minSlots[rep] = n.N
+			if n.N > vs.minSlots {
+				vs.minSlots = n.N
 			}
 			if n.N > 0 {
 				st.restrict(n.V.ID, kindBit(sym.KindPointer)|kindBit(sym.KindFloat))
@@ -251,7 +301,9 @@ func (st *clauseState) analyzeLiteral(lit sym.Constraint, negated bool) error {
 		}
 	case sym.Identical:
 		if negated {
-			st.distinct = append(st.distinct, [2]int{st.find(n.A.ID), st.find(n.B.ID)})
+			a, b := st.find(n.A.ID), st.find(n.B.ID)
+			st.vars[a].distinct, st.vars[b].distinct = true, true
+			st.distinct = append(st.distinct, [2]int{a, b})
 		}
 		// positive case already merged in the first pass
 	case sym.ICmp:
@@ -268,99 +320,89 @@ func (st *clauseState) analyzeLiteral(lit sym.Constraint, negated bool) error {
 	return nil
 }
 
+// prefer lists the kinds in witness-preference order.
+var prefer = [...]sym.TypeKind{sym.KindSmallInt, sym.KindPointer, sym.KindFloat, sym.KindNil, sym.KindTrue, sym.KindFalse}
+
+// kindBudget caps the kind assignments enumerated per clause.
+const kindBudget = 50000
+
 // solveClause attempts one DNF clause.
-func solveClause(u *sym.Universe, cl clause) (*sym.Model, error) {
-	st := newClauseState(u)
+func (st *clauseState) solveClause(cl clause) (*sym.Model, error) {
+	st.reset()
 	if err := st.analyze(cl); err != nil {
 		return nil, err
 	}
 	if st.minStack > st.maxStack {
 		return nil, ErrUnsat
 	}
-	for rep, max := range st.maxSlots {
-		if max < 0 || st.minSlots[rep] > max {
+
+	// Collect representatives with constrained domains or numeric roles,
+	// in ascending ID order. Every per-representative record is keyed by
+	// a root, so a scan of the roots finds them all.
+	for id := range st.vars {
+		vs := &st.vars[id]
+		if vs.parent != id {
+			continue
+		}
+		if vs.hasMaxSlots && (vs.maxSlots < 0 || vs.minSlots > vs.maxSlots) {
 			return nil, ErrUnsat
 		}
+		if vs.hasDomain || vs.minSlots > 0 || vs.hasMaxSlots || vs.hasReqClass || vs.distinct {
+			st.reps = append(st.reps, id)
+		}
 	}
-
-	// Collect representatives with constrained domains or numeric roles.
-	repSet := make(map[int]bool)
-	for id := range st.domains {
-		repSet[st.find(id)] = true
-	}
-	for rep := range st.minSlots {
-		repSet[rep] = true
-	}
-	for rep := range st.maxSlots {
-		repSet[rep] = true
-	}
-	for rep := range st.reqClass {
-		repSet[rep] = true
-	}
-	for _, p := range st.distinct {
-		repSet[p[0]] = true
-		repSet[p[1]] = true
-	}
-	reps := make([]int, 0, len(repSet))
-	for rep := range repSet {
-		reps = append(reps, rep)
-	}
-	sort.Ints(reps)
-
-	for _, rep := range reps {
+	for _, rep := range st.reps {
 		if st.domain(rep) == 0 {
 			return nil, ErrUnsat
 		}
 	}
+	st.kindBudget = kindBudget
+	return st.tryKinds(0)
+}
 
-	// Enumerate kind assignments in preference order.
-	prefer := []sym.TypeKind{sym.KindSmallInt, sym.KindPointer, sym.KindFloat, sym.KindNil, sym.KindTrue, sym.KindFalse}
-	kinds := make(map[int]sym.TypeKind, len(reps))
-	budget := 50000
-
-	var tryKinds func(i int) (*sym.Model, error)
-	tryKinds = func(i int) (*sym.Model, error) {
-		if budget <= 0 {
-			return nil, fmt.Errorf("%w: kind enumeration budget exhausted", ErrTooComplex)
-		}
-		if i == len(reps) {
-			budget--
-			return st.solveWithKinds(reps, kinds)
-		}
-		rep := reps[i]
-		dom := st.domain(rep)
-		for _, k := range prefer {
-			if !dom.has(k) {
-				continue
-			}
-			if st.minSlots[rep] > 0 && k != sym.KindPointer && k != sym.KindFloat {
-				continue
-			}
-			kinds[rep] = k
-			m, err := tryKinds(i + 1)
-			if err == nil {
-				return m, nil
-			}
-			if errors.Is(err, ErrTooComplex) || errors.Is(err, ErrUnsupported) {
-				return nil, err
-			}
-		}
-		delete(kinds, rep)
-		return nil, ErrUnsat
+// tryKinds enumerates kind assignments of the representatives from the
+// i-th on, in preference order.
+func (st *clauseState) tryKinds(i int) (*sym.Model, error) {
+	if st.kindBudget <= 0 {
+		return nil, fmt.Errorf("%w: kind enumeration budget exhausted", ErrTooComplex)
 	}
-	return tryKinds(0)
+	if i == len(st.reps) {
+		st.kindBudget--
+		return st.solveWithKinds()
+	}
+	rep := st.reps[i]
+	vs := &st.vars[rep]
+	dom := st.domain(rep)
+	for _, k := range prefer {
+		if !dom.has(k) {
+			continue
+		}
+		if vs.minSlots > 0 && k != sym.KindPointer && k != sym.KindFloat {
+			continue
+		}
+		vs.kind = k
+		m, err := st.tryKinds(i + 1)
+		if err == nil {
+			return m, nil
+		}
+		if errors.Is(err, ErrTooComplex) || errors.Is(err, ErrUnsupported) {
+			return nil, err
+		}
+	}
+	vs.kind = sym.KindSmallInt
+	return nil, ErrUnsat
 }
 
 // solveWithKinds finishes a clause once every representative has a kind:
 // identity checks, numeric search, model construction.
-func (st *clauseState) solveWithKinds(reps []int, kinds map[int]sym.TypeKind) (*sym.Model, error) {
+func (st *clauseState) solveWithKinds() (*sym.Model, error) {
 	// Distinctness between singleton kinds fails immediately.
-	extraNE := make([]sym.ICmp, 0)
+	intAtoms := st.intAtoms
 	for _, p := range st.distinct {
 		if p[0] == p[1] {
 			return nil, ErrUnsat
 		}
-		ka, kb := kinds[p[0]], kinds[p[1]]
+		ka, kb := st.vars[p[0]].kind, st.vars[p[1]].kind
 		if ka != kb {
 			continue // different kinds are always distinct
 		}
@@ -369,33 +411,37 @@ func (st *clauseState) solveWithKinds(reps []int, kinds map[int]sym.TypeKind) (*
 			return nil, ErrUnsat
 		case sym.KindSmallInt:
 			// SmallInteger identity is value identity.
-			extraNE = append(extraNE, sym.ICmp{
+			if len(intAtoms) == len(st.intAtoms) {
+				intAtoms = append(st.withNE[:0], st.intAtoms...)
+			}
+			intAtoms = append(intAtoms, sym.ICmp{
 				Op: sym.CmpNE,
-				L:  sym.IntValueOf{V: st.u.ByID(p[0])},
-				R:  sym.IntValueOf{V: st.u.ByID(p[1])},
+				L:  sym.IntValueOf{V: st.ptrs[p[0]]},
+				R:  sym.IntValueOf{V: st.ptrs[p[1]]},
 			})
 		}
 		// Two pointer/float variables materialize as separate objects.
 	}
+	if len(intAtoms) > len(st.intAtoms) {
+		st.withNE = intAtoms
+	}
 
-	intAtoms := append(append([]sym.ICmp(nil), st.intAtoms...), extraNE...)
-	asg, err := st.searchNumeric(reps, kinds, intAtoms)
-	if err != nil {
+	if err := st.num.searchInts(intAtoms); err != nil {
 		return nil, err
 	}
-	if err := st.searchFloats(reps, kinds, asg); err != nil {
+	if err := st.num.searchFloats(); err != nil {
 		return nil, err
 	}
 
 	m := sym.NewModel()
 	m.StackSize = st.minStack
-	for id := range st.parent {
+	for id := range st.vars {
 		if rep := st.find(id); rep != id {
 			m.Alias[id] = rep
 		}
 	}
-	for _, rep := range reps {
-		tv, err := st.buildValue(rep, kinds[rep], asg)
+	for _, rep := range st.reps {
+		tv, err := st.buildValue(rep)
 		if err != nil {
 			return nil, err
 		}
@@ -424,15 +470,17 @@ var candidateClasses = func() []heap.BootClass {
 }()
 
 // buildValue constructs the TypedValue for one representative.
-func (st *clauseState) buildValue(rep int, kind sym.TypeKind, asg *assignment) (sym.TypedValue, error) {
-	switch kind {
+func (st *clauseState) buildValue(rep int) (sym.TypedValue, error) {
+	vs := &st.vars[rep]
+	val := &st.num.asg.vals[rep]
+	switch vs.kind {
 	case sym.KindSmallInt:
-		v := asg.ints[rep] // zero default is a valid witness
-		return sym.TypedValue{Kind: sym.KindSmallInt, Int: v}, nil
+		// zero default is a valid witness
+		return sym.TypedValue{Kind: sym.KindSmallInt, Int: val.i}, nil
 	case sym.KindFloat:
-		v, ok := asg.floats[rep]
-		if !ok {
-			v = 1.5
+		v := 1.5
+		if val.set&hasFloat != 0 {
+			v = val.f
 		}
 		return sym.TypedValue{Kind: sym.KindFloat, Float: v, ClassIndex: heap.ClassIndexFloat, Format: heap.FormatFloat, SlotCount: 1}, nil
 	case sym.KindNil:
@@ -444,31 +492,29 @@ func (st *clauseState) buildValue(rep int, kind sym.TypeKind, asg *assignment) (
 	}
 
 	// Pointer: choose a class honoring class/format requirements.
-	slots := int(asg.slots[rep])
-	if slots < st.minSlots[rep] {
-		slots = st.minSlots[rep]
+	slots := int(val.slots)
+	if slots < vs.minSlots {
+		slots = vs.minSlots
 	}
-	excludedC := st.exclClasses[rep]
-	excludedF := st.exclFormats[rep]
 	pick := func(bc heap.BootClass) (sym.TypedValue, bool) {
-		if excludedC[bc.Index] || excludedF[bc.Format] {
+		if vs.exclClasses&bit(bc.Index) != 0 || vs.exclFormats&bit(int(bc.Format)) != 0 {
 			return sym.TypedValue{}, false
 		}
-		if st.hasReqFormat[rep] && bc.Format != st.reqFormat[rep] {
+		if vs.hasReqFormat && bc.Format != vs.reqFormat {
 			return sym.TypedValue{}, false
 		}
 		n := slots
 		if bc.FixedSlots > n {
 			n = bc.FixedSlots
 		}
-		if max, ok := st.maxSlots[rep]; ok && n > max {
+		if vs.hasMaxSlots && n > vs.maxSlots {
 			return sym.TypedValue{}, false
 		}
 		return sym.TypedValue{Kind: sym.KindPointer, ClassIndex: bc.Index, Format: bc.Format, SlotCount: n}, true
 	}
-	if cls, ok := st.reqClass[rep]; ok {
+	if vs.hasReqClass {
 		for _, bc := range heap.BootClasses() {
-			if bc.Index == cls {
+			if bc.Index == vs.reqClass {
 				if tv, ok := pick(bc); ok {
 					return tv, nil
 				}
@@ -476,7 +522,7 @@ func (st *clauseState) buildValue(rep int, kind sym.TypeKind, asg *assignment) (
 			}
 		}
 		// A required class outside the boot table: trust the constraint.
-		return sym.TypedValue{Kind: sym.KindPointer, ClassIndex: cls, Format: heap.FormatFixed, SlotCount: slots}, nil
+		return sym.TypedValue{Kind: sym.KindPointer, ClassIndex: vs.reqClass, Format: heap.FormatFixed, SlotCount: slots}, nil
 	}
 	for _, bc := range candidateClasses {
 		if tv, ok := pick(bc); ok {

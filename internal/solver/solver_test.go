@@ -383,3 +383,16 @@ func TestSolveSoundnessProperty(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckAliasBeyondValues pins that Check reads a model whose alias
+// points at a representative the model holds no value for.
+func TestCheckAliasBeyondValues(t *testing.T) {
+	u := sym.NewUniverse()
+	s0, s1 := u.Stack(0), u.Stack(1)
+	m := sym.NewModel()
+	m.Alias[s0.ID] = s1.ID
+	ge := sym.ICmp{Op: sym.CmpGE, L: sym.IntValueOf{V: s0}, R: sym.IntConst{V: 0}}
+	if Check(u, m, []sym.Constraint{ge}) {
+		t.Fatal("a comparison over a variable without a value checked")
+	}
+}

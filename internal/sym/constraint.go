@@ -1,9 +1,7 @@
 package sym
 
 import (
-	"fmt"
-	"slices"
-	"strings"
+	"strconv"
 
 	"cogdiff/internal/heap"
 )
@@ -41,7 +39,7 @@ func (k TypeKind) String() string {
 	case KindPointer:
 		return "object"
 	}
-	return fmt.Sprintf("TypeKind(%d)", int(k))
+	return "TypeKind(" + strconv.Itoa(int(k)) + ")"
 }
 
 // CmpOp enumerates comparison operators.
@@ -69,6 +67,7 @@ func (o CmpOp) Negated() CmpOp {
 type Constraint interface {
 	constraint()
 	String() string
+	appendTo(b []byte) []byte // appends String() to b (render.go)
 }
 
 // TypeIs asserts the semantic type of a variable.
@@ -152,45 +151,20 @@ func (Opaque) constraint()           {}
 func (AllOf) constraint()            {}
 func (AnyOf) constraint()            {}
 
-func (c TypeIs) String() string {
-	switch c.Kind {
-	case KindSmallInt:
-		return fmt.Sprintf("isSmallInteger(%s)", c.V)
-	case KindFloat:
-		return fmt.Sprintf("isFloat(%s)", c.V)
-	default:
-		return fmt.Sprintf("is%s(%s)", strings.Title(c.Kind.String()), c.V)
-	}
-}
-func (c ClassIs) String() string  { return fmt.Sprintf("classIndexOf(%s) = %d", c.V, c.ClassIndex) }
-func (c FormatIs) String() string { return fmt.Sprintf("formatOf(%s) = %s", c.V, c.F) }
-func (c ICmp) String() string     { return fmt.Sprintf("%s %s %s", c.L, c.Op, c.R) }
-func (c FCmp) String() string     { return fmt.Sprintf("%s %s %s", c.L, c.Op, c.R) }
-func (c InSmallIntRange) String() string {
-	return fmt.Sprintf("isIntegerValue(%s)", c.E)
-}
-func (c StackSizeAtLeast) String() string { return fmt.Sprintf("operand_stack_size >= %d", c.N) }
-func (c SlotCountAtLeast) String() string { return fmt.Sprintf("slotCountOf(%s) >= %d", c.V, c.N) }
-func (c Identical) String() string        { return fmt.Sprintf("%s == %s", c.A, c.B) }
-func (c Bool) String() string             { return fmt.Sprintf("%t", c.B) }
-func (c Not) String() string              { return fmt.Sprintf("!(%s)", c.C) }
+func (c TypeIs) String() string           { return string(c.appendTo(nil)) }
+func (c ClassIs) String() string          { return string(c.appendTo(nil)) }
+func (c FormatIs) String() string         { return string(c.appendTo(nil)) }
+func (c ICmp) String() string             { return string(c.appendTo(nil)) }
+func (c FCmp) String() string             { return string(c.appendTo(nil)) }
+func (c InSmallIntRange) String() string  { return string(c.appendTo(nil)) }
+func (c StackSizeAtLeast) String() string { return string(c.appendTo(nil)) }
+func (c SlotCountAtLeast) String() string { return string(c.appendTo(nil)) }
+func (c Identical) String() string        { return string(c.appendTo(nil)) }
+func (c Bool) String() string             { return string(c.appendTo(nil)) }
+func (c Not) String() string              { return string(c.appendTo(nil)) }
 func (c Opaque) String() string           { return c.Text }
-
-func (c AllOf) String() string {
-	parts := make([]string, len(c))
-	for i, e := range c {
-		parts[i] = e.String()
-	}
-	return "(" + strings.Join(parts, " AND ") + ")"
-}
-
-func (c AnyOf) String() string {
-	parts := make([]string, len(c))
-	for i, e := range c {
-		parts[i] = e.String()
-	}
-	return "(" + strings.Join(parts, " OR ") + ")"
-}
+func (c AllOf) String() string            { return string(c.appendTo(nil)) }
+func (c AnyOf) String() string            { return string(c.appendTo(nil)) }
 
 // Negate returns the logical negation of c, pushing the negation inward
 // where a direct complement exists (comparison flips, De Morgan).
@@ -243,15 +217,17 @@ func (p Path) Constraints() []Constraint {
 }
 
 func (p Path) String() string {
-	parts := make([]string, len(p))
+	var b []byte
 	for i, c := range p {
-		s := c.C.String()
-		if c.Assumed {
-			s = "*" + s
+		if i > 0 {
+			b = append(b, " AND "...)
 		}
-		parts[i] = s
+		if c.Assumed {
+			b = append(b, '*')
+		}
+		b = appendConstraint(b, c.C)
 	}
-	return strings.Join(parts, " AND ")
+	return string(b)
 }
 
 // Signature returns a canonical string identifying the path's constraint
@@ -262,35 +238,38 @@ func (p Path) Signature() string {
 	return s.Sign(p)
 }
 
-// Signer renders path signatures (Path.Signature) and keeps each
-// condition's rendering of the last path it signed, so the signature of
-// that path's prefix extended by one more constraint (Extend) is a slice
-// of the path's signature plus one rendering. A zero Signer is ready to
-// use; its buffer is reused from one path to the next.
+// Signer renders path signatures (Path.Signature) and keeps the
+// rendering of the last path it signed, so the signature of that path's
+// prefix extended by one more constraint (Extend) is a copy of the
+// prefix plus one rendering. A zero Signer is ready to use; its buffers
+// are reused from one path to the next.
 type Signer struct {
-	sig   string
-	parts []string
+	buf  []byte // the last signed path's signature
+	ends []int  // ends[i]: the end of condition i's rendering in buf
+	ext  []byte // Extend's buffer
 }
 
 // Sign returns p's signature and remembers p for Extend.
 func (s *Signer) Sign(p Path) string {
-	s.parts = slices.Grow(s.parts[:0], len(p))
-	for _, c := range p {
-		s.parts = append(s.parts, c.C.String())
+	s.buf, s.ends = s.buf[:0], s.ends[:0]
+	for i, c := range p {
+		if i > 0 {
+			s.buf = append(s.buf, '&')
+		}
+		s.buf = appendConstraint(s.buf, c.C)
+		s.ends = append(s.ends, len(s.buf))
 	}
-	s.sig = strings.Join(s.parts, "&")
-	return s.sig
+	return string(s.buf)
 }
 
 // Extend returns the signature of the last signed path's first i
 // conditions followed by c.
 func (s *Signer) Extend(i int, c Constraint) string {
-	if i == 0 {
-		return c.String()
+	s.ext = s.ext[:0]
+	if i > 0 {
+		s.ext = append(s.ext, s.buf[:s.ends[i-1]]...)
+		s.ext = append(s.ext, '&')
 	}
-	end := i - 1 // the separators between the first i conditions
-	for _, part := range s.parts[:i] {
-		end += len(part)
-	}
-	return s.sig[:end] + "&" + c.String()
+	s.ext = appendConstraint(s.ext, c)
+	return string(s.ext)
 }
