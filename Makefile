@@ -100,13 +100,13 @@ cache-smoke:
 
 # Raw-speed gates for the execution-core overhaul, measured on the machine
 # that runs them. The reuse layers must cut per-path allocations by at
-# least 81% against the fresh-boot architecture (TestPerPathAllocsReduction,
+# least 85% against the fresh-boot architecture (TestPerPathAllocsReduction,
 # run uncached; a path tested on the three byte-code compilers and both
-# ISAs, 81.8% in three of three runs: 155.8 warm against 855.5 fresh), a
-# warm path must stay at 160 allocations or fewer
+# ISAs, 85.4% in three of three runs: 118.0 warm against 809.5 fresh), a
+# warm path must stay at 125 allocations or fewer
 # (TestPerPathAllocsWarm), and one compile of primAdd or of a fuzz-corpus
 # body must stay within 2 allocations of its measured count per variant
-# (TestCompileAllocs). The serial campaign must finish within 269 ms,
+# (TestCompileAllocs: 20, 18, 18 and 46, 46, 44). The serial campaign must finish within 269 ms,
 # the pre-overhaul 1.345 s over the overhaul's 5x target: the median
 # wall time of three fresh GOMAXPROCS=1 processes, start-up included, so
 # parallelism can't mask a regression. Measured on a 2-vCPU VM over

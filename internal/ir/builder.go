@@ -2,21 +2,34 @@ package ir
 
 import "fmt"
 
-// Builder accumulates an IR function. It mirrors the machine assembler's
-// emit surface so front-ends read the same whether they target IR or
-// (historically) machine code directly; labels stay symbolic until
-// lowering resolves them.
+// Builder accumulates an IR function. Front-ends make a label with
+// NewLabel or AddLabel before they jump to it or bind it, and hold it as
+// an ID; its name goes into the function's label table.
 type Builder struct {
 	instrs []Instr
-	labels map[string]bool
-	errs   []error
+	labels []LabelName
+	seq    int // NewLabel calls so far: the next sequence number less one
 }
 
 // NewBuilder starts an empty function.
 func NewBuilder() *Builder {
-	// A single-instruction test body is a few dozen instructions; starting
-	// there saves the early growth steps of every compile.
-	return &Builder{instrs: make([]Instr, 0, 32), labels: make(map[string]bool)}
+	// A single-instruction test body is a few dozen instructions with a
+	// handful of labels; starting there saves the early growth steps of
+	// every compile.
+	return &Builder{instrs: make([]Instr, 0, 32), labels: make([]LabelName, 0, 8)}
+}
+
+// NewLabel makes a label printed as prefix_n, where n numbers the
+// builder's NewLabel calls from 1: "slow_1", "after_2".
+func (b *Builder) NewLabel(prefix string) Label {
+	b.seq++
+	return b.AddLabel(Numbered(prefix, b.seq))
+}
+
+// AddLabel makes a label with the given name.
+func (b *Builder) AddLabel(name LabelName) Label {
+	b.labels = append(b.labels, name)
+	return Label(len(b.labels))
 }
 
 // Emit appends a raw instruction.
@@ -25,13 +38,9 @@ func (b *Builder) Emit(i Instr) *Builder {
 	return b
 }
 
-// Label binds name to the next instruction.
-func (b *Builder) Label(name string) *Builder {
-	if b.labels[name] {
-		b.errs = append(b.errs, fmt.Errorf("ir: duplicate label %q", name))
-	}
-	b.labels[name] = true
-	return b.Emit(Instr{Op: OpcLabel, Sym: name})
+// Label binds l to the next instruction.
+func (b *Builder) Label(l Label) *Builder {
+	return b.Emit(Instr{Op: OpcLabel, Label: l})
 }
 
 // Convenience emitters used by the JIT front-ends.
@@ -63,28 +72,45 @@ func (b *Builder) CmpI(rs Reg, imm int64) *Builder {
 func (b *Builder) FCmp(rs1, rs2 Reg) *Builder {
 	return b.Emit(Instr{Op: OpcFCmp, Rs1: rs1, Rs2: rs2})
 }
-func (b *Builder) Jump(op Opc, label string) *Builder {
-	return b.Emit(Instr{Op: op, Sym: label})
+func (b *Builder) Jump(op Opc, l Label) *Builder {
+	return b.Emit(Instr{Op: op, Label: l})
 }
 func (b *Builder) Call(addr int64) *Builder { return b.Emit(Instr{Op: OpcCall, Imm: addr}) }
 func (b *Builder) Ret() *Builder            { return b.Emit(Instr{Op: OpcRet}) }
 func (b *Builder) Brk(id int64) *Builder    { return b.Emit(Instr{Op: OpcBrk, Imm: id}) }
 
-// Finish validates the function: duplicate labels and jumps to undefined
-// labels are front-end bugs caught here, before any pass runs. The
-// builder's slice is handed off to the function rather than copied, as
-// the machine assembler's Finish does, so the builder must not be reused
-// after.
+// Finish validates the function: a label bound twice, and a jump to a
+// label never bound or a label this builder did not make, are front-end
+// bugs caught here, before any pass runs. The first label bound twice is
+// reported before the first bad jump. The builder's slices are handed
+// off to the function rather than copied, so the builder must not be
+// reused after.
 func (b *Builder) Finish() (*Fn, error) {
-	if len(b.errs) > 0 {
-		return nil, b.errs[0]
+	fn := &Fn{Instrs: b.instrs, Labels: b.labels}
+	b.instrs, b.labels = nil, nil
+	// bound[l] marks label l bound; a table of up to 255 labels needs no
+	// allocation.
+	var small [256]bool
+	bound := small[:]
+	if len(fn.Labels) >= len(small) {
+		bound = make([]bool, len(fn.Labels)+1)
 	}
-	for _, ins := range b.instrs {
-		if ins.IsJump() && !b.labels[ins.Sym] {
-			return nil, fmt.Errorf("ir: undefined label %q", ins.Sym)
+	for _, ins := range fn.Instrs {
+		if ins.Op != OpcLabel {
+			continue
+		}
+		if !fn.ValidLabel(ins.Label) {
+			return nil, fmt.Errorf("ir: undefined label %q", fn.LabelName(ins.Label))
+		}
+		if bound[ins.Label] {
+			return nil, fmt.Errorf("ir: duplicate label %q", fn.LabelName(ins.Label))
+		}
+		bound[ins.Label] = true
+	}
+	for _, ins := range fn.Instrs {
+		if ins.IsJump() && (!fn.ValidLabel(ins.Label) || !bound[ins.Label]) {
+			return nil, fmt.Errorf("ir: undefined label %q", fn.LabelName(ins.Label))
 		}
 	}
-	out := b.instrs
-	b.instrs = nil
-	return &Fn{Instrs: out}, nil
+	return fn, nil
 }

@@ -16,10 +16,18 @@
 // control flow symbolic until lowering. Keeping the sets aligned makes
 // lowering a cast for ordinary instructions and keeps the differential
 // tester's machine-level observations stable across the layers.
+//
+// A label is an integer ID into its function's label table, so an
+// instruction holds no pointer and the instruction slices the front-ends,
+// passes and lowering build are plain memory the garbage collector never
+// scans. A label's name is kept in parts in the table and joined only
+// when it is printed.
 package ir
 
 import (
 	"fmt"
+	"math"
+	"strconv"
 	"strings"
 )
 
@@ -146,8 +154,9 @@ const (
 	NumMachineOpcs
 )
 
-// OpcLabel binds Sym to the next real instruction. Lowering turns it
-// into an assembler label; it never reaches the machine layer.
+// OpcLabel binds its Label to the next real instruction. Lowering
+// resolves it to that instruction's address; it never reaches the
+// machine layer.
 const OpcLabel = NumMachineOpcs
 
 var opcNames = map[Opc]string{
@@ -177,14 +186,21 @@ func (o Opc) String() string {
 	return fmt.Sprintf("opc%d", int(o))
 }
 
-// Instr is one IR instruction. Control-flow instructions carry their
-// target in Sym; label pseudo-instructions carry their name there.
+// Label identifies a jump target: an index, from 1, into its function's
+// label table (Fn.Labels). 0 means no label.
+type Label int32
+
+func (l Label) String() string { return "L" + strconv.Itoa(int(l)) }
+
+// Instr is one IR instruction: sixteen bytes and no pointers.
+// Control-flow instructions carry their target in Label; label
+// pseudo-instructions carry the label they bind there.
 type Instr struct {
 	Op       Opc
 	Rd       Reg
 	Rs1, Rs2 Reg
+	Label    Label
 	Imm      int64
-	Sym      string
 }
 
 // IsJump reports whether the instruction is a (conditional) jump.
@@ -199,7 +215,7 @@ func (i Instr) IsJump() bool {
 func (i Instr) String() string {
 	switch i.Op {
 	case OpcLabel:
-		return i.Sym + ":"
+		return i.Label.String() + ":"
 	case OpcNop, OpcRet, OpcHlt:
 		return i.Op.String()
 	case OpcMovI:
@@ -221,7 +237,7 @@ func (i Instr) String() string {
 	case OpcCmpI:
 		return fmt.Sprintf("%s %s, %d", i.Op, i.Rs1, i.Imm)
 	case OpcJmp, OpcJeq, OpcJne, OpcJlt, OpcJle, OpcJgt, OpcJge:
-		return fmt.Sprintf("%s %s", i.Op, i.Sym)
+		return fmt.Sprintf("%s %s", i.Op, i.Label)
 	case OpcCall:
 		return fmt.Sprintf("%s %#x", i.Op, uint64(i.Imm))
 	case OpcCallR:
@@ -235,19 +251,72 @@ func (i Instr) String() string {
 	}
 }
 
+// noNumber marks a LabelName part without a number.
+const noNumber = math.MinInt32
+
+// LabelName is how a label prints: a prefix, optionally numbered and
+// optionally inside a numbered scope. The parts are joined only when
+// the label is printed, so building a function builds no name string.
+type LabelName struct {
+	scope, prefix string
+	scopeN, n     int32
+}
+
+// Named is a label printed as name.
+func Named(name string) LabelName { return LabelName{prefix: name, scopeN: noNumber, n: noNumber} }
+
+// Numbered is a label printed as prefix_n: "slow_3", "bc_12", "path_2".
+func Numbered(prefix string, n int) LabelName {
+	return LabelName{prefix: prefix, scopeN: noNumber, n: int32(n)}
+}
+
+// Scoped is a numbered label inside a numbered scope, printed as
+// <scope><scopeN>_<prefix>_<n>: "bc3_path_2" is path 2 of the byte-code
+// at pc 3.
+func Scoped(scope string, scopeN int, prefix string, n int) LabelName {
+	return LabelName{scope: scope, prefix: prefix, scopeN: int32(scopeN), n: int32(n)}
+}
+
+func (n LabelName) String() string {
+	s := n.prefix
+	if n.n != noNumber {
+		s += "_" + strconv.Itoa(int(n.n))
+	}
+	if n.scope != "" {
+		s = n.scope + strconv.Itoa(int(n.scopeN)) + "_" + s
+	}
+	return s
+}
+
 // Fn is one compiled unit in IR form: a linear instruction list with
-// labels as pseudo-instructions.
+// labels as pseudo-instructions, and the names of its labels.
 type Fn struct {
 	Name   string
 	Instrs []Instr
+	// Labels holds the name of label l at index l-1. Passes share their
+	// input's table: they never add or rename a label.
+	Labels []LabelName
+}
+
+// ValidLabel reports whether l indexes the function's label table.
+func (f *Fn) ValidLabel(l Label) bool { return l > 0 && int(l) <= len(f.Labels) }
+
+// LabelName renders label l's name, or l itself ("L7") when the
+// function's table has no entry for it.
+func (f *Fn) LabelName(l Label) string {
+	if !f.ValidLabel(l) {
+		return l.String()
+	}
+	return f.Labels[l-1].String()
 }
 
 // Clone deep-copies the function, for a caller that must change a
 // function it does not own. Passes do not clone: they never write their
 // input, and copy it only when a rewrite applies.
 func (f *Fn) Clone() *Fn {
-	out := &Fn{Name: f.Name, Instrs: make([]Instr, len(f.Instrs))}
+	out := &Fn{Name: f.Name, Instrs: make([]Instr, len(f.Instrs)), Labels: make([]LabelName, len(f.Labels))}
 	copy(out.Instrs, f.Instrs)
+	copy(out.Labels, f.Labels)
 	return out
 }
 
@@ -263,13 +332,16 @@ func (f *Fn) NumInstrs() int {
 }
 
 // String renders the function with labels outdented, one instruction per
-// line — the CLI's ir-dump format.
+// line, and every label by name — the CLI's ir-dump format.
 func (f *Fn) String() string {
 	var b strings.Builder
 	for _, ins := range f.Instrs {
-		if ins.Op == OpcLabel {
-			fmt.Fprintf(&b, "%s\n", ins)
-		} else {
+		switch {
+		case ins.Op == OpcLabel:
+			fmt.Fprintf(&b, "%s:\n", f.LabelName(ins.Label))
+		case ins.IsJump():
+			fmt.Fprintf(&b, "\t%s %s\n", ins.Op, f.LabelName(ins.Label))
+		default:
 			fmt.Fprintf(&b, "\t%s\n", ins)
 		}
 	}

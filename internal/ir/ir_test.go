@@ -1,28 +1,36 @@
 package ir
 
 import (
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
 )
 
 func TestBuilderFinishValidatesLabels(t *testing.T) {
+	for name, build := range map[string]func(b *Builder){
+		`undefined label "nowhere"`: func(b *Builder) { b.Jump(OpcJmp, b.AddLabel(Named("nowhere"))) },
+		`duplicate label "twice"`: func(b *Builder) {
+			twice := b.AddLabel(Named("twice"))
+			b.Label(twice).Label(twice)
+		},
+		// IDs the builder did not make: none, and past its table.
+		`undefined label "L0"`: func(b *Builder) { b.Jump(OpcJmp, 0) },
+		`undefined label "L2"`: func(b *Builder) { b.Label(b.NewLabel("l")).Jump(OpcJmp, 2) },
+		`undefined label "L5"`: func(b *Builder) { b.Label(5) },
+	} {
+		b := NewBuilder()
+		build(b)
+		b.Ret()
+		if _, err := b.Finish(); err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("want Finish to fail with %s, got %v", name, err)
+		}
+	}
+
 	b := NewBuilder()
-	b.Jump(OpcJmp, "nowhere")
-	if _, err := b.Finish(); err == nil {
-		t.Fatal("jump to an undefined label must fail Finish")
-	}
-
-	b = NewBuilder()
-	b.Label("twice")
-	b.Label("twice")
-	if _, err := b.Finish(); err == nil {
-		t.Fatal("duplicate label must fail Finish")
-	}
-
-	b = NewBuilder()
-	b.Label("ok")
-	b.Jump(OpcJeq, "ok")
+	ok := b.NewLabel("ok")
+	b.Label(ok)
+	b.Jump(OpcJeq, ok)
 	b.Ret()
 	fn, err := b.Finish()
 	if err != nil {
@@ -89,7 +97,7 @@ func TestConstFoldBarriers(t *testing.T) {
 	// Labels and calls must forget all known constants; Div never folds.
 	b := NewBuilder()
 	b.MovI(V(0), 8)
-	b.Label("join")
+	b.Label(b.NewLabel("join"))
 	b.BinI(OpcAddI, V(1), V(0), 1) // v0 unknown after the label
 	b.Ret()
 	fn := mustFinish(t, b)
@@ -153,7 +161,7 @@ func TestDeadPushPopStopsAtLabels(t *testing.T) {
 	// A label between push and pop is a control-flow join: no rewrite.
 	b := NewBuilder()
 	b.Push(V(0))
-	b.Label("join")
+	b.Label(b.NewLabel("join"))
 	b.Pop(V(1))
 	b.Ret()
 	out := DeadPushPop().Run(mustFinish(t, b))
@@ -181,8 +189,9 @@ func TestPeephole(t *testing.T) {
 	b.MovR(V(0), V(0))             // self move: deleted
 	b.BinI(OpcAddI, V(1), V(1), 0) // identity: deleted
 	b.BinI(OpcAndI, V(2), V(2), 0) // AndI zero CLEARS: kept
-	b.Jump(OpcJmp, "next")         // jump to next label: deleted
-	b.Label("next")
+	next := b.NewLabel("next")
+	b.Jump(OpcJmp, next) // jump to next label: deleted
+	b.Label(next)
 	b.Ret()
 	out := Peephole(false).Run(mustFinish(t, b))
 	if len(out.Instrs) != 3 {
@@ -206,7 +215,7 @@ func TestPassesArePure(t *testing.T) {
 			func(b *Builder) { b.Load(V(0), FP, 1); b.BinI(OpcAddI, V(1), V(0), 1) }},
 		{ConstFold(true),
 			func(b *Builder) { b.MovI(V(0), 1); b.BinI(OpcSubI, V(1), V(0), 1) },
-			func(b *Builder) { b.MovI(V(0), 1); b.Label("join"); b.BinI(OpcSubI, V(1), V(0), 1) }},
+			func(b *Builder) { b.MovI(V(0), 1); b.Label(b.NewLabel("join")); b.BinI(OpcSubI, V(1), V(0), 1) }},
 		{DeadPushPop(),
 			func(b *Builder) { b.Push(V(0)); b.Pop(V(1)) },
 			func(b *Builder) { b.Push(V(0)); b.MovI(V(1), 2); b.Pop(V(1)) }},
@@ -236,6 +245,8 @@ func TestPassesArePure(t *testing.T) {
 				t.Errorf("pass %s changed nothing but did not return its input", c.pass.Name)
 			case applies && out == fn:
 				t.Errorf("pass %s rewrote its input in place", c.pass.Name)
+			case applies && !sameTable(out.Labels, fn.Labels):
+				t.Errorf("pass %s did not share its input's label table", c.pass.Name)
 			case applies && slices.Equal(out.Instrs, fn.Instrs):
 				t.Errorf("pass %s returned a new function that changes nothing", c.pass.Name)
 			}
@@ -243,17 +254,74 @@ func TestPassesArePure(t *testing.T) {
 	}
 }
 
+// sameTable reports whether two label tables are one slice.
+func sameTable(a, b []LabelName) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+}
+
 func TestFnStringFormatsLabels(t *testing.T) {
 	b := NewBuilder()
-	b.Label("top")
+	top := b.AddLabel(Named("top"))
+	b.Label(top)
 	b.CmpI(V(0), 7)
-	b.Jump(OpcJne, "top")
+	b.Jump(OpcJne, top)
 	b.Ret()
 	fn := mustFinish(t, b)
 	s := fn.String()
 	for _, want := range []string{"top:", "\tcmpi v0, 7", "\tjne top"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("Fn.String() missing %q:\n%s", want, s)
+		}
+	}
+	// A label outside the table prints as its ID.
+	fn.Instrs = append(fn.Instrs, Instr{Op: OpcJmp, Label: 9})
+	if s := fn.String(); !strings.Contains(s, "\tjmp L9\n") {
+		t.Errorf("an ID outside the table must print as L9:\n%s", s)
+	}
+}
+
+// TestLabelNames pins every form a label name takes, and the builder's
+// numbering: NewLabel numbers its own calls from 1, whatever AddLabel
+// made in between.
+func TestLabelNames(t *testing.T) {
+	for want, name := range map[string]LabelName{
+		"fallthrough": Named("fallthrough"),
+		"bc_0":        Numbered("bc", 0),
+		"bc_12":       Numbered("bc", 12),
+		"bc_-3":       Numbered("bc", -3),
+		"path_2":      Numbered("path", 2),
+		"bc3_path_2":  Scoped("bc", 3, "path", 2),
+	} {
+		if got := name.String(); got != want {
+			t.Errorf("got %q, want %q", got, want)
+		}
+	}
+	b := NewBuilder()
+	slow := b.NewLabel("slow")
+	taken := b.AddLabel(Named("jumpTaken"))
+	after := b.NewLabel("after")
+	b.Label(slow).Label(taken).Label(after).Ret()
+	fn := mustFinish(t, b)
+	for l, want := range map[Label]string{slow: "slow_1", taken: "jumpTaken", after: "after_2", 0: "L0", 4: "L4"} {
+		if got := fn.LabelName(l); got != want {
+			t.Errorf("label %d: got %q, want %q", l, got, want)
+		}
+	}
+}
+
+// TestInstrIsPointerFree pins the instruction layout the compile layer's
+// speed rests on: sixteen bytes, and no field the garbage collector
+// scans.
+func TestInstrIsPointerFree(t *testing.T) {
+	typ := reflect.TypeOf(Instr{})
+	if typ.Size() != 16 {
+		t.Errorf("ir.Instr is %d bytes, want 16", typ.Size())
+	}
+	for i := 0; i < typ.NumField(); i++ {
+		switch f := typ.Field(i); f.Type.Kind() {
+		case reflect.Uint8, reflect.Int32, reflect.Int64:
+		default:
+			t.Errorf("ir.Instr field %s is a %s; every field must be a plain integer", f.Name, f.Type)
 		}
 	}
 }

@@ -2,9 +2,10 @@ package ir
 
 // A Pass is one deterministic IR-to-IR transformation. Run must be pure:
 // it never mutates its input. When no rewrite applies it returns its
-// input itself, and otherwise exactly one new function, so the pipeline
-// can keep every stage's output for the blame machinery to run and tell
-// an unchanged stage by pointer alone.
+// input itself, and otherwise exactly one new function, which shares its
+// input's label table, so the pipeline can keep every stage's output for
+// the blame machinery to run and tell an unchanged stage by pointer
+// alone.
 type Pass struct {
 	Name string
 	Run  func(*Fn) *Fn
@@ -145,7 +146,7 @@ func ConstFold(signError bool) Pass {
 		if out == nil {
 			return f
 		}
-		return &Fn{Name: f.Name, Instrs: out}
+		return &Fn{Name: f.Name, Instrs: out, Labels: f.Labels}
 	}}
 }
 
@@ -198,7 +199,7 @@ func DeadPushPop() Pass {
 		if out == nil {
 			return f
 		}
-		return &Fn{Name: f.Name, Instrs: out[:w]}
+		return &Fn{Name: f.Name, Instrs: out[:w], Labels: f.Labels}
 	}}
 }
 
@@ -223,7 +224,7 @@ func Peephole(dropPop bool) Pass {
 			case ins.Op == OpcMovR && ins.Rd == ins.Rs1:
 			case isIdentityBinI(*ins):
 			case ins.IsJump() && i+1 < len(f.Instrs) &&
-				f.Instrs[i+1].Op == OpcLabel && f.Instrs[i+1].Sym == ins.Sym:
+				f.Instrs[i+1].Op == OpcLabel && f.Instrs[i+1].Label == ins.Label:
 			default:
 				if out != nil {
 					out = append(out, *ins)
@@ -239,7 +240,7 @@ func Peephole(dropPop bool) Pass {
 		if out == nil {
 			return f
 		}
-		return &Fn{Name: f.Name, Instrs: out}
+		return &Fn{Name: f.Name, Instrs: out, Labels: f.Labels}
 	}}
 }
 

@@ -225,12 +225,13 @@ func TestAnalyzeAllocs(t *testing.T) {
 	b := ir.NewBuilder()
 	b.Push(ir.FP)
 	b.MovR(ir.FP, ir.SP)
+	join := b.NewLabel("join")
 	for i := 0; i < 6; i++ {
 		b.CmpI(ir.ReceiverResultReg, int64(i))
-		b.Jump(ir.OpcJeq, "join")
+		b.Jump(ir.OpcJeq, join)
 		b.Push(ir.ReceiverResultReg)
 	}
-	b.Label("join")
+	b.Label(join)
 	b.MovR(ir.SP, ir.FP)
 	b.Pop(ir.FP)
 	b.Ret()

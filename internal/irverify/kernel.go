@@ -12,16 +12,12 @@ import (
 // allocates only the result it returns; every slice here is reused at
 // its high-water capacity.
 type scratch struct {
-	// labels lists every label definition in linear order: a name's
-	// first definition is the one the structural rules keep, its last
-	// the one control flow reaches (the order a map overwritten in
-	// linear order would give). Functions have a handful of labels, so
-	// a scan resolves a name faster than sorting for a binary search.
-	labels []labelDef
-	// target holds, per jump, the index of its label's last definition
-	// (-1 when undefined); firstDef holds, per label, the index of its
-	// name's first definition.
-	target, firstDef []int32
+	// first and last hold, per label ID, the index of the label's first
+	// and last definition (-1 when it has none): the structural rules
+	// keep the first, control flow reaches the last (the order a map
+	// overwritten in linear order would give). Index 0, no label, never
+	// has a definition.
+	first, last []int32
 
 	// The abstract interpretation's state: the distinct states recorded
 	// at each point form a linked list through arena, headed at head
@@ -41,11 +37,6 @@ type scratch struct {
 	states []exitState
 }
 
-type labelDef struct {
-	sym   string
-	index int32
-}
-
 type stateNode struct {
 	st   absState
 	next int32
@@ -59,11 +50,14 @@ type workItem struct {
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
 // getScratch returns pooled scratch sized and cleared for a function of
-// n instructions.
-func getScratch(n int) *scratch {
+// n instructions whose label table has the given number of entries.
+func getScratch(n, labels int) *scratch {
 	s := scratchPool.Get().(*scratch)
-	s.target = resize(s.target, n)
-	s.firstDef = resize(s.firstDef, n)
+	s.first = resize(s.first, labels+1)
+	s.last = resize(s.last, labels+1)
+	for l := range s.first {
+		s.first[l], s.last[l] = -1, -1
+	}
 	s.head = resize(s.head, n)
 	s.count = resize(s.count, n)
 	s.reached = resize(s.reached, n)
@@ -71,7 +65,6 @@ func getScratch(n int) *scratch {
 	for i := range s.head {
 		s.head[i] = -1
 	}
-	s.labels = s.labels[:0]
 	s.arena = s.arena[:0]
 	s.work = s.work[:0]
 	s.exits = s.exits[:0]
@@ -90,43 +83,27 @@ func resize[T any](buf []T, n int) []T {
 	return buf
 }
 
-// indexLabels builds the label index for instrs and resolves every jump
-// and label against it once, for both rule families.
-func (s *scratch) indexLabels(instrs []ir.Instr) {
-	for i := range instrs {
-		if instrs[i].Op == ir.OpcLabel {
-			s.labels = append(s.labels, labelDef{instrs[i].Sym, int32(i)})
+// indexLabels records the first and last definition of every label of
+// fn, for both rule families. A label pseudo-op whose ID is outside the
+// function's table defines nothing.
+func (s *scratch) indexLabels(fn *ir.Fn) {
+	for i := range fn.Instrs {
+		ins := &fn.Instrs[i]
+		if ins.Op != ir.OpcLabel || !fn.ValidLabel(ins.Label) {
+			continue
 		}
-	}
-	for i := range instrs {
-		ins := &instrs[i]
-		switch {
-		case ins.Op == ir.OpcLabel:
-			s.firstDef[i] = s.firstDefinition(ins.Sym)
-		case ins.IsJump():
-			s.target[i] = s.lastDefinition(ins.Sym)
+		if s.first[ins.Label] < 0 {
+			s.first[ins.Label] = int32(i)
 		}
+		s.last[ins.Label] = int32(i)
 	}
 }
 
-// firstDefinition returns the index of the label sym's first
-// definition, -1 when it is undefined.
-func (s *scratch) firstDefinition(sym string) int32 {
-	for _, d := range s.labels {
-		if d.sym == sym {
-			return d.index
-		}
+// target returns the index of label l's last definition, -1 when it has
+// none or its ID is outside the table.
+func (s *scratch) target(l ir.Label) int32 {
+	if l <= 0 || int(l) >= len(s.last) {
+		return -1
 	}
-	return -1
-}
-
-// lastDefinition returns the index of the label sym's last definition,
-// -1 when it is undefined.
-func (s *scratch) lastDefinition(sym string) int32 {
-	for k := len(s.labels) - 1; k >= 0; k-- {
-		if s.labels[k].sym == sym {
-			return s.labels[k].index
-		}
-	}
-	return -1
+	return s.last[l]
 }

@@ -6,6 +6,12 @@ package irverify
 // the rewritten kernel is tested against (kernel_test.go): for any
 // function, Violations and VerifyPassEffectOn must agree with it
 // exactly. Do not optimize it; its value is that it is the old code.
+//
+// Labels became integer IDs into the function's label table after the
+// copy was frozen. The oracle follows with the least change: its label
+// maps key on the ID instead of the name, it checks an ID against the
+// table and names a label itself (refLabelName), and a definition of an
+// ID outside the table defines nothing.
 
 import (
 	"fmt"
@@ -20,7 +26,7 @@ import (
 // means the front-end (or a pass) built the instruction wrong, even if
 // lowering happens to ignore it today.
 type refShape struct {
-	rd, rs1, rs2, imm, sym bool
+	rd, rs1, rs2, imm, label bool
 }
 
 var refShapes = map[ir.Opc]refShape{
@@ -52,13 +58,13 @@ var refShapes = map[ir.Opc]refShape{
 	ir.OpcSarI:       {rd: true, rs1: true, imm: true},
 	ir.OpcCmp:        {rs1: true, rs2: true},
 	ir.OpcCmpI:       {rs1: true, imm: true},
-	ir.OpcJmp:        {sym: true},
-	ir.OpcJeq:        {sym: true},
-	ir.OpcJne:        {sym: true},
-	ir.OpcJlt:        {sym: true},
-	ir.OpcJle:        {sym: true},
-	ir.OpcJgt:        {sym: true},
-	ir.OpcJge:        {sym: true},
+	ir.OpcJmp:        {label: true},
+	ir.OpcJeq:        {label: true},
+	ir.OpcJne:        {label: true},
+	ir.OpcJlt:        {label: true},
+	ir.OpcJle:        {label: true},
+	ir.OpcJgt:        {label: true},
+	ir.OpcJge:        {label: true},
 	ir.OpcCall:       {imm: true},
 	ir.OpcCallR:      {rs1: true},
 	ir.OpcRet:        {},
@@ -80,7 +86,7 @@ var refShapes = map[ir.Opc]refShape{
 	ir.OpcFExp:       {rd: true, rs1: true},
 	ir.OpcAllocFloat: {rd: true, rs1: true},
 	ir.OpcAlloc:      {rd: true, rs1: true, rs2: true},
-	ir.OpcLabel:      {sym: true},
+	ir.OpcLabel:      {label: true},
 }
 
 // refIsTerminator reports an instruction after which control never falls
@@ -142,15 +148,20 @@ func refAnalyzeAll(o Options, fn *ir.Fn) *refAnalysis {
 // register ranges, def-before-use, dead fallthrough, termination.
 func refVerifyStructural(fn *ir.Fn) []Violation {
 	var vs []Violation
-	labels := make(map[string]int, 8)
+	labels := make(map[ir.Label]int, 8)
 	for i, ins := range fn.Instrs {
-		if ins.Op == ir.OpcLabel {
-			if prev, dup := labels[ins.Sym]; dup {
+		if ins.Op == ir.OpcLabel && ins.Label != 0 {
+			if !refInTable(fn, ins.Label) {
 				vs = append(vs, Violation{Rule: RuleLabel, Index: i,
-					Detail: fmt.Sprintf("label %q already defined at #%d", ins.Sym, prev)})
+					Detail: fmt.Sprintf("label %q outside the function's %d labels", refLabelName(fn, ins.Label), len(fn.Labels))})
 				continue
 			}
-			labels[ins.Sym] = i
+			if prev, dup := labels[ins.Label]; dup {
+				vs = append(vs, Violation{Rule: RuleLabel, Index: i,
+					Detail: fmt.Sprintf("label %q already defined at #%d", refLabelName(fn, ins.Label), prev)})
+				continue
+			}
+			labels[ins.Label] = i
 		}
 	}
 
@@ -162,11 +173,11 @@ func refVerifyStructural(fn *ir.Fn) []Violation {
 				Detail: fmt.Sprintf("unknown opcode %s", ins.Op)})
 			continue
 		}
-		vs = append(vs, refCheckShape(i, ins, sh)...)
+		vs = append(vs, refCheckShape(fn, i, ins, sh)...)
 		if ins.IsJump() {
-			if _, ok := labels[ins.Sym]; !ok {
+			if _, ok := labels[ins.Label]; !ok {
 				vs = append(vs, Violation{Rule: RuleLabel, Index: i,
-					Detail: fmt.Sprintf("jump to undefined label %q", ins.Sym)})
+					Detail: fmt.Sprintf("jump to undefined label %q", refLabelName(fn, ins.Label))})
 			}
 		}
 		// Dead fallthrough. The compilation schema deliberately plants
@@ -180,7 +191,7 @@ func refVerifyStructural(fn *ir.Fn) []Violation {
 			if j, ok := refDeadRegionEnd(fn.Instrs, i); !ok {
 				into := "the end of the function"
 				if j < len(fn.Instrs) {
-					into = fmt.Sprintf("label %q", fn.Instrs[j].Sym)
+					into = fmt.Sprintf("label %q", refLabelName(fn, fn.Instrs[j].Label))
 				}
 				vs = append(vs, Violation{Rule: RuleDeadCode, Index: i,
 					Detail: fmt.Sprintf("dead code behind %s falls through into %s", fn.Instrs[i-1].Op, into)})
@@ -269,7 +280,19 @@ func refDeadRegionEnd(instrs []ir.Instr, i int) (int, bool) {
 	return i, false
 }
 
-func refCheckShape(i int, ins ir.Instr, sh refShape) []Violation {
+// refInTable reports whether l indexes fn's label table.
+func refInTable(fn *ir.Fn, l ir.Label) bool { return l >= 1 && int(l) <= len(fn.Labels) }
+
+// refLabelName names label l of fn: its table entry, or "L<l>" for an ID
+// outside the table.
+func refLabelName(fn *ir.Fn, l ir.Label) string {
+	if refInTable(fn, l) {
+		return fn.Labels[l-1].String()
+	}
+	return fmt.Sprintf("L%d", l)
+}
+
+func refCheckShape(fn *ir.Fn, i int, ins ir.Instr, sh refShape) []Violation {
 	var vs []Violation
 	bad := func(field string, detail string) {
 		vs = append(vs, Violation{Rule: RuleOpcodeShape, Index: i,
@@ -291,12 +314,12 @@ func refCheckShape(i int, ins ir.Instr, sh refShape) []Violation {
 	if !sh.imm && ins.Imm != 0 {
 		bad("imm", fmt.Sprintf("set to %d but unused by this opcode", ins.Imm))
 	}
-	if sh.sym {
-		if ins.Sym == "" {
-			bad("sym", "empty label reference")
+	if sh.label {
+		if ins.Label == 0 {
+			bad("label", "empty label reference")
 		}
-	} else if ins.Sym != "" {
-		bad("sym", fmt.Sprintf("set to %q but unused by this opcode", ins.Sym))
+	} else if ins.Label != 0 {
+		bad("label", fmt.Sprintf("set to %q but unused by this opcode", refLabelName(fn, ins.Label)))
 	}
 	return vs
 }
@@ -398,10 +421,10 @@ func refAnalyze(fn *ir.Fn) *refFlow {
 	if n == 0 {
 		return a
 	}
-	labels := make(map[string]int, 8)
+	labels := make(map[ir.Label]int, 8)
 	for i, ins := range fn.Instrs {
-		if ins.Op == ir.OpcLabel {
-			labels[ins.Sym] = i
+		if ins.Op == ir.OpcLabel && refInTable(fn, ins.Label) {
+			labels[ins.Label] = i
 		}
 	}
 
@@ -552,9 +575,9 @@ func refAnalyze(fn *ir.Fn) *refFlow {
 		case ins.Op == ir.OpcRet || ins.Op == ir.OpcHlt || ins.Op == ir.OpcBrk:
 			// exit; no successors
 		case ins.Op == ir.OpcJmp:
-			work = append(work, workItem{labels[ins.Sym], next})
+			work = append(work, workItem{labels[ins.Label], next})
 		case ins.IsJump():
-			work = append(work, workItem{labels[ins.Sym], next})
+			work = append(work, workItem{labels[ins.Label], next})
 			work = append(work, workItem{i + 1, next})
 		default:
 			work = append(work, workItem{i + 1, next})

@@ -278,9 +278,9 @@ func (s *scratch) analyze(instrs []ir.Instr, an *Analysis) {
 		case ins.Op == ir.OpcRet || ins.Op == ir.OpcHlt || ins.Op == ir.OpcBrk:
 			// exit; no successors
 		case ins.Op == ir.OpcJmp:
-			it, carried = workItem{s.jumpTarget(i), next}, true
+			it, carried = workItem{s.jumpTarget(ins.Label), next}, true
 		case ins.IsJump():
-			s.work = append(s.work, workItem{s.jumpTarget(i), next})
+			s.work = append(s.work, workItem{s.jumpTarget(ins.Label), next})
 			it, carried = workItem{i + 1, next}, true
 		default:
 			it, carried = workItem{i + 1, next}, true
@@ -289,9 +289,9 @@ func (s *scratch) analyze(instrs []ir.Instr, an *Analysis) {
 	an.exits = s.collectExits(instrs)
 }
 
-// jumpTarget is the instruction the jump at i transfers control to.
-func (s *scratch) jumpTarget(i int) int {
-	return max(int(s.target[i]), 0)
+// jumpTarget is the instruction a jump to l transfers control to.
+func (s *scratch) jumpTarget(l ir.Label) int {
+	return max(int(s.target(l)), 0)
 }
 
 // collectExits returns the reachable exits in linear order, each with its

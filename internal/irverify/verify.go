@@ -80,8 +80,8 @@ const (
 // lowering happens to ignore it today. known is false for an opcode the
 // verifier does not recognize.
 type shape struct {
-	known                  bool
-	rd, rs1, rs2, imm, sym bool
+	known                    bool
+	rd, rs1, rs2, imm, label bool
 }
 
 // shapes is indexed by opcode, so the per-instruction lookup is an array
@@ -116,13 +116,13 @@ var shapes = func() (t [256]shape) {
 		ir.OpcSarI:       {rd: true, rs1: true, imm: true},
 		ir.OpcCmp:        {rs1: true, rs2: true},
 		ir.OpcCmpI:       {rs1: true, imm: true},
-		ir.OpcJmp:        {sym: true},
-		ir.OpcJeq:        {sym: true},
-		ir.OpcJne:        {sym: true},
-		ir.OpcJlt:        {sym: true},
-		ir.OpcJle:        {sym: true},
-		ir.OpcJgt:        {sym: true},
-		ir.OpcJge:        {sym: true},
+		ir.OpcJmp:        {label: true},
+		ir.OpcJeq:        {label: true},
+		ir.OpcJne:        {label: true},
+		ir.OpcJlt:        {label: true},
+		ir.OpcJle:        {label: true},
+		ir.OpcJgt:        {label: true},
+		ir.OpcJge:        {label: true},
 		ir.OpcCall:       {imm: true},
 		ir.OpcCallR:      {rs1: true},
 		ir.OpcRet:        {},
@@ -144,7 +144,7 @@ var shapes = func() (t [256]shape) {
 		ir.OpcFExp:       {rd: true, rs1: true},
 		ir.OpcAllocFloat: {rd: true, rs1: true},
 		ir.OpcAlloc:      {rd: true, rs1: true, rs2: true},
-		ir.OpcLabel:      {sym: true},
+		ir.OpcLabel:      {label: true},
 	} {
 		sh.known = true
 		t[op] = sh
@@ -202,10 +202,10 @@ func (an *Analysis) Violations() []Violation {
 // so a clean function costs three allocations: the Analysis, its exit
 // list and the exits' arrival states.
 func (o Options) Analyze(fn *ir.Fn) *Analysis {
-	s := getScratch(len(fn.Instrs))
+	s := getScratch(len(fn.Instrs), len(fn.Labels))
 	defer scratchPool.Put(s)
-	s.indexLabels(fn.Instrs)
-	an := &Analysis{structural: s.verifyStructural(fn.Instrs)}
+	s.indexLabels(fn)
+	an := &Analysis{structural: s.verifyStructural(fn)}
 	s.analyze(fn.Instrs, an)
 	if len(an.structural) == 0 && o.RequireDeopt {
 		an.deopt = o.verifyDeopt(fn.Instrs, s.reached)
@@ -221,14 +221,24 @@ func (o Options) Verify(fn *ir.Fn) []Violation {
 
 // verifyStructural runs the linear-order rules: labels, opcode shapes,
 // register ranges, def-before-use, dead fallthrough, termination. The
-// label index must already be built.
-func (s *scratch) verifyStructural(instrs []ir.Instr) []Violation {
+// label index must already be built. Labels are named from fn's table,
+// and only in a violation's message.
+func (s *scratch) verifyStructural(fn *ir.Fn) []Violation {
+	instrs := fn.Instrs
 	var vs []Violation
-	// A label's first definition wins; every later one is a duplicate.
-	for _, d := range s.labels {
-		if first := s.firstDef[d.index]; first != d.index {
-			vs = append(vs, Violation{Rule: RuleLabel, Index: int(d.index),
-				Detail: fmt.Sprintf("label %q already defined at #%d", d.sym, first)})
+	// A label's first definition wins; every later one is a duplicate. A
+	// definition of an ID outside the table (0 is the shape rule's) names
+	// no label of the function.
+	for i := range instrs {
+		l := instrs[i].Label
+		switch {
+		case instrs[i].Op != ir.OpcLabel || l == 0:
+		case !fn.ValidLabel(l):
+			vs = append(vs, Violation{Rule: RuleLabel, Index: i,
+				Detail: fmt.Sprintf("label %q outside the function's %d labels", fn.LabelName(l), len(fn.Labels))})
+		case s.first[l] != int32(i):
+			vs = append(vs, Violation{Rule: RuleLabel, Index: i,
+				Detail: fmt.Sprintf("label %q already defined at #%d", fn.LabelName(l), s.first[l])})
 		}
 	}
 
@@ -241,10 +251,10 @@ func (s *scratch) verifyStructural(instrs []ir.Instr) []Violation {
 				Detail: fmt.Sprintf("unknown opcode %s", ins.Op)})
 			continue
 		}
-		vs = checkShape(vs, i, ins, sh)
-		if ins.IsJump() && s.target[i] < 0 {
+		vs = checkShape(vs, fn, i, ins, sh)
+		if ins.IsJump() && s.target(ins.Label) < 0 {
 			vs = append(vs, Violation{Rule: RuleLabel, Index: i,
-				Detail: fmt.Sprintf("jump to undefined label %q", ins.Sym)})
+				Detail: fmt.Sprintf("jump to undefined label %q", fn.LabelName(ins.Label))})
 		}
 		// Dead fallthrough. The compilation schema deliberately plants
 		// exit stubs behind unconditional control transfers (an always-
@@ -257,7 +267,7 @@ func (s *scratch) verifyStructural(instrs []ir.Instr) []Violation {
 			if j, ok := deadRegionEnd(instrs, i); !ok {
 				into := "the end of the function"
 				if j < len(instrs) {
-					into = fmt.Sprintf("label %q", instrs[j].Sym)
+					into = fmt.Sprintf("label %q", fn.LabelName(instrs[j].Label))
 				}
 				vs = append(vs, Violation{Rule: RuleDeadCode, Index: i,
 					Detail: fmt.Sprintf("dead code behind %s falls through into %s", instrs[i-1].Op, into)})
@@ -359,20 +369,20 @@ func ReadsImm(ins *ir.Instr) bool {
 }
 
 // checkShape appends the opcode-shape and register-range violations of
-// one instruction to vs.
-func checkShape(vs []Violation, i int, ins *ir.Instr, sh shape) []Violation {
+// instruction i of fn to vs.
+func checkShape(vs []Violation, fn *ir.Fn, i int, ins *ir.Instr, sh shape) []Violation {
 	vs = checkReg(vs, i, ins, "rd", ins.Rd, sh.rd)
 	vs = checkReg(vs, i, ins, "rs1", ins.Rs1, sh.rs1)
 	vs = checkReg(vs, i, ins, "rs2", ins.Rs2, sh.rs2)
 	if !sh.imm && ins.Imm != 0 {
 		vs = badField(vs, i, ins, "imm", fmt.Sprintf("set to %d but unused by this opcode", ins.Imm))
 	}
-	if sh.sym {
-		if ins.Sym == "" {
-			vs = badField(vs, i, ins, "sym", "empty label reference")
+	if sh.label {
+		if ins.Label == 0 {
+			vs = badField(vs, i, ins, "label", "empty label reference")
 		}
-	} else if ins.Sym != "" {
-		vs = badField(vs, i, ins, "sym", fmt.Sprintf("set to %q but unused by this opcode", ins.Sym))
+	} else if ins.Label != 0 {
+		vs = badField(vs, i, ins, "label", fmt.Sprintf("set to %q but unused by this opcode", fn.LabelName(ins.Label)))
 	}
 	return vs
 }

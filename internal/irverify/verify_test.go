@@ -65,11 +65,12 @@ func TestCleanBranchyFunction(t *testing.T) {
 	b := ir.NewBuilder()
 	b.Push(ir.FP)
 	b.MovR(ir.FP, ir.SP)
+	zero := b.NewLabel("zero")
 	b.CmpI(ir.ReceiverResultReg, 0)
-	b.Jump(ir.OpcJeq, "zero")
+	b.Jump(ir.OpcJeq, zero)
 	b.Push(ir.ReceiverResultReg)
 	b.Pop(ir.TempReg)
-	b.Label("zero")
+	b.Label(zero)
 	b.Brk(1)
 	fn, err := b.Finish()
 	if err != nil {
@@ -80,19 +81,19 @@ func TestCleanBranchyFunction(t *testing.T) {
 
 func TestUndefinedLabel(t *testing.T) {
 	fn := &ir.Fn{Instrs: []ir.Instr{
-		{Op: ir.OpcJmp, Sym: "nowhere"},
-		{Op: ir.OpcLabel, Sym: "here"},
+		{Op: ir.OpcJmp, Label: 1},
+		{Op: ir.OpcLabel, Label: 2},
 		{Op: ir.OpcBrk, Imm: 1},
-	}}
+	}, Labels: []ir.LabelName{ir.Named("nowhere"), ir.Named("here")}}
 	wantRule(t, fn, Options{}, RuleLabel)
 }
 
 func TestDuplicateLabel(t *testing.T) {
 	fn := &ir.Fn{Instrs: []ir.Instr{
-		{Op: ir.OpcLabel, Sym: "l"},
-		{Op: ir.OpcLabel, Sym: "l"},
+		{Op: ir.OpcLabel, Label: 1},
+		{Op: ir.OpcLabel, Label: 1},
 		{Op: ir.OpcBrk, Imm: 1},
-	}}
+	}, Labels: []ir.LabelName{ir.Named("l")}}
 	wantRule(t, fn, Options{}, RuleLabel)
 }
 
@@ -167,12 +168,12 @@ func TestConflictingJoinIntoPopStaysPrecise(t *testing.T) {
 	fn := &ir.Fn{Instrs: []ir.Instr{
 		{Op: ir.OpcPush, Rs1: ir.TempReg},
 		{Op: ir.OpcCmpI, Rs1: ir.TempReg, Imm: 0},
-		{Op: ir.OpcJeq, Sym: "join"},
+		{Op: ir.OpcJeq, Label: 1},
 		{Op: ir.OpcPush, Rs1: ir.TempReg},
-		{Op: ir.OpcLabel, Sym: "join"},
+		{Op: ir.OpcLabel, Label: 1},
 		{Op: ir.OpcPop, Rd: ir.TempReg},
 		{Op: ir.OpcBrk, Imm: 1},
-	}}
+	}, Labels: []ir.LabelName{ir.Named("join")}}
 	wantClean(t, fn)
 }
 
@@ -193,11 +194,11 @@ func TestConflictingJoinIntoBreakpointIsBenign(t *testing.T) {
 	fn := &ir.Fn{Instrs: []ir.Instr{
 		{Op: ir.OpcPush, Rs1: ir.TempReg},
 		{Op: ir.OpcCmpI, Rs1: ir.TempReg, Imm: 0},
-		{Op: ir.OpcJeq, Sym: "join"},
+		{Op: ir.OpcJeq, Label: 1},
 		{Op: ir.OpcPush, Rs1: ir.TempReg},
-		{Op: ir.OpcLabel, Sym: "join"},
+		{Op: ir.OpcLabel, Label: 1},
 		{Op: ir.OpcBrk, Imm: 1},
-	}}
+	}, Labels: []ir.LabelName{ir.Named("join")}}
 	wantClean(t, fn)
 }
 
@@ -212,11 +213,11 @@ func TestUntrackedSPWrite(t *testing.T) {
 func TestGuardDeoptPresent(t *testing.T) {
 	fn := &ir.Fn{Instrs: []ir.Instr{
 		{Op: ir.OpcCmpI, Rs1: ir.ReceiverResultReg, Imm: 0},
-		{Op: ir.OpcJne, Sym: "deopt"},
+		{Op: ir.OpcJne, Label: 1},
 		{Op: ir.OpcBrk, Imm: 1},
-		{Op: ir.OpcLabel, Sym: "deopt"},
+		{Op: ir.OpcLabel, Label: 1},
 		{Op: ir.OpcBrk, Imm: 5},
-	}}
+	}, Labels: []ir.LabelName{ir.Named("deopt")}}
 	opts := Options{RequireDeopt: true, DeoptBrkID: 5}
 	if vs := opts.Verify(fn); len(vs) > 0 {
 		t.Fatalf("want clean, got %v", vs)
@@ -235,13 +236,13 @@ func TestGuardDeoptUnreachable(t *testing.T) {
 	// path no longer leads to the stub: the chain is not exhaustive.
 	fn := &ir.Fn{Instrs: []ir.Instr{
 		{Op: ir.OpcCmpI, Rs1: ir.ReceiverResultReg, Imm: 0},
-		{Op: ir.OpcJne, Sym: "other"},
+		{Op: ir.OpcJne, Label: 1},
 		{Op: ir.OpcBrk, Imm: 1},
-		{Op: ir.OpcLabel, Sym: "other"},
+		{Op: ir.OpcLabel, Label: 1},
 		{Op: ir.OpcBrk, Imm: 2},
-		{Op: ir.OpcLabel, Sym: "deopt"},
+		{Op: ir.OpcLabel, Label: 2},
 		{Op: ir.OpcBrk, Imm: 5},
-	}}
+	}, Labels: []ir.LabelName{ir.Named("other"), ir.Named("deopt")}}
 	wantRule(t, fn, Options{RequireDeopt: true, DeoptBrkID: 5}, RuleGuardDeopt)
 }
 
@@ -250,9 +251,9 @@ func TestGuardDeoptDeadStubOnStraightLinePlan(t *testing.T) {
 	// is legitimately dead.
 	fn := &ir.Fn{Instrs: []ir.Instr{
 		{Op: ir.OpcBrk, Imm: 1},
-		{Op: ir.OpcLabel, Sym: "deopt"},
+		{Op: ir.OpcLabel, Label: 1},
 		{Op: ir.OpcBrk, Imm: 5},
-	}}
+	}, Labels: []ir.LabelName{ir.Named("deopt")}}
 	opts := Options{RequireDeopt: true, DeoptBrkID: 5}
 	if vs := opts.Verify(fn); len(vs) > 0 {
 		t.Fatalf("want clean, got %v", vs)
@@ -299,11 +300,11 @@ func TestPassEffectDroppedPop(t *testing.T) {
 func TestPassEffectDroppedExit(t *testing.T) {
 	before := &ir.Fn{Instrs: []ir.Instr{
 		{Op: ir.OpcCmpI, Rs1: ir.TempReg, Imm: 0},
-		{Op: ir.OpcJeq, Sym: "l"},
+		{Op: ir.OpcJeq, Label: 1},
 		{Op: ir.OpcBrk, Imm: 1},
-		{Op: ir.OpcLabel, Sym: "l"},
+		{Op: ir.OpcLabel, Label: 1},
 		{Op: ir.OpcBrk, Imm: 2},
-	}}
+	}, Labels: []ir.LabelName{ir.Named("l")}}
 	after := &ir.Fn{Instrs: []ir.Instr{
 		{Op: ir.OpcBrk, Imm: 1},
 	}}

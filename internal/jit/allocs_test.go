@@ -27,10 +27,12 @@ var corpusBody = &bytecode.Method{
 // TestCompileAllocs gates the Go allocations of one compile, front-end
 // to machine code on one ISA: primAdd as a single-instruction test unit
 // and corpusBody as a whole method, per byte-code variant. Passes that
-// change nothing return their input, the pipeline is built once, and
-// the front-end and assembler build labels, selectors, register sets
-// and fixups without maps or fmt; each bound sits at most 2 above the
-// measured count, so reintroducing any of those copies fails here.
+// change nothing return their input, the pipeline is built once, labels
+// are integer IDs whose names are never built during a compile, lowering
+// resolves them through a table on the stack, and the front-end builds
+// selectors and register sets without maps or fmt; each bound sits at
+// most 2 above the measured count, so reintroducing any of those copies
+// fails here.
 func TestCompileAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops pooled verifier scratch at random")
@@ -44,14 +46,15 @@ func TestCompileAllocs(t *testing.T) {
 		whole   bool
 		bound   float64
 	}{
-		// Measured: 26, 24, 24, then 67, 76, 74 (47, 46, 49, then 122,
-		// 143, 145 when every pass cloned).
-		{SimpleStackBasedCogit, false, 28},
-		{StackToRegisterCogit, false, 26},
-		{RegisterAllocatingCogit, false, 26},
-		{SimpleStackBasedCogit, true, 69},
-		{StackToRegisterCogit, true, 78},
-		{RegisterAllocatingCogit, true, 76},
+		// Measured: 20, 18, 18, then 46, 46, 44 (26, 24, 24, then 67,
+		// 76, 74 with string labels and an assembler; 47, 46, 49, then
+		// 122, 143, 145 when every pass cloned).
+		{SimpleStackBasedCogit, false, 22},
+		{StackToRegisterCogit, false, 20},
+		{RegisterAllocatingCogit, false, 20},
+		{SimpleStackBasedCogit, true, 48},
+		{StackToRegisterCogit, true, 48},
+		{RegisterAllocatingCogit, true, 46},
 	} {
 		compile := func() {
 			om.ResetToSeal()

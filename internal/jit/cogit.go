@@ -2,7 +2,6 @@ package jit
 
 import (
 	"fmt"
-	"strconv"
 
 	"cogdiff/internal/bytecode"
 	"cogdiff/internal/defects"
@@ -32,14 +31,14 @@ type Cogit struct {
 	alloc       regAllocator
 	selectors   []Selector
 	selectorIdx map[Selector]int64
-	labelSeq    int
 	numTemps    int
-	usesJump    bool
-	// methodJumpLabel, when non-empty, redirects jump byte-codes to a
-	// per-pc label (whole-method compilation) instead of the single
-	// instruction test schema's "jumpTaken" breakpoint.
-	methodJumpLabel string
-	err             error
+	// jumpTaken is the single-instruction test schema's "jumpTaken"
+	// label, made when the instruction first jumps (0 until then).
+	jumpTaken ir.Label
+	// methodJump, when set, redirects jump byte-codes to a per-pc label
+	// (whole-method compilation) instead of jumpTaken.
+	methodJump ir.Label
+	err        error
 }
 
 // NewCogit builds a compiler of the given variant and ISA over om.
@@ -53,9 +52,8 @@ func (c *Cogit) reset() {
 	c.spilled = 0
 	c.selectors = nil
 	c.selectorIdx = nil
-	c.labelSeq = 0
-	c.usesJump = false
-	c.methodJumpLabel = ""
+	c.jumpTaken = 0
+	c.methodJump = 0
 	c.err = nil
 	if c.Variant == RegisterAllocatingCogit {
 		c.alloc = &linearAllocator{}
@@ -68,11 +66,6 @@ func (c *Cogit) fail(format string, args ...any) {
 	if c.err == nil {
 		c.err = fmt.Errorf(format, args...)
 	}
-}
-
-func (c *Cogit) newLabel(prefix string) string {
-	c.labelSeq++
-	return prefix + "_" + strconv.Itoa(c.labelSeq)
 }
 
 // addSelector interns a send site and returns its identifier. The map
@@ -213,7 +206,7 @@ func (c *Cogit) cmpImm(rs ir.Reg, imm int64) {
 
 // checkSmallIntJumpIfNot tests the tag bit of r and branches to label when
 // r is not a tagged integer (Listing 2's checkSmallInteger + jumpzero).
-func (c *Cogit) checkSmallIntJumpIfNot(r ir.Reg, label string) {
+func (c *Cogit) checkSmallIntJumpIfNot(r ir.Reg, label ir.Label) {
 	c.b.BinI(ir.OpcAndI, ir.ScratchReg, r, 1)
 	c.b.CmpI(ir.ScratchReg, 1)
 	c.b.Jump(ir.OpcJne, label)
@@ -230,7 +223,7 @@ func (c *Cogit) tag(r ir.Reg) {
 
 // rangeCheckJumpIfOut branches to label unless r fits the tagged range
 // (the jumpIfNotOverflow of Listing 2).
-func (c *Cogit) rangeCheckJumpIfOut(r ir.Reg, label string) {
+func (c *Cogit) rangeCheckJumpIfOut(r ir.Reg, label ir.Label) {
 	c.cmpImm(r, heap.MaxSmallInt)
 	c.b.Jump(ir.OpcJgt, label)
 	c.cmpImm(r, heap.MinSmallInt)
@@ -300,8 +293,8 @@ func (c *Cogit) OptimizeBytecode(m *bytecode.Method, inputStack []heap.Word) (*O
 	// the instruction branches.
 	c.flushAll()
 	c.b.Brk(BrkEndFall)
-	if c.usesJump {
-		c.b.Label("jumpTaken")
+	if c.jumpTaken != 0 {
+		c.b.Label(c.jumpTaken)
 		c.b.Brk(BrkJumpTaken)
 	}
 	return c.finish()

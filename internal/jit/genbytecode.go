@@ -129,7 +129,7 @@ func (c *Cogit) genBytecode(m *bytecode.Method, op bytecode.Op, operands []byte)
 			operand = operands[0]
 		}
 		off, _, _, _ := bytecode.JumpOffset(op, operand)
-		if off != 0 || c.methodJumpLabel != "" {
+		if off != 0 || c.methodJump != 0 {
 			c.flushAll()
 			c.b.Jump(ir.OpcJmp, c.jumpTakenLabel())
 		}
@@ -227,8 +227,8 @@ func (c *Cogit) genTaggedArith(op ir.Opc, selector string) {
 	c.flushAll()
 	res := c.allocReg()
 
-	slow := c.newLabel("slow")
-	after := c.newLabel("after")
+	slow := c.b.NewLabel("slow")
+	after := c.b.NewLabel("after")
 
 	c.checkSmallIntJumpIfNot(rcvr, slow)
 	c.checkSmallIntJumpIfNot(arg, slow)
@@ -265,9 +265,9 @@ func (c *Cogit) genMultiply() {
 	c.flushAll()
 	res := c.allocReg()
 
-	slow := c.newLabel("slow")
-	slowRetag := c.newLabel("slowRetag")
-	after := c.newLabel("after")
+	slow := c.b.NewLabel("slow")
+	slowRetag := c.b.NewLabel("slowRetag")
+	after := c.b.NewLabel("after")
 
 	c.checkSmallIntJumpIfNot(rcvr, slow)
 	c.checkSmallIntJumpIfNot(arg, slow)
@@ -300,9 +300,9 @@ func (c *Cogit) genDivide() {
 	c.flushAll()
 	res := c.allocReg()
 
-	slow := c.newLabel("slow")
-	slowRetag := c.newLabel("slowRetag")
-	after := c.newLabel("after")
+	slow := c.b.NewLabel("slow")
+	slowRetag := c.b.NewLabel("slowRetag")
+	after := c.b.NewLabel("after")
 
 	c.checkSmallIntJumpIfNot(rcvr, slow)
 	c.checkSmallIntJumpIfNot(arg, slow)
@@ -342,11 +342,11 @@ func (c *Cogit) genFlooredDivision(isDiv bool) {
 	c.flushAll()
 	res := c.allocReg()
 
-	slow := c.newLabel("slow")
-	slowRetag := c.newLabel("slowRetag")
-	fix := c.newLabel("fixup")
-	done := c.newLabel("done")
-	after := c.newLabel("after")
+	slow := c.b.NewLabel("slow")
+	slowRetag := c.b.NewLabel("slowRetag")
+	fix := c.b.NewLabel("fixup")
+	done := c.b.NewLabel("done")
+	after := c.b.NewLabel("after")
 	selector := "\\\\"
 	if isDiv {
 		selector = "//"
@@ -416,8 +416,8 @@ func (c *Cogit) genBitwiseBC(op ir.Opc, selector string) {
 	c.flushAll()
 	res := c.allocReg()
 
-	slow := c.newLabel("slow")
-	after := c.newLabel("after")
+	slow := c.b.NewLabel("slow")
+	after := c.b.NewLabel("after")
 
 	c.checkSmallIntJumpIfNot(rcvr, slow)
 	c.checkSmallIntJumpIfNot(arg, slow)
@@ -450,9 +450,9 @@ func (c *Cogit) genBitShift() {
 	c.flushAll()
 	res := c.allocReg()
 
-	slow := c.newLabel("slow")
-	neg := c.newLabel("neg")
-	after := c.newLabel("after")
+	slow := c.b.NewLabel("slow")
+	neg := c.b.NewLabel("neg")
+	after := c.b.NewLabel("after")
 
 	c.checkSmallIntJumpIfNot(rcvr, slow)
 	c.checkSmallIntJumpIfNot(arg, slow)
@@ -500,10 +500,10 @@ func (c *Cogit) genComparison(jcc ir.Opc, selector string) {
 	c.flushAll()
 	res := c.allocReg()
 
-	slow := c.newLabel("slow")
-	ctrue := c.newLabel("ctrue")
-	cdone := c.newLabel("cdone")
-	after := c.newLabel("after")
+	slow := c.b.NewLabel("slow")
+	ctrue := c.b.NewLabel("ctrue")
+	cdone := c.b.NewLabel("cdone")
+	after := c.b.NewLabel("after")
 
 	c.checkSmallIntJumpIfNot(rcvr, slow)
 	c.checkSmallIntJumpIfNot(arg, slow)
@@ -535,8 +535,8 @@ func (c *Cogit) genIdentical(negated bool) {
 	c.popToReg(rcvr)
 	res := c.allocReg()
 
-	eq := c.newLabel("eq")
-	done := c.newLabel("done")
+	eq := c.b.NewLabel("eq")
+	done := c.b.NewLabel("done")
 
 	trueW, falseW := int64(c.OM.TrueObj), int64(c.OM.FalseObj)
 	if negated {
@@ -559,8 +559,8 @@ func (c *Cogit) genClass() {
 	c.popToReg(obj)
 	res := c.allocReg()
 
-	notInt := c.newLabel("notInt")
-	done := c.newLabel("done")
+	notInt := c.b.NewLabel("notInt")
+	done := c.b.NewLabel("done")
 
 	c.b.BinI(ir.OpcAndI, ir.ScratchReg, obj, 1)
 	c.b.CmpI(ir.ScratchReg, 1)
@@ -581,7 +581,7 @@ func (c *Cogit) genClass() {
 // emitIndexableFormatCheck loads the header into hdrReg and branches to
 // slow unless the object's format answers at:/at:put:. The format is left
 // in ScratchReg.
-func (c *Cogit) emitIndexableFormatCheck(obj, hdrReg ir.Reg, slow, ok string) {
+func (c *Cogit) emitIndexableFormatCheck(obj, hdrReg ir.Reg, slow, ok ir.Label) {
 	c.loadHeader(hdrReg, obj)
 	c.b.BinI(ir.OpcSarI, ir.ScratchReg, hdrReg, heap.HeaderSlotBits)
 	c.b.BinI(ir.OpcAndI, ir.ScratchReg, ir.ScratchReg, heap.HeaderFormatMask)
@@ -600,9 +600,9 @@ func (c *Cogit) genSize() {
 	c.flushAll()
 	res := c.allocReg()
 
-	slow := c.newLabel("slow")
-	ok := c.newLabel("fmtok")
-	after := c.newLabel("after")
+	slow := c.b.NewLabel("slow")
+	ok := c.b.NewLabel("fmtok")
+	after := c.b.NewLabel("after")
 
 	c.b.BinI(ir.OpcAndI, ir.ScratchReg, obj, 1)
 	c.b.CmpI(ir.ScratchReg, 1)
@@ -629,10 +629,10 @@ func (c *Cogit) genAt() {
 	c.flushAll()
 	res := c.allocReg()
 
-	slow := c.newLabel("slow")
-	ok := c.newLabel("fmtok")
-	noTag := c.newLabel("noTag")
-	after := c.newLabel("after")
+	slow := c.b.NewLabel("slow")
+	ok := c.b.NewLabel("fmtok")
+	noTag := c.b.NewLabel("noTag")
+	after := c.b.NewLabel("after")
 
 	c.checkSmallIntJumpIfNot(idx, slow)
 	c.b.BinI(ir.OpcAndI, ir.ScratchReg, rcvr, 1)
@@ -676,13 +676,13 @@ func (c *Cogit) genAtPut() {
 	c.popToReg(rcvr)
 	c.flushAll()
 
-	slow := c.newLabel("slow")
-	ok := c.newLabel("fmtok")
-	rawBytes := c.newLabel("rawBytes")
-	rawWords := c.newLabel("rawWords")
-	rawStore := c.newLabel("rawStore")
-	ptrStore := c.newLabel("ptrStore")
-	after := c.newLabel("after")
+	slow := c.b.NewLabel("slow")
+	ok := c.b.NewLabel("fmtok")
+	rawBytes := c.b.NewLabel("rawBytes")
+	rawWords := c.b.NewLabel("rawWords")
+	rawStore := c.b.NewLabel("rawStore")
+	ptrStore := c.b.NewLabel("ptrStore")
+	after := c.b.NewLabel("after")
 
 	c.checkSmallIntJumpIfNot(idx, slow)
 	c.b.BinI(ir.OpcAndI, ir.ScratchReg, rcvr, 1)
@@ -742,12 +742,14 @@ func (c *Cogit) genAtPut() {
 // jumpTakenLabel answers the label a taken jump lands on: the per-pc
 // label in whole-method mode, the jumpTaken breakpoint in the
 // single-instruction test schema.
-func (c *Cogit) jumpTakenLabel() string {
-	if c.methodJumpLabel != "" {
-		return c.methodJumpLabel
+func (c *Cogit) jumpTakenLabel() ir.Label {
+	if c.methodJump != 0 {
+		return c.methodJump
 	}
-	c.usesJump = true
-	return "jumpTaken"
+	if c.jumpTaken == 0 {
+		c.jumpTaken = c.b.AddLabel(ir.Named("jumpTaken"))
+	}
+	return c.jumpTaken
 }
 
 func (c *Cogit) genConditionalJump(onTrue bool) {
@@ -756,7 +758,7 @@ func (c *Cogit) genConditionalJump(onTrue bool) {
 	c.flushAll()
 	taken := c.jumpTakenLabel()
 
-	localEnd := c.newLabel("condEnd")
+	localEnd := c.b.NewLabel("condEnd")
 
 	c.cmpImm(cond, int64(c.OM.TrueObj))
 	if onTrue {

@@ -2,7 +2,6 @@ package jit
 
 import (
 	"fmt"
-	"strconv"
 
 	"cogdiff/internal/bytecode"
 	"cogdiff/internal/heap"
@@ -16,12 +15,11 @@ import (
 // per-target labels; the parse-time simulation stack is flushed at every
 // basic-block boundary so all incoming edges agree on the frame state.
 
-// pcLabel names the machine label of a byte-code offset.
-func pcLabel(pc int) string { return "bc_" + strconv.Itoa(pc) }
-
-// jumpTargets collects the byte-code offsets that are jump targets.
-func jumpTargets(m *bytecode.Method) (map[int]bool, error) {
-	targets := make(map[int]bool)
+// jumpTargets returns the method's per-pc labels: for every byte-code
+// offset from 0 to len(m.Code) that a jump targets, a label printed as
+// bc_<pc>; 0 elsewhere.
+func (c *Cogit) jumpTargets(m *bytecode.Method) ([]ir.Label, error) {
+	targets := make([]ir.Label, len(m.Code)+1)
 	for pc := 0; pc < len(m.Code); {
 		op, operands, next, ok := m.FetchOp(pc)
 		if !ok {
@@ -32,11 +30,23 @@ func jumpTargets(m *bytecode.Method) (map[int]bool, error) {
 			operand = operands[0]
 		}
 		if off, _, _, isJump := bytecode.JumpOffset(op, operand); isJump {
-			targets[next+off] = true
+			if t := next + off; t >= 0 && t < len(targets) && targets[t] == 0 {
+				targets[t] = c.b.AddLabel(ir.Numbered("bc", t))
+			}
 		}
 		pc = next
 	}
 	return targets, nil
+}
+
+// pcLabel returns the label of byte-code offset pc. An offset past the
+// method gets a label of its own that nothing binds, so the builder
+// rejects the jump to it.
+func (c *Cogit) pcLabel(targets []ir.Label, pc int) ir.Label {
+	if pc >= 0 && pc < len(targets) {
+		return targets[pc]
+	}
+	return c.b.AddLabel(ir.Numbered("bc", pc))
 }
 
 // CompileMethod compiles a whole method for the Cogit's ISA:
@@ -54,7 +64,7 @@ func (c *Cogit) OptimizeMethod(m *bytecode.Method, inputStack []heap.Word) (*Opt
 	c.reset()
 	c.numTemps = m.TempCount()
 
-	targets, err := jumpTargets(m)
+	targets, err := c.jumpTargets(m)
 	if err != nil {
 		return nil, err
 	}
@@ -71,23 +81,23 @@ func (c *Cogit) OptimizeMethod(m *bytecode.Method, inputStack []heap.Word) (*Opt
 		if !ok {
 			return nil, fmt.Errorf("%w: undecodable byte-code at %d", ErrNotCompilable, pc)
 		}
-		if targets[pc] {
+		if targets[pc] != 0 {
 			// Basic-block boundary: every incoming edge must see the
 			// canonical (flushed) frame state.
 			c.flushAll()
-			c.b.Label(pcLabel(pc))
+			c.b.Label(targets[pc])
 		}
 		var operand byte
 		if len(operands) > 0 {
 			operand = operands[0]
 		}
 		if off, _, _, isJump := bytecode.JumpOffset(op, operand); isJump {
-			c.methodJumpLabel = pcLabel(next + off)
+			c.methodJump = c.pcLabel(targets, next+off)
 		} else {
-			c.methodJumpLabel = ""
+			c.methodJump = 0
 		}
 		c.genBytecode(m, op, operands)
-		c.methodJumpLabel = ""
+		c.methodJump = 0
 		if c.err != nil {
 			return nil, c.err
 		}
@@ -95,9 +105,9 @@ func (c *Cogit) OptimizeMethod(m *bytecode.Method, inputStack []heap.Word) (*Opt
 	}
 
 	// Labels may point one past the last instruction.
-	if targets[len(m.Code)] {
+	if end := targets[len(m.Code)]; end != 0 {
 		c.flushAll()
-		c.b.Label(pcLabel(len(m.Code)))
+		c.b.Label(end)
 	}
 	// Falling off the end answers the receiver (implicit returnReceiver).
 	c.emitEpilogueReturn()

@@ -1,8 +1,6 @@
 package jit
 
 import (
-	"strconv"
-
 	"cogdiff/internal/defects"
 	"cogdiff/internal/heap"
 	"cogdiff/internal/ir"
@@ -27,23 +25,16 @@ type NativeMethodCompiler struct {
 	// stack-balance rules after that one stage.
 	Hooks
 
-	b   *ir.Builder
-	seq int
+	b *ir.Builder
+	// fail is where every failing check jumps: the "fallthrough" label,
+	// where OptimizeNativeMethod plants the fall-through breakpoint.
+	fail ir.Label
 }
 
 // NewNativeMethodCompiler builds a native-method compiler over om.
 func NewNativeMethodCompiler(isa machine.ISA, om *heap.ObjectMemory, sw defects.Switches) *NativeMethodCompiler {
 	return &NativeMethodCompiler{ISA: isa, OM: om, Defects: sw}
 }
-
-func (n *NativeMethodCompiler) label(prefix string) string {
-	n.seq++
-	return prefix + "_" + strconv.Itoa(n.seq)
-}
-
-// fallthroughLabel is where every failing check jumps; CompileNativeMethod
-// plants the fall-through breakpoint there.
-const fallthroughLabel = "fallthrough"
 
 // CompileNativeMethod compiles the native behavior of one primitive for
 // the compiler's ISA: OptimizeNativeMethod, then Lower.
@@ -56,7 +47,6 @@ func (n *NativeMethodCompiler) CompileNativeMethod(p *primitives.Primitive) (*Co
 // stopping short of lowering.
 func (n *NativeMethodCompiler) OptimizeNativeMethod(p *primitives.Primitive) (*Optimized, error) {
 	n.b = ir.NewBuilder()
-	n.seq = 0
 
 	if defects.IsMissingInJIT(n.Defects, p.Name, p.Category) {
 		// Never implemented in the 32-bit compiler: the generated stub
@@ -64,10 +54,11 @@ func (n *NativeMethodCompiler) OptimizeNativeMethod(p *primitives.Primitive) (*O
 		n.b.Brk(BrkNotImplemented)
 		return n.finish()
 	}
+	n.fail = n.b.AddLabel(ir.Named("fallthrough"))
 	if err := n.genTemplate(p); err != nil {
 		return nil, err
 	}
-	n.b.Label(fallthroughLabel)
+	n.b.Label(n.fail)
 	n.b.Brk(BrkNativeFallthrough)
 	return n.finish()
 }
@@ -86,13 +77,13 @@ func (n *NativeMethodCompiler) finish() (*Optimized, error) {
 func (n *NativeMethodCompiler) checkSmallIntOrFail(r ir.Reg) {
 	n.b.BinI(ir.OpcAndI, ir.ScratchReg, r, 1)
 	n.b.CmpI(ir.ScratchReg, 1)
-	n.b.Jump(ir.OpcJne, fallthroughLabel)
+	n.b.Jump(ir.OpcJne, n.fail)
 }
 
 func (n *NativeMethodCompiler) checkPointerOrFail(r ir.Reg) {
 	n.b.BinI(ir.OpcAndI, ir.ScratchReg, r, 1)
 	n.b.CmpI(ir.ScratchReg, 1)
-	n.b.Jump(ir.OpcJeq, fallthroughLabel)
+	n.b.Jump(ir.OpcJeq, n.fail)
 }
 
 // checkClassIndexOrFail verifies classIndexOf(r) = idx for a heap object
@@ -102,7 +93,7 @@ func (n *NativeMethodCompiler) checkClassIndexOrFail(r ir.Reg, idx int) {
 	n.b.Load(ir.ScratchReg, r, 0)
 	n.b.BinI(ir.OpcSarI, ir.ScratchReg, ir.ScratchReg, heap.HeaderClassShift)
 	n.b.CmpI(ir.ScratchReg, int64(idx))
-	n.b.Jump(ir.OpcJne, fallthroughLabel)
+	n.b.Jump(ir.OpcJne, n.fail)
 }
 
 // cmpImm emits a compare-immediate; lowering materializes out-of-range
@@ -113,9 +104,9 @@ func (n *NativeMethodCompiler) cmpImm(rs ir.Reg, imm int64) {
 
 func (n *NativeMethodCompiler) rangeCheckOrFail(r ir.Reg) {
 	n.cmpImm(r, heap.MaxSmallInt)
-	n.b.Jump(ir.OpcJgt, fallthroughLabel)
+	n.b.Jump(ir.OpcJgt, n.fail)
 	n.cmpImm(r, heap.MinSmallInt)
-	n.b.Jump(ir.OpcJlt, fallthroughLabel)
+	n.b.Jump(ir.OpcJlt, n.fail)
 }
 
 func (n *NativeMethodCompiler) tag(r ir.Reg) {
@@ -129,7 +120,7 @@ func (n *NativeMethodCompiler) untag(rd, rs ir.Reg) {
 
 // retBool returns the boolean object selected by the pending jump opcode.
 func (n *NativeMethodCompiler) retBool(jcc ir.Opc) {
-	t := n.label("true")
+	t := n.b.NewLabel("true")
 	n.b.Jump(jcc, t)
 	n.b.MovI(ir.ReceiverResultReg, int64(n.OM.FalseObj))
 	n.b.Ret()
@@ -143,11 +134,11 @@ func (n *NativeMethodCompiler) retBool(jcc ir.Opc) {
 func (n *NativeMethodCompiler) slotBoundsCheckOrFail(obj, taggedIdx, idxOut ir.Reg) {
 	n.untag(idxOut, taggedIdx)
 	n.b.CmpI(idxOut, 1)
-	n.b.Jump(ir.OpcJlt, fallthroughLabel)
+	n.b.Jump(ir.OpcJlt, n.fail)
 	n.b.Load(ir.ScratchReg, obj, 0)
 	n.b.BinI(ir.OpcAndI, ir.ScratchReg, ir.ScratchReg, heap.HeaderSlotMask)
 	n.b.Cmp(idxOut, ir.ScratchReg)
-	n.b.Jump(ir.OpcJgt, fallthroughLabel)
+	n.b.Jump(ir.OpcJgt, n.fail)
 }
 
 // genTemplate dispatches on the primitive index.

@@ -172,7 +172,7 @@ func (n *NativeMethodCompiler) genFFIStructField(field int, put bool) {
 	n.b.Load(ir.ScratchReg, ir.ReceiverResultReg, 0)
 	n.b.BinI(ir.OpcAndI, ir.ScratchReg, ir.ScratchReg, heap.HeaderSlotMask)
 	n.b.CmpI(ir.ScratchReg, int64(field+1))
-	n.b.Jump(ir.OpcJlt, fallthroughLabel)
+	n.b.Jump(ir.OpcJlt, n.fail)
 	if put {
 		n.b.Store(ir.ReceiverResultReg, heap.HeaderWords+int64(field), ir.Arg0Reg)
 		n.b.MovR(ir.ReceiverResultReg, ir.Arg0Reg)
@@ -186,9 +186,9 @@ func (n *NativeMethodCompiler) genFFIStructField(field int, put bool) {
 func (n *NativeMethodCompiler) genFFIAllocate() {
 	n.checkSmallIntOrFail(ir.ReceiverResultReg)
 	n.b.CmpI(ir.ReceiverResultReg, int64(heap.SmallIntFor(0)))
-	n.b.Jump(ir.OpcJlt, fallthroughLabel)
+	n.b.Jump(ir.OpcJlt, n.fail)
 	n.cmpImm(ir.ReceiverResultReg, int64(heap.SmallIntFor(1<<16)))
-	n.b.Jump(ir.OpcJgt, fallthroughLabel)
+	n.b.Jump(ir.OpcJgt, n.fail)
 	n.untag(ir.ExtraReg, ir.ReceiverResultReg)
 	n.b.MovI(ir.TempReg, heap.ClassIndexExternalAddr)
 	n.b.Emit(ir.Instr{Op: ir.OpcAlloc, Rd: ir.ReceiverResultReg, Rs1: ir.TempReg, Rs2: ir.ExtraReg})
@@ -199,8 +199,8 @@ func (n *NativeMethodCompiler) genFFIStrLen() {
 	n.checkClassIndexOrFail(ir.ReceiverResultReg, heap.ClassIndexExternalAddr)
 	n.b.Load(ir.ClassSelectorReg, ir.ReceiverResultReg, 0)
 	n.b.BinI(ir.OpcAndI, ir.ClassSelectorReg, ir.ClassSelectorReg, heap.HeaderSlotMask)
-	loop := n.label("scan")
-	done := n.label("done")
+	loop := n.b.NewLabel("scan")
+	done := n.b.NewLabel("done")
 	n.b.MovI(ir.TempReg, 0) // length counter
 	n.b.Label(loop)
 	n.b.Cmp(ir.TempReg, ir.ClassSelectorReg)
@@ -222,16 +222,16 @@ func (n *NativeMethodCompiler) genFFIMemCopy() {
 	n.checkClassIndexOrFail(ir.Arg0Reg, heap.ClassIndexExternalAddr)
 	n.checkSmallIntOrFail(ir.Arg1Reg)
 	n.b.CmpI(ir.Arg1Reg, int64(heap.SmallIntFor(0)))
-	n.b.Jump(ir.OpcJlt, fallthroughLabel)
+	n.b.Jump(ir.OpcJlt, n.fail)
 	n.untag(ir.TempReg, ir.Arg1Reg) // n
 	for _, obj := range []ir.Reg{ir.ReceiverResultReg, ir.Arg0Reg} {
 		n.b.Load(ir.ScratchReg, obj, 0)
 		n.b.BinI(ir.OpcAndI, ir.ScratchReg, ir.ScratchReg, heap.HeaderSlotMask)
 		n.b.Cmp(ir.TempReg, ir.ScratchReg)
-		n.b.Jump(ir.OpcJgt, fallthroughLabel)
+		n.b.Jump(ir.OpcJgt, n.fail)
 	}
-	loop := n.label("copy")
-	done := n.label("done")
+	loop := n.b.NewLabel("copy")
+	done := n.b.NewLabel("done")
 	n.b.MovI(ir.ExtraReg, 1) // cursor (1-based body offset)
 	n.b.Label(loop)
 	n.b.Cmp(ir.ExtraReg, ir.TempReg)
@@ -250,15 +250,15 @@ func (n *NativeMethodCompiler) genFFIMemSet() {
 	n.checkSmallIntOrFail(ir.Arg0Reg)
 	n.checkSmallIntOrFail(ir.Arg1Reg)
 	n.b.CmpI(ir.Arg1Reg, int64(heap.SmallIntFor(0)))
-	n.b.Jump(ir.OpcJlt, fallthroughLabel)
+	n.b.Jump(ir.OpcJlt, n.fail)
 	n.untag(ir.TempReg, ir.Arg1Reg) // n
 	n.b.Load(ir.ScratchReg, ir.ReceiverResultReg, 0)
 	n.b.BinI(ir.OpcAndI, ir.ScratchReg, ir.ScratchReg, heap.HeaderSlotMask)
 	n.b.Cmp(ir.TempReg, ir.ScratchReg)
-	n.b.Jump(ir.OpcJgt, fallthroughLabel)
+	n.b.Jump(ir.OpcJgt, n.fail)
 	n.untag(ir.ClassSelectorReg, ir.Arg0Reg) // raw value
-	loop := n.label("set")
-	done := n.label("done")
+	loop := n.b.NewLabel("set")
+	done := n.b.NewLabel("done")
 	n.b.MovI(ir.ExtraReg, 1)
 	n.b.Label(loop)
 	n.b.Cmp(ir.ExtraReg, ir.TempReg)

@@ -117,11 +117,11 @@ func (n *NativeMethodCompiler) genFloatTemplate(p *primitives.Primitive) error {
 		// Zero, NaN and infinity fail like the interpreter.
 		n.b.BinI(ir.OpcShlI, ir.ScratchReg, res, 1)
 		n.b.CmpI(ir.ScratchReg, 0)
-		n.b.Jump(ir.OpcJeq, fallthroughLabel)
+		n.b.Jump(ir.OpcJeq, n.fail)
 		n.b.BinI(ir.OpcSarI, ir.ScratchReg, res, 52)
 		n.b.BinI(ir.OpcAndI, ir.ScratchReg, ir.ScratchReg, 0x7FF)
 		n.b.CmpI(ir.ScratchReg, 0x7FF)
-		n.b.Jump(ir.OpcJeq, fallthroughLabel)
+		n.b.Jump(ir.OpcJeq, n.fail)
 		n.b.BinI(ir.OpcSubI, res, ir.ScratchReg, 1023)
 		n.tag(res)
 		n.b.MovR(ir.ReceiverResultReg, res)
@@ -132,13 +132,13 @@ func (n *NativeMethodCompiler) genFloatTemplate(p *primitives.Primitive) error {
 		n.checkSmallIntOrFail(ir.Arg0Reg)
 		n.untag(ir.ExtraReg, ir.Arg0Reg)
 		n.cmpImm(ir.ExtraReg, -1074)
-		n.b.Jump(ir.OpcJlt, fallthroughLabel)
+		n.b.Jump(ir.OpcJlt, n.fail)
 		n.cmpImm(ir.ExtraReg, 1023)
-		n.b.Jump(ir.OpcJgt, fallthroughLabel)
+		n.b.Jump(ir.OpcJgt, n.fail)
 		// x * 2^k in two steps so denormal scales stay exact:
 		// first clamp the step into the normal exponent range.
-		small := n.label("small")
-		done := n.label("done")
+		small := n.b.NewLabel("small")
+		done := n.b.NewLabel("done")
 		n.cmpImm(ir.ExtraReg, -1022)
 		n.b.Jump(ir.OpcJlt, small)
 		n.b.BinI(ir.OpcAddI, ir.ScratchReg, ir.ExtraReg, 1023)
@@ -163,7 +163,7 @@ func (n *NativeMethodCompiler) genFloatTemplate(p *primitives.Primitive) error {
 		// Negative receivers fail like the interpreter's guard.
 		n.b.MovI(ir.ScratchReg, 0)
 		n.b.FCmp(res, ir.ScratchReg)
-		n.b.Jump(ir.OpcJlt, fallthroughLabel)
+		n.b.Jump(ir.OpcJlt, n.fail)
 		n.b.Emit(ir.Instr{Op: ir.OpcFSqrt, Rd: res, Rs1: res})
 		n.b.Emit(ir.Instr{Op: ir.OpcAllocFloat, Rd: ir.ReceiverResultReg, Rs1: res})
 		n.b.Ret()
@@ -182,7 +182,7 @@ func (n *NativeMethodCompiler) genFloatTemplate(p *primitives.Primitive) error {
 		if p.Index == primitives.PrimIdxFloatLogN {
 			n.b.MovI(ir.ScratchReg, 0)
 			n.b.FCmp(res, ir.ScratchReg)
-			n.b.Jump(ir.OpcJlt, fallthroughLabel)
+			n.b.Jump(ir.OpcJlt, n.fail)
 		}
 		n.b.Emit(ir.Instr{Op: op, Rd: res, Rs1: res})
 		n.b.Emit(ir.Instr{Op: ir.OpcAllocFloat, Rd: ir.ReceiverResultReg, Rs1: res})

@@ -25,9 +25,9 @@ func (n *NativeMethodCompiler) genIntegerTemplate(p *primitives.Primitive) error
 			n.b.BinI(ir.OpcAddI, res, res, 1)
 		}
 		n.cmpImm(res, int64(heap.SmallIntFor(heap.MaxSmallInt)))
-		n.b.Jump(ir.OpcJgt, fallthroughLabel)
+		n.b.Jump(ir.OpcJgt, n.fail)
 		n.cmpImm(res, int64(heap.SmallIntFor(heap.MinSmallInt)))
-		n.b.Jump(ir.OpcJlt, fallthroughLabel)
+		n.b.Jump(ir.OpcJlt, n.fail)
 		n.b.MovR(ir.ReceiverResultReg, res)
 		n.b.Ret()
 
@@ -61,12 +61,12 @@ func (n *NativeMethodCompiler) genIntegerTemplate(p *primitives.Primitive) error
 		n.checkSmallIntOrFail(rcvr)
 		n.checkSmallIntOrFail(arg)
 		n.b.CmpI(arg, int64(heap.SmallIntFor(0)))
-		n.b.Jump(ir.OpcJeq, fallthroughLabel)
+		n.b.Jump(ir.OpcJeq, n.fail)
 		n.untag(res, rcvr)
 		n.untag(ir.ExtraReg, arg)
 		n.b.Bin(ir.OpcMod, ir.ScratchReg, res, ir.ExtraReg)
 		n.b.CmpI(ir.ScratchReg, 0)
-		n.b.Jump(ir.OpcJne, fallthroughLabel)
+		n.b.Jump(ir.OpcJne, n.fail)
 		n.b.Bin(ir.OpcDiv, res, res, ir.ExtraReg)
 		n.rangeCheckOrFail(res)
 		n.tag(res)
@@ -77,10 +77,10 @@ func (n *NativeMethodCompiler) genIntegerTemplate(p *primitives.Primitive) error
 		n.checkSmallIntOrFail(rcvr)
 		n.checkSmallIntOrFail(arg)
 		n.b.CmpI(arg, int64(heap.SmallIntFor(0)))
-		n.b.Jump(ir.OpcJeq, fallthroughLabel)
+		n.b.Jump(ir.OpcJeq, n.fail)
 		n.untag(res, rcvr)        // a
 		n.untag(ir.ExtraReg, arg) // b
-		done := n.label("done")
+		done := n.b.NewLabel("done")
 		if p.Index == primitives.PrimIdxDiv {
 			n.b.Bin(ir.OpcDiv, ir.ScratchReg, res, ir.ExtraReg) // q
 			n.b.Bin(ir.OpcMul, ir.ClassSelectorReg, ir.ScratchReg, ir.ExtraReg)
@@ -111,7 +111,7 @@ func (n *NativeMethodCompiler) genIntegerTemplate(p *primitives.Primitive) error
 		n.checkSmallIntOrFail(rcvr)
 		n.checkSmallIntOrFail(arg)
 		n.b.CmpI(arg, int64(heap.SmallIntFor(0)))
-		n.b.Jump(ir.OpcJeq, fallthroughLabel)
+		n.b.Jump(ir.OpcJeq, n.fail)
 		n.untag(res, rcvr)
 		n.untag(ir.ExtraReg, arg)
 		n.b.Bin(ir.OpcDiv, res, res, ir.ExtraReg)
@@ -127,9 +127,9 @@ func (n *NativeMethodCompiler) genIntegerTemplate(p *primitives.Primitive) error
 			// The corrected templates mirror the interpreter's negative
 			// operand fallback.
 			n.b.CmpI(rcvr, 0)
-			n.b.Jump(ir.OpcJlt, fallthroughLabel)
+			n.b.Jump(ir.OpcJlt, n.fail)
 			n.b.CmpI(arg, 0)
-			n.b.Jump(ir.OpcJlt, fallthroughLabel)
+			n.b.Jump(ir.OpcJlt, n.fail)
 		}
 		op := map[int]ir.Opc{
 			primitives.PrimIdxBitAnd: ir.OpcAnd,
@@ -148,13 +148,13 @@ func (n *NativeMethodCompiler) genIntegerTemplate(p *primitives.Primitive) error
 		n.checkSmallIntOrFail(arg)
 		if !n.Defects.BitwisePrimsUnsigned {
 			n.b.CmpI(rcvr, 0)
-			n.b.Jump(ir.OpcJlt, fallthroughLabel)
+			n.b.Jump(ir.OpcJlt, n.fail)
 		}
-		neg := n.label("neg")
+		neg := n.b.NewLabel("neg")
 		n.b.CmpI(arg, 0)
 		n.b.Jump(ir.OpcJlt, neg)
 		n.cmpImm(arg, int64(heap.SmallIntFor(31)))
-		n.b.Jump(ir.OpcJgt, fallthroughLabel)
+		n.b.Jump(ir.OpcJgt, n.fail)
 		n.untag(ir.ScratchReg, arg)
 		n.untag(res, rcvr)
 		n.b.Bin(ir.OpcShl, res, res, ir.ScratchReg)
@@ -164,7 +164,7 @@ func (n *NativeMethodCompiler) genIntegerTemplate(p *primitives.Primitive) error
 		n.b.Ret()
 		n.b.Label(neg)
 		n.cmpImm(arg, int64(heap.SmallIntFor(-31)))
-		n.b.Jump(ir.OpcJlt, fallthroughLabel)
+		n.b.Jump(ir.OpcJlt, n.fail)
 		n.untag(ir.ScratchReg, arg)
 		n.b.MovI(ir.ClassSelectorReg, 0)
 		n.b.Bin(ir.OpcSub, ir.ScratchReg, ir.ClassSelectorReg, ir.ScratchReg)
@@ -190,7 +190,7 @@ func (n *NativeMethodCompiler) genIntegerTemplate(p *primitives.Primitive) error
 		n.b.Ret()
 
 	case primitives.PrimIdxAsInteger:
-		intCase := n.label("isInt")
+		intCase := n.b.NewLabel("isInt")
 		n.b.BinI(ir.OpcAndI, ir.ScratchReg, rcvr, 1)
 		n.b.CmpI(ir.ScratchReg, 1)
 		n.b.Jump(ir.OpcJeq, intCase)
@@ -207,9 +207,9 @@ func (n *NativeMethodCompiler) genIntegerTemplate(p *primitives.Primitive) error
 	case primitives.PrimIdxAsCharacter:
 		n.checkSmallIntOrFail(rcvr)
 		n.b.CmpI(rcvr, int64(heap.SmallIntFor(0)))
-		n.b.Jump(ir.OpcJlt, fallthroughLabel)
+		n.b.Jump(ir.OpcJlt, n.fail)
 		n.cmpImm(rcvr, int64(heap.SmallIntFor(0x10FFFF)))
-		n.b.Jump(ir.OpcJgt, fallthroughLabel)
+		n.b.Jump(ir.OpcJgt, n.fail)
 		n.b.Ret()
 
 	default:

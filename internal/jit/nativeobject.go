@@ -11,13 +11,13 @@ import (
 // emitIndexableFormatCheckN loads the header into hdr and fails unless the
 // receiver format is indexable; the format is left in ScratchReg.
 func (n *NativeMethodCompiler) emitIndexableFormatCheckN(obj, hdr ir.Reg, bytesOnly bool) {
-	ok := n.label("fmtok")
+	ok := n.b.NewLabel("fmtok")
 	n.b.Load(hdr, obj, 0)
 	n.b.BinI(ir.OpcSarI, ir.ScratchReg, hdr, heap.HeaderSlotBits)
 	n.b.BinI(ir.OpcAndI, ir.ScratchReg, ir.ScratchReg, heap.HeaderFormatMask)
 	if bytesOnly {
 		n.b.CmpI(ir.ScratchReg, int64(heap.FormatBytes))
-		n.b.Jump(ir.OpcJne, fallthroughLabel)
+		n.b.Jump(ir.OpcJne, n.fail)
 		return
 	}
 	n.b.CmpI(ir.ScratchReg, int64(heap.FormatPointers))
@@ -25,7 +25,7 @@ func (n *NativeMethodCompiler) emitIndexableFormatCheckN(obj, hdr ir.Reg, bytesO
 	n.b.CmpI(ir.ScratchReg, int64(heap.FormatWords))
 	n.b.Jump(ir.OpcJeq, ok)
 	n.b.CmpI(ir.ScratchReg, int64(heap.FormatBytes))
-	n.b.Jump(ir.OpcJne, fallthroughLabel)
+	n.b.Jump(ir.OpcJne, n.fail)
 	n.b.Label(ok)
 }
 
@@ -48,7 +48,7 @@ func (n *NativeMethodCompiler) genObjectTemplate(p *primitives.Primitive) error 
 			// Raw formats answer tagged integers; pointer formats answer
 			// the slot value. The format survives in ClassSelectorReg's
 			// header copy; recompute from it.
-			noTag := n.label("noTag")
+			noTag := n.b.NewLabel("noTag")
 			n.b.BinI(ir.OpcSarI, ir.ScratchReg, ir.ClassSelectorReg, heap.HeaderSlotBits)
 			n.b.BinI(ir.OpcAndI, ir.ScratchReg, ir.ScratchReg, heap.HeaderFormatMask)
 			n.b.CmpI(ir.ScratchReg, int64(heap.FormatPointers))
@@ -66,8 +66,8 @@ func (n *NativeMethodCompiler) genObjectTemplate(p *primitives.Primitive) error 
 		n.checkSmallIntOrFail(ir.Arg0Reg)
 		// Raw formats require tagged-integer values; bytes are range
 		// checked.
-		ptrStore := n.label("ptrStore")
-		rawStore := n.label("rawStore")
+		ptrStore := n.b.NewLabel("ptrStore")
+		rawStore := n.b.NewLabel("rawStore")
 		n.b.BinI(ir.OpcSarI, ir.ScratchReg, ir.ClassSelectorReg, heap.HeaderSlotBits)
 		n.b.BinI(ir.OpcAndI, ir.ScratchReg, ir.ScratchReg, heap.HeaderFormatMask)
 		n.b.CmpI(ir.ScratchReg, int64(heap.FormatPointers))
@@ -76,9 +76,9 @@ func (n *NativeMethodCompiler) genObjectTemplate(p *primitives.Primitive) error 
 		n.b.CmpI(ir.ScratchReg, int64(heap.FormatWords))
 		n.b.Jump(ir.OpcJeq, rawStore)
 		n.cmpImm(val, int64(heap.SmallIntFor(0)))
-		n.b.Jump(ir.OpcJlt, fallthroughLabel)
+		n.b.Jump(ir.OpcJlt, n.fail)
 		n.cmpImm(val, int64(heap.SmallIntFor(255)))
-		n.b.Jump(ir.OpcJgt, fallthroughLabel)
+		n.b.Jump(ir.OpcJgt, n.fail)
 		n.b.Label(rawStore)
 		n.slotBoundsCheckOrFail(rcvr, ir.Arg0Reg, res)
 		n.untag(ir.ScratchReg, val)
@@ -108,13 +108,13 @@ func (n *NativeMethodCompiler) genObjectTemplate(p *primitives.Primitive) error 
 		n.checkSmallIntOrFail(res)
 		n.untag(res, res)
 		n.b.CmpI(res, 0)
-		n.b.Jump(ir.OpcJlt, fallthroughLabel)
+		n.b.Jump(ir.OpcJlt, n.fail)
 		n.cmpImm(res, heap.ClassTableSize-1)
-		n.b.Jump(ir.OpcJgt, fallthroughLabel)
+		n.b.Jump(ir.OpcJgt, n.fail)
 		n.b.MovI(ir.ScratchReg, heap.ClassTableBase)
 		n.b.Emit(ir.Instr{Op: ir.OpcLoadX, Rd: ir.ScratchReg, Rs1: ir.ScratchReg, Rs2: res})
 		n.b.Cmp(ir.ScratchReg, rcvr)
-		n.b.Jump(ir.OpcJne, fallthroughLabel)
+		n.b.Jump(ir.OpcJne, n.fail)
 		// Fixed slots from the class object; indexable size from the
 		// argument for basicNew:.
 		n.b.Load(ir.ExtraReg, rcvr, heap.HeaderWords+2)
@@ -123,19 +123,19 @@ func (n *NativeMethodCompiler) genObjectTemplate(p *primitives.Primitive) error 
 			// basicNew: requires an indexable instance format.
 			n.b.Load(ir.ScratchReg, rcvr, heap.HeaderWords+1)
 			n.untag(ir.ScratchReg, ir.ScratchReg)
-			okFmt := n.label("fmtok")
+			okFmt := n.b.NewLabel("fmtok")
 			n.b.CmpI(ir.ScratchReg, int64(heap.FormatPointers))
 			n.b.Jump(ir.OpcJeq, okFmt)
 			n.b.CmpI(ir.ScratchReg, int64(heap.FormatWords))
 			n.b.Jump(ir.OpcJeq, okFmt)
 			n.b.CmpI(ir.ScratchReg, int64(heap.FormatBytes))
-			n.b.Jump(ir.OpcJne, fallthroughLabel)
+			n.b.Jump(ir.OpcJne, n.fail)
 			n.b.Label(okFmt)
 			n.checkSmallIntOrFail(ir.Arg0Reg)
 			n.b.CmpI(ir.Arg0Reg, int64(heap.SmallIntFor(0)))
-			n.b.Jump(ir.OpcJlt, fallthroughLabel)
+			n.b.Jump(ir.OpcJlt, n.fail)
 			n.cmpImm(ir.Arg0Reg, int64(heap.SmallIntFor(1<<20)))
-			n.b.Jump(ir.OpcJgt, fallthroughLabel)
+			n.b.Jump(ir.OpcJgt, n.fail)
 			n.untag(ir.ScratchReg, ir.Arg0Reg)
 			n.b.Bin(ir.OpcAdd, ir.ExtraReg, ir.ExtraReg, ir.ScratchReg)
 		}
@@ -165,7 +165,7 @@ func (n *NativeMethodCompiler) genObjectTemplate(p *primitives.Primitive) error 
 		n.b.Ret()
 
 	case primitives.PrimIdxShallowCopy:
-		intCase := n.label("isInt")
+		intCase := n.b.NewLabel("isInt")
 		n.b.BinI(ir.OpcAndI, ir.ScratchReg, rcvr, 1)
 		n.b.CmpI(ir.ScratchReg, 1)
 		n.b.Jump(ir.OpcJeq, intCase)
@@ -174,8 +174,8 @@ func (n *NativeMethodCompiler) genObjectTemplate(p *primitives.Primitive) error 
 		n.b.BinI(ir.OpcSarI, res, ir.ClassSelectorReg, heap.HeaderClassShift)
 		n.b.BinI(ir.OpcAndI, ir.ClassSelectorReg, ir.ClassSelectorReg, heap.HeaderSlotMask)
 		n.b.Emit(ir.Instr{Op: ir.OpcAlloc, Rd: ir.ExtraReg, Rs1: res, Rs2: ir.ClassSelectorReg})
-		loop := n.label("copy")
-		done := n.label("done")
+		loop := n.b.NewLabel("copy")
+		done := n.b.NewLabel("done")
 		n.b.MovI(res, 1) // body offset cursor
 		n.b.Label(loop)
 		n.b.Cmp(res, ir.ClassSelectorReg)
@@ -199,7 +199,7 @@ func (n *NativeMethodCompiler) genObjectTemplate(p *primitives.Primitive) error 
 		}
 
 	case primitives.PrimIdxClass:
-		intCase := n.label("isInt")
+		intCase := n.b.NewLabel("isInt")
 		n.b.BinI(ir.OpcAndI, ir.ScratchReg, rcvr, 1)
 		n.b.CmpI(ir.ScratchReg, 1)
 		n.b.Jump(ir.OpcJeq, intCase)

@@ -61,16 +61,18 @@ func recordVerifiedClean(k verifyKey) {
 
 // hashFn computes a 128-bit FNV-1a-style content hash over every field
 // of every instruction that the verifier reads, a 64-bit word per round:
-// one header word packing the opcode, the three registers and the
-// label's length, the immediate when the verifier reads it
-// (irverify.ReadsImm, decided by the header), then the label eight
-// bytes at a time. The length precedes the bytes, so the encoding of
-// what the verifier reads is injective. An immediate it does not read,
-// such as a literal a path's code pushes, is left out: functions that
-// differ only there get the same verdict, so they share one entry. Two
-// functions with equal hashes are, for the cache's purposes, the same
-// function; 128 bits keeps the collision probability negligible against
-// the verifier's soundness claim.
+// first the instruction count and the label table's size (which decides
+// whether a label ID names a label of the function), then per
+// instruction one header word packing the opcode, the three registers
+// and the label ID, and the immediate when the verifier reads it
+// (irverify.ReadsImm, decided by the header). Label names are left out:
+// the verifier reads them only to word a violation, and only clean
+// verdicts are cached. An immediate it does not read, such as a literal
+// a path's code pushes, is left out too: functions that differ only
+// there get the same verdict, so they share one entry. Two functions
+// with equal hashes are, for the cache's purposes, the same function;
+// 128 bits keeps the collision probability negligible against the
+// verifier's soundness claim.
 func hashFn(fn *ir.Fn) (lo, hi uint64) {
 	const (
 		offset64 = 14695981039346656037
@@ -81,25 +83,12 @@ func hashFn(fn *ir.Fn) (lo, hi uint64) {
 		lo = (lo ^ v) * prime64
 		hi = (hi ^ (v + 0x9e3779b97f4a7c15)) * prime64
 	}
-	mix(uint64(len(fn.Instrs)))
+	mix(uint64(len(fn.Instrs)) | uint64(len(fn.Labels))<<32)
 	for i := range fn.Instrs {
 		ins := &fn.Instrs[i]
-		sym := ins.Sym
-		mix(uint64(ins.Op) | uint64(ins.Rd)<<8 | uint64(ins.Rs1)<<16 | uint64(ins.Rs2)<<24 | uint64(len(sym))<<32)
+		mix(uint64(ins.Op) | uint64(ins.Rd)<<8 | uint64(ins.Rs1)<<16 | uint64(ins.Rs2)<<24 | uint64(uint32(ins.Label))<<32)
 		if irverify.ReadsImm(ins) {
 			mix(uint64(ins.Imm))
-		}
-		for len(sym) >= 8 {
-			mix(uint64(sym[0]) | uint64(sym[1])<<8 | uint64(sym[2])<<16 | uint64(sym[3])<<24 |
-				uint64(sym[4])<<32 | uint64(sym[5])<<40 | uint64(sym[6])<<48 | uint64(sym[7])<<56)
-			sym = sym[8:]
-		}
-		if len(sym) > 0 {
-			var v uint64
-			for j := len(sym) - 1; j >= 0; j-- {
-				v = v<<8 | uint64(sym[j])
-			}
-			mix(v)
 		}
 	}
 	return lo, hi

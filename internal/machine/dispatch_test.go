@@ -3,6 +3,8 @@ package machine
 import (
 	"reflect"
 	"testing"
+
+	"cogdiff/internal/ir"
 )
 
 // Table dispatch must be an invisible optimization: Run and
@@ -15,24 +17,21 @@ import (
 // register or step-count divergence.
 func dispatchProg(t *testing.T) *Program {
 	t.Helper()
-	return assemble(t, func(a *Assembler) {
-		a.MovI(R0, 0)  // acc
-		a.MovI(R1, 1)  // i
-		a.MovI(R2, 10) // limit
-		a.Label("loop")
-		a.Bin(OpcAdd, R0, R0, R1)
-		a.BinI(OpcAddI, R1, R1, 1)
-		a.Cmp(R1, R2)
-		a.Jump(OpcJlt, "loop")
-		a.Push(R0)
-		a.Pop(R3)
-		a.BinI(OpcShlI, R3, R3, 1)
-		a.Call(a.Here() + 2)
-		a.Jump(OpcJmp, "done")
-		a.Ret()
-		a.Label("done")
-		a.Emit(Instr{Op: OpcHlt})
-	})
+	return program(
+		Instr{Op: OpcMovI, Rd: R0, Imm: 0},          // acc
+		Instr{Op: OpcMovI, Rd: R1, Imm: 1},          // i
+		Instr{Op: OpcMovI, Rd: R2, Imm: 10},         // limit
+		Instr{Op: OpcAdd, Rd: R0, Rs1: R0, Rs2: R1}, // 3: loop
+		Instr{Op: OpcAddI, Rd: R1, Rs1: R1, Imm: 1},
+		Instr{Op: OpcCmp, Rs1: R1, Rs2: R2},
+		Instr{Op: OpcJlt, Imm: at(3)},
+		Instr{Op: OpcPush, Rs1: R0},
+		Instr{Op: OpcPop, Rd: R3},
+		Instr{Op: OpcShlI, Rd: R3, Rs1: R3, Imm: 1},
+		Instr{Op: OpcCall, Imm: at(12)},
+		Instr{Op: OpcJmp, Imm: at(13)},
+		Instr{Op: OpcRet}, // 12
+		hlt)               // 13: done
 }
 
 func TestRunMatchesSingleStepping(t *testing.T) {
@@ -78,9 +77,7 @@ func TestStepTableCoversEveryOpcode(t *testing.T) {
 
 func TestIllegalOpcodeStops(t *testing.T) {
 	c := newCPU(t)
-	p := assemble(t, func(a *Assembler) {
-		a.Emit(Instr{Op: NumOpcs + 3})
-	})
+	p := program(Instr{Op: NumOpcs + 3})
 	c.Install(p)
 	stop := c.Run(10)
 	if stop.Kind != StopFault {
@@ -109,50 +106,56 @@ func TestRunSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
-// TestFinishDoesNotCopy pins the Finish hand-off: the returned program
-// owns the assembler's slice (no clone), label fixups are patched in
-// place, and the assembler cannot leak instructions into the program
-// afterwards.
-func TestFinishDoesNotCopy(t *testing.T) {
-	a := NewAssembler(CodeBase)
-	a.MovI(R0, 1)
-	a.Jump(OpcJmp, "end")
-	a.MovI(R0, 2)
-	a.Label("end")
-	a.Emit(Instr{Op: OpcHlt})
-	before := &a.instrs[0]
-	p, err := a.Finish()
+// TestLowerSizesProgramOnce pins how Lower builds its program: one
+// instruction slice sized from the IR up front and handed to the program
+// (labels emit nothing, so it never grows), with every jump patched in
+// place to its label's address.
+func TestLowerSizesProgramOnce(t *testing.T) {
+	b := ir.NewBuilder()
+	end := b.AddLabel(ir.Named("end"))
+	b.MovI(ir.R0, 1)
+	b.Jump(ir.OpcJmp, end)
+	b.MovI(ir.R0, 2)
+	b.Label(end)
+	b.Emit(ir.Instr{Op: ir.OpcHlt})
+	fn, err := b.Finish()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if &p.Instrs[0] != before {
-		t.Fatal("Finish copied the instruction slice")
+	p, err := Lower(fn, ISAAmd64Like, CodeBase, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Len() != 4 || cap(p.Instrs) != len(fn.Instrs) {
+		t.Fatalf("program holds %d instructions in a slice of capacity %d, want 4 in %d", p.Len(), cap(p.Instrs), len(fn.Instrs))
 	}
 	if p.Instrs[1].Imm != CodeBase+3 {
-		t.Fatalf("fixup not patched: Imm=%d", p.Instrs[1].Imm)
-	}
-	if a.instrs != nil {
-		t.Fatal("assembler retains the handed-off slice")
+		t.Fatalf("jump not patched: Imm=%d", p.Instrs[1].Imm)
 	}
 }
 
-// TestFinishAllocs pins the allocation cost of assembling a small body:
-// the instruction buffer growth plus the fixed assembler/program
-// overhead, with no whole-slice clone at Finish.
-func TestFinishAllocs(t *testing.T) {
+// TestLowerAllocs pins the allocation cost of lowering a small body with
+// a label: the instruction slice and the program, the label address
+// table living on the stack.
+func TestLowerAllocs(t *testing.T) {
+	b := ir.NewBuilder()
+	end := b.AddLabel(ir.Named("end"))
+	b.MovI(ir.R0, 1)
+	b.CmpI(ir.R0, 2)
+	b.Jump(ir.OpcJeq, end)
+	b.Bin(ir.OpcAdd, ir.R2, ir.R0, ir.R1)
+	b.Label(end)
+	b.Emit(ir.Instr{Op: ir.OpcHlt})
+	fn, err := b.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
 	avg := testing.AllocsPerRun(100, func() {
-		a := NewAssembler(CodeBase)
-		a.MovI(R0, 1)
-		a.MovI(R1, 2)
-		a.Bin(OpcAdd, R2, R0, R1)
-		a.Emit(Instr{Op: OpcHlt})
-		if _, err := a.Finish(); err != nil {
+		if _, err := Lower(fn, ISAAmd64Like, CodeBase, nil); err != nil {
 			panic(err)
 		}
 	})
-	// assembler + label map + buffer growth (1->2->4) + program:
-	// anything above this means Finish started cloning again.
-	if avg > 8 {
-		t.Fatalf("assemble+finish allocates %.1f/run, want <= 8", avg)
+	if avg > 2 {
+		t.Fatalf("lowering allocates %.1f/run, want <= 2", avg)
 	}
 }

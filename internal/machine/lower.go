@@ -25,27 +25,35 @@ func lowerReg(r ir.Reg, pool []Reg) (Reg, error) {
 }
 
 // Lower assembles a post-pipeline IR function into a machine program for
-// one ISA. It resolves labels, maps virtual registers onto pool, drops
-// register moves that land on their own physical register (a virtual
-// source can be pool-assigned to its destination), and on the
-// fixed-width ISA materializes out-of-range compare immediates through
-// the scratch register — the one lowering decision that makes the two
-// back-ends emit differently shaped code for the same IR.
+// one ISA. It maps virtual registers onto pool, drops register moves
+// that land on their own physical register (a virtual source can be
+// pool-assigned to its destination), on the fixed-width ISA materializes
+// out-of-range compare immediates through the scratch register — the one
+// lowering decision that makes the two back-ends emit differently shaped
+// code for the same IR — and resolves every jump to its label's address
+// through a table indexed by label ID. A label bound twice, or a jump to
+// a label never bound or outside the function's label table, fails the
+// lowering.
 func Lower(f *ir.Fn, isa ISA, base int64, pool []Reg) (*Program, error) {
-	asm := NewAssembler(base)
 	// Labels emit nothing, so the IR's length bounds the program's except
-	// for the rare materialized compare; every jump is one fixup.
-	asm.instrs = make([]Instr, 0, len(f.Instrs))
-	jumps := 0
-	for i := range f.Instrs {
-		if f.Instrs[i].IsJump() {
-			jumps++
-		}
+	// for the rare materialized compare.
+	out := make([]Instr, 0, len(f.Instrs))
+	// at[l] is one more than the index label l binds, 0 while unbound. A
+	// table of up to 63 labels lives on the stack.
+	var small [64]int32
+	at := small[:]
+	if len(f.Labels) >= len(small) {
+		at = make([]int32, len(f.Labels)+1)
 	}
-	asm.fixups = make([]fixup, 0, jumps)
 	for _, ins := range f.Instrs {
 		if ins.Op == ir.OpcLabel {
-			asm.Label(ins.Sym)
+			switch {
+			case !f.ValidLabel(ins.Label):
+				return nil, fmt.Errorf("machine: label %s outside the function's %d labels", ins.Label, len(f.Labels))
+			case at[ins.Label] != 0:
+				return nil, fmt.Errorf("machine: duplicate label %q", f.LabelName(ins.Label))
+			}
+			at[ins.Label] = int32(len(out)) + 1
 			continue
 		}
 		if ins.Op >= ir.NumMachineOpcs {
@@ -66,15 +74,29 @@ func Lower(f *ir.Fn, isa ISA, base int64, pool []Reg) (*Program, error) {
 		m := Instr{Op: Opc(ins.Op), Rd: rd, Rs1: rs1, Rs2: rs2, Imm: ins.Imm}
 		switch {
 		case ins.IsJump():
-			asm.EmitToLabel(m, ins.Sym)
+			// The label ID rides in Imm until the second pass below
+			// replaces it with the label's address.
+			m.Imm = int64(ins.Label)
+			out = append(out, m)
 		case m.Op == OpcMovR && m.Rd == m.Rs1:
 			// The move's operands collapsed onto one physical register.
 		case m.Op == OpcCmpI && isa == ISAArm32Like && (m.Imm >= armImmLimit || m.Imm <= -armImmLimit):
-			asm.MovI(ScratchReg, m.Imm)
-			asm.Cmp(m.Rs1, ScratchReg)
+			out = append(out,
+				Instr{Op: OpcMovI, Rd: ScratchReg, Imm: m.Imm},
+				Instr{Op: OpcCmp, Rs1: m.Rs1, Rs2: ScratchReg})
 		default:
-			asm.Emit(m)
+			out = append(out, m)
 		}
 	}
-	return asm.Finish()
+	for i := range out {
+		if !out[i].IsJump() {
+			continue
+		}
+		l := ir.Label(out[i].Imm)
+		if !f.ValidLabel(l) || at[l] == 0 {
+			return nil, fmt.Errorf("machine: undefined label %q", f.LabelName(l))
+		}
+		out[i].Imm = base + int64(at[l]) - 1
+	}
+	return &Program{Base: base, Instrs: out}, nil
 }

@@ -100,9 +100,10 @@ func TestLowerDropsCollapsedSelfMoves(t *testing.T) {
 
 func TestLowerResolvesLabels(t *testing.T) {
 	b := ir.NewBuilder()
-	b.Jump(ir.OpcJmp, "end")
+	end := b.AddLabel(ir.Named("end"))
+	b.Jump(ir.OpcJmp, end)
 	b.MovI(ir.ReceiverResultReg, 1)
-	b.Label("end")
+	b.Label(end)
 	b.Ret()
 	fn, err := b.Finish()
 	if err != nil {

@@ -3,9 +3,11 @@ package machine
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"cogdiff/internal/heap"
+	"cogdiff/internal/ir"
 )
 
 func newCPU(t *testing.T) *CPU {
@@ -18,16 +20,18 @@ func newCPU(t *testing.T) *CPU {
 	return c
 }
 
-func assemble(t *testing.T, build func(a *Assembler)) *Program {
-	t.Helper()
-	a := NewAssembler(CodeBase)
-	build(a)
-	p, err := a.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p
+// program builds a program at CodeBase from instruction literals. A
+// jump's Imm is its target's absolute address: at(k) for the k-th
+// instruction.
+func program(instrs ...Instr) *Program {
+	return &Program{Base: CodeBase, Instrs: instrs}
 }
+
+// at is the address of the k-th instruction of a program built by
+// program.
+func at(k int) int64 { return CodeBase + int64(k) }
+
+var hlt = Instr{Op: OpcHlt}
 
 func runProg(t *testing.T, c *CPU, p *Program) *Stop {
 	t.Helper()
@@ -37,12 +41,11 @@ func runProg(t *testing.T, c *CPU, p *Program) *Stop {
 
 func TestArithmeticAndHalt(t *testing.T) {
 	c := newCPU(t)
-	p := assemble(t, func(a *Assembler) {
-		a.MovI(R0, 20)
-		a.MovI(R1, 22)
-		a.Bin(OpcAdd, R2, R0, R1)
-		a.Emit(Instr{Op: OpcHlt})
-	})
+	p := program(
+		Instr{Op: OpcMovI, Rd: R0, Imm: 20},
+		Instr{Op: OpcMovI, Rd: R1, Imm: 22},
+		Instr{Op: OpcAdd, Rd: R2, Rs1: R0, Rs2: R1},
+		hlt)
 	stop := runProg(t, c, p)
 	if stop.Kind != StopHalt {
 		t.Fatalf("stop %v", stop)
@@ -54,14 +57,13 @@ func TestArithmeticAndHalt(t *testing.T) {
 
 func TestPushPopAndStack(t *testing.T) {
 	c := newCPU(t)
-	p := assemble(t, func(a *Assembler) {
-		a.MovI(R0, 7)
-		a.Push(R0)
-		a.MovI(R0, 9)
-		a.Push(R0)
-		a.Pop(R1)
-		a.Emit(Instr{Op: OpcHlt})
-	})
+	p := program(
+		Instr{Op: OpcMovI, Rd: R0, Imm: 7},
+		Instr{Op: OpcPush, Rs1: R0},
+		Instr{Op: OpcMovI, Rd: R0, Imm: 9},
+		Instr{Op: OpcPush, Rs1: R0},
+		Instr{Op: OpcPop, Rd: R1},
+		hlt)
 	stop := runProg(t, c, p)
 	if stop.Kind != StopHalt || c.Regs[R1] != 9 {
 		t.Fatalf("stop %v r1=%d", stop, c.Regs[R1])
@@ -77,16 +79,14 @@ func TestPushPopAndStack(t *testing.T) {
 
 func TestConditionalJumps(t *testing.T) {
 	c := newCPU(t)
-	p := assemble(t, func(a *Assembler) {
-		a.MovI(R0, 5)
-		a.CmpI(R0, 10)
-		a.Jump(OpcJlt, "less")
-		a.MovI(R1, 0)
-		a.Emit(Instr{Op: OpcHlt})
-		a.Label("less")
-		a.MovI(R1, 1)
-		a.Emit(Instr{Op: OpcHlt})
-	})
+	p := program(
+		Instr{Op: OpcMovI, Rd: R0, Imm: 5},
+		Instr{Op: OpcCmpI, Rs1: R0, Imm: 10},
+		Instr{Op: OpcJlt, Imm: at(5)},
+		Instr{Op: OpcMovI, Rd: R1, Imm: 0},
+		hlt,
+		Instr{Op: OpcMovI, Rd: R1, Imm: 1}, // 5
+		hlt)
 	stop := runProg(t, c, p)
 	if stop.Kind != StopHalt || c.Regs[R1] != 1 {
 		t.Fatalf("jlt not taken: %v r1=%d", stop, c.Regs[R1])
@@ -95,9 +95,7 @@ func TestConditionalJumps(t *testing.T) {
 
 func TestSentinelReturn(t *testing.T) {
 	c := newCPU(t)
-	p := assemble(t, func(a *Assembler) {
-		a.Ret()
-	})
+	p := program(Instr{Op: OpcRet})
 	c.Install(p)
 	// Seed the sentinel return address like the harness does.
 	if err := c.push(SentinelReturn); err != nil {
@@ -111,14 +109,13 @@ func TestSentinelReturn(t *testing.T) {
 
 func TestCallAndReturn(t *testing.T) {
 	c := newCPU(t)
-	p := assemble(t, func(a *Assembler) {
-		a.Call(CodeBase + 3) // call the "callee" below
-		a.MovI(R1, 99)
-		a.Emit(Instr{Op: OpcHlt})
+	p := program(
+		Instr{Op: OpcCall, Imm: at(3)}, // call the "callee" below
+		Instr{Op: OpcMovI, Rd: R1, Imm: 99},
+		hlt,
 		// callee:
-		a.MovI(R0, 42)
-		a.Ret()
-	})
+		Instr{Op: OpcMovI, Rd: R0, Imm: 42},
+		Instr{Op: OpcRet})
 	stop := runProg(t, c, p)
 	if stop.Kind != StopHalt || c.Regs[R0] != 42 || c.Regs[R1] != 99 {
 		t.Fatalf("call/ret: %v r0=%d r1=%d", stop, c.Regs[R0], c.Regs[R1])
@@ -127,10 +124,9 @@ func TestCallAndReturn(t *testing.T) {
 
 func TestTrampolineStops(t *testing.T) {
 	c := newCPU(t)
-	p := assemble(t, func(a *Assembler) {
-		a.MovI(ClassSelectorReg, 3)
-		a.Call(SendTrampoline)
-	})
+	p := program(
+		Instr{Op: OpcMovI, Rd: ClassSelectorReg, Imm: 3},
+		Instr{Op: OpcCall, Imm: SendTrampoline})
 	stop := runProg(t, c, p)
 	if stop.Kind != StopTrampoline || stop.TrampolineAddr != SendTrampoline {
 		t.Fatalf("stop %v", stop)
@@ -142,9 +138,7 @@ func TestTrampolineStops(t *testing.T) {
 
 func TestBreakpoint(t *testing.T) {
 	c := newCPU(t)
-	p := assemble(t, func(a *Assembler) {
-		a.Brk(17)
-	})
+	p := program(Instr{Op: OpcBrk, Imm: 17})
 	stop := runProg(t, c, p)
 	if stop.Kind != StopBreakpoint || stop.BreakID != 17 {
 		t.Fatalf("stop %v", stop)
@@ -153,10 +147,9 @@ func TestBreakpoint(t *testing.T) {
 
 func TestMemoryFault(t *testing.T) {
 	c := newCPU(t)
-	p := assemble(t, func(a *Assembler) {
-		a.MovI(R0, 0x999999)
-		a.Load(R1, R0, 0)
-	})
+	p := program(
+		Instr{Op: OpcMovI, Rd: R0, Imm: 0x999999},
+		Instr{Op: OpcLoad, Rd: R1, Rs1: R0})
 	stop := runProg(t, c, p)
 	if stop.Kind != StopFault {
 		t.Fatalf("stop %v", stop)
@@ -166,10 +159,9 @@ func TestMemoryFault(t *testing.T) {
 func TestSimulationErrorDefect(t *testing.T) {
 	c := newCPU(t)
 	c.SimDefects.MissingSetters = map[Reg]bool{R1: true}
-	p := assemble(t, func(a *Assembler) {
-		a.MovI(R0, 0x999999)
-		a.Load(R1, R0, 0)
-	})
+	p := program(
+		Instr{Op: OpcMovI, Rd: R0, Imm: 0x999999},
+		Instr{Op: OpcLoad, Rd: R1, Rs1: R0})
 	stop := runProg(t, c, p)
 	if stop.Kind != StopSimulationError {
 		t.Fatalf("stop %v", stop)
@@ -178,11 +170,10 @@ func TestSimulationErrorDefect(t *testing.T) {
 
 func TestDivisionByZeroFaults(t *testing.T) {
 	c := newCPU(t)
-	p := assemble(t, func(a *Assembler) {
-		a.MovI(R0, 10)
-		a.MovI(R1, 0)
-		a.Bin(OpcDiv, R2, R0, R1)
-	})
+	p := program(
+		Instr{Op: OpcMovI, Rd: R0, Imm: 10},
+		Instr{Op: OpcMovI, Rd: R1, Imm: 0},
+		Instr{Op: OpcDiv, Rd: R2, Rs1: R0, Rs2: R1})
 	stop := runProg(t, c, p)
 	if stop.Kind != StopFault {
 		t.Fatalf("stop %v", stop)
@@ -191,10 +182,7 @@ func TestDivisionByZeroFaults(t *testing.T) {
 
 func TestStepLimit(t *testing.T) {
 	c := newCPU(t)
-	p := assemble(t, func(a *Assembler) {
-		a.Label("loop")
-		a.Jump(OpcJmp, "loop")
-	})
+	p := program(Instr{Op: OpcJmp, Imm: at(0)})
 	c.Install(p)
 	stop := c.Run(50)
 	if stop.Kind != StopStepLimit {
@@ -204,18 +192,16 @@ func TestStepLimit(t *testing.T) {
 
 func TestFloatOps(t *testing.T) {
 	c := newCPU(t)
-	p := assemble(t, func(a *Assembler) {
-		a.MovI(R0, int64(math.Float64bits(1.5)))
-		a.MovI(R1, int64(math.Float64bits(2.25)))
-		a.Bin(OpcFAdd, R2, R0, R1)
-		a.FCmp(R0, R1)
-		a.Jump(OpcJlt, "less")
-		a.MovI(R3, 0)
-		a.Emit(Instr{Op: OpcHlt})
-		a.Label("less")
-		a.MovI(R3, 1)
-		a.Emit(Instr{Op: OpcHlt})
-	})
+	p := program(
+		Instr{Op: OpcMovI, Rd: R0, Imm: int64(math.Float64bits(1.5))},
+		Instr{Op: OpcMovI, Rd: R1, Imm: int64(math.Float64bits(2.25))},
+		Instr{Op: OpcFAdd, Rd: R2, Rs1: R0, Rs2: R1},
+		Instr{Op: OpcFCmp, Rs1: R0, Rs2: R1},
+		Instr{Op: OpcJlt, Imm: at(7)},
+		Instr{Op: OpcMovI, Rd: R3, Imm: 0},
+		hlt,
+		Instr{Op: OpcMovI, Rd: R3, Imm: 1}, // 7
+		hlt)
 	stop := runProg(t, c, p)
 	if stop.Kind != StopHalt {
 		t.Fatalf("stop %v", stop)
@@ -234,11 +220,10 @@ func TestAllocFloat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := assemble(t, func(a *Assembler) {
-		a.MovI(R0, int64(math.Float64bits(6.5)))
-		a.Emit(Instr{Op: OpcAllocFloat, Rd: R1, Rs1: R0})
-		a.Emit(Instr{Op: OpcHlt})
-	})
+	p := program(
+		Instr{Op: OpcMovI, Rd: R0, Imm: int64(math.Float64bits(6.5))},
+		Instr{Op: OpcAllocFloat, Rd: R1, Rs1: R0},
+		hlt)
 	stop := runProg(t, c, p)
 	if stop.Kind != StopHalt {
 		t.Fatalf("stop %v", stop)
@@ -251,19 +236,46 @@ func TestAllocFloat(t *testing.T) {
 	}
 }
 
+// TestUndefinedLabelFails holds both places that resolve labels to a
+// failure on a jump to a label never bound: the builder, and lowering,
+// which sees such a function when the builder is bypassed. Lowering also
+// rejects a label ID outside the function's table, never indexing past
+// its address table.
 func TestUndefinedLabelFails(t *testing.T) {
-	a := NewAssembler(CodeBase)
-	a.Jump(OpcJmp, "nowhere")
-	if _, err := a.Finish(); err == nil {
-		t.Fatal("undefined label must fail")
+	b := ir.NewBuilder()
+	b.Jump(ir.OpcJmp, b.AddLabel(ir.Named("nowhere")))
+	if _, err := b.Finish(); err == nil || !strings.Contains(err.Error(), `undefined label "nowhere"`) {
+		t.Fatalf("builder: undefined label must fail, got %v", err)
+	}
+	for name, fn := range map[string]*ir.Fn{
+		"unbound": {Instrs: []ir.Instr{{Op: ir.OpcJmp, Label: 1}, {Op: ir.OpcRet}},
+			Labels: []ir.LabelName{ir.Named("nowhere")}},
+		"no label":      {Instrs: []ir.Instr{{Op: ir.OpcJmp}, {Op: ir.OpcRet}}},
+		"past table":    {Instrs: []ir.Instr{{Op: ir.OpcLabel, Label: 1}, {Op: ir.OpcJeq, Label: 2}, {Op: ir.OpcRet}}, Labels: []ir.LabelName{ir.Named("l")}},
+		"negative":      {Instrs: []ir.Instr{{Op: ir.OpcJne, Label: -1}, {Op: ir.OpcRet}}},
+		"bound past":    {Instrs: []ir.Instr{{Op: ir.OpcLabel, Label: 9}, {Op: ir.OpcRet}}},
+		"wide past":     {Instrs: []ir.Instr{{Op: ir.OpcJmp, Label: 1 << 30}, {Op: ir.OpcRet}}},
+		"bound too far": {Instrs: []ir.Instr{{Op: ir.OpcLabel, Label: 1 << 30}, {Op: ir.OpcRet}}},
+	} {
+		if _, err := Lower(fn, ISAAmd64Like, CodeBase, nil); err == nil {
+			t.Errorf("%s: lowering must fail", name)
+		}
 	}
 }
 
+// TestDuplicateLabelFails holds the builder and lowering to a failure on
+// a label bound twice.
 func TestDuplicateLabelFails(t *testing.T) {
-	a := NewAssembler(CodeBase)
-	a.Label("x").Label("x")
-	if _, err := a.Finish(); err == nil {
-		t.Fatal("duplicate label must fail")
+	b := ir.NewBuilder()
+	x := b.AddLabel(ir.Named("x"))
+	b.Label(x).Label(x).Ret()
+	if _, err := b.Finish(); err == nil || !strings.Contains(err.Error(), `duplicate label "x"`) {
+		t.Fatalf("builder: duplicate label must fail, got %v", err)
+	}
+	fn := &ir.Fn{Instrs: []ir.Instr{{Op: ir.OpcLabel, Label: 1}, {Op: ir.OpcLabel, Label: 1}, {Op: ir.OpcRet}},
+		Labels: []ir.LabelName{ir.Named("x")}}
+	if _, err := Lower(fn, ISAAmd64Like, CodeBase, nil); err == nil || !strings.Contains(err.Error(), `duplicate label "x"`) {
+		t.Fatalf("lowering: duplicate label must fail, got %v", err)
 	}
 }
 
@@ -305,11 +317,10 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 }
 
 func TestEncodingSizesDiffer(t *testing.T) {
-	p := assemble(t, func(a *Assembler) {
-		a.MovI(R0, 5)
-		a.MovR(R1, R0)
-		a.Ret()
-	})
+	p := program(
+		Instr{Op: OpcMovI, Rd: R0, Imm: 5},
+		Instr{Op: OpcMovR, Rd: R1, Rs1: R0},
+		Instr{Op: OpcRet})
 	amd, err := Encode(p, ISAAmd64Like)
 	if err != nil {
 		t.Fatal(err)
@@ -334,12 +345,11 @@ func TestArm32RejectsHugeImmediates(t *testing.T) {
 }
 
 func TestDisassemble(t *testing.T) {
-	p := assemble(t, func(a *Assembler) {
-		a.MovI(R0, 5)
-		a.Load(R1, R0, 2)
-		a.Store(R0, 1, R1)
-		a.Brk(3)
-	})
+	p := program(
+		Instr{Op: OpcMovI, Rd: R0, Imm: 5},
+		Instr{Op: OpcLoad, Rd: R1, Rs1: R0, Imm: 2},
+		Instr{Op: OpcStore, Rs1: R0, Rs2: R1, Imm: 1},
+		Instr{Op: OpcBrk, Imm: 3})
 	out := p.Disassemble()
 	for _, want := range []string{"movi r0, 5", "load r1, [r0+2]", "store [r0+1], r1", "brk 3"} {
 		if !contains(out, want) {

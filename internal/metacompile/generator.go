@@ -9,6 +9,7 @@ import (
 	"cogdiff/internal/defects"
 	"cogdiff/internal/heap"
 	"cogdiff/internal/interp"
+	"cogdiff/internal/ir"
 	"cogdiff/internal/primitives"
 )
 
@@ -169,7 +170,7 @@ func dryLower(m *bytecode.Method, ex *concolic.Exploration, res *concolic.PathRe
 	if l.family == bytecode.FamCallPrimitive {
 		return fmt.Errorf("metacompile: called primitives may have untracked heap effects")
 	}
-	l.lowerPath(res, "dry_fail")
+	l.lowerPath(res, l.b.AddLabel(ir.Named("dry_fail")))
 	return l.err
 }
 

@@ -46,15 +46,16 @@ type lowerer struct {
 	instrEnd int // absolute offset of the following instruction
 	next0    int // fall-through NextPC of the instruction (instruction mode)
 	codeLen  int
-	endLabel string
+	// pcLabels holds, per byte-code offset from 0 to codeLen, its label
+	// in method mode, made on first use (0 until then).
+	pcLabels []ir.Label
 
 	// per-path state
 	res    *concolic.PathResult
 	inS    int // input operand-stack cells of the current path
 	pushes int // machine-stack pushes since the guard prefix
 
-	free     []ir.Reg
-	labelSeq int
+	free []ir.Reg
 
 	selectors   []jit.Selector
 	selectorIdx map[jit.Selector]int64
@@ -75,11 +76,6 @@ func (l *lowerer) fail(format string, args ...any) {
 	if l.err == nil {
 		l.err = fmt.Errorf(format, args...)
 	}
-}
-
-func (l *lowerer) newLabel(prefix string) string {
-	l.labelSeq++
-	return prefix + "_" + strconv.Itoa(l.labelSeq)
 }
 
 func (l *lowerer) addSelector(name string, numArgs int) int64 {
@@ -195,7 +191,7 @@ func jumpFor(op sym.CmpOp) ir.Opc {
 // negate, unless c fails). Tag tests always precede dereferences, so a
 // guard sequence evaluated against an input belonging to a different path
 // cannot fault before one of its comparisons misses.
-func (l *lowerer) guard(c sym.Constraint, fail string, negate bool) {
+func (l *lowerer) guard(c sym.Constraint, fail ir.Label, negate bool) {
 	if l.err != nil {
 		return
 	}
@@ -219,13 +215,13 @@ func (l *lowerer) guard(c sym.Constraint, fail string, negate bool) {
 			l.guard(sym.Negate(c), fail, false)
 			return
 		}
-		pass := l.newLabel("any_pass")
+		pass := l.b.NewLabel("any_pass")
 		for i, e := range n {
 			if i == len(n)-1 {
 				l.guard(e, fail, false)
 				break
 			}
-			next := l.newLabel("any_next")
+			next := l.b.NewLabel("any_next")
 			l.guard(e, next, false)
 			l.b.Jump(ir.OpcJmp, pass)
 			l.b.Label(next)
@@ -271,7 +267,7 @@ func (l *lowerer) guard(c sym.Constraint, fail string, negate bool) {
 	}
 }
 
-func (l *lowerer) guardICmp(n sym.ICmp, fail string, negate bool) {
+func (l *lowerer) guardICmp(n sym.ICmp, fail ir.Label, negate bool) {
 	op := n.Op
 	if negate {
 		op = op.Negated()
@@ -297,7 +293,7 @@ func (l *lowerer) guardICmp(n sym.ICmp, fail string, negate bool) {
 // comparison state only JNE fires on, which matches the interpreter's
 // "NaN satisfies only ~=" outcome exactly when the pass edge is the
 // conditional one.
-func (l *lowerer) guardFCmp(n sym.FCmp, fail string, negate bool) {
+func (l *lowerer) guardFCmp(n sym.FCmp, fail ir.Label, negate bool) {
 	op := n.Op
 	if negate {
 		op = op.Negated()
@@ -310,7 +306,7 @@ func (l *lowerer) guardFCmp(n sym.FCmp, fail string, negate bool) {
 	l.b.FCmp(a, b)
 	l.freeReg(b)
 	l.freeReg(a)
-	pass := l.newLabel("fcmp_pass")
+	pass := l.b.NewLabel("fcmp_pass")
 	l.b.Jump(jumpFor(op), pass)
 	l.b.Jump(ir.OpcJmp, fail)
 	l.b.Label(pass)
@@ -329,7 +325,7 @@ func (l *lowerer) loadClassIndex(dst, obj ir.Reg) {
 	l.b.BinI(ir.OpcSarI, dst, dst, heap.HeaderClassShift)
 }
 
-func (l *lowerer) guardTypeIs(n sym.TypeIs, fail string, negate bool) {
+func (l *lowerer) guardTypeIs(n sym.TypeIs, fail ir.Label, negate bool) {
 	r := l.allocReg()
 	l.loadVar(r, n.V)
 	defer l.freeReg(r)
@@ -359,7 +355,7 @@ func (l *lowerer) guardTypeIs(n sym.TypeIs, fail string, negate bool) {
 		}
 	case sym.KindFloat:
 		if negate {
-			pass := l.newLabel("nfloat_pass")
+			pass := l.b.NewLabel("nfloat_pass")
 			l.tagCheck(r)
 			l.b.Jump(ir.OpcJeq, pass)
 			l.loadClassIndex(ir.ScratchReg, r)
@@ -377,7 +373,7 @@ func (l *lowerer) guardTypeIs(n sym.TypeIs, fail string, negate bool) {
 		// A pointer is anything that is not tagged, not one of the three
 		// well-known immediate-like objects, and not a boxed float.
 		if negate {
-			pass := l.newLabel("nptr_pass")
+			pass := l.b.NewLabel("nptr_pass")
 			l.tagCheck(r)
 			l.b.Jump(ir.OpcJeq, pass)
 			l.b.CmpI(r, int64(l.om.NilObj))
@@ -408,7 +404,7 @@ func (l *lowerer) guardTypeIs(n sym.TypeIs, fail string, negate bool) {
 	}
 }
 
-func (l *lowerer) guardClassIs(n sym.ClassIs, fail string, negate bool) {
+func (l *lowerer) guardClassIs(n sym.ClassIs, fail ir.Label, negate bool) {
 	if n.ClassIndex == heap.ClassIndexSmallInteger {
 		l.guardTypeIs(sym.TypeIs{V: n.V, Kind: sym.KindSmallInt}, fail, negate)
 		return
@@ -417,7 +413,7 @@ func (l *lowerer) guardClassIs(n sym.ClassIs, fail string, negate bool) {
 	l.loadVar(r, n.V)
 	defer l.freeReg(r)
 	if negate {
-		pass := l.newLabel("nclass_pass")
+		pass := l.b.NewLabel("nclass_pass")
 		l.tagCheck(r)
 		l.b.Jump(ir.OpcJeq, pass)
 		l.loadClassIndex(ir.ScratchReg, r)
@@ -433,7 +429,7 @@ func (l *lowerer) guardClassIs(n sym.ClassIs, fail string, negate bool) {
 	l.b.Jump(ir.OpcJne, fail)
 }
 
-func (l *lowerer) guardFormatIs(n sym.FormatIs, fail string, negate bool) {
+func (l *lowerer) guardFormatIs(n sym.FormatIs, fail ir.Label, negate bool) {
 	r := l.allocReg()
 	l.loadVar(r, n.V)
 	defer l.freeReg(r)
@@ -444,7 +440,7 @@ func (l *lowerer) guardFormatIs(n sym.FormatIs, fail string, negate bool) {
 		l.b.CmpI(ir.ScratchReg, int64(n.F))
 	}
 	if negate {
-		pass := l.newLabel("nformat_pass")
+		pass := l.b.NewLabel("nformat_pass")
 		l.tagCheck(r)
 		l.b.Jump(ir.OpcJeq, pass)
 		loadFormat()
@@ -458,7 +454,7 @@ func (l *lowerer) guardFormatIs(n sym.FormatIs, fail string, negate bool) {
 	l.b.Jump(ir.OpcJne, fail)
 }
 
-func (l *lowerer) guardSlotCount(n sym.SlotCountAtLeast, fail string, negate bool) {
+func (l *lowerer) guardSlotCount(n sym.SlotCountAtLeast, fail ir.Label, negate bool) {
 	r := l.allocReg()
 	l.loadVar(r, n.V)
 	// Slot counts can exceed the fixed-width compare-immediate range, so
@@ -466,7 +462,7 @@ func (l *lowerer) guardSlotCount(n sym.SlotCountAtLeast, fail string, negate boo
 	// lowering may need for materialization.
 	cnt := l.allocReg()
 	if negate {
-		pass := l.newLabel("nslots_pass")
+		pass := l.b.NewLabel("nslots_pass")
 		l.tagCheck(r)
 		l.b.Jump(ir.OpcJeq, pass)
 		l.b.Load(cnt, r, 0)
@@ -488,10 +484,10 @@ func (l *lowerer) guardSlotCount(n sym.SlotCountAtLeast, fail string, negate boo
 	l.freeReg(r)
 }
 
-func (l *lowerer) guardSmallIntRange(n sym.InSmallIntRange, fail string, negate bool) {
+func (l *lowerer) guardSmallIntRange(n sym.InSmallIntRange, fail ir.Label, negate bool) {
 	r := l.evalInt(n.E)
 	if negate {
-		out := l.newLabel("range_out")
+		out := l.b.NewLabel("range_out")
 		l.b.CmpI(r, heap.MaxSmallInt)
 		l.b.Jump(ir.OpcJgt, out)
 		l.b.CmpI(r, heap.MinSmallInt)
@@ -563,7 +559,7 @@ func (l *lowerer) evalIntBin(n sym.IntBin) ir.Reg {
 		// remainder is non-zero and the operand signs differ.
 		q := l.allocReg()
 		t := l.allocReg()
-		done := l.newLabel("fdiv_done")
+		done := l.b.NewLabel("fdiv_done")
 		l.b.Bin(ir.OpcDiv, q, a, b)
 		l.b.Bin(ir.OpcMul, t, q, b)
 		l.b.Bin(ir.OpcSub, t, a, t)
@@ -582,7 +578,7 @@ func (l *lowerer) evalIntBin(n sym.IntBin) ir.Reg {
 		// remainder is non-zero and the operand signs differ.
 		m := l.allocReg()
 		t := l.allocReg()
-		done := l.newLabel("fmod_done")
+		done := l.b.NewLabel("fmod_done")
 		l.b.Bin(ir.OpcMod, m, a, b)
 		l.b.CmpI(m, 0)
 		l.b.Jump(ir.OpcJeq, done)
@@ -753,8 +749,8 @@ func (l *lowerer) evalVal(e sym.ValExpr) ir.Reg {
 		return r
 	case sym.BoolObj:
 		r := l.allocReg()
-		no := l.newLabel("bool_false")
-		done := l.newLabel("bool_done")
+		no := l.b.NewLabel("bool_false")
+		done := l.b.NewLabel("bool_done")
 		l.guard(n.C, no, false)
 		l.b.MovI(r, int64(l.om.TrueObj))
 		l.b.Jump(ir.OpcJmp, done)
@@ -779,15 +775,15 @@ func (l *lowerer) evalVal(e sym.ValExpr) ir.Reg {
 // ---- path lowering ----
 
 // lowerPath emits one guard-chain block: the path's recorded constraints
-// in order (each missing constraint jumps to failLabel, the next block),
-// then the path's effect and exit tail.
-func (l *lowerer) lowerPath(res *concolic.PathResult, failLabel string) {
+// in order (each missing constraint jumps to fail, the next block), then
+// the path's effect and exit tail.
+func (l *lowerer) lowerPath(res *concolic.PathResult, fail ir.Label) {
 	l.res = res
 	l.inS = res.Model.StackSize
 	l.pushes = 0
 	l.resetRegs()
 	for _, cond := range res.Path {
-		l.guard(cond.C, failLabel, false)
+		l.guard(cond.C, fail, false)
 		if l.err != nil {
 			return
 		}
@@ -936,14 +932,23 @@ func (l *lowerer) lowerHeapEffects() {
 
 // ---- exit tails ----
 
-func bcLabel(pc int) string { return "bc_" + strconv.Itoa(pc) }
-
-func (l *lowerer) jumpToPC(abs int) {
-	if abs >= l.codeLen {
-		l.b.Jump(ir.OpcJmp, l.endLabel)
-		return
+// pcLabel returns the label of byte-code offset pc, printed as bc_<pc>,
+// making it on first use. An offset before the method gets a label of
+// its own that nothing binds, so the builder rejects the jump to it.
+func (l *lowerer) pcLabel(pc int) ir.Label {
+	if pc < 0 {
+		return l.b.AddLabel(ir.Numbered("bc", pc))
 	}
-	l.b.Jump(ir.OpcJmp, bcLabel(abs))
+	if l.pcLabels[pc] == 0 {
+		l.pcLabels[pc] = l.b.AddLabel(ir.Numbered("bc", pc))
+	}
+	return l.pcLabels[pc]
+}
+
+// jumpToPC jumps to the byte-code at abs; every offset from the method's
+// end on is its end.
+func (l *lowerer) jumpToPC(abs int) {
+	l.b.Jump(ir.OpcJmp, l.pcLabel(min(abs, l.codeLen)))
 }
 
 func (l *lowerer) successTail() {

@@ -139,20 +139,21 @@ func (c *Compiler) OptimizePlan(plan *Plan, inputStack []heap.Word) (*jit.Optimi
 		l.b.Push(ir.ScratchReg)
 	}
 
+	deopt := l.b.AddLabel(ir.Named("deopt"))
 	for i, pp := range supported {
-		failLabel := "deopt"
+		fail := deopt
 		if i < len(supported)-1 {
-			failLabel = "path_" + strconv.Itoa(i+1)
+			fail = l.b.AddLabel(ir.Numbered("path", i+1))
 		}
-		l.lowerPath(pp.Res, failLabel)
+		l.lowerPath(pp.Res, fail)
 		if l.err != nil {
 			return nil, l.err
 		}
 		if i < len(supported)-1 {
-			l.b.Label(failLabel)
+			l.b.Label(fail)
 		}
 	}
-	l.b.Label("deopt")
+	l.b.Label(deopt)
 	l.b.Brk(jit.BrkMetaDeopt)
 	return c.finish(l)
 }
@@ -168,7 +169,8 @@ func (c *Compiler) OptimizeMethod(m *bytecode.Method, inputStack []heap.Word) (*
 	l := newLowerer(c.OM, c.Defects, m.TempCount())
 	l.wholeMethod = true
 	l.codeLen = len(m.Code)
-	l.endLabel = bcLabel(len(m.Code))
+	l.pcLabels = make([]ir.Label, len(m.Code)+1)
+	deopt := l.b.AddLabel(ir.Named("deopt"))
 
 	l.b.Push(ir.FP)
 	l.b.MovR(ir.FP, ir.SP)
@@ -204,18 +206,18 @@ func (c *Compiler) OptimizeMethod(m *bytecode.Method, inputStack []heap.Word) (*
 		l.embedded = d.Embedded
 		l.pcBase = pc
 		l.instrEnd = next
-		l.b.Label(bcLabel(pc))
+		l.b.Label(l.pcLabel(pc))
 		for i, pp := range supported {
-			failLabel := "deopt"
+			fail := deopt
 			if i < len(supported)-1 {
-				failLabel = "bc" + strconv.Itoa(pc) + "_path_" + strconv.Itoa(i+1)
+				fail = l.b.AddLabel(ir.Scoped("bc", pc, "path", i+1))
 			}
-			l.lowerPath(pp.Res, failLabel)
+			l.lowerPath(pp.Res, fail)
 			if l.err != nil {
 				return nil, l.err
 			}
 			if i < len(supported)-1 {
-				l.b.Label(failLabel)
+				l.b.Label(fail)
 			}
 		}
 		pc = next
@@ -223,11 +225,11 @@ func (c *Compiler) OptimizeMethod(m *bytecode.Method, inputStack []heap.Word) (*
 
 	// Labels may point one past the last instruction; falling off the end
 	// answers the receiver, which never leaves its register.
-	l.b.Label(l.endLabel)
+	l.b.Label(l.pcLabel(len(m.Code)))
 	l.b.MovR(ir.SP, ir.FP)
 	l.b.Pop(ir.FP)
 	l.b.Ret()
-	l.b.Label("deopt")
+	l.b.Label(deopt)
 	l.b.Brk(jit.BrkMetaDeopt)
 	return c.finish(l)
 }
