@@ -36,13 +36,13 @@
 // on all but verify-ir (whose sweep is the verifier), -no-verify. One
 // cache directory serves them all: difftest reads the exploration and
 // the unit verdicts a campaign stored. Those verbs and fuzz share the
-// observability flags -metrics <file> (a JSON snapshot), -trace <file>
-// and -profile <file>. The cache and telemetry are pure with respect to
-// results: all printed reports are byte-identical with either on or off.
+// observability flags -metrics <file> (a JSON snapshot of counters and
+// duration timers) and -profile <file>. The cache and telemetry are pure
+// with respect to results: all printed reports are byte-identical with
+// either on or off.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -298,12 +298,11 @@ func run(argv []string, stdout, stderr io.Writer) int {
 }
 
 // obsRun bundles the observability flags shared by the campaign, difftest,
-// verify-ir and fuzz verbs: a JSON metrics snapshot file, a span-trace dump
-// and an optional CPU profile.
+// verify-ir and fuzz verbs: a JSON metrics snapshot file and an optional
+// CPU profile.
 type obsRun struct {
 	metricsPath string
 	format      string
-	tracePath   string
 	profilePath string
 
 	reg      *telemetry.Registry
@@ -315,7 +314,6 @@ func obsFlags(fs *flag.FlagSet) *obsRun {
 	o := &obsRun{}
 	fs.StringVar(&o.metricsPath, "metrics", "", "write a JSON metrics snapshot to this file after the run")
 	fs.StringVar(&o.format, "metrics-format", "json", "metrics snapshot format: json (the only format)")
-	fs.StringVar(&o.tracePath, "trace", "", "write the recent-span trace as JSON to this file")
 	fs.StringVar(&o.profilePath, "profile", "", "write a CPU profile to this file")
 	return o
 }
@@ -327,7 +325,7 @@ func (o *obsRun) start(wantProgress bool, progressOut io.Writer, render func(tel
 	if o.format != "json" {
 		return fmt.Errorf("-metrics-format %q: want json", o.format)
 	}
-	if o.metricsPath != "" || o.tracePath != "" || wantProgress {
+	if o.metricsPath != "" || wantProgress {
 		o.reg = telemetry.NewRegistry()
 	}
 	if o.profilePath != "" {
@@ -357,28 +355,14 @@ func (o *obsRun) finish() error {
 		pprof.StopCPUProfile()
 		o.profFile.Close()
 	}
-	if o.reg == nil {
+	if o.metricsPath == "" {
 		return nil
 	}
-	if o.metricsPath != "" {
-		data, err := o.reg.Snapshot().JSON()
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(o.metricsPath, data, 0o644); err != nil {
-			return err
-		}
+	data, err := o.reg.Snapshot().JSON()
+	if err != nil {
+		return err
 	}
-	if o.tracePath != "" {
-		data, err := json.MarshalIndent(o.reg.Trace().Events(), "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(o.tracePath, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-	}
-	return nil
+	return os.WriteFile(o.metricsPath, data, 0o644)
 }
 
 // counterTotal sums every series of one counter across its label sets.
@@ -426,7 +410,7 @@ func renderFuzzProgress(s telemetry.Snapshot) string {
 	return fmt.Sprintf("execs %d, discarded %d, corpus %d, causes %d",
 		counterTotal(s, telemetry.MetricFuzzExecs),
 		counterTotal(s, telemetry.MetricFuzzDiscarded),
-		s.Gauges[telemetry.MetricFuzzCorpusSize],
+		counterTotal(s, telemetry.MetricFuzzCorpusAdmissions),
 		counterTotal(s, telemetry.MetricFuzzDifferences))
 }
 
@@ -475,6 +459,5 @@ compiler sets (campaign, table*/fig*, verify-ir, fuzz):
 observability (campaign, table*/fig*, difftest, verify-ir, fuzz):
   -metrics file         write a JSON metrics snapshot after the run
   -metrics-format json  snapshot format (json is the only format)
-  -trace file           write the recent-span trace as JSON
   -profile file         write a CPU profile`)
 }

@@ -242,7 +242,7 @@ func TestMetricsSnapshotAndLint(t *testing.T) {
 	if err := json.Unmarshal(data, &snap); err != nil {
 		t.Fatalf("JSON snapshot does not parse: %v", err)
 	}
-	if snap.Counters == nil || snap.Gauges == nil || snap.Histograms == nil {
+	if snap.Counters == nil || snap.Timers == nil {
 		t.Errorf("JSON snapshot lacks a section: %s", data)
 	}
 	lint := func(key string) {
@@ -253,10 +253,7 @@ func TestMetricsSnapshotAndLint(t *testing.T) {
 	for k := range snap.Counters {
 		lint(k)
 	}
-	for k := range snap.Gauges {
-		lint(k)
-	}
-	for k := range snap.Histograms {
+	for k := range snap.Timers {
 		lint(k)
 	}
 	if got := snap.Counters[telemetry.MetricFuzzExecs]; got != 200 {
@@ -269,26 +266,131 @@ func TestMetricsSnapshotAndLint(t *testing.T) {
 	}
 }
 
-// TestTraceAndReportUnperturbed checks -trace writes a JSON event list
-// and that enabling every observability output leaves the printed report
-// byte-identical.
-func TestTraceAndReportUnperturbed(t *testing.T) {
+// TestObservabilityLeavesReportUnperturbed checks that enabling every
+// observability output at once (-metrics, -progress and -profile) leaves
+// the printed report byte-identical, and that each output is written.
+func TestObservabilityLeavesReportUnperturbed(t *testing.T) {
 	dir := t.TempDir()
 	plain := runCLI(t, "fuzz", "-seed", "2022", "-budget", "200")
-	trace := filepath.Join(dir, "trace.json")
 	metrics := filepath.Join(dir, "metrics.json")
-	observed := runCLI(t, "fuzz", "-seed", "2022", "-budget", "200",
-		"-metrics", metrics, "-trace", trace)
-	if plain != observed {
-		t.Errorf("telemetry perturbed the fuzz report:\n--- plain ---\n%s\n--- observed ---\n%s", plain, observed)
+	profile := filepath.Join(dir, "cpu.pprof")
+	var observed, stderr bytes.Buffer
+	args := []string{"fuzz", "-seed", "2022", "-budget", "200",
+		"-metrics", metrics, "-progress", "-profile", profile}
+	if code := run(args, &observed, &stderr); code != 0 {
+		t.Fatalf("cogdiff %v exited %d: %s", args, code, stderr.String())
 	}
-	data, err := os.ReadFile(trace)
-	if err != nil {
-		t.Fatal(err)
+	if plain != observed.String() {
+		t.Errorf("observability perturbed the fuzz report:\n--- plain ---\n%s\n--- observed ---\n%s", plain, observed.String())
 	}
-	var events []map[string]any
-	if err := json.Unmarshal(data, &events); err != nil {
-		t.Fatalf("trace does not parse as a JSON event list: %v", err)
+	if !strings.Contains(stderr.String(), "execs 200,") {
+		t.Errorf("-progress printed no final line: %q", stderr.String())
+	}
+	for _, path := range []string{metrics, profile} {
+		if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+			t.Errorf("%s not written: %v", path, err)
+		}
+	}
+}
+
+// benchSeries are the series that bench/metrics.go and bench/traced.go
+// read from each workload's snapshot, together with those the Makefile's
+// metrics-smoke, verify-smoke and cache-smoke gates read with jq. A
+// series missing from a snapshot reads as 0 there, which no gate notices,
+// so TestMetricsSnapshotsCarryBenchSeries requires each to be present.
+// bench also reads cogdiff_codecache_{hits,misses}_total, which no code
+// has emitted since the compiled-code cache was removed.
+var benchSeries = map[string][]string{
+	"campaign": {
+		"cogdiff_explore_iterations_total",
+		"cogdiff_paths_explored_total",
+		"cogdiff_solver_calls_total",
+		"cogdiff_verdicts_skipped_total",
+		"cogdiff_panics_contained_total",
+		"cogdiff_units_compiled_total",
+		"cogdiff_passes_run_total",
+		"cogdiff_irverify_runs_total",
+		"cogdiff_irverify_violations_total",
+		"cogdiff_excache_hits_total",
+		"cogdiff_excache_misses_total",
+		"cogdiff_excache_writes_total",
+		"cogdiff_excache_corrupt_total",
+		`cogdiff_differences_total{compiler="Simple Stack BC Compiler"}`,
+		`cogdiff_span_seconds{phase="explore"}`,
+		`cogdiff_span_seconds{phase="test-unit"}`,
+		`cogdiff_span_seconds{phase="merge"}`,
+		`cogdiff_pass_seconds{pass="deadpushpop"}`,
+		`cogdiff_pass_seconds{pass="constfold"}`,
+		`cogdiff_pass_seconds{pass="peephole"}`,
+		"cogdiff_irverify_seconds",
+	},
+	"verify-ir": {
+		"cogdiff_units_compiled_total",
+		"cogdiff_irverify_runs_total",
+		`cogdiff_pass_seconds{pass="deadpushpop"}`,
+		`cogdiff_pass_seconds{pass="constfold"}`,
+		`cogdiff_pass_seconds{pass="peephole"}`,
+		"cogdiff_irverify_seconds",
+	},
+	"fuzz": {
+		"cogdiff_fuzz_execs_total",
+		"cogdiff_fuzz_discarded_total",
+		"cogdiff_fuzz_corpus_admissions_total",
+		`cogdiff_span_seconds{phase="fuzz-batch"}`,
+		`cogdiff_pass_seconds{pass="deadpushpop"}`,
+		`cogdiff_pass_seconds{pass="constfold"}`,
+		`cogdiff_pass_seconds{pass="peephole"}`,
+		"cogdiff_irverify_seconds",
+	},
+}
+
+// TestMetricsSnapshotsCarryBenchSeries pins the -metrics snapshot
+// contract its readers rely on, on a campaign (with an exploration
+// cache, as campaign-diskwarm runs), a verify-ir sweep and a small fuzz
+// run: the JSON has exactly a counters and a histograms section, a
+// histograms entry is exactly {sum, count}, every series in benchSeries
+// is present, and every timer has run and measured time.
+func TestMetricsSnapshotsCarryBenchSeries(t *testing.T) {
+	dir := t.TempDir()
+	runs := map[string][]string{
+		"campaign":  {"campaign", "-workers", "1", "-stable", "-cache-dir", filepath.Join(dir, "cache")},
+		"verify-ir": {"verify-ir", "-workers", "1"},
+		"fuzz":      {"fuzz", "-workers", "1", "-seed", "2022", "-budget", "200"},
+	}
+	for name, args := range runs {
+		path := filepath.Join(dir, name+".json")
+		runCLI(t, append(args, "-metrics", path)...)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The shape readers parse, declared here rather than taken from
+		// telemetry.Snapshot: an unknown section or entry field fails the
+		// decode, and a missing sum or count stays nil.
+		var snap struct {
+			Counters   map[string]int64 `json:"counters"`
+			Histograms map[string]struct {
+				Sum   *float64 `json:"sum"`
+				Count *int64   `json:"count"`
+			} `json:"histograms"`
+		}
+		dec := json.NewDecoder(bytes.NewReader(data))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&snap); err != nil || snap.Counters == nil || snap.Histograms == nil {
+			t.Fatalf("%s: snapshot is not exactly a counters and a histograms section (%v):\n%s", name, err, data)
+		}
+		for key, h := range snap.Histograms {
+			if h.Sum == nil || h.Count == nil || *h.Sum <= 0 || *h.Count <= 0 {
+				t.Errorf("%s: %s is not a {sum, count} entry with both above 0: %s", name, key, data)
+			}
+		}
+		for _, series := range benchSeries[name] {
+			_, isCounter := snap.Counters[series]
+			_, isTimer := snap.Histograms[series]
+			if !isCounter && !isTimer {
+				t.Errorf("%s: snapshot lacks %s", name, series)
+			}
+		}
 	}
 }
 

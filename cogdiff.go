@@ -458,9 +458,10 @@ type CampaignOptions struct {
 	// a one-unit run reports once, with done = total = 1. VerifyIR and
 	// DumpIR, which test no unit, reject it.
 	OnInstructionDone func(compiler, instruction string, done, total int)
-	// Metrics, when non-nil, collects telemetry (counters, latency
-	// histograms, spans). The registry is a pure observation sink: all
-	// rendered reports are byte-identical with or without it.
+	// Metrics, when non-nil, collects telemetry: counters and duration
+	// timers (per phase, per pass and for the verifier). The registry is
+	// a pure observation sink: all rendered reports are byte-identical
+	// with or without it.
 	Metrics *telemetry.Registry
 	// CacheDir, when non-empty, enables the persistent exploration cache
 	// rooted at that directory: explorations and test-unit verdicts are

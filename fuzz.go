@@ -49,9 +49,9 @@ type FuzzOptions struct {
 	// OnProgress, when non-nil, receives a serialized callback after every
 	// merged batch.
 	OnProgress func(done, total, corpusSize, causes int)
-	// Metrics, when non-nil, receives execution counters, corpus gauges
-	// and batch/span timings. It is a pure observation sink: all rendered
-	// reports are byte-identical with or without it.
+	// Metrics, when non-nil, receives execution and corpus-admission
+	// counters and batch timings. It is a pure observation sink: all
+	// rendered reports are byte-identical with or without it.
 	Metrics *telemetry.Registry
 }
 

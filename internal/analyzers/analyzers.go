@@ -4,13 +4,11 @@
 // byte-identical report surface.
 //
 // The package is deliberately self-contained — parsed ASTs plus go/types
-// over the standard library only — so the linters run in two harnesses
-// without external dependencies:
-//
-//   - cmd/cogdiff-lint as a standalone driver over package patterns, and
-//   - the same binary speaking the `go vet -vettool` unitchecker
-//     protocol, which gives per-package incremental runs under the go
-//     command's action cache.
+// over the standard library only — so the linters need no external
+// dependencies. Their one harness is TestRepoLintsClean, which loads
+// every package under the repository root (bench/ and examples/
+// included) and fails on any diagnostic; tier 1 runs it, and `make lint`
+// runs it alone.
 //
 // Three analyzers ship:
 //
@@ -25,9 +23,8 @@
 //     semantic change has one audited place to bump — and stale cache
 //     entries orphan instead of resurfacing.
 //   - telemetryname: metric name constants follow the cogdiff_* naming
-//     scheme, counters end in _total and histograms in _seconds, checked
-//     at every Registry.Counter/Histogram call site via constant
-//     folding.
+//     scheme, counters end in _total and timers in _seconds, checked at
+//     every Registry.Counter/Timer call site via constant folding.
 package analyzers
 
 import (

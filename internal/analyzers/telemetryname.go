@@ -13,12 +13,12 @@ import (
 // bench exporter key on: every metric name constant (Metric*) in the
 // telemetry package matches `cogdiff_[a-z0-9_]+`, and at every
 // registration site that the compiler can constant-fold, counters end
-// in `_total` and histograms in `_seconds`. The check runs on call
+// in `_total` and timers in `_seconds`. The check runs on call
 // arguments, not just the constant declarations, so a raw string
 // literal slipped into Registry.Counter is caught at its use.
 var TelemetryName = &Analyzer{
 	Name: "telemetryname",
-	Doc:  "metric names follow the cogdiff_* scheme; counters end _total, histograms _seconds",
+	Doc:  "metric names follow the cogdiff_* scheme; counters end _total, timers _seconds",
 	Run:  runTelemetryName,
 }
 
@@ -27,13 +27,10 @@ const telemetryPkgPath = "cogdiff/internal/telemetry"
 var metricNamePattern = regexp.MustCompile(`^cogdiff_[a-z0-9_]+$`)
 
 // registrySuffix maps Registry registration methods to the unit suffix
-// their metric names must carry ("" = prefix check only).
+// their metric names must carry.
 var registrySuffix = map[string]string{
-	"Counter":          "_total",
-	"LabeledCounter":   "_total",
-	"Histogram":        "_seconds",
-	"LabeledHistogram": "_seconds",
-	"Gauge":            "",
+	"Counter": "_total",
+	"Timer":   "_seconds",
 }
 
 func runTelemetryName(p *Pass) []Diagnostic {
@@ -90,7 +87,7 @@ func runTelemetryName(p *Pass) []Diagnostic {
 			case !metricNamePattern.MatchString(name):
 				out = append(out, p.diag("telemetryname", call.Args[0].Pos(),
 					"metric name %q does not match cogdiff_[a-z0-9_]+", name))
-			case suffix != "" && !strings.HasSuffix(name, suffix):
+			case !strings.HasSuffix(name, suffix):
 				out = append(out, p.diag("telemetryname", call.Args[0].Pos(),
 					"%s metric %q must end in %q", fn.Name(), name, suffix))
 			}

@@ -358,13 +358,13 @@ func (c *Campaign) RunContext(ctx context.Context) (*CampaignResult, error) {
 		}
 		if reg != nil {
 			_, _, diffs := r.Totals()
-			reg.LabeledCounter(telemetry.MetricDifferences,
+			reg.Counter(telemetry.MetricDifferences,
 				"compiler", r.Compiler.String()).Add(int64(diffs))
 		}
 	}
 	if reg != nil {
 		for _, cause := range result.Causes {
-			reg.LabeledCounter(telemetry.MetricCauses,
+			reg.Counter(telemetry.MetricCauses,
 				"family", cause.Family.String(), "stage", cause.Stage).Inc()
 		}
 	}
@@ -504,7 +504,7 @@ func (c *Campaign) storeCachedUnit(key string, ir *InstructionReport) {
 // and plan for the metajit plan, so any number of instances may run
 // concurrently; cause attribution happens in Run's serial merge pass.
 func (c *Campaign) testInstruction(tester *Tester, kind CompilerKind, target concolic.Target, ex *concolic.Exploration, refs []atomic.Pointer[pathReference], plan *planSlot) InstructionReport {
-	start := time.Now() //cogdiff:allow-nondeterminism campaign timing feeds telemetry histograms only
+	start := time.Now() //cogdiff:allow-nondeterminism timing feeds InstructionReport.TestTime, which Figures 6/7 print; cache payloads store it outside the exploration fingerprint
 	ir := InstructionReport{
 		Target:      target,
 		Paths:       len(ex.Paths) + ex.CuratedOut,
@@ -534,7 +534,7 @@ func (c *Campaign) testInstruction(tester *Tester, kind CompilerKind, target con
 			ir.Differences++
 		}
 	}
-	ir.TestTime = time.Since(start) //cogdiff:allow-nondeterminism campaign timing feeds telemetry histograms only
+	ir.TestTime = time.Since(start) //cogdiff:allow-nondeterminism timing feeds InstructionReport.TestTime, which Figures 6/7 print; cache payloads store it outside the exploration fingerprint
 	return ir
 }
 

@@ -24,7 +24,6 @@ func TestRunContextCancelLeavesCorpusUntouched(t *testing.T) {
 	opts := fuzzer.Options{
 		Seed:       2022,
 		Budget:     100000,
-		BatchSize:  32,
 		Workers:    2,
 		CorpusPath: corpus,
 		OnProgress: func(done, total, corpusSize, causes int) {
@@ -91,11 +90,10 @@ func TestMetricsValidMidRun(t *testing.T) {
 	const budget = 100000
 	batches := 0
 	opts := fuzzer.Options{
-		Seed:      3,
-		Budget:    budget,
-		BatchSize: 32,
-		Workers:   2,
-		Metrics:   reg,
+		Seed:    3,
+		Budget:  budget,
+		Workers: 2,
+		Metrics: reg,
 		OnProgress: func(done, total, corpusSize, causes int) {
 			batches++
 			mid, err := render()

@@ -33,10 +33,6 @@ type Options struct {
 	// Workers shards each batch over this many goroutines (0 = GOMAXPROCS,
 	// 1 = serial). Results are byte-identical for any worker count.
 	Workers int
-	// BatchSize is the scheduling quantum (0 defaults to 32): tasks are
-	// generated serially per batch, executed in parallel, merged serially
-	// in canonical execution order.
-	BatchSize int
 	// Minimize reduces every difference to a 1-minimal sequence.
 	Minimize bool
 	// CorpusPath, when set, loads this JSON corpus before the run and
@@ -157,7 +153,6 @@ type engine struct {
 	mDiscarded  *telemetry.Counter
 	mBatches    *telemetry.Counter
 	mAdmissions *telemetry.Counter
-	mCorpusSize *telemetry.Gauge
 	mPanics     *telemetry.Counter
 }
 
@@ -193,7 +188,6 @@ func newEngine(opts Options) *engine {
 	e.mDiscarded = opts.Metrics.Counter(telemetry.MetricFuzzDiscarded)
 	e.mBatches = opts.Metrics.Counter(telemetry.MetricFuzzBatches)
 	e.mAdmissions = opts.Metrics.Counter(telemetry.MetricFuzzCorpusAdmissions)
-	e.mCorpusSize = opts.Metrics.Gauge(telemetry.MetricFuzzCorpusSize)
 	e.mPanics = opts.Metrics.Counter(telemetry.MetricPanicsContained)
 	return e
 }
@@ -357,7 +351,6 @@ func (e *engine) merge(s *Seq, o *execOut, keepAll bool) {
 			e.corpus = append(e.corpus, s)
 			e.curve = append(e.curve, CurvePoint{Execs: e.execs, Bits: e.global.Count()})
 			e.mAdmissions.Inc()
-			e.mCorpusSize.Set(int64(len(e.corpus)))
 		}
 	} else {
 		e.global.Merge(&o.cov)
@@ -369,7 +362,7 @@ func (e *engine) merge(s *Seq, o *execOut, keepAll bool) {
 			continue
 		}
 		e.diffIdx[key] = len(e.diffs)
-		e.opts.Metrics.LabeledCounter(telemetry.MetricFuzzDifferences,
+		e.opts.Metrics.Counter(telemetry.MetricFuzzDifferences,
 			"family", fam.String()).Inc()
 		e.diffs = append(e.diffs, &Difference{
 			Instrument: instrument,
@@ -384,6 +377,12 @@ func (e *engine) merge(s *Seq, o *execOut, keepAll bool) {
 		})
 	}
 }
+
+// batchSize is the scheduling quantum: a batch's tasks are generated
+// serially, executed in parallel and merged serially in canonical
+// execution order. Every task of a batch draws its parents from the
+// corpus as it stood before the batch, so the size shapes the report.
+const batchSize = 32
 
 // runBatch executes tasks in parallel and merges them in order. A
 // cancelled batch merges nothing: partially executed batches must not
@@ -457,10 +456,6 @@ func RunContext(ctx context.Context, opts Options) (*Result, error) {
 			budget = 1 << 30
 		}
 	}
-	batch := opts.BatchSize
-	if batch <= 0 {
-		batch = 32
-	}
 	workers := core.ResolveWorkers(opts.Workers)
 
 	seeds := builtinSeeds()
@@ -491,7 +486,7 @@ func RunContext(ctx context.Context, opts Options) (*Result, error) {
 		if opts.Duration > 0 && time.Since(start) >= opts.Duration { //cogdiff:allow-nondeterminism wall-clock fuzz budget; findings replay deterministically
 			break
 		}
-		n := batch
+		n := batchSize
 		if rest := budget - e.execs; rest < n {
 			n = rest
 		}

@@ -37,8 +37,8 @@ func TestFuzzReportUnperturbedByTelemetry(t *testing.T) {
 			if disc := reg.Counter(telemetry.MetricFuzzDiscarded).Value(); disc != int64(res.Discarded) {
 				t.Errorf("workers=%d: discard counter %d, report says %d", workers, disc, res.Discarded)
 			}
-			if size := reg.Gauge(telemetry.MetricFuzzCorpusSize).Value(); size != int64(res.CorpusSize) {
-				t.Errorf("workers=%d: corpus gauge %d, report says %d", workers, size, res.CorpusSize)
+			if adm := reg.Counter(telemetry.MetricFuzzCorpusAdmissions).Value(); adm != int64(res.CorpusSize) {
+				t.Errorf("workers=%d: admission counter %d, report's corpus size %d", workers, adm, res.CorpusSize)
 			}
 		}
 	}

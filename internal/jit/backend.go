@@ -153,7 +153,7 @@ func (sv *stageVerifier) check(stage Stage) error {
 	bk, fn := sv.bk, stage.Fn
 	var t0 time.Time
 	if bk.Metrics != nil {
-		t0 = time.Now() //cogdiff:allow-nondeterminism compile timing feeds telemetry histograms only
+		t0 = time.Now() //cogdiff:allow-nondeterminism compile timing feeds telemetry timers only
 	}
 	lo, hi := hashFn(fn)
 	key := verifyKey{prevLo: sv.prevLo, prevHi: sv.prevHi, fnLo: lo, fnHi: hi,
@@ -189,7 +189,7 @@ func (sv *stageVerifier) check(stage Stage) error {
 // done records one verifier run started at t0.
 func (sv *stageVerifier) done(t0 time.Time, violations int) {
 	if sv.bk.Metrics != nil {
-		sv.bk.Metrics.observeVerify(time.Since(t0), violations) //cogdiff:allow-nondeterminism compile timing feeds telemetry histograms only
+		sv.bk.Metrics.observeVerify(time.Since(t0), violations) //cogdiff:allow-nondeterminism compile timing feeds telemetry timers only
 	}
 }
 
@@ -216,9 +216,9 @@ func (bk *Backend) Optimize(b *ir.Builder, selectors []Selector, numTemps int) (
 	for _, p := range bk.Passes {
 		var out *ir.Fn
 		if bk.Metrics != nil {
-			t0 := time.Now() //cogdiff:allow-nondeterminism compile timing feeds telemetry histograms only
+			t0 := time.Now() //cogdiff:allow-nondeterminism compile timing feeds telemetry timers only
 			out = p.Run(fn)
-			bk.Metrics.observePass(p.Name, time.Since(t0)) //cogdiff:allow-nondeterminism compile timing feeds telemetry histograms only
+			bk.Metrics.observePass(p.Name, time.Since(t0)) //cogdiff:allow-nondeterminism compile timing feeds telemetry timers only
 		} else {
 			out = p.Run(fn)
 		}

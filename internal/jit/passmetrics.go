@@ -9,21 +9,21 @@ import (
 
 // PassMetrics carries pre-resolved telemetry handles for the pass
 // pipeline. Compilation runs once per tested path — far too hot to
-// format histogram series keys — so the handles are resolved once, when
+// format series keys — so the handles are resolved once, when
 // the owning Tester is given a registry, and shared read-only by every
 // Cogit instance afterwards.
 type PassMetrics struct {
 	compiled         *telemetry.Counter
 	passes           *telemetry.Counter
-	perPass          map[string]*telemetry.Histogram
+	perPass          map[string]*telemetry.Timer
 	verifyRuns       *telemetry.Counter
 	verifyViolations *telemetry.Counter
-	verifySeconds    *telemetry.Histogram
+	verifySeconds    *telemetry.Timer
 }
 
 // NewPassMetrics resolves the pipeline instruments against reg: a
-// units-compiled counter, a passes-run counter, and one latency
-// histogram per distinct pass name across every variant's pipeline.
+// units-compiled counter, a passes-run counter, and one timer per
+// distinct pass name across every variant's pipeline.
 // Returns nil (a valid no-op) for a nil registry.
 func NewPassMetrics(reg *telemetry.Registry, sw defects.Switches) *PassMetrics {
 	if reg == nil {
@@ -32,16 +32,15 @@ func NewPassMetrics(reg *telemetry.Registry, sw defects.Switches) *PassMetrics {
 	m := &PassMetrics{
 		compiled:         reg.Counter(telemetry.MetricUnitsCompiled),
 		passes:           reg.Counter(telemetry.MetricPassesRun),
-		perPass:          make(map[string]*telemetry.Histogram),
+		perPass:          make(map[string]*telemetry.Timer),
 		verifyRuns:       reg.Counter(telemetry.MetricIRVerifyRuns),
 		verifyViolations: reg.Counter(telemetry.MetricIRVerifyViolations),
-		verifySeconds:    reg.Histogram(telemetry.MetricIRVerifySeconds, telemetry.DurationBuckets),
+		verifySeconds:    reg.Timer(telemetry.MetricIRVerifySeconds),
 	}
 	for _, v := range []Variant{SimpleStackBasedCogit, StackToRegisterCogit, RegisterAllocatingCogit, MetaJITCogit} {
 		for _, p := range PipelineFor(v, sw) {
 			if _, ok := m.perPass[p.Name]; !ok {
-				m.perPass[p.Name] = reg.LabeledHistogram(
-					telemetry.MetricPassSeconds, telemetry.DurationBuckets, "pass", p.Name)
+				m.perPass[p.Name] = reg.Timer(telemetry.MetricPassSeconds, "pass", p.Name)
 			}
 		}
 	}
@@ -64,7 +63,7 @@ func (m *PassMetrics) observeVerify(d time.Duration, violations int) {
 	}
 	m.verifyRuns.Inc()
 	m.verifyViolations.Add(int64(violations))
-	m.verifySeconds.ObserveDuration(d)
+	m.verifySeconds.Observe(d)
 }
 
 // observePass records one pass execution. No-op on nil.
@@ -73,5 +72,5 @@ func (m *PassMetrics) observePass(name string, d time.Duration) {
 		return
 	}
 	m.passes.Inc()
-	m.perPass[name].ObserveDuration(d)
+	m.perPass[name].Observe(d)
 }

@@ -48,13 +48,24 @@ const (
 	MetricFuzzDiscarded        = "cogdiff_fuzz_discarded_total"
 	MetricFuzzBatches          = "cogdiff_fuzz_batches_total"
 	MetricFuzzCorpusAdmissions = "cogdiff_fuzz_corpus_admissions_total"
-	MetricFuzzCorpusSize       = "cogdiff_fuzz_corpus_size"
 	MetricFuzzDifferences      = "cogdiff_fuzz_differences_total"
 
-	// Span phases (histogram series cogdiff_span_seconds{phase=...}).
-	SpanExplore   = "explore"
-	SpanTestUnit  = "test-unit"
-	SpanMerge     = "merge"
-	SpanFuzzBatch = "fuzz-batch"
-	SpanFuzzExec  = "fuzz-exec"
+	// Phase spans. MetricSpanSeconds carries a phase label.
+	MetricSpanSeconds = "cogdiff_span_seconds"
 )
+
+// Phase is one timed phase of a run; its spans add up in the timer
+// series cogdiff_span_seconds{phase="<name>"}.
+type Phase uint8
+
+// The phases, in the order of phaseNames.
+const (
+	SpanExplore Phase = iota
+	SpanTestUnit
+	SpanMerge
+	SpanFuzzBatch
+	numPhases
+)
+
+// phaseNames are the phase label values.
+var phaseNames = [numPhases]string{"explore", "test-unit", "merge", "fuzz-batch"}

@@ -1,16 +1,17 @@
-// Package telemetry is a zero-dependency metrics-and-tracing layer for
-// the differential testing engines. It provides atomic counters and
-// gauges, fixed-bucket latency histograms, phase spans feeding a
-// ring-buffer trace, and snapshots that serialize to JSON.
+// Package telemetry is a zero-dependency metrics layer for the
+// differential testing engines. It provides atomic counters, duration
+// timers (a nanosecond sum and a count), phase spans feeding one timer
+// per phase, and snapshots that serialize to JSON.
 //
 // Design contract:
 //
 //   - Every type is nil-safe. A nil *Registry hands out nil instruments,
 //     and every instrument method is a no-op on a nil receiver, so
 //     instrumented code never branches on "telemetry enabled".
-//   - The hot path (Counter.Add, Gauge.Set, Histogram.Observe) is
-//     allocation-free and lock-free: instruments are resolved once at
-//     setup time and then touched only through atomics.
+//   - The hot path (Counter.Add, Timer.Observe, StartSpan and Span.End)
+//     is allocation-free and lock-free: instruments are resolved once at
+//     setup time, and the phase timers when the registry is built, and
+//     then touched only through atomics.
 //   - Telemetry is a pure sink. Nothing in this package feeds back into
 //     engine decisions, so enabling it cannot perturb report output.
 package telemetry
@@ -45,134 +46,61 @@ func (c *Counter) Value() int64 {
 	return c.v.Load()
 }
 
-// Gauge is an instantaneous atomic value (corpus size, workers active).
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set replaces the gauge value. No-op on a nil receiver.
-func (g *Gauge) Set(n int64) {
-	if g == nil {
-		return
-	}
-	g.v.Store(n)
-}
-
-// Add moves the gauge by n. No-op on a nil receiver.
-func (g *Gauge) Add(n int64) {
-	if g == nil {
-		return
-	}
-	g.v.Add(n)
-}
-
-// Value returns the current value, zero for a nil receiver.
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
-}
-
-// Registry owns every instrument of one engine run. Instruments are
-// registered on first use and live for the registry's lifetime;
+// Registry owns every instrument of one engine run. Counters and timers
+// are registered on first use and live for the registry's lifetime;
 // registration takes a lock, subsequent updates are lock-free through
-// the returned handle.
+// the returned handle. The phase timers are part of the registry.
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
-	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
-	trace    *Trace
+	timers   map[string]*Timer
+	spans    [numPhases]Timer
 }
 
-// NewRegistry builds an empty registry with a trace ring of the default
-// capacity.
+// NewRegistry builds an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
 		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
-		hists:    make(map[string]*Histogram),
-		trace:    NewTrace(DefaultTraceCapacity),
+		timers:   make(map[string]*Timer),
 	}
 }
 
-// Counter returns the named counter, creating it on first use. Returns
-// nil (a valid no-op instrument) on a nil registry.
-func (r *Registry) Counter(name string) *Counter {
+// Counter returns the counter for name plus label pairs (alternating
+// key, value), creating it on first use. Labels become part of the
+// series identity, name{k="v",...}; resolving them formats a key
+// string, so call it on cold paths only and keep the handle. Returns nil
+// (a valid no-op instrument) on a nil registry.
+func (r *Registry) Counter(name string, labels ...string) *Counter {
 	if r == nil {
 		return nil
 	}
+	key := seriesKey(name, labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	c, ok := r.counters[name]
+	c, ok := r.counters[key]
 	if !ok {
 		c = &Counter{}
-		r.counters[name] = c
+		r.counters[key] = c
 	}
 	return c
 }
 
-// LabeledCounter returns the counter for name plus label pairs
-// (alternating key, value). The labels become part of the series
-// identity, rendered in Prometheus notation. Label resolution formats a
-// key string, so call it on cold paths only and cache the handle.
-func (r *Registry) LabeledCounter(name string, labels ...string) *Counter {
+// Timer returns the timer for name plus label pairs, creating it on
+// first use, with the same series identity and cost as Counter. Returns
+// nil on a nil registry.
+func (r *Registry) Timer(name string, labels ...string) *Timer {
 	if r == nil {
 		return nil
 	}
-	return r.Counter(seriesKey(name, labels))
-}
-
-// Gauge returns the named gauge, creating it on first use. Returns nil
-// on a nil registry.
-func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
-	}
+	key := seriesKey(name, labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
+	t, ok := r.timers[key]
 	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
+		t = &Timer{}
+		r.timers[key] = t
 	}
-	return g
-}
-
-// Histogram returns the named histogram, creating it with the given
-// bucket upper bounds on first use. Buckets must be sorted ascending;
-// an implicit +Inf bucket is always appended. Returns nil on a nil
-// registry. The bucket layout of the first registration wins.
-func (r *Registry) Histogram(name string, buckets []float64) *Histogram {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h, ok := r.hists[name]
-	if !ok {
-		h = newHistogram(buckets)
-		r.hists[name] = h
-	}
-	return h
-}
-
-// LabeledHistogram is Histogram with label pairs folded into the series
-// identity, like LabeledCounter.
-func (r *Registry) LabeledHistogram(name string, buckets []float64, labels ...string) *Histogram {
-	if r == nil {
-		return nil
-	}
-	return r.Histogram(seriesKey(name, labels), buckets)
-}
-
-// Trace returns the registry's event ring, nil on a nil registry.
-func (r *Registry) Trace() *Trace {
-	if r == nil {
-		return nil
-	}
-	return r.trace
+	return t
 }
 
 // seriesKey folds label pairs into a canonical Prometheus-style series

@@ -2,68 +2,52 @@ package telemetry
 
 import "encoding/json"
 
-// HistogramSnapshot is the frozen state of one histogram series.
-type HistogramSnapshot struct {
-	// Bounds are the bucket upper bounds, excluding +Inf.
-	Bounds []float64 `json:"bounds"`
-	// Cumulative[i] counts observations <= Bounds[i]; the final extra
-	// element is the total (+Inf bucket).
-	Cumulative []int64 `json:"cumulative"`
-	Sum        float64 `json:"sum"`
-	Count      int64   `json:"count"`
+// TimerSnapshot is the frozen state of one timer series.
+type TimerSnapshot struct {
+	// Sum is the total observed duration in seconds.
+	Sum   float64 `json:"sum"`
+	Count int64   `json:"count"`
 }
 
 // Snapshot is a consistent point-in-time copy of every instrument in a
 // registry, suitable for serialization. Every key is a full series name
 // with its labels folded in: name{label="value",...}, labels sorted.
 type Snapshot struct {
-	Counters   map[string]int64             `json:"counters"`
-	Gauges     map[string]int64             `json:"gauges"`
-	Histograms map[string]HistogramSnapshot `json:"histograms"`
+	Counters map[string]int64 `json:"counters"`
+	// Timers keeps the JSON section name "histograms" that snapshot
+	// readers (bench/, the Makefile's jq gates) parse.
+	Timers map[string]TimerSnapshot `json:"histograms"`
 }
 
-// Snapshot freezes the registry. Returns an empty snapshot on a nil
-// registry so callers can serialize unconditionally.
+// Snapshot freezes the registry. A phase's span series appears once the
+// phase has run. Returns an empty snapshot on a nil registry so callers
+// can serialize unconditionally.
 func (r *Registry) Snapshot() Snapshot {
 	s := Snapshot{
-		Counters:   map[string]int64{},
-		Gauges:     map[string]int64{},
-		Histograms: map[string]HistogramSnapshot{},
+		Counters: map[string]int64{},
+		Timers:   map[string]TimerSnapshot{},
 	}
 	if r == nil {
 		return s
 	}
 	r.mu.Lock()
-	counters := make(map[string]*Counter, len(r.counters))
-	for k, v := range r.counters {
-		counters[k] = v
-	}
-	gauges := make(map[string]*Gauge, len(r.gauges))
-	for k, v := range r.gauges {
-		gauges[k] = v
-	}
-	hists := make(map[string]*Histogram, len(r.hists))
-	for k, v := range r.hists {
-		hists[k] = v
-	}
-	r.mu.Unlock()
-
-	for k, c := range counters {
+	for k, c := range r.counters {
 		s.Counters[k] = c.Value()
 	}
-	for k, g := range gauges {
-		s.Gauges[k] = g.Value()
+	for k, t := range r.timers {
+		s.Timers[k] = t.snapshot()
 	}
-	for k, h := range hists {
-		bounds, cum := h.Buckets()
-		s.Histograms[k] = HistogramSnapshot{
-			Bounds:     bounds,
-			Cumulative: cum,
-			Sum:        h.Sum(),
-			Count:      h.Count(),
+	r.mu.Unlock()
+	for p := range r.spans {
+		if t := &r.spans[p]; t.Count() > 0 {
+			s.Timers[seriesKey(MetricSpanSeconds, []string{"phase", phaseNames[p]})] = t.snapshot()
 		}
 	}
 	return s
+}
+
+func (t *Timer) snapshot() TimerSnapshot {
+	return TimerSnapshot{Sum: t.Sum().Seconds(), Count: t.Count()}
 }
 
 // JSON renders the snapshot with stable formatting (encoding/json sorts

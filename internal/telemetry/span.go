@@ -1,101 +1,32 @@
 package telemetry
 
-import (
-	"sync"
-	"time"
-)
+import "time"
 
-// DefaultTraceCapacity bounds the ring of recent span events.
-const DefaultTraceCapacity = 256
-
-// Event is one completed span in the trace ring.
-type Event struct {
-	Seq   uint64        `json:"seq"`
-	Phase string        `json:"phase"`
-	Start time.Time     `json:"start"`
-	Dur   time.Duration `json:"dur"`
-}
-
-// Trace is a fixed-capacity ring buffer of recent span events. Appends
-// and reads take a mutex; spans bound whole phases or units of work, so
-// the lock is never on a per-instruction path.
-type Trace struct {
-	mu   sync.Mutex
-	ring []Event
-	next uint64 // total events ever appended
-}
-
-// NewTrace builds a ring holding the last capacity events.
-func NewTrace(capacity int) *Trace {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Trace{ring: make([]Event, capacity)}
-}
-
-// Append records one completed event. No-op on a nil receiver.
-func (t *Trace) Append(e Event) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	e.Seq = t.next
-	t.ring[t.next%uint64(len(t.ring))] = e
-	t.next++
-	t.mu.Unlock()
-}
-
-// Events returns the retained events oldest-first.
-func (t *Trace) Events() []Event {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	n := t.next
-	cap64 := uint64(len(t.ring))
-	start := uint64(0)
-	if n > cap64 {
-		start = n - cap64
-	}
-	out := make([]Event, 0, n-start)
-	for s := start; s < n; s++ {
-		out = append(out, t.ring[s%cap64])
-	}
-	return out
-}
-
-// Span measures one phase of work. It is a value type: starting a span
-// allocates nothing, and End routes the measured duration into the
-// phase histogram and the trace ring. The zero Span is a no-op.
+// Span times one run of a phase. It is a value type: starting and ending
+// a span allocates nothing and takes no lock, because each phase's timer
+// lives in the registry from its construction. The zero Span is a no-op.
 type Span struct {
-	phase string
+	timer *Timer
 	start time.Time
-	hist  *Histogram
-	trace *Trace
 }
 
-// StartSpan opens a span for the named phase. The duration lands in the
-// histogram series cogdiff_span_seconds{phase=name} and in the trace
-// ring. Safe on a nil registry (returns a no-op span).
-func (r *Registry) StartSpan(phase string) Span {
+// StartSpan opens a span for the phase. Its duration lands in the series
+// cogdiff_span_seconds{phase="<name>"}. Safe on a nil registry (returns a
+// no-op span).
+func (r *Registry) StartSpan(p Phase) Span {
 	if r == nil {
 		return Span{}
 	}
 	return Span{
-		phase: phase,
+		timer: &r.spans[p],
 		start: time.Now(), //cogdiff:allow-nondeterminism span timing is telemetry by definition
-		hist:  r.LabeledHistogram("cogdiff_span_seconds", DurationBuckets, "phase", phase),
-		trace: r.trace,
 	}
 }
 
 // End closes the span. No-op for the zero Span.
 func (s Span) End() {
-	if s.hist == nil && s.trace == nil {
+	if s.timer == nil {
 		return
 	}
-	d := time.Since(s.start) //cogdiff:allow-nondeterminism span timing is telemetry by definition
-	s.hist.ObserveDuration(d)
-	s.trace.Append(Event{Phase: s.phase, Start: s.start, Dur: d})
+	s.timer.Observe(time.Since(s.start)) //cogdiff:allow-nondeterminism span timing is telemetry by definition
 }

@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"encoding/json"
-	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -17,51 +16,16 @@ func TestNilRegistryIsInert(t *testing.T) {
 	if c.Value() != 0 {
 		t.Fatal("nil counter must stay zero")
 	}
-	g := r.Gauge("g")
-	g.Set(7)
-	g.Add(1)
-	if g.Value() != 0 {
-		t.Fatal("nil gauge must stay zero")
+	tm := r.Timer("t")
+	tm.Observe(time.Second)
+	if tm.Count() != 0 || tm.Sum() != 0 {
+		t.Fatal("nil timer must stay empty")
 	}
-	h := r.Histogram("h", DurationBuckets)
-	h.Observe(1)
-	h.ObserveDuration(time.Second)
-	if h.Count() != 0 || h.Sum() != 0 {
-		t.Fatal("nil histogram must stay empty")
-	}
-	sp := r.StartSpan("phase")
+	sp := r.StartSpan(SpanExplore)
 	sp.End()
-	r.Trace().Append(Event{})
-	if r.Trace().Events() != nil {
-		t.Fatal("nil trace must have no events")
-	}
 	s := r.Snapshot()
-	if len(s.Counters)+len(s.Gauges)+len(s.Histograms) != 0 {
+	if len(s.Counters)+len(s.Timers) != 0 {
 		t.Fatal("nil registry snapshot must be empty")
-	}
-}
-
-func TestHistogramBucketing(t *testing.T) {
-	h := newHistogram([]float64{1, 10, 100})
-	for _, v := range []float64{0.5, 1, 1.5, 10, 99, 100, 101, 1e9} {
-		h.Observe(v)
-	}
-	bounds, cum := h.Buckets()
-	if len(bounds) != 3 || len(cum) != 4 {
-		t.Fatalf("bounds %v cum %v", bounds, cum)
-	}
-	// <=1: {0.5, 1}; <=10: +{1.5, 10}; <=100: +{99, 100}; +Inf: +{101, 1e9}.
-	want := []int64{2, 4, 6, 8}
-	for i := range want {
-		if cum[i] != want[i] {
-			t.Fatalf("cumulative[%d] = %d, want %d (%v)", i, cum[i], want[i], cum)
-		}
-	}
-	if h.Count() != 8 {
-		t.Fatalf("count %d", h.Count())
-	}
-	if got := h.Sum(); math.Abs(got-(0.5+1+1.5+10+99+100+101+1e9)) > 1e-6 {
-		t.Fatalf("sum %v", got)
 	}
 }
 
@@ -104,13 +68,13 @@ func TestConcurrentCounters(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			c := r.Counter("shared")
-			g := r.Gauge("gauge")
-			h := r.Histogram("hist", []float64{0.5})
+			tm := r.Timer("timer")
 			for i := 0; i < per; i++ {
 				c.Inc()
-				g.Add(1)
-				h.Observe(0.25)
-				r.LabeledCounter("labeled", "k", "v").Inc()
+				tm.Observe(time.Microsecond)
+				sp := r.StartSpan(SpanTestUnit)
+				sp.End()
+				r.Counter("labeled", "k", "v").Inc()
 			}
 		}()
 	}
@@ -120,13 +84,13 @@ func TestConcurrentCounters(t *testing.T) {
 	if got := r.Counter("shared").Value(); got != workers*per {
 		t.Fatalf("counter %d, want %d", got, workers*per)
 	}
-	if got := r.Gauge("gauge").Value(); got != workers*per {
-		t.Fatalf("gauge %d, want %d", got, workers*per)
+	if got, sum := r.Timer("timer").Count(), r.Timer("timer").Sum(); got != workers*per || sum != workers*per*time.Microsecond {
+		t.Fatalf("timer count %d sum %v, want %d and %v", got, sum, workers*per, workers*per*time.Microsecond)
 	}
-	if got := r.Histogram("hist", nil).Count(); got != workers*per {
-		t.Fatalf("histogram count %d, want %d", got, workers*per)
+	if got := r.Snapshot().Timers[`cogdiff_span_seconds{phase="test-unit"}`].Count; got != workers*per {
+		t.Fatalf("span count %d, want %d", got, workers*per)
 	}
-	if got := r.LabeledCounter("labeled", "k", "v").Value(); got != workers*per {
+	if got := r.Counter("labeled", "k", "v").Value(); got != workers*per {
 		t.Fatalf("labeled counter %d, want %d", got, workers*per)
 	}
 }
@@ -146,11 +110,10 @@ func TestSeriesKeyCanonicalization(t *testing.T) {
 func TestSnapshotJSONRoundTrip(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("cogdiff_units_tested_total").Add(42)
-	r.LabeledCounter(MetricDifferences, "family", "behavioral difference").Add(3)
-	r.Gauge(MetricFuzzCorpusSize).Set(17)
-	lat := r.Histogram("lat", []float64{0.001, 0.1})
-	lat.Observe(0.05)
-	lat.Observe(2) // above the top bound: lands in the +Inf bucket only
+	r.Counter(MetricDifferences, "family", "behavioral difference").Add(3)
+	lat := r.Timer("lat")
+	lat.Observe(250 * time.Millisecond)
+	lat.Observe(2 * time.Second)
 
 	data, err := r.Snapshot().JSON()
 	if err != nil {
@@ -166,15 +129,9 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	if back.Counters[`cogdiff_differences_total{family="behavioral difference"}`] != 3 {
 		t.Fatalf("labeled counter lost: %v", back.Counters)
 	}
-	if back.Gauges[MetricFuzzCorpusSize] != 17 {
-		t.Fatalf("gauge lost: %v", back.Gauges)
-	}
-	h := back.Histograms["lat"]
-	if h.Count != 2 || h.Sum != lat.Sum() || len(h.Bounds) != 2 {
-		t.Fatalf("histogram lost: %+v", h)
-	}
-	if want := []int64{0, 1, 2}; !reflect.DeepEqual(h.Cumulative, want) {
-		t.Fatalf("histogram buckets %v, want %v (the last is +Inf)", h.Cumulative, want)
+	// A timer's sum is in seconds.
+	if h := back.Timers["lat"]; h.Count != 2 || h.Sum != 2.25 {
+		t.Fatalf("timer lost: %+v", h)
 	}
 }
 
@@ -185,8 +142,8 @@ func TestSnapshotJSONDeterministicOutput(t *testing.T) {
 		r := NewRegistry()
 		for _, name := range names {
 			r.Counter(name + "_total").Add(int64(name[0]))
-			r.LabeledCounter("c_total", "y", name, "x", "1").Inc()
-			r.Histogram(name+"_seconds", []float64{1}).Observe(0.5)
+			r.Counter("c_total", "y", name, "x", "1").Inc()
+			r.Timer(name + "_seconds").Observe(time.Second / 2)
 		}
 		data, err := r.Snapshot().JSON()
 		if err != nil {
@@ -199,44 +156,38 @@ func TestSnapshotJSONDeterministicOutput(t *testing.T) {
 	}
 }
 
-func TestTraceRingEviction(t *testing.T) {
-	tr := NewTrace(4)
-	for i := 0; i < 10; i++ {
-		tr.Append(Event{Phase: "p"})
-	}
-	ev := tr.Events()
-	if len(ev) != 4 {
-		t.Fatalf("ring holds %d events, want 4", len(ev))
-	}
-	for i, e := range ev {
-		if e.Seq != uint64(6+i) {
-			t.Fatalf("event %d has seq %d, want %d (oldest-first)", i, e.Seq, 6+i)
-		}
-	}
-}
-
-func TestSpanRecordsHistogramAndTrace(t *testing.T) {
+func TestSpanRecordsTimer(t *testing.T) {
 	r := NewRegistry()
-	sp := r.StartSpan("explore")
+	sp := r.StartSpan(SpanExplore)
 	sp.End()
 	s := r.Snapshot()
-	h, ok := s.Histograms[`cogdiff_span_seconds{phase="explore"}`]
-	if !ok || h.Count != 1 {
-		t.Fatalf("span histogram missing: %+v", s.Histograms)
+	if h, ok := s.Timers[`cogdiff_span_seconds{phase="explore"}`]; !ok || h.Count != 1 {
+		t.Fatalf("span timer missing: %+v", s.Timers)
 	}
-	ev := r.Trace().Events()
-	if len(ev) != 1 || ev[0].Phase != "explore" {
-		t.Fatalf("trace events %+v", ev)
+	// A phase that never ran has no series, as before its first span.
+	if len(s.Timers) != 1 {
+		t.Fatalf("snapshot has series of phases that never ran: %+v", s.Timers)
 	}
 }
 
-func TestHistogramAllocationFreeObserve(t *testing.T) {
-	h := newHistogram(DurationBuckets)
-	allocs := testing.AllocsPerRun(1000, func() { h.Observe(0.001) })
+// TestHotPathAllocationFree pins what instrumented loops pay: a span's
+// start and end, a timer observation and a counter bump allocate
+// nothing.
+func TestHotPathAllocationFree(t *testing.T) {
+	r := NewRegistry()
+	allocs := testing.AllocsPerRun(1000, func() {
+		sp := r.StartSpan(SpanExplore)
+		sp.End()
+	})
 	if allocs != 0 {
-		t.Fatalf("Observe allocates %v times per call", allocs)
+		t.Fatalf("StartSpan and End allocate %v times per span", allocs)
 	}
-	c := &Counter{}
+	tm := r.Timer("cogdiff_t_seconds")
+	allocs = testing.AllocsPerRun(1000, func() { tm.Observe(time.Millisecond) })
+	if allocs != 0 {
+		t.Fatalf("Timer.Observe allocates %v times per call", allocs)
+	}
+	c := r.Counter("cogdiff_c_total")
 	allocs = testing.AllocsPerRun(1000, func() { c.Inc() })
 	if allocs != 0 {
 		t.Fatalf("Counter.Inc allocates %v times per call", allocs)
