@@ -144,11 +144,14 @@ fuzz-smoke:
 # survive a re-encode. The constraint solver is fuzzed alongside, 10 s
 # too: Solve must not panic on any decoded conjunction, one variable of
 # which lies past its universe's end, and its models must pass Check.
+# So is the fuzzer's task generator, 10 s: for any seed and draw count,
+# its lazily seeded source must draw exactly what rand.NewSource does.
 fuzz-codecs:
 	$(GO) test -run '^$$' -fuzz '^FuzzSegment$$' -fuzztime 10s ./internal/excache/
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalExploration$$' -fuzztime 10s ./internal/excache/
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalInstructionReport$$' -fuzztime 10s ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzSolve$$' -fuzztime 10s ./internal/solver/
+	$(GO) test -run '^$$' -fuzz '^FuzzTaskSource$$' -fuzztime 10s ./internal/fuzzer/
 
 # Pass-level blame smoke test: a campaign with the pass-targeted
 # constant-folding defect must name the guilty pass in its cause table,

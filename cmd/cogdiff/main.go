@@ -121,10 +121,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		}
 		opts.Metrics = obs.reg
 		res, err := cogdiff.TestInstructionWith(fs.Arg(0), fs.Arg(1), *opts)
-		if err != nil {
-			return fail(err)
-		}
-		if err := obs.finish(); err != nil {
+		if err := obs.finish(err); err != nil {
 			return fail(err)
 		}
 		fmt.Fprint(stdout, res.Render())
@@ -189,10 +186,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		}
 		opts.Metrics = obs.reg
 		sum, err := cogdiff.Fuzz(opts)
-		if err != nil {
-			return fail(err)
-		}
-		if err := obs.finish(); err != nil {
+		if err := obs.finish(err); err != nil {
 			return fail(err)
 		}
 		fmt.Fprint(stdout, sum.Report)
@@ -220,10 +214,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		}
 		opts.Metrics = obs.reg
 		sum, err := cogdiff.RunCampaign(*opts)
-		if err != nil {
-			return fail(err)
-		}
-		if err := obs.finish(); err != nil {
+		if err := obs.finish(err); err != nil {
 			return fail(err)
 		}
 		switch cmd {
@@ -278,10 +269,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		}
 		opts.Metrics = obs.reg
 		sum, err := cogdiff.VerifyIR(*opts)
-		if err != nil {
-			return fail(err)
-		}
-		if err := obs.finish(); err != nil {
+		if err := obs.finish(err); err != nil {
 			return fail(err)
 		}
 		fmt.Fprintf(stderr, "verify-ir completed in %s\n", sum.Duration)
@@ -345,18 +333,23 @@ func (o *obsRun) start(wantProgress bool, progressOut io.Writer, render func(tel
 	return nil
 }
 
-// finish stops the profile and progress printer and writes the requested
-// output files.
-func (o *obsRun) finish() error {
+// finish ends what start opened, whatever the run's outcome runErr: it
+// stops the progress printer, which prints its final line, and the CPU
+// profile, which flushes it. Only a successful run writes the metrics
+// snapshot. It returns runErr, or else the error of closing the profile
+// or writing the snapshot. Every verb calls it once start succeeded.
+func (o *obsRun) finish(runErr error) error {
 	if o.progress != nil {
 		o.progress.Stop()
 	}
 	if o.profFile != nil {
 		pprof.StopCPUProfile()
-		o.profFile.Close()
+		if err := o.profFile.Close(); err != nil && runErr == nil {
+			runErr = err
+		}
 	}
-	if o.metricsPath == "" {
-		return nil
+	if runErr != nil || o.metricsPath == "" {
+		return runErr
 	}
 	data, err := o.reg.Snapshot().JSON()
 	if err != nil {

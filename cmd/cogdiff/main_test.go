@@ -8,8 +8,10 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -158,6 +160,23 @@ func TestGoldenCampaignBlame(t *testing.T) {
 		runCLI(t, "campaign", "-stable", "-defect-constfold", "-workers", "0"))
 	checkGolden(t, "campaign_blame_metajit_guard.golden",
 		runCLI(t, "campaign", "-stable", "-compilers", "+metajit", "-defect-metajit-guard", "-workers", "0"))
+}
+
+// TestFuzzStreamPinned pins the fuzz reports the benchmark runs: the
+// SHA-256 of `fuzz -workers 1 -budget 2000` stdout at the ten seeds it
+// cycles through from its default seed, 2022. Every task's genome comes
+// from math/rand's stream at Mix(seed, index), so a generator that
+// drifts from that stream by one draw changes these reports.
+func TestFuzzStreamPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("ten budget-2000 fuzz runs skipped in -short mode")
+	}
+	got := "# sha256 of `cogdiff fuzz -seed <seed> -workers 1 -budget 2000` stdout\n"
+	for seed := 2022; seed <= 2031; seed++ {
+		out := runCLI(t, "fuzz", "-seed", fmt.Sprint(seed), "-workers", "1", "-budget", "2000")
+		got += fmt.Sprintf("%d %x\n", seed, sha256.Sum256([]byte(out)))
+	}
+	checkGolden(t, "fuzz_stream.golden", got)
 }
 
 func TestFuzzEmitTests(t *testing.T) {
@@ -419,6 +438,41 @@ func TestGoldenCacheFlagErrors(t *testing.T) {
 	// message is stable on any machine.
 	checkGolden(t, "err_cache_dir_unwritable.golden",
 		runCLIError(t, "difftest", "-cache-dir", "/dev/null/cache", "primAdd", "simple"))
+}
+
+// TestFailedRunEndsObservability checks that a verb failing after its
+// observability outputs started still ends them, and changes nothing
+// else about the failure: the same exit code and message, a CPU profile
+// that was stopped and flushed (non-empty and gzip-framed), a final
+// -progress line, and no metrics snapshot of the failed run.
+func TestFailedRunEndsObservability(t *testing.T) {
+	dir := t.TempDir()
+	failure, err := os.ReadFile(filepath.Join("testdata", "err_cache_dir_unwritable.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	profile := filepath.Join(dir, "cpu.pprof")
+	if stderr := runCLIError(t, "campaign", "-workers", "1", "-cache-dir", "/dev/null/cache", "-profile", profile); stderr != string(failure) {
+		t.Errorf("stderr of the failed run with -profile:\n%s\nwant the error alone:\n%s", stderr, failure)
+	}
+	data, err := os.ReadFile(profile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(data) < 2 || data[0] != 0x1f || data[1] != 0x8b {
+		t.Errorf("the failed run's profile is %d bytes and not gzip-framed", len(data))
+	}
+
+	metrics := filepath.Join(dir, "metrics.json")
+	stderr := runCLIError(t, "campaign", "-workers", "1", "-cache-dir", "/dev/null/cache",
+		"-progress", "-metrics", metrics)
+	final := renderCampaignProgress(telemetry.NewRegistry().Snapshot()) + "\n"
+	if want := final + string(failure); stderr != want {
+		t.Errorf("stderr of the failed run:\n%s\nwant the final progress line, then the error:\n%s", stderr, want)
+	}
+	if _, err := os.Stat(metrics); !os.IsNotExist(err) {
+		t.Errorf("the failed run wrote a metrics snapshot (stat: %v)", err)
+	}
 }
 
 // TestDifftestCacheRoundTrip checks the cache's observational-identity

@@ -206,35 +206,56 @@ func (t *Tester) blameSequence(unit *optimizedUnit, method *bytecode.Method, in 
 		if err != nil {
 			return false, err
 		}
-		return CompareSequenceOutcomes(iOut, cOut).Differs, nil
+		return sequenceMismatch(iOut, cOut) != seqAgree, nil
 	})
+}
+
+// seqMismatch is the first way a compiled outcome departs from the
+// interpreter's at the first boundary.
+type seqMismatch uint8
+
+const (
+	seqAgree    seqMismatch = iota
+	seqBoundary             // different boundary kinds
+	seqResult               // both return, different results
+	seqSend                 // both send, different selectors or arities
+	seqFrame                // the same send, different frames
+)
+
+// sequenceMismatch is the difference rule for sequence outcomes. Blame
+// reruns test it alone; CompareSequenceOutcomes also renders it.
+func sequenceMismatch(iOut, cOut *SequenceOutcome) seqMismatch {
+	switch {
+	case iOut.Kind != cOut.Kind:
+		return seqBoundary
+	case iOut.Kind == "return" && iOut.Result != cOut.Result:
+		return seqResult
+	case iOut.Kind == "send" && (iOut.Selector != cOut.Selector || iOut.NumArgs != cOut.NumArgs):
+		return seqSend
+	case iOut.Kind == "send" && !stringSlicesEqual(iOut.Stack, cOut.Stack):
+		return seqFrame
+	}
+	return seqAgree
 }
 
 // CompareSequenceOutcomes builds the verdict for an interpreter outcome
 // against a compiled outcome, comparing the first boundary.
 func CompareSequenceOutcomes(iOut, cOut *SequenceOutcome) *SequenceVerdict {
 	v := &SequenceVerdict{Interp: *iOut, Compiled: *cOut}
-	if iOut.Kind != cOut.Kind {
-		v.Differs = true
-		v.Detail = fmt.Sprintf("boundaries differ: interpreter %s, compiled %s", iOut, cOut)
+	switch sequenceMismatch(iOut, cOut) {
+	case seqAgree:
 		return v
+	case seqBoundary:
+		v.Detail = fmt.Sprintf("boundaries differ: interpreter %s, compiled %s", iOut, cOut)
+	case seqResult:
+		v.Detail = fmt.Sprintf("results differ: interpreter %s, compiled %s", iOut.Result, cOut.Result)
+	case seqSend:
+		v.Detail = fmt.Sprintf("sends differ: interpreter #%s/%d, compiled #%s/%d",
+			iOut.Selector, iOut.NumArgs, cOut.Selector, cOut.NumArgs)
+	case seqFrame:
+		v.Detail = fmt.Sprintf("send frames differ: interpreter %v, compiled %v", iOut.Stack, cOut.Stack)
 	}
-	switch iOut.Kind {
-	case "return":
-		if iOut.Result != cOut.Result {
-			v.Differs = true
-			v.Detail = fmt.Sprintf("results differ: interpreter %s, compiled %s", iOut.Result, cOut.Result)
-		}
-	case "send":
-		if iOut.Selector != cOut.Selector || iOut.NumArgs != cOut.NumArgs {
-			v.Differs = true
-			v.Detail = fmt.Sprintf("sends differ: interpreter #%s/%d, compiled #%s/%d",
-				iOut.Selector, iOut.NumArgs, cOut.Selector, cOut.NumArgs)
-		} else if !stringSlicesEqual(iOut.Stack, cOut.Stack) {
-			v.Differs = true
-			v.Detail = fmt.Sprintf("send frames differ: interpreter %v, compiled %v", iOut.Stack, cOut.Stack)
-		}
-	}
+	v.Differs = true
 	return v
 }
 

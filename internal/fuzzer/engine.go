@@ -147,6 +147,10 @@ type engine struct {
 	discarded int
 	curve     []CurvePoint
 
+	// rng generates every task; makeTask reseeds it. Its source draws
+	// math/rand's stream but seeds only the state words a task reads.
+	rng *rand.Rand
+
 	// Telemetry handles, resolved once in newEngine; all nil (no-op)
 	// when Options.Metrics is absent.
 	mExecs      *telemetry.Counter
@@ -182,6 +186,7 @@ func newEngine(opts Options) *engine {
 		isas:      []machine.ISA{machine.ISAAmd64Like, machine.ISAArm32Like},
 		corpusKey: make(map[string]bool),
 		diffIdx:   make(map[string]int),
+		rng:       rand.New(newTaskSource()),
 	}
 	e.tester.SetMetrics(opts.Metrics)
 	e.mExecs = opts.Metrics.Counter(telemetry.MetricFuzzExecs)
@@ -402,9 +407,11 @@ func (e *engine) runBatch(ctx context.Context, tasks []*Seq, workers int, keepAl
 }
 
 // makeTask derives the genome for one execution index: mostly a mutation
-// of a corpus parent, occasionally a fresh random genome.
+// of a corpus parent, occasionally a fresh random genome. Its generator
+// draws what rand.New(rand.NewSource(Mix(seed, index))) would.
 func (e *engine) makeTask(index int64) *Seq {
-	rng := rand.New(rand.NewSource(Mix(e.opts.Seed, index)))
+	rng := e.rng
+	rng.Seed(Mix(e.opts.Seed, index))
 	if len(e.corpus) == 0 || rng.Intn(8) == 0 {
 		return RandomSeq(rng, rng.Intn(maxSeqArgs+1), ProfileFull)
 	}
@@ -490,10 +497,12 @@ func RunContext(ctx context.Context, opts Options) (*Result, error) {
 		if rest := budget - e.execs; rest < n {
 			n = rest
 		}
+		gen := opts.Metrics.StartSpan(telemetry.SpanFuzzGenerate)
 		tasks := make([]*Seq, n)
 		for i := range tasks {
 			tasks[i] = e.makeTask(int64(e.execs + i))
 		}
+		gen.End()
 		if err := e.runBatch(ctx, tasks, workers, false); err != nil {
 			return nil, err
 		}

@@ -7,8 +7,9 @@ import (
 )
 
 // TestFuzzReportUnperturbedByTelemetry checks the fuzz report stays
-// byte-identical with telemetry on or off, at any worker count, and that
-// the execution counters agree with the report's own numbers.
+// byte-identical with telemetry on or off, at any worker count, that
+// the execution counters agree with the report's own numbers, and that
+// the generation and batch phases time each batch once.
 func TestFuzzReportUnperturbedByTelemetry(t *testing.T) {
 	run := func(workers int, reg *telemetry.Registry) (*Result, string) {
 		res, err := Run(Options{Seed: 11, Budget: 250, Workers: workers, Metrics: reg})
@@ -39,6 +40,15 @@ func TestFuzzReportUnperturbedByTelemetry(t *testing.T) {
 			}
 			if adm := reg.Counter(telemetry.MetricFuzzCorpusAdmissions).Value(); adm != int64(res.CorpusSize) {
 				t.Errorf("workers=%d: admission counter %d, report's corpus size %d", workers, adm, res.CorpusSize)
+			}
+			// Every batch but the seed batch generates its tasks first.
+			timers := reg.Snapshot().Timers
+			batches := reg.Counter(telemetry.MetricFuzzBatches).Value()
+			if n := timers[`cogdiff_span_seconds{phase="fuzz-batch"}`].Count; n != batches {
+				t.Errorf("workers=%d: %d fuzz-batch spans for %d batches", workers, n, batches)
+			}
+			if n := timers[`cogdiff_span_seconds{phase="fuzz-generate"}`].Count; n != batches-1 {
+				t.Errorf("workers=%d: %d fuzz-generate spans for %d batches after the seed batch", workers, n, batches-1)
 			}
 		}
 	}

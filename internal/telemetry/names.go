@@ -64,8 +64,9 @@ const (
 	SpanTestUnit
 	SpanMerge
 	SpanFuzzBatch
+	SpanFuzzGenerate
 	numPhases
 )
 
 // phaseNames are the phase label values.
-var phaseNames = [numPhases]string{"explore", "test-unit", "merge", "fuzz-batch"}
+var phaseNames = [numPhases]string{"explore", "test-unit", "merge", "fuzz-batch", "fuzz-generate"}
