@@ -24,8 +24,8 @@ vet:
 # Repo-invariant linters: TestRepoLintsClean type-checks every package
 # under the repository root from source, bench/ and examples/ included
 # (the root `go vet ./...` never reaches bench/, a module of its own),
-# and runs the determinism, semantics-version and telemetry-naming
-# analyzers of internal/analyzers over them; any diagnostic fails it.
+# and runs the determinism and telemetry-naming analyzers of
+# internal/analyzers over them; any diagnostic fails it.
 # Tier 1 runs the same test; this target runs it alone and uncached.
 lint:
 	$(GO) test -count=1 -run '^TestRepoLintsClean$$' ./internal/analyzers/
@@ -64,10 +64,15 @@ bench-check:
 # worker, even though the warm one pays for collecting metrics; the
 # cold run pays for the cache writes on top of an uncached campaign, so
 # the margin is disk-bound. Measured on a 2-vCPU VM over seven rounds:
-# 3.8-9.6x. Last, difftest reads what the campaigns cached: its report
+# 3.8-9.6x. Then difftest reads what the campaigns cached: its report
 # matches an uncached difftest, and its snapshot shows both tiers (the
 # exploration and the unit's verdicts) served with no miss, no write and
-# no corrupt entry.
+# no corrupt entry. Last, the cache keys on the code that computed it: a
+# binary built from a copy of the tree with one comment line appended to
+# internal/core/differ.go is another generation, so on the warm
+# directory it must get no hit, count nothing corrupt and print the
+# uncached report, and the tree's binary, run after it, must still read
+# everything from the cache (no miss, no write, no corrupt entry).
 cache-smoke:
 	rm -rf cache-smoke.tmp
 	$(GO) build -o cache-smoke.tmp/cogdiff ./cmd/cogdiff
@@ -93,6 +98,20 @@ cache-smoke:
 	jq -e '.counters.cogdiff_excache_hits_total == 2 and .counters.cogdiff_excache_misses_total == 0 and .counters.cogdiff_excache_writes_total == 0 and .counters.cogdiff_excache_corrupt_total == 0' \
 		cache-smoke.tmp/difftest.json
 	cmp cache-smoke.tmp/difftest-off.txt cache-smoke.tmp/difftest.txt
+	mkdir -p cache-smoke.tmp/src
+	tar -cf - --exclude=./.git --exclude='./*.tmp' . | tar -xf - -C cache-smoke.tmp/src
+	echo '// One comment line: another generation of the code.' >> cache-smoke.tmp/src/internal/core/differ.go
+	cd cache-smoke.tmp/src && $(GO) build -o ../cogdiff-edited ./cmd/cogdiff
+	cache-smoke.tmp/cogdiff-edited table2 -workers 1 -cache-dir cache-smoke.tmp/cache \
+		-metrics cache-smoke.tmp/edited.json > cache-smoke.tmp/edited.txt
+	jq -e '.counters.cogdiff_excache_hits_total == 0 and .counters.cogdiff_excache_corrupt_total == 0' \
+		cache-smoke.tmp/edited.json
+	cmp cache-smoke.tmp/off.txt cache-smoke.tmp/edited.txt
+	cache-smoke.tmp/cogdiff table2 -workers 1 -cache-dir cache-smoke.tmp/cache \
+		-metrics cache-smoke.tmp/after.json > cache-smoke.tmp/after.txt
+	jq -e '.counters.cogdiff_excache_misses_total == 0 and .counters.cogdiff_excache_writes_total == 0 and .counters.cogdiff_excache_corrupt_total == 0' \
+		cache-smoke.tmp/after.json
+	cmp cache-smoke.tmp/off.txt cache-smoke.tmp/after.txt
 	rm -rf cache-smoke.tmp
 
 # Raw-speed gates for the execution-core overhaul, measured on the machine

@@ -446,9 +446,6 @@ type CampaignOptions struct {
 	// AllCompilers() for VerifyIR. TestInstructionWith and DumpIR reject
 	// it: their unit names its compiler.
 	Compilers []string
-	// MaxIterations bounds the concolic exploration per instruction
-	// (0 = default).
-	MaxIterations int
 	// Workers shards the run over this many goroutines
 	// (0 = GOMAXPROCS, 1 = serial). Results and all rendered reports are
 	// byte-identical for any worker count.
@@ -473,6 +470,10 @@ type CampaignOptions struct {
 	// CacheMode selects cache participation: "off", "ro" (read, never
 	// write) or "rw". Empty means "rw" when CacheDir is set.
 	CacheMode string
+	// maxIterations bounds the concolic exploration per instruction
+	// (0 = default). The process-history test lowers it to keep the race
+	// tier cheap.
+	maxIterations int
 }
 
 // context returns the run's cancellation context: Context, or
@@ -544,8 +545,8 @@ func campaignConfig(opts CampaignOptions) (core.Config, error) {
 		}
 		cfg.Compilers = kinds
 	}
-	if opts.MaxIterations > 0 {
-		cfg.Explore.MaxIterations = opts.MaxIterations
+	if opts.maxIterations > 0 {
+		cfg.Explore.MaxIterations = opts.maxIterations
 	}
 	cfg.Workers = opts.Workers
 	if cb := opts.OnInstructionDone; cb != nil {

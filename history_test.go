@@ -4,8 +4,8 @@ import "testing"
 
 // TestReportsIndependentOfProcessHistory pins that no process-wide layer
 // (the heap boot pool, the execution-environment pools, the
-// verified-clean cache, the metajit plan memo) lets a report depend on
-// what ran earlier in the process. The production campaign and a
+// verified-clean cache) lets a report depend on what ran earlier in the
+// process. The production campaign and a
 // minimized fuzz run must give the same bytes before and after defect,
 // metajit, pristine and verifier-off campaigns and a defect verify-ir
 // sweep. Under -short the campaigns and the sweep test the simple
@@ -22,7 +22,7 @@ func TestReportsIndependentOfProcessHistory(t *testing.T) {
 		if opts.Compilers == nil {
 			opts.Compilers = compilers
 		}
-		opts.MaxIterations = iterations
+		opts.maxIterations = iterations
 		sum, err := RunCampaign(opts)
 		if err != nil {
 			t.Fatal(err)
@@ -47,7 +47,7 @@ func TestReportsIndependentOfProcessHistory(t *testing.T) {
 	})
 	campaign(CampaignOptions{Pristine: true})
 	campaign(CampaignOptions{NoVerify: true})
-	sweep := CampaignOptions{VerifyStackLeak: true, MaxIterations: iterations}
+	sweep := CampaignOptions{VerifyStackLeak: true, maxIterations: iterations}
 	if testing.Short() {
 		sweep.Compilers = compilers
 	}

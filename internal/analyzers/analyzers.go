@@ -1,7 +1,7 @@
 // Package analyzers implements the repository's invariant linters:
 // static analyses over the cogdiff source tree that catch determinism
-// hazards and cache-key versioning mistakes before they can corrupt the
-// byte-identical report surface.
+// hazards and metric naming drift before they can corrupt the
+// byte-identical report surface or the telemetry it is read beside.
 //
 // The package is deliberately self-contained — parsed ASTs plus go/types
 // over the standard library only — so the linters need no external
@@ -10,7 +10,7 @@
 // included) and fails on any diagnostic; tier 1 runs it, and `make lint`
 // runs it alone.
 //
-// Three analyzers ship:
+// Two analyzers ship:
 //
 //   - determinism: no time.Now/time.Since/time.Until, no math/rand, and
 //     no ranging over maps outside test files. All three inject
@@ -18,10 +18,6 @@
 //     byte-identical report surface. Intentional sites (telemetry
 //     timings, the seeded fuzzer RNG) carry a
 //     `//cogdiff:allow-nondeterminism <reason>` directive.
-//   - semver: packages whose semantics feed persistent cache keys
-//     declare a `SemanticsVersion` constant with a `name/N` value, so a
-//     semantic change has one audited place to bump — and stale cache
-//     entries orphan instead of resurfacing.
 //   - telemetryname: metric name constants follow the cogdiff_* naming
 //     scheme, counters end in _total and timers in _seconds, checked at
 //     every Registry.Counter/Timer call site via constant folding.
@@ -68,7 +64,7 @@ type Analyzer struct {
 
 // All returns the repository's analyzer set in canonical order.
 func All() []*Analyzer {
-	return []*Analyzer{Determinism, Semver, TelemetryName}
+	return []*Analyzer{Determinism, TelemetryName}
 }
 
 // RunAll applies every analyzer to the pass and returns the findings

@@ -98,16 +98,6 @@ func TestDeterminism(t *testing.T) {
 	runTestdata(t, "determinism", "cogdiff/testdata/determinism")
 }
 
-func TestSemverMissingStamp(t *testing.T) {
-	// The import path makes this a cache-keyed package; the testdata
-	// deliberately omits the stamp.
-	runTestdata(t, "semver_missing", "cogdiff/internal/interp")
-}
-
-func TestSemverBadStamps(t *testing.T) {
-	runTestdata(t, "semver_bad", "cogdiff/testdata/stamps")
-}
-
 func TestTelemetryNameDecls(t *testing.T) {
 	// The telemetry import path switches on the declaration-side rule.
 	runTestdata(t, "telemetry_decl", "cogdiff/internal/telemetry")
@@ -119,8 +109,8 @@ func TestTelemetryNameUses(t *testing.T) {
 
 // TestRepoLintsClean is the in-tree acceptance gate: the analyzers run
 // over every package of this module and must report nothing. Any new
-// wall clock, RNG, ordered map emission, stamp or metric naming drift
-// fails this test with exact positions.
+// wall clock, RNG, ordered map emission or metric naming drift fails
+// this test with exact positions.
 func TestRepoLintsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("whole-module source typecheck is seconds of work; skipped in -short")

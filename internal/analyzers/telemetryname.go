@@ -110,3 +110,20 @@ func isRegistryMethod(fn *types.Func) bool {
 	named, ok := t.(*types.Named)
 	return ok && named.Obj().Name() == "Registry"
 }
+
+// constStringValue folds a constant identifier to its string value.
+func constStringValue(p *Pass, id *ast.Ident) (string, bool) {
+	obj := p.Info.Defs[id]
+	if obj == nil {
+		return "", false
+	}
+	c, ok := obj.(interface{ Val() constant.Value })
+	if !ok {
+		return "", false
+	}
+	v := c.Val()
+	if v == nil || v.Kind() != constant.String {
+		return "", false
+	}
+	return constant.StringVal(v), true
+}

@@ -14,7 +14,6 @@ import (
 	"cogdiff/internal/excache"
 	"cogdiff/internal/interp"
 	"cogdiff/internal/machine"
-	"cogdiff/internal/metacompile"
 	"cogdiff/internal/primitives"
 	"cogdiff/internal/telemetry"
 )
@@ -468,12 +467,6 @@ func (c *Campaign) unitKeyPrefixes() []string {
 		fmt.Sprintf("verify=%t", !c.Config.NoVerify))
 	for ci, kind := range c.Config.Compilers {
 		parts := []string{"compiler=" + strconv.Itoa(int(kind))}
-		if kind == MetaJITCompiler {
-			// The derived front-end's verdicts additionally depend on the
-			// generator's translation scheme: fold its semantics version in
-			// so a regenerated compiler cannot reuse stale unit results.
-			parts = append(parts, "semantics="+metacompile.SemanticsVersion)
-		}
 		prefixes[ci] = c.Config.Cache.UnitKeyPrefix(append(parts, campaignParts...)...)
 	}
 	return prefixes

@@ -256,27 +256,43 @@ func TestUndecodableUnitEntryIsCorrupt(t *testing.T) {
 	}
 }
 
-// TestCampaignVersionBumpForcesReexploration pins the invalidation rule
-// at the campaign level: a cache populated under one semantics version
-// serves zero hits after a version bump, and the re-explored campaign
-// still matches.
-func TestCampaignVersionBumpForcesReexploration(t *testing.T) {
+// TestCampaignIgnoresOtherGenerations pins the invalidation rule at the
+// campaign level: a cache another generation of the code filled (here
+// the filled segment, renamed as that generation would have named it)
+// serves no hit and counts nothing corrupt, and the re-explored
+// campaign's reports and rendered surfaces match the filling run's.
+func TestCampaignIgnoresOtherGenerations(t *testing.T) {
 	dir := t.TempDir()
 	baseline := runCampaignWithCache(t, openCampaignCache(t, dir, nil), 1)
-
-	bumped := excache.DefaultVersions()
-	bumped.Interp = "interp/next"
-	reg := telemetry.NewRegistry()
-	cache, err := excache.Open(excache.Config{Dir: dir, Mode: excache.ModeRW, Metrics: reg, Versions: bumped})
-	if err != nil {
+	segment := onlySegment(t, dir)
+	gen, rest, ok := strings.Cut(strings.TrimPrefix(filepath.Base(segment), "seg-"), "-")
+	if !ok || gen == "" {
+		t.Fatalf("segment %s names no generation", segment)
+	}
+	other := strings.Repeat("0", len(gen))
+	if other == gen {
+		other = strings.Repeat("1", len(gen))
+	}
+	if err := os.Rename(segment, filepath.Join(dir, "seg-"+other+"-"+rest)); err != nil {
 		t.Fatal(err)
 	}
-	res := runCampaignWithCache(t, cache, 1)
+
+	reg := telemetry.NewRegistry()
+	res := runCampaignWithCache(t, openCampaignCache(t, dir, reg), 1)
 	if hits := reg.Counter(telemetry.MetricCacheHits).Value(); hits != 0 {
-		t.Errorf("version-bumped campaign served %d hits from the old generation", hits)
+		t.Errorf("campaign served %d hits from another generation", hits)
+	}
+	if misses := reg.Counter(telemetry.MetricCacheMisses).Value(); misses == 0 {
+		t.Error("campaign over another generation's cache recorded no miss")
+	}
+	if corrupt := reg.Counter(telemetry.MetricCacheCorrupt).Value(); corrupt != 0 {
+		t.Errorf("campaign counted %d of another generation's records corrupt", corrupt)
 	}
 	if !reflect.DeepEqual(cacheNormalize(baseline), cacheNormalize(res)) {
-		t.Error("version-bumped campaign produced different reports")
+		t.Error("re-explored campaign produced different reports")
+	}
+	if renderSurfaces(baseline) != renderSurfaces(res) {
+		t.Error("re-explored campaign produced different rendered surfaces")
 	}
 }
 

@@ -2,29 +2,33 @@
 // exploration results and differential test-unit verdicts.
 //
 // Concolic exploration and differential testing are pure: the path set of
-// an instruction depends only on the instruction descriptor and the
-// interpreter/primitive/solver semantics, and a test unit's verdicts
-// depend only on the exploration content, the compiler, the ISAs and the
-// seeded defect state. Every cache entry is therefore keyed by a SHA-256
-// hash over exactly those inputs, so a repeat campaign re-explores and
-// re-tests only what changed — the "campaign-on-every-commit" speed the
-// ROADMAP calls for.
+// an instruction depends only on the instruction descriptor, the
+// exploration options and the code that explores, and a test unit's
+// verdicts depend only on the exploration content, the compiler, the ISAs,
+// the seeded defect state and the code that compiles, runs and compares.
+// Every cache entry is therefore keyed by a SHA-256 hash over exactly its
+// inputs, and every segment is named for the code: a generation hashed
+// from the sources of every package that computes or decodes a payload
+// (cogdiff/internal.Sources), the Go release and the architecture. So a
+// repeat campaign re-explores and re-tests only what changed, and a binary
+// built from other code starts from an empty cache.
 //
 // Storage is one segment file per writing run. A run queues the records
 // it stores, and Flush writes them as one segment through a temp file
 // and an atomic rename, so concurrent campaigns sharing a directory never
 // share a file for writing and only ever read complete segments. The
-// first lookup or store reads every segment into an in-memory index;
-// when an entry has several records, the newest wins.
+// first lookup or store reads every segment of the run's generation into
+// an in-memory index; when an entry has several records, the newest wins.
 //
 // Safety contract: a cache hit is observationally identical to fresh
 // work — campaign reports are byte-identical with the cache off, cold or
 // warm, at any worker count. Three mechanisms enforce it:
 //
-//   - Keys embed the semantics versions of every layer an entry depends
-//     on (interp, primitives, solver for explorations; additionally jit
-//     and machine for test units). Bumping any version orphans all old
-//     entries: they become plain misses, never stale hits.
+//   - A run opens only the segments named for its own generation. An
+//     edit to any hashed source, another Go release or another
+//     architecture makes another generation, whose runs never read,
+//     index or count what earlier generations wrote: every lookup is a
+//     plain miss, never a stale hit.
 //   - Every record starts with a text header naming the schema, the
 //     entry, the SHA-256 of its payload and the payload's length.
 //     Truncated, corrupted or garbled records, and payloads their typed
@@ -43,14 +47,18 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"cogdiff/internal"
 	"cogdiff/internal/concolic"
 	"cogdiff/internal/telemetry"
 )
@@ -93,17 +101,6 @@ func ParseMode(s string) (Mode, error) {
 	return ModeOff, fmt.Errorf("-cache %q: want off, ro or rw", s)
 }
 
-// Versions names the semantic revisions baked into every cache key.
-// Bumping any component orphans all entries derived from it.
-type Versions struct {
-	Schema     string // excache entry layout
-	Interp     string // interpreter semantics (interp.SemanticsVersion)
-	Primitives string // primitive-table semantics
-	Solver     string // solver semantics
-	JIT        string // compiler semantics (test units only)
-	Machine    string // simulated-machine semantics (test units only)
-}
-
 // Stats is a point-in-time snapshot of cache traffic.
 type Stats struct {
 	Hits    int64
@@ -121,9 +118,6 @@ type Config struct {
 	// Metrics, when non-nil, mirrors the hit/miss/corrupt/write
 	// counters into the telemetry registry (cogdiff_excache_*_total).
 	Metrics *telemetry.Registry
-	// Versions overrides the semantic version stamps (zero value =
-	// DefaultVersions). Tests use it to simulate version bumps.
-	Versions Versions
 }
 
 // Cache is a content-addressed on-disk store for exploration and
@@ -132,12 +126,8 @@ type Config struct {
 type Cache struct {
 	dir  string
 	mode Mode
-	vers Versions
-	// explorationPrefix hashes the key material every exploration key
-	// shares (the schema and the versions it depends on), once per cache.
-	explorationPrefix string
 
-	// indexOnce reads the directory's segments into index on the first
+	// indexOnce reads the generation's segments into index on the first
 	// lookup or store; mu guards everything below it.
 	indexOnce sync.Once
 	mu        sync.Mutex
@@ -179,19 +169,6 @@ func (r record) valid() bool {
 	return bytes.Equal(r.digest, digest[:])
 }
 
-// DefaultVersions returns the live semantic version stamps of every
-// layer, collected from the packages that own them.
-func DefaultVersions() Versions {
-	return Versions{
-		Schema:     schemaVersion,
-		Interp:     interpVersion(),
-		Primitives: primitivesVersion(),
-		Solver:     solverVersion(),
-		JIT:        jitVersion(),
-		Machine:    machineVersion(),
-	}
-}
-
 const schemaVersion = "cogdiff-excache/4"
 
 // schemaFamily opens the schema line of every schema this cache has had.
@@ -199,11 +176,45 @@ const schemaVersion = "cogdiff-excache/4"
 // another schema, and is skipped whole rather than counted as damage.
 const schemaFamily = "cogdiff-excache/"
 
-// segmentPrefix starts every segment's file name. The rest is the
-// creation time in zero-padded nanoseconds and a random suffix, so the
-// names sort oldest first. Files of any other name (the per-entry files
-// of schema 3 and earlier, temp files) are never read.
-const segmentPrefix = "seg-"
+// segmentPrefix starts the file name of every segment a run of this
+// code writes or reads: seg-, the generation and a dash. The rest is the
+// creation time in zero-padded nanoseconds and a random suffix, so one
+// generation's names sort oldest first. Files of any other name (other
+// generations' segments, segments named before generations were, the
+// per-entry files of schema 3 and earlier, temp files) are never read.
+func segmentPrefix() string { return "seg-" + generation() + "-" }
+
+// generation names the code that computes and decodes the payloads: 16
+// hex digits of the SHA-256 over the Go release, the architecture (float
+// results may differ across them) and the path, length and bytes of
+// every embedded source file, in path order. Hashed once per process, on
+// a cache's first lookup or store.
+var generation = sync.OnceValue(func() string {
+	h := sha256.New()
+	fmt.Fprintf(h, "%s\x00%s\x00", runtime.Version(), runtime.GOARCH)
+	buf := make([]byte, 32<<10)
+	err := fs.WalkDir(internal.Sources, ".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		f, err := internal.Sources.Open(path)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		info, err := f.Stat()
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(h, "%s\x00%d\x00", path, info.Size())
+		_, err = io.CopyBuffer(h, f, buf)
+		return err
+	})
+	if err != nil {
+		panic("excache: hashing the embedded sources: " + err.Error())
+	}
+	return hex.EncodeToString(h.Sum(nil))[:16]
+})
 
 // Open validates the configuration and returns a ready cache. ModeOff
 // (or an empty Dir) returns a nil cache, which is valid and inert. In rw
@@ -213,19 +224,9 @@ func Open(cfg Config) (*Cache, error) {
 	if cfg.Mode == ModeOff || cfg.Dir == "" {
 		return nil, nil
 	}
-	vers := cfg.Versions
-	if vers == (Versions{}) {
-		vers = DefaultVersions()
-	}
-	if vers.Schema == "" {
-		vers.Schema = schemaVersion
-	}
 	c := &Cache{
-		dir:  cfg.Dir,
-		mode: cfg.Mode,
-		vers: vers,
-		explorationPrefix: hashHex("exploration",
-			vers.Schema, vers.Interp, vers.Primitives, vers.Solver),
+		dir:      cfg.Dir,
+		mode:     cfg.Mode,
 		mHits:    cfg.Metrics.Counter(telemetry.MetricCacheHits),
 		mMisses:  cfg.Metrics.Counter(telemetry.MetricCacheMisses),
 		mCorrupt: cfg.Metrics.Counter(telemetry.MetricCacheCorrupt),
@@ -278,15 +279,14 @@ func hashHex(parts ...string) string {
 // ExplorationKey derives the content key of one instruction's concolic
 // exploration: the full instruction descriptor (for byte-codes the
 // synthesized method — code bytes, temporaries and literals — for native
-// methods the primitive identity), the interpreter, primitive-table and
-// solver semantics versions, and every exploration option that shapes
-// the path set (iteration bound, seeded interpreter defects).
+// methods the primitive identity) and every exploration option that
+// shapes the path set (iteration bound, seeded interpreter defects).
 func (c *Cache) ExplorationKey(t concolic.Target, opts concolic.Options) string {
 	if c == nil {
 		return ""
 	}
 	return hashHex(
-		c.explorationPrefix,
+		"exploration",
 		targetDescriptor(t),
 		fmt.Sprintf("maxIterations=%d", opts.MaxIterations),
 		fmt.Sprintf("interpDefects=%+v", opts.InterpreterDefects),
@@ -294,23 +294,14 @@ func (c *Cache) ExplorationKey(t concolic.Target, opts concolic.Options) string 
 }
 
 // UnitKeyPrefix hashes the key material that the test units of one
-// compiler in one campaign share, so UnitKey hashes only the exploration
-// fingerprint on top: every semantics version and the caller's parts
-// (compiler kind, ISA list, defect switches, verifier switch). A unit
-// verdict re-executes the interpreter and primitives as the reference
-// and the jit and machine as the subject, so bumping any version must
-// orphan cached verdicts — even when the exploration content (and hence
-// the fingerprint) happens to be unchanged.
+// compiler in one campaign share, the caller's parts (compiler kind, ISA
+// list, defect switches, verifier switch), so UnitKey hashes only the
+// exploration fingerprint on top.
 func (c *Cache) UnitKeyPrefix(parts ...string) string {
 	if c == nil {
 		return ""
 	}
-	all := append([]string{
-		"unit",
-		c.vers.Schema, c.vers.Interp, c.vers.Primitives, c.vers.Solver,
-		c.vers.JIT, c.vers.Machine,
-	}, parts...)
-	return hashHex(all...)
+	return hashHex(append([]string{"unit"}, parts...)...)
 }
 
 // UnitKey derives the content key of one differential test unit from its
@@ -348,16 +339,18 @@ func targetDescriptor(t concolic.Target) string {
 // the digest line before its typed loader decodes it.
 const digestLen = 2 * sha256.Size
 
-// readIndex reads every segment in the directory, oldest first, into
-// the index. A missing directory or an unreadable file holds no records.
+// readIndex reads every segment of the run's generation, oldest first,
+// into the index. A missing directory or an unreadable file holds no
+// records.
 func (c *Cache) readIndex() {
 	c.index = make(map[entryID]record)
 	files, err := os.ReadDir(c.dir) // sorted by name, so oldest first
 	if err != nil {
 		return
 	}
+	prefix := segmentPrefix()
 	for _, f := range files {
-		if f.IsDir() || !strings.HasPrefix(f.Name(), segmentPrefix) {
+		if f.IsDir() || !strings.HasPrefix(f.Name(), prefix) {
 			continue
 		}
 		if data, err := os.ReadFile(filepath.Join(c.dir, f.Name())); err == nil {
@@ -379,7 +372,7 @@ func (c *Cache) indexSegment(data []byte) {
 	}
 	for first := true; len(data) > 0; first = false {
 		schema, rest, ok := cutLine(data)
-		if !ok || string(schema) != c.vers.Schema {
+		if !ok || string(schema) != schemaVersion {
 			foreign := first && ok && bytes.HasPrefix(schema, []byte(schemaFamily))
 			if !foreign {
 				c.unnamed++
@@ -466,7 +459,7 @@ func (c *Cache) StoreBlob(kind, key string, payload []byte) {
 	digest := sum[:]
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.pending = append(append(c.pending, c.vers.Schema...), '\n')
+	c.pending = append(append(c.pending, schemaVersion...), '\n')
 	c.pending = append(append(append(c.pending, kind...), '-'), key...)
 	c.pending = append(append(c.pending, '\n'), digest...)
 	c.pending = strconv.AppendInt(append(c.pending, '\n'), int64(len(payload)), 10)
@@ -504,7 +497,7 @@ func (c *Cache) Flush() {
 	if err == nil {
 		created := time.Now().UnixNano() //cogdiff:allow-nondeterminism segment names order records by age; no name reaches a report
 		err = os.Rename(name, filepath.Join(c.dir, fmt.Sprintf("%s%020d-%s",
-			segmentPrefix, created, strings.TrimPrefix(filepath.Base(name), ".tmp-"))))
+			segmentPrefix(), created, strings.TrimPrefix(filepath.Base(name), ".tmp-"))))
 	}
 	if err != nil {
 		os.Remove(name)

@@ -4,8 +4,8 @@ package excache_test
 // contract under test: hits are observationally identical to fresh
 // exploration, and nothing a cache directory can contain — truncated,
 // corrupted, empty or mislabeled segments, or entries from other schemas
-// and semantic versions — is ever an error or a wrong result; every
-// malformed state downgrades to a miss whose re-done work a newer
+// and other generations of the code — is ever an error or a wrong result;
+// every malformed state downgrades to a miss whose re-done work a newer
 // segment serves.
 
 import (
@@ -20,6 +20,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -260,6 +261,34 @@ func segments(t testing.TB, dir string) []string {
 	return matches
 }
 
+// otherGeneration returns the path a segment would have had, had
+// another generation of the code written it: its generation digits
+// replaced by different ones.
+func otherGeneration(t *testing.T, segment string) string {
+	t.Helper()
+	gen, rest, ok := strings.Cut(strings.TrimPrefix(filepath.Base(segment), "seg-"), "-")
+	if !ok || gen == "" {
+		t.Fatalf("segment %s names no generation", segment)
+	}
+	other := strings.Repeat("0", len(gen))
+	if other == gen {
+		other = strings.Repeat("1", len(gen))
+	}
+	return filepath.Join(filepath.Dir(segment), "seg-"+other+"-"+rest)
+}
+
+// ownGeneration returns the generation of the running code, read from
+// the name of a segment it writes.
+func ownGeneration(t *testing.T) string {
+	t.Helper()
+	dir := t.TempDir()
+	c := openRW(t, dir, nil)
+	c.StoreBlob("ex", strings.Repeat("a", 64), []byte("x"))
+	c.Flush()
+	gen, _, _ := strings.Cut(strings.TrimPrefix(filepath.Base(onlySegment(t, dir)), "seg-"), "-")
+	return gen
+}
+
 // onlySegment returns the directory's single segment file.
 func onlySegment(t testing.TB, dir string) string {
 	t.Helper()
@@ -455,7 +484,8 @@ func TestCorruptEntriesAreMisses(t *testing.T) {
 // records a run stored, in store order, each the schema line, the entry
 // name (kind and key), the hex SHA-256 of the payload and its decimal
 // length, one per line, then the payload bytes as given. The segment is
-// written once, on Flush, under a seg-<creation time>-<suffix> name.
+// written once, on Flush, under a seg-<generation>-<creation
+// time>-<suffix> name.
 func TestEntryFormat(t *testing.T) {
 	dir := t.TempDir()
 	cache := openRW(t, dir, nil)
@@ -473,8 +503,8 @@ func TestEntryFormat(t *testing.T) {
 	if got := readFile(t, path); string(got) != want {
 		t.Errorf("segment:\n%q\nwant:\n%q", got, want)
 	}
-	if name := filepath.Base(path); !regexp.MustCompile(`^seg-[0-9]{20}-[^.]+$`).MatchString(name) {
-		t.Errorf("segment named %q, want seg-<20-digit time>-<suffix>", name)
+	if name := filepath.Base(path); !regexp.MustCompile(`^seg-[0-9a-f]{16}-[0-9]{20}-[^.]+$`).MatchString(name) {
+		t.Errorf("segment named %q, want seg-<16-digit generation>-<20-digit time>-<suffix>", name)
 	}
 	if s := cache.Stats(); s.Writes != 2 {
 		t.Errorf("stats: %+v, want 2 writes", s)
@@ -546,8 +576,10 @@ func TestMislabeledEntryIsCorrupt(t *testing.T) {
 
 // TestOtherSchemasAreIgnored pins that nothing reads what other schemas
 // wrote: per-entry files of schema 3 (ex-<key>, unit-<key>) for the very
-// keys looked up, and a segment whose records carry schema 3's line,
-// yield plain misses, none of them corrupt.
+// keys looked up, a segment named before generations were whose records
+// carry schema 3's line, and a segment named for the run's own
+// generation whose first record carries schema 3's line (skipped whole
+// by that line) yield plain misses, none of them corrupt.
 func TestOtherSchemasAreIgnored(t *testing.T) {
 	dir := t.TempDir()
 	target := concolic.BytecodeTarget(bytecode.OpPrimAdd)
@@ -561,66 +593,59 @@ func TestOtherSchemasAreIgnored(t *testing.T) {
 			append([]byte("cogdiff-excache/3\n"+key+"\n"+hex.EncodeToString(sum[:])+"\n"), payload...))
 	}
 	writeFile(t, filepath.Join(dir, "seg-00000000000000000001-old"), recordBytes("cogdiff-excache/3", "ex-"+key, payload))
+	writeFile(t, filepath.Join(dir, "seg-"+ownGeneration(t)+"-00000000000000000001-old"),
+		append(recordBytes("cogdiff-excache/3", "ex-"+key, payload), recordBytes(schemaLine, "unit-"+key, payload)...))
 
 	if _, ok := cache.LoadExploration(key, target); ok {
 		t.Error("a schema-3 entry served a schema-4 lookup")
 	}
 	if _, ok := loadBlob(cache, "unit", key); ok {
-		t.Error("a schema-3 unit file served a schema-4 lookup")
+		t.Error("a unit record in another schema's file or segment served a lookup")
 	}
 	if s := cache.Stats(); s != (excache.Stats{Misses: 2}) {
 		t.Errorf("stats: %+v, want 2 plain misses", s)
 	}
 }
 
-// TestVersionBumpOrphansEntries pins the invalidation rule: bumping the
-// interpreter semantics version changes every exploration key, so a
-// cache populated under the old version misses (and re-explores) rather
-// than serving stale semantics. The old entries are never reported as
-// corrupt — they are simply unreachable.
-func TestVersionBumpOrphansEntries(t *testing.T) {
+// TestOtherGenerationsAreIgnored pins the invalidation rule: a segment
+// another generation of the code wrote (here a filled segment, renamed
+// as that generation would have named it) is never read, so an
+// exploration lookup and a unit lookup of keys it holds are plain misses,
+// none of them corrupt. The re-done work lands in a segment of the run's
+// own generation, beside the other generation's, which stays untouched.
+func TestOtherGenerationsAreIgnored(t *testing.T) {
 	dir := t.TempDir()
-	prims := primitives.NewTable()
-	explorer := concolic.NewExplorer(prims, concolic.DefaultOptions())
 	target := concolic.BytecodeTarget(bytecode.OpPrimAdd)
-	fresh := explorer.Explore(target)
+	ex := concolic.NewExplorer(primitives.NewTable(), concolic.DefaultOptions()).Explore(target)
+	writer := openRW(t, dir, nil)
+	key := writer.ExplorationKey(target, concolic.DefaultOptions())
+	writer.StoreExploration(key, ex)
+	writer.StoreBlob("unit", key, []byte("verdicts"))
+	writer.Flush()
+	segment := onlySegment(t, dir)
+	other := otherGeneration(t, segment)
+	if err := os.Rename(segment, other); err != nil {
+		t.Fatal(err)
+	}
 
-	v1 := excache.DefaultVersions()
-	open := func(vers excache.Versions) *excache.Cache {
-		c, err := excache.Open(excache.Config{Dir: dir, Mode: excache.ModeRW, Versions: vers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c
+	reader := openRW(t, dir, nil)
+	if _, ok := reader.LoadExploration(key, target); ok {
+		t.Error("an exploration another generation stored served a lookup")
 	}
-	c1 := open(v1)
-	k1 := c1.ExplorationKey(target, concolic.DefaultOptions())
-	c1.StoreExploration(k1, fresh)
-	c1.Flush()
+	if _, ok := loadBlob(reader, "unit", key); ok {
+		t.Error("a unit record another generation stored served a lookup")
+	}
+	if s := reader.Stats(); s != (excache.Stats{Misses: 2}) {
+		t.Errorf("stats: %+v, want 2 plain misses", s)
+	}
 
-	v2 := v1
-	v2.Interp = "interp/999-bumped"
-	c2 := open(v2)
-	k2 := c2.ExplorationKey(target, concolic.DefaultOptions())
-	if k1 == k2 {
-		t.Fatal("interpreter version bump did not change the exploration key")
+	reader.StoreExploration(key, ex)
+	reader.Flush()
+	if _, ok := openRW(t, dir, nil).LoadExploration(key, target); !ok {
+		t.Error("the re-stored exploration did not load")
 	}
-	if _, ok := c2.LoadExploration(k2, target); ok {
-		t.Fatal("version-bumped cache hit an entry from the old semantics")
-	}
-	s := c2.Stats()
-	if s.Misses != 1 || s.Corrupt != 0 {
-		t.Errorf("stats: %+v, want a plain miss (1 miss, 0 corrupt)", s)
-	}
-	// Re-explore + write back under the new version; both generations
-	// coexist in the directory.
-	c2.StoreExploration(k2, fresh)
-	c2.Flush()
-	if _, ok := open(v2).LoadExploration(k2, target); !ok {
-		t.Fatal("re-stored entry under bumped version did not load")
-	}
-	if _, ok := open(v1).LoadExploration(k1, target); !ok {
-		t.Fatal("old-version entry destroyed by version bump")
+	if segs := segments(t, dir); len(segs) != 2 || !slices.Contains(segs, other) {
+		t.Errorf("segments after the re-store: %v, want the other generation's and one new", segs)
 	}
 }
 

@@ -4,7 +4,7 @@ package excache
 // segment holding data gives, with no directory behind it, so the
 // segment fuzzer runs the reader and lookups at memory speed.
 func ReadSegment(data []byte) *Cache {
-	c := &Cache{mode: ModeRO, vers: DefaultVersions()}
+	c := &Cache{mode: ModeRO}
 	c.indexOnce.Do(func() {
 		c.index = make(map[entryID]record)
 		c.indexSegment(data)

@@ -18,7 +18,7 @@ func TestFuzzBlameKeysPinned(t *testing.T) {
 		t.Skip("budget-2000 fuzz run skipped in -short mode")
 	}
 	sw := defects.Switches{ConstFoldSignError: true}
-	res, err := Run(Options{Seed: 2022, Budget: 2000, Workers: 0, Defects: &sw})
+	res, err := Run(Options{Seed: 2022, Budget: 2000, Workers: 0, defects: &sw})
 	if err != nil {
 		t.Fatal(err)
 	}

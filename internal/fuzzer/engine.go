@@ -44,8 +44,6 @@ type Options struct {
 	// EmitTests, when set, writes the reduced differences as a ready-to-run
 	// Go test file.
 	EmitTests string
-	// Defects selects the VM defect state (nil = ProductionVM).
-	Defects *defects.Switches
 	// Compilers overrides the compiler set (nil = the three hand-written
 	// byte-code compilers). The meta-compiled front-end (MetaJITCompiler)
 	// is opt-in here: a sequence it cannot compile (a family whose
@@ -64,6 +62,9 @@ type Options struct {
 	// boundary. Fault-injection tests use it to raise genuine heap panics
 	// in worker goroutines and during minimization.
 	faultInject func(s *Seq)
+	// defects selects the VM defect state (nil = ProductionVM). The
+	// blame and verifier-reject tests set it.
+	defects *defects.Switches
 	// noReuse disables pooled execution environments and the sharing of
 	// one optimized compile across ISAs: every sequence execution boots
 	// and compiles from scratch. The determinism suite diffs reports
@@ -172,8 +173,8 @@ func newFuzzTester(opts Options, sw defects.Switches) *core.Tester {
 
 func newEngine(opts Options) *engine {
 	sw := defects.ProductionVM()
-	if opts.Defects != nil {
-		sw = *opts.Defects
+	if opts.defects != nil {
+		sw = *opts.defects
 	}
 	compilers := opts.Compilers
 	if len(compilers) == 0 {

@@ -16,7 +16,7 @@ import (
 func TestFuzzReportsVerifierRejections(t *testing.T) {
 	sw := defects.ProductionVM()
 	sw.VerifyStackLeak = true
-	res, err := Run(Options{Seed: 2022, Budget: 200, Workers: 1, Defects: &sw, Minimize: true})
+	res, err := Run(Options{Seed: 2022, Budget: 200, Workers: 1, defects: &sw, Minimize: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestFuzzReportsVerifierRejections(t *testing.T) {
 	if found.Reduced == nil || len(found.Reduced.Code) > len(found.Seq.Code) {
 		t.Fatalf("difference %s was not reduced", found.Key())
 	}
-	e := newEngine(Options{Defects: &sw})
+	e := newEngine(Options{defects: &sw})
 	keys := e.causeKeys(found.Reduced)
 	hit := false
 	for _, k := range keys {

@@ -30,11 +30,6 @@ import (
 	"cogdiff/internal/machine"
 )
 
-// SemanticsVersion names the generator's translation scheme. It is folded
-// into unit-cache keys: regenerating the front-end from a changed
-// interpreter or lowering scheme must not reuse stale entries.
-const SemanticsVersion = "metajit/1"
-
 // methodBlockedFamilies are the instruction families whose lowering bakes
 // witness-derived facts and is therefore only sound for single-instruction
 // test units. FamCallPrimitive is blocked in both modes: called

@@ -505,6 +505,9 @@ func (st *clauseState) buildValue(rep int) (sym.TypedValue, error) {
 		}
 		n := slots
 		if bc.FixedSlots > n {
+			if val.set&hasSlots != 0 && !st.raiseSlots(val, bc.FixedSlots) {
+				return sym.TypedValue{}, false // the clause keeps the count below the class's
+			}
 			n = bc.FixedSlots
 		}
 		if vs.hasMaxSlots && n > vs.maxSlots {
@@ -530,4 +533,26 @@ func (st *clauseState) buildValue(rep int) (sym.TypedValue, error) {
 		}
 	}
 	return sym.TypedValue{}, ErrUnsat
+}
+
+// raiseSlots raises the slot count the numeric search assigned to val to
+// n if the clause's atoms all still hold with it, and reports whether
+// they do. A raise it keeps is what the atoms of later values are
+// checked against.
+func (st *clauseState) raiseSlots(val *numValue, n int) bool {
+	searched := val.slots
+	val.slots = int64(n)
+	for _, a := range st.intAtoms {
+		if ok, _ := st.num.asg.checkICmp(a); !ok {
+			val.slots = searched
+			return false
+		}
+	}
+	for _, a := range st.floatAtoms {
+		if ok, _ := st.num.asg.checkFCmp(a); !ok {
+			val.slots = searched
+			return false
+		}
+	}
+	return true
 }
