@@ -241,6 +241,19 @@ func TestGoldenCompilerKindErrors(t *testing.T) {
 		runCLIError(t, "ir", "primitiveAdd", "simple"))
 }
 
+// TestGoldenFacadeErrors pins that an error the facade returns reaches
+// stderr with exactly one "cogdiff:" prefix: an unknown instruction, and
+// the compiler-spec rejections (an unknown name, additions mixed with an
+// exact list, the native compiler in a fuzz set).
+func TestGoldenFacadeErrors(t *testing.T) {
+	checkGolden(t, "err_unknown_instruction.golden",
+		runCLIError(t, "explore", "nosuch"))
+	checkGolden(t, "err_compiler_spec.golden",
+		runCLIError(t, "campaign", "-compilers", "nosuch")+
+			runCLIError(t, "campaign", "-compilers", "simple,+metajit")+
+			runCLIError(t, "fuzz", "-compilers", "native"))
+}
+
 // seriesKeyRE is the series-key notation every snapshot key must use:
 // a metric name, optionally followed by a brace-delimited list of
 // key="value" labels with backslash escapes.

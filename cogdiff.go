@@ -117,7 +117,7 @@ func ParseSequenceCompilerSpec(spec string) ([]string, error) {
 	}
 	for _, name := range names {
 		if name == CompilerNativeMethods {
-			return nil, fmt.Errorf("cogdiff: the %s compiler does not compile sequences", CompilerNativeMethods)
+			return nil, fmt.Errorf("the %s compiler does not compile sequences", CompilerNativeMethods)
 		}
 	}
 	return names, nil
@@ -147,7 +147,7 @@ func parseCompilerSpecWith(defaults []string, spec string) ([]string, error) {
 		}
 	}
 	if len(exact) > 0 && len(added) > 0 {
-		return nil, fmt.Errorf("cogdiff: compiler spec %q mixes additions (+name) with an exact list", spec)
+		return nil, fmt.Errorf("compiler spec %q mixes additions (+name) with an exact list", spec)
 	}
 	out := exact
 	if len(added) > 0 {
@@ -224,7 +224,7 @@ func resolveTarget(name string) (concolic.Target, *primitives.Table, error) {
 			return concolic.NativeMethodTarget(p.Index, p.Name, p.NumArgs), prims, nil
 		}
 	}
-	return concolic.Target{}, nil, fmt.Errorf("cogdiff: unknown instruction %q (see Instructions())", name)
+	return concolic.Target{}, nil, fmt.Errorf("unknown instruction %q (see Instructions())", name)
 }
 
 // Instructions lists every testable VM instruction: all byte-codes
@@ -334,7 +334,7 @@ func compilerKindOf(name string) (core.CompilerKind, error) {
 	case CompilerMetaJIT:
 		return core.MetaJITCompiler, nil
 	}
-	return 0, fmt.Errorf("cogdiff: unknown compiler %q", name)
+	return 0, fmt.Errorf("unknown compiler %q", name)
 }
 
 // TestInstruction differentially tests one instruction against one
@@ -386,7 +386,7 @@ func TestInstructionWith(instruction, compiler string, opts CampaignOptions) (*I
 // so is a compiler set in opts: the unit already names its compiler.
 func unitCampaign(instruction, compiler string, opts CampaignOptions) (*core.Campaign, concolic.Target, error) {
 	if len(opts.Compilers) > 0 {
-		return nil, concolic.Target{}, fmt.Errorf("cogdiff: CampaignOptions.Compilers does not apply to one unit, which names its compiler (%s)", compiler)
+		return nil, concolic.Target{}, fmt.Errorf("CampaignOptions.Compilers does not apply to one unit, which names its compiler (%s)", compiler)
 	}
 	target, _, err := resolveTarget(instruction)
 	if err != nil {
@@ -462,8 +462,8 @@ type CampaignOptions struct {
 	Metrics *telemetry.Registry
 	// CacheDir, when non-empty, enables the persistent exploration cache
 	// rooted at that directory: explorations and test-unit verdicts are
-	// loaded instead of recomputed when their content keys match, and
-	// fresh work is written back as one segment file per run. One
+	// loaded instead of recomputed when their inputs and the code match,
+	// and fresh work is written back as one segment file per run. One
 	// directory serves every entry point, and all rendered reports are
 	// byte-identical with the cache off, cold or warm, at any worker count.
 	CacheDir string
@@ -631,10 +631,10 @@ type VerifyIRSummary struct {
 func VerifyIR(opts CampaignOptions) (*VerifyIRSummary, error) {
 	start := time.Now() //cogdiff:allow-nondeterminism duration is summary metadata, never report-table content
 	if opts.NoVerify {
-		return nil, errors.New("cogdiff: CampaignOptions.NoVerify does not apply to VerifyIR, whose sweep is the verifier")
+		return nil, errors.New("CampaignOptions.NoVerify does not apply to VerifyIR, whose sweep is the verifier")
 	}
 	if opts.OnInstructionDone != nil {
-		return nil, errors.New("cogdiff: CampaignOptions.OnInstructionDone does not apply to VerifyIR, which tests no unit")
+		return nil, errors.New("CampaignOptions.OnInstructionDone does not apply to VerifyIR, which tests no unit")
 	}
 	if len(opts.Compilers) == 0 {
 		opts.Compilers = AllCompilers()
@@ -663,7 +663,7 @@ func VerifyIR(opts CampaignOptions) (*VerifyIRSummary, error) {
 // tests no unit, so it also rejects opts.OnInstructionDone.
 func DumpIR(instruction, compiler string, opts CampaignOptions) (string, error) {
 	if opts.OnInstructionDone != nil {
-		return "", errors.New("cogdiff: CampaignOptions.OnInstructionDone does not apply to DumpIR, which tests no unit")
+		return "", errors.New("CampaignOptions.OnInstructionDone does not apply to DumpIR, which tests no unit")
 	}
 	camp, target, err := unitCampaign(instruction, compiler, opts)
 	if err != nil {

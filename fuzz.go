@@ -94,7 +94,7 @@ func Fuzz(opts FuzzOptions) (*FuzzSummary, error) {
 	if len(opts.Compilers) > 0 {
 		for _, name := range opts.Compilers {
 			if name == CompilerNativeMethods {
-				return nil, fmt.Errorf("cogdiff: the %s compiler does not compile sequences", CompilerNativeMethods)
+				return nil, fmt.Errorf("the %s compiler does not compile sequences", CompilerNativeMethods)
 			}
 		}
 		var err error

@@ -61,20 +61,8 @@ func (b *Builder) indexed(base Op, limit, i int, what string) *Builder {
 	return b.emit(base + Op(i))
 }
 
-func (b *Builder) PushReceiverVariable(i int) *Builder {
-	return b.indexed(OpPushReceiverVariable0, 16, i, "pushReceiverVariable")
-}
 func (b *Builder) PushTemp(i int) *Builder {
 	return b.indexed(OpPushTemporaryVariable0, 12, i, "pushTemporaryVariable")
-}
-func (b *Builder) StoreReceiverVariable(i int) *Builder {
-	return b.indexed(OpStoreReceiverVariable0, 8, i, "storeReceiverVariable")
-}
-func (b *Builder) PopIntoReceiverVariable(i int) *Builder {
-	return b.indexed(OpPopIntoReceiverVariable0, 8, i, "popIntoReceiverVariable")
-}
-func (b *Builder) StoreTemp(i int) *Builder {
-	return b.indexed(OpStoreTemporaryVariable0, 8, i, "storeTemporaryVariable")
 }
 func (b *Builder) PopIntoTemp(i int) *Builder {
 	return b.indexed(OpPopIntoTemporaryVariable0, 8, i, "popIntoTemporaryVariable")
@@ -102,9 +90,6 @@ func (b *Builder) PushInt(v int64) *Builder {
 }
 
 func (b *Builder) PushReceiver() *Builder { return b.emit(OpPushReceiver) }
-func (b *Builder) PushTrue() *Builder     { return b.emit(OpPushConstantTrue) }
-func (b *Builder) PushFalse() *Builder    { return b.emit(OpPushConstantFalse) }
-func (b *Builder) PushNil() *Builder      { return b.emit(OpPushConstantNil) }
 func (b *Builder) Dup() *Builder          { return b.emit(OpDuplicateTop) }
 func (b *Builder) Pop() *Builder          { return b.emit(OpPopStackTop) }
 func (b *Builder) Nop() *Builder          { return b.emit(OpNop) }

@@ -96,7 +96,7 @@ type workItem struct {
 // concolic loop of §2.3, except it never stops at errors — every exit
 // condition is a first-class result.
 func (e *Explorer) Explore(t Target) *Exploration {
-	start := time.Now() //cogdiff:allow-nondeterminism timing feeds Exploration.Duration, which Figures 6/7 print; cache payloads store it outside the exploration fingerprint
+	start := time.Now() //cogdiff:allow-nondeterminism timing feeds Exploration.Duration, which Figures 6/7 print; no cache key hashes it
 	u := sym.NewUniverse()
 	ex := &Exploration{Target: t, Universe: u}
 
@@ -164,7 +164,7 @@ func (e *Explorer) Explore(t Target) *Exploration {
 			}
 		}
 	}
-	ex.Duration = time.Since(start) //cogdiff:allow-nondeterminism timing feeds Exploration.Duration, which Figures 6/7 print; cache payloads store it outside the exploration fingerprint
+	ex.Duration = time.Since(start) //cogdiff:allow-nondeterminism timing feeds Exploration.Duration, which Figures 6/7 print; no cache key hashes it
 	return ex
 }
 

@@ -60,8 +60,8 @@ type Config struct {
 	// heap panics in worker goroutines.
 	faultInject func(target concolic.Target, kind CompilerKind, isa machine.ISA)
 	// poisonExploration, when non-nil, mutates each freshly explored
-	// exploration before it is cached and fingerprinted. Cache tests
-	// inject unusual witnesses (a NaN) through it.
+	// exploration before it is cached. Cache tests inject unusual
+	// witnesses (a NaN) through it.
 	poisonExploration func(target concolic.Target, ex *concolic.Exploration)
 	// noReuse disables every raw-speed reuse layer — pooled execution
 	// environments, pooled exploration heaps, lowering one optimized
@@ -103,7 +103,6 @@ type InstructionReport struct {
 	Paths       int // interpreter paths discovered
 	Curated     int // paths the prototype supports end to end
 	Differences int // curated paths whose behaviour differs (any ISA)
-	ExploreTime time.Duration
 	TestTime    time.Duration
 	Verdicts    []PathVerdict // one per (path, ISA) in path-major order
 }
@@ -255,10 +254,9 @@ func (c *Campaign) RunContext(ctx context.Context) (*CampaignResult, error) {
 	bcTargets := c.BytecodeTargets()
 	nmTargets := c.PrimitiveTargets()
 	allTargets := append(append([]concolic.Target{}, bcTargets...), nmTargets...)
-	// Test units derive their cache keys from the fingerprints of the
-	// explorations' content, so a unit hit is only possible when the
-	// exploration that drives it is content-identical.
-	explorations, fingerprints, plans, err := c.explore(ctx, allTargets)
+	// Test units derive their cache keys from the keys of the
+	// explorations that drive them.
+	explorations, exKeys, plans, err := c.explore(ctx, allTargets)
 	if err != nil {
 		return nil, err
 	}
@@ -312,8 +310,8 @@ func (c *Campaign) RunContext(ctx context.Context) (*CampaignResult, error) {
 		u := units[i]
 		target, ex := allTargets[u.explored], explorations[u.explored]
 		kind := result.Reports[u.compiler].Compiler
-		unitKey := c.Config.Cache.UnitKey(unitKeyPrefixes[u.compiler], fingerprints[u.explored])
-		ir, cached := c.loadCachedUnit(unitKey, target, ex)
+		unitKey := c.Config.Cache.UnitKey(unitKeyPrefixes[u.compiler], exKeys[u.explored])
+		ir, cached := c.loadCachedUnit(unitKey, target)
 		if !cached {
 			ir = c.testInstruction(tester, kind, target, ex, refs[u.explored], &plans[u.explored])
 			c.storeCachedUnit(unitKey, &ir)
@@ -390,46 +388,45 @@ func (c *Campaign) setup() *Tester {
 // explore concolically explores every target, sharded over the workers.
 // Each instruction explores in its own universe, so units never contend.
 // An exploration is loaded from the cache when present and stored after
-// fresh work. With a cache, it also returns each exploration's
-// fingerprint, hashed from the one encoding the load or store made. It
-// returns each exploration's empty metajit plan slot too; the slot of a
-// loaded exploration explores the target afresh if a plan is asked of
-// it. A panic inside one exploration is contained to that unit: the
-// instruction reports zero paths and the campaign carries on.
+// fresh work. With a cache, it also returns each exploration's cache
+// key, which its test units key on. It returns each exploration's empty
+// metajit plan slot too; the slot of a loaded exploration explores the
+// target afresh if a plan is asked of it. A panic inside one exploration
+// is contained to that unit: the instruction reports zero paths and the
+// campaign carries on.
 func (c *Campaign) explore(ctx context.Context, targets []concolic.Target) ([]*concolic.Exploration, []string, []planSlot, error) {
 	opts := c.exploreOptions()
 	explorer := concolic.NewExplorer(c.Prims, opts)
 	out := make([]*concolic.Exploration, len(targets))
-	fingerprints := make([]string, len(targets))
+	keys := make([]string, len(targets))
 	plans := make([]planSlot, len(targets))
 	err := RunUnitsCtx(ctx, c.workerCount(), len(targets), func(i int) {
 		sp := c.Config.Metrics.StartSpan(telemetry.SpanExplore)
 		defer sp.End()
 		key := c.Config.Cache.ExplorationKey(targets[i], opts)
-		if ex, fp, ok := c.Config.Cache.LoadFingerprinted(key, targets[i]); ok {
-			out[i], fingerprints[i] = ex, fp
+		if ex, ok := c.Config.Cache.LoadExploration(key, targets[i]); ok {
+			out[i], keys[i] = ex, key
 			plans[i].explore = func() *concolic.Exploration { return explorer.Explore(targets[i]) }
 			return
 		}
 		defer func() {
 			if p := recover(); p != nil {
-				// Contained panics are not cached: the instruction should
+				// Contained panics get no key, so neither the exploration
+				// nor its units are cached: the instruction should
 				// re-explore (and re-crash visibly) on the next run.
 				c.panicsContained.Inc()
 				out[i] = &concolic.Exploration{Target: targets[i]}
-				if c.Config.Cache != nil {
-					fingerprints[i] = excache.FingerprintExploration(out[i])
-				}
 				return
 			}
 			if c.Config.poisonExploration != nil {
 				c.Config.poisonExploration(targets[i], out[i])
 			}
-			fingerprints[i] = c.Config.Cache.StoreExploration(key, out[i])
+			c.Config.Cache.StoreExploration(key, out[i])
+			keys[i] = key
 		}()
 		out[i] = explorer.Explore(targets[i])
 	})
-	return out, fingerprints, plans, err
+	return out, keys, plans, err
 }
 
 func (c *Campaign) exploreOptions() concolic.Options {
@@ -451,8 +448,8 @@ func explorationKey(t concolic.Target) string {
 // list, the full defect switch state and whether the static verifier
 // runs (a defective pipeline yields a verifier-reject verdict with it on
 // and a dynamic one with it off, and the exploration cache persists
-// across runs). Each unit key then hashes only its exploration's
-// fingerprint on top.
+// across runs). Each unit key then hashes only its exploration's key on
+// top.
 func (c *Campaign) unitKeyPrefixes() []string {
 	prefixes := make([]string, len(c.Config.Compilers))
 	if c.Config.Cache == nil {
@@ -475,10 +472,10 @@ func (c *Campaign) unitKeyPrefixes() []string {
 // loadCachedUnit fetches one test unit's report from the cache. The
 // lookup counts as a hit only once the payload decodes; one that does
 // not is a corrupt miss, and the unit re-tests and stores a newer record.
-func (c *Campaign) loadCachedUnit(key string, target concolic.Target, ex *concolic.Exploration) (InstructionReport, bool) {
+func (c *Campaign) loadCachedUnit(key string, target concolic.Target) (InstructionReport, bool) {
 	var ir InstructionReport
 	ok := c.Config.Cache.Load("unit", key, func(payload []byte) (err error) {
-		ir, err = UnmarshalInstructionReport(payload, target, ex)
+		ir, err = UnmarshalInstructionReport(payload, target)
 		return err
 	})
 	return ir, ok
@@ -497,11 +494,10 @@ func (c *Campaign) storeCachedUnit(key string, ir *InstructionReport) {
 // and plan for the metajit plan, so any number of instances may run
 // concurrently; cause attribution happens in Run's serial merge pass.
 func (c *Campaign) testInstruction(tester *Tester, kind CompilerKind, target concolic.Target, ex *concolic.Exploration, refs []atomic.Pointer[pathReference], plan *planSlot) InstructionReport {
-	start := time.Now() //cogdiff:allow-nondeterminism timing feeds InstructionReport.TestTime, which Figures 6/7 print; cache payloads store it outside the exploration fingerprint
+	start := time.Now() //cogdiff:allow-nondeterminism timing feeds InstructionReport.TestTime, which Figures 6/7 print; no cache key hashes it
 	ir := InstructionReport{
-		Target:      target,
-		Paths:       len(ex.Paths) + ex.CuratedOut,
-		ExploreTime: ex.Duration,
+		Target: target,
+		Paths:  len(ex.Paths) + ex.CuratedOut,
 	}
 	// Batch the unit: each path's reference is computed once per run and
 	// its optimized compile once per unit, both reused across every ISA.
@@ -527,7 +523,7 @@ func (c *Campaign) testInstruction(tester *Tester, kind CompilerKind, target con
 			ir.Differences++
 		}
 	}
-	ir.TestTime = time.Since(start) //cogdiff:allow-nondeterminism timing feeds InstructionReport.TestTime, which Figures 6/7 print; cache payloads store it outside the exploration fingerprint
+	ir.TestTime = time.Since(start) //cogdiff:allow-nondeterminism timing feeds InstructionReport.TestTime, which Figures 6/7 print; no cache key hashes it
 	return ir
 }
 

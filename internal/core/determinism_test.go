@@ -37,15 +37,14 @@ func determinismConfig() core.Config {
 	return cfg
 }
 
-// normalizeReports strips the wall-clock fields (ExploreTime, TestTime) —
-// the only nondeterministic data a campaign produces — leaving the full
+// normalizeReports strips the wall-clock field (TestTime) — the only
+// nondeterministic data a campaign's reports hold — leaving the full
 // verdict structure for deep comparison.
 func normalizeReports(res *core.CampaignResult) []core.CompilerReport {
 	out := make([]core.CompilerReport, len(res.Reports))
 	for i, r := range res.Reports {
 		nr := core.CompilerReport{Compiler: r.Compiler, Instructions: make([]core.InstructionReport, len(r.Instructions))}
 		for j, ir := range r.Instructions {
-			ir.ExploreTime = 0
 			ir.TestTime = 0
 			nr.Instructions[j] = ir
 		}

@@ -38,7 +38,6 @@ func cacheNormalize(res *core.CampaignResult) []core.CompilerReport {
 	for i, r := range res.Reports {
 		nr := core.CompilerReport{Compiler: r.Compiler, Instructions: make([]core.InstructionReport, len(r.Instructions))}
 		for j, ir := range r.Instructions {
-			ir.ExploreTime = 0
 			ir.TestTime = 0
 			verdicts := make([]core.PathVerdict, len(ir.Verdicts))
 			for k, v := range ir.Verdicts {
@@ -114,6 +113,38 @@ func TestCampaignByteIdenticalOffColdWarm(t *testing.T) {
 		if misses := reg.Counter(telemetry.MetricCacheMisses).Value(); misses != 0 {
 			t.Errorf("workers=%d: warm campaign recorded %d misses, want 0", workers, misses)
 		}
+	}
+}
+
+// TestUnitKeysFollowTheExplorationBound pins that a unit keys on its
+// exploration's inputs, not on what the exploration found: a reduced
+// campaign fills a cache at the default bound, and a rerun at bound 401
+// must serve nothing from it, although no catalog exploration comes near
+// either bound, so every exploration and verdict is the same. The rerun
+// prints the filling run's report.
+func TestUnitKeysFollowTheExplorationBound(t *testing.T) {
+	dir := t.TempDir()
+	cfg := core.DefaultConfig()
+	cfg.Workers = 1
+	cfg.BytecodeFilter = func(op bytecode.Op) bool {
+		return op == bytecode.OpPrimAdd || op == bytecode.OpPushConstantOne || op == bytecode.OpPrimLessThan
+	}
+	cfg.PrimitiveFilter = func(p *primitives.Primitive) bool {
+		return p.Name == "primitiveAdd" || p.Name == "primitiveAsFloat"
+	}
+	run := func(bound int) (*core.CampaignResult, excache.Stats) {
+		c := cfg
+		c.Explore.MaxIterations = bound
+		c.Cache = openCampaignCache(t, dir, nil)
+		return core.NewCampaign(c).Run(), c.Cache.Stats()
+	}
+	filled, _ := run(concolic.DefaultOptions().MaxIterations)
+	rerun, s := run(401)
+	if s.Hits != 0 || s.Misses == 0 || s.Corrupt != 0 {
+		t.Errorf("rerun at bound 401: %+v, want misses only", s)
+	}
+	if got, want := renderSurfaces(rerun), renderSurfaces(filled); got != want {
+		t.Errorf("rerun at bound 401 printed another report:\n--- filled ---\n%s\n--- rerun ---\n%s", want, got)
 	}
 }
 

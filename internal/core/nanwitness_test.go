@@ -18,8 +18,8 @@ import (
 // exploration can hold is cacheable: a campaign whose exploration carries
 // a NaN witness (which JSON cannot encode, so it used to be cached in
 // neither tier) must be served entirely from the cache on its second run
-// — the exploration with the NaN's exact bits, and the unit, whose key
-// derives from the exploration's fingerprint — with the same report.
+// — the exploration with the NaN's exact bits, and the unit, keyed on
+// the exploration's key — with the same report.
 func TestNaNWitnessIsServedFromBothTiers(t *testing.T) {
 	dir := t.TempDir()
 	nan := math.Float64frombits(0x7ff8_0000_dead_beef)
@@ -40,8 +40,8 @@ func TestNaNWitnessIsServedFromBothTiers(t *testing.T) {
 			poisonExploration: func(_ concolic.Target, ex *concolic.Exploration) {
 				if len(ex.Paths) > 0 {
 					// ID 9999 belongs to no universe variable, so the
-					// poison reaches the cache and the fingerprint without
-					// touching the witness the differ materializes.
+					// poison reaches the cached payload without touching
+					// the witness the differ materializes.
 					ex.Paths[0].Model.Values[9999] = sym.TypedValue{Kind: sym.KindFloat, Float: nan}
 				}
 			},

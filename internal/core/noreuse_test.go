@@ -48,7 +48,6 @@ func reportBytes(t *testing.T, res *CampaignResult) []byte {
 	for i, r := range res.Reports {
 		nr := CompilerReport{Compiler: r.Compiler, Instructions: make([]InstructionReport, len(r.Instructions))}
 		for j, ir := range r.Instructions {
-			ir.ExploreTime = 0
 			ir.TestTime = 0
 			nr.Instructions[j] = ir
 		}

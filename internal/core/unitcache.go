@@ -8,9 +8,10 @@ import (
 	"cogdiff/internal/machine"
 )
 
-// Test-unit results are pure functions of (exploration content, compiler,
-// ISA list, defect switches), so the campaign caches them alongside
-// explorations (internal/excache) keyed by the exploration fingerprint.
+// Test-unit results are pure functions of (exploration inputs, compiler,
+// ISA list, defect switches, verifier switch) within one generation of
+// the code, so the campaign caches them alongside explorations
+// (internal/excache) keyed by those switches and the exploration's key.
 // This file is the serialization half: an InstructionReport round-trips
 // through a compact binary payload carrying everything the merge pass and
 // the report tables consume — verdict flags, blamed stage,
@@ -41,8 +42,8 @@ const (
 )
 
 // MarshalInstructionReport serializes one test unit's report for the
-// exploration cache. The target and exploration time are omitted — they
-// are rebound from the live campaign on load.
+// exploration cache. The target is omitted — it is rebound from the live
+// campaign on load.
 func MarshalInstructionReport(ir *InstructionReport) []byte {
 	e := excache.NewEncoder(64 + 48*len(ir.Verdicts))
 	e.Int(ir.Paths)
@@ -80,17 +81,15 @@ func MarshalInstructionReport(ir *InstructionReport) []byte {
 }
 
 // UnmarshalInstructionReport reconstructs a cached test-unit report,
-// rebinding it to the live target and exploration (for Target identity
-// and the current run's ExploreTime, exactly as testInstruction would
-// record them). Malformed input is an error, never a panic.
-func UnmarshalInstructionReport(data []byte, target concolic.Target, ex *concolic.Exploration) (InstructionReport, error) {
+// rebinding it to the live target. Malformed input is an error, never a
+// panic.
+func UnmarshalInstructionReport(data []byte, target concolic.Target) (InstructionReport, error) {
 	d := excache.NewDecoder(data)
 	ir := InstructionReport{
 		Target:      target,
 		Paths:       d.Int(),
 		Curated:     d.Int(),
 		Differences: d.Int(),
-		ExploreTime: ex.Duration,
 		TestTime:    time.Duration(d.Int64()),
 	}
 	if n, ok := d.Length(); ok {

@@ -18,11 +18,10 @@ import (
 )
 
 // unitRoundTrip marshals and unmarshals one report the way the cache
-// does, rebinding it to its own target and exploration time.
+// does, rebinding it to its own target.
 func unitRoundTrip(t *testing.T, ir *core.InstructionReport) core.InstructionReport {
 	t.Helper()
-	back, err := core.UnmarshalInstructionReport(core.MarshalInstructionReport(ir),
-		ir.Target, &concolic.Exploration{Duration: ir.ExploreTime})
+	back, err := core.UnmarshalInstructionReport(core.MarshalInstructionReport(ir), ir.Target)
 	if err != nil {
 		t.Fatalf("%s: unmarshal: %v", ir.Target.Name, err)
 	}
@@ -128,9 +127,8 @@ func TestUnitCodecKeepsNilAndEmptyDistinct(t *testing.T) {
 func TestUnitDecoderRejectsMalformed(t *testing.T) {
 	ir := edgeReport()
 	valid := core.MarshalInstructionReport(&ir)
-	ex := &concolic.Exploration{}
 	decode := func(data []byte) error {
-		_, err := core.UnmarshalInstructionReport(data, ir.Target, ex)
+		_, err := core.UnmarshalInstructionReport(data, ir.Target)
 		return err
 	}
 	if err := decode(valid); err != nil {
@@ -195,13 +193,12 @@ func FuzzUnmarshalInstructionReport(f *testing.F) {
 	f.Add([]byte(`{"verdicts":5}`))
 	f.Add([]byte{})
 	target := concolic.BytecodeTarget(bytecode.OpPrimAdd)
-	ex := &concolic.Exploration{}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := core.UnmarshalInstructionReport(data, target, ex)
+		got, err := core.UnmarshalInstructionReport(data, target)
 		if err != nil {
 			return
 		}
-		again, err := core.UnmarshalInstructionReport(core.MarshalInstructionReport(&got), target, ex)
+		again, err := core.UnmarshalInstructionReport(core.MarshalInstructionReport(&got), target)
 		if err != nil {
 			t.Fatalf("re-encoded report does not decode: %v", err)
 		}

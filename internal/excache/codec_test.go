@@ -1,13 +1,12 @@
 package excache_test
 
-// Tests for the exploration codec and the fingerprint built on it: the
-// fingerprint covers exactly the content differential testing consumes,
-// and the decoder accepts only canonical payloads.
+// Tests for the exploration codec: the payload covers all the content
+// differential testing consumes, and the decoder accepts only canonical
+// payloads.
 
 import (
 	"bytes"
 	"testing"
-	"time"
 
 	"cogdiff/internal/bytecode"
 	"cogdiff/internal/concolic"
@@ -31,17 +30,14 @@ func catalogPayloads(tb testing.TB) [][]byte {
 	return out
 }
 
-// TestFingerprintCoversContentNotDuration pins the fingerprint on every
-// catalog exploration: a round trip through the codec keeps it, a new
-// duration keeps it, and changing one witness, exit field, constraint
-// string or variable role changes it.
-func TestFingerprintCoversContentNotDuration(t *testing.T) {
+// TestPayloadCoversContent pins the payload of every catalog
+// exploration: a round trip through the codec keeps it, and changing one
+// witness, exit field, constraint string or variable role changes it.
+func TestPayloadCoversContent(t *testing.T) {
 	explorer := concolic.NewExplorer(primitives.NewTable(), concolic.DefaultOptions())
 	mutated := map[string]int{}
 	for _, target := range exploreTargets() {
-		fresh := explorer.Explore(target)
-		fp := excache.FingerprintExploration(fresh)
-		payload := excache.MarshalExploration(fresh)
+		payload := excache.MarshalExploration(explorer.Explore(target))
 		decode := func() *concolic.Exploration {
 			ex, err := excache.UnmarshalExploration(payload)
 			if err != nil {
@@ -49,13 +45,8 @@ func TestFingerprintCoversContentNotDuration(t *testing.T) {
 			}
 			return ex
 		}
-		if got := excache.FingerprintExploration(decode()); got != fp {
-			t.Errorf("%s: round-tripped fingerprint %s, fresh %s", target.Name, got, fp)
-		}
-		ex := decode()
-		ex.Duration += time.Hour
-		if excache.FingerprintExploration(ex) != fp {
-			t.Errorf("%s: the duration changed the fingerprint", target.Name)
+		if !bytes.Equal(excache.MarshalExploration(decode()), payload) {
+			t.Errorf("%s: the round trip changed the payload", target.Name)
 		}
 
 		mutations := map[string]func(ex *concolic.Exploration) bool{
@@ -100,46 +91,14 @@ func TestFingerprintCoversContentNotDuration(t *testing.T) {
 				continue
 			}
 			mutated[name]++
-			if excache.FingerprintExploration(ex) == fp {
-				t.Errorf("%s: changing a %s left the fingerprint unchanged", target.Name, name)
+			if bytes.Equal(excache.MarshalExploration(ex), payload) {
+				t.Errorf("%s: changing a %s left the payload unchanged", target.Name, name)
 			}
 		}
 	}
 	for _, name := range []string{"witness", "exit", "constraint", "role"} {
 		if mutated[name] == 0 {
 			t.Errorf("no catalog exploration has a %s to change", name)
-		}
-	}
-}
-
-// TestPayloadFingerprintsMatchDecoded pins the one-encoding fingerprint
-// on every catalog exploration: the fingerprint StoreExploration hashes
-// from the payload it stores, and the one LoadFingerprinted hashes from
-// the payload it decodes in a later run, both equal
-// FingerprintExploration of the exploration they describe.
-func TestPayloadFingerprintsMatchDecoded(t *testing.T) {
-	dir := t.TempDir()
-	opts := concolic.DefaultOptions()
-	explorer := concolic.NewExplorer(primitives.NewTable(), opts)
-	writer := openRW(t, dir, nil)
-	targets := exploreTargets()
-	stored := make([]string, len(targets))
-	for i, target := range targets {
-		ex := explorer.Explore(target)
-		stored[i] = writer.StoreExploration(writer.ExplorationKey(target, opts), ex)
-		if want := excache.FingerprintExploration(ex); stored[i] != want {
-			t.Errorf("%s: stored fingerprint %s, FingerprintExploration %s", target.Name, stored[i], want)
-		}
-	}
-	writer.Flush()
-	reader := openRW(t, dir, nil)
-	for i, target := range targets {
-		ex, fp, ok := reader.LoadFingerprinted(reader.ExplorationKey(target, opts), target)
-		if !ok {
-			t.Fatalf("%s: stored exploration did not load", target.Name)
-		}
-		if want := excache.FingerprintExploration(ex); fp != want || fp != stored[i] {
-			t.Errorf("%s: loaded fingerprint %s, FingerprintExploration %s, stored %s", target.Name, fp, want, stored[i])
 		}
 	}
 }

@@ -1,14 +1,15 @@
-// Package excache is a persistent content-addressed cache for concolic
-// exploration results and differential test-unit verdicts.
+// Package excache is a persistent cache for concolic exploration results
+// and differential test-unit verdicts, keyed by the inputs that compute
+// them.
 //
 // Concolic exploration and differential testing are pure: the path set of
-// an instruction depends only on the instruction descriptor, the
-// exploration options and the code that explores, and a test unit's
-// verdicts depend only on the exploration content, the compiler, the ISAs,
-// the seeded defect state and the code that compiles, runs and compares.
-// Every cache entry is therefore keyed by a SHA-256 hash over exactly its
-// inputs, and every segment is named for the code: a generation hashed
-// from the sources of every package that computes or decodes a payload
+// an instruction depends only on the instruction, the exploration options
+// and the code that explores, and a test unit's verdicts depend only on
+// its exploration's inputs, the compiler, the ISAs, the seeded defect
+// state and the code that compiles, runs and compares. Every cache entry
+// is therefore keyed by a SHA-256 hash over exactly its inputs, and every
+// segment is named for the code: a generation hashed from the sources of
+// every package that computes or decodes a payload
 // (cogdiff/internal.Sources), the Go release and the architecture. So a
 // repeat campaign re-explores and re-tests only what changed, and a binary
 // built from other code starts from an empty cache.
@@ -120,9 +121,8 @@ type Config struct {
 	Metrics *telemetry.Registry
 }
 
-// Cache is a content-addressed on-disk store for exploration and
-// test-unit entries. All methods are safe for concurrent use and safe on
-// a nil receiver.
+// Cache is an on-disk store for exploration and test-unit entries. All
+// methods are safe for concurrent use and safe on a nil receiver.
 type Cache struct {
 	dir  string
 	mode Mode
@@ -246,14 +246,6 @@ func Open(cfg Config) (*Cache, error) {
 	return c, nil
 }
 
-// Mode returns the cache's participation mode (ModeOff for nil).
-func (c *Cache) Mode() Mode {
-	if c == nil {
-		return ModeOff
-	}
-	return c.mode
-}
-
 // Stats snapshots the traffic counters (zero for nil).
 func (c *Cache) Stats() Stats {
 	if c == nil {
@@ -276,18 +268,22 @@ func hashHex(parts ...string) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// ExplorationKey derives the content key of one instruction's concolic
-// exploration: the full instruction descriptor (for byte-codes the
-// synthesized method — code bytes, temporaries and literals — for native
-// methods the primitive identity) and every exploration option that
-// shapes the path set (iteration bound, seeded interpreter defects).
+// ExplorationKey derives the key of one instruction's concolic
+// exploration: the target (a byte-code's opcode, from which the test
+// method is synthesized, or a native method's primitive identity) and
+// every exploration option that shapes the path set (iteration bound,
+// seeded interpreter defects).
 func (c *Cache) ExplorationKey(t concolic.Target, opts concolic.Options) string {
 	if c == nil {
 		return ""
 	}
+	target := fmt.Sprintf("nativeMethod/%s/index=%d/args=%d", t.Name, t.PrimIndex, t.PrimNumArgs)
+	if t.Kind == concolic.TargetBytecode {
+		target = fmt.Sprintf("bytecode/%s/op=%d", t.Name, int(t.Op))
+	}
 	return hashHex(
 		"exploration",
-		targetDescriptor(t),
+		target,
 		fmt.Sprintf("maxIterations=%d", opts.MaxIterations),
 		fmt.Sprintf("interpDefects=%+v", opts.InterpreterDefects),
 	)
@@ -296,7 +292,7 @@ func (c *Cache) ExplorationKey(t concolic.Target, opts concolic.Options) string 
 // UnitKeyPrefix hashes the key material that the test units of one
 // compiler in one campaign share, the caller's parts (compiler kind, ISA
 // list, defect switches, verifier switch), so UnitKey hashes only the
-// exploration fingerprint on top.
+// exploration's key on top.
 func (c *Cache) UnitKeyPrefix(parts ...string) string {
 	if c == nil {
 		return ""
@@ -304,29 +300,14 @@ func (c *Cache) UnitKeyPrefix(parts ...string) string {
 	return hashHex(append([]string{"unit"}, parts...)...)
 }
 
-// UnitKey derives the content key of one differential test unit from its
-// UnitKeyPrefix and the fingerprint of the exploration that drives it.
-func (c *Cache) UnitKey(prefix, explorationFingerprint string) string {
-	if c == nil {
+// UnitKey derives the key of one differential test unit from its
+// UnitKeyPrefix and the key of the exploration that drives it. A unit
+// whose exploration has no key has none either, so it is not cached.
+func (c *Cache) UnitKey(prefix, explorationKey string) string {
+	if c == nil || explorationKey == "" {
 		return ""
 	}
-	return hashHex(prefix, explorationFingerprint)
-}
-
-// targetDescriptor renders the cache-relevant identity of a target.
-func targetDescriptor(t concolic.Target) string {
-	if t.Kind == concolic.TargetBytecode {
-		lits := ""
-		if t.Method != nil {
-			for _, l := range t.Method.Literals {
-				lits += fmt.Sprintf("|%d:%d:%g:%s", l.Kind, l.Int, l.Float, l.Str)
-			}
-			return fmt.Sprintf("bytecode/%s/op=%d/code=%x/temps=%d/lits=%s",
-				t.Name, int(t.Op), t.Method.Code, t.Method.NumTemps, lits)
-		}
-		return fmt.Sprintf("bytecode/%s/op=%d", t.Name, int(t.Op))
-	}
-	return fmt.Sprintf("nativeMethod/%s/index=%d/args=%d", t.Name, t.PrimIndex, t.PrimNumArgs)
+	return hashHex(prefix, explorationKey)
 }
 
 // A segment is a sequence of records, each a text header followed by the
@@ -424,7 +405,7 @@ func payloadDigest(payload []byte) [digestLen]byte {
 // uncharged. Only a decoded payload counts as a hit. Load never fails:
 // every malformed state downgrades to "re-do the work".
 func (c *Cache) Load(kind, key string, decode func(payload []byte) error) bool {
-	if c == nil || c.mode == ModeOff || key == "" {
+	if c == nil || key == "" {
 		return false
 	}
 	c.indexOnce.Do(c.readIndex)
@@ -515,20 +496,9 @@ func (c *Cache) Flush() {
 // payload fails to decode, or names a different target than the key
 // demands, counts as corrupt, not a hit.
 func (c *Cache) LoadExploration(key string, target concolic.Target) (*concolic.Exploration, bool) {
-	ex, _, ok := c.LoadFingerprinted(key, target)
-	return ex, ok
-}
-
-// LoadFingerprinted is LoadExploration that also returns the
-// exploration's fingerprint, hashed from the payload it decoded. The
-// decoder accepts only payloads that re-encode to the same bytes, so
-// that equals FingerprintExploration of the result, without encoding it
-// again.
-func (c *Cache) LoadFingerprinted(key string, target concolic.Target) (*concolic.Exploration, string, bool) {
 	var ex *concolic.Exploration
-	var fingerprint string
 	ok := c.Load("ex", key, func(payload []byte) error {
-		got, content, err := decodeExploration(payload)
+		got, err := UnmarshalExploration(payload)
 		if err != nil {
 			return err
 		}
@@ -539,22 +509,19 @@ func (c *Cache) LoadFingerprinted(key string, target concolic.Target) (*concolic
 		// Rebind the caller's full target (the payload carries only the
 		// descriptor; Method pointers are re-synthesized identically).
 		got.Target = target
-		ex, fingerprint = got, contentFingerprint(payload[:content])
+		ex = got
 		return nil
 	})
-	return ex, fingerprint, ok
+	return ex, ok
 }
 
-// StoreExploration encodes ex once, queues the payload for the run's
-// segment (rw mode) and returns the exploration's fingerprint, hashed
-// from the same encoding. A nil cache returns "".
-func (c *Cache) StoreExploration(key string, ex *concolic.Exploration) string {
+// StoreExploration encodes ex and queues the payload for the run's
+// segment (rw mode).
+func (c *Cache) StoreExploration(key string, ex *concolic.Exploration) {
 	if c == nil {
-		return ""
+		return
 	}
-	payload, content := encodeExploration(ex)
-	c.StoreBlob("ex", key, payload)
-	return contentFingerprint(payload[:content])
+	c.StoreBlob("ex", key, MarshalExploration(ex))
 }
 
 func (c *Cache) hit() {

@@ -1,8 +1,6 @@
 package excache
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"time"
 
@@ -34,38 +32,6 @@ import (
 
 // MarshalExploration serializes an exploration for the cache.
 func MarshalExploration(ex *concolic.Exploration) []byte {
-	payload, _ := encodeExploration(ex)
-	return payload
-}
-
-// FingerprintExploration hashes the semantic content of an exploration:
-// the SHA-256 of its payload without the trailing wall-clock duration,
-// so a fresh exploration and its cache round trip fingerprint
-// identically. The differential tester consumes exactly this content,
-// which makes the fingerprint a sound key for derived test-unit results.
-// The cache's own load and store hash the payload they already hold
-// instead (LoadFingerprinted, StoreExploration).
-func FingerprintExploration(ex *concolic.Exploration) string {
-	return contentFingerprint(encodeExplorationContent(ex).b)
-}
-
-// contentFingerprint hashes a payload's content, the payload without its
-// duration.
-func contentFingerprint(content []byte) string {
-	sum := sha256.Sum256(content)
-	return hex.EncodeToString(sum[:])
-}
-
-// encodeExploration returns ex's payload and the length of its content.
-func encodeExploration(ex *concolic.Exploration) ([]byte, int) {
-	e := encodeExplorationContent(ex)
-	content := len(e.b)
-	e.Int64(ex.Duration.Nanoseconds())
-	return e.b, content
-}
-
-// encodeExplorationContent writes every payload field but the duration.
-func encodeExplorationContent(ex *concolic.Exploration) *Encoder {
 	e := NewEncoder(256 + 128*len(ex.Paths))
 	t := &ex.Target
 	e.Int(int(t.Kind))
@@ -106,7 +72,8 @@ func encodeExplorationContent(ex *concolic.Exploration) *Encoder {
 	}
 	e.Int(ex.CuratedOut)
 	e.Int(ex.Iterations)
-	return e
+	e.Int64(ex.Duration.Nanoseconds())
+	return e.b
 }
 
 // UnmarshalExploration reconstructs an exploration from
@@ -115,20 +82,13 @@ func encodeExplorationContent(ex *concolic.Exploration) *Encoder {
 // witnesses, exits and variable universe are exact. Malformed input is
 // an error, never a panic.
 func UnmarshalExploration(payload []byte) (*concolic.Exploration, error) {
-	ex, _, err := decodeExploration(payload)
-	return ex, err
-}
-
-// decodeExploration is UnmarshalExploration that also returns the length
-// of the payload's content, everything before the duration.
-func decodeExploration(payload []byte) (*concolic.Exploration, int, error) {
 	d := NewDecoder(payload)
 	ex := &concolic.Exploration{Universe: sym.NewUniverse()}
 	switch kind := concolic.TargetKind(d.Int()); kind {
 	case concolic.TargetBytecode:
 		op := d.Int()
 		if op < 0 || op > 0xff || !bytecode.IsDefined(bytecode.Op(op)) {
-			return nil, 0, fmt.Errorf("excache: undefined opcode %d", op)
+			return nil, fmt.Errorf("excache: undefined opcode %d", op)
 		}
 		ex.Target = concolic.BytecodeTarget(bytecode.Op(op))
 	case concolic.TargetNativeMethod:
@@ -136,7 +96,7 @@ func decodeExploration(payload []byte) (*concolic.Exploration, int, error) {
 		index := d.Int()
 		ex.Target = concolic.NativeMethodTarget(index, name, d.Int())
 	default:
-		return nil, 0, fmt.Errorf("excache: unknown target kind %d", kind)
+		return nil, fmt.Errorf("excache: unknown target kind %d", kind)
 	}
 	n, ok := d.Length()
 	if !ok {
@@ -145,7 +105,7 @@ func decodeExploration(payload []byte) (*concolic.Exploration, int, error) {
 	for id := 0; id < n && d.Err() == nil; id++ {
 		role := sym.Role{Kind: sym.RoleKind(d.Int()), Index: d.Int(), OwnerID: d.Int()}
 		if got := ex.Universe.Of(role); got.ID != id {
-			return nil, 0, fmt.Errorf("excache: variable id drift (%d became %d)", id, got.ID)
+			return nil, fmt.Errorf("excache: variable id drift (%d became %d)", id, got.ID)
 		}
 	}
 	if n, ok := d.Length(); ok {
@@ -184,10 +144,9 @@ func decodeExploration(payload []byte) (*concolic.Exploration, int, error) {
 	}
 	ex.CuratedOut = d.Int()
 	ex.Iterations = d.Int()
-	content := len(payload) - len(d.b)
 	ex.Duration = time.Duration(d.Int64())
 	if err := d.Finish(); err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	return ex, content, nil
+	return ex, nil
 }

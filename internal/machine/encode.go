@@ -95,8 +95,8 @@ func encodedSize(p *Program, isa ISA) int {
 	return n
 }
 
-// Decode deserializes machine code back into a program (the simulation's
-// disassembler, used when recovering from faults and in tests).
+// Decode deserializes machine code back into a program: the inverse of
+// Encode, which the encoder's round-trip test checks.
 func Decode(code []byte, base int64, isa ISA) (*Program, error) {
 	var instrs []Instr
 	i := 0

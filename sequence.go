@@ -1,8 +1,6 @@
 package cogdiff
 
 import (
-	"fmt"
-
 	"cogdiff/internal/bytecode"
 	"cogdiff/internal/core"
 	"cogdiff/internal/defects"
@@ -66,7 +64,7 @@ type SequenceResult struct {
 func TestProgram(p *Program, receiver int64, args ...int64) ([]SequenceResult, error) {
 	m, err := p.b.Method()
 	if err != nil {
-		return nil, fmt.Errorf("cogdiff: %w", err)
+		return nil, err
 	}
 	in := core.SequenceInput{Receiver: core.Int64(receiver)}
 	for _, a := range args {
