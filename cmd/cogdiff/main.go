@@ -4,7 +4,8 @@
 // Usage:
 //
 //	cogdiff instructions                 list every testable VM instruction
-//	cogdiff explore <instruction>        concolically explore one instruction (Table 1 format)
+//	cogdiff explore <instruction>        concolically explore one instruction on the
+//	                                     production VM, as a campaign does (Table 1 format)
 //	cogdiff difftest <instruction> <compiler>
 //	                                     differentially test one instruction: the
 //	                                     campaign run on that one unit, headed by

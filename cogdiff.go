@@ -245,17 +245,16 @@ func Instructions() []string {
 }
 
 // Explore concolically enumerates the execution paths of the named
-// instruction.
+// instruction on the production VM, exactly as a default campaign
+// explores it: the paths listed are the paths the campaign tests.
 func Explore(name string) (*Exploration, error) {
-	target, prims, err := resolveTarget(name)
+	ex, err := explore(name)
 	if err != nil {
 		return nil, err
 	}
-	explorer := concolic.NewExplorer(prims, concolic.DefaultOptions())
-	ex := explorer.Explore(target)
 	out := &Exploration{
 		Instruction: name,
-		Kind:        target.Kind.String(),
+		Kind:        ex.Target.Kind.String(),
 		CuratedOut:  ex.CuratedOut,
 		Iterations:  ex.Iterations,
 		Duration:    ex.Duration,
@@ -270,15 +269,29 @@ func Explore(name string) (*Exploration, error) {
 	return out, nil
 }
 
-// ExploreReport renders the exploration of one instruction in the format
-// of the paper's Table 1.
+// ExploreReport renders the exploration of one instruction on the
+// production VM, the one Explore makes, in the format of the paper's
+// Table 1.
 func ExploreReport(name string) (string, error) {
-	target, prims, err := resolveTarget(name)
+	ex, err := explore(name)
 	if err != nil {
 		return "", err
 	}
-	explorer := concolic.NewExplorer(prims, concolic.DefaultOptions())
-	return report.Table1(explorer.Explore(target)), nil
+	return report.Table1(ex), nil
+}
+
+// explore explores the named instruction as a default campaign does:
+// under the production VM's interpreter defects, with the default
+// exploration options.
+func explore(name string) (*concolic.Exploration, error) {
+	target, prims, err := resolveTarget(name)
+	if err != nil {
+		return nil, err
+	}
+	cfg := core.DefaultConfig()
+	opts := cfg.Explore
+	opts.InterpreterDefects = cfg.Defects.Interpreter()
+	return concolic.NewExplorer(prims, opts).Explore(target), nil
 }
 
 // Difference describes one discovered behavioural difference.

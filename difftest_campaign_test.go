@@ -69,3 +69,34 @@ func TestDifftestMatchesCampaign(t *testing.T) {
 		t.Errorf("checked %d sampled units, want %d", checked, len(sample))
 	}
 }
+
+// TestExploreMatchesCampaign pins that Explore, and so the explore verb
+// and Table 1, lists the paths a default campaign tests: for every
+// instruction, its path and curated-out counts equal those of the
+// campaign's own exploration. Under -short it checks a sample that holds
+// primitiveAsFloat, whose paths the production interpreter defect
+// changes.
+func TestExploreMatchesCampaign(t *testing.T) {
+	sample := map[string]bool{"primAdd": true, "pushConstantTrue": true, "primitiveAsFloat": true, "primitiveAdd": true}
+	cfg := core.DefaultConfig()
+	cfg.Compilers = nil
+	if testing.Short() {
+		cfg.BytecodeFilter = func(op bytecode.Op) bool { return sample[bytecode.Describe(op).Mnemonic] }
+		cfg.PrimitiveFilter = func(p *primitives.Primitive) bool { return sample[p.Name] }
+	}
+	res := core.NewCampaign(cfg).Run()
+	if testing.Short() && len(res.Explorations) != len(sample) {
+		t.Fatalf("campaign explored %d sampled instructions, want %d", len(res.Explorations), len(sample))
+	}
+	for _, want := range res.Explorations {
+		name := want.Target.Name
+		got, err := Explore(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got.Paths) != len(want.Paths) || got.CuratedOut != want.CuratedOut {
+			t.Errorf("%s: explore lists %d paths, %d curated out; the campaign explores %d, %d",
+				name, len(got.Paths), got.CuratedOut, len(want.Paths), want.CuratedOut)
+		}
+	}
+}

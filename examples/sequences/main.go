@@ -1,8 +1,10 @@
 // Sequences demonstrates the extension the paper lists as future work:
-// differential testing of whole byte-code *sequences*. A synthesized
-// method runs both on the interpreter (through the method-dictionary
-// runtime) and as whole-method machine code, and the behaviours at the
-// first boundary — method return or message send — are compared.
+// differential testing of whole byte-code *sequences*. It first runs a
+// recursive method end to end on the interpreter's method-dictionary
+// runtime (interp.Runtime). Then the sequence tester runs synthesized
+// methods both on the interpreter, stepping it instruction by
+// instruction, and as whole-method machine code, and compares the
+// behaviours at the first boundary — method return or message send.
 //
 //	go run ./examples/sequences
 package main

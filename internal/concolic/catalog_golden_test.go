@@ -14,7 +14,6 @@ import (
 	"cogdiff/internal/concolic"
 	"cogdiff/internal/defects"
 	"cogdiff/internal/excache"
-	"cogdiff/internal/interp"
 	"cogdiff/internal/primitives"
 )
 
@@ -64,7 +63,7 @@ func TestCatalogExplorationsGolden(t *testing.T) {
 		for _, bound := range []int{concolic.DefaultOptions().MaxIterations, 1, 3, 10, 50} {
 			explorer := concolic.NewExplorer(prims, concolic.Options{
 				MaxIterations:      bound,
-				InterpreterDefects: interp.DefectSwitches{AsFloatSkipsTypeCheck: setting.switches.AsFloatSkipsTypeCheck},
+				InterpreterDefects: setting.switches.Interpreter(),
 			})
 			digest := sha256.New()
 			for _, target := range targets {

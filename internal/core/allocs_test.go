@@ -67,10 +67,10 @@ func TestPerPathAllocsReduction(t *testing.T) {
 // path of a representative unit (OpPrimAdd: float and integer paths,
 // differing and agreeing verdicts), each path tested on every byte-code
 // compiler of the default campaign and both ISAs. With noReuse false it
-// measures a campaign's steady state: the compilers' units share one
-// reference per path, from slots that start empty every round as every
-// run's do, over pooled environments, with one optimized compile per
-// (path, compiler) that each ISA lowers. With noReuse true it measures
+// measures a campaign's steady state: one UnitRun per round, as a run
+// opens one per instruction, tests every compiler, so the compilers
+// share one reference per path, over pooled environments, with one
+// optimized compile per (path, compiler) that each ISA lowers. With noReuse true it measures
 // the pre-overhaul architecture: every call boots fresh heaps, builds
 // its own input and reference, and compiles from scratch.
 func measurePerPathAllocs(noReuse bool) float64 {
@@ -84,9 +84,9 @@ func measurePerPathAllocs(noReuse bool) float64 {
 	}
 	isas := []machine.ISA{machine.ISAAmd64Like, machine.ISAArm32Like}
 	campaign := func() {
-		refs := pathSlots[pathReference]([]*concolic.Exploration{ex})[0]
+		run := tester.BeginUnit(target, ex)
+		defer run.Close()
 		for _, kind := range bytecodeKinds {
-			run := tester.beginUnit(target, ex, refs, nil)
 			for _, p := range ex.Paths {
 				for _, isa := range isas {
 					run.TestPath(p, kind, isa)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"cogdiff/internal/bytecode"
@@ -31,10 +30,11 @@ type Config struct {
 	// test (nil tests everything).
 	BytecodeFilter  func(op bytecode.Op) bool
 	PrimitiveFilter func(p *primitives.Primitive) bool
-	// Workers is the number of goroutines the campaign spreads its work
-	// units over (one unit per instruction during exploration, one per
-	// compiler x instruction during testing). 0 means runtime.GOMAXPROCS(0);
-	// 1 runs strictly serially. Results are byte-identical for any value.
+	// Workers is the number of goroutines the campaign spreads its
+	// instructions over: one worker explores an instruction and tests or
+	// compiles it for every configured compiler. 0 means
+	// runtime.GOMAXPROCS(0); 1 runs strictly serially. Results are
+	// byte-identical for any value.
 	Workers int
 	// OnInstructionDone, when non-nil, is called after each (compiler,
 	// instruction) test unit finishes, so long campaigns can report
@@ -223,114 +223,85 @@ func (c *Campaign) Run() *CampaignResult {
 // RunContext executes the campaign, sharding it over Config.Workers
 // goroutines under ctx.
 //
-// The work splits into independent units — one per instruction for the
-// concolic exploration, one per (compiler, instruction) pair for the
-// differential testing — and each unit owns its substrate instances
-// (object memory, CPU, JIT front-end). Unit results land in
-// pre-allocated slots indexed by configuration order, and causes are
+// The instruction is the one unit of work: a worker explores an
+// instruction (or loads its exploration from the cache) and tests it
+// against every configured compiler that applies, so nothing of an
+// instruction — its exploration, its paths' references or its metajit
+// plan — crosses to another worker, and all of it is dropped when the
+// instruction is done. Each (compiler, instruction) report lands in a
+// pre-allocated slot indexed by configuration order, and causes are
 // recorded in a serial post-pass over that canonical order, so reports,
-// verdict ordering and the Table 2/3 rows are byte-identical to a
-// serial run regardless of worker count or completion order.
+// verdict ordering and the Table 2/3 rows are byte-identical to a serial
+// run regardless of worker count or completion order.
 //
-// Cancelling ctx aborts the campaign promptly at the next unit
-// boundary: in-flight units finish, every worker goroutine exits, and
-// RunContext returns (nil, ctx.Err()). The records the run stored are
-// written as one cache segment before it returns, cancelled or not, so
-// a rerun reuses every exploration and unit the cancelled run finished
-// as ordinary hits.
+// Cancelling ctx aborts the campaign promptly at the next instruction
+// boundary: in-flight instructions finish, every worker goroutine exits,
+// and RunContext returns (nil, ctx.Err()). The records the run stored
+// are written as one cache segment before it returns, cancelled or not,
+// so a rerun reuses every exploration and unit the cancelled run
+// finished as ordinary hits.
 func (c *Campaign) RunContext(ctx context.Context) (*CampaignResult, error) {
-	workers := c.workerCount()
 	reg := c.Config.Metrics
 	tester := c.setup()
 	defer c.Config.Cache.Flush()
 
+	targets, nBytecode := c.targets()
 	result := &CampaignResult{
+		Reports:      make([]CompilerReport, len(c.Config.Compilers)),
 		Causes:       make(map[string]*Cause),
 		Explorations: make(map[string]*concolic.Exploration),
 	}
-
-	// Step 1: concolic exploration, shared by every compiler (its results
-	// are cached and reused, §5.4).
-	bcTargets := c.BytecodeTargets()
-	nmTargets := c.PrimitiveTargets()
-	allTargets := append(append([]concolic.Target{}, bcTargets...), nmTargets...)
-	// Test units derive their cache keys from the keys of the
-	// explorations that drive them.
-	explorations, exKeys, plans, err := c.explore(ctx, allTargets)
-	if err != nil {
-		return nil, err
-	}
-	for i, t := range allTargets {
-		result.Explorations[explorationKey(t)] = explorations[i]
-	}
-	if reg != nil {
-		paths := reg.Counter(telemetry.MetricPathsExplored)
-		curated := reg.Counter(telemetry.MetricCuratedOut)
-		iters := reg.Counter(telemetry.MetricExploreIterations)
-		for _, ex := range explorations {
-			paths.Add(int64(len(ex.Paths)))
-			curated.Add(int64(ex.CuratedOut))
-			iters.Add(int64(ex.Iterations))
-		}
-	}
-
-	// Steps 2-4: one test unit per (compiler, instruction). Units write
-	// into their own report slot; the shared explorations are read-only
-	// here (frame builders intern through the universe's lock). A unit's
-	// target indexes its compiler's report row; explored indexes
-	// allTargets and explorations.
-	type testUnit struct{ compiler, target, explored int }
-	result.Reports = make([]CompilerReport, len(c.Config.Compilers))
-	var units []testUnit
+	total := 0
 	for ci, kind := range c.Config.Compilers {
-		targets, offset := bcTargets, 0
+		n := nBytecode
 		if kind == NativeMethodCompilerKind {
-			targets, offset = nmTargets, len(bcTargets)
+			n = len(targets) - nBytecode
 		}
-		result.Reports[ci] = CompilerReport{
-			Compiler:     kind,
-			Instructions: make([]InstructionReport, len(targets)),
-		}
-		for ti := range targets {
-			units = append(units, testUnit{compiler: ci, target: ti, explored: offset + ti})
-		}
+		result.Reports[ci] = CompilerReport{Compiler: kind, Instructions: make([]InstructionReport, n)}
+		total += n
 	}
+	explorations := make([]*concolic.Exploration, len(targets))
 
-	var progressMu sync.Mutex
-	done := 0
+	paths := reg.Counter(telemetry.MetricPathsExplored)
+	curated := reg.Counter(telemetry.MetricCuratedOut)
+	iters := reg.Counter(telemetry.MetricExploreIterations)
 	unitsTested := reg.Counter(telemetry.MetricUnitsTested)
 	unitKeyPrefixes := c.unitKeyPrefixes()
-	// Every unit of an exploration shares one reference slot per path, so
-	// each path is built, interpreted and rendered once per run, and the
-	// exploration's metajit plan slot, so its plan is built once per run.
-	refs := pathSlots[pathReference](explorations)
-	if err := RunUnitsCtx(ctx, workers, len(units), func(i int) {
-		sp := reg.StartSpan(telemetry.SpanTestUnit)
-		defer sp.End()
-		u := units[i]
-		target, ex := allTargets[u.explored], explorations[u.explored]
-		kind := result.Reports[u.compiler].Compiler
-		unitKey := c.Config.Cache.UnitKey(unitKeyPrefixes[u.compiler], exKeys[u.explored])
-		ir, cached := c.loadCachedUnit(unitKey, target)
-		if !cached {
-			ir = c.testInstruction(tester, kind, target, ex, refs[u.explored], &plans[u.explored])
-			c.storeCachedUnit(unitKey, &ir)
-		}
-		result.Reports[u.compiler].Instructions[u.target] = ir
-		unitsTested.Inc()
-		if cb := c.Config.OnInstructionDone; cb != nil {
-			progressMu.Lock()
-			done++
-			cb(InstructionDone{
-				Compiler:    result.Reports[u.compiler].Compiler,
-				Instruction: target.Name,
-				Done:        done,
-				Total:       len(units),
-			})
-			progressMu.Unlock()
+	var progressMu sync.Mutex
+	done := 0
+	if err := c.eachInstruction(ctx, tester, targets, func(i int, run *UnitRun, exKey string) {
+		ex := run.ex
+		explorations[i] = ex
+		paths.Add(int64(len(ex.Paths)))
+		curated.Add(int64(ex.CuratedOut))
+		iters.Add(int64(ex.Iterations))
+		for ci, kind := range c.Config.Compilers {
+			row, ok := rowOf(kind, i, nBytecode)
+			if !ok {
+				continue
+			}
+			sp := reg.StartSpan(telemetry.SpanTestUnit)
+			unitKey := c.Config.Cache.UnitKey(unitKeyPrefixes[ci], exKey)
+			ir, cached := c.loadCachedUnit(unitKey, run.target)
+			if !cached {
+				ir = c.testInstruction(run, kind)
+				c.storeCachedUnit(unitKey, &ir)
+			}
+			result.Reports[ci].Instructions[row] = ir
+			unitsTested.Inc()
+			sp.End()
+			if cb := c.Config.OnInstructionDone; cb != nil {
+				progressMu.Lock()
+				done++
+				cb(InstructionDone{Compiler: kind, Instruction: run.target.Name, Done: done, Total: total})
+				progressMu.Unlock()
+			}
 		}
 	}); err != nil {
 		return nil, err
+	}
+	for i, t := range targets {
+		result.Explorations[explorationKey(t)] = explorations[i]
 	}
 
 	// Deterministic merge: attribute causes walking the reports in
@@ -385,55 +356,75 @@ func (c *Campaign) setup() *Tester {
 	return tester
 }
 
-// explore concolically explores every target, sharded over the workers.
-// Each instruction explores in its own universe, so units never contend.
-// An exploration is loaded from the cache when present and stored after
-// fresh work. With a cache, it also returns each exploration's cache
-// key, which its test units key on. It returns each exploration's empty
-// metajit plan slot too; the slot of a loaded exploration explores the
-// target afresh if a plan is asked of it. A panic inside one exploration
-// is contained to that unit: the instruction reports zero paths and the
-// campaign carries on.
-func (c *Campaign) explore(ctx context.Context, targets []concolic.Target) ([]*concolic.Exploration, []string, []planSlot, error) {
+// targets lists the instructions under test, the nBytecode byte-codes
+// first, then the native methods.
+func (c *Campaign) targets() (targets []concolic.Target, nBytecode int) {
+	targets = c.BytecodeTargets()
+	nBytecode = len(targets)
+	return append(targets, c.PrimitiveTargets()...), nBytecode
+}
+
+// rowOf returns the slot of targets[i] (Campaign.targets) in the rows of
+// a compiler of kind, which hold only the instructions of its kind, and
+// whether the compiler tests the target at all.
+func rowOf(kind CompilerKind, i, nBytecode int) (int, bool) {
+	if kind == NativeMethodCompilerKind {
+		return i - nBytecode, i >= nBytecode
+	}
+	return i, i < nBytecode
+}
+
+// eachInstruction is the one per-instruction loop of every entry point.
+// It shards targets over the workers; a worker explores a target
+// (Campaign.explore) and, in the same goroutine, hands fn the target's
+// index, a UnitRun over its exploration and the exploration's cache key,
+// which the target's test units key on. fn tests or compiles every
+// configured compiler that applies. The UnitRun is closed when fn
+// returns.
+func (c *Campaign) eachInstruction(ctx context.Context, t *Tester, targets []concolic.Target, fn func(i int, run *UnitRun, exKey string)) error {
 	opts := c.exploreOptions()
 	explorer := concolic.NewExplorer(c.Prims, opts)
-	out := make([]*concolic.Exploration, len(targets))
-	keys := make([]string, len(targets))
-	plans := make([]planSlot, len(targets))
-	err := RunUnitsCtx(ctx, c.workerCount(), len(targets), func(i int) {
-		sp := c.Config.Metrics.StartSpan(telemetry.SpanExplore)
-		defer sp.End()
-		key := c.Config.Cache.ExplorationKey(targets[i], opts)
-		if ex, ok := c.Config.Cache.LoadExploration(key, targets[i]); ok {
-			out[i], keys[i] = ex, key
-			plans[i].explore = func() *concolic.Exploration { return explorer.Explore(targets[i]) }
-			return
-		}
-		defer func() {
-			if p := recover(); p != nil {
-				// Contained panics get no key, so neither the exploration
-				// nor its units are cached: the instruction should
-				// re-explore (and re-crash visibly) on the next run.
-				c.panicsContained.Inc()
-				out[i] = &concolic.Exploration{Target: targets[i]}
-				return
-			}
-			if c.Config.poisonExploration != nil {
-				c.Config.poisonExploration(targets[i], out[i])
-			}
-			c.Config.Cache.StoreExploration(key, out[i])
-			keys[i] = key
-		}()
-		out[i] = explorer.Explore(targets[i])
+	return RunUnitsCtx(ctx, c.workerCount(), len(targets), func(i int) {
+		ex, key, reexplore := c.explore(explorer, opts, targets[i])
+		run := t.BeginUnit(targets[i], ex)
+		defer run.Close()
+		run.explore = reexplore
+		fn(i, run, key)
 	})
-	return out, keys, plans, err
+}
+
+// explore concolically explores one target with explorer, which explores
+// under opts, in the target's own universe. The exploration is loaded
+// from the cache when present, and then comes with a function that
+// explores the target afresh, for its metajit plan; a fresh exploration
+// is stored. It returns the exploration's cache key too. A panic inside
+// the exploration is contained: the instruction reports zero paths, gets
+// no key, so neither it nor its units are cached (it should re-explore,
+// and re-crash visibly, on the next run), and the campaign carries on.
+func (c *Campaign) explore(explorer *concolic.Explorer, opts concolic.Options, target concolic.Target) (ex *concolic.Exploration, key string, reexplore func() *concolic.Exploration) {
+	sp := c.Config.Metrics.StartSpan(telemetry.SpanExplore)
+	defer sp.End()
+	key = c.Config.Cache.ExplorationKey(target, opts)
+	if ex, ok := c.Config.Cache.LoadExploration(key, target); ok {
+		return ex, key, func() *concolic.Exploration { return explorer.Explore(target) }
+	}
+	defer func() {
+		if p := recover(); p != nil {
+			c.panicsContained.Inc()
+			ex, key, reexplore = &concolic.Exploration{Target: target}, "", nil
+		}
+	}()
+	ex = explorer.Explore(target)
+	if c.Config.poisonExploration != nil {
+		c.Config.poisonExploration(target, ex)
+	}
+	c.Config.Cache.StoreExploration(key, ex)
+	return ex, key, nil
 }
 
 func (c *Campaign) exploreOptions() concolic.Options {
 	opts := c.Config.Explore
-	opts.InterpreterDefects = interp.DefectSwitches{
-		AsFloatSkipsTypeCheck: c.Config.Defects.AsFloatSkipsTypeCheck,
-	}
+	opts.InterpreterDefects = c.Config.Defects.Interpreter()
 	opts.Metrics = c.Config.Metrics
 	opts.NoReuse = c.Config.noReuse
 	return opts
@@ -488,21 +479,17 @@ func (c *Campaign) storeCachedUnit(key string, ir *InstructionReport) {
 	c.Config.Cache.StoreBlob("unit", key, MarshalInstructionReport(ir))
 }
 
-// testInstruction runs every curated path of one instruction against one
-// compiler on every configured ISA. The only campaign-wide state it
-// touches is the exploration's shared slots, refs for the references
-// and plan for the metajit plan, so any number of instances may run
-// concurrently; cause attribution happens in Run's serial merge pass.
-func (c *Campaign) testInstruction(tester *Tester, kind CompilerKind, target concolic.Target, ex *concolic.Exploration, refs []atomic.Pointer[pathReference], plan *planSlot) InstructionReport {
+// testInstruction runs every curated path of run's instruction against
+// one compiler on every configured ISA. It reads and extends only what
+// run holds, so it runs in the instruction's worker; cause attribution
+// happens in Run's serial merge pass.
+func (c *Campaign) testInstruction(run *UnitRun, kind CompilerKind) InstructionReport {
 	start := time.Now() //cogdiff:allow-nondeterminism timing feeds InstructionReport.TestTime, which Figures 6/7 print; no cache key hashes it
+	target, ex := run.target, run.ex
 	ir := InstructionReport{
 		Target: target,
 		Paths:  len(ex.Paths) + ex.CuratedOut,
 	}
-	// Batch the unit: each path's reference is computed once per run and
-	// its optimized compile once per unit, both reused across every ISA.
-	run := tester.beginUnit(target, ex, refs, plan)
-	defer run.Close()
 	for _, path := range ex.Paths {
 		pathCurated := false
 		pathDiffers := false

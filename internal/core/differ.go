@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync/atomic"
 
 	"cogdiff/internal/bytecode"
 	"cogdiff/internal/concolic"
@@ -69,27 +68,33 @@ func (t *Tester) SetNoReuse() { t.noReuse = true }
 // a clean catalog.
 func (t *Tester) SetNoVerify() { t.hooks.NoVerify = true }
 
-// UnitRun batches the paths of one unit (target × exploration): the
-// interpreter reference of a path is computed once and shared by every
-// (compiler, ISA) pairing and blame rerun that tests it, and so is the
-// optimized compile of a (path, compiler) pairing, which each ISA only
-// lowers. A campaign hands every unit of an exploration the same
-// reference slots and metajit plan slot, so references and the plan are
-// shared across compilers and workers too. A UnitRun is not safe for
-// concurrent use; units are the parallelism grain, so each worker drives
-// its own.
+// UnitRun batches the testing of one instruction: the interpreter
+// reference of each explored path is computed once and shared by every
+// (compiler, ISA) pairing and blame rerun that tests it, the metajit plan
+// of the exploration is built once, and the optimized compile of a
+// (path, compiler) pairing is made once and only lowered for each ISA. A
+// campaign hands one UnitRun every compiler that tests the instruction,
+// in the worker that explored it. A UnitRun is not safe for concurrent
+// use: instructions are the parallelism grain, so each worker drives its
+// own.
 type UnitRun struct {
 	t      *Tester
 	target concolic.Target
 	ex     *concolic.Exploration
 
-	// refs holds one reference slot per explored path, indexed like
-	// ex.Paths; nil under noReuse, which computes a reference per test.
-	refs []atomic.Pointer[pathReference]
-	// plan holds the metajit plan of ex; nil for a one-shot TestPath.
-	// Under noReuse it publishes nothing, so each metajit test builds
-	// its own.
-	plan *planSlot
+	// refs holds each explored path's reference once computed, indexed
+	// like ex.Paths; nil under noReuse and for a one-shot TestPath, which
+	// compute a reference per test.
+	refs []*pathReference
+	// plan is ex's metajit plan once built; under noReuse it stays nil,
+	// so each metajit test builds its own.
+	plan *metacompile.Plan
+	// explore, when non-nil, explores the target afresh for the plan: ex
+	// was decoded from the cache, which keeps neither path constraints
+	// nor frames. The cache key holds every option that shapes an
+	// exploration, so the fresh one, under the run's options, lists the
+	// cached one's paths in the same order.
+	explore func() *concolic.Exploration
 
 	// The optimized compile of the (path, compiler) pairing most recently
 	// tested. Verdicts arrive with the ISA innermost, so one slot
@@ -99,64 +104,58 @@ type UnitRun struct {
 	opt     *optimizedUnit
 }
 
-// BeginUnit starts a batched run over one unit's paths. The references
-// and the metajit plan it computes live as long as the UnitRun.
+// BeginUnit starts a batched run over one instruction's paths. The
+// references and the metajit plan it computes live as long as the
+// UnitRun.
 func (t *Tester) BeginUnit(target concolic.Target, ex *concolic.Exploration) *UnitRun {
-	return t.beginUnit(target, ex, make([]atomic.Pointer[pathReference], len(ex.Paths)), new(planSlot))
-}
-
-// beginUnit starts a batched run whose path references live in refs and
-// whose metajit plan lives in plan, slots the caller may share with
-// other units of the same exploration.
-func (t *Tester) beginUnit(target concolic.Target, ex *concolic.Exploration, refs []atomic.Pointer[pathReference], plan *planSlot) *UnitRun {
-	if t.noReuse {
-		refs = nil
+	u := &UnitRun{t: t, target: target, ex: ex}
+	if !t.noReuse {
+		u.refs = make([]*pathReference, len(ex.Paths))
 	}
-	return &UnitRun{t: t, target: target, ex: ex, refs: refs, plan: plan}
+	return u
 }
 
-// Close drops what the unit holds: its slots and memoized compile.
+// Close drops what the unit holds: its references, plan and memoized
+// compile.
 func (u *UnitRun) Close() {
-	u.refs, u.plan = nil, nil
+	u.refs, u.plan, u.explore = nil, nil, nil
 	u.optPath, u.opt = nil, nil
 }
 
 // reference returns the interpreter reference for path, computing it on
-// the first request and sharing it with every later one
-// (loadOrPublish: a computation that panics stores nothing).
+// the first request and keeping it for every later one. It is stored only
+// once its computation returns, so one that panics is never stored and
+// every later pairing computes again inside its own containment boundary.
 func (u *UnitRun) reference(path *concolic.PathResult) *pathReference {
-	return loadOrPublish(u.slot(path), func() *pathReference {
+	i := -1
+	if u.refs != nil {
+		i = u.index(path)
+	}
+	if i < 0 {
 		return u.t.newReference(u.target, u.ex, path)
-	})
+	}
+	if u.refs[i] == nil {
+		u.refs[i] = u.t.newReference(u.target, u.ex, path)
+	}
+	return u.refs[i]
 }
 
-// planSlot holds the metajit plan of one exploration a run tests.
-type planSlot struct {
-	plan atomic.Pointer[metacompile.Plan]
-	// explore, when non-nil, explores the target afresh for the plan:
-	// the run's exploration was decoded from the cache, which keeps
-	// neither path constraints nor frames. The cache key holds every
-	// option that shapes an exploration, so the fresh one, under the
-	// run's options, lists the cached one's paths in the same order.
-	explore func() *concolic.Exploration
-}
-
-// get returns the metajit plan of ex, the run's exploration of target,
-// building it on the first request and publishing it in the slot
-// (loadOrPublish: a build that panics stores nothing, so every later
-// pairing builds again inside its own containment boundary). A nil slot,
-// or noReuse, builds a plan per call.
-func (s *planSlot) get(target concolic.Target, ex *concolic.Exploration, noReuse bool) *metacompile.Plan {
-	build := func() *metacompile.Plan {
-		if s != nil && s.explore != nil {
-			ex = s.explore()
-		}
-		return metacompile.NewPlan(target.Method, ex)
+// metajitPlan returns the metajit plan of the unit's exploration, building
+// it on the first request. Like a reference, a plan whose build panics is
+// never stored.
+func (u *UnitRun) metajitPlan() *metacompile.Plan {
+	if u.plan != nil {
+		return u.plan
 	}
-	if s == nil || noReuse {
-		return build()
+	ex := u.ex
+	if u.explore != nil {
+		ex = u.explore()
 	}
-	return loadOrPublish(&s.plan, build)
+	plan := metacompile.NewPlan(u.target.Method, ex)
+	if !u.t.noReuse {
+		u.plan = plan
+	}
+	return plan
 }
 
 // index returns path's index in the unit's exploration, or -1 when path
@@ -168,18 +167,6 @@ func (u *UnitRun) index(path *concolic.PathResult) int {
 		}
 	}
 	return -1
-}
-
-// slot returns path's reference slot, or nil when references are not
-// shared or path is not one of the unit's explored paths.
-func (u *UnitRun) slot(path *concolic.PathResult) *atomic.Pointer[pathReference] {
-	if u.refs == nil {
-		return nil
-	}
-	if i := u.index(path); i >= 0 {
-		return &u.refs[i]
-	}
-	return nil
 }
 
 // The test runner's expected failures (§3.4). A path skipped for one of
@@ -232,7 +219,7 @@ func (u *UnitRun) TestPath(path *concolic.PathResult, kind CompilerKind, isa mac
 	var plan *metacompile.Plan
 	pi := -1
 	if kind == MetaJITCompiler {
-		plan, pi = u.plan.get(target, u.ex, t.noReuse), u.index(path)
+		plan, pi = u.metajitPlan(), u.index(path)
 	}
 	if reason := skipReason(target, path, kind, plan, pi); reason != "" {
 		v.Skipped, v.Reason = true, reason
@@ -285,10 +272,10 @@ func (u *UnitRun) TestPath(path *concolic.PathResult, kind CompilerKind, isa mac
 
 // TestPath runs one concolic path against one compiler on one ISA and
 // compares the observable behaviour. It is the single-shot form of a
-// UnitRun; callers testing several paths or pairings of one unit should
-// batch through BeginUnit instead.
+// UnitRun; callers testing several paths or pairings of one instruction
+// should batch through BeginUnit instead.
 func (t *Tester) TestPath(target concolic.Target, ex *concolic.Exploration, path *concolic.PathResult, kind CompilerKind, isa machine.ISA) PathVerdict {
-	return t.beginUnit(target, ex, nil, nil).TestPath(path, kind, isa)
+	return (&UnitRun{t: t, target: target, ex: ex}).TestPath(path, kind, isa)
 }
 
 // blamePath attributes a differing path verdict to a compilation stage

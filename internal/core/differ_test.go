@@ -7,7 +7,6 @@ import (
 	"cogdiff/internal/concolic"
 	"cogdiff/internal/defects"
 	"cogdiff/internal/excache"
-	"cogdiff/internal/interp"
 	"cogdiff/internal/machine"
 	"cogdiff/internal/primitives"
 )
@@ -18,7 +17,7 @@ func testHarness(t *testing.T, target concolic.Target, kind CompilerKind, sw def
 	t.Helper()
 	prims := primitives.NewTable()
 	opts := concolic.DefaultOptions()
-	opts.InterpreterDefects = interp.DefectSwitches{AsFloatSkipsTypeCheck: sw.AsFloatSkipsTypeCheck}
+	opts.InterpreterDefects = sw.Interpreter()
 	explorer := concolic.NewExplorer(prims, opts)
 	ex := explorer.Explore(target)
 	tester := NewTester(prims, sw)

@@ -13,39 +13,49 @@ import (
 	"cogdiff/internal/metacompile"
 )
 
-// DumpIR explores the target as the campaign does and renders every
-// compilation stage of one explored path: the front-end IR, the IR after
-// each optimization pass, and the lowered machine program for each
-// configured ISA. The IR stages are ISA-independent (the front-ends and
-// passes never consult the target), so they are printed once; only the
-// lowered programs differ. The compile is the one a test run makes, under the
-// campaign's defect switches: a unit the static verifier rejects renders
-// its stages through the rejected one, then the verifier's message.
+// DumpIR explores the target through eachInstruction, as a campaign
+// does, and in the same unit renders every compilation stage of one
+// explored path: the front-end IR, the IR after each optimization pass,
+// and the lowered machine program for each configured ISA. The IR stages
+// are ISA-independent (the front-ends and passes never consult the
+// target), so they are printed once; only the lowered programs differ.
+// The compile is the one a test run makes, under the campaign's defect
+// switches: a unit the static verifier rejects renders its stages
+// through the rejected one, then the verifier's message.
 //
 // Not every explored path materializes a compilable input frame (invalid
 // frames are the test runner's expected failures), so the dump uses the
-// first path that compiles. Cancelling ctx stops the explore step. A
-// fresh exploration is written to the cache before DumpIR returns.
+// first path that compiles. A cancelled ctx returns its error instead
+// of the dump. A fresh exploration is written to the cache before DumpIR
+// returns.
 func (c *Campaign) DumpIR(ctx context.Context, target concolic.Target, kind CompilerKind) (string, error) {
 	t := c.setup()
 	defer c.Config.Cache.Flush()
-	exs, _, plans, err := c.explore(ctx, []concolic.Target{target})
-	if err != nil {
+	var out string
+	var dumpErr error
+	if err := c.eachInstruction(ctx, t, []concolic.Target{target}, func(_ int, run *UnitRun, _ string) {
+		out, dumpErr = run.dumpIR(kind, c.Config.ISAs)
+	}); err != nil {
 		return "", err
 	}
-	// A metajit dump compiles from the plan of the exploration it dumps,
-	// as a test run does.
+	return out, dumpErr
+}
+
+// dumpIR renders the first of run's explored paths that compiles. A
+// metajit dump compiles from the plan of the exploration it dumps, as a
+// test run does.
+func (u *UnitRun) dumpIR(kind CompilerKind, isas []machine.ISA) (string, error) {
 	var plan *metacompile.Plan
 	if kind == MetaJITCompiler {
-		plan = plans[0].get(target, exs[0], t.noReuse)
+		plan = u.metajitPlan()
 	}
-	lastErr := fmt.Errorf("core: %s has no explored paths", target.Name)
-	for _, path := range exs[0].Paths {
-		out, err := t.dumpPathIR(target, exs[0], path, kind, plan, c.Config.ISAs)
+	lastErr := fmt.Errorf("core: %s has no explored paths", u.target.Name)
+	for _, path := range u.ex.Paths {
+		out, err := u.t.dumpPathIR(u.target, u.ex, path, kind, plan, isas)
 		if err == nil {
 			return out, nil
 		}
-		lastErr = fmt.Errorf("core: no explored path of %s compiles: %w", target.Name, err)
+		lastErr = fmt.Errorf("core: no explored path of %s compiles: %w", u.target.Name, err)
 	}
 	return "", lastErr
 }

@@ -2,8 +2,8 @@ package core
 
 // A run builds each metajit plan from the exploration it tests instead
 // of exploring the instruction again (metacompile.PlanFor). These tests
-// pin why that substitution is exact, and that the run's plan slots are
-// published like its reference slots.
+// pin why that substitution is exact, and that a run keeps each plan by
+// the rule it keeps references by.
 
 import (
 	"bytes"
@@ -104,9 +104,10 @@ func planTestConfig(workers int, noReuse bool) Config {
 }
 
 // TestSharedPlansPoolsOnOff runs metajit as a campaign and as a sweep at
-// 4 workers, where each exploration's plan is published in its run's
-// slot while other units read the exploration (the race tier runs it
-// too). Both must equal noReuse, which builds a plan per pairing, and a
+// 4 workers, where each instruction's plan is kept by the UnitRun that
+// tests it while other workers test other instructions (the race tier
+// runs it too). Both must equal noReuse, which builds a plan per
+// pairing, and a
 // serial run. So must runs whose explorations come from a cache a
 // simple-only campaign filled, where the plan is built from a fresh
 // exploration, and a campaign that replays the metajit units such a run
@@ -184,8 +185,8 @@ func poisonPlan(_ concolic.Target, ex *concolic.Exploration) {
 	}
 }
 
-// TestPlanPanicIsNeverStored pins the plan slot's panic rule, the
-// reference slot's: a plan whose build panics is never stored, so every
+// TestPlanPanicIsNeverStored pins the plan's panic rule, the
+// reference's: a plan whose build panics is never stored, so every
 // metajit pairing builds again and has its own panic contained — in a
 // campaign and in the sweep, at any worker count — and other compilers
 // testing the same exploration are unaffected.
@@ -209,7 +210,7 @@ func TestPlanPanicIsNeverStored(t *testing.T) {
 			}()
 			run.TestPath(ex.Paths[0], MetaJITCompiler, machine.ISAAmd64Like)
 		}()
-		if run.plan.plan.Load() != nil {
+		if run.plan != nil {
 			t.Fatalf("attempt %d: a panicking plan build was stored", attempt)
 		}
 	}
@@ -220,7 +221,7 @@ func TestPlanPanicIsNeverStored(t *testing.T) {
 	if v := run.TestPath(ex.Paths[0], MetaJITCompiler, machine.ISAAmd64Like); v.Differs {
 		t.Errorf("healed exploration still differs: %+v", v)
 	}
-	if run.plan.plan.Load() == nil {
+	if run.plan == nil {
 		t.Error("a plan built after the panics was not stored")
 	}
 
@@ -295,5 +296,82 @@ func TestPlanPanicIsNeverStored(t *testing.T) {
 		if got, want := reg.Counter(telemetry.MetricPanicsContained).Value(), int64(pairings/len(cfg.ISAs)); got != want {
 			t.Errorf("workers=%d: sweep contained %d panics, want one per metajit path (%d)", workers, got, want)
 		}
+	}
+}
+
+// TestWarmRunsExploreOnceForEachPlan counts what a warm run explores. A
+// sweep of the default five compilers fills a cache; a warm sweep then
+// explores a byte-code again only for its metajit plan, and only once
+// (not once per compiler or per path), so its solver calls equal those
+// of one fresh exploration of each byte-code that has an explored path
+// (a byte-code with none asks for no plan). A warm campaign without
+// metajit explores nothing.
+func TestWarmRunsExploreOnceForEachPlan(t *testing.T) {
+	dir := t.TempDir()
+	config := func(compilers []CompilerKind, reg *telemetry.Registry) Config {
+		cfg := DefaultConfig()
+		cfg.Compilers = compilers
+		if testing.Short() {
+			cfg.BytecodeFilter = func(op bytecode.Op) bool {
+				return op == bytecode.OpPrimAdd || op == bytecode.OpPrimLessThan ||
+					op == bytecode.OpPushConstantTrue || op == bytecode.OpPushThisContext
+			}
+			cfg.PrimitiveFilter = func(p *primitives.Primitive) bool { return p.Name == "primitiveAdd" }
+		}
+		cache, err := excache.Open(excache.Config{Dir: dir, Mode: excache.ModeRW, Metrics: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Cache, cfg.Metrics = cache, reg
+		return cfg
+	}
+	five := append(DefaultConfig().Compilers, MetaJITCompiler)
+	solverCalls := func(reg *telemetry.Registry) int64 { return reg.Counter(telemetry.MetricSolverCalls).Value() }
+	sweep := func(reg *telemetry.Registry) {
+		t.Helper()
+		if _, err := NewCampaign(config(five, reg)).VerifyIR(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cold := telemetry.NewRegistry()
+	sweep(cold)
+
+	// One fresh exploration of each byte-code that has an explored path.
+	camp := NewCampaign(config(five, nil))
+	scout := concolic.NewExplorer(camp.Prims, camp.exploreOptions())
+	fresh := telemetry.NewRegistry()
+	opts := camp.exploreOptions()
+	opts.Metrics = fresh
+	counting := concolic.NewExplorer(camp.Prims, opts)
+	planned, pathless := 0, 0
+	for _, target := range camp.BytecodeTargets() {
+		if len(scout.Explore(target).Paths) == 0 {
+			pathless++
+			continue
+		}
+		counting.Explore(target)
+		planned++
+	}
+	if planned == 0 || pathless == 0 {
+		t.Fatalf("%d byte-codes with explored paths and %d without; the test needs both", planned, pathless)
+	}
+
+	warm := telemetry.NewRegistry()
+	sweep(warm)
+	t.Logf("solver calls: cold sweep %d, warm sweep %d, campaign targets with a plan %d of %d", solverCalls(cold), solverCalls(warm), planned, planned+pathless)
+	if got, want := solverCalls(warm), solverCalls(fresh); got != want || want == 0 {
+		t.Errorf("warm sweep made %d solver calls, want %d: one exploration of each of the %d byte-codes with explored paths", got, want, planned)
+	}
+	if got, cold := solverCalls(warm), solverCalls(cold); got >= cold {
+		t.Errorf("warm sweep made %d solver calls, the cold one %d", got, cold)
+	}
+	if misses := warm.Counter(telemetry.MetricCacheMisses).Value(); misses != 0 {
+		t.Errorf("warm sweep missed %d explorations", misses)
+	}
+
+	campaign := telemetry.NewRegistry()
+	NewCampaign(config(DefaultConfig().Compilers, campaign)).Run()
+	if got := solverCalls(campaign); got != 0 {
+		t.Errorf("warm campaign without metajit made %d solver calls, want 0", got)
 	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"cmp"
 	"slices"
-	"sync/atomic"
 
 	"cogdiff/internal/concolic"
 	"cogdiff/internal/heap"
@@ -16,8 +15,7 @@ import (
 // map. Booting is deterministic, so replaying the words into any reset
 // environment (ReplayHeapRange, at the same watermark) puts every input
 // object at the address the frame words name: one build serves every
-// compiled run of the path. Nothing writes an input after it is built,
-// so any number of workers may replay it at once.
+// compiled run of the path. Nothing writes an input after it is built.
 type pathInput struct {
 	heapStart int
 	heapWords []heap.Word
@@ -64,8 +62,8 @@ func valueWords(vs []interp.Value) []heap.Word {
 // pathReference is the interpreter's side of every comparison of one
 // path: its input, the interpreter's exit on it, and the expectation
 // rendered from the interpreter's final state. It keeps words and
-// strings, never an environment, so a campaign run shares it read-only
-// across every compiler, ISA, blame rerun and worker that tests the path.
+// strings, never an environment, so a run shares it read-only across
+// every compiler, ISA and blame rerun that tests the path.
 type pathReference struct {
 	pathInput
 	// err is set when the input could not be built; nothing else is.
@@ -98,7 +96,7 @@ func (t *Tester) newReference(target concolic.Target, ex *concolic.Exploration, 
 	}
 	ctx := interp.NewCtx(env.om, frame, target.Method)
 	ctx.Primitives = t.Prims
-	ctx.InterpreterDefects = interp.DefectSwitches{AsFloatSkipsTypeCheck: t.Defects.AsFloatSkipsTypeCheck}
+	ctx.InterpreterDefects = t.Defects.Interpreter()
 	if target.Kind == concolic.TargetBytecode {
 		ref.exit = interp.RunInstruction(ctx)
 	} else {
@@ -211,43 +209,4 @@ func (b *objectBody) matches(om *heap.ObjectMemory, inputs map[heap.Word]int) bo
 		}
 	}
 	return true
-}
-
-// loadOrPublish returns slot's value, computing and publishing it when
-// the slot is empty. It is the one publishing rule of a run's shared
-// per-path records: a value is published only after its computation
-// returns, so a computation that panics stores nothing and every later
-// caller computes again inside its own containment boundary (sync.Once
-// would mark the panicking call as done). compute may return nil to
-// publish nothing. Computations are deterministic, so when two callers
-// race, both return the first value published. A nil slot shares
-// nothing: every call computes.
-func loadOrPublish[T any](slot *atomic.Pointer[T], compute func() *T) *T {
-	if slot == nil {
-		return compute()
-	}
-	if v := slot.Load(); v != nil {
-		return v
-	}
-	v := compute()
-	if v != nil && !slot.CompareAndSwap(nil, v) {
-		v = slot.Load()
-	}
-	return v
-}
-
-// pathSlots gives every path of every exploration one empty slot, all
-// in one allocation: a run's shared per-path records.
-func pathSlots[T any](exs []*concolic.Exploration) [][]atomic.Pointer[T] {
-	n := 0
-	for _, ex := range exs {
-		n += len(ex.Paths)
-	}
-	all := make([]atomic.Pointer[T], n)
-	out := make([][]atomic.Pointer[T], len(exs))
-	for i, ex := range exs {
-		k := len(ex.Paths)
-		out[i], all = all[:k:k], all[k:]
-	}
-	return out
 }

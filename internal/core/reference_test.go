@@ -229,7 +229,7 @@ func TestReferencePanicIsNeverStored(t *testing.T) {
 			}()
 			run.reference(ex.Paths[poisoned])
 		}()
-		if run.refs[poisoned].Load() != nil {
+		if run.refs[poisoned] != nil {
 			t.Fatalf("attempt %d: a panicking reference was stored", attempt)
 		}
 	}
@@ -264,21 +264,21 @@ func TestReferencePanicIsNeverStored(t *testing.T) {
 	}
 }
 
-// TestReferenceSharedAcrossCompilers pins the sharing itself: units of
-// different compilers handed the same slots compute each path's
-// reference once, and their verdicts equal the one-shot TestPath's,
-// which computes its own.
+// TestReferenceSharedAcrossCompilers pins the sharing itself: one
+// UnitRun testing several compilers computes each path's reference once,
+// and its verdicts equal the one-shot TestPath's, which computes its
+// own.
 func TestReferenceSharedAcrossCompilers(t *testing.T) {
 	prims := primitives.NewTable()
 	target := concolic.BytecodeTarget(bytecode.OpPrimAdd)
 	ex := concolic.NewExplorer(prims, concolic.DefaultOptions()).Explore(target)
 	tester := NewTester(prims, defects.ProductionVM())
-	refs := pathSlots[pathReference]([]*concolic.Exploration{ex})[0]
 	isas := []machine.ISA{machine.ISAAmd64Like, machine.ISAArm32Like}
 
+	run := tester.BeginUnit(target, ex)
+	defer run.Close()
 	var first []*pathReference
 	for i, kind := range bytecodeKinds {
-		run := tester.beginUnit(target, ex, refs, nil)
 		for _, p := range ex.Paths {
 			for _, isa := range isas {
 				if got, want := run.TestPath(p, kind, isa), tester.TestPath(target, ex, p, kind, isa); !reflect.DeepEqual(got, want) {
@@ -286,15 +286,15 @@ func TestReferenceSharedAcrossCompilers(t *testing.T) {
 				}
 			}
 		}
-		for pi := range refs {
-			ref := refs[pi].Load()
+		for pi := range run.refs {
+			ref := run.refs[pi]
 			if skipReason(target, ex.Paths[pi], kind, nil, pi) == "" && ref == nil {
 				t.Errorf("%s: path %d tested without storing its reference", kind, pi)
 			}
 			if i == 0 {
 				first = append(first, ref)
 			} else if ref != first[pi] {
-				t.Errorf("%s: path %d recomputed a reference an earlier unit stored", kind, pi)
+				t.Errorf("%s: path %d recomputed a reference an earlier compiler stored", kind, pi)
 			}
 		}
 	}

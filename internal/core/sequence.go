@@ -305,7 +305,7 @@ func (t *Tester) interpSequenceIn(om *heap.ObjectMemory, method *bytecode.Method
 	}
 	ctx := interp.NewCtx(om, frame, method)
 	ctx.Primitives = t.Prims
-	ctx.InterpreterDefects = interp.DefectSwitches{AsFloatSkipsTypeCheck: t.Defects.AsFloatSkipsTypeCheck}
+	ctx.InterpreterDefects = t.Defects.Interpreter()
 	for steps := 0; steps < maxSequenceSteps; steps++ {
 		if ctx.PC >= len(method.Code) {
 			notifyExit(interp.ExitMethodReturn)

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync/atomic"
 
 	"cogdiff/internal/concolic"
 	"cogdiff/internal/irverify"
@@ -94,52 +93,46 @@ func (r *VerifySweepResult) Render() string {
 // violations, and a seeded pass defect is caught — and blamed — here,
 // statically.
 //
-// Work shards over Config.Workers goroutines; rows land in slots indexed
-// by configuration order, so the rendered report is byte-identical to a
-// serial sweep.
+// Work shards over Config.Workers goroutines by instruction, as in a
+// campaign: the worker that explores an instruction compiles it for
+// every configured compiler, building each path's input once and the
+// metajit plan once. Rows land in slots indexed by configuration order,
+// so the rendered report is byte-identical to a serial sweep.
 func (c *Campaign) VerifyIR(ctx context.Context) (*VerifySweepResult, error) {
-	workers := c.workerCount()
 	tester := c.setup()
 	defer c.Config.Cache.Flush()
 
-	// Step 1: explore every instruction through the campaign's explore
-	// step, so a sweep and a campaign share cache entries.
-	bcTargets := c.BytecodeTargets()
-	nmTargets := c.PrimitiveTargets()
-	allTargets := append(append([]concolic.Target{}, bcTargets...), nmTargets...)
-	explorations, _, plans, err := c.explore(ctx, allTargets)
-	if err != nil {
-		return nil, err
-	}
-
-	// Step 2: one compile-only unit per (compiler, instruction). A unit's
-	// explored index addresses allTargets, explorations, inputs and plans;
-	// each path's input is built once and replayed for every other
-	// compiler, and each metajit plan is built from the exploration once.
-	type verifyUnit struct {
-		kind     CompilerKind
-		explored int
-	}
-	var units []verifyUnit
-	for _, kind := range c.Config.Compilers {
-		n, offset := len(bcTargets), 0
+	// Rows run in canonical (compiler, instruction) order: a compiler's
+	// rows start at its offset and hold the instructions of its kind.
+	targets, nBytecode := c.targets()
+	offsets := make([]int, len(c.Config.Compilers))
+	n := 0
+	for ci, kind := range c.Config.Compilers {
+		offsets[ci] = n
 		if kind == NativeMethodCompilerKind {
-			n, offset = len(nmTargets), len(bcTargets)
-		}
-		for i := 0; i < n; i++ {
-			units = append(units, verifyUnit{kind: kind, explored: offset + i})
+			n += len(targets) - nBytecode
+		} else {
+			n += nBytecode
 		}
 	}
-	inputs := pathSlots[pathInput](explorations)
-	rows := make([]VerifyRow, len(units))
-	if err := RunUnitsCtx(ctx, workers, len(units), func(i int) {
-		u := units[i]
-		rows[i] = c.verifyInstruction(tester, u.kind, allTargets[u.explored], explorations[u.explored], inputs[u.explored], &plans[u.explored])
+	rows := make([]VerifyRow, n)
+	if err := c.eachInstruction(ctx, tester, targets, func(i int, run *UnitRun, _ string) {
+		// Each path's input is built by the first compiler to reach it
+		// and replayed for the others; under noReuse every compile builds
+		// its own.
+		var inputs []*pathInput
+		if !tester.noReuse {
+			inputs = make([]*pathInput, len(run.ex.Paths))
+		}
+		for ci, kind := range c.Config.Compilers {
+			if row, ok := rowOf(kind, i, nBytecode); ok {
+				rows[offsets[ci]+row] = c.verifyInstruction(run, kind, inputs)
+			}
+		}
 	}); err != nil {
 		return nil, err
 	}
 
-	// Step 3: serial merge in canonical order.
 	res := &VerifySweepResult{Rows: rows}
 	for i := range rows {
 		res.Compiled += rows[i].Compiled
@@ -149,13 +142,13 @@ func (c *Campaign) VerifyIR(ctx context.Context) (*VerifySweepResult, error) {
 	return res, nil
 }
 
-// verifyInstruction compiles every (path, ISA) unit of one instruction
+// verifyInstruction compiles every (path, ISA) unit of run's instruction
 // under one compiler with the verifier on, recording violations and
 // expected skips. Each path is optimized once and lowered per ISA, so a
-// rejection is recorded for every ISA. Nothing executes. inputs holds
-// the paths' inputs and pslot the exploration's metajit plan, both
-// shared with the instruction's other compilers.
-func (c *Campaign) verifyInstruction(t *Tester, kind CompilerKind, target concolic.Target, ex *concolic.Exploration, inputs []atomic.Pointer[pathInput], pslot *planSlot) VerifyRow {
+// rejection is recorded for every ISA. Nothing executes. inputs holds the
+// paths' inputs the instruction's compilers share (nil shares none).
+func (c *Campaign) verifyInstruction(run *UnitRun, kind CompilerKind, inputs []*pathInput) VerifyRow {
+	t, target := run.t, run.target
 	row := VerifyRow{Compiler: kind, Instruction: target.Name}
 	isas := c.Config.ISAs
 	if kind == NativeMethodCompilerKind {
@@ -174,9 +167,9 @@ func (c *Campaign) verifyInstruction(t *Tester, kind CompilerKind, target concol
 		}
 		return row
 	}
-	for pi := range ex.Paths {
+	for pi := range run.ex.Paths {
 		skipped, errs := c.safeVerifyCompile(t, target, kind, isas, func(env func() *execEnv) (*optimizedUnit, bool, error) {
-			return c.optimizeForSweep(t, target, ex, pi, &inputs[pi], pslot, kind, env)
+			return optimizeForSweep(run, pi, inputs, kind, env)
 		})
 		if skipped {
 			row.Skipped++
@@ -237,42 +230,38 @@ func (c *Campaign) safeVerifyCompile(t *Tester, target concolic.Target, kind Com
 	return false, errs
 }
 
-// optimizeForSweep optimizes one path's byte-code unit for the sweep,
-// unless skipReason skips the path, ex.Paths[pi]. A metajit compile
-// reads the exploration's plan from pslot, built and published there by
-// the first path to need it. The path's input is replayed from slot, or
-// built and published there (loadOrPublish) by the first compiler to
-// reach it. Under noReuse every compile builds its own plan and input.
-func (c *Campaign) optimizeForSweep(t *Tester, target concolic.Target, ex *concolic.Exploration, pi int, slot *atomic.Pointer[pathInput], pslot *planSlot, kind CompilerKind, getEnv func() *execEnv) (*optimizedUnit, bool, error) {
-	if t.noReuse {
-		slot = nil
-	}
-	path := ex.Paths[pi]
+// optimizeForSweep optimizes the byte-code unit of run's path pi for the
+// sweep, unless skipReason skips the path. A metajit compile reads run's
+// plan. The path's input is replayed from inputs, or built and kept there
+// for the instruction's other compilers; an input whose build fails or
+// panics is never kept.
+func optimizeForSweep(run *UnitRun, pi int, inputs []*pathInput, kind CompilerKind, getEnv func() *execEnv) (*optimizedUnit, bool, error) {
+	target, path := run.target, run.ex.Paths[pi]
 	var plan *metacompile.Plan
 	if kind == MetaJITCompiler {
-		plan = pslot.get(target, ex, t.noReuse)
+		plan = run.metajitPlan()
 	}
 	if skipReason(target, path, kind, plan, pi) != "" {
 		return nil, true, nil
 	}
 	env := getEnv()
+	var in *pathInput
+	if inputs != nil {
+		in = inputs[pi]
+	}
 	var err error
-	built := false // env already holds the input
-	in := loadOrPublish(slot, func() *pathInput {
-		in := new(pathInput)
-		if _, err = in.build(env.om, target, ex, path); err != nil {
-			return nil
-		}
-		built = true
-		return in
-	})
-	if in != nil && !built {
+	if in != nil {
 		err = in.replay(env.om)
+	} else {
+		in = new(pathInput)
+		if _, err = in.build(env.om, target, run.ex, path); err == nil && inputs != nil {
+			inputs[pi] = in
+		}
 	}
 	if err != nil {
 		return nil, false, fmt.Errorf("input construction failed: %w", err)
 	}
-	return t.optimizeBytecode(env.om, modeInstruction, variantOf(kind), target.Method, in.stack, plan), false, nil
+	return run.t.optimizeBytecode(env.om, modeInstruction, variantOf(kind), target.Method, in.stack, plan), false, nil
 }
 
 // recordOutcome classifies one compile result into the row's counters:

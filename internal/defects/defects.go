@@ -9,7 +9,11 @@
 // this catalog in the evaluation harness.
 package defects
 
-import "fmt"
+import (
+	"fmt"
+
+	"cogdiff/internal/interp"
+)
 
 // Family is a defect category of Table 3.
 type Family int
@@ -115,6 +119,13 @@ func ProductionVM() Switches {
 // Pristine returns a defect-free VM (used by sanity tests: a clean VM must
 // produce only the inherent optimization differences).
 func Pristine() Switches { return Switches{} }
+
+// Interpreter returns the interpreter's share of the switches: every
+// interpreter run — exploration, reference and sequence — takes its
+// defects from here.
+func (s Switches) Interpreter() interp.DefectSwitches {
+	return interp.DefectSwitches{AsFloatSkipsTypeCheck: s.AsFloatSkipsTypeCheck}
+}
 
 // Cause is a catalog entry: one root cause as the evaluation counts them
 // (Table 3 counts causes once regardless of how many paths they fail).

@@ -9,10 +9,9 @@ import (
 	"strings"
 )
 
-// The corpus persists as JSON in the same DTO style as the concolic
-// exploration cache (internal/concolic/cache.go): a versioned envelope,
-// indented for diffability, reconstructed explicitly on load. The same
-// file round-trips between runs, so a fuzzing campaign is resumable.
+// The corpus persists as JSON: a versioned envelope, indented for
+// diffability, reconstructed explicitly on load. The same file
+// round-trips between runs, so a fuzzing campaign is resumable.
 
 type corpusDTO struct {
 	Version int    `json:"version"`

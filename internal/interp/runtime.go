@@ -10,8 +10,9 @@ import (
 
 // Runtime executes whole methods on the interpreter, resolving message
 // sends through per-class method dictionaries. It is the minimal live
-// runtime the examples and the byte-code sequence tester run programs on;
-// the differential tester itself only needs single instructions.
+// runtime examples/sequences runs a program on. No tester uses it: the
+// differential tester runs single instructions, and the sequence tester
+// steps RunInstruction itself up to a method's first boundary.
 type Runtime struct {
 	OM    *heap.ObjectMemory
 	Prims PrimitiveTable

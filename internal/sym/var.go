@@ -65,10 +65,9 @@ func (v *Var) String() string { return string(appendVar(nil, v)) }
 // Universe interns symbolic variables by role.
 //
 // A universe is safe for concurrent use. Exploration itself is
-// single-goroutine, but the parallel campaign engine shares one cached
-// exploration — and therefore its universe — across concurrent
-// differential-test units, whose frame builders intern variables on
-// demand.
+// single-goroutine, and the campaign engine tests an exploration in the
+// worker that explored it, but building a path's frame interns variables
+// on demand long after exploration, on whichever goroutine builds it.
 type Universe struct {
 	mu     sync.RWMutex
 	vars   []*Var
