@@ -11,7 +11,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test test-short test-race bench-go bench-once bench-check cache-smoke perf-smoke fuzz fuzz-smoke fuzz-codecs blame-smoke metacompile-smoke metrics-smoke verify-smoke examples-smoke fmt-check golden-update ci
+.PHONY: all build vet lint test test-short test-race bench-go bench-once bench-check cache-smoke perf-smoke fuzz fuzz-smoke fuzz-codecs blame-smoke metacompile-smoke metrics-smoke verify-smoke examples-smoke fmt-check golden-update loc ci
 
 all: build vet test
 
@@ -285,6 +285,11 @@ examples-smoke:
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
+
+# Code size: the non-test Go lines outside bench/ (its own module), over
+# the files git tracks or would track. Not a CI step.
+loc:
+	@git ls-files -co --exclude-standard -- '*.go' ':!:bench/' ':!:*_test.go' | xargs cat | wc -l
 
 # Re-capture the CLI golden files after an intentional format change.
 golden-update:

@@ -695,7 +695,7 @@ func SeededCauseInventory() map[string]int {
 	return out
 }
 
-// SortedFamilies returns family names in canonical order.
+// SortedFamilies returns the family names of m in alphabetical order.
 func SortedFamilies(m map[string]int) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {

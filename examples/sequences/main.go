@@ -1,10 +1,9 @@
 // Sequences demonstrates the extension the paper lists as future work:
-// differential testing of whole byte-code *sequences*. It first runs a
-// recursive method end to end on the interpreter's method-dictionary
-// runtime (interp.Runtime). Then the sequence tester runs synthesized
-// methods both on the interpreter, stepping it instruction by
-// instruction, and as whole-method machine code, and compares the
-// behaviours at the first boundary — method return or message send.
+// differential testing of whole byte-code *sequences*. The sequence
+// tester runs synthesized methods both on the interpreter, stepping it
+// instruction by instruction, and as whole-method machine code, and
+// compares the behaviours at the first boundary — method return or
+// message send.
 //
 //	go run ./examples/sequences
 package main
@@ -16,8 +15,6 @@ import (
 	"cogdiff/internal/bytecode"
 	"cogdiff/internal/core"
 	"cogdiff/internal/defects"
-	"cogdiff/internal/heap"
-	"cogdiff/internal/interp"
 	"cogdiff/internal/machine"
 	"cogdiff/internal/primitives"
 )
@@ -48,21 +45,9 @@ func main() {
 						Add().ReturnTop().
 						MustMethod()
 
-	// First: run fib end-to-end on the interpreter runtime (method
-	// dictionaries + nested activations).
-	om := heap.NewBootedObjectMemory()
-	prims := primitives.NewTable()
-	rt := interp.NewRuntime(om, prims)
-	rt.Install(heap.ClassIndexSmallInteger, "fib", fibM)
-	v, err := rt.SendInt(20, "fib")
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("interpreter runtime: 20 fib = %s\n\n", om.Describe(v.W))
-
-	// Second: differential sequence testing across the three byte-code
-	// compilers and both ISAs.
-	tester := core.NewTester(prims, defects.ProductionVM())
+	// Differential sequence testing across the three byte-code compilers
+	// and both ISAs.
+	tester := core.NewTester(primitives.NewTable(), defects.ProductionVM())
 	cases := []struct {
 		m  *bytecode.Method
 		in core.SequenceInput

@@ -118,11 +118,6 @@ func (b *Builder) Send(selector string, numArgs int) *Builder {
 	return b.errf("send %s: unsupported argument count %d", selector, numArgs)
 }
 
-// CallPrimitive emits the native-method invocation byte-code.
-func (b *Builder) CallPrimitive(index int) *Builder {
-	return b.emit(OpCallPrimitive, byte(index&0xff), byte(index>>8))
-}
-
 // Label binds a name to the current code offset (the target of jumps).
 func (b *Builder) Label(name string) *Builder {
 	b.labels[name] = len(b.m.Code)

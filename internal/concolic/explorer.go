@@ -13,16 +13,14 @@ import (
 
 // PathResult is one discovered execution path of an instruction: the model
 // that reaches it, the recorded path conditions, the exit condition and
-// copies of the abstract input and output frames (§3.2).
+// the abstract output frame (§3.2).
 type PathResult struct {
 	Path  sym.Path
 	Model *sym.Model
 	Exit  interp.Exit
 
-	// InputFrame and OutputFrame are deep copies taken before and after
-	// the execution; instructions have side effects, so they must be
-	// distinct objects.
-	InputFrame  *interp.Frame
+	// OutputFrame is the frame the execution ended with. Each execution
+	// builds its own frame, so no other path shares it.
 	OutputFrame *interp.Frame
 }
 
@@ -169,9 +167,10 @@ func (e *Explorer) Explore(t Target) *Exploration {
 }
 
 // runOnce performs one concolic execution under a model. The execution
-// borrows a pooled booted object memory (the result captures frames and
-// path data by value, never the memory itself) and releases it on normal
-// return; a contained panic abandons it to the GC instead.
+// borrows a pooled booted object memory (the result keeps the frame the
+// execution ran on and its path data, never the memory itself) and
+// releases it on normal return; a contained panic abandons it to the GC
+// instead.
 func (e *Explorer) runOnce(t Target, u *sym.Universe, model *sym.Model, assumed int) (*PathResult, error) {
 	var om *heap.ObjectMemory
 	if e.Opts.NoReuse {
@@ -187,7 +186,6 @@ func (e *Explorer) runOnce(t Target, u *sym.Universe, model *sym.Model, assumed 
 		}
 		return nil, err
 	}
-	input := frame.Clone()
 
 	tr := newTracer(u, assumed)
 	ctx := interp.NewCtx(om, frame, t.Method)
@@ -200,8 +198,7 @@ func (e *Explorer) runOnce(t Target, u *sym.Universe, model *sym.Model, assumed 
 		Path:        tr.path,
 		Model:       model,
 		Exit:        exit,
-		InputFrame:  input,
-		OutputFrame: frame.Clone(),
+		OutputFrame: frame,
 	}
 	if !e.Opts.NoReuse {
 		heap.ReleaseBooted(om)

@@ -226,21 +226,6 @@ func TestExploreBitShiftHasManyPaths(t *testing.T) {
 	}
 }
 
-// TestInputFramesAreCopies verifies §3.2: executing an instruction must not
-// mutate the stored input frame.
-func TestInputFramesAreCopies(t *testing.T) {
-	ex := explore(t, BytecodeTarget(bytecode.OpPrimAdd))
-	for _, p := range ex.Paths {
-		if p.Exit.Kind != interp.ExitSuccess {
-			continue
-		}
-		if p.InputFrame.Size() == p.OutputFrame.Size() {
-			t.Errorf("input frame shares size with output after push/pop: in=%d out=%d",
-				p.InputFrame.Size(), p.OutputFrame.Size())
-		}
-	}
-}
-
 // TestExplorationDeterminism: same target explored twice yields identical
 // path signatures, which the differential tester relies on for caching.
 func TestExplorationDeterminism(t *testing.T) {

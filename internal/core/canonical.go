@@ -170,15 +170,3 @@ func canonicalEqual(om *heap.ObjectMemory, ws []heap.Word, want []string, inputs
 	}
 	return true
 }
-
-func stringSlicesEqual(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}

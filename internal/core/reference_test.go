@@ -80,7 +80,7 @@ func stringHeapVerdict(want, got map[int][]string) (bool, string) {
 	}
 	slices.Sort(reps)
 	for _, rep := range reps {
-		if !stringSlicesEqual(want[rep], got[rep]) {
+		if !slices.Equal(want[rep], got[rep]) {
 			return true, fmt.Sprintf("side effects on input object %d differ: interpreter %v, compiled %v", rep, want[rep], got[rep])
 		}
 	}

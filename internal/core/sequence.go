@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"cogdiff/internal/bytecode"
 	"cogdiff/internal/heap"
@@ -232,7 +233,7 @@ func sequenceMismatch(iOut, cOut *SequenceOutcome) seqMismatch {
 		return seqResult
 	case iOut.Kind == "send" && (iOut.Selector != cOut.Selector || iOut.NumArgs != cOut.NumArgs):
 		return seqSend
-	case iOut.Kind == "send" && !stringSlicesEqual(iOut.Stack, cOut.Stack):
+	case iOut.Kind == "send" && !slices.Equal(iOut.Stack, cOut.Stack):
 		return seqFrame
 	}
 	return seqAgree

@@ -179,33 +179,3 @@ func (m *Memory) MustWrite(addr, w Word) {
 		panic(err)
 	}
 }
-
-// Snapshot copies the full contents of every region, keyed by region name.
-// Used by tests and by the differential tester to detect stray writes.
-func (m *Memory) Snapshot() map[string][]Word {
-	out := make(map[string][]Word, len(m.regions))
-	for _, r := range m.regions {
-		cp := make([]Word, len(r.words))
-		copy(cp, r.words)
-		out[r.Name] = cp
-	}
-	return out
-}
-
-// Restore writes back a snapshot taken with Snapshot.
-func (m *Memory) Restore(snap map[string][]Word) error {
-	for _, r := range m.regions {
-		saved, ok := snap[r.Name]
-		if !ok {
-			continue
-		}
-		if len(saved) != len(r.words) {
-			return fmt.Errorf("memory: snapshot size mismatch for region %q", r.Name)
-		}
-		copy(r.words, saved)
-		// A bulk restore may rewrite anything; widen the dirty span to the
-		// whole region so a later ResetToSeal stays exact.
-		r.dirtyLo, r.dirtyHi = 0, r.Size
-	}
-	return nil
-}

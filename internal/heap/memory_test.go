@@ -60,23 +60,6 @@ func TestMemoryOverlapRejected(t *testing.T) {
 	}
 }
 
-func TestMemorySnapshotRestore(t *testing.T) {
-	m := NewMemory()
-	if _, err := m.Map("a", 0, 4, true); err != nil {
-		t.Fatal(err)
-	}
-	m.MustWrite(0, 1)
-	m.MustWrite(1, 2)
-	snap := m.Snapshot()
-	m.MustWrite(0, 99)
-	if err := m.Restore(snap); err != nil {
-		t.Fatal(err)
-	}
-	if m.MustRead(0) != 1 || m.MustRead(1) != 2 {
-		t.Fatal("restore did not bring back contents")
-	}
-}
-
 func TestRegionAt(t *testing.T) {
 	m := NewMemory()
 	r, err := m.Map("a", 100, 10, true)

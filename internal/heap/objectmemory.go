@@ -402,12 +402,6 @@ func (om *ObjectMemory) StoreSlot(oop Word, index int, value Word) error {
 	return om.Mem.Write(oop+HeaderWords+Word(index), value)
 }
 
-// UnsafeFetchSlot reads a slot without bounds checking, exactly as raw
-// compiled code would. Out-of-heap reads fault.
-func (om *ObjectMemory) UnsafeFetchSlot(oop Word, index int) (Word, error) {
-	return om.Mem.Read(oop + HeaderWords + Word(index))
-}
-
 // IsFloatObject reports whether w references a boxed float.
 func (om *ObjectMemory) IsFloatObject(w Word) bool {
 	if IsSmallInt(w) {
@@ -468,9 +462,6 @@ func (om *ObjectMemory) BoolObject(b bool) Word {
 	}
 	return om.FalseObj
 }
-
-// IsBoolObject reports whether w is the true or false object.
-func (om *ObjectMemory) IsBoolObject(w Word) bool { return w == om.TrueObj || w == om.FalseObj }
 
 // Describe renders a short human-readable description of any value.
 func (om *ObjectMemory) Describe(w Word) string {

@@ -21,9 +21,6 @@ func TestBootSpecialObjects(t *testing.T) {
 	if om.BoolObject(true) != om.TrueObj || om.BoolObject(false) != om.FalseObj {
 		t.Error("BoolObject mapping wrong")
 	}
-	if !om.IsBoolObject(om.TrueObj) || om.IsBoolObject(om.NilObj) {
-		t.Error("IsBoolObject wrong")
-	}
 }
 
 func TestHeaderPackUnpack(t *testing.T) {
@@ -81,11 +78,6 @@ func TestSlotBounds(t *testing.T) {
 	}
 	if err := om.StoreSlot(oop, 5, 0); !errors.As(err, &oob) {
 		t.Fatalf("expected OOBError, got %v", err)
-	}
-	// Unsafe fetch does NOT bounds check: reading slot 2 of the 2-slot
-	// object reads the header of the next allocation instead.
-	if _, err := om.UnsafeFetchSlot(oop, 2); err != nil {
-		t.Fatalf("unsafe in-heap read should not fault: %v", err)
 	}
 }
 

@@ -33,8 +33,7 @@ func NewFrame(receiver Value, temps, stack []Value) *Frame {
 	}
 }
 
-// Clone deep-copies the frame. Input and output constraint frames must be
-// distinct copies because instructions have side effects (§3.2).
+// Clone deep-copies the frame.
 func (f *Frame) Clone() *Frame {
 	cp := *f
 	cp.Temps = append([]Value(nil), f.Temps...)
@@ -44,9 +43,6 @@ func (f *Frame) Clone() *Frame {
 
 // Size returns the operand stack depth.
 func (f *Frame) Size() int { return len(f.Stack) }
-
-// InitialInputs returns the operand stack depth at instruction start.
-func (f *Frame) InitialInputs() int { return f.initialInputs }
 
 // Push appends a value to the operand stack.
 func (f *Frame) Push(v Value) { f.Stack = append(f.Stack, v) }

@@ -218,17 +218,6 @@ func (c *Ctx) FloatValueOf(v Value) FloatValue {
 	return FloatValue{F: f, Sym: floatExprOf(v)}
 }
 
-// UnsafeFloatValue unboxes without a type check: on a non-float pointer it
-// reads whatever the first body slot holds; on a tagged integer it reads
-// heap garbage or faults (the missing-compiled-type-check failure mode).
-func (c *Ctx) UnsafeFloatValue(v Value) FloatValue {
-	f, err := c.OM.FloatValueOf(v.W)
-	if err != nil {
-		c.invalidMemory()
-	}
-	return FloatValue{F: f}
-}
-
 func floatSymOr(fv FloatValue) sym.FloatExpr {
 	if fv.Sym != nil {
 		return fv.Sym

@@ -11,11 +11,12 @@
 //	                          maps virtual registers onto a physical
 //	                          pool and assembles per-ISA machine code
 //
-// The opcode set mirrors the machine layer's one-to-one (same names,
-// same order) plus one IR-only pseudo-instruction, OpcLabel, which keeps
-// control flow symbolic until lowering. Keeping the sets aligned makes
-// lowering a cast for ordinary instructions and keeps the differential
-// tester's machine-level observations stable across the layers.
+// The machine layer executes this package's opcode set: every opcode
+// below NumMachineOpcs is a machine instruction, and the one IR-only
+// pseudo-instruction, OpcLabel, keeps control flow symbolic until
+// lowering. One opcode set means lowering keeps an ordinary
+// instruction's opcode and the differential tester's machine-level
+// observations name the same operations as the IR.
 //
 // A label is an integer ID into its function's label table, so an
 // instruction holds no pointer and the instruction slices the front-ends,
@@ -88,68 +89,78 @@ func (r Reg) String() string {
 	}
 }
 
-// Opc is an IR opcode. The constants below NumMachineOpcs mirror the
-// machine layer's opcode set name-for-name and value-for-value (the
-// lowering cast and the cross-layer parity test depend on it); OpcLabel
-// is the one IR-only pseudo-instruction.
+// Opc is an IR opcode. The machine layer executes the constants below
+// NumMachineOpcs as they are; OpcLabel is the one IR-only
+// pseudo-instruction.
 type Opc uint8
 
 const (
-	OpcNop Opc = iota
-	OpcMovR
-	OpcMovI
-	OpcLoad
-	OpcStore
-	OpcLoadX
-	OpcStoreX
-	OpcPush
-	OpcPop
-	OpcAdd
+	OpcNop    Opc = iota
+	OpcMovR       // rd <- rs1
+	OpcMovI       // rd <- imm
+	OpcLoad       // rd <- [rs1 + imm]
+	OpcStore      // [rs1 + imm] <- rs2
+	OpcLoadX      // rd <- [rs1 + rs2]
+	OpcStoreX     // [rs1 + rs2] <- rd
+	OpcPush       // [--sp] <- rs1
+	OpcPop        // rd <- [sp++]
+	OpcAdd        // rd <- rs1 + rs2
 	OpcSub
 	OpcMul
-	OpcDiv
+	OpcDiv // truncated; divisor 0 faults
 	OpcMod
 	OpcAnd
 	OpcOr
 	OpcXor
 	OpcShl
-	OpcShr
-	OpcSar
-	OpcAddI
+	OpcShr  // logical right shift
+	OpcSar  // arithmetic right shift
+	OpcAddI // rd <- rs1 + imm
 	OpcSubI
 	OpcAndI
 	OpcOrI
 	OpcShlI
 	OpcSarI
-	OpcCmp
-	OpcCmpI
-	OpcJmp
+	OpcCmp  // flags <- rs1 - rs2
+	OpcCmpI // flags <- rs1 - imm
+	OpcJmp  // pc <- the target
 	OpcJeq
 	OpcJne
 	OpcJlt
 	OpcJle
 	OpcJgt
 	OpcJge
-	OpcCall
-	OpcCallR
+	OpcCall  // push return; pc <- imm
+	OpcCallR // push return; pc <- rs1
 	OpcRet
-	OpcBrk
+	OpcBrk // breakpoint imm
 	OpcHlt
+
+	// Float operations interpret register contents as IEEE-754 bit
+	// patterns (the simulated FPU).
 	OpcFAdd
 	OpcFSub
 	OpcFMul
 	OpcFDiv
-	OpcFCmp
-	OpcI2F
-	OpcF2I
-	OpcFSqrt
-	OpcF64To32
-	OpcF32To64
+	OpcFCmp    // flags from float comparison
+	OpcI2F     // rd <- float bits of integer rs1
+	OpcF2I     // rd <- truncated integer of float bits rs1
+	OpcFSqrt   // rd <- sqrt of float bits rs1 (NaN for negative inputs)
+	OpcF64To32 // rd <- rs1 rounded through IEEE single precision
+	OpcF32To64 // rd <- float64 bits of the float32 bit pattern in rs1
+	// Libm trampolines of the runtime, modelled as macro-instructions.
 	OpcFSin
 	OpcFAtan
 	OpcFLog
 	OpcFExp
+
+	// OpcAllocFloat is the inlined allocation sequence of the JIT,
+	// modelled as one macro-instruction: allocate a boxed float whose raw
+	// bits are rs1 and leave its reference in rd. Fails (fault) when the
+	// heap is exhausted.
 	OpcAllocFloat
+	// OpcAlloc allocates an object of class index rs1 (raw) with rs2 body
+	// slots (raw), leaving the reference in rd — the allocation trampoline.
 	OpcAlloc
 	NumMachineOpcs
 )
@@ -318,17 +329,6 @@ func (f *Fn) Clone() *Fn {
 	copy(out.Instrs, f.Instrs)
 	copy(out.Labels, f.Labels)
 	return out
-}
-
-// NumInstrs counts real instructions, excluding label pseudo-ops.
-func (f *Fn) NumInstrs() int {
-	n := 0
-	for _, ins := range f.Instrs {
-		if ins.Op != OpcLabel {
-			n++
-		}
-	}
-	return n
 }
 
 // String renders the function with labels outdented, one instruction per

@@ -44,7 +44,9 @@ type Backend struct {
 	// none.
 	Passes []ir.Pass
 	// Pool is the physical register pool lowering assigns to virtual
-	// registers.
+	// registers. Front-ends that emit physical registers only (native
+	// templates, the meta-compiled front-end) leave it nil, so lowering
+	// rejects any virtual register they emit.
 	Pool []machine.Reg
 	// RequireDeopt additionally demands a reachable deoptimization stub
 	// (a Brk with BrkMetaDeopt) in the front-end's output. Set by the

@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"cogdiff/internal/heap"
+	"cogdiff/internal/ir"
 )
 
 // StopKind classifies why execution stopped.
@@ -242,70 +243,71 @@ func (c *CPU) Step() *Stop {
 type stepFn func(c *CPU, ins *Instr) *Stop
 
 // stepTable maps every opcode value to its handler; stepIllegal covers
-// the holes and the values past NumOpcs, so dispatch needs no check.
+// the holes and the values from ir.NumMachineOpcs on (the IR's label
+// pseudo-op included), so dispatch needs no check.
 var stepTable [256]stepFn
 
 func init() {
 	for op := range stepTable {
 		stepTable[op] = stepIllegal
 	}
-	for op, fn := range map[Opc]stepFn{
-		OpcNop:        stepNop,
-		OpcMovR:       stepMovR,
-		OpcMovI:       stepMovI,
-		OpcLoad:       stepLoad,
-		OpcStore:      stepStore,
-		OpcLoadX:      stepLoadX,
-		OpcStoreX:     stepStoreX,
-		OpcPush:       stepPush,
-		OpcPop:        stepPop,
-		OpcAdd:        stepAdd,
-		OpcSub:        stepSub,
-		OpcMul:        stepMul,
-		OpcDiv:        stepDiv,
-		OpcMod:        stepMod,
-		OpcAnd:        stepAnd,
-		OpcOr:         stepOr,
-		OpcXor:        stepXor,
-		OpcShl:        stepShl,
-		OpcShr:        stepShr,
-		OpcSar:        stepSar,
-		OpcAddI:       stepAddI,
-		OpcSubI:       stepSubI,
-		OpcAndI:       stepAndI,
-		OpcOrI:        stepOrI,
-		OpcShlI:       stepShlI,
-		OpcSarI:       stepSarI,
-		OpcCmp:        stepCmp,
-		OpcCmpI:       stepCmpI,
-		OpcFCmp:       stepFCmp,
-		OpcJmp:        stepJmp,
-		OpcJeq:        stepJeq,
-		OpcJne:        stepJne,
-		OpcJlt:        stepJlt,
-		OpcJle:        stepJle,
-		OpcJgt:        stepJgt,
-		OpcJge:        stepJge,
-		OpcCall:       stepCall,
-		OpcCallR:      stepCallR,
-		OpcRet:        stepRet,
-		OpcBrk:        stepBrk,
-		OpcHlt:        stepHlt,
-		OpcFAdd:       stepFAdd,
-		OpcFSub:       stepFSub,
-		OpcFMul:       stepFMul,
-		OpcFDiv:       stepFDiv,
-		OpcI2F:        stepI2F,
-		OpcF2I:        stepF2I,
-		OpcFSqrt:      stepFSqrt,
-		OpcFSin:       stepFSin,
-		OpcFAtan:      stepFAtan,
-		OpcFLog:       stepFLog,
-		OpcFExp:       stepFExp,
-		OpcF64To32:    stepF64To32,
-		OpcF32To64:    stepF32To64,
-		OpcAllocFloat: stepAllocFloat,
-		OpcAlloc:      stepAlloc,
+	for op, fn := range map[ir.Opc]stepFn{
+		ir.OpcNop:        stepNop,
+		ir.OpcMovR:       stepMovR,
+		ir.OpcMovI:       stepMovI,
+		ir.OpcLoad:       stepLoad,
+		ir.OpcStore:      stepStore,
+		ir.OpcLoadX:      stepLoadX,
+		ir.OpcStoreX:     stepStoreX,
+		ir.OpcPush:       stepPush,
+		ir.OpcPop:        stepPop,
+		ir.OpcAdd:        stepAdd,
+		ir.OpcSub:        stepSub,
+		ir.OpcMul:        stepMul,
+		ir.OpcDiv:        stepDiv,
+		ir.OpcMod:        stepMod,
+		ir.OpcAnd:        stepAnd,
+		ir.OpcOr:         stepOr,
+		ir.OpcXor:        stepXor,
+		ir.OpcShl:        stepShl,
+		ir.OpcShr:        stepShr,
+		ir.OpcSar:        stepSar,
+		ir.OpcAddI:       stepAddI,
+		ir.OpcSubI:       stepSubI,
+		ir.OpcAndI:       stepAndI,
+		ir.OpcOrI:        stepOrI,
+		ir.OpcShlI:       stepShlI,
+		ir.OpcSarI:       stepSarI,
+		ir.OpcCmp:        stepCmp,
+		ir.OpcCmpI:       stepCmpI,
+		ir.OpcFCmp:       stepFCmp,
+		ir.OpcJmp:        stepJmp,
+		ir.OpcJeq:        stepJeq,
+		ir.OpcJne:        stepJne,
+		ir.OpcJlt:        stepJlt,
+		ir.OpcJle:        stepJle,
+		ir.OpcJgt:        stepJgt,
+		ir.OpcJge:        stepJge,
+		ir.OpcCall:       stepCall,
+		ir.OpcCallR:      stepCallR,
+		ir.OpcRet:        stepRet,
+		ir.OpcBrk:        stepBrk,
+		ir.OpcHlt:        stepHlt,
+		ir.OpcFAdd:       stepFAdd,
+		ir.OpcFSub:       stepFSub,
+		ir.OpcFMul:       stepFMul,
+		ir.OpcFDiv:       stepFDiv,
+		ir.OpcI2F:        stepI2F,
+		ir.OpcF2I:        stepF2I,
+		ir.OpcFSqrt:      stepFSqrt,
+		ir.OpcFSin:       stepFSin,
+		ir.OpcFAtan:      stepFAtan,
+		ir.OpcFLog:       stepFLog,
+		ir.OpcFExp:       stepFExp,
+		ir.OpcF64To32:    stepF64To32,
+		ir.OpcF32To64:    stepF32To64,
+		ir.OpcAllocFloat: stepAllocFloat,
+		ir.OpcAlloc:      stepAlloc,
 	} {
 		stepTable[op] = fn
 	}

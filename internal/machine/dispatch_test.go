@@ -18,20 +18,20 @@ import (
 func dispatchProg(t *testing.T) *Program {
 	t.Helper()
 	return program(
-		Instr{Op: OpcMovI, Rd: R0, Imm: 0},          // acc
-		Instr{Op: OpcMovI, Rd: R1, Imm: 1},          // i
-		Instr{Op: OpcMovI, Rd: R2, Imm: 10},         // limit
-		Instr{Op: OpcAdd, Rd: R0, Rs1: R0, Rs2: R1}, // 3: loop
-		Instr{Op: OpcAddI, Rd: R1, Rs1: R1, Imm: 1},
-		Instr{Op: OpcCmp, Rs1: R1, Rs2: R2},
-		Instr{Op: OpcJlt, Imm: at(3)},
-		Instr{Op: OpcPush, Rs1: R0},
-		Instr{Op: OpcPop, Rd: R3},
-		Instr{Op: OpcShlI, Rd: R3, Rs1: R3, Imm: 1},
-		Instr{Op: OpcCall, Imm: at(12)},
-		Instr{Op: OpcJmp, Imm: at(13)},
-		Instr{Op: OpcRet}, // 12
-		hlt)               // 13: done
+		Instr{Op: ir.OpcMovI, Rd: R0, Imm: 0},          // acc
+		Instr{Op: ir.OpcMovI, Rd: R1, Imm: 1},          // i
+		Instr{Op: ir.OpcMovI, Rd: R2, Imm: 10},         // limit
+		Instr{Op: ir.OpcAdd, Rd: R0, Rs1: R0, Rs2: R1}, // 3: loop
+		Instr{Op: ir.OpcAddI, Rd: R1, Rs1: R1, Imm: 1},
+		Instr{Op: ir.OpcCmp, Rs1: R1, Rs2: R2},
+		Instr{Op: ir.OpcJlt, Imm: at(3)},
+		Instr{Op: ir.OpcPush, Rs1: R0},
+		Instr{Op: ir.OpcPop, Rd: R3},
+		Instr{Op: ir.OpcShlI, Rd: R3, Rs1: R3, Imm: 1},
+		Instr{Op: ir.OpcCall, Imm: at(12)},
+		Instr{Op: ir.OpcJmp, Imm: at(13)},
+		Instr{Op: ir.OpcRet}, // 12
+		hlt)                  // 13: done
 }
 
 func TestRunMatchesSingleStepping(t *testing.T) {
@@ -70,14 +70,14 @@ func TestRunMatchesSingleStepping(t *testing.T) {
 func TestStepTableCoversEveryOpcode(t *testing.T) {
 	for op := range stepTable {
 		if stepTable[op] == nil {
-			t.Errorf("opcode %s resolves to a nil handler", Opc(op))
+			t.Errorf("opcode %s resolves to a nil handler", ir.Opc(op))
 		}
 	}
 }
 
 func TestIllegalOpcodeStops(t *testing.T) {
 	c := newCPU(t)
-	p := program(Instr{Op: NumOpcs + 3})
+	p := program(Instr{Op: ir.NumMachineOpcs + 3})
 	c.Install(p)
 	stop := c.Run(10)
 	if stop.Kind != StopFault {

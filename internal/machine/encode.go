@@ -3,6 +3,8 @@ package machine
 import (
 	"encoding/binary"
 	"fmt"
+
+	"cogdiff/internal/ir"
 )
 
 // ISA identifies a target instruction-set encoding. The simulated CPU
@@ -30,11 +32,12 @@ func (i ISA) String() string {
 }
 
 // needsImm reports whether the opcode carries an immediate operand.
-func needsImm(op Opc) bool {
+func needsImm(op ir.Opc) bool {
 	switch op {
-	case OpcMovI, OpcLoad, OpcStore, OpcAddI, OpcSubI, OpcAndI, OpcOrI,
-		OpcShlI, OpcSarI, OpcCmpI, OpcJmp, OpcJeq, OpcJne, OpcJlt, OpcJle,
-		OpcJgt, OpcJge, OpcCall, OpcBrk:
+	case ir.OpcMovI, ir.OpcLoad, ir.OpcStore, ir.OpcAddI, ir.OpcSubI,
+		ir.OpcAndI, ir.OpcOrI, ir.OpcShlI, ir.OpcSarI, ir.OpcCmpI,
+		ir.OpcJmp, ir.OpcJeq, ir.OpcJne, ir.OpcJlt, ir.OpcJle, ir.OpcJgt,
+		ir.OpcJge, ir.OpcCall, ir.OpcBrk:
 		return true
 	}
 	return false
@@ -107,7 +110,7 @@ func Decode(code []byte, base int64, isa ISA) (*Program, error) {
 			if i+3 > len(code) {
 				return nil, fmt.Errorf("machine: truncated instruction at %d", i)
 			}
-			ins.Op = Opc(code[i])
+			ins.Op = ir.Opc(code[i])
 			ins.Rd = Reg(code[i+1] >> 4)
 			ins.Rs1 = Reg(code[i+1] & 0xF)
 			ins.Rs2 = Reg(code[i+2])
@@ -136,7 +139,7 @@ func Decode(code []byte, base int64, isa ISA) (*Program, error) {
 			if i+8 > len(code) {
 				return nil, fmt.Errorf("machine: truncated instruction at %d", i)
 			}
-			ins.Op = Opc(code[i])
+			ins.Op = ir.Opc(code[i])
 			ins.Rd = Reg(code[i+1] >> 4)
 			ins.Rs1 = Reg(code[i+1] & 0xF)
 			ins.Rs2 = Reg(code[i+2])
@@ -145,7 +148,7 @@ func Decode(code []byte, base int64, isa ISA) (*Program, error) {
 		default:
 			return nil, fmt.Errorf("machine: unknown ISA %d", isa)
 		}
-		if ins.Op >= NumOpcs {
+		if ins.Op >= ir.NumMachineOpcs {
 			return nil, fmt.Errorf("machine: illegal opcode %d", ins.Op)
 		}
 		instrs = append(instrs, ins)

@@ -4,10 +4,16 @@
 // memory traps. It replaces the Unicorn-based simulation of the paper's
 // testing infrastructure (Fig. 4) and provides the observation points the
 // differential tester needs: sentinel returns, trampoline calls,
-// breakpoint hits and faults.
+// breakpoint hits and faults. It executes the IR's opcode set: every
+// ir.Opc below ir.NumMachineOpcs is a machine opcode, so lowering keeps
+// an instruction's opcode as it is.
 package machine
 
-import "fmt"
+import (
+	"fmt"
+
+	"cogdiff/internal/ir"
+)
 
 // Reg names a machine register. R0..R7 are general purpose; SP and FP are
 // the stack and frame pointers.
@@ -53,110 +59,9 @@ const (
 	ClassSelectorReg  = R7
 )
 
-// Opc is a machine opcode.
-type Opc uint8
-
-const (
-	OpcNop    Opc = iota
-	OpcMovR       // rd <- rs1
-	OpcMovI       // rd <- imm
-	OpcLoad       // rd <- [rs1 + imm]
-	OpcStore      // [rs1 + imm] <- rs2
-	OpcLoadX      // rd <- [rs1 + rs2]
-	OpcStoreX     // [rs1 + rs2] <- rd
-	OpcPush       // [--sp] <- rs1
-	OpcPop        // rd <- [sp++]
-	OpcAdd        // rd <- rs1 + rs2
-	OpcSub
-	OpcMul
-	OpcDiv // truncated; divisor 0 faults
-	OpcMod
-	OpcAnd
-	OpcOr
-	OpcXor
-	OpcShl
-	OpcShr  // logical right shift
-	OpcSar  // arithmetic right shift
-	OpcAddI // rd <- rs1 + imm
-	OpcSubI
-	OpcAndI
-	OpcOrI
-	OpcShlI
-	OpcSarI
-	OpcCmp  // flags <- rs1 - rs2
-	OpcCmpI // flags <- rs1 - imm
-	OpcJmp  // pc <- imm
-	OpcJeq
-	OpcJne
-	OpcJlt
-	OpcJle
-	OpcJgt
-	OpcJge
-	OpcCall  // push return; pc <- imm
-	OpcCallR // push return; pc <- rs1
-	OpcRet
-	OpcBrk // breakpoint imm
-	OpcHlt
-
-	// Float operations interpret register contents as IEEE-754 bit
-	// patterns (the simulated FPU).
-	OpcFAdd
-	OpcFSub
-	OpcFMul
-	OpcFDiv
-	OpcFCmp    // flags from float comparison
-	OpcI2F     // rd <- float bits of integer rs1
-	OpcF2I     // rd <- truncated integer of float bits rs1
-	OpcFSqrt   // rd <- sqrt of float bits rs1 (NaN for negative inputs)
-	OpcF64To32 // rd <- rs1 rounded through IEEE single precision
-	OpcF32To64 // rd <- float64 bits of the float32 bit pattern in rs1
-	// Libm trampolines of the runtime, modelled as macro-instructions.
-	OpcFSin
-	OpcFAtan
-	OpcFLog
-	OpcFExp
-
-	// OpcAllocFloat is the inlined allocation sequence of the JIT,
-	// modelled as one macro-instruction: allocate a boxed float whose raw
-	// bits are rs1 and leave its reference in rd. Fails (fault) when the
-	// heap is exhausted.
-	OpcAllocFloat
-	// OpcAlloc allocates an object of class index rs1 (raw) with rs2 body
-	// slots (raw), leaving the reference in rd — the allocation trampoline.
-	OpcAlloc
-
-	NumOpcs
-)
-
-var opcNames = map[Opc]string{
-	OpcNop: "nop", OpcMovR: "mov", OpcMovI: "movi", OpcLoad: "load",
-	OpcStore: "store", OpcLoadX: "loadx", OpcStoreX: "storex",
-	OpcPush: "push", OpcPop: "pop",
-	OpcAdd: "add", OpcSub: "sub", OpcMul: "mul", OpcDiv: "div", OpcMod: "mod",
-	OpcAnd: "and", OpcOr: "or", OpcXor: "xor", OpcShl: "shl", OpcShr: "shr", OpcSar: "sar",
-	OpcAddI: "addi", OpcSubI: "subi", OpcAndI: "andi", OpcOrI: "ori",
-	OpcShlI: "shli", OpcSarI: "sari",
-	OpcCmp: "cmp", OpcCmpI: "cmpi",
-	OpcJmp: "jmp", OpcJeq: "jeq", OpcJne: "jne", OpcJlt: "jlt",
-	OpcJle: "jle", OpcJgt: "jgt", OpcJge: "jge",
-	OpcCall: "call", OpcCallR: "callr", OpcRet: "ret", OpcBrk: "brk", OpcHlt: "hlt",
-	OpcFAdd: "fadd", OpcFSub: "fsub", OpcFMul: "fmul", OpcFDiv: "fdiv",
-	OpcFCmp: "fcmp", OpcI2F: "i2f", OpcF2I: "f2i",
-	OpcFSqrt: "fsqrt", OpcF64To32: "f64to32", OpcF32To64: "f32to64",
-	OpcFSin: "fsin", OpcFAtan: "fatan", OpcFLog: "flog", OpcFExp: "fexp",
-	OpcAllocFloat: "allocfloat", OpcAlloc: "alloc",
-}
-
-func (o Opc) String() string {
-	if n, ok := opcNames[o]; ok {
-		return n
-	}
-	return fmt.Sprintf("opc%d", int(o))
-}
-
 // Instr is one decoded machine instruction.
 type Instr struct {
-	Op       Opc
+	Op       ir.Opc
 	Rd       Reg
 	Rs1, Rs2 Reg
 	Imm      int64
@@ -164,35 +69,35 @@ type Instr struct {
 
 func (i Instr) String() string {
 	switch i.Op {
-	case OpcNop, OpcRet, OpcHlt:
+	case ir.OpcNop, ir.OpcRet, ir.OpcHlt:
 		return i.Op.String()
-	case OpcMovI:
+	case ir.OpcMovI:
 		return fmt.Sprintf("%s %s, %d", i.Op, i.Rd, i.Imm)
-	case OpcMovR:
+	case ir.OpcMovR:
 		return fmt.Sprintf("%s %s, %s", i.Op, i.Rd, i.Rs1)
-	case OpcLoad:
+	case ir.OpcLoad:
 		return fmt.Sprintf("%s %s, [%s%+d]", i.Op, i.Rd, i.Rs1, i.Imm)
-	case OpcStore:
+	case ir.OpcStore:
 		return fmt.Sprintf("%s [%s%+d], %s", i.Op, i.Rs1, i.Imm, i.Rs2)
-	case OpcPush:
+	case ir.OpcPush:
 		return fmt.Sprintf("%s %s", i.Op, i.Rs1)
-	case OpcPop:
+	case ir.OpcPop:
 		return fmt.Sprintf("%s %s", i.Op, i.Rd)
-	case OpcAddI, OpcSubI, OpcAndI, OpcOrI, OpcShlI, OpcSarI:
+	case ir.OpcAddI, ir.OpcSubI, ir.OpcAndI, ir.OpcOrI, ir.OpcShlI, ir.OpcSarI:
 		return fmt.Sprintf("%s %s, %s, %d", i.Op, i.Rd, i.Rs1, i.Imm)
-	case OpcCmp, OpcFCmp:
+	case ir.OpcCmp, ir.OpcFCmp:
 		return fmt.Sprintf("%s %s, %s", i.Op, i.Rs1, i.Rs2)
-	case OpcCmpI:
+	case ir.OpcCmpI:
 		return fmt.Sprintf("%s %s, %d", i.Op, i.Rs1, i.Imm)
-	case OpcJmp, OpcJeq, OpcJne, OpcJlt, OpcJle, OpcJgt, OpcJge, OpcCall:
+	case ir.OpcJmp, ir.OpcJeq, ir.OpcJne, ir.OpcJlt, ir.OpcJle, ir.OpcJgt, ir.OpcJge, ir.OpcCall:
 		return fmt.Sprintf("%s %#x", i.Op, uint64(i.Imm))
-	case OpcCallR:
+	case ir.OpcCallR:
 		return fmt.Sprintf("%s %s", i.Op, i.Rs1)
-	case OpcBrk:
+	case ir.OpcBrk:
 		return fmt.Sprintf("%s %d", i.Op, i.Imm)
-	case OpcI2F, OpcF2I:
+	case ir.OpcI2F, ir.OpcF2I:
 		return fmt.Sprintf("%s %s, %s", i.Op, i.Rd, i.Rs1)
-	case OpcAllocFloat:
+	case ir.OpcAllocFloat:
 		return fmt.Sprintf("%s %s, %s", i.Op, i.Rd, i.Rs1)
 	default:
 		return fmt.Sprintf("%s %s, %s, %s", i.Op, i.Rd, i.Rs1, i.Rs2)
@@ -202,7 +107,7 @@ func (i Instr) String() string {
 // IsJump reports whether the instruction is a (conditional) jump.
 func (i Instr) IsJump() bool {
 	switch i.Op {
-	case OpcJmp, OpcJeq, OpcJne, OpcJlt, OpcJle, OpcJgt, OpcJge:
+	case ir.OpcJmp, ir.OpcJeq, ir.OpcJne, ir.OpcJlt, ir.OpcJle, ir.OpcJgt, ir.OpcJge:
 		return true
 	}
 	return false

@@ -71,19 +71,19 @@ func Lower(f *ir.Fn, isa ISA, base int64, pool []Reg) (*Program, error) {
 		if err != nil {
 			return nil, err
 		}
-		m := Instr{Op: Opc(ins.Op), Rd: rd, Rs1: rs1, Rs2: rs2, Imm: ins.Imm}
+		m := Instr{Op: ins.Op, Rd: rd, Rs1: rs1, Rs2: rs2, Imm: ins.Imm}
 		switch {
 		case ins.IsJump():
 			// The label ID rides in Imm until the second pass below
 			// replaces it with the label's address.
 			m.Imm = int64(ins.Label)
 			out = append(out, m)
-		case m.Op == OpcMovR && m.Rd == m.Rs1:
+		case m.Op == ir.OpcMovR && m.Rd == m.Rs1:
 			// The move's operands collapsed onto one physical register.
-		case m.Op == OpcCmpI && isa == ISAArm32Like && (m.Imm >= armImmLimit || m.Imm <= -armImmLimit):
+		case m.Op == ir.OpcCmpI && isa == ISAArm32Like && (m.Imm >= armImmLimit || m.Imm <= -armImmLimit):
 			out = append(out,
-				Instr{Op: OpcMovI, Rd: ScratchReg, Imm: m.Imm},
-				Instr{Op: OpcCmp, Rs1: m.Rs1, Rs2: ScratchReg})
+				Instr{Op: ir.OpcMovI, Rd: ScratchReg, Imm: m.Imm},
+				Instr{Op: ir.OpcCmp, Rs1: m.Rs1, Rs2: ScratchReg})
 		default:
 			out = append(out, m)
 		}

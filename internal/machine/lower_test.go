@@ -7,24 +7,6 @@ import (
 	"cogdiff/internal/ir"
 )
 
-// TestIROpcodeMirror pins the sed-friendly contract between the IR and
-// the machine layer: every machine opcode has an IR twin with the same
-// value and the same mnemonic, and the only IR-side extension is the
-// label pseudo-op.
-func TestIROpcodeMirror(t *testing.T) {
-	if int(ir.NumMachineOpcs) != int(NumOpcs) {
-		t.Fatalf("ir.NumMachineOpcs = %d, machine.NumOpcs = %d", ir.NumMachineOpcs, NumOpcs)
-	}
-	for op := Opc(0); op < NumOpcs; op++ {
-		if got, want := ir.Opc(op).String(), op.String(); got != want {
-			t.Errorf("opcode %d: ir %q, machine %q", op, got, want)
-		}
-	}
-	if ir.OpcLabel.String() != "label" {
-		t.Errorf("ir.OpcLabel.String() = %q", ir.OpcLabel.String())
-	}
-}
-
 // TestIRRegisterMirror pins the register numbering contract Lower's
 // physical pass-through cast depends on.
 func TestIRRegisterMirror(t *testing.T) {
@@ -63,10 +45,10 @@ func TestLowerMapsVirtualRegisters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ins := prog.Instrs[0]; ins.Op != OpcMovI || ins.Rd != TempReg {
+	if ins := prog.Instrs[0]; ins.Op != ir.OpcMovI || ins.Rd != TempReg {
 		t.Fatalf("v0 -> %s, want %s: %s", ins.Rd, TempReg, ins)
 	}
-	if ins := prog.Instrs[1]; ins.Op != OpcMovR || ins.Rd != ExtraReg || ins.Rs1 != TempReg {
+	if ins := prog.Instrs[1]; ins.Op != ir.OpcMovR || ins.Rd != ExtraReg || ins.Rs1 != TempReg {
 		t.Fatalf("v1 <- v0 lowered to %s", ins)
 	}
 
@@ -93,7 +75,7 @@ func TestLowerDropsCollapsedSelfMoves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if prog.Len() != 1 || prog.Instrs[0].Op != OpcRet {
+	if prog.Len() != 1 || prog.Instrs[0].Op != ir.OpcRet {
 		t.Fatalf("collapsed self-move survived lowering:\n%s", prog.Disassemble())
 	}
 }
@@ -115,7 +97,7 @@ func TestLowerResolvesLabels(t *testing.T) {
 	}
 	// Label at IR index 2 is machine address CodeBase+2 (the label itself
 	// emits nothing).
-	if ins := prog.Instrs[0]; ins.Op != OpcJmp || ins.Imm != CodeBase+2 {
+	if ins := prog.Instrs[0]; ins.Op != ir.OpcJmp || ins.Imm != CodeBase+2 {
 		t.Fatalf("jump lowered to %s, want jmp %#x", ins, uint64(CodeBase+2))
 	}
 }
@@ -137,7 +119,7 @@ func TestLowerMaterializesLargeCompareImmediates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if amd.Len() != 2 || amd.Instrs[0].Op != OpcCmpI {
+	if amd.Len() != 2 || amd.Instrs[0].Op != ir.OpcCmpI {
 		t.Fatalf("amd64-like must compare directly:\n%s", amd.Disassemble())
 	}
 
@@ -145,7 +127,7 @@ func TestLowerMaterializesLargeCompareImmediates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if arm.Len() != 3 || arm.Instrs[0].Op != OpcMovI || arm.Instrs[0].Rd != ScratchReg || arm.Instrs[1].Op != OpcCmp {
+	if arm.Len() != 3 || arm.Instrs[0].Op != ir.OpcMovI || arm.Instrs[0].Rd != ScratchReg || arm.Instrs[1].Op != ir.OpcCmp {
 		t.Fatalf("arm32-like must materialize through the scratch register:\n%s", arm.Disassemble())
 	}
 
@@ -158,7 +140,7 @@ func TestLowerMaterializesLargeCompareImmediates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if arm.Len() != 2 || arm.Instrs[0].Op != OpcCmpI {
+	if arm.Len() != 2 || arm.Instrs[0].Op != ir.OpcCmpI {
 		t.Fatalf("small immediate must not be materialized:\n%s", arm.Disassemble())
 	}
 }

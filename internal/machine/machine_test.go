@@ -31,7 +31,7 @@ func program(instrs ...Instr) *Program {
 // program.
 func at(k int) int64 { return CodeBase + int64(k) }
 
-var hlt = Instr{Op: OpcHlt}
+var hlt = Instr{Op: ir.OpcHlt}
 
 func runProg(t *testing.T, c *CPU, p *Program) *Stop {
 	t.Helper()
@@ -42,9 +42,9 @@ func runProg(t *testing.T, c *CPU, p *Program) *Stop {
 func TestArithmeticAndHalt(t *testing.T) {
 	c := newCPU(t)
 	p := program(
-		Instr{Op: OpcMovI, Rd: R0, Imm: 20},
-		Instr{Op: OpcMovI, Rd: R1, Imm: 22},
-		Instr{Op: OpcAdd, Rd: R2, Rs1: R0, Rs2: R1},
+		Instr{Op: ir.OpcMovI, Rd: R0, Imm: 20},
+		Instr{Op: ir.OpcMovI, Rd: R1, Imm: 22},
+		Instr{Op: ir.OpcAdd, Rd: R2, Rs1: R0, Rs2: R1},
 		hlt)
 	stop := runProg(t, c, p)
 	if stop.Kind != StopHalt {
@@ -58,11 +58,11 @@ func TestArithmeticAndHalt(t *testing.T) {
 func TestPushPopAndStack(t *testing.T) {
 	c := newCPU(t)
 	p := program(
-		Instr{Op: OpcMovI, Rd: R0, Imm: 7},
-		Instr{Op: OpcPush, Rs1: R0},
-		Instr{Op: OpcMovI, Rd: R0, Imm: 9},
-		Instr{Op: OpcPush, Rs1: R0},
-		Instr{Op: OpcPop, Rd: R1},
+		Instr{Op: ir.OpcMovI, Rd: R0, Imm: 7},
+		Instr{Op: ir.OpcPush, Rs1: R0},
+		Instr{Op: ir.OpcMovI, Rd: R0, Imm: 9},
+		Instr{Op: ir.OpcPush, Rs1: R0},
+		Instr{Op: ir.OpcPop, Rd: R1},
 		hlt)
 	stop := runProg(t, c, p)
 	if stop.Kind != StopHalt || c.Regs[R1] != 9 {
@@ -80,12 +80,12 @@ func TestPushPopAndStack(t *testing.T) {
 func TestConditionalJumps(t *testing.T) {
 	c := newCPU(t)
 	p := program(
-		Instr{Op: OpcMovI, Rd: R0, Imm: 5},
-		Instr{Op: OpcCmpI, Rs1: R0, Imm: 10},
-		Instr{Op: OpcJlt, Imm: at(5)},
-		Instr{Op: OpcMovI, Rd: R1, Imm: 0},
+		Instr{Op: ir.OpcMovI, Rd: R0, Imm: 5},
+		Instr{Op: ir.OpcCmpI, Rs1: R0, Imm: 10},
+		Instr{Op: ir.OpcJlt, Imm: at(5)},
+		Instr{Op: ir.OpcMovI, Rd: R1, Imm: 0},
 		hlt,
-		Instr{Op: OpcMovI, Rd: R1, Imm: 1}, // 5
+		Instr{Op: ir.OpcMovI, Rd: R1, Imm: 1}, // 5
 		hlt)
 	stop := runProg(t, c, p)
 	if stop.Kind != StopHalt || c.Regs[R1] != 1 {
@@ -95,7 +95,7 @@ func TestConditionalJumps(t *testing.T) {
 
 func TestSentinelReturn(t *testing.T) {
 	c := newCPU(t)
-	p := program(Instr{Op: OpcRet})
+	p := program(Instr{Op: ir.OpcRet})
 	c.Install(p)
 	// Seed the sentinel return address like the harness does.
 	if err := c.push(SentinelReturn); err != nil {
@@ -110,12 +110,12 @@ func TestSentinelReturn(t *testing.T) {
 func TestCallAndReturn(t *testing.T) {
 	c := newCPU(t)
 	p := program(
-		Instr{Op: OpcCall, Imm: at(3)}, // call the "callee" below
-		Instr{Op: OpcMovI, Rd: R1, Imm: 99},
+		Instr{Op: ir.OpcCall, Imm: at(3)}, // call the "callee" below
+		Instr{Op: ir.OpcMovI, Rd: R1, Imm: 99},
 		hlt,
 		// callee:
-		Instr{Op: OpcMovI, Rd: R0, Imm: 42},
-		Instr{Op: OpcRet})
+		Instr{Op: ir.OpcMovI, Rd: R0, Imm: 42},
+		Instr{Op: ir.OpcRet})
 	stop := runProg(t, c, p)
 	if stop.Kind != StopHalt || c.Regs[R0] != 42 || c.Regs[R1] != 99 {
 		t.Fatalf("call/ret: %v r0=%d r1=%d", stop, c.Regs[R0], c.Regs[R1])
@@ -125,8 +125,8 @@ func TestCallAndReturn(t *testing.T) {
 func TestTrampolineStops(t *testing.T) {
 	c := newCPU(t)
 	p := program(
-		Instr{Op: OpcMovI, Rd: ClassSelectorReg, Imm: 3},
-		Instr{Op: OpcCall, Imm: SendTrampoline})
+		Instr{Op: ir.OpcMovI, Rd: ClassSelectorReg, Imm: 3},
+		Instr{Op: ir.OpcCall, Imm: SendTrampoline})
 	stop := runProg(t, c, p)
 	if stop.Kind != StopTrampoline || stop.TrampolineAddr != SendTrampoline {
 		t.Fatalf("stop %v", stop)
@@ -138,7 +138,7 @@ func TestTrampolineStops(t *testing.T) {
 
 func TestBreakpoint(t *testing.T) {
 	c := newCPU(t)
-	p := program(Instr{Op: OpcBrk, Imm: 17})
+	p := program(Instr{Op: ir.OpcBrk, Imm: 17})
 	stop := runProg(t, c, p)
 	if stop.Kind != StopBreakpoint || stop.BreakID != 17 {
 		t.Fatalf("stop %v", stop)
@@ -148,8 +148,8 @@ func TestBreakpoint(t *testing.T) {
 func TestMemoryFault(t *testing.T) {
 	c := newCPU(t)
 	p := program(
-		Instr{Op: OpcMovI, Rd: R0, Imm: 0x999999},
-		Instr{Op: OpcLoad, Rd: R1, Rs1: R0})
+		Instr{Op: ir.OpcMovI, Rd: R0, Imm: 0x999999},
+		Instr{Op: ir.OpcLoad, Rd: R1, Rs1: R0})
 	stop := runProg(t, c, p)
 	if stop.Kind != StopFault {
 		t.Fatalf("stop %v", stop)
@@ -160,8 +160,8 @@ func TestSimulationErrorDefect(t *testing.T) {
 	c := newCPU(t)
 	c.SimDefects.MissingSetters = map[Reg]bool{R1: true}
 	p := program(
-		Instr{Op: OpcMovI, Rd: R0, Imm: 0x999999},
-		Instr{Op: OpcLoad, Rd: R1, Rs1: R0})
+		Instr{Op: ir.OpcMovI, Rd: R0, Imm: 0x999999},
+		Instr{Op: ir.OpcLoad, Rd: R1, Rs1: R0})
 	stop := runProg(t, c, p)
 	if stop.Kind != StopSimulationError {
 		t.Fatalf("stop %v", stop)
@@ -171,9 +171,9 @@ func TestSimulationErrorDefect(t *testing.T) {
 func TestDivisionByZeroFaults(t *testing.T) {
 	c := newCPU(t)
 	p := program(
-		Instr{Op: OpcMovI, Rd: R0, Imm: 10},
-		Instr{Op: OpcMovI, Rd: R1, Imm: 0},
-		Instr{Op: OpcDiv, Rd: R2, Rs1: R0, Rs2: R1})
+		Instr{Op: ir.OpcMovI, Rd: R0, Imm: 10},
+		Instr{Op: ir.OpcMovI, Rd: R1, Imm: 0},
+		Instr{Op: ir.OpcDiv, Rd: R2, Rs1: R0, Rs2: R1})
 	stop := runProg(t, c, p)
 	if stop.Kind != StopFault {
 		t.Fatalf("stop %v", stop)
@@ -182,7 +182,7 @@ func TestDivisionByZeroFaults(t *testing.T) {
 
 func TestStepLimit(t *testing.T) {
 	c := newCPU(t)
-	p := program(Instr{Op: OpcJmp, Imm: at(0)})
+	p := program(Instr{Op: ir.OpcJmp, Imm: at(0)})
 	c.Install(p)
 	stop := c.Run(50)
 	if stop.Kind != StopStepLimit {
@@ -193,14 +193,14 @@ func TestStepLimit(t *testing.T) {
 func TestFloatOps(t *testing.T) {
 	c := newCPU(t)
 	p := program(
-		Instr{Op: OpcMovI, Rd: R0, Imm: int64(math.Float64bits(1.5))},
-		Instr{Op: OpcMovI, Rd: R1, Imm: int64(math.Float64bits(2.25))},
-		Instr{Op: OpcFAdd, Rd: R2, Rs1: R0, Rs2: R1},
-		Instr{Op: OpcFCmp, Rs1: R0, Rs2: R1},
-		Instr{Op: OpcJlt, Imm: at(7)},
-		Instr{Op: OpcMovI, Rd: R3, Imm: 0},
+		Instr{Op: ir.OpcMovI, Rd: R0, Imm: int64(math.Float64bits(1.5))},
+		Instr{Op: ir.OpcMovI, Rd: R1, Imm: int64(math.Float64bits(2.25))},
+		Instr{Op: ir.OpcFAdd, Rd: R2, Rs1: R0, Rs2: R1},
+		Instr{Op: ir.OpcFCmp, Rs1: R0, Rs2: R1},
+		Instr{Op: ir.OpcJlt, Imm: at(7)},
+		Instr{Op: ir.OpcMovI, Rd: R3, Imm: 0},
 		hlt,
-		Instr{Op: OpcMovI, Rd: R3, Imm: 1}, // 7
+		Instr{Op: ir.OpcMovI, Rd: R3, Imm: 1}, // 7
 		hlt)
 	stop := runProg(t, c, p)
 	if stop.Kind != StopHalt {
@@ -221,8 +221,8 @@ func TestAllocFloat(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := program(
-		Instr{Op: OpcMovI, Rd: R0, Imm: int64(math.Float64bits(6.5))},
-		Instr{Op: OpcAllocFloat, Rd: R1, Rs1: R0},
+		Instr{Op: ir.OpcMovI, Rd: R0, Imm: int64(math.Float64bits(6.5))},
+		Instr{Op: ir.OpcAllocFloat, Rd: R1, Rs1: R0},
 		hlt)
 	stop := runProg(t, c, p)
 	if stop.Kind != StopHalt {
@@ -284,7 +284,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	for _, isa := range []ISA{ISAAmd64Like, ISAArm32Like} {
 		var instrs []Instr
 		for i := 0; i < 200; i++ {
-			op := Opc(rng.Intn(int(NumOpcs)))
+			op := ir.Opc(rng.Intn(int(ir.NumMachineOpcs)))
 			ins := Instr{
 				Op:  op,
 				Rd:  Reg(rng.Intn(int(NumRegs))),
@@ -318,9 +318,9 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 
 func TestEncodingSizesDiffer(t *testing.T) {
 	p := program(
-		Instr{Op: OpcMovI, Rd: R0, Imm: 5},
-		Instr{Op: OpcMovR, Rd: R1, Rs1: R0},
-		Instr{Op: OpcRet})
+		Instr{Op: ir.OpcMovI, Rd: R0, Imm: 5},
+		Instr{Op: ir.OpcMovR, Rd: R1, Rs1: R0},
+		Instr{Op: ir.OpcRet})
 	amd, err := Encode(p, ISAAmd64Like)
 	if err != nil {
 		t.Fatal(err)
@@ -335,7 +335,7 @@ func TestEncodingSizesDiffer(t *testing.T) {
 }
 
 func TestArm32RejectsHugeImmediates(t *testing.T) {
-	p := &Program{Base: CodeBase, Instrs: []Instr{{Op: OpcMovI, Rd: R0, Imm: 1 << 40}}}
+	p := &Program{Base: CodeBase, Instrs: []Instr{{Op: ir.OpcMovI, Rd: R0, Imm: 1 << 40}}}
 	if _, err := Encode(p, ISAArm32Like); err == nil {
 		t.Fatal("40-bit immediate must be unencodable on the fixed-width ISA")
 	}
@@ -346,10 +346,10 @@ func TestArm32RejectsHugeImmediates(t *testing.T) {
 
 func TestDisassemble(t *testing.T) {
 	p := program(
-		Instr{Op: OpcMovI, Rd: R0, Imm: 5},
-		Instr{Op: OpcLoad, Rd: R1, Rs1: R0, Imm: 2},
-		Instr{Op: OpcStore, Rs1: R0, Rs2: R1, Imm: 1},
-		Instr{Op: OpcBrk, Imm: 3})
+		Instr{Op: ir.OpcMovI, Rd: R0, Imm: 5},
+		Instr{Op: ir.OpcLoad, Rd: R1, Rs1: R0, Imm: 2},
+		Instr{Op: ir.OpcStore, Rs1: R0, Rs2: R1, Imm: 1},
+		Instr{Op: ir.OpcBrk, Imm: 3})
 	out := p.Disassemble()
 	for _, want := range []string{"movi r0, 5", "load r1, [r0+2]", "store [r0+1], r1", "brk 3"} {
 		if !contains(out, want) {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"cogdiff/internal/heap"
+	"cogdiff/internal/ir"
 )
 
 // This file holds the simulator's integer ALU, compare and branch
@@ -42,39 +43,39 @@ func refShiftCount(n int64) uint {
 
 // refALU computes op on a and b (b is the immediate for the immediate
 // forms). ok is false when the operation must fault: division by zero.
-func refALU(op Opc, a, b int64) (res int64, ok bool) {
+func refALU(op ir.Opc, a, b int64) (res int64, ok bool) {
 	x, y := big.NewInt(a), big.NewInt(b)
 	z := new(big.Int)
 	switch op {
-	case OpcAdd, OpcAddI:
+	case ir.OpcAdd, ir.OpcAddI:
 		z.Add(x, y)
-	case OpcSub, OpcSubI:
+	case ir.OpcSub, ir.OpcSubI:
 		z.Sub(x, y)
-	case OpcMul:
+	case ir.OpcMul:
 		z.Mul(x, y)
-	case OpcDiv, OpcMod:
+	case ir.OpcDiv, ir.OpcMod:
 		if b == 0 {
 			return 0, false
 		}
 		// Truncated division: the quotient rounds toward zero and the
 		// remainder takes the dividend's sign.
-		if op == OpcDiv {
+		if op == ir.OpcDiv {
 			z.Quo(x, y)
 		} else {
 			z.Rem(x, y)
 		}
-	case OpcAnd, OpcAndI:
+	case ir.OpcAnd, ir.OpcAndI:
 		z.And(x, y)
-	case OpcOr, OpcOrI:
+	case ir.OpcOr, ir.OpcOrI:
 		z.Or(x, y)
-	case OpcXor:
+	case ir.OpcXor:
 		z.Xor(x, y)
-	case OpcShl, OpcShlI:
+	case ir.OpcShl, ir.OpcShlI:
 		z.Lsh(x, refShiftCount(b))
-	case OpcShr:
+	case ir.OpcShr:
 		// Logical: shift the word's unsigned reading.
 		z.Rsh(new(big.Int).Mod(x, two64), refShiftCount(b))
-	case OpcSar, OpcSarI:
+	case ir.OpcSar, ir.OpcSarI:
 		// Arithmetic: big.Int shifts negative values toward -inf.
 		z.Rsh(x, refShiftCount(b))
 	default:
@@ -85,27 +86,27 @@ func refALU(op Opc, a, b int64) (res int64, ok bool) {
 
 // refTaken reports whether the branch op is taken after comparing a with
 // b, or without a comparison for Jmp.
-func refTaken(op Opc, a, b int64) bool {
+func refTaken(op ir.Opc, a, b int64) bool {
 	switch op {
-	case OpcJmp:
+	case ir.OpcJmp:
 		return true
-	case OpcJeq:
+	case ir.OpcJeq:
 		return a == b
-	case OpcJne:
+	case ir.OpcJne:
 		return a != b
-	case OpcJlt:
+	case ir.OpcJlt:
 		return a < b
-	case OpcJle:
+	case ir.OpcJle:
 		return a <= b
-	case OpcJgt:
+	case ir.OpcJgt:
 		return a > b
-	case OpcJge:
+	case ir.OpcJge:
 		return a >= b
 	}
 	panic(fmt.Sprintf("refTaken: %s is not a branch", op))
 }
 
-var branches = []Opc{OpcJmp, OpcJeq, OpcJne, OpcJlt, OpcJle, OpcJgt, OpcJge}
+var branches = []ir.Opc{ir.OpcJmp, ir.OpcJeq, ir.OpcJne, ir.OpcJlt, ir.OpcJle, ir.OpcJgt, ir.OpcJge}
 
 // runToHalt runs p from a reset CPU and fails the test unless it halts or
 // faults as wanted.
@@ -127,13 +128,13 @@ func runToHalt(t *testing.T, c *CPU, p *Program, wantFault bool, what string) {
 
 func TestALUMatchesReference(t *testing.T) {
 	c := newCPU(t)
-	for _, op := range []Opc{OpcAdd, OpcSub, OpcMul, OpcDiv, OpcMod, OpcAnd, OpcOr, OpcXor, OpcShl, OpcShr, OpcSar} {
+	for _, op := range []ir.Opc{ir.OpcAdd, ir.OpcSub, ir.OpcMul, ir.OpcDiv, ir.OpcMod, ir.OpcAnd, ir.OpcOr, ir.OpcXor, ir.OpcShl, ir.OpcShr, ir.OpcSar} {
 		for _, a := range boundaryWords {
 			for _, b := range boundaryWords {
 				want, ok := refALU(op, a, b)
 				p := program(
-					Instr{Op: OpcMovI, Rd: R1, Imm: a},
-					Instr{Op: OpcMovI, Rd: R2, Imm: b},
+					Instr{Op: ir.OpcMovI, Rd: R1, Imm: a},
+					Instr{Op: ir.OpcMovI, Rd: R2, Imm: b},
 					Instr{Op: op, Rd: R3, Rs1: R1, Rs2: R2},
 					hlt)
 				what := fmt.Sprintf("%s %d, %d", op, a, b)
@@ -144,12 +145,12 @@ func TestALUMatchesReference(t *testing.T) {
 			}
 		}
 	}
-	for _, op := range []Opc{OpcAddI, OpcSubI, OpcAndI, OpcOrI, OpcShlI, OpcSarI} {
+	for _, op := range []ir.Opc{ir.OpcAddI, ir.OpcSubI, ir.OpcAndI, ir.OpcOrI, ir.OpcShlI, ir.OpcSarI} {
 		for _, a := range boundaryWords {
 			for _, imm := range boundaryWords {
 				want, _ := refALU(op, a, imm)
 				p := program(
-					Instr{Op: OpcMovI, Rd: R1, Imm: a},
+					Instr{Op: ir.OpcMovI, Rd: R1, Imm: a},
 					Instr{Op: op, Rd: R3, Rs1: R1, Imm: imm},
 					hlt)
 				what := fmt.Sprintf("%s %d, %d", op, a, imm)
@@ -170,15 +171,15 @@ func TestBranchesMatchReference(t *testing.T) {
 	for _, br := range branches {
 		for _, a := range boundaryWords {
 			for _, b := range boundaryWords {
-				for _, cmp := range []Instr{{Op: OpcCmp, Rs1: R1, Rs2: R2}, {Op: OpcCmpI, Rs1: R1, Imm: b}} {
+				for _, cmp := range []Instr{{Op: ir.OpcCmp, Rs1: R1, Rs2: R2}, {Op: ir.OpcCmpI, Rs1: R1, Imm: b}} {
 					p := program(
-						Instr{Op: OpcMovI, Rd: R1, Imm: a},
-						Instr{Op: OpcMovI, Rd: R2, Imm: b},
+						Instr{Op: ir.OpcMovI, Rd: R1, Imm: a},
+						Instr{Op: ir.OpcMovI, Rd: R2, Imm: b},
 						cmp,
 						Instr{Op: br, Imm: at(6)},
-						Instr{Op: OpcMovI, Rd: R0, Imm: 0},
+						Instr{Op: ir.OpcMovI, Rd: R0, Imm: 0},
 						hlt,
-						Instr{Op: OpcMovI, Rd: R0, Imm: 1}, // 6: taken
+						Instr{Op: ir.OpcMovI, Rd: R0, Imm: 1}, // 6: taken
 						hlt)
 					what := fmt.Sprintf("%s after %s %d, %d", br, cmp.Op, a, b)
 					runToHalt(t, c, p, false, what)
@@ -200,31 +201,31 @@ func TestFloatBranchesMatchReference(t *testing.T) {
 		for _, a := range floats {
 			for _, b := range floats {
 				p := program(
-					Instr{Op: OpcMovI, Rd: R1, Imm: int64(math.Float64bits(a))},
-					Instr{Op: OpcMovI, Rd: R2, Imm: int64(math.Float64bits(b))},
-					Instr{Op: OpcFCmp, Rs1: R1, Rs2: R2},
+					Instr{Op: ir.OpcMovI, Rd: R1, Imm: int64(math.Float64bits(a))},
+					Instr{Op: ir.OpcMovI, Rd: R2, Imm: int64(math.Float64bits(b))},
+					Instr{Op: ir.OpcFCmp, Rs1: R1, Rs2: R2},
 					Instr{Op: br, Imm: at(6)},
-					Instr{Op: OpcMovI, Rd: R0, Imm: 0},
+					Instr{Op: ir.OpcMovI, Rd: R0, Imm: 0},
 					hlt,
-					Instr{Op: OpcMovI, Rd: R0, Imm: 1}, // 6: taken
+					Instr{Op: ir.OpcMovI, Rd: R0, Imm: 1}, // 6: taken
 					hlt)
 				what := fmt.Sprintf("%s after fcmp %g, %g", br, a, b)
 				runToHalt(t, c, p, false, what)
 				var want bool
 				switch br {
-				case OpcJmp:
+				case ir.OpcJmp:
 					want = true
-				case OpcJeq:
+				case ir.OpcJeq:
 					want = a == b
-				case OpcJne:
+				case ir.OpcJne:
 					want = a != b
-				case OpcJlt:
+				case ir.OpcJlt:
 					want = a < b
-				case OpcJle:
+				case ir.OpcJle:
 					want = a <= b
-				case OpcJgt:
+				case ir.OpcJgt:
 					want = a > b
-				case OpcJge:
+				case ir.OpcJge:
 					want = a >= b
 				}
 				if got := c.Regs[R0] == 1; got != want {

@@ -13,13 +13,6 @@ import (
 	"cogdiff/internal/primitives"
 )
 
-// planMaxIterations bounds the concolic exploration PlanFor derives a
-// plan from, and is the budget Complete measures a plan's exploration
-// against. It equals concolic.DefaultOptions' bound, so PlanFor sees the
-// path tree a default-configured campaign explores; a test run builds
-// its plans from its own explorations (NewPlan), whatever their bound.
-const planMaxIterations = 400
-
 // PathPlan classifies one explored path: supported paths become guard
 // blocks of the derived compiler, unsupported ones are omitted from the
 // chain (a test skips them deterministically through Supports).
@@ -86,21 +79,23 @@ func (p *Plan) SupportedPaths() []*PathPlan {
 }
 
 // Complete reports whether the exploration enumerated the method's whole
-// path tree: the iteration budget was not exhausted and no path was
-// curated out. Whole-method compilation requires it — an input taking an
-// unenumerated path would deoptimize mid-sequence.
+// path tree: concolic.DefaultOptions' iteration budget, the one PlanFor
+// explores under, was not exhausted and no path was curated out.
+// Whole-method compilation requires it — an input taking an unenumerated
+// path would deoptimize mid-sequence.
 func (p *Plan) Complete() bool {
-	return p.Exploration.Iterations < planMaxIterations && p.Exploration.CuratedOut == 0
+	return p.Exploration.Iterations < concolic.DefaultOptions().MaxIterations && p.Exploration.CuratedOut == 0
 }
 
 // PlanFor derives the meta-compilation plan of a method that has no
 // exploration of its own: it explores the method's first instruction
 // against a pristine interpreter — the generator reads the interpreter's
-// semantics, never a defect configuration — and classifies the
-// exploration (NewPlan). Whole-method compilation plans each of its
-// byte-codes this way. Nothing is memoized: keyed on the method's
-// content, a fuzz campaign's plans were too rarely shared to pay for
-// keeping them.
+// semantics, never a defect configuration — under
+// concolic.DefaultOptions, so it sees the path tree a default-configured
+// campaign explores, and classifies the exploration (NewPlan).
+// Whole-method compilation plans each of its byte-codes this way.
+// Nothing is memoized: keyed on the method's content, a fuzz campaign's
+// plans were too rarely shared to pay for keeping them.
 func PlanFor(m *bytecode.Method) *Plan {
 	name := m.Name
 	var op bytecode.Op
@@ -110,7 +105,7 @@ func PlanFor(m *bytecode.Method) *Plan {
 			name = bytecode.Describe(o).Mnemonic
 		}
 	}
-	ex := concolic.NewExplorer(planPrims(), concolic.Options{MaxIterations: planMaxIterations}).
+	ex := concolic.NewExplorer(planPrims(), concolic.DefaultOptions()).
 		Explore(concolic.Target{Kind: concolic.TargetBytecode, Name: name, Method: m, Op: op})
 	return NewPlan(m, ex)
 }

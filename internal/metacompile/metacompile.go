@@ -64,11 +64,6 @@ func NewCompiler(isa machine.ISA, om *heap.ObjectMemory, sw defects.Switches) *C
 	return &Compiler{ISA: isa, OM: om, Defects: sw}
 }
 
-// lowerPool is the register pool lowering assigns to virtual registers. The
-// generated front-end works on physical registers only; the pool exists
-// for lowering's virtual-register contract.
-var lowerPool = []machine.Reg{machine.TempReg, machine.ExtraReg, machine.R1}
-
 func (c *Compiler) finish(l *lowerer) (*jit.Optimized, error) {
 	if l.err != nil {
 		return nil, l.err
@@ -76,7 +71,6 @@ func (c *Compiler) finish(l *lowerer) (*jit.Optimized, error) {
 	bk := &jit.Backend{
 		Hooks:        c.Hooks,
 		Passes:       jit.PipelineFor(jit.MetaJITCogit, c.Defects),
-		Pool:         lowerPool,
 		RequireDeopt: true,
 	}
 	return bk.Optimize(l.b, l.selectors, l.numTemps)

@@ -98,20 +98,11 @@ func TestFigures(t *testing.T) {
 	}
 }
 
-func TestTable1AndPathDetail(t *testing.T) {
+func TestTable1(t *testing.T) {
 	prims := primitives.NewTable()
 	ex := concolic.NewExplorer(prims, concolic.DefaultOptions()).Explore(concolic.BytecodeTarget(bytecode.OpPrimAdd))
 	t1 := Table1(ex)
 	if !strings.Contains(t1, "isSmallInteger") {
 		t.Errorf("Table1 missing constraints:\n%s", t1)
-	}
-	pd := PathDetail(ex, 0)
-	for _, want := range []string{"exit:", "witness:", "input frame", "output frame"} {
-		if !strings.Contains(pd, want) {
-			t.Errorf("path detail missing %q:\n%s", want, pd)
-		}
-	}
-	if PathDetail(ex, 999) != "no such path\n" {
-		t.Error("out-of-range path detail")
 	}
 }

@@ -61,15 +61,6 @@ func percentile(sorted []float64, p float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// IntsToFloats converts a sample.
-func IntsToFloats(xs []int) []float64 {
-	out := make([]float64, len(xs))
-	for i, v := range xs {
-		out[i] = float64(v)
-	}
-	return out
-}
-
 // Histogram renders a log-scale ASCII distribution, the textual stand-in
 // for the paper's log-scale box plots.
 func Histogram(label string, xs []float64, width int) string {

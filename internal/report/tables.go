@@ -9,7 +9,6 @@ import (
 	"cogdiff/internal/concolic"
 	"cogdiff/internal/core"
 	"cogdiff/internal/defects"
-	"cogdiff/internal/interp"
 )
 
 // Table1 renders the concolic paths of one exploration in the format of
@@ -181,36 +180,4 @@ func Figure7(res *core.CampaignResult) string {
 	}
 	b.WriteString(Table(header, rows))
 	return b.String()
-}
-
-// PathDetail renders one path like a Fig. 2 column: input frame, output
-// frame, exit condition and constraint path.
-func PathDetail(ex *concolic.Exploration, idx int) string {
-	if idx < 0 || idx >= len(ex.Paths) {
-		return "no such path\n"
-	}
-	p := ex.Paths[idx]
-	var b strings.Builder
-	fmt.Fprintf(&b, "Path %d of %s\n", idx+1, ex.Target.Name)
-	fmt.Fprintf(&b, "  exit:        %s\n", p.Exit)
-	fmt.Fprintf(&b, "  witness:     %s\n", p.Model)
-	fmt.Fprintf(&b, "  constraints: %s\n", p.Path)
-	fmt.Fprintf(&b, "  input frame:  %s\n", frameDesc(p.InputFrame))
-	fmt.Fprintf(&b, "  output frame: %s\n", frameDesc(p.OutputFrame))
-	return b.String()
-}
-
-func frameDesc(f *interp.Frame) string {
-	if f == nil {
-		return "(none)"
-	}
-	cells := make([]string, 0, f.Size())
-	for _, v := range f.Stack {
-		if v.Sym != nil {
-			cells = append(cells, v.Sym.String())
-		} else {
-			cells = append(cells, fmt.Sprintf("%#x", uint64(v.W)))
-		}
-	}
-	return fmt.Sprintf("stack=[%s]", strings.Join(cells, ", "))
 }

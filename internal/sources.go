@@ -28,8 +28,7 @@ import "embed"
 //go:embed excache/codec.go excache/excache.go excache/exploration.go
 //go:embed heap/bootpool.go heap/memory.go heap/objectmemory.go heap/word.go
 //go:embed interp/ctx.go interp/exit.go interp/frame.go
-//go:embed interp/instructions.go interp/ops.go interp/runtime.go
-//go:embed interp/value.go
+//go:embed interp/instructions.go interp/ops.go interp/value.go
 //go:embed ir/builder.go ir/ir.go ir/passes.go
 //go:embed irverify/error.go irverify/kernel.go irverify/stack.go
 //go:embed irverify/verify.go

@@ -104,7 +104,9 @@ func (r *Registry) Timer(name string, labels ...string) *Timer {
 }
 
 // seriesKey folds label pairs into a canonical Prometheus-style series
-// name: name{k1="v1",k2="v2"} with keys sorted.
+// name: name{k1="v1",k2="v2"} with keys sorted. Values are written as
+// they are: each is a compiler, defect-family, blame-stage, pass or phase
+// name, and none holds a backslash, quote or newline.
 func seriesKey(name string, labels []string) string {
 	if len(labels) == 0 {
 		return name
@@ -120,26 +122,7 @@ func seriesKey(name string, labels []string) string {
 		if i > 0 {
 			out += ","
 		}
-		out += p.k + `="` + escapeLabelValue(p.v) + `"`
+		out += p.k + `="` + p.v + `"`
 	}
 	return out + "}"
-}
-
-// escapeLabelValue escapes backslash, double quote and newline per the
-// Prometheus text format.
-func escapeLabelValue(v string) string {
-	out := make([]byte, 0, len(v))
-	for i := 0; i < len(v); i++ {
-		switch v[i] {
-		case '\\':
-			out = append(out, '\\', '\\')
-		case '"':
-			out = append(out, '\\', '"')
-		case '\n':
-			out = append(out, '\\', 'n')
-		default:
-			out = append(out, v[i])
-		}
-	}
-	return string(out)
 }

@@ -101,10 +101,6 @@ func TestSeriesKeyCanonicalization(t *testing.T) {
 	if a != b || a != `m{a="1",b="2"}` {
 		t.Fatalf("series keys differ: %q vs %q", a, b)
 	}
-	esc := seriesKey("m", []string{"k", "a\"b\\c\nd"})
-	if esc != `m{k="a\"b\\c\nd"}` {
-		t.Fatalf("escaping wrong: %q", esc)
-	}
 }
 
 func TestSnapshotJSONRoundTrip(t *testing.T) {
